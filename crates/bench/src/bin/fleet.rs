@@ -30,6 +30,7 @@
 //! [`fleet_placements`]: reqblock_experiments::extensions::fleet_placements
 //! [`FleetMetrics`]: reqblock_sim::FleetMetrics
 
+use reqblock_bench::{median, Cli};
 use reqblock_experiments::extensions::{
     fleet_device_config, fleet_mix, fleet_placements, fleet_service_gap_ns,
 };
@@ -90,18 +91,6 @@ fn run_grid(grid: &[GridPoint], ctl: &FleetControl, streaming: bool) -> (f64, us
     (t0.elapsed().as_secs_f64(), ALLOC.peak_bytes(), metrics)
 }
 
-fn median(samples: &[f64]) -> f64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let n = sorted.len();
-    assert!(n > 0, "median of an empty sample set");
-    if n % 2 == 1 {
-        sorted[n / 2]
-    } else {
-        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
-    }
-}
-
 fn max(samples: &[f64]) -> f64 {
     samples.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b))
 }
@@ -112,32 +101,24 @@ fn main() {
     let mut threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let mut devices_list: Vec<usize> = vec![4, 16];
     let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
+    let mut cli = Cli::new(
+        "fleet",
+        "[--scale F] [--repeats N] [--devices N1,N2,...] [--threads N] [--out FILE]",
+    );
+    while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
-            "--scale" => scale = value("--scale").parse().expect("--scale must be a number"),
-            "--repeats" => repeats = value("--repeats").parse().expect("--repeats must be an int"),
-            "--threads" => {
-                threads = value("--threads").parse().expect("--threads must be an int");
-                assert!(threads > 0, "--threads must be positive");
-            }
-            "--devices" => {
-                devices_list = value("--devices")
-                    .split(',')
-                    .map(|d| d.trim().parse().expect("--devices must be ints"))
-                    .collect();
-                assert!(!devices_list.is_empty(), "--devices must list at least one count");
-            }
-            "--out" => out = Some(value("--out")),
-            other => panic!(
-                "unknown argument {other:?} (expected --scale/--repeats/--devices/--threads/--out)"
-            ),
+            "--scale" => scale = cli.value("--scale"),
+            "--repeats" => repeats = cli.value("--repeats"),
+            "--threads" => threads = cli.value("--threads"),
+            "--devices" => devices_list = cli.list("--devices"),
+            "--out" => out = Some(cli.value("--out")),
+            other => cli.fail(&format!("unknown flag {other:?}")),
         }
     }
+    cli.require(scale.is_finite() && scale > 0.0, "--scale", "must be finite and > 0");
+    cli.require(repeats > 0, "--repeats", "must be >= 1");
+    cli.require(threads > 0, "--threads", "must be >= 1");
+    cli.require(!devices_list.contains(&0), "--devices", "device counts must be >= 1");
 
     shared::set_enabled(true);
     shared::clear();

@@ -1,7 +1,6 @@
 //! Dependency-free hot-path benchmark: requests/sec for full-device replay.
 //!
-//! criterion needs crates.io, which the build environment cannot reach, so
-//! this binary measures the end-to-end hot path with nothing but
+//! This binary measures the end-to-end hot path with nothing but
 //! `std::time::Instant`: it replays a scaled `ts_0` synthetic trace through
 //! the Req-block policy and LRU on the paper's 16 MB device, repeats each
 //! replay a few times, and reports best-of and median-of-repeats
@@ -27,12 +26,14 @@
 //! Without `--out` the JSON goes to stdout. `scripts/bench.sh` wraps this
 //! and diffs the numbers against the committed `BENCH_hotpath.json`.
 
+use reqblock_bench::{median, Cli};
 use reqblock_core::ReqBlockConfig;
-use reqblock_obs::MemoryRecorder;
+use reqblock_obs::{MemoryRecorder, NoopRecorder};
 use reqblock_sim::{
-    run_source, run_source_recorded, AttrConfig, CacheSizeMb, PolicyKind, SampleInterval,
-    SimConfig, SubmitMode, TraceSource,
+    replay, AttrConfig, CacheSizeMb, PolicyKind, SampleInterval, SimConfig, SubmitMode,
+    TraceSource,
 };
+use reqblock_trace::Request;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -43,19 +44,6 @@ struct PolicyResult {
     median_requests_per_sec: f64,
     median_elapsed_ms: f64,
     hit_ratio: f64,
-}
-
-/// Median of a sample set (mean of the middle pair for even counts).
-fn median(samples: &[f64]) -> f64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let n = sorted.len();
-    assert!(n > 0, "median of an empty sample set");
-    if n % 2 == 1 {
-        sorted[n / 2]
-    } else {
-        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
-    }
 }
 
 fn policy_name(policy: PolicyKind) -> &'static str {
@@ -78,28 +66,29 @@ fn policy_name(policy: PolicyKind) -> &'static str {
 /// noise masquerade as (or hide) per-mode overhead.
 fn measure(
     policy: PolicyKind,
-    source: &TraceSource,
+    trace: &[Request],
     requests: u64,
     repeats: u32,
 ) -> (PolicyResult, PolicyResult, PolicyResult, PolicyResult) {
+    let run = |cfg: &SimConfig| replay(cfg, trace.iter().copied(), &mut NoopRecorder);
     let cfg = SimConfig::paper(CacheSizeMb::Mb16, policy);
     let cfg_rec = cfg.clone().with_sampling(SampleInterval::Requests(1_000));
     let cfg_queued = cfg.clone().with_submit(SubmitMode::Queued { depth: 8 });
     let cfg_attr = cfg.clone().with_attribution(AttrConfig::default());
     // Warm-up replays: page in code and the trace generator's tables.
-    let warm = run_source(&cfg, source);
+    let warm = run(&cfg);
     let mut warm_rec = MemoryRecorder::default();
-    let warm_recorded = run_source_recorded(&cfg_rec, source, &mut warm_rec);
+    let warm_recorded = replay(&cfg_rec, trace.iter().copied(), &mut warm_rec);
     assert_eq!(
         warm.metrics, warm_recorded.metrics,
         "recording must not change the simulated model"
     );
-    let warm_queued = run_source(&cfg_queued, source);
+    let warm_queued = run(&cfg_queued);
     assert_eq!(
         warm.flash, warm_queued.flash,
         "flash traffic must be depth-invariant across submit modes"
     );
-    let warm_attr = run_source(&cfg_attr, source);
+    let warm_attr = run(&cfg_attr);
     assert_eq!(
         warm.metrics, warm_attr.metrics,
         "attribution config must not change the simulated model"
@@ -110,7 +99,7 @@ fn measure(
     let mut attr_times = Vec::with_capacity(repeats as usize);
     for _ in 0..repeats {
         let t0 = Instant::now();
-        let res = run_source(&cfg, source);
+        let res = run(&cfg);
         noop_times.push(t0.elapsed().as_secs_f64());
         assert_eq!(
             res.metrics, warm.metrics,
@@ -119,7 +108,7 @@ fn measure(
 
         let mut rec = MemoryRecorder::default();
         let t0 = Instant::now();
-        let res = run_source_recorded(&cfg_rec, source, &mut rec);
+        let res = replay(&cfg_rec, trace.iter().copied(), &mut rec);
         recording_times.push(t0.elapsed().as_secs_f64());
         assert_eq!(
             res.metrics, warm.metrics,
@@ -127,7 +116,7 @@ fn measure(
         );
 
         let t0 = Instant::now();
-        let res = run_source(&cfg_queued, source);
+        let res = run(&cfg_queued);
         queued_times.push(t0.elapsed().as_secs_f64());
         assert_eq!(
             res.metrics, warm_queued.metrics,
@@ -135,7 +124,7 @@ fn measure(
         );
 
         let t0 = Instant::now();
-        let res = run_source(&cfg_attr, source);
+        let res = run(&cfg_attr);
         attr_times.push(t0.elapsed().as_secs_f64());
         assert_eq!(
             res.metrics, warm.metrics,
@@ -185,23 +174,21 @@ fn main() {
     let mut scale = 0.25f64;
     let mut repeats = 3u32;
     let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
+    let mut cli = Cli::new("hotpath", "[--scale F] [--repeats N] [--out FILE]");
+    while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
-            "--scale" => scale = value("--scale").parse().expect("--scale must be a number"),
-            "--repeats" => repeats = value("--repeats").parse().expect("--repeats must be an int"),
-            "--out" => out = Some(value("--out")),
-            other => panic!("unknown argument {other:?} (expected --scale/--repeats/--out)"),
+            "--scale" => scale = cli.value("--scale"),
+            "--repeats" => repeats = cli.value("--repeats"),
+            "--out" => out = Some(cli.value("--out")),
+            other => cli.fail(&format!("unknown flag {other:?}")),
         }
     }
+    cli.require(scale.is_finite() && scale > 0.0, "--scale", "must be finite and > 0");
+    cli.require(repeats > 0, "--repeats", "must be >= 1");
 
     let profile = reqblock_trace::profiles::ts_0().scaled(scale);
     let requests = profile.requests;
-    let source = TraceSource::Synthetic(profile);
+    let trace = TraceSource::Synthetic(profile).requests().expect("synthetic traces always load");
     eprintln!("hotpath: ts_0 x{scale} = {requests} requests, {repeats} repeats per policy");
 
     let policies = [PolicyKind::ReqBlock(ReqBlockConfig::paper()), PolicyKind::Lru];
@@ -210,7 +197,7 @@ fn main() {
     let mut queued = Vec::new();
     let mut attr_noop = Vec::new();
     for &p in &policies {
-        let (n, r, q, a) = measure(p, &source, requests, repeats);
+        let (n, r, q, a) = measure(p, &trace, requests, repeats);
         noop.push(n);
         recording.push(r);
         queued.push(q);

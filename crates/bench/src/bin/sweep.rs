@@ -26,6 +26,7 @@
 //! Without `--out` the JSON goes to stdout. `scripts/bench.sh` wraps this
 //! and gates the cached_parallel median against `BENCH_sweep.json`.
 
+use reqblock_bench::{median, Cli};
 use reqblock_experiments::sweep::{run_all, AllArtifacts};
 use reqblock_experiments::Opts;
 use reqblock_trace::shared;
@@ -61,18 +62,6 @@ fn timed_run(opts: &Opts, cache_on: bool) -> (f64, String) {
     (elapsed, artifact_digest(&art))
 }
 
-fn median(samples: &[f64]) -> f64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let n = sorted.len();
-    assert!(n > 0, "median of an empty sample set");
-    if n % 2 == 1 {
-        sorted[n / 2]
-    } else {
-        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
-    }
-}
-
 fn best(samples: &[f64]) -> f64 {
     samples.iter().fold(f64::INFINITY, |a, &b| a.min(b))
 }
@@ -82,25 +71,19 @@ fn main() {
     let mut repeats = 3u32;
     let mut threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
+    let mut cli = Cli::new("sweep", "[--scale F] [--repeats N] [--threads N] [--out FILE]");
+    while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
-            "--scale" => scale = value("--scale").parse().expect("--scale must be a number"),
-            "--repeats" => repeats = value("--repeats").parse().expect("--repeats must be an int"),
-            "--threads" => {
-                threads = value("--threads").parse().expect("--threads must be an int");
-                assert!(threads > 0, "--threads must be positive");
-            }
-            "--out" => out = Some(value("--out")),
-            other => {
-                panic!("unknown argument {other:?} (expected --scale/--repeats/--threads/--out)")
-            }
+            "--scale" => scale = cli.value("--scale"),
+            "--repeats" => repeats = cli.value("--repeats"),
+            "--threads" => threads = cli.value("--threads"),
+            "--out" => out = Some(cli.value("--out")),
+            other => cli.fail(&format!("unknown flag {other:?}")),
         }
     }
+    cli.require(scale.is_finite() && scale > 0.0, "--scale", "must be finite and > 0");
+    cli.require(repeats > 0, "--repeats", "must be >= 1");
+    cli.require(threads > 0, "--threads", "must be >= 1");
 
     let out_dir = std::env::temp_dir().join("reqblock_bench_sweep");
     let serial = Opts { scale, threads: 1, out_dir: out_dir.clone(), trace_dir: None };

@@ -427,9 +427,15 @@ fn main() -> ExitCode {
             operands.len()
         ));
     }
+    // Load every trace file --trace-dir supplies before planning: a bad
+    // file is a usage error here, not a panic inside the worker pool.
+    if let Err((path, e)) = opts.check_trace_dir() {
+        eprintln!("repro: --trace-dir: {}: {e}", path.display());
+        return ExitCode::from(2);
+    }
     let t0 = Instant::now();
     match cmd {
-        "table1" => emit(&opts, "table1", &[figures::table1()]),
+        "table1" =>emit(&opts, "table1", &[figures::table1()]),
         "table2" => emit(&opts, "table2", &[figures::table2(&opts)]),
         "fig2" | "fig3" => {
             let (f2, f3) = figures::fig2_fig3(&opts);

@@ -19,9 +19,9 @@ use crate::scenario::{self, AxisValues};
 use reqblock_cache::policies::BplruConfig;
 use reqblock_core::{PriorityModel, ReqBlockConfig};
 use reqblock_obs::telemetry::to_jsonl;
-use reqblock_obs::{MemoryRecorder, TraceBuilder};
+use reqblock_obs::{MemoryRecorder, NoopRecorder, TraceBuilder};
 use reqblock_sim::{
-    run_task_pool, ArrivalProcess, AttrAcc, AttrConfig, CacheSizeMb, Component, FleetConfig,
+    replay, run_task_pool, ArrivalProcess, AttrAcc, AttrConfig, CacheSizeMb, Component, FleetConfig,
     FleetControl, IntervalLog, Metrics, NoisyNeighbor, Placement, PolicyKind, RunResult,
     SimConfig, Ssd, SubmitMode, Task, TenantMix, TenantSpec, TraceSource,
 };
@@ -36,11 +36,13 @@ use reqblock_trace::WorkloadProfile;
 /// own timestamps are far too sparse to stress the device. Runs at plan
 /// time on one thread, so the grids stay thread-count invariant.
 pub(crate) fn calibrated_service_gap_ns(base: &TraceSource) -> u64 {
-    let requests = base.shared_requests();
-    let probe: Vec<reqblock_trace::Request> =
-        requests.iter().map(|r| reqblock_trace::Request { time_ns: 0, ..*r }).collect();
-    let cal =
-        reqblock_sim::run_trace(&SimConfig::paper(CacheSizeMb::Mb32, PolicyKind::Lru), probe);
+    let requests = base.requests().unwrap_or_else(|e| panic!("cannot load trace: {e}"));
+    let probe = requests.iter().map(|r| reqblock_trace::Request { time_ns: 0, ..*r });
+    let cal = replay(
+        &SimConfig::paper(CacheSizeMb::Mb32, PolicyKind::Lru),
+        probe,
+        &mut NoopRecorder,
+    );
     (cal.metrics.max_response_ns / (requests.len() as u64).max(1)).max(1)
 }
 
@@ -390,9 +392,10 @@ pub struct WhyReport {
 
 /// Run the X7 grid: [`why_policies`] x [`WHY_DEPTHS`] x [`WHY_LOADS`],
 /// replaying the `ts_0` mix open-loop with attribution enabled. Unlike the
-/// [`Job`] grids this keeps the whole device around per point — the
-/// attribution accumulator and captured busy intervals live on the `Ssd`,
-/// not in the [`RunResult`] — so it drives [`run_task_pool`] directly.
+/// [`JobPool`](reqblock_sim::JobPool) grids this keeps the whole device
+/// around per point — the attribution accumulator and captured busy
+/// intervals live on the `Ssd`, not in the [`RunResult`] — so it drives
+/// [`run_task_pool`] directly.
 /// Sampling is deterministic in the run alone, so the grid is
 /// thread-count invariant.
 pub(crate) fn why_points(opts: &Opts) -> Vec<WhyPoint> {
@@ -425,9 +428,11 @@ pub(crate) fn why_points(opts: &Opts) -> Vec<WhyPoint> {
             Task::new(label.clone(), move || {
                 let mut rec = MemoryRecorder::default();
                 let mut ssd = Ssd::new(cfg.clone());
-                source.for_each_request(|req| {
-                    ssd.submit_recorded(&req, &mut rec);
-                });
+                let requests =
+                    source.requests().unwrap_or_else(|e| panic!("cannot load trace: {e}"));
+                for req in requests.iter() {
+                    ssd.submit_recorded(req, &mut rec);
+                }
                 ssd.finish_recording(&mut rec);
                 let telemetry =
                     to_jsonl(&rec, &[("experiment", "why".into()), ("point", label.clone())]);
@@ -1108,7 +1113,8 @@ mod tests {
             // The depth-1 row reports exactly what a synchronous run of the
             // same job reports.
             let cfg = SimConfig::paper(CacheSizeMb::Mb32, policy);
-            let sync = reqblock_sim::run_source(&cfg, &TraceSource::Synthetic(profile.clone()));
+            let requests = TraceSource::Synthetic(profile.clone()).requests().unwrap();
+            let sync = replay(&cfg, requests.iter().copied(), &mut NoopRecorder);
             let row = t
                 .rows
                 .iter()

@@ -6,9 +6,10 @@ use reqblock_obs::{Fanout, MemoryRecorder};
 use reqblock_sim::probes::{LargeReqHitProbe, SizeCdfProbe};
 use reqblock_obs::telemetry::{summary_rows, to_jsonl};
 use reqblock_sim::{
-    run_source_recorded, run_task_pool, run_trace_recorded, CacheSizeMb, Job, PolicyKind,
-    RunResult, SampleInterval, SimConfig, Task, TraceSource,
+    replay, run_task_pool, CacheSizeMb, Job, JobPool, PolicyKind, RunResult, SampleInterval,
+    SimConfig, Task, TraceSource,
 };
+use reqblock_trace::msr::ParseError;
 use reqblock_trace::stats::StatsBuilder;
 use reqblock_trace::{paper_profiles, Request, TraceStats, WorkloadProfile};
 use std::collections::HashMap;
@@ -62,17 +63,31 @@ impl Opts {
         TraceSource::Synthetic(profile.clone())
     }
 
-    /// Materialized requests for one workload (probed experiments).
-    pub fn requests_for(&self, profile: &WorkloadProfile) -> Vec<reqblock_trace::Request> {
-        self.source_for(profile).requests()
+    /// Shared materialized requests for one workload
+    /// ([`TraceSource::requests`]): the process-wide cached slice when the
+    /// trace cache is on (the default), so probed experiments and the
+    /// sweep's simulation jobs all read the same memory; a fresh uncached
+    /// materialization otherwise. Panics on an unreadable trace file —
+    /// `repro` checks `--trace-dir` with [`Opts::check_trace_dir`] before
+    /// planning, so this only fires on library misuse.
+    pub fn shared_for(&self, profile: &WorkloadProfile) -> Arc<[Request]> {
+        self.source_for(profile)
+            .requests()
+            .unwrap_or_else(|e| panic!("cannot load trace {}: {e}", profile.name))
     }
 
-    /// Shared materialized requests for one workload: the process-wide
-    /// cached slice when the trace cache is on (the default), so probed
-    /// experiments and the sweep's simulation jobs all read the same
-    /// memory; a fresh uncached materialization otherwise.
-    pub fn shared_for(&self, profile: &WorkloadProfile) -> Arc<[Request]> {
-        self.source_for(profile).shared_requests()
+    /// Load every `<name>.csv` under [`Opts::trace_dir`] that
+    /// [`Opts::source_for`] would pick, through the shared trace cache (so
+    /// the runs that follow do not parse the files again). Returns the
+    /// first file that fails to load with its parse error.
+    pub fn check_trace_dir(&self) -> Result<(), (PathBuf, ParseError)> {
+        for profile in self.profiles() {
+            let source = self.source_for(&profile);
+            if let TraceSource::MsrFile(path) = &source {
+                source.requests().map_err(|e| (path.clone(), e))?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -93,50 +108,6 @@ pub(crate) fn take_slots<T>(slots: Vec<OnceLock<T>>) -> Vec<T> {
         .into_iter()
         .map(|slot| slot.into_inner().expect("pool task must have filled its slot"))
         .collect()
-}
-
-/// A planned simulation grid: jobs plus one result slot per job. `tasks`
-/// borrows the pool, so create it before assembling the task list and call
-/// [`JobPool::take_results`] after the pool has drained.
-pub(crate) struct JobPool {
-    jobs: Vec<Job>,
-    slots: Vec<OnceLock<RunResult>>,
-}
-
-impl JobPool {
-    pub(crate) fn new(jobs: Vec<Job>) -> Self {
-        let slots = jobs.iter().map(|_| OnceLock::new()).collect();
-        Self { jobs, slots }
-    }
-
-    /// Number of planned jobs.
-    pub(crate) fn job_count(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// One task per job, routing each result into its slot.
-    pub(crate) fn tasks(&self) -> Vec<Task<'_>> {
-        self.jobs
-            .iter()
-            .zip(&self.slots)
-            .map(|(job, slot)| {
-                Task::new(job.label.clone(), move || {
-                    let result = reqblock_sim::run_source(&job.cfg, &job.source);
-                    let ok = slot.set(result).is_ok();
-                    debug_assert!(ok, "job slot filled twice");
-                })
-            })
-            .collect()
-    }
-
-    /// Labelled results in job order (call after the pool has drained).
-    pub(crate) fn take_results(self) -> Vec<(String, RunResult)> {
-        self.jobs
-            .into_iter()
-            .zip(take_slots(self.slots))
-            .map(|(job, result)| (job.label, result))
-            .collect()
-    }
 }
 
 /// One task per profile, routing `f(opts, profile)` into the matching slot.
@@ -171,14 +142,6 @@ fn per_trace<T: Send + Sync>(
     let slots: Vec<OnceLock<T>> = profiles.iter().map(|_| OnceLock::new()).collect();
     run_task_pool(per_trace_tasks(prefix, opts, &profiles, &slots, &f), opts.threads);
     take_slots(slots)
-}
-
-/// [`reqblock_sim::run_jobs`] via a [`JobPool`] (same semantics; kept as a
-/// helper so the per-figure entry points stay one-liners).
-pub(crate) fn run_pool(jobs: Vec<Job>, threads: usize) -> Vec<(String, RunResult)> {
-    let pool = JobPool::new(jobs);
-    run_task_pool(pool.tasks(), threads);
-    pool.take_results()
 }
 
 // ---------------------------------------------------------------------
@@ -319,7 +282,7 @@ pub(crate) fn fig23_probe(opts: &Opts, profile: &WorkloadProfile) -> Fig23Row {
         let mut fan = Fanout::new();
         fan.push(&mut cdf);
         fan.push(&mut large);
-        run_trace_recorded(&cfg, requests.iter().copied(), &mut fan);
+        replay(&cfg, requests.iter().copied(), &mut fan);
     }
     large.finish();
     Fig23Row {
@@ -434,7 +397,7 @@ pub(crate) fn fig7_build(opts: &Opts, results: Vec<(String, RunResult)>) -> (Tab
 /// Figure 7: hit ratio and response time of Req-block at 32 MB for a range
 /// of delta values, normalized to delta = 1.
 pub fn fig7(opts: &Opts) -> (Table, Table) {
-    fig7_build(opts, run_pool(fig7_jobs(opts), opts.threads))
+    fig7_build(opts, JobPool::new(fig7_jobs(opts)).run(opts.threads))
 }
 
 // ---------------------------------------------------------------------
@@ -570,11 +533,11 @@ pub(crate) fn comparison_build(opts: &Opts, results: Vec<(String, RunResult)>) -
 
 /// Run the full comparison grid (4 policies x 3 cache sizes x 6 traces).
 pub fn comparison(opts: &Opts) -> Comparison {
-    comparison_build(opts, run_pool(comparison_jobs(opts), opts.threads))
+    comparison_build(opts, JobPool::new(comparison_jobs(opts)).run(opts.threads))
 }
 
 /// Replay-throughput summary of the comparison grid: host wall-clock and
-/// requests/s per job (the per-job timing `run_jobs` workers now keep).
+/// requests/s per job (each [`JobPool`] result times its own replay).
 pub fn perf_table(cmp: &Comparison) -> Table {
     let mut t = Table::new(
         "Run performance - host wall-clock per comparison job",
@@ -786,7 +749,7 @@ pub(crate) fn fig13_probe(opts: &Opts, profile: &WorkloadProfile) -> Fig13Row {
         .with_sampling(SampleInterval::Requests(sample_every));
     let mut rec = MemoryRecorder::default();
     let requests = opts.shared_for(profile);
-    run_trace_recorded(&cfg, requests.iter().copied(), &mut rec);
+    replay(&cfg, requests.iter().copied(), &mut rec);
     let irl = rec.series_points("irl_pages");
     let srl = rec.series_points("srl_pages");
     let drl = rec.series_points("drl_pages");
@@ -866,7 +829,7 @@ pub fn telemetry(opts: &Opts, trace: &str) -> (String, Table) {
     let cfg = SimConfig::paper(CacheSizeMb::Mb16, PolicyKind::ReqBlock(ReqBlockConfig::paper()))
         .with_sampling(SampleInterval::Requests(sample_every));
     let mut rec = MemoryRecorder::default();
-    run_source_recorded(&cfg, &opts.source_for(&profile), &mut rec);
+    replay(&cfg, opts.shared_for(&profile).iter().copied(), &mut rec);
     let meta = [
         ("trace", profile.name.clone()),
         ("policy", cfg.policy.name().to_string()),
@@ -1004,7 +967,8 @@ mod trace_dir_tests {
         }
         assert!(matches!(opts.source_for(hm1), TraceSource::Synthetic(_)));
         // The file source loads the exported requests.
-        assert_eq!(opts.requests_for(ts0).len(), reqs.len());
+        assert_eq!(opts.shared_for(ts0).len(), reqs.len());
+        assert!(opts.check_trace_dir().is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

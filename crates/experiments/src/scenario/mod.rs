@@ -44,14 +44,14 @@ use crate::extensions::{
 };
 use crate::figures::{
     comparison_build_from, comparison_jobs_from, fig10, fig11, fig12, fig8, fig9, perf_table,
-    policy_means, summary, JobPool, Opts,
+    policy_means, summary, Opts,
 };
 use crate::report::{f2, f3, pct, Table};
 use reqblock_cache::fxhash::FxHasher;
 use reqblock_cache::policies::{BplruConfig, CflruConfig, VbbmsConfig};
 use reqblock_core::ReqBlockConfig;
 use reqblock_sim::{
-    run_task_pool, ArrivalProcess, CacheSizeMb, FaultConfig, Job, PolicyKind, RunResult,
+    ArrivalProcess, CacheSizeMb, FaultConfig, Job, JobPool, PolicyKind, RunResult,
     SampleInterval, SimConfig, SubmitMode, Task, TraceSource,
 };
 use reqblock_trace::profiles::profile_by_name;
@@ -763,8 +763,8 @@ type BuildFn = Box<dyn FnOnce(Vec<(String, RunResult)>) -> ScenarioOutcome>;
 
 /// A compiled scenario: the flat job list (one order-preserving result
 /// slot per job) plus the pure build closure. `tasks` borrows the plan;
-/// submit them into any [`run_task_pool`] and call [`ScenarioPlan::finish`]
-/// once the pool has drained.
+/// submit them into any [`reqblock_sim::run_task_pool`] and call
+/// [`ScenarioPlan::finish`] once the pool has drained.
 pub struct ScenarioPlan {
     name: String,
     pool: JobPool,
@@ -795,9 +795,7 @@ impl ScenarioPlan {
 
     /// Run the plan on its own pool with `threads` workers.
     pub fn run(self, threads: usize) -> ScenarioOutcome {
-        let tasks = self.tasks();
-        run_task_pool(tasks, threads);
-        self.finish()
+        (self.build)(self.pool.run(threads))
     }
 }
 
@@ -1029,7 +1027,7 @@ fn compile_faults(sc: &Scenario, opts: &Opts) -> (Vec<Job>, BuildFn) {
                     erase_fail_ppm: ppm as u32,
                     ..FaultConfig::default()
                 },
-                submit: SubmitMode::Synchronous,
+                submit: SubmitMode::default(),
                 attr: None,
             },
             source: opts.source_for(&profile),

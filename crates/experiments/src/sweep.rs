@@ -21,11 +21,11 @@
 
 use crate::figures::{
     fig13_build, fig13_probe, fig23_build, fig23_probe, fig7_build, fig7_jobs, per_trace_tasks,
-    table1, table2_build, table2_stats, take_slots, telemetry, JobPool, Opts,
+    table1, table2_build, table2_stats, take_slots, telemetry, Opts,
 };
 use crate::report::Table;
 use crate::scenario::{self, plan_builtin};
-use reqblock_sim::{run_task_pool, Task};
+use reqblock_sim::{run_task_pool, JobPool, Task};
 use std::sync::OnceLock;
 
 /// The trace instrumented by the sweep's telemetry run.

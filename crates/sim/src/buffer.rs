@@ -89,55 +89,3 @@ impl PolicyBuffer {
         each_policy!(self, c => c as &dyn WriteBuffer)
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::PolicyKind;
-    use reqblock_cache::policies::{BplruConfig, CflruConfig, VbbmsConfig};
-    use reqblock_core::ReqBlockConfig;
-
-    #[test]
-    fn enum_dispatch_matches_boxed_dispatch() {
-        // Same access stream through the enum and the trait object must
-        // produce identical hit/miss decisions and eviction batches.
-        for kind in [
-            PolicyKind::Lru,
-            PolicyKind::Fifo,
-            PolicyKind::Lfu,
-            PolicyKind::Cflru(CflruConfig::default()),
-            PolicyKind::Fab,
-            PolicyKind::PudLru,
-            PolicyKind::Bplru(BplruConfig::default()),
-            PolicyKind::Vbbms(VbbmsConfig::default()),
-            PolicyKind::ReqBlock(ReqBlockConfig::paper()),
-        ] {
-            let mut enum_buf = kind.build_buffer(16, 8);
-            let mut boxed = kind.build(16, 8);
-            let mut ev_a = Vec::new();
-            let mut ev_b = Vec::new();
-            for i in 0..200u64 {
-                let lpn = (i * 7) % 48;
-                let a = Access { lpn, req_id: i, req_pages: 4, now: i * 100 };
-                let (ha, hb) = if i % 3 == 0 {
-                    (enum_buf.read(&a, &mut ev_a), boxed.read(&a, &mut ev_b))
-                } else {
-                    (enum_buf.write(&a, &mut ev_a), boxed.write(&a, &mut ev_b))
-                };
-                assert_eq!(ha, hb, "{}: hit decision diverged at i={i}", kind.name());
-            }
-            assert_eq!(ev_a.len(), ev_b.len(), "{}: eviction count diverged", kind.name());
-            for (a, b) in ev_a.iter().zip(&ev_b) {
-                assert_eq!(a.lpns, b.lpns, "{}: eviction batch diverged", kind.name());
-            }
-            assert_eq!(enum_buf.as_dyn().len_pages(), boxed.len_pages());
-            assert_eq!(enum_buf.as_dyn().name(), kind.name());
-            assert_eq!(
-                enum_buf.drain().len(),
-                boxed.drain().len(),
-                "{}: drain diverged",
-                kind.name()
-            );
-        }
-    }
-}

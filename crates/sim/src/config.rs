@@ -6,7 +6,6 @@ use reqblock_cache::policies::{
     BplruCache, BplruConfig, CflruCache, CflruConfig, FabCache, FifoCache, LfuCache, LruCache,
     PudLruCache, VbbmsCache, VbbmsConfig,
 };
-use reqblock_cache::WriteBuffer;
 use reqblock_core::{ReqBlock, ReqBlockConfig};
 use reqblock_flash::{FaultConfig, SsdConfig};
 use reqblock_obs::AttrConfig;
@@ -101,23 +100,8 @@ impl PolicyKind {
     }
 
     /// Instantiate the policy for a cache of `cache_pages` pages on an SSD
-    /// with `pages_per_block` pages per flash block.
-    pub fn build(&self, cache_pages: usize, pages_per_block: usize) -> Box<dyn WriteBuffer> {
-        match *self {
-            PolicyKind::Lru => Box::new(LruCache::new(cache_pages)),
-            PolicyKind::Fifo => Box::new(FifoCache::new(cache_pages)),
-            PolicyKind::Lfu => Box::new(LfuCache::new(cache_pages)),
-            PolicyKind::Cflru(cfg) => Box::new(CflruCache::new(cache_pages, cfg)),
-            PolicyKind::Fab => Box::new(FabCache::new(cache_pages, pages_per_block)),
-            PolicyKind::PudLru => Box::new(PudLruCache::new(cache_pages, pages_per_block)),
-            PolicyKind::Bplru(cfg) => Box::new(BplruCache::new(cache_pages, pages_per_block, cfg)),
-            PolicyKind::Vbbms(cfg) => Box::new(VbbmsCache::new(cache_pages, cfg)),
-            PolicyKind::ReqBlock(cfg) => Box::new(ReqBlock::new(cache_pages, cfg)),
-        }
-    }
-
-    /// Like [`PolicyKind::build`] but returns the statically dispatched
-    /// [`PolicyBuffer`] the device's hot path uses.
+    /// with `pages_per_block` pages per flash block, as the statically
+    /// dispatched [`PolicyBuffer`] the device's hot path uses.
     pub fn build_buffer(&self, cache_pages: usize, pages_per_block: usize) -> PolicyBuffer {
         match *self {
             PolicyKind::Lru => PolicyBuffer::Lru(LruCache::new(cache_pages)),
@@ -173,8 +157,8 @@ pub struct SimConfig {
     /// without the reliability layer.
     pub fault: FaultConfig,
     /// How the host issues requests ([`SubmitMode`]). The default,
-    /// [`SubmitMode::Synchronous`], is the paper's one-at-a-time model and
-    /// is byte-identical to the pre-host-layer simulator.
+    /// `Queued { depth: 1 }`, is the paper's one-at-a-time model and is
+    /// byte-identical to the pre-host-layer simulator.
     pub submit: SubmitMode,
     /// Per-request latency attribution (DESIGN.md §7.4). `None` (the
     /// default) keeps the engine's plain path: no decomposition, no span
@@ -196,7 +180,7 @@ impl SimConfig {
             overhead_sample_every: 1_000,
             sampling: SampleInterval::Off,
             fault: FaultConfig::default(),
-            submit: SubmitMode::Synchronous,
+            submit: SubmitMode::default(),
             attr: None,
         }
     }
@@ -210,7 +194,7 @@ impl SimConfig {
             overhead_sample_every: 10,
             sampling: SampleInterval::Off,
             fault: FaultConfig::default(),
-            submit: SubmitMode::Synchronous,
+            submit: SubmitMode::default(),
             attr: None,
         }
     }
@@ -274,7 +258,8 @@ mod tests {
             PolicyKind::Vbbms(VbbmsConfig::default()),
             PolicyKind::ReqBlock(ReqBlockConfig::paper()),
         ] {
-            let buf = kind.build(128, 64);
+            let built = kind.build_buffer(128, 64);
+            let buf = built.as_dyn();
             assert_eq!(buf.capacity_pages(), 128);
             assert_eq!(buf.len_pages(), 0);
             assert_eq!(buf.name(), kind.name());

@@ -7,8 +7,8 @@
 //! end-of-run recorder rollup. It is host-mode agnostic: the caller passes
 //! the host's [`FlushWindow`], and the only thing the window changes is
 //! *when a flush's completion becomes visible to the triggering request* —
-//! with a zero-capacity window (synchronous mode) every flush is waited on
-//! in place, reproducing the paper's model byte-for-byte.
+//! with the zero-capacity depth-1 window every flush is waited on in
+//! place, reproducing the paper's model byte-for-byte.
 
 use crate::config::{SampleInterval, SimConfig};
 use crate::device::Device;
@@ -18,7 +18,7 @@ use crate::metrics::Metrics;
 use reqblock_cache::{Access, EvictionBatch};
 use reqblock_obs::attr::COMPONENTS;
 use reqblock_obs::{series, AttrAcc, Component, PageEvent, Recorder};
-use reqblock_trace::{OpType, Request};
+use reqblock_trace::{Lpn, OpType, Request};
 
 /// Per-run orchestration state between the host interface and the device.
 pub struct Engine {
@@ -47,7 +47,7 @@ pub struct Engine {
     /// read completions the host has issued but not yet observed retire.
     /// Maintained only on instrumented queued runs (recorder enabled and a
     /// non-zero flush window) so the uninstrumented hot path and the
-    /// synchronous telemetry contract are untouched.
+    /// depth-1 telemetry contract are untouched.
     read_cursors: ChipCursors,
     /// Per-request latency attribution accumulator; allocated only when
     /// [`SimConfig::attr`] is set, consulted only while the recorder is
@@ -125,21 +125,20 @@ impl Engine {
     /// Settle one eviction batch: account it, time it on the device, and
     /// decide — via the host's flush window — how much of the flush the
     /// triggering request actually waits for. Returns the completion time
-    /// visible to the request plus — when `attr_on` — the GC busy time the
-    /// flush provoked (for the caller's flush-stall vs GC-interference
-    /// split; always 0 otherwise). The stall past `at` is attributed to
+    /// visible to the request plus — when attributing — the GC busy time
+    /// the flush provoked (for the caller's flush-stall vs GC-interference
+    /// split; always 0 otherwise). The stall past arrival is attributed to
     /// the dedicated flush-wait span so buffer-induced stalls stay
     /// distinguishable from the device service time of the request's own
     /// pages.
     fn settle_flush<R: Recorder + ?Sized>(
         &mut self,
         batch: &EvictionBatch,
-        at: u64,
-        on: bool,
-        attr_on: bool,
+        p: &InFlight,
         rec: &mut R,
         window: &mut FlushWindow,
     ) -> (u64, u64) {
+        let at = p.at;
         if !batch.dirty {
             self.metrics.clean_dropped_pages += batch.lpns.len() as u64;
             return (at, 0);
@@ -147,26 +146,26 @@ impl Engine {
         self.metrics.evictions += 1;
         self.metrics.evicted_pages += batch.lpns.len() as u64;
         self.metrics.pad_read_pages += batch.pad_reads.len() as u64;
-        let gc_before = if attr_on { self.device.ftl_obs().gc_busy_ns } else { 0 };
+        let gc_before = if p.attr_on { self.device.ftl_obs().gc_busy_ns } else { 0 };
         let completion = self.device.flush(batch, at);
         let gc_ns =
-            if attr_on { saturate_u64(self.device.ftl_obs().gc_busy_ns - gc_before) } else { 0 };
+            if p.attr_on { saturate_u64(self.device.ftl_obs().gc_busy_ns - gc_before) } else { 0 };
         let visible = if window.capacity() == 0 {
-            // Synchronous: the request waits for its own victim flush — the
+            // Depth 1: the request waits for its own victim flush — the
             // buffered data cannot be overwritten before it is safe on
             // flash (§4.2.2).
             completion.ready_ns
         } else {
-            // Queued: the flush retires in the background. The request
-            // stalls only when every window slot is occupied, and then only
-            // until the *earliest* outstanding flush retires.
+            // Deeper windows: the flush retires in the background. The
+            // request stalls only when every window slot is occupied, and
+            // then only until the *earliest* outstanding flush retires.
             window.admit(completion.ready_ns).unwrap_or(at)
         };
         let stall = visible.saturating_sub(at);
         if stall > 0 {
             self.metrics.flush_stalls += 1;
             self.metrics.flush_stall_ns += stall as u128;
-            if on {
+            if p.on {
                 rec.span("flush_wait", stall);
             }
         }
@@ -182,23 +181,63 @@ impl Engine {
     /// the optimizer removes every recording branch, leaving the
     /// uninstrumented hot path bit-identical in cost to one with no
     /// recorder argument at all.
+    ///
+    /// The request runs through four stages: `admit`, one buffer step per
+    /// page (`buffer_write` or `read`) each followed by `settle_evictions`,
+    /// and `complete`. The stages are `#[inline(always)]` so the per-page
+    /// loop still compiles as one function: with plain `#[inline]`, an
+    /// `hm_1` x3 replay ran 3-22 % slower in four interleaved runs on a
+    /// 2-vCPU host.
     pub fn submit_recorded<R: Recorder + ?Sized>(
         &mut self,
         req: &Request,
         rec: &mut R,
         window: &mut FlushWindow,
     ) -> u64 {
+        let mut p = self.admit(req, rec, window);
+        let mut evictions = std::mem::take(&mut self.evict_scratch);
+        match req.op {
+            OpType::Write => {
+                self.metrics.write_reqs += 1;
+                for lpn in req.lpns() {
+                    self.buffer_write(lpn, &mut p, &mut evictions, rec);
+                    self.settle_evictions(&mut evictions, &mut p, rec, window);
+                }
+            }
+            OpType::Read => {
+                self.metrics.read_reqs += 1;
+                for lpn in req.lpns() {
+                    self.read(lpn, &mut p, &mut evictions, rec);
+                    // Read-caching policies (CFLRU ablation) may evict
+                    // here; same stall rules as the write path.
+                    self.settle_evictions(&mut evictions, &mut p, rec, window);
+                }
+            }
+        }
+        self.evict_scratch = evictions;
+        self.complete(p, rec, window)
+    }
+
+    /// Admit stage: assign the request id, count it, retire background
+    /// flushes that finished before this arrival, and drain the NCQ read
+    /// ledger up to it.
+    #[inline(always)]
+    fn admit<R: Recorder + ?Sized>(
+        &mut self,
+        req: &Request,
+        rec: &R,
+        window: &mut FlushWindow,
+    ) -> InFlight {
         let on = rec.enabled();
         let at = req.time_ns;
-        let pages = req.page_count();
         let req_id = self.req_counter;
         self.req_counter += 1;
         self.metrics.requests += 1;
         self.last_arrival_ns = self.last_arrival_ns.max(at);
         // Attribution is double-gated: the accumulator must be configured
         // AND the recorder live. With `NoopRecorder`, `on` is a constant
-        // false and the whole decomposition (including the parts array
-        // below) monomorphizes away; with a live recorder but no
+        // false and the whole decomposition (including the parts array)
+        // monomorphizes away; with a live recorder but no
         // `SimConfig::attr`, every attribution branch is one dead bool
         // test and the recorded telemetry stays byte-identical.
         let attr_on = on && self.attr.is_some();
@@ -209,201 +248,184 @@ impl Engine {
             self.intervals_on = true;
             self.device.enable_busy_intervals();
         }
-        // Per-component shares of this request's response; every advance
-        // of `done` below is charged to exactly one component, so the
-        // parts sum to the response by construction.
-        let mut parts = [0u64; COMPONENTS];
         // Background flushes that retired before this arrival free their
-        // window slots (no-op with a zero-capacity synchronous window).
+        // window slots (no-op with the zero-capacity depth-1 window).
         window.retire_until(at);
         // The outstanding-read ledger is pure instrumentation: only kept
-        // when the recorder is live *and* the submit mode admits background
+        // when the recorder is live *and* the window admits background
         // work (`Queued { depth >= 2 }`), so the uninstrumented hot path
-        // pays nothing and `Queued { 1 }` telemetry stays byte-identical
-        // to `Synchronous`.
+        // pays nothing and depth-1 telemetry stays byte-identical.
         let track_ncq = on && window.capacity() > 0;
         if track_ncq {
             self.read_cursors.drain_ready(at);
         }
-        let mut done = at;
-        let mut evictions = std::mem::take(&mut self.evict_scratch);
-        match req.op {
-            OpType::Write => {
-                self.metrics.write_reqs += 1;
-                for lpn in req.lpns() {
-                    self.logical_now += 1;
-                    let a = Access { lpn, req_id, req_pages: pages as u32, now: self.logical_now };
-                    let hit = self.device.buffer_write(&a, &mut evictions);
-                    self.metrics.write_pages += 1;
-                    if hit {
-                        self.metrics.write_hits += 1;
-                    }
-                    if on {
-                        rec.page(&PageEvent {
-                            lpn,
-                            req_id,
-                            req_pages: pages as u32,
-                            now: self.logical_now,
-                            is_write: true,
-                            hit,
-                        });
-                    }
-                    // Buffered write: one DRAM access, plus — when this page
-                    // forced an eviction — whatever part of the victim flush
-                    // the host makes it wait for. Batch evictions amortize
-                    // this stall over every page they free (§4.2.2: "each
-                    // eviction operation can make more available cache
-                    // space"), and striped placement bounds it to about one
-                    // program latency, while BPLRU's single-block flushes
-                    // serialize.
-                    if attr_on {
-                        attribute_advance(
-                            &mut done,
-                            at + self.device.dram_access_ns(),
-                            &mut parts,
-                            &[],
-                            Component::CacheService,
-                        );
-                    } else {
-                        done = done.max(at + self.device.dram_access_ns());
-                    }
-                    if !evictions.is_empty() {
-                        for batch in evictions.drain(..) {
-                            let (visible, gc_ns) =
-                                self.settle_flush(&batch, at, on, attr_on, rec, window);
-                            if attr_on {
-                                // Of the wait this flush added, the part the
-                                // device provably spent garbage-collecting is
-                                // GC interference; the rest is flush stall.
-                                attribute_advance(
-                                    &mut done,
-                                    visible,
-                                    &mut parts,
-                                    &[(Component::GcInterference, gc_ns)],
-                                    Component::FlushStall,
-                                );
-                            } else {
-                                done = done.max(visible);
-                            }
-                            self.device.recycle(batch);
-                        }
-                    }
-                }
-            }
-            OpType::Read => {
-                self.metrics.read_reqs += 1;
-                for lpn in req.lpns() {
-                    self.logical_now += 1;
-                    // Warm the FTL mapping entry behind the buffer lookup:
-                    // on a miss the very next load is `l2p[lpn]`.
-                    self.device.prefetch_read(lpn);
-                    let a = Access { lpn, req_id, req_pages: pages as u32, now: self.logical_now };
-                    let hit = self.device.buffer_read(&a, &mut evictions);
-                    self.metrics.read_pages += 1;
-                    if hit {
-                        self.metrics.read_hits += 1;
-                        if attr_on {
-                            attribute_advance(
-                                &mut done,
-                                at + self.device.dram_access_ns(),
-                                &mut parts,
-                                &[],
-                                Component::CacheService,
-                            );
-                        } else {
-                            done = done.max(at + self.device.dram_access_ns());
-                        }
-                    } else {
-                        // Snapshot the device's cumulative retry/GC/queue
-                        // accounting around the read so the miss's advance
-                        // can be split by cause (clamped in that order;
-                        // the remainder is pure read service).
-                        let (retry0, gc0, wait0) = if attr_on {
-                            let o = self.device.ftl_obs();
-                            (o.retry_busy_ns, o.gc_busy_ns, self.device.busy().wait_ns)
-                        } else {
-                            (0, 0, 0)
-                        };
-                        let c = self.device.flash_read(lpn, at);
-                        if attr_on {
-                            let o = self.device.ftl_obs();
-                            let retry_ns = saturate_u64(o.retry_busy_ns - retry0);
-                            let gc_ns = saturate_u64(o.gc_busy_ns - gc0);
-                            let wait_ns = saturate_u64(self.device.busy().wait_ns - wait0);
-                            attribute_advance(
-                                &mut done,
-                                c.ready_ns,
-                                &mut parts,
-                                &[
-                                    (Component::ReadRetry, retry_ns),
-                                    (Component::GcInterference, gc_ns),
-                                    (Component::ReadQueueWait, wait_ns),
-                                ],
-                                Component::ReadService,
-                            );
-                        } else {
-                            done = done.max(c.ready_ns);
-                        }
-                        if track_ncq {
-                            // Ledger the read on the chip that served it;
-                            // per-chip completion times are monotone (the
-                            // chip busy horizon only advances), which is
-                            // what keeps the cursor rings FIFO.
-                            if let Some(chip) = self.device.chip_of_lpn(lpn) {
-                                self.read_cursors.push(chip, c.ready_ns);
-                            }
-                        }
-                    }
-                    if on {
-                        rec.page(&PageEvent {
-                            lpn,
-                            req_id,
-                            req_pages: pages as u32,
-                            now: self.logical_now,
-                            is_write: false,
-                            hit,
-                        });
-                    }
-                    // Read-caching policies (CFLRU ablation) may evict here;
-                    // same stall rules as the write path.
-                    if !evictions.is_empty() {
-                        for batch in evictions.drain(..) {
-                            let (visible, gc_ns) =
-                                self.settle_flush(&batch, at, on, attr_on, rec, window);
-                            if attr_on {
-                                attribute_advance(
-                                    &mut done,
-                                    visible,
-                                    &mut parts,
-                                    &[(Component::GcInterference, gc_ns)],
-                                    Component::FlushStall,
-                                );
-                            } else {
-                                done = done.max(visible);
-                            }
-                            self.device.recycle(batch);
-                        }
-                    }
+        InFlight {
+            req_id,
+            at,
+            pages: req.page_count() as u32,
+            on,
+            attr_on,
+            track_ncq,
+            done: at,
+            parts: [0; COMPONENTS],
+        }
+    }
+
+    /// Buffer stage for one written page: one DRAM access. Whatever part
+    /// of a victim flush the page forces is charged by
+    /// [`Engine::settle_evictions`] — batch evictions amortize that stall
+    /// over every page they free (§4.2.2: "each eviction operation can
+    /// make more available cache space"), and striped placement bounds it
+    /// to about one program latency, while BPLRU's single-block flushes
+    /// serialize.
+    #[inline(always)]
+    fn buffer_write<R: Recorder + ?Sized>(
+        &mut self,
+        lpn: Lpn,
+        p: &mut InFlight,
+        evictions: &mut Vec<EvictionBatch>,
+        rec: &mut R,
+    ) {
+        self.logical_now += 1;
+        let a = Access { lpn, req_id: p.req_id, req_pages: p.pages, now: self.logical_now };
+        let hit = self.device.buffer_write(&a, evictions);
+        self.metrics.write_pages += 1;
+        if hit {
+            self.metrics.write_hits += 1;
+        }
+        if p.on {
+            rec.page(&PageEvent {
+                lpn,
+                req_id: p.req_id,
+                req_pages: p.pages,
+                now: self.logical_now,
+                is_write: true,
+                hit,
+            });
+        }
+        p.advance(p.at + self.device.dram_access_ns(), &[], Component::CacheService);
+    }
+
+    /// Read stage for one page: a buffer hit costs one DRAM access, a miss
+    /// is served from flash (and ledgered per chip when the NCQ ledger is
+    /// on).
+    #[inline(always)]
+    fn read<R: Recorder + ?Sized>(
+        &mut self,
+        lpn: Lpn,
+        p: &mut InFlight,
+        evictions: &mut Vec<EvictionBatch>,
+        rec: &mut R,
+    ) {
+        self.logical_now += 1;
+        // Warm the FTL mapping entry behind the buffer lookup: on a miss
+        // the very next load is `l2p[lpn]`.
+        self.device.prefetch_read(lpn);
+        let a = Access { lpn, req_id: p.req_id, req_pages: p.pages, now: self.logical_now };
+        let hit = self.device.buffer_read(&a, evictions);
+        self.metrics.read_pages += 1;
+        if hit {
+            self.metrics.read_hits += 1;
+            p.advance(p.at + self.device.dram_access_ns(), &[], Component::CacheService);
+        } else {
+            // Snapshot the device's cumulative retry/GC/queue accounting
+            // around the read so the miss's advance can be split by cause
+            // (clamped in that order; the remainder is pure read service).
+            let (retry0, gc0, wait0) = if p.attr_on {
+                let o = self.device.ftl_obs();
+                (o.retry_busy_ns, o.gc_busy_ns, self.device.busy().wait_ns)
+            } else {
+                (0, 0, 0)
+            };
+            let c = self.device.flash_read(lpn, p.at);
+            let (retry_ns, gc_ns, wait_ns) = if p.attr_on {
+                let o = self.device.ftl_obs();
+                (
+                    saturate_u64(o.retry_busy_ns - retry0),
+                    saturate_u64(o.gc_busy_ns - gc0),
+                    saturate_u64(self.device.busy().wait_ns - wait0),
+                )
+            } else {
+                (0, 0, 0)
+            };
+            let splits = [
+                (Component::ReadRetry, retry_ns),
+                (Component::GcInterference, gc_ns),
+                (Component::ReadQueueWait, wait_ns),
+            ];
+            p.advance(c.ready_ns, &splits, Component::ReadService);
+            if p.track_ncq {
+                // Ledger the read on the chip that served it; per-chip
+                // completion times are monotone (the chip busy horizon
+                // only advances), which is what keeps the cursor rings
+                // FIFO.
+                if let Some(chip) = self.device.chip_of_lpn(lpn) {
+                    self.read_cursors.push(chip, c.ready_ns);
                 }
             }
         }
-        self.evict_scratch = evictions;
-        let response = done.saturating_sub(at);
+        if p.on {
+            rec.page(&PageEvent {
+                lpn,
+                req_id: p.req_id,
+                req_pages: p.pages,
+                now: self.logical_now,
+                is_write: false,
+                hit,
+            });
+        }
+    }
+
+    /// Settle every batch the last page access evicted
+    /// ([`Engine::settle_flush`]), advance the request to what the host
+    /// window makes it wait for, and hand each batch back to the policy.
+    #[inline(always)]
+    fn settle_evictions<R: Recorder + ?Sized>(
+        &mut self,
+        evictions: &mut Vec<EvictionBatch>,
+        p: &mut InFlight,
+        rec: &mut R,
+        window: &mut FlushWindow,
+    ) {
+        if evictions.is_empty() {
+            return;
+        }
+        for batch in evictions.drain(..) {
+            let (visible, gc_ns) = self.settle_flush(&batch, p, rec, window);
+            // Of the wait this flush added, the part the device provably
+            // spent garbage-collecting is GC interference; the rest is
+            // flush stall.
+            p.advance(visible, &[(Component::GcInterference, gc_ns)], Component::FlushStall);
+            self.device.recycle(batch);
+        }
+    }
+
+    /// Complete stage: record the response, take the metadata-overhead
+    /// sample when due, and — on recorded runs — feed the attribution
+    /// accumulator and the periodic sampler. Returns the response in ns.
+    #[inline(always)]
+    fn complete<R: Recorder + ?Sized>(
+        &mut self,
+        p: InFlight,
+        rec: &mut R,
+        window: &FlushWindow,
+    ) -> u64 {
+        let response = p.done.saturating_sub(p.at);
         self.metrics.record_response(response);
-        if self.cfg.overhead_sample_every > 0 && req_id >= self.next_overhead_sample {
-            self.next_overhead_sample = req_id + self.cfg.overhead_sample_every;
+        if self.cfg.overhead_sample_every > 0 && p.req_id >= self.next_overhead_sample {
+            self.next_overhead_sample = p.req_id + self.cfg.overhead_sample_every;
             self.metrics.overhead_samples += 1;
             self.metrics.metadata_bytes_sum += self.device.cache().metadata_bytes() as u128;
             self.metrics.node_count_sum += self.device.cache().node_count() as u128;
         }
-        if on {
-            if attr_on {
+        if p.on {
+            if p.attr_on {
                 if let Some(acc) = self.attr.as_deref_mut() {
-                    acc.observe(req_id, at, response, parts);
+                    acc.observe(p.req_id, p.at, response, p.parts);
                 }
             }
-            rec.request_end(req_id);
-            self.maybe_sample(req_id, at, rec, window);
+            rec.request_end(p.req_id);
+            self.maybe_sample(p.req_id, p.at, rec, window);
         }
         response
     }
@@ -456,8 +478,8 @@ impl Engine {
             rec.sample("bad_blocks", t, self.device.bad_blocks_total() as f64);
         }
         if window.capacity() > 0 {
-            // Host queue occupancy exists only in queued mode; gating the
-            // series keeps synchronous telemetry byte-identical.
+            // Host queue occupancy exists only beyond depth 1; gating the
+            // series keeps depth-1 telemetry byte-identical.
             rec.sample(series::QDEPTH, t, window.outstanding() as f64);
             rec.sample(series::OUTSTANDING_READS, t, self.read_cursors.outstanding() as f64);
         }
@@ -556,13 +578,10 @@ impl Engine {
         rec.gauge("p99_response_ms", m.response_percentile_ms(0.99));
         rec.gauge("avg_flush_stall_ms", m.avg_flush_stall_ms());
 
-        // Host-layer rollup: only queued mode has a window to report, and
-        // gating it keeps synchronous JSONL byte-identical.
+        // Host-layer rollup: only a window deeper than 1 has anything to
+        // report, and gating it keeps depth-1 JSONL byte-identical.
         if window.capacity() > 0 {
-            let depth = match self.cfg.submit {
-                SubmitMode::Queued { depth } => depth,
-                SubmitMode::Synchronous => 1,
-            };
+            let SubmitMode::Queued { depth } = self.cfg.submit;
             rec.gauge(series::HOST_QDEPTH, depth as f64);
             rec.gauge(series::HOST_MAX_OUTSTANDING, window.max_outstanding() as f64);
             rec.gauge(
@@ -607,6 +626,41 @@ impl Engine {
                 self.metrics.evicted_pages += batch.lpns.len() as u64;
                 self.device.write_back(&batch, at);
             }
+        }
+    }
+}
+
+/// Per-request state the submit stages thread through: identity, the
+/// recorder gates (evaluated once per request), and the running completion
+/// time with its per-component attribution.
+struct InFlight {
+    req_id: u64,
+    /// Arrival time (ns); response times count from here.
+    at: u64,
+    pages: u32,
+    /// The recorder is live.
+    on: bool,
+    /// The recorder is live and [`SimConfig::attr`] is set.
+    attr_on: bool,
+    /// The NCQ outstanding-read ledger is maintained for this request.
+    track_ncq: bool,
+    /// Completion time so far (starts at arrival).
+    done: u64,
+    /// Per-component shares of `done - at`; every advance of `done` is
+    /// charged to exactly one component, so the parts sum to the response
+    /// by construction.
+    parts: [u64; COMPONENTS],
+}
+
+impl InFlight {
+    /// Advance the completion time to at least `to`; when attributing,
+    /// charge the advance per [`attribute_advance`].
+    #[inline]
+    fn advance(&mut self, to: u64, splits: &[(Component, u64)], rest: Component) {
+        if self.attr_on {
+            attribute_advance(&mut self.done, to, &mut self.parts, splits, rest);
+        } else {
+            self.done = self.done.max(to);
         }
     }
 }

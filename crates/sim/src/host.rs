@@ -5,15 +5,14 @@
 //! accounting ([`crate::engine::Engine`]) and timing
 //! ([`crate::device::Device`]) — is host-mode agnostic.
 //!
-//! **Byte-identity guarantee.** Under [`SubmitMode::Synchronous`] (and its
-//! alias `Queued { depth: 1 }`) the window has zero capacity, every
-//! eviction flush is waited on in place, and the simulator reproduces the
-//! pre-layering output bit for bit: same [`Metrics`], same flash counters,
-//! same telemetry JSONL. The golden tests pin this. Queued mode changes
-//! *only* which part of a flush the triggering request waits for — the
-//! flush operations themselves are issued on the flash timelines at the
-//! same instants in every mode, so flash counters and GC behaviour are
-//! depth-invariant.
+//! **Byte-identity guarantee.** At the default depth of 1 the window has
+//! zero capacity, every eviction flush is waited on in place, and the
+//! simulator reproduces the pre-layering output bit for bit: same
+//! [`Metrics`], same flash counters, same telemetry JSONL. The golden tests
+//! pin this. Deeper windows change *only* which part of a flush the
+//! triggering request waits for — the flush operations themselves are
+//! issued on the flash timelines at the same instants at every depth, so
+//! flash counters and GC behaviour are depth-invariant.
 //!
 //! [`Metrics`]: crate::metrics::Metrics
 
@@ -29,41 +28,42 @@ use reqblock_obs::{NoopRecorder, Recorder};
 use reqblock_trace::Request;
 
 /// How the host issues requests to the device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitMode {
-    /// One request at a time; every eviction flush is waited on
-    /// synchronously. This is the paper's evaluation model (§4) and the
-    /// default.
-    #[default]
-    Synchronous,
     /// Up to `depth` requests overlap: a request still issues at its trace
     /// arrival time, but the eviction flushes it triggers retire
     /// asynchronously in a window of `depth - 1` background slots — the
     /// request stalls only when the window is full, and then only until
     /// the earliest outstanding flush retires. Reads on distinct chips
     /// already overlap on the timelines. `depth: 1` leaves no background
-    /// slot and is exactly [`SubmitMode::Synchronous`].
+    /// slot: every eviction flush is waited on synchronously, which is the
+    /// paper's evaluation model (§4) and the default.
     Queued {
         /// Outstanding-request window size (>= 1).
         depth: u32,
     },
 }
 
+impl Default for SubmitMode {
+    fn default() -> Self {
+        SubmitMode::Queued { depth: 1 }
+    }
+}
+
 impl SubmitMode {
     /// Background-flush slots this mode admits: a depth-`d` window lets
     /// the current request overlap with `d - 1` in-flight flushes.
     pub fn window_slots(self) -> usize {
-        match self {
-            SubmitMode::Synchronous => 0,
-            SubmitMode::Queued { depth } => depth.max(1) as usize - 1,
-        }
+        let SubmitMode::Queued { depth } = self;
+        depth.max(1) as usize - 1
     }
 }
 
+/// `sync` for the zero-slot window (depth <= 1), `qd<depth>` otherwise.
 impl std::fmt::Display for SubmitMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SubmitMode::Synchronous => write!(f, "sync"),
+        match *self {
+            SubmitMode::Queued { depth } if depth <= 1 => write!(f, "sync"),
             SubmitMode::Queued { depth } => write!(f, "qd{depth}"),
         }
     }
@@ -73,8 +73,8 @@ impl std::fmt::Display for SubmitMode {
 /// event order), carried by the allocation-free [`TimerWheel`] event core:
 /// the arena is pre-reserved to [`SubmitMode::window_slots`] at
 /// construction and slots recycle through the wheel's intrusive freelist,
-/// so a run performs no per-flush allocation. Zero-capacity in synchronous
-/// mode, where it is never consulted.
+/// so a run performs no per-flush allocation. Zero-capacity at depth 1,
+/// where it is never consulted.
 ///
 /// Retire semantics are identical to the min-heap this replaced: a full
 /// window waits for the *earliest* outstanding flush, and `retire_until`
@@ -101,7 +101,7 @@ impl FlushWindow {
         self.inflight.clear();
     }
 
-    /// Background-flush slots (0 in synchronous mode).
+    /// Background-flush slots (0 at depth 1).
     pub fn capacity(&self) -> usize {
         self.slots
     }
@@ -128,7 +128,7 @@ impl FlushWindow {
     /// flush's retire time is returned so the caller can charge the stall.
     /// Must not be called on a zero-capacity window.
     pub fn admit(&mut self, ready_ns: u64) -> Option<u64> {
-        debug_assert!(self.slots > 0, "synchronous hosts never admit background flushes");
+        debug_assert!(self.slots > 0, "depth-1 hosts never admit background flushes");
         let waited = if self.inflight.len() >= self.slots {
             self.inflight.pop_earliest().map(|(t, _)| t)
         } else {
@@ -582,10 +582,10 @@ mod tests {
 
     #[test]
     fn window_slots_per_mode() {
-        assert_eq!(SubmitMode::Synchronous.window_slots(), 0);
-        assert_eq!(SubmitMode::Queued { depth: 1 }.window_slots(), 0);
+        assert_eq!(SubmitMode::default(), SubmitMode::Queued { depth: 1 });
+        assert_eq!(SubmitMode::default().window_slots(), 0);
         assert_eq!(SubmitMode::Queued { depth: 8 }.window_slots(), 7);
-        assert_eq!(SubmitMode::Synchronous.to_string(), "sync");
+        assert_eq!(SubmitMode::default().to_string(), "sync");
         assert_eq!(SubmitMode::Queued { depth: 4 }.to_string(), "qd4");
     }
 
@@ -603,18 +603,6 @@ mod tests {
         w.retire_until(600);
         assert_eq!(w.outstanding(), 1);
         assert_eq!(w.admit(800), None);
-    }
-
-    #[test]
-    fn queued_depth_one_is_synchronous() {
-        let mut sync = tiny(PolicyKind::Lru, 4);
-        let mut qd1 = tiny_queued(PolicyKind::Lru, 4, 1);
-        for i in 0..32u64 {
-            let req = Request::write_pages(i * 10, i % 12, 1);
-            assert_eq!(sync.submit(&req), qd1.submit(&req));
-        }
-        assert_eq!(sync.metrics(), qd1.metrics());
-        assert_eq!(sync.flash_counters(), qd1.flash_counters());
     }
 
     #[test]
@@ -649,7 +637,7 @@ mod tests {
             ssd.finish_recording(&mut rec);
             rec
         };
-        let sync = run(SubmitMode::Synchronous);
+        let sync = run(SubmitMode::default());
         assert!(sync.series_points("qdepth").is_empty());
         assert!(sync.gauge_value("host_qdepth").is_none());
 

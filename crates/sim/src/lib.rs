@@ -19,12 +19,11 @@
 //! (DESIGN.md §7.2): the [`device`] layer times operations (cache + FTL +
 //! flash timeline behind the narrow [`Device`] API, returning structured
 //! [`device::Completion`]s), the [`engine`] layer owns request identity,
-//! metrics, sampling and telemetry, and the [`host`] layer decides how
-//! requests are issued via a pluggable [`SubmitMode`] —
-//! [`SubmitMode::Synchronous`] (the paper's one-at-a-time model,
-//! byte-identical to the pre-layering simulator) or
-//! [`SubmitMode::Queued`] (an outstanding-flush window of `depth - 1`
-//! background slots; the X5 queue-depth sweep).
+//! metrics, sampling and telemetry, and the [`host`] layer issues requests
+//! per [`SubmitMode::Queued`]: an outstanding-flush window of `depth - 1`
+//! background slots. The default, `Queued { depth: 1 }` (displayed
+//! `sync`), has no background slot and is the paper's one-at-a-time model;
+//! deeper windows drive the X5 queue-depth sweep.
 //!
 //! * [`SimConfig`]/[`PolicyKind`]/[`CacheSizeMb`] — run configuration.
 //! * [`host::Ssd`] — the host-facing façade (`submit` one request at a
@@ -32,14 +31,15 @@
 //!   [`reqblock_obs::Recorder`]).
 //! * [`Metrics`] — hit/response/eviction counters (Figures 8-11).
 //! * [`probes`] — figure-specific recorder consumers (Figures 2, 3).
-//! * [`runner`] — whole-trace execution and multi-run sweeps.
+//! * [`runner`] — whole-trace replay ([`replay`]) and the job pool behind
+//!   every experiment grid ([`JobPool`]).
 //! * [`fleet`] — fleet orchestration: many independent devices under a
 //!   blended multi-tenant workload, with deterministic placement,
 //!   per-tenant response aggregation and noisy-neighbor measurement.
 //!
-//! Observability: pass any [`reqblock_obs::Recorder`] to the `*_recorded`
-//! entry points to capture page events, flush-wait spans, the end-of-run
-//! counter/gauge rollup, and — when [`config::SampleInterval`] is set —
+//! Observability: pass any [`reqblock_obs::Recorder`] to [`replay`] (or
+//! [`Ssd::submit_recorded`]) to capture page events, flush-wait spans, the
+//! end-of-run counter/gauge rollup, and — when [`config::SampleInterval`] is set —
 //! periodic time series (hit ratio, write amplification, channel
 //! utilization, buffer occupancy, free blocks, Req-block list occupancy).
 //!
@@ -82,7 +82,4 @@ pub use metrics::Metrics;
 pub use reqblock_flash::{IntervalLog, OpInterval, OpKind};
 pub use reqblock_obs::Histogram as LatencyHistogram;
 pub use reqblock_obs::{AttrAcc, AttrConfig, Component, SpanRecord};
-pub use runner::{
-    run_jobs, run_source, run_source_recorded, run_task_pool, run_trace, run_trace_drained,
-    run_trace_recorded, Job, RunResult, Task, TraceSource,
-};
+pub use runner::{replay, run_task_pool, Job, JobPool, RunResult, Task, TraceSource};

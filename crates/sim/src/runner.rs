@@ -1,4 +1,4 @@
-//! Whole-trace execution and multi-run sweeps.
+//! Whole-trace replay and the job pool behind every experiment grid.
 
 use crate::config::SimConfig;
 use crate::host::Ssd;
@@ -6,10 +6,11 @@ use crate::metrics::Metrics;
 use reqblock_flash::{FaultStats, OpCounters};
 use reqblock_ftl::{FtlStats, Health};
 use reqblock_obs::{NoopRecorder, Recorder};
+use reqblock_trace::msr::ParseError;
 use reqblock_trace::{Request, SyntheticTrace, WorkloadProfile};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Everything a finished run reports.
@@ -29,8 +30,10 @@ pub struct RunResult {
     pub faults: FaultStats,
     /// Device health at end of run (degrades under fault injection).
     pub health: Health,
-    /// Host wall-clock time the replay took, in seconds (simulator
-    /// throughput, not simulated time).
+    /// Host wall-clock seconds [`replay`] spent submitting the trace and
+    /// rolling up the recorder: the clock starts after the device is
+    /// built, so neither device construction nor loading the trace is
+    /// counted (simulator throughput, not simulated time).
     pub host_elapsed_s: f64,
 }
 
@@ -51,7 +54,27 @@ impl RunResult {
     }
 }
 
-fn collect(cfg: &SimConfig, ssd: &Ssd, started: Instant) -> RunResult {
+/// Replay `trace` through a fresh device built from `cfg`, mirroring the
+/// event stream into `rec` (page events, flush-wait spans, periodic samples
+/// per [`SimConfig::sampling`], and the end-of-run counter/gauge rollup).
+/// Pass [`NoopRecorder`] for a plain run: the recorder is generic, so that
+/// path monomorphizes with the instrumentation compiled out entirely.
+///
+/// The residual cache content is *not* drained: the paper's metrics count
+/// traffic during the trace. Drive an [`Ssd`] and call [`Ssd::drain_cache`]
+/// when write amplification over the full data set matters.
+pub fn replay<I, R>(cfg: &SimConfig, trace: I, rec: &mut R) -> RunResult
+where
+    I: IntoIterator<Item = Request>,
+    R: Recorder + ?Sized,
+{
+    let mut ssd = Ssd::new(cfg.clone());
+    let started = Instant::now();
+    for req in trace {
+        ssd.submit_recorded(&req, rec);
+    }
+    ssd.finish_recording(rec);
+    let host_elapsed_s = started.elapsed().as_secs_f64();
     RunResult {
         policy: cfg.policy.name().to_string(),
         cache_pages: cfg.cache_pages,
@@ -60,53 +83,8 @@ fn collect(cfg: &SimConfig, ssd: &Ssd, started: Instant) -> RunResult {
         ftl: *ssd.ftl_stats(),
         faults: *ssd.fault_stats(),
         health: ssd.health(),
-        host_elapsed_s: started.elapsed().as_secs_f64(),
+        host_elapsed_s,
     }
-}
-
-/// Replay `trace` through a fresh device built from `cfg`.
-///
-/// The residual cache content is *not* drained: the paper's metrics count
-/// traffic during the trace. Use [`run_trace_drained`] when write
-/// amplification over the full data set matters.
-pub fn run_trace<I>(cfg: &SimConfig, trace: I) -> RunResult
-where
-    I: IntoIterator<Item = Request>,
-{
-    run_trace_recorded(cfg, trace, &mut NoopRecorder)
-}
-
-/// [`run_trace`] with the event stream mirrored into `rec` (page events,
-/// flush-wait spans, periodic samples per [`SimConfig::sampling`], and the
-/// end-of-run counter/gauge rollup). The recorder is generic so the plain
-/// [`run_trace`] path monomorphizes with [`NoopRecorder`] and compiles the
-/// instrumentation out entirely.
-pub fn run_trace_recorded<I, R>(cfg: &SimConfig, trace: I, rec: &mut R) -> RunResult
-where
-    I: IntoIterator<Item = Request>,
-    R: Recorder + ?Sized,
-{
-    let started = Instant::now();
-    let mut ssd = Ssd::new(cfg.clone());
-    for req in trace {
-        ssd.submit_recorded(&req, rec);
-    }
-    ssd.finish_recording(rec);
-    collect(cfg, &ssd, started)
-}
-
-/// [`run_trace`] followed by a full cache drain.
-pub fn run_trace_drained<I>(cfg: &SimConfig, trace: I) -> RunResult
-where
-    I: IntoIterator<Item = Request>,
-{
-    let started = Instant::now();
-    let mut ssd = Ssd::new(cfg.clone());
-    for req in trace {
-        ssd.submit(&req);
-    }
-    ssd.drain_cache();
-    collect(cfg, &ssd, started)
 }
 
 /// Where a job's requests come from.
@@ -136,121 +114,31 @@ impl TraceSource {
     pub fn open_loop(base: TraceSource, process: crate::load::ArrivalProcess, seed: u64) -> Self {
         TraceSource::OpenLoop { base: Box::new(base), process, seed }
     }
-    /// Materialize the request stream. Panics on unreadable/invalid trace
-    /// files — experiment grids should fail loudly, not silently skip runs.
-    ///
-    /// Replay paths should prefer [`TraceSource::for_each_request`] (which
-    /// iterates the shared cache slice zero-copy when the cache is on) or
-    /// [`TraceSource::shared_requests`] (which shares one materialization
-    /// across jobs) over this per-call copy.
-    pub fn requests(&self) -> Vec<Request> {
-        let mut out = Vec::new();
-        self.for_each_request(|r| out.push(r));
-        out
-    }
 
     /// The materialized request slice for this source, shared process-wide
     /// via [`reqblock_trace::shared`]: the first caller synthesizes/parses,
     /// every later caller (and every concurrent sweep job) gets the same
     /// `Arc<[Request]>` zero-copy. When the cache is disabled
     /// (`REQBLOCK_TRACE_CACHE=0`), a fresh uncached slice is built per call.
-    /// Panics on unreadable/invalid trace files, like
-    /// [`TraceSource::requests`].
-    pub fn shared_requests(&self) -> std::sync::Arc<[Request]> {
+    /// An unreadable or malformed trace file is an `Err` carrying the
+    /// offending line.
+    pub fn requests(&self) -> Result<Arc<[Request]>, ParseError> {
         use reqblock_trace::shared;
-        match self {
+        Ok(match self {
+            TraceSource::Synthetic(profile) if shared::enabled() => shared::synthetic(profile),
             TraceSource::Synthetic(profile) => {
-                if shared::enabled() {
-                    shared::synthetic(profile)
-                } else {
-                    SyntheticTrace::new(profile.clone()).generate_all().into()
-                }
+                SyntheticTrace::new(profile.clone()).generate_all().into()
             }
-            TraceSource::MsrFile(path) => {
-                let loaded = if shared::enabled() {
-                    shared::msr_file(path)
-                } else {
-                    reqblock_trace::msr::parse_file(path).map(std::sync::Arc::from)
-                };
-                loaded.unwrap_or_else(|e| panic!("cannot load trace {}: {e}", path.display()))
-            }
+            TraceSource::MsrFile(path) if shared::enabled() => shared::msr_file(path)?,
+            TraceSource::MsrFile(path) => reqblock_trace::msr::parse_file(path)?.into(),
+            // The base slice is shared via the cache as usual; the arrival
+            // rewrite is deterministic in (base, process, seed) and cheap
+            // relative to a replay, so it is done per call.
             TraceSource::OpenLoop { base, process, seed } => {
-                // The base slice is shared via the cache as usual; the
-                // arrival rewrite is deterministic in (base, process, seed)
-                // and cheap relative to a replay, so it is done per call.
-                process.rewrite(&base.shared_requests(), *seed).into()
+                process.rewrite(&base.requests()?, *seed).into()
             }
-        }
+        })
     }
-
-    /// Stream the requests in order. With the shared trace cache on (the
-    /// default), this iterates the cached `Arc<[Request]>` slice — each
-    /// distinct trace is synthesized/parsed once per process, not once per
-    /// job. With the cache off it streams without materializing: synthetic
-    /// traces generate lazily, MSR files parse line by line (see
-    /// [`reqblock_trace::msr::stream_file`]). Panics on unreadable/invalid
-    /// trace files, like [`TraceSource::requests`].
-    pub fn for_each_request<F: FnMut(Request)>(&self, mut f: F) {
-        if reqblock_trace::shared::enabled() {
-            for &r in self.shared_requests().iter() {
-                f(r);
-            }
-            return;
-        }
-        self.for_each_request_uncached(f)
-    }
-
-    /// [`TraceSource::for_each_request`] bypassing the shared cache: always
-    /// regenerates/re-reads the trace, never touches cached state. The
-    /// equivalence tests use this as the ground truth the cache must match.
-    pub fn for_each_request_uncached<F: FnMut(Request)>(&self, f: F) {
-        match self {
-            TraceSource::Synthetic(profile) => {
-                let mut f = f;
-                for r in SyntheticTrace::new(profile.clone()) {
-                    f(r);
-                }
-            }
-            TraceSource::MsrFile(path) => {
-                reqblock_trace::msr::stream_file(path, f)
-                    .unwrap_or_else(|e| panic!("cannot load trace {}: {e}", path.display()));
-            }
-            TraceSource::OpenLoop { base, process, seed } => {
-                let mut requests = Vec::new();
-                let mut push = |r: Request| requests.push(r);
-                // `dyn` indirection: calling the generic method recursively
-                // with a fresh closure type would monomorphize without bound
-                // (OpenLoop sources can nest).
-                base.for_each_request_uncached(&mut push as &mut dyn FnMut(Request));
-                let mut f = f;
-                for r in process.rewrite(&requests, *seed) {
-                    f(r);
-                }
-            }
-        }
-    }
-}
-
-/// Replay a [`TraceSource`] through a fresh device without materializing the
-/// request stream.
-pub fn run_source(cfg: &SimConfig, source: &TraceSource) -> RunResult {
-    run_source_recorded(cfg, source, &mut NoopRecorder)
-}
-
-/// [`run_source`] with the event stream mirrored into `rec` (see
-/// [`run_trace_recorded`]).
-pub fn run_source_recorded<R: Recorder + ?Sized>(
-    cfg: &SimConfig,
-    source: &TraceSource,
-    rec: &mut R,
-) -> RunResult {
-    let started = Instant::now();
-    let mut ssd = Ssd::new(cfg.clone());
-    source.for_each_request(|req| {
-        ssd.submit_recorded(&req, rec);
-    });
-    ssd.finish_recording(rec);
-    collect(cfg, &ssd, started)
 }
 
 /// One entry of an experiment grid: a labelled (config, workload) pair.
@@ -264,13 +152,6 @@ pub struct Job {
     pub cfg: SimConfig,
     /// Workload to replay.
     pub source: TraceSource,
-}
-
-impl Job {
-    /// Convenience constructor for synthetic jobs.
-    pub fn synthetic(label: impl Into<String>, cfg: SimConfig, profile: WorkloadProfile) -> Self {
-        Self { label: label.into(), cfg, source: TraceSource::Synthetic(profile) }
-    }
 }
 
 /// One unit of work for [`run_task_pool`]: a labelled closure. The closure
@@ -353,37 +234,72 @@ pub fn run_task_pool(tasks: Vec<Task<'_>>, threads: usize) {
     }
 }
 
-/// Run a grid of jobs on up to `threads` worker threads. Results keep job
-/// order. Each result carries its own host wall-clock duration
-/// ([`RunResult::host_elapsed_s`]), so grid summaries can report per-job
-/// replay throughput.
+
+/// A planned simulation grid: jobs plus one result slot per job. The
+/// standalone path is [`JobPool::run`]; to share one pool with other work,
+/// create the `JobPool` first, submit its [`JobPool::tasks`] (they borrow
+/// it) into [`run_task_pool`], and call [`JobPool::take_results`] once the
+/// pool has drained.
 ///
-/// Each worker writes its result into a dedicated per-job slot — no mutex,
-/// no label cloning on the hot path. If any worker panics, the panic is
-/// propagated with the failing job's label so grid failures are debuggable.
-/// This is a thin wrapper over [`run_task_pool`]; figure builders that want
-/// to share one pool across grids submit the tasks themselves.
-pub fn run_jobs(jobs: &[Job], threads: usize) -> Vec<(String, RunResult)> {
-    let slots: Vec<OnceLock<RunResult>> = (0..jobs.len()).map(|_| OnceLock::new()).collect();
-    let tasks: Vec<Task<'_>> = jobs
-        .iter()
-        .zip(&slots)
-        .map(|(job, slot)| {
-            Task::new(job.label.clone(), move || {
-                let result = run_source(&job.cfg, &job.source);
-                let ok = slot.set(result).is_ok();
-                debug_assert!(ok, "job slot filled twice");
+/// Each task loads its trace with [`TraceSource::requests`] and then
+/// [`replay`]s it, so every result carries the host wall-clock of its own
+/// replay alone ([`RunResult::host_elapsed_s`]). A trace that fails to
+/// load panics the task, and the pool re-raises that panic prefixed with
+/// the job's label.
+#[derive(Debug)]
+pub struct JobPool {
+    jobs: Vec<Job>,
+    slots: Vec<OnceLock<RunResult>>,
+}
+
+impl JobPool {
+    /// Plan `jobs`, one empty result slot each.
+    pub fn new(jobs: Vec<Job>) -> Self {
+        let slots = jobs.iter().map(|_| OnceLock::new()).collect();
+        Self { jobs, slots }
+    }
+
+    /// Number of planned jobs.
+    pub fn job_count(&self) -> usize {
+        self.jobs.len()
+    }
+
+    /// One task per job, routing each result into its slot.
+    pub fn tasks(&self) -> Vec<Task<'_>> {
+        self.jobs
+            .iter()
+            .zip(&self.slots)
+            .map(|(job, slot)| {
+                Task::new(job.label.clone(), move || {
+                    let requests = job
+                        .source
+                        .requests()
+                        .unwrap_or_else(|e| panic!("cannot load trace: {e}"));
+                    let result = replay(&job.cfg, requests.iter().copied(), &mut NoopRecorder);
+                    let ok = slot.set(result).is_ok();
+                    debug_assert!(ok, "job slot filled twice");
+                })
             })
-        })
-        .collect();
-    run_task_pool(tasks, threads);
-    jobs.iter()
-        .zip(slots)
-        .map(|(job, slot)| {
-            let result = slot.into_inner().expect("every job must produce a result");
-            (job.label.clone(), result)
-        })
-        .collect()
+            .collect()
+    }
+
+    /// Labelled results in job order (call after the pool has drained).
+    pub fn take_results(self) -> Vec<(String, RunResult)> {
+        self.jobs
+            .into_iter()
+            .zip(self.slots)
+            .map(|(job, slot)| {
+                (job.label, slot.into_inner().expect("every job must produce a result"))
+            })
+            .collect()
+    }
+
+    /// Run every job on its own pool of up to `threads` workers and return
+    /// the labelled results in job order.
+    pub fn run(self, threads: usize) -> Vec<(String, RunResult)> {
+        run_task_pool(self.tasks(), threads);
+        self.take_results()
+    }
 }
 
 #[cfg(test)]
@@ -398,10 +314,14 @@ mod tests {
         ts_0().scaled(0.002) // ~3.6k requests
     }
 
+    fn run(cfg: &SimConfig, profile: WorkloadProfile) -> RunResult {
+        replay(cfg, SyntheticTrace::new(profile), &mut NoopRecorder)
+    }
+
     #[test]
-    fn run_trace_produces_metrics() {
+    fn replay_produces_metrics() {
         let cfg = SimConfig::paper(CacheSizeMb::Mb16, PolicyKind::Lru);
-        let res = run_trace(&cfg, SyntheticTrace::new(mini_profile()));
+        let res = run(&cfg, mini_profile());
         assert_eq!(res.policy, "LRU");
         assert_eq!(res.metrics.requests, mini_profile().requests);
         assert!(res.metrics.hit_ratio() > 0.0, "ts_0-like reuse must hit");
@@ -413,8 +333,8 @@ mod tests {
     #[test]
     fn identical_runs_are_deterministic() {
         let cfg = SimConfig::paper(CacheSizeMb::Mb16, PolicyKind::ReqBlock(ReqBlockConfig::paper()));
-        let a = run_trace(&cfg, SyntheticTrace::new(mini_profile()));
-        let b = run_trace(&cfg, SyntheticTrace::new(mini_profile()));
+        let a = run(&cfg, mini_profile());
+        let b = run(&cfg, mini_profile());
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.flash, b.flash);
     }
@@ -423,9 +343,9 @@ mod tests {
     fn recorded_run_matches_plain_run_and_captures_series() {
         let cfg = SimConfig::paper(CacheSizeMb::Mb16, PolicyKind::ReqBlock(ReqBlockConfig::paper()))
             .with_sampling(SampleInterval::Requests(500));
-        let plain = run_trace(&cfg, SyntheticTrace::new(mini_profile()));
+        let plain = run(&cfg, mini_profile());
         let mut rec = MemoryRecorder::default();
-        let recorded = run_trace_recorded(&cfg, SyntheticTrace::new(mini_profile()), &mut rec);
+        let recorded = replay(&cfg, SyntheticTrace::new(mini_profile()), &mut rec);
         assert_eq!(plain.metrics, recorded.metrics, "recording must not change the model");
         assert_eq!(plain.flash, recorded.flash);
         assert_eq!(rec.counter_value("requests"), recorded.metrics.requests);
@@ -434,15 +354,7 @@ mod tests {
     }
 
     #[test]
-    fn drained_run_writes_at_least_as_much() {
-        let cfg = SimConfig::paper(CacheSizeMb::Mb16, PolicyKind::Lru);
-        let plain = run_trace(&cfg, SyntheticTrace::new(mini_profile()));
-        let drained = run_trace_drained(&cfg, SyntheticTrace::new(mini_profile()));
-        assert!(drained.flash.user_programs >= plain.flash.user_programs);
-    }
-
-    #[test]
-    fn run_jobs_preserves_order_and_labels() {
+    fn job_pool_preserves_order_and_labels() {
         let jobs: Vec<Job> = PolicyKind::paper_comparison()
             .iter()
             .map(|p| Job {
@@ -451,7 +363,7 @@ mod tests {
                 source: TraceSource::Synthetic(mini_profile()),
             })
             .collect();
-        let results = run_jobs(&jobs, 2);
+        let results = JobPool::new(jobs.clone()).run(2);
         assert_eq!(results.len(), 4);
         for (job, (label, res)) in jobs.iter().zip(&results) {
             assert_eq!(&job.label, label);
@@ -461,36 +373,34 @@ mod tests {
     }
 
     #[test]
-    fn streaming_source_matches_materialized_run() {
-        let cfg = SimConfig::paper(CacheSizeMb::Mb16, PolicyKind::ReqBlock(ReqBlockConfig::paper()));
-        let source = TraceSource::Synthetic(mini_profile());
-        let streamed = run_source(&cfg, &source);
-        let materialized = run_trace(&cfg, source.requests());
-        assert_eq!(streamed.metrics, materialized.metrics);
-        assert_eq!(streamed.flash, materialized.flash);
-        assert_eq!(streamed.ftl, materialized.ftl);
-    }
-
-    #[test]
-    fn run_jobs_propagates_panic_with_job_label() {
+    fn job_pool_propagates_panic_with_job_label() {
+        let cfg = SimConfig::paper(CacheSizeMb::Mb16, PolicyKind::Lru);
         let jobs = vec![
-            Job::synthetic(
-                "ok-job",
-                SimConfig::paper(CacheSizeMb::Mb16, PolicyKind::Lru),
-                mini_profile(),
-            ),
+            Job {
+                label: "ok-job".into(),
+                cfg: cfg.clone(),
+                source: TraceSource::Synthetic(mini_profile()),
+            },
             Job {
                 label: "bad-job".into(),
-                cfg: SimConfig::paper(CacheSizeMb::Mb16, PolicyKind::Lru),
+                cfg,
                 source: TraceSource::MsrFile("/nonexistent/reqblock-test-trace.csv".into()),
             },
         ];
-        let err = std::panic::catch_unwind(|| run_jobs(&jobs, 2)).unwrap_err();
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
+        let err = std::panic::catch_unwind(|| JobPool::new(jobs).run(2)).unwrap_err();
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("bad-job"), "panic should name the job: {msg}");
+    }
+
+    #[test]
+    fn malformed_msr_file_is_an_error_naming_the_line() {
+        let path = std::env::temp_dir().join("reqblock_runner_malformed.csv");
+        std::fs::write(&path, "128166372003061629,hm,1,Read,4096,4096,1\nnot,a,valid,line\n")
+            .unwrap();
+        let err = TraceSource::MsrFile(path.clone()).requests().unwrap_err();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(err.line, 2);
+        assert!(err.to_string().contains("line 2"), "error should name the line: {err}");
     }
 
     #[test]
@@ -530,26 +440,24 @@ mod tests {
         let cfg = SimConfig::paper(CacheSizeMb::Mb16, PolicyKind::Lru);
         let base = TraceSource::Synthetic(mini_profile());
         let process = crate::load::ArrivalProcess::Poisson { mean_interarrival_ns: 20_000 };
-        let source = TraceSource::open_loop(base.clone(), process, 11);
-        let via_source = run_source(&cfg, &source);
-        let direct = run_trace(&cfg, process.rewrite(&base.shared_requests(), 11));
-        assert_eq!(via_source.metrics, direct.metrics);
-        assert_eq!(via_source.flash, direct.flash);
-        // The uncached stream path must agree with the cached one.
-        let mut uncached = Vec::new();
-        source.for_each_request_uncached(|r| uncached.push(r));
-        assert_eq!(&uncached[..], &source.shared_requests()[..]);
+        let source = TraceSource::open_loop(base, process, 11);
+        let direct = process.rewrite(&SyntheticTrace::new(mini_profile()).generate_all(), 11);
+        let requests = source.requests().unwrap();
+        assert_eq!(&requests[..], &direct[..]);
+        let via_source = replay(&cfg, requests.iter().copied(), &mut NoopRecorder);
+        let via_direct = replay(&cfg, direct, &mut NoopRecorder);
+        assert_eq!(via_source.metrics, via_direct.metrics);
+        assert_eq!(via_source.flash, via_direct.flash);
     }
 
     #[test]
-    fn shared_source_matches_uncached_stream() {
+    fn shared_source_matches_uncached_generation() {
         let source = TraceSource::Synthetic(mini_profile());
-        let shared = source.shared_requests();
-        let mut streamed = Vec::new();
-        source.for_each_request_uncached(|r| streamed.push(r));
-        assert_eq!(&shared[..], &streamed[..]);
+        let shared = source.requests().unwrap();
+        let fresh = SyntheticTrace::new(mini_profile()).generate_all();
+        assert_eq!(&shared[..], &fresh[..]);
         // A second materialization reuses the cached slice.
-        assert!(std::sync::Arc::ptr_eq(&shared, &source.shared_requests()));
+        assert!(Arc::ptr_eq(&shared, &source.requests().unwrap()));
     }
 
     #[test]
@@ -557,13 +465,10 @@ mod tests {
         // The headline claim at miniature scale: on a ts_0-like workload the
         // Req-block policy should not lose to LRU on hit ratio.
         let profile = ts_0().scaled(0.01);
-        let lru = run_trace(
-            &SimConfig::paper(CacheSizeMb::Mb16, PolicyKind::Lru),
-            SyntheticTrace::new(profile.clone()),
-        );
-        let rb = run_trace(
+        let lru = run(&SimConfig::paper(CacheSizeMb::Mb16, PolicyKind::Lru), profile.clone());
+        let rb = run(
             &SimConfig::paper(CacheSizeMb::Mb16, PolicyKind::ReqBlock(ReqBlockConfig::paper())),
-            SyntheticTrace::new(profile),
+            profile,
         );
         assert!(
             rb.metrics.hit_ratio() >= lru.metrics.hit_ratio() * 0.95,

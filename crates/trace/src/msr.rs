@@ -101,8 +101,7 @@ pub fn parse_reader<R: BufRead>(reader: R) -> Result<Vec<Request>, ParseError> {
 }
 
 /// Scan every valid record of an MSR trace, invoking `f` once per record in
-/// file order. Shared by the materializing ([`parse_reader`]) and streaming
-/// ([`stream_file`]) entry points so both apply identical filtering.
+/// file order.
 fn scan_records<R: BufRead, F>(reader: R, mut f: F) -> Result<(), ParseError>
 where
     F: FnMut((u64, OpType, u64, u64)),
@@ -124,43 +123,6 @@ where
         f(rec);
     }
     Ok(())
-}
-
-/// Stream an MSR-format trace file record by record without materializing a
-/// `Vec<Request>`. Semantics are identical to [`parse_file`] — the same
-/// filtering and the same rebase-to-earliest-timestamp — implemented as two
-/// passes over the file (pass one finds the earliest timestamp, pass two
-/// emits rebased requests), so memory stays O(1) in the trace length.
-///
-/// Returns the number of requests emitted.
-pub fn stream_file<F>(path: &std::path::Path, mut f: F) -> Result<u64, ParseError>
-where
-    F: FnMut(Request),
-{
-    let open = || {
-        std::fs::File::open(path)
-            .map(std::io::BufReader::new)
-            .map_err(|e| ParseError {
-                line: 0,
-                message: format!("cannot open {}: {e}", path.display()),
-            })
-    };
-    let mut base = u64::MAX;
-    scan_records(open()?, |(ts, _, _, _)| base = base.min(ts))?;
-    if base == u64::MAX {
-        return Ok(0);
-    }
-    let mut count = 0u64;
-    scan_records(open()?, |(ts, op, offset, size)| {
-        f(Request {
-            time_ns: ts.saturating_sub(base) * NS_PER_TICK,
-            op,
-            offset,
-            len: size,
-        });
-        count += 1;
-    })?;
-    Ok(count)
 }
 
 /// Parse an MSR-format trace from a string (convenience for tests and small
@@ -316,33 +278,6 @@ mod writer_tests {
         assert!(csv.contains(&format!("Write,{},{}", 5 * PAGE_SIZE, 2 * PAGE_SIZE)));
         assert!(csv.contains("Read,0,4096"));
         assert_eq!(csv.lines().count(), 2);
-    }
-
-    #[test]
-    fn stream_file_matches_parse_file() {
-        let path = std::env::temp_dir().join("reqblock_msr_stream_test.csv");
-        let reqs: Vec<Request> = SyntheticTrace::new(profiles::ts_0().scaled(0.001))
-            .map(|mut r| {
-                r.time_ns = (r.time_ns / NS_PER_TICK) * NS_PER_TICK;
-                r
-            })
-            .collect();
-        write_file(&path, &reqs).unwrap();
-        let materialized = parse_file(&path).unwrap();
-        let mut streamed = Vec::new();
-        let count = stream_file(&path, |r| streamed.push(r)).unwrap();
-        assert_eq!(count as usize, materialized.len());
-        assert_eq!(streamed, materialized);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn stream_file_empty_trace_emits_nothing() {
-        let path = std::env::temp_dir().join("reqblock_msr_stream_empty_test.csv");
-        std::fs::write(&path, "# only a comment\n\n").unwrap();
-        let count = stream_file(&path, |_| panic!("no records expected")).unwrap();
-        assert_eq!(count, 0);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

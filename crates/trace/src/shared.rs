@@ -32,8 +32,8 @@
 //! trades memory for sweep throughput (a full-scale six-trace sweep is
 //! ~1.1 GB of requests). Set the environment variable
 //! `REQBLOCK_TRACE_CACHE=0` — or call [`set_enabled`]`(false)` — to fall
-//! back to per-job streaming; results are identical either way, as the
-//! equivalence tests in `tests/sweep.rs` pin.
+//! back to one fresh materialization per job; results are identical either
+//! way, as the equivalence tests in `tests/sweep.rs` pin.
 
 use crate::msr::{self, ParseError};
 use crate::profiles::WorkloadProfile;

@@ -43,7 +43,7 @@ fn main() {
     let mut rows: Vec<(String, f64)> = Vec::new();
     for policy in policies {
         let cfg = SimConfig::paper(CacheSizeMb::Mb32, policy);
-        let r = run_trace(&cfg, SyntheticTrace::new(profile.clone()));
+        let r = replay(&cfg, SyntheticTrace::new(profile.clone()), &mut NoopRecorder);
         println!(
             "{:<10} {:>8.2}% {:>12.3} {:>11.1} {:>12} {:>10.1}",
             r.policy,

@@ -23,7 +23,7 @@ fn main() {
 
     for policy in [PolicyKind::ReqBlock(ReqBlockConfig::paper()), PolicyKind::Lru] {
         let cfg = SimConfig::paper(CacheSizeMb::Mb16, policy);
-        let result = run_trace(&cfg, SyntheticTrace::new(profile.clone()));
+        let result = replay(&cfg, SyntheticTrace::new(profile.clone()), &mut NoopRecorder);
         let m = &result.metrics;
         println!("policy: {}", result.policy);
         println!("  page hit ratio     : {:.2}% (writes {:.2}%, reads {:.2}%)",

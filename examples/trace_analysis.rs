@@ -12,7 +12,6 @@
 use reqblock::obs::Fanout;
 use reqblock::prelude::*;
 use reqblock::sim::probes::{LargeReqHitProbe, SizeCdfProbe};
-use reqblock::sim::run_trace_recorded;
 use reqblock::trace::profiles::profile_by_name;
 use reqblock::trace::stats::StatsBuilder;
 
@@ -46,7 +45,7 @@ fn main() {
         let mut fan = Fanout::new();
         fan.push(&mut cdf);
         fan.push(&mut large);
-        run_trace_recorded(&cfg, SyntheticTrace::new(profile), &mut fan);
+        replay(&cfg, SyntheticTrace::new(profile), &mut fan);
     }
     large.finish();
 

@@ -58,7 +58,7 @@ fn main() {
 
     for policy in [PolicyKind::ReqBlock(ReqBlockConfig::paper()), PolicyKind::Lru] {
         let cfg = SimConfig::paper(CacheSizeMb::Mb16, policy);
-        let r = run_trace(&cfg, requests.iter().copied());
+        let r = replay(&cfg, requests.iter().copied(), &mut NoopRecorder);
         println!(
             "{:<10} hit {:>6.2}%   avg response {:>8.3} ms   flash writes {}",
             r.policy,

@@ -4,7 +4,8 @@
 # run of tests/fleet.rs — the small-fleet golden plus the streaming
 # merge-equivalence proptests pinning the loser-tree order and the
 # stream-vs-reference FleetMetrics against the materialize+sort
-# pipeline), clippy with warnings denied, and the benchmark gates from
+# pipeline), the benchmark/ package tests, clippy with warnings denied,
+# and the benchmark gates from
 # scripts/bench.sh — the hot-path median gates (the <2% no-op recorder
 # overhead check and the <2% attribution-compiled-out check), the
 # small-scale sweep gate (`repro all` pool median wall-clock, >5%
@@ -29,9 +30,18 @@ done
 
 echo "== cargo build --release =="
 cargo build --release
+# The smoke step below runs the repro binary, which the root package does
+# not depend on: build it so the pinned digest checks the current code.
+cargo build --release -p reqblock-experiments --bin repro
 
 echo "== cargo test =="
 cargo test -q
+
+# benchmark/ is a workspace of its own, so neither the test step above nor
+# clippy --workspace compiles it; build and test it against the current
+# crate APIs here.
+echo "== benchmark package tests (benchmark/Cargo.toml) =="
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "== scenario smoke (scenarios/smoke.toml vs pinned digest) =="
 SMOKE_WANT="[digest smoke 8b55b878785a2112]"

@@ -24,7 +24,7 @@
 //!
 //! // Simulate it through a 16 MB Req-block write buffer on the paper's SSD.
 //! let cfg = SimConfig::paper(CacheSizeMb::Mb16, PolicyKind::ReqBlock(ReqBlockConfig::paper()));
-//! let result = run_trace(&cfg, trace);
+//! let result = replay(&cfg, trace, &mut NoopRecorder);
 //! assert!(result.metrics.hit_ratio() > 0.0);
 //! ```
 
@@ -42,7 +42,7 @@ pub mod prelude {
     pub use reqblock_core::{ReqBlock, ReqBlockConfig};
     pub use reqblock_flash::{DegradedMode, FaultConfig, FaultStats, SsdConfig};
     pub use reqblock_obs::{MemoryRecorder, NoopRecorder, Recorder};
-    pub use reqblock_sim::{run_trace, CacheSizeMb, PolicyKind, SampleInterval, SimConfig};
+    pub use reqblock_sim::{replay, CacheSizeMb, PolicyKind, SampleInterval, SimConfig};
     pub use reqblock_trace::{
         paper_profiles, OpType, Request, SyntheticTrace, TraceStats, WorkloadProfile, PAGE_SIZE,
     };

@@ -20,8 +20,8 @@ fn simulation_is_deterministic_per_policy() {
     let profile = reqblock::trace::profiles::src1_2().scaled(0.002);
     for policy in PolicyKind::paper_comparison() {
         let cfg = SimConfig::paper(CacheSizeMb::Mb16, policy);
-        let a = run_trace(&cfg, SyntheticTrace::new(profile.clone()));
-        let b = run_trace(&cfg, SyntheticTrace::new(profile.clone()));
+        let a = replay(&cfg, SyntheticTrace::new(profile.clone()), &mut NoopRecorder);
+        let b = replay(&cfg, SyntheticTrace::new(profile.clone()), &mut NoopRecorder);
         assert_eq!(a.metrics, b.metrics, "{} metrics differ", a.policy);
         assert_eq!(a.flash, b.flash, "{} flash counters differ", a.policy);
         assert_eq!(a.ftl, b.ftl, "{} ftl stats differ", a.policy);
@@ -30,7 +30,7 @@ fn simulation_is_deterministic_per_policy() {
 
 #[test]
 fn parallel_runner_matches_serial_runs() {
-    use reqblock::sim::{run_jobs, Job, TraceSource};
+    use reqblock::sim::{Job, JobPool, TraceSource};
     let profile = reqblock::trace::profiles::ts_0().scaled(0.002);
     let jobs: Vec<Job> = PolicyKind::paper_comparison()
         .iter()
@@ -40,10 +40,10 @@ fn parallel_runner_matches_serial_runs() {
             source: TraceSource::Synthetic(profile.clone()),
         })
         .collect();
-    let parallel = run_jobs(&jobs, 4);
+    let parallel = JobPool::new(jobs.clone()).run(4);
     for (job, (label, result)) in jobs.iter().zip(&parallel) {
         assert_eq!(&job.label, label);
-        let serial = run_trace(&job.cfg, job.source.requests());
+        let serial = replay(&job.cfg, SyntheticTrace::new(profile.clone()), &mut NoopRecorder);
         assert_eq!(serial.metrics, result.metrics, "{label} parallel != serial");
     }
 }

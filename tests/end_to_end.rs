@@ -2,7 +2,7 @@
 //! with cross-layer conservation invariants.
 
 use reqblock::prelude::*;
-use reqblock::sim::runner::run_trace_drained;
+use reqblock::sim::Ssd;
 
 /// All six workloads at a tiny but non-degenerate scale.
 fn workloads() -> Vec<WorkloadProfile> {
@@ -14,7 +14,7 @@ fn every_policy_runs_every_workload() {
     for profile in workloads() {
         for policy in PolicyKind::paper_comparison() {
             let cfg = SimConfig::paper(CacheSizeMb::Mb16, policy);
-            let r = run_trace(&cfg, SyntheticTrace::new(profile.clone()));
+            let r = replay(&cfg, SyntheticTrace::new(profile.clone()), &mut NoopRecorder);
             let m = &r.metrics;
             assert_eq!(m.requests, profile.requests, "{}/{}", profile.name, r.policy);
             assert_eq!(m.requests, m.read_reqs + m.write_reqs);
@@ -39,19 +39,20 @@ fn page_conservation_after_drain() {
     // always dirty; padding is off for all compared policies).
     for profile in workloads() {
         for policy in PolicyKind::paper_comparison() {
-            let cfg = SimConfig::paper(CacheSizeMb::Mb16, policy);
-            let r = run_trace_drained(&cfg, SyntheticTrace::new(profile.clone()));
-            let inserted = r.metrics.write_pages - r.metrics.write_hits;
+            let mut ssd = Ssd::new(SimConfig::paper(CacheSizeMb::Mb16, policy));
+            for req in SyntheticTrace::new(profile.clone()) {
+                ssd.submit(&req);
+            }
+            ssd.drain_cache();
+            let (m, programs) = (ssd.metrics(), ssd.flash_counters().user_programs);
+            let inserted = m.write_pages - m.write_hits;
+            let name = policy.name();
             assert_eq!(
-                r.flash.user_programs,
-                inserted,
-                "{}/{}: programs {} != inserted {}",
-                profile.name,
-                r.policy,
-                r.flash.user_programs,
-                inserted
+                programs, inserted,
+                "{}/{name}: programs {programs} != inserted {inserted}",
+                profile.name
             );
-            assert_eq!(r.metrics.evicted_pages, inserted, "{}/{}", profile.name, r.policy);
+            assert_eq!(m.evicted_pages, inserted, "{}/{name}", profile.name);
         }
     }
 }
@@ -61,7 +62,7 @@ fn flash_write_count_bounded_by_inserts_before_drain() {
     for policy in PolicyKind::paper_comparison() {
         let profile = reqblock::trace::profiles::proj_0().scaled(0.002);
         let cfg = SimConfig::paper(CacheSizeMb::Mb16, policy);
-        let r = run_trace(&cfg, SyntheticTrace::new(profile));
+        let r = replay(&cfg, SyntheticTrace::new(profile), &mut NoopRecorder);
         let inserted = r.metrics.write_pages - r.metrics.write_hits;
         assert!(r.flash.user_programs <= inserted);
         // Whatever was not flushed is still resident: at most the cache size.
@@ -71,7 +72,6 @@ fn flash_write_count_bounded_by_inserts_before_drain() {
 
 #[test]
 fn gc_activates_and_preserves_correctness_under_churn() {
-    use reqblock::sim::Ssd;
     // A small logical working set hammered on the tiny SSD forces GC while
     // the 64-page cache forces constant evictions.
     let mut cfg = SimConfig::tiny(64, PolicyKind::ReqBlock(ReqBlockConfig::paper()));
@@ -104,7 +104,8 @@ fn larger_caches_never_hurt_hit_ratio_much() {
     for policy in PolicyKind::paper_comparison() {
         let mut prev = 0.0;
         for cache in CacheSizeMb::ALL {
-            let r = run_trace(&SimConfig::paper(cache, policy), SyntheticTrace::new(profile.clone()));
+            let cfg = SimConfig::paper(cache, policy);
+            let r = replay(&cfg, SyntheticTrace::new(profile.clone()), &mut NoopRecorder);
             let h = r.metrics.hit_ratio();
             assert!(
                 h >= prev - 0.05,

@@ -16,11 +16,10 @@
 
 use reqblock::core::ReqBlockConfig;
 use reqblock::obs::telemetry::to_jsonl;
-use reqblock::obs::MemoryRecorder;
+use reqblock::obs::{MemoryRecorder, NoopRecorder, Recorder};
 use reqblock::prelude::FaultConfig;
 use reqblock::sim::{
-    run_source, run_source_recorded, CacheSizeMb, Health, PolicyKind, SampleInterval, SimConfig,
-    TraceSource,
+    replay, CacheSizeMb, Health, PolicyKind, RunResult, SampleInterval, SimConfig, TraceSource,
 };
 use reqblock::trace::profiles::ts_0;
 
@@ -39,15 +38,19 @@ fn pressured_cfg(fault: FaultConfig) -> (SimConfig, TraceSource) {
         overhead_sample_every: 1_000,
         sampling: SampleInterval::Requests(2_000),
         fault,
-        submit: reqblock::sim::SubmitMode::Synchronous,
+        submit: reqblock::sim::SubmitMode::default(),
         attr: None,
     };
     (cfg, TraceSource::Synthetic(ts_0().scaled(0.01)))
 }
 
+fn run(cfg: &SimConfig, source: &TraceSource, rec: &mut impl Recorder) -> RunResult {
+    replay(cfg, source.requests().unwrap().iter().copied(), rec)
+}
+
 fn record_jsonl(cfg: &SimConfig, source: &TraceSource) -> (MemoryRecorder, String) {
     let mut rec = MemoryRecorder::default();
-    run_source_recorded(cfg, source, &mut rec);
+    run(cfg, source, &mut rec);
     let jsonl = to_jsonl(&rec, &[("trace", "ts_0".to_string())]);
     (rec, jsonl)
 }
@@ -83,8 +86,8 @@ fn seeded_faulty_runs_are_byte_identical_jsonl() {
 fn different_fault_seeds_diverge() {
     let (cfg_a, source) = pressured_cfg(FaultConfig::with_rates(1, 5_000, 2_000, 2_000));
     let (cfg_b, _) = pressured_cfg(FaultConfig::with_rates(2, 5_000, 2_000, 2_000));
-    let a = run_source(&cfg_a, &source);
-    let b = run_source(&cfg_b, &source);
+    let a = run(&cfg_a, &source, &mut NoopRecorder);
+    let b = run(&cfg_b, &source, &mut NoopRecorder);
     assert_ne!(a.faults, b.faults, "distinct seeds must draw distinct fault streams");
 }
 
@@ -101,7 +104,7 @@ fn zero_fault_run_emits_no_reliability_telemetry() {
 #[test]
 fn zero_fault_run_matches_fault_free_results() {
     let (cfg, source) = pressured_cfg(FaultConfig::default());
-    let r = run_source(&cfg, &source);
+    let r = run(&cfg, &source, &mut NoopRecorder);
     assert_eq!(r.health, Health::Healthy);
     assert_eq!(r.faults, Default::default(), "inert fault model must count nothing");
     // Pinned by the golden test as well; a cheap cross-check here.
@@ -117,7 +120,7 @@ fn heavy_faults_degrade_to_read_only_but_finish_the_trace() {
         ..FaultConfig::with_rates(0xDEAD, 0, 30_000, 30_000)
     };
     let (cfg, source) = pressured_cfg(fault);
-    let r = run_source(&cfg, &source);
+    let r = run(&cfg, &source, &mut NoopRecorder);
     assert_eq!(r.health, Health::ReadOnly, "device should have degraded: {:?}", r.faults);
     assert!(r.faults.retired_blocks > 0);
     assert!(r.faults.rejected_write_pages > 0, "read-only mode must reject writes");
@@ -134,7 +137,7 @@ fn paper_device_read_faults_only_slow_reads_down() {
     let cfg = SimConfig::paper(CacheSizeMb::Mb16, PolicyKind::ReqBlock(ReqBlockConfig::paper()))
         .with_faults(FaultConfig::with_rates(7, 50_000, 0, 0));
     let source = TraceSource::Synthetic(ts_0().scaled(0.02));
-    let r = run_source(&cfg, &source);
+    let r = run(&cfg, &source, &mut NoopRecorder);
     assert!(r.faults.read_faults > 0);
     assert_eq!(r.faults.program_failures, 0);
     assert_eq!(r.faults.erase_failures, 0);
@@ -143,7 +146,7 @@ fn paper_device_read_faults_only_slow_reads_down() {
 
     let base_cfg =
         SimConfig::paper(CacheSizeMb::Mb16, PolicyKind::ReqBlock(ReqBlockConfig::paper()));
-    let base = run_source(&base_cfg, &source);
+    let base = run(&base_cfg, &source, &mut NoopRecorder);
     assert_eq!(base.flash.user_programs, r.flash.user_programs, "writes must be unaffected");
     assert!(
         r.metrics.total_response_ns > base.metrics.total_response_ns,

@@ -14,7 +14,8 @@
 use reqblock::core::ReqBlockConfig;
 use reqblock::flash::OpCounters;
 use reqblock::ftl::FtlStats;
-use reqblock::sim::{run_source, CacheSizeMb, PolicyKind, SimConfig, TraceSource};
+use reqblock::obs::NoopRecorder;
+use reqblock::sim::{replay, CacheSizeMb, PolicyKind, SimConfig, TraceSource};
 use reqblock::trace::profiles::ts_0;
 
 /// Snapshot of every integer counter a run reports.
@@ -43,8 +44,9 @@ struct Golden {
 /// Run the scenario twice from scratch and require bit-identical output
 /// before snapshotting it.
 fn run_twice(cfg: &SimConfig, source: &TraceSource) -> Golden {
-    let a = run_source(cfg, source);
-    let b = run_source(cfg, source);
+    let requests = source.requests().unwrap();
+    let a = replay(cfg, requests.iter().copied(), &mut NoopRecorder);
+    let b = replay(cfg, requests.iter().copied(), &mut NoopRecorder);
     assert_eq!(a.metrics, b.metrics, "fresh instances must agree exactly");
     assert_eq!(a.flash, b.flash);
     assert_eq!(a.ftl, b.ftl);
@@ -130,7 +132,7 @@ fn reqblock_golden_pressured_device_with_gc() {
         overhead_sample_every: 1_000,
         sampling: reqblock::sim::SampleInterval::Off,
         fault: reqblock::flash::FaultConfig::default(),
-        submit: reqblock::sim::SubmitMode::Synchronous,
+        submit: reqblock::sim::SubmitMode::default(),
         attr: None,
     };
     let source = TraceSource::Synthetic(ts_0().scaled(0.01));

@@ -1,79 +1,12 @@
-//! Host submit-mode tests: the byte-identity contract of the
-//! host/engine/device split (DESIGN.md §7.2).
-//!
-//! `SubmitMode::Queued { depth: 1 }` has a zero-slot flush window, so it
-//! must be *exactly* the synchronous simulator — not approximately: the
-//! property test below requires identical `Metrics`, flash counters, GC
-//! stats, and byte-identical telemetry JSONL for arbitrary workloads.
-//! A golden test then pins one `Queued { depth: 8 }` run so queued-mode
-//! timing cannot drift silently, and checks the mode's core invariant:
-//! the flush window reschedules *when* stalls are charged, never *what*
-//! the flash array does, so flash traffic is depth-invariant.
+//! Host submit-mode tests. A golden test pins one `Queued { depth: 8 }`
+//! run so queued-mode timing cannot drift silently, and checks the mode's
+//! core invariant: the flush window reschedules *when* stalls are charged,
+//! never *what* the flash array does, so flash traffic is depth-invariant.
 
-use proptest::prelude::*;
 use reqblock::core::ReqBlockConfig;
-use reqblock::obs::telemetry::to_jsonl;
-use reqblock::obs::MemoryRecorder;
-use reqblock::sim::{
-    run_source, run_trace_recorded, CacheSizeMb, PolicyKind, SampleInterval, SimConfig,
-    SubmitMode, TraceSource,
-};
+use reqblock::obs::NoopRecorder;
+use reqblock::sim::{replay, CacheSizeMb, PolicyKind, SimConfig, SubmitMode, TraceSource};
 use reqblock::trace::profiles::ts_0;
-use reqblock::trace::{OpType, Request};
-
-const PAGE: u64 = 4096;
-
-/// Arbitrary request streams: mixed reads/writes over a footprint that
-/// overflows the tiny cache (24 pages) but fits the tiny flash array
-/// (512 pages), with irregular arrival gaps.
-fn requests() -> impl Strategy<Value = Vec<Request>> {
-    proptest::collection::vec(
-        (any::<bool>(), 0u64..320, 1u64..24, 0u64..150_000),
-        1..300,
-    )
-    .prop_map(|steps| {
-        let mut t = 0u64;
-        steps
-            .into_iter()
-            .map(|(is_write, page, pages, gap)| {
-                t += gap;
-                let op = if is_write { OpType::Write } else { OpType::Read };
-                Request::new(t, op, page * PAGE, pages * PAGE)
-            })
-            .collect()
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Queued mode at depth 1 is the synchronous simulator, bit for bit:
-    /// same metrics, same device state, and the same recorded telemetry.
-    #[test]
-    fn queued_depth_one_matches_synchronous_exactly(
-        reqs in requests(),
-        delta in 1u32..6,
-    ) {
-        let policy = PolicyKind::ReqBlock(ReqBlockConfig {
-            delta,
-            ..ReqBlockConfig::paper()
-        });
-        let sync_cfg = SimConfig::tiny(24, policy)
-            .with_sampling(SampleInterval::Requests(50));
-        let queued_cfg = sync_cfg.clone().with_submit(SubmitMode::Queued { depth: 1 });
-
-        let mut sync_rec = MemoryRecorder::default();
-        let sync = run_trace_recorded(&sync_cfg, reqs.iter().cloned(), &mut sync_rec);
-        let mut queued_rec = MemoryRecorder::default();
-        let queued = run_trace_recorded(&queued_cfg, reqs.iter().cloned(), &mut queued_rec);
-
-        prop_assert_eq!(&sync.metrics, &queued.metrics);
-        prop_assert_eq!(sync.flash, queued.flash);
-        prop_assert_eq!(sync.ftl, queued.ftl);
-        let meta = [("trace", "prop".to_string())];
-        prop_assert_eq!(to_jsonl(&sync_rec, &meta), to_jsonl(&queued_rec, &meta));
-    }
-}
 
 /// Golden queued-mode baseline: the synchronous golden scenario
 /// (`tests/golden_reqblock.rs`) re-run at depth 8. Flash traffic and
@@ -85,8 +18,9 @@ fn queued_golden_paper_device() {
     let cfg = SimConfig::paper(CacheSizeMb::Mb16, PolicyKind::ReqBlock(ReqBlockConfig::paper()))
         .with_submit(SubmitMode::Queued { depth: 8 });
     let source = TraceSource::Synthetic(ts_0().scaled(0.05));
-    let a = run_source(&cfg, &source);
-    let b = run_source(&cfg, &source);
+    let requests = source.requests().unwrap();
+    let a = replay(&cfg, requests.iter().copied(), &mut NoopRecorder);
+    let b = replay(&cfg, requests.iter().copied(), &mut NoopRecorder);
     assert_eq!(a.metrics, b.metrics, "queued mode must be deterministic");
     assert_eq!(a.flash, b.flash);
 

@@ -21,8 +21,8 @@ fn exported_trace_replays_identically() {
     assert_eq!(parsed.len(), reqs.len());
 
     let cfg = SimConfig::paper(CacheSizeMb::Mb16, PolicyKind::ReqBlock(ReqBlockConfig::paper()));
-    let direct = run_trace(&cfg, reqs.iter().copied());
-    let roundtrip = run_trace(&cfg, parsed.iter().copied());
+    let direct = replay(&cfg, reqs.iter().copied(), &mut NoopRecorder);
+    let roundtrip = replay(&cfg, parsed.iter().copied(), &mut NoopRecorder);
     assert_eq!(direct.metrics, roundtrip.metrics);
     assert_eq!(direct.flash, roundtrip.flash);
 }

@@ -2,9 +2,9 @@
 //! cache must be invisible to simulation results, and the barrier-free
 //! `repro all` pool must emit byte-identical artifacts at any thread count.
 
-use reqblock::sim::{
-    run_trace_recorded, CacheSizeMb, PolicyKind, RunResult, SimConfig, TraceSource,
-};
+use reqblock::obs::NoopRecorder;
+use reqblock::sim::{replay, CacheSizeMb, PolicyKind, RunResult, SimConfig, TraceSource};
+use reqblock::trace::{Request, SyntheticTrace};
 use reqblock::trace::shared;
 use reqblock_experiments::sweep::run_all;
 use reqblock_experiments::Opts;
@@ -22,26 +22,24 @@ fn simulated(r: &RunResult) -> String {
 
 /// Run one job over the explicitly shared (cached) request slice.
 fn run_cached(cfg: &SimConfig, source: &TraceSource) -> RunResult {
-    let requests = source.shared_requests();
-    run_trace_recorded(cfg, requests.iter().copied(), &mut reqblock::obs::NoopRecorder)
+    let requests = source.requests().unwrap();
+    replay(cfg, requests.iter().copied(), &mut NoopRecorder)
 }
 
-/// Run the same job by regenerating the trace from scratch, bypassing the
-/// process-wide cache entirely.
-fn run_uncached(cfg: &SimConfig, source: &TraceSource) -> RunResult {
-    let mut requests = Vec::new();
-    source.for_each_request_uncached(|r| requests.push(r));
-    run_trace_recorded(cfg, requests, &mut reqblock::obs::NoopRecorder)
+/// Run the same job over `fresh`, a trace built from scratch without the
+/// process-wide cache.
+fn run_uncached(cfg: &SimConfig, fresh: Vec<Request>) -> RunResult {
+    replay(cfg, fresh, &mut NoopRecorder)
 }
 
 #[test]
 fn cached_replay_matches_uncached_regeneration_synthetic() {
     let profile = reqblock::trace::profiles::src1_2().scaled(0.002);
-    let source = TraceSource::Synthetic(profile);
+    let source = TraceSource::Synthetic(profile.clone());
     for policy in [PolicyKind::Lru, PolicyKind::ReqBlock(Default::default())] {
         let cfg = SimConfig::paper(CacheSizeMb::Mb16, policy);
         let cached = run_cached(&cfg, &source);
-        let fresh = run_uncached(&cfg, &source);
+        let fresh = run_uncached(&cfg, SyntheticTrace::new(profile.clone()).generate_all());
         assert_eq!(simulated(&cached), simulated(&fresh));
     }
 }
@@ -56,10 +54,10 @@ fn cached_replay_matches_uncached_regeneration_msr_file() {
         reqblock::trace::SyntheticTrace::new(profile).generate_all();
     reqblock::trace::msr::write_file(&path, &reqs).unwrap();
 
-    let source = TraceSource::MsrFile(path);
+    let source = TraceSource::MsrFile(path.clone());
     let cfg = SimConfig::paper(CacheSizeMb::Mb16, PolicyKind::ReqBlock(Default::default()));
     let cached = run_cached(&cfg, &source);
-    let fresh = run_uncached(&cfg, &source);
+    let fresh = run_uncached(&cfg, reqblock::trace::msr::parse_file(&path).unwrap());
     assert_eq!(simulated(&cached), simulated(&fresh));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -68,8 +66,8 @@ fn cached_replay_matches_uncached_regeneration_msr_file() {
 fn shared_slice_is_reused_not_regenerated() {
     let profile = reqblock::trace::profiles::hm_1().scaled(0.001);
     let source = TraceSource::Synthetic(profile);
-    let a = source.shared_requests();
-    let b = source.shared_requests();
+    let a = source.requests().unwrap();
+    let b = source.requests().unwrap();
     assert!(
         std::sync::Arc::ptr_eq(&a, &b) || !shared::enabled(),
         "two lookups of the same (source, scale) must share one allocation"

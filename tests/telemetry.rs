@@ -15,7 +15,7 @@ use reqblock::core::ReqBlockConfig;
 use reqblock::obs::telemetry::{summary_rows, to_jsonl, SCHEMA_VERSION};
 use reqblock::obs::MemoryRecorder;
 use reqblock::sim::{
-    run_source_recorded, CacheSizeMb, PolicyKind, SampleInterval, SimConfig, TraceSource,
+    replay, CacheSizeMb, PolicyKind, SampleInterval, SimConfig, TraceSource,
 };
 use reqblock::trace::profiles::ts_0;
 
@@ -28,7 +28,7 @@ fn record_run() -> (MemoryRecorder, String) {
     // flush-wait span shows up in the telemetry (0.01 never evicts).
     let source = TraceSource::Synthetic(ts_0().scaled(0.05));
     let mut rec = MemoryRecorder::default();
-    run_source_recorded(&cfg, &source, &mut rec);
+    replay(&cfg, source.requests().unwrap().iter().copied(), &mut rec);
     let meta = [
         ("trace", "ts_0".to_string()),
         ("policy", "Req-block".to_string()),
