@@ -9,10 +9,13 @@
 //!   table2      Table 2  (trace specifications, paper vs measured)
 //!   fig2        Figure 2 (insert/hit CDFs vs request size)
 //!   fig3        Figure 3 (large-request hit statistics)
-//!   fig7        Figure 7 (delta sensitivity)
-//!   fig8..fig12 Figures 8-12 (policy comparison grid; run together as `comparison`)
-//!   comparison  Figures 8-12 in one pass (the grid is shared)
 //!   fig13       Figure 13 (list occupancy over time)
+//!
+//!   grid subcommands — each runs the builtin scenario of the same name
+//!   (scenarios/<name>.toml), exactly like `run scenarios/<name>.toml`:
+//!   fig7        Figure 7 (delta sensitivity)
+//!   comparison  Figures 8-12 + summary + perf in one pass (the grid is shared)
+//!   fig8..fig12 the comparison grid, emitting only that figure
 //!   tails       extension: response-time percentiles per policy
 //!   wear        extension: GC activity and write amplification
 //!   ablations   extension: Req-block design-choice ablations (A1-A4)
@@ -20,12 +23,13 @@
 //!               remapped pages, device health)
 //!   qdepth      extension: X5 response time vs host queue depth per
 //!               policy, queued submit mode (default depths 1-32;
-//!               `--depths 1,2,4,...` picks the grid)
+//!               `--depths 1,2,4,...` replaces the qdepth axis)
 //!   load        extension: X6 latency vs offered throughput — the ts_0
 //!               request mix re-timed by open-loop Poisson/bursty arrival
 //!               processes, p50/p99/p99.9 per policy and offered rate
-//!               (default multipliers 0.25x-8x; `--rates 0.5,2,...` picks
-//!               the grid)
+//!               (default multipliers 0.25x-8x; `--rates 0.5,2,...`
+//!               replaces the load_mult axis)
+//!
 //!   why         tail forensics: per-component latency attribution across
 //!               policy x depth x offered load, plus Perfetto-loadable
 //!               trace JSON and size-rotated telemetry shards per point
@@ -55,7 +59,8 @@
 //! byte-identical at every thread count.
 
 use reqblock_experiments::report::{bar_chart, save, Table};
-use reqblock_experiments::{extensions, figures, figures::Opts, scenario, sweep};
+use reqblock_experiments::scenario::{self, AxisValues};
+use reqblock_experiments::{extensions, figures, figures::Opts, sweep};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -117,11 +122,11 @@ fn parse_list<T: std::str::FromStr>(flag: &str, v: &str) -> Vec<T> {
 /// Extra CLI state that does not belong in the library-level [`Opts`].
 #[derive(Default)]
 struct CliExtras {
-    /// Queue-depth grid for `qdepth` (`--depths`); `None` = the default
-    /// [`extensions::QDEPTH_SWEEP`].
+    /// Queue-depth axis for `qdepth` (`--depths`); `None` = the builtin
+    /// scenario's.
     depths: Option<Vec<u32>>,
     /// Offered-rate multipliers for `load` (`--rates`); `None` = the
-    /// default [`extensions::LOAD_SWEEP`].
+    /// builtin scenario's `load_mult` axis.
     rates: Option<Vec<f64>>,
     /// Device counts for `fleet` (`--devices`); `None` = the default
     /// [`extensions::FLEET_DEVICES`].
@@ -197,37 +202,6 @@ fn emit(opts: &Opts, name: &str, tables: &[Table]) {
         eprintln!("warning: could not write {}/{}: {e}", opts.out_dir.display(), name);
     } else {
         println!("[saved {}/{name}.md and .csv]\n", opts.out_dir.display());
-    }
-}
-
-fn run_comparison_figs(opts: &Opts, which: &str) {
-    let t0 = Instant::now();
-    eprintln!(
-        "running comparison grid (4 policies x 3 sizes x 6 traces, scale {}) ...",
-        opts.scale
-    );
-    let cmp = figures::comparison(opts);
-    eprintln!("grid done in {:.1?}", t0.elapsed());
-    let all = [
-        ("fig8", vec![figures::fig8(&cmp)]),
-        ("fig9", vec![figures::fig9(&cmp)]),
-        ("fig10", vec![figures::fig10(&cmp)]),
-        ("fig11", vec![figures::fig11(&cmp)]),
-        ("fig12", vec![figures::fig12(&cmp)]),
-        ("summary", vec![figures::summary(&cmp)]),
-    ];
-    for (name, tables) in all {
-        if which == "comparison" || which == "all" || which == name {
-            emit(opts, name, &tables);
-        }
-    }
-    if which == "comparison" || which == "all" {
-        let means = figures::policy_means(&cmp);
-        let resp: Vec<(String, f64)> = means.iter().map(|(n, r, _)| (n.clone(), *r)).collect();
-        let hits: Vec<(String, f64)> = means.iter().map(|(n, _, h)| (n.clone(), *h)).collect();
-        println!("{}", bar_chart("mean response time (normalized to LRU, lower is better)", &resp, 40));
-        println!("{}", bar_chart("mean hit ratio (normalized to Req-block, higher is better)", &hits, 40));
-        emit(opts, "perf", &[figures::perf_table(&cmp)]);
     }
 }
 
@@ -331,15 +305,11 @@ fn run_fleet(opts: &Opts, devices: &[usize]) {
     emit(opts, "fleet", &[report.table, extensions::fleet_scaling_build(&scaling)]);
 }
 
-/// `repro run <scenario.toml>`: parse, validate, plan, and run one
-/// declarative scenario through the barrier-free pool, then emit its
-/// sections, charts, and per-section digests.
-fn run_scenario(opts: &Opts, path: &str) {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| fail(&format!("run: cannot read {path}: {e}")));
-    let sc = scenario::Scenario::parse(&text)
-        .unwrap_or_else(|e| fail(&format!("run: {path}: {e}")));
-    let plan = scenario::plan(&sc, opts).unwrap_or_else(|e| fail(&format!("run: {path}: {e}")));
+/// Run one declarative scenario through the barrier-free pool, then emit
+/// its sections, charts, and per-section digests — or, with `only`, just
+/// that section and its digest.
+fn run_scenario(opts: &Opts, sc: &scenario::Scenario, only: Option<&str>) {
+    let plan = scenario::plan(sc, opts).unwrap_or_else(|e| fail(&format!("{}: {e}", sc.name)));
     let jobs = plan.job_count();
     eprintln!(
         "running scenario {} ({} kind, {} jobs, {} threads, scale {}) ...",
@@ -350,8 +320,12 @@ fn run_scenario(opts: &Opts, path: &str) {
         opts.scale
     );
     let t0 = Instant::now();
-    let outcome = plan.run(opts.threads);
+    let mut outcome = plan.run(opts.threads);
     println!("[scenario {}: {} jobs in {:.2}s]", sc.name, jobs, t0.elapsed().as_secs_f64());
+    if let Some(only) = only {
+        outcome.sections.retain(|(name, _)| name == only);
+        outcome.charts.clear();
+    }
     for (name, tables) in &outcome.sections {
         emit(opts, name, tables);
     }
@@ -361,6 +335,26 @@ fn run_scenario(opts: &Opts, path: &str) {
     for (name, digest) in outcome.digests() {
         println!("[digest {name} {digest:016x}]");
     }
+}
+
+/// A grid subcommand: the builtin scenario of the same name (`fig8`..
+/// `fig12` run `comparison` and emit only their own figure), with the
+/// `--depths`/`--rates` overrides applied to the `qdepth`/`load` grids.
+fn run_alias(opts: &Opts, extras: &CliExtras, cmd: &str) {
+    let (name, only) = match cmd {
+        "fig8" | "fig9" | "fig10" | "fig11" | "fig12" => ("comparison", Some(cmd)),
+        _ => (cmd, None),
+    };
+    let mut sc = scenario::builtin(name).expect("every grid subcommand is a builtin scenario");
+    if let (Some(depths), "qdepth") = (&extras.depths, name) {
+        let values = AxisValues::Ints(depths.iter().map(|&d| d as i64).collect());
+        sc.set_axis("qdepth", values).unwrap_or_else(|e| fail(&format!("--depths: {e}")));
+    }
+    if let (Some(rates), "load") = (&extras.rates, name) {
+        sc.set_axis("load_mult", AxisValues::Floats(rates.clone()))
+            .unwrap_or_else(|e| fail(&format!("--rates: {e}")));
+    }
+    run_scenario(opts, &sc, only);
 }
 
 /// `repro --list`: every built-in scenario plus any extra `scenarios/*.toml`
@@ -435,7 +429,7 @@ fn main() -> ExitCode {
     }
     let t0 = Instant::now();
     match cmd {
-        "table1" =>emit(&opts, "table1", &[figures::table1()]),
+        "table1" => emit(&opts, "table1", &[figures::table1()]),
         "table2" => emit(&opts, "table2", &[figures::table2(&opts)]),
         "fig2" | "fig3" => {
             let (f2, f3) = figures::fig2_fig3(&opts);
@@ -445,29 +439,12 @@ fn main() -> ExitCode {
                 emit(&opts, "fig3", &[f3]);
             }
         }
-        "fig7" => {
-            let (hits, resp) = figures::fig7(&opts);
-            emit(&opts, "fig7", &[hits, resp]);
-        }
-        "comparison" | "fig8" | "fig9" | "fig10" | "fig11" | "fig12" => {
-            run_comparison_figs(&opts, cmd);
-        }
         "fig13" => {
             let (samples, shares) = figures::fig13(&opts);
             emit(&opts, "fig13", &[shares, samples]);
         }
-        "tails" => emit(&opts, "tails", &[extensions::tails(&opts)]),
-        "wear" => emit(&opts, "wear", &[extensions::wear(&opts)]),
-        "ablations" => emit(&opts, "ablations", &[extensions::ablations(&opts)]),
-        "faults" => emit(&opts, "faults", &[extensions::fault_sweep(&opts)]),
-        "qdepth" => {
-            let depths = extras.depths.as_deref().unwrap_or(&extensions::QDEPTH_SWEEP);
-            emit(&opts, "qdepth", &[extensions::qdepth_sweep_depths(&opts, depths)]);
-        }
-        "load" => {
-            let rates = extras.rates.as_deref().unwrap_or(&extensions::LOAD_SWEEP);
-            emit(&opts, "load", &[extensions::load_sweep_rates(&opts, rates)]);
-        }
+        "fig7" | "comparison" | "fig8" | "fig9" | "fig10" | "fig11" | "fig12" | "tails"
+        | "wear" | "ablations" | "faults" | "qdepth" | "load" => run_alias(&opts, &extras, cmd),
         "why" => run_why(&opts),
         "fleet" => {
             let devices = extras.devices.as_deref().unwrap_or(&extensions::FLEET_DEVICES);
@@ -477,7 +454,14 @@ fn main() -> ExitCode {
             let trace = operands.first().map(String::as_str).unwrap_or("ts_0");
             run_telemetry(&opts, trace);
         }
-        "run" => run_scenario(&opts, &operands[0]),
+        "run" => {
+            let path = &operands[0];
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| fail(&format!("run: cannot read {path}: {e}")));
+            let sc = scenario::Scenario::parse(&text)
+                .unwrap_or_else(|e| fail(&format!("run: {path}: {e}")));
+            run_scenario(&opts, &sc, None);
+        }
         "list" => run_list(),
         "export" => {
             let (trace, path) = (&operands[0], &operands[1]);

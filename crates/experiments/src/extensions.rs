@@ -1,28 +1,26 @@
 //! Extension experiments beyond the paper's figures.
 //!
-//! * [`tails`] — response-time percentiles per policy (the paper reports
-//!   means only; the policies differ most in their tails).
-//! * [`wear`] — GC activity, write amplification and wear ceiling per
-//!   policy over a cache-pressure workload.
-//! * [`ablations`] — what each Req-block design choice buys (DESIGN.md
-//!   A1-A4), measured head-to-head.
-//! * [`fault_sweep`] — reliability: the same run replayed under rising
-//!   seeded fault rates (read/program/erase), reporting retries, retired
-//!   bad blocks, remapped pages and the device health outcome.
+//! * The reports of the extension scenarios (`scenarios/*.toml`, compiled
+//!   by [`crate::scenario`]): [`TAIL_QUANTILES`] percentiles per policy
+//!   (`tails`), GC activity and write amplification (`wear`), the
+//!   Req-block design-choice ablations (`ablations`), the seeded
+//!   fault-rate sweep (`faults`), response time vs queue depth (`qdepth`,
+//!   X5) and latency vs offered load (`load`, X6).
+//! * [`why`] — X7: per-request tail forensics across policy x depth x
+//!   offered load.
 //! * [`fleet`] — X8: a multi-device fleet under a blended three-tenant
 //!   mix, per-tenant p50/p99/p999 and a noisy-neighbor delta per
 //!   placement x device-count grid point (see `reqblock_sim::fleet`).
 
 use crate::figures::Opts;
 use crate::report::{f2, f3, pct, Table};
-use crate::scenario::{self, AxisValues};
-use reqblock_cache::policies::BplruConfig;
-use reqblock_core::{PriorityModel, ReqBlockConfig};
+use crate::scenario::Point;
+use reqblock_core::ReqBlockConfig;
 use reqblock_obs::telemetry::to_jsonl;
 use reqblock_obs::{MemoryRecorder, NoopRecorder, TraceBuilder};
 use reqblock_sim::{
     replay, run_task_pool, ArrivalProcess, AttrAcc, AttrConfig, CacheSizeMb, Component, FleetConfig,
-    FleetControl, IntervalLog, Metrics, NoisyNeighbor, Placement, PolicyKind, RunResult,
+    FleetControl, IntervalLog, Metrics, NoisyNeighbor, Placement, PolicyKind,
     SimConfig, Ssd, SubmitMode, Task, TenantMix, TenantSpec, TraceSource,
 };
 use reqblock_trace::WorkloadProfile;
@@ -62,45 +60,45 @@ pub(crate) fn pressured_ssd(profile: &WorkloadProfile) -> reqblock_flash::SsdCon
     ssd
 }
 
-/// Percentile columns reported by [`tails`].
+/// Percentile columns of the `tails` report.
 pub const TAIL_QUANTILES: [(f64, &str); 4] =
     [(0.50, "p50 (ms)"), (0.95, "p95 (ms)"), (0.99, "p99 (ms)"), (1.0, "max (ms)")];
 
-/// Render the tails table from grid results (the `tails` scenario's job
-/// order: trace-major over the policy axis).
-pub(crate) fn tails_build(results: Vec<(String, RunResult)>) -> Table {
+/// The `tails` report: response-time percentiles per (trace, policy) point
+/// (the paper reports means only; the policies differ most in their
+/// tails).
+pub(crate) fn tails_build(points: &[Point]) -> Table {
     let mut cols = vec!["Trace", "Policy", "mean (ms)"];
     for (_, label) in TAIL_QUANTILES {
         cols.push(label);
     }
     let mut t = Table::new("Extension - Response time percentiles (32MB)", &cols);
-    for (label, r) in results {
-        let (trace, policy) = label.split_once('/').expect("label format");
-        let mut row = vec![trace.to_string(), policy.to_string(), f3(r.metrics.avg_response_ms())];
+    for p in points {
+        let m = &p.result.metrics;
+        let mut row = vec![
+            p.cell("trace").to_string(),
+            p.cell("policy").to_string(),
+            f3(m.avg_response_ms()),
+        ];
         for (q, _) in TAIL_QUANTILES {
-            row.push(f3(r.metrics.response_percentile_ms(q)));
+            row.push(f3(m.response_percentile_ms(q)));
         }
         t.push_row(row);
     }
     t
 }
 
-/// Response-time tail percentiles for the four compared policies, 32 MB
-/// (the committed `scenarios/tails.toml` grid).
-pub fn tails(opts: &Opts) -> Table {
-    scenario::run_builtin("tails", opts).into_single_table()
-}
-
-/// Render the wear table from grid results (the `wear` scenario's job
-/// order: one job per policy).
-pub(crate) fn wear_build(results: Vec<(String, RunResult)>) -> Table {
+/// The `wear` report: GC activity, write amplification and erases per
+/// policy over a cache-pressure workload.
+pub(crate) fn wear_build(points: &[Point]) -> Table {
     let mut t = Table::new(
         "Extension - GC activity and write amplification (proj_0-like, 32MB)",
         &["Policy", "User programs", "GC programs", "GC runs", "Erases", "WA"],
     );
-    for (label, r) in results {
+    for p in points {
+        let r = &p.result;
         t.push_row(vec![
-            label,
+            p.cell("policy").to_string(),
             r.flash.user_programs.to_string(),
             r.flash.gc_programs.to_string(),
             r.ftl.gc_runs.to_string(),
@@ -111,61 +109,19 @@ pub(crate) fn wear_build(results: Vec<(String, RunResult)>) -> Table {
     t
 }
 
-/// GC / wear statistics per policy on the most write-intensive workload
-/// (the committed `scenarios/wear.toml` grid).
-pub fn wear(opts: &Opts) -> Table {
-    scenario::run_builtin("wear", opts).into_single_table()
-}
-
-/// The Req-block/BPLRU ablation variants (DESIGN.md A1-A4).
-pub fn ablation_variants() -> Vec<(&'static str, PolicyKind)> {
-    vec![
-        ("Req-block (paper)", PolicyKind::ReqBlock(ReqBlockConfig::paper())),
-        (
-            "A1: no DRL split",
-            PolicyKind::ReqBlock(ReqBlockConfig {
-                split_large_on_hit: false,
-                ..ReqBlockConfig::paper()
-            }),
-        ),
-        (
-            "A2: no downgraded merge",
-            PolicyKind::ReqBlock(ReqBlockConfig {
-                merge_on_evict: false,
-                ..ReqBlockConfig::paper()
-            }),
-        ),
-        (
-            "A3: Eq.1 without size term",
-            PolicyKind::ReqBlock(ReqBlockConfig {
-                priority: PriorityModel::NoSize,
-                ..ReqBlockConfig::paper()
-            }),
-        ),
-        (
-            "A3: Eq.1 without age term",
-            PolicyKind::ReqBlock(ReqBlockConfig {
-                priority: PriorityModel::NoAge,
-                ..ReqBlockConfig::paper()
-            }),
-        ),
-        ("BPLRU without padding", PolicyKind::Bplru(BplruConfig { page_padding: false })),
-        ("A4: BPLRU with padding", PolicyKind::Bplru(BplruConfig { page_padding: true })),
-    ]
-}
-
-/// Render the ablation table from grid results (the `ablations`
-/// scenario's job order: trace-major over the variant axis).
-pub(crate) fn ablations_build(results: Vec<(String, RunResult)>) -> Table {
+/// The `ablations` report: what each Req-block design choice buys
+/// (DESIGN.md A1-A4), one row per (trace, variant) point. The variants
+/// are policy names ([`crate::scenario::POLICY_NAMES`]).
+pub(crate) fn ablations_build(points: &[Point]) -> Table {
     let mut t = Table::new(
         "Extension - Ablations (32MB)",
         &["Variant", "Trace", "Hit ratio", "Avg resp (ms)", "Flash writes", "Pages/eviction"],
     );
-    for (label, r) in results {
-        let (name, trace) = label.split_once('|').expect("label format");
+    for p in points {
+        let r = &p.result;
         t.push_row(vec![
-            name.to_string(),
-            trace.to_string(),
+            p.cell("policy").to_string(),
+            p.cell("trace").to_string(),
             f3(r.metrics.hit_ratio()),
             f3(r.metrics.avg_response_ms()),
             r.flash.user_programs.to_string(),
@@ -175,19 +131,13 @@ pub(crate) fn ablations_build(results: Vec<(String, RunResult)>) -> Table {
     t
 }
 
-/// Ablation comparison on the two most revealing workloads (the committed
-/// `scenarios/ablations.toml` grid).
-pub fn ablations(opts: &Opts) -> Table {
-    scenario::run_builtin("ablations", opts).into_single_table()
-}
-
-/// Per-op fault rates (parts per million) swept by [`fault_sweep`]. The
-/// same rate is applied to reads, programs, and erases at each step.
-pub const FAULT_SWEEP_PPM: [u32; 4] = [0, 500, 2_000, 10_000];
-
-/// Render the fault table from grid results (the `faults` scenario's job
-/// order: one job per fault rate).
-pub(crate) fn fault_build(results: Vec<(String, RunResult)>) -> Table {
+/// The `faults` report: one workload replayed under rising seeded fault
+/// rates (read/program/erase) on the pressured device, reporting retries,
+/// retired bad blocks, remapped pages and the device health outcome.
+/// Every run uses the same seeded fault stream, so the table is
+/// reproducible bit-for-bit; the zero-ppm row doubles as a control that
+/// matches a fault-free device.
+pub(crate) fn fault_build(points: &[Point]) -> Table {
     let mut t = Table::new(
         "Extension - Fault-rate sweep (Req-block, pressured device, fixed seed)",
         &[
@@ -203,10 +153,10 @@ pub(crate) fn fault_build(results: Vec<(String, RunResult)>) -> Table {
             "Avg resp (ms)",
         ],
     );
-    for (label, r) in results {
-        let f = &r.faults;
+    for p in points {
+        let (r, f) = (&p.result, &p.result.faults);
         t.push_row(vec![
-            label,
+            p.cell("fault_ppm").to_string(),
             f.read_retries.to_string(),
             f.read_uncorrectable.to_string(),
             f.program_failures.to_string(),
@@ -221,77 +171,41 @@ pub(crate) fn fault_build(results: Vec<(String, RunResult)>) -> Table {
     t
 }
 
-/// Reliability extension: one workload replayed under rising fault rates
-/// on a pressured device (the committed `scenarios/faults.toml` grid).
-/// Every run uses the same seeded fault stream, so the table is
-/// reproducible bit-for-bit; the zero-ppm row doubles as a control that
-/// matches a fault-free device.
-pub fn fault_sweep(opts: &Opts) -> Table {
-    scenario::run_builtin("faults", opts).into_single_table()
-}
-
-/// Host queue depths swept by [`qdepth_sweep`] (X5).
-pub const QDEPTH_SWEEP: [u32; 6] = [1, 2, 4, 8, 16, 32];
-
-/// Render the X5 table from grid results (the `qdepth` scenario's job
-/// order: policy-major over the depth axis).
+/// The `qdepth` report (X5): mean and p99 response time vs host queue
+/// depth per policy.
 ///
 /// Depth 1 is definitionally the synchronous paper model (the property and
 /// golden tests pin the equality); deeper windows let eviction flushes
 /// retire in the background, so the sweep isolates how much of each
 /// policy's response time is buffer-induced stall that a queueing host
 /// could hide. Flash traffic is depth-invariant by construction.
-pub(crate) fn qdepth_build(results: Vec<(String, RunResult)>) -> Table {
+pub(crate) fn qdepth_build(points: &[Point]) -> Table {
     let mut t = Table::new(
         "Extension - X5: response time vs host queue depth (ts_0, 32MB)",
         &["Policy", "Depth", "Mean resp (ms)", "p99 (ms)", "Flush stalls", "Stall time (ms)"],
     );
-    for (label, r) in results {
-        let (policy, depth) = label.rsplit_once("/qd").expect("qdepth label is policy/qdN");
+    for p in points {
+        let m = &p.result.metrics;
         t.push_row(vec![
-            policy.to_string(),
-            depth.to_string(),
-            f3(r.metrics.avg_response_ms()),
-            f3(r.metrics.response_percentile_ms(0.99)),
-            r.metrics.flush_stalls.to_string(),
-            f2(r.metrics.flush_stall_ns as f64 / 1e6),
+            p.cell("policy").to_string(),
+            p.cell("qdepth").to_string(),
+            f3(m.avg_response_ms()),
+            f3(m.response_percentile_ms(0.99)),
+            m.flush_stalls.to_string(),
+            f2(m.flush_stall_ns as f64 / 1e6),
         ]);
     }
     t
 }
 
-/// X5 extension: mean and p99 response time vs host queue depth 1-32.
-pub fn qdepth_sweep(opts: &Opts) -> Table {
-    qdepth_sweep_depths(opts, &QDEPTH_SWEEP)
-}
-
-/// [`qdepth_sweep`] over a caller-chosen depth list (`repro qdepth
-/// --depths 1,2,4,...`). Depths may repeat or be unordered; rows follow the
-/// given order per policy.
-pub fn qdepth_sweep_depths(opts: &Opts, depths: &[u32]) -> Table {
-    assert!(!depths.is_empty(), "qdepth sweep needs at least one depth");
-    let mut sc = scenario::builtin("qdepth").expect("builtin qdepth scenario");
-    sc.set_axis("qdepth", AxisValues::Ints(depths.iter().map(|&d| d as i64).collect()))
-        .expect("valid depth list");
-    scenario::run(&sc, opts).expect("qdepth scenario plans").into_single_table()
-}
-
-/// Offered-load multipliers swept by [`load_sweep`] (X6), relative to the
-/// device's *calibrated back-to-back service rate* for the same request
-/// mix. The span brackets the knee by construction: below 1x the device
-/// keeps up (response ~= service time), above 1x arrivals outrun service
-/// and the open-loop response diverges.
-pub const LOAD_SWEEP: [f64; 6] = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0];
-
 /// Burst shape of the X6 bursty rows: bursts of 64 requests arriving 8x
 /// faster than the long-run rate, idle gaps in between (same offered rate).
 pub const LOAD_BURST: (u32, u32) = (64, 8);
 
-/// Render the X6 table from grid results (the `load` scenario's job
-/// order: per policy, one Poisson row per multiplier then the bursty row).
+/// The `load` report (X6): latency vs offered throughput per policy.
 ///
 /// Every job rewrites the same base trace's arrival times
-/// ([`TraceSource::OpenLoop`]): Poisson at each [`LOAD_SWEEP`] multiple of
+/// ([`TraceSource::OpenLoop`]): Poisson at each `load_mult` multiple of
 /// the calibrated service rate, plus one bursty row ([`LOAD_BURST`]) at 1x
 /// to show what burst clustering alone costs. Arrival seeds depend only on
 /// the rate step — every policy sees byte-identical arrivals, so the rows
@@ -299,7 +213,7 @@ pub const LOAD_BURST: (u32, u32) = (64, 8);
 /// arrival->completion against an open loop that never self-throttles,
 /// which is what makes the saturation knee visible (see EXPERIMENTS.md).
 /// Calibration is [`calibrated_service_gap_ns`].
-pub(crate) fn load_build(results: Vec<(String, RunResult)>) -> Table {
+pub(crate) fn load_build(points: &[Point]) -> Table {
     let mut t = Table::new(
         "Extension - X6: response time vs offered throughput (ts_0 mix, open loop, qd8, 32MB)",
         &[
@@ -313,47 +227,28 @@ pub(crate) fn load_build(results: Vec<(String, RunResult)>) -> Table {
             "Mean (ms)",
         ],
     );
-    for (label, r) in results {
-        let mut parts = label.split('|');
-        let policy = parts.next().expect("load label has policy");
-        let process = parts.next().expect("load label has process");
-        let mult = parts.next().expect("load label has multiplier");
-        let rate: f64 = parts.next().expect("load label has rate").parse().expect("rate");
+    for p in points {
+        let m = &p.result.metrics;
+        let offered: f64 = p.cell("offered").parse().expect("offered rate cell");
         t.push_row(vec![
-            policy.to_string(),
-            process.to_string(),
-            format!("{mult}x"),
-            f2(rate / 1e3),
-            f3(r.metrics.response_percentile_ms(0.50)),
-            f3(r.metrics.response_percentile_ms(0.99)),
-            f3(r.metrics.response_percentile_ms(0.999)),
-            f3(r.metrics.avg_response_ms()),
+            p.cell("policy").to_string(),
+            p.cell("process").to_string(),
+            format!("{}x", p.cell("load_mult")),
+            f2(offered / 1e3),
+            f3(m.response_percentile_ms(0.50)),
+            f3(m.response_percentile_ms(0.99)),
+            f3(m.response_percentile_ms(0.999)),
+            f3(m.avg_response_ms()),
         ]);
     }
     t
-}
-
-/// X6 extension: latency vs offered throughput per policy (open loop).
-pub fn load_sweep(opts: &Opts) -> Table {
-    load_sweep_rates(opts, &LOAD_SWEEP)
-}
-
-/// [`load_sweep`] over a caller-chosen rate-multiplier list (`repro load
-/// --rates 0.5,2,8`). Multipliers may repeat or be unordered; rows follow
-/// the given order per policy, with the fixed bursty 1x row appended like
-/// the default grid.
-pub fn load_sweep_rates(opts: &Opts, mults: &[f64]) -> Table {
-    assert!(!mults.is_empty(), "load sweep needs at least one rate multiplier");
-    let mut sc = scenario::builtin("load").expect("builtin load scenario");
-    sc.set_axis("load_mult", AxisValues::Floats(mults.to_vec())).expect("valid rate list");
-    scenario::run(&sc, opts).expect("load scenario plans").into_single_table()
 }
 
 /// Host queue depths probed by [`why`] (X7).
 pub const WHY_DEPTHS: [u32; 2] = [1, 8];
 
 /// Offered-load multipliers probed by [`why`], relative to the calibrated
-/// back-to-back service rate (same calibration as [`LOAD_SWEEP`]): one
+/// back-to-back service rate (same calibration as the `load` scenario): one
 /// point comfortably below the knee, one past it, one deep in overload.
 pub const WHY_LOADS: [f64; 3] = [0.5, 2.0, 8.0];
 
@@ -394,7 +289,7 @@ pub struct WhyReport {
 /// replaying the `ts_0` mix open-loop with attribution enabled. Unlike the
 /// [`JobPool`](reqblock_sim::JobPool) grids this keeps the whole device
 /// around per point — the attribution accumulator and captured busy
-/// intervals live on the `Ssd`, not in the [`RunResult`] — so it drives
+/// intervals live on the `Ssd`, not in the `RunResult` — so it drives
 /// [`run_task_pool`] directly.
 /// Sampling is deterministic in the run alone, so the grid is
 /// thread-count invariant.
@@ -893,15 +788,25 @@ pub fn fleet_scaling_build(rows: &[FleetScalingRow]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{self, AxisValues};
     use std::path::PathBuf;
 
     fn tiny_opts() -> Opts {
         Opts { scale: 0.001, threads: 2, out_dir: PathBuf::from("/tmp"), trace_dir: None }
     }
 
+    /// The table of a builtin scenario, optionally with one axis replaced.
+    fn builtin_table(name: &str, opts: &Opts, axis: Option<(&str, AxisValues)>) -> Table {
+        let mut sc = scenario::builtin(name).unwrap();
+        if let Some((axis, values)) = axis {
+            sc.set_axis(axis, values).unwrap();
+        }
+        scenario::run(&sc, opts).unwrap().into_single_table()
+    }
+
     #[test]
     fn tails_has_row_per_trace_policy() {
-        let t = tails(&tiny_opts());
+        let t = builtin_table("tails", &tiny_opts(), None);
         assert_eq!(t.rows.len(), 24); // 6 traces x 4 policies
         // p50 <= p99 <= max per row.
         for row in &t.rows {
@@ -914,7 +819,7 @@ mod tests {
 
     #[test]
     fn wear_reports_four_policies() {
-        let t = wear(&tiny_opts());
+        let t = builtin_table("wear", &tiny_opts(), None);
         assert_eq!(t.rows.len(), 4);
         for row in &t.rows {
             let wa: f64 = row[5].parse().unwrap();
@@ -924,14 +829,15 @@ mod tests {
 
     #[test]
     fn ablations_cover_all_variants() {
-        let t = ablations(&tiny_opts());
-        assert_eq!(t.rows.len(), ablation_variants().len() * 2);
+        let t = builtin_table("ablations", &tiny_opts(), None);
+        assert_eq!(t.rows.len(), 7 * 2);
+        assert_eq!(t.rows[1][..2], ["A1: no DRL split", "src1_2"]);
     }
 
     #[test]
     fn fault_sweep_zero_row_is_clean_and_faulty_rows_fault() {
-        let t = fault_sweep(&tiny_opts());
-        assert_eq!(t.rows.len(), FAULT_SWEEP_PPM.len());
+        let t = builtin_table("faults", &tiny_opts(), None);
+        assert_eq!(t.rows.len(), 4);
         let zero = &t.rows[0];
         assert_eq!(zero[0], "0");
         for cell in &zero[1..8] {
@@ -947,14 +853,15 @@ mod tests {
 
     #[test]
     fn fault_sweep_is_reproducible() {
-        let a = fault_sweep(&tiny_opts());
-        let b = fault_sweep(&tiny_opts());
+        let a = builtin_table("faults", &tiny_opts(), None);
+        let b = builtin_table("faults", &tiny_opts(), None);
         assert_eq!(a.rows, b.rows, "same seed + config must give identical tables");
     }
 
     #[test]
     fn qdepth_sweep_accepts_custom_depth_list() {
-        let t = qdepth_sweep_depths(&tiny_opts(), &[1, 3]);
+        let depths = AxisValues::Ints(vec![1, 3]);
+        let t = builtin_table("qdepth", &tiny_opts(), Some(("qdepth", depths)));
         assert_eq!(t.rows.len(), 4 * 2);
         for policy in PolicyKind::paper_comparison() {
             for depth in ["1", "3"] {
@@ -969,16 +876,17 @@ mod tests {
 
     #[test]
     fn load_sweep_covers_grid_and_latency_rises_with_load() {
-        let t = load_sweep(&tiny_opts());
+        let t = builtin_table("load", &tiny_opts(), None);
         // Per policy: every Poisson step plus one bursty row.
-        assert_eq!(t.rows.len(), 4 * (LOAD_SWEEP.len() + 1));
+        let steps = 6;
+        assert_eq!(t.rows.len(), 4 * (steps + 1));
         for policy in PolicyKind::paper_comparison() {
             let rows: Vec<_> = t.rows.iter().filter(|r| r[0] == policy.name()).collect();
-            assert_eq!(rows.len(), LOAD_SWEEP.len() + 1, "{}", policy.name());
+            assert_eq!(rows.len(), steps + 1, "{}", policy.name());
             // Open loop: driving the same mix 32x harder (0.5x -> 16x) must
             // not *improve* the mean response; past the knee it explodes.
             let lightest: f64 = rows.first().unwrap()[7].parse().unwrap();
-            let heaviest: f64 = rows[LOAD_SWEEP.len() - 1][7].parse().unwrap();
+            let heaviest: f64 = rows[steps - 1][7].parse().unwrap();
             assert!(
                 heaviest >= lightest,
                 "{}: mean at 16x load {heaviest} < mean at 0.5x {lightest}",
@@ -989,7 +897,8 @@ mod tests {
 
     #[test]
     fn load_sweep_accepts_custom_rate_list() {
-        let t = load_sweep_rates(&tiny_opts(), &[0.5, 4.0]);
+        let rates = AxisValues::Floats(vec![0.5, 4.0]);
+        let t = builtin_table("load", &tiny_opts(), Some(("load_mult", rates)));
         // Per policy: both Poisson steps plus the fixed bursty row.
         assert_eq!(t.rows.len(), 4 * 3);
         for policy in PolicyKind::paper_comparison() {
@@ -1098,16 +1007,16 @@ mod tests {
 
     #[test]
     fn load_sweep_is_thread_invariant() {
-        let serial = load_sweep(&Opts { threads: 1, ..tiny_opts() });
-        let parallel = load_sweep(&Opts { threads: 3, ..tiny_opts() });
+        let serial = builtin_table("load", &Opts { threads: 1, ..tiny_opts() }, None);
+        let parallel = builtin_table("load", &Opts { threads: 3, ..tiny_opts() }, None);
         assert_eq!(serial.rows, parallel.rows, "X6 must be byte-identical at any thread count");
     }
 
     #[test]
     fn qdepth_sweep_covers_grid_and_depth_one_is_synchronous() {
         let opts = tiny_opts();
-        let t = qdepth_sweep(&opts);
-        assert_eq!(t.rows.len(), 4 * QDEPTH_SWEEP.len());
+        let t = builtin_table("qdepth", &opts, None);
+        assert_eq!(t.rows.len(), 4 * 6);
         let profile = reqblock_trace::profiles::ts_0().scaled(opts.scale);
         for policy in PolicyKind::paper_comparison() {
             // The depth-1 row reports exactly what a synchronous run of the

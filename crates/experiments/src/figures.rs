@@ -1,13 +1,14 @@
 //! Per-figure experiment runners. See the crate docs for the index.
 
 use crate::report::{f2, f3, pct, Table};
+use crate::scenario::{cache_from_mb, Point, Scenario, ScenarioOutcome};
 use reqblock_core::ReqBlockConfig;
 use reqblock_obs::{Fanout, MemoryRecorder};
 use reqblock_sim::probes::{LargeReqHitProbe, SizeCdfProbe};
 use reqblock_obs::telemetry::{summary_rows, to_jsonl};
 use reqblock_sim::{
-    replay, run_task_pool, CacheSizeMb, Job, JobPool, PolicyKind, RunResult, SampleInterval,
-    SimConfig, Task, TraceSource,
+    replay, run_task_pool, CacheSizeMb, PolicyKind, RunResult, SampleInterval, SimConfig, Task,
+    TraceSource,
 };
 use reqblock_trace::msr::ParseError;
 use reqblock_trace::stats::StatsBuilder;
@@ -341,63 +342,41 @@ pub fn fig2_fig3(opts: &Opts) -> (Table, Table) {
 // Figure 7: delta sensitivity
 // ---------------------------------------------------------------------
 
-/// Delta values swept by the Figure 7 reproduction.
-pub const FIG7_DELTAS: [u32; 8] = [1, 2, 3, 4, 5, 6, 7, 9];
-
-/// The Figure 7 grid: one Req-block/32MB job per (trace, delta).
-pub(crate) fn fig7_jobs(opts: &Opts) -> Vec<Job> {
-    opts.profiles()
-        .into_iter()
-        .flat_map(|profile| {
-            FIG7_DELTAS.into_iter().map(move |delta| Job {
-                label: format!("{}/d{}", profile.name, delta),
-                cfg: SimConfig::paper(
-                    CacheSizeMb::Mb32,
-                    PolicyKind::ReqBlock(ReqBlockConfig::with_delta(delta)),
-                ),
-                source: opts.source_for(&profile),
-            })
-        })
-        .collect()
-}
-
-/// Render Figure 7 from the grid results (job order of [`fig7_jobs`]).
-pub(crate) fn fig7_build(opts: &Opts, results: Vec<(String, RunResult)>) -> (Table, Table) {
-    let delta_cols: Vec<String> = FIG7_DELTAS.iter().map(|d| format!("d={d}")).collect();
+/// The `fig7` report: Req-block hit ratio (7a) and response time (7b) per
+/// trace for each delta of the scenario's `delta` axis, normalized to the
+/// axis's first delta (the committed `scenarios/fig7.toml` starts at 1).
+pub(crate) fn fig7_build(sc: &Scenario, points: &[Point]) -> Vec<Table> {
+    let deltas = sc.axis("delta").expect("fig7 requires delta").displays();
+    let base = &deltas[0];
+    let delta_cols: Vec<String> = deltas.iter().map(|d| format!("d={d}")).collect();
     let mut cols: Vec<&str> = vec!["Trace"];
     cols.extend(delta_cols.iter().map(|s| s.as_str()));
     let mut hits = Table::new(
-        "Figure 7a - Hit ratio vs delta (32MB, normalized to delta=1)",
+        format!("Figure 7a - Hit ratio vs delta (32MB, normalized to delta={base})"),
         &cols,
     );
     let mut resp = Table::new(
-        "Figure 7b - I/O response time vs delta (32MB, normalized to delta=1)",
+        format!("Figure 7b - I/O response time vs delta (32MB, normalized to delta={base})"),
         &cols,
     );
 
-    let by_label: HashMap<&str, &RunResult> =
-        results.iter().map(|(l, r)| (l.as_str(), r)).collect();
-    for profile in opts.profiles() {
-        let base = &by_label[format!("{}/d1", profile.name).as_str()];
-        let base_hit = base.metrics.hit_ratio();
-        let base_resp = base.metrics.avg_response_ms();
-        let mut hrow = vec![profile.name.clone()];
-        let mut rrow = vec![profile.name.clone()];
-        for d in FIG7_DELTAS {
-            let r = &by_label[format!("{}/d{}", profile.name, d).as_str()];
+    let by_point: HashMap<(&str, &str), &RunResult> =
+        points.iter().map(|p| ((p.cell("trace"), p.cell("delta")), &p.result)).collect();
+    for trace in sc.axis("trace").expect("fig7 requires trace").displays() {
+        let at = |delta: &str| by_point[&(trace.as_str(), delta)];
+        let base_hit = at(base).metrics.hit_ratio();
+        let base_resp = at(base).metrics.avg_response_ms();
+        let mut hrow = vec![trace.clone()];
+        let mut rrow = vec![trace.clone()];
+        for d in &deltas {
+            let r = at(d);
             hrow.push(f3(r.metrics.hit_ratio() / base_hit.max(f64::MIN_POSITIVE)));
             rrow.push(f3(r.metrics.avg_response_ms() / base_resp.max(f64::MIN_POSITIVE)));
         }
         hits.push_row(hrow);
         resp.push_row(rrow);
     }
-    (hits, resp)
-}
-
-/// Figure 7: hit ratio and response time of Req-block at 32 MB for a range
-/// of delta values, normalized to delta = 1.
-pub fn fig7(opts: &Opts) -> (Table, Table) {
-    fig7_build(opts, JobPool::new(fig7_jobs(opts)).run(opts.threads))
+    vec![hits, resp]
 }
 
 // ---------------------------------------------------------------------
@@ -405,145 +384,104 @@ pub fn fig7(opts: &Opts) -> (Table, Table) {
 // ---------------------------------------------------------------------
 
 /// Results of the (policy x cache size x trace) grid behind Figures 8-12.
-pub struct Comparison {
-    /// `(trace, cache, policy_name) -> result`.
-    results: HashMap<(String, CacheSizeMb, &'static str), RunResult>,
+struct Comparison {
+    /// `(trace, cache, policy name) -> result`.
+    results: HashMap<(String, CacheSizeMb, String), RunResult>,
     traces: Vec<String>,
     caches: Vec<CacheSizeMb>,
-    policies: Vec<&'static str>,
+    policies: Vec<String>,
     /// `(label, host_elapsed_s, requests)` per job, in grid order.
     perf: Vec<(String, f64, u64)>,
 }
 
 impl Comparison {
+    /// Assemble the grid from a `comparison` scenario's finished points:
+    /// the row/column order follows the scenario's `trace`, `cache_mb`
+    /// and `policy` axes, and each point is keyed by its cells.
+    fn from_points(sc: &Scenario, points: Vec<Point>) -> Comparison {
+        let axis = |name: &str| sc.axis(name).expect("comparison axes are required").displays();
+        let cache_of =
+            |mb: &str| cache_from_mb(mb.parse().expect("integer cell")).expect("validated cache");
+        let mut results = HashMap::new();
+        let mut perf = Vec::new();
+        for p in points {
+            let key = (
+                p.cell("trace").to_string(),
+                cache_of(p.cell("cache_mb")),
+                p.cell("policy").to_string(),
+            );
+            let (trace, cache, policy) = &key;
+            let r = p.result;
+            perf.push((format!("{trace}/{cache}/{policy}"), r.host_elapsed_s, r.metrics.requests));
+            results.insert(key, r);
+        }
+        Comparison {
+            results,
+            traces: axis("trace"),
+            caches: axis("cache_mb").iter().map(|mb| cache_of(mb)).collect(),
+            policies: axis("policy"),
+            perf,
+        }
+    }
+
     /// Look up one run.
-    pub fn get(&self, trace: &str, cache: CacheSizeMb, policy: &'static str) -> &RunResult {
-        &self.results[&(trace.to_string(), cache, policy)]
-    }
-
-    /// Trace names in paper order.
-    pub fn traces(&self) -> &[String] {
-        &self.traces
-    }
-
-    /// Cache sizes in grid order.
-    pub fn caches(&self) -> &[CacheSizeMb] {
-        &self.caches
+    fn get(&self, trace: &str, cache: CacheSizeMb, policy: &str) -> &RunResult {
+        &self.results[&(trace.to_string(), cache, policy.to_string())]
     }
 
     /// Policy display names in grid order.
-    pub fn policies(&self) -> &[&'static str] {
-        &self.policies
+    fn policies(&self) -> impl Iterator<Item = &str> + '_ {
+        self.policies.iter().map(String::as_str)
     }
 
     /// The cache size the single-size figures (10, 11) and the summary's
     /// write-reduction column report at: the paper's 32 MB headline when
     /// the grid includes it, the middle of the swept sizes otherwise.
-    pub fn headline_cache(&self) -> CacheSizeMb {
+    fn headline_cache(&self) -> CacheSizeMb {
         if self.caches.contains(&CacheSizeMb::Mb32) {
             CacheSizeMb::Mb32
         } else {
             self.caches[self.caches.len() / 2]
         }
     }
+}
 
-    /// Per-job host wall-clock data: `(label, host_elapsed_s, requests)`.
-    pub fn perf(&self) -> &[(String, f64, u64)] {
-        &self.perf
+/// The `comparison` report: Figures 8-12, the summary and the perf
+/// appendix as fixed sections, plus the two normalized bar charts.
+pub(crate) fn comparison_report(sc: &Scenario, points: Vec<Point>) -> ScenarioOutcome {
+    let cmp = Comparison::from_points(sc, points);
+    let means = policy_means(&cmp);
+    ScenarioOutcome {
+        sections: vec![
+            ("fig8".into(), vec![fig8(&cmp)]),
+            ("fig9".into(), vec![fig9(&cmp)]),
+            ("fig10".into(), vec![fig10(&cmp)]),
+            ("fig11".into(), vec![fig11(&cmp)]),
+            ("fig12".into(), vec![fig12(&cmp)]),
+            ("summary".into(), vec![summary(&cmp)]),
+            ("perf".into(), vec![perf_table(&cmp)]),
+        ],
+        charts: vec![
+            (
+                "mean response time (normalized to LRU, lower is better)".into(),
+                means.iter().map(|(n, r, _)| (n.clone(), *r)).collect(),
+            ),
+            (
+                "mean hit ratio (normalized to Req-block, higher is better)".into(),
+                means.iter().map(|(n, _, h)| (n.clone(), *h)).collect(),
+            ),
+        ],
     }
-}
-
-/// Policy display names in the paper's comparison order.
-pub const COMPARISON_POLICIES: [&str; 4] = ["LRU", "BPLRU", "VBBMS", "Req-block"];
-
-/// The comparison grid's jobs over explicit axes, in (trace, cache,
-/// policy) nesting order — the scenario planner's entry point.
-pub(crate) fn comparison_jobs_from(
-    opts: &Opts,
-    profiles: &[WorkloadProfile],
-    caches: &[CacheSizeMb],
-    policies: &[PolicyKind],
-) -> Vec<Job> {
-    let mut jobs = Vec::new();
-    for profile in profiles {
-        for &cache in caches {
-            for &policy in policies {
-                jobs.push(Job {
-                    label: format!("{}/{}/{}", profile.name, cache, policy.name()),
-                    cfg: SimConfig::paper(cache, policy),
-                    source: opts.source_for(profile),
-                });
-            }
-        }
-    }
-    jobs
-}
-
-/// The paper's comparison grid: every trace x cache size x comparison
-/// policy.
-pub(crate) fn comparison_jobs(opts: &Opts) -> Vec<Job> {
-    comparison_jobs_from(
-        opts,
-        &opts.profiles(),
-        &CacheSizeMb::ALL,
-        &PolicyKind::paper_comparison(),
-    )
-}
-
-/// Assemble the [`Comparison`] from grid results over explicit axes (job
-/// order of [`comparison_jobs_from`] — the key rebuild walks the same
-/// nesting).
-pub(crate) fn comparison_build_from(
-    traces: Vec<String>,
-    caches: Vec<CacheSizeMb>,
-    policies: Vec<&'static str>,
-    results: Vec<(String, RunResult)>,
-) -> Comparison {
-    let mut keys = Vec::new();
-    for trace in &traces {
-        for &cache in &caches {
-            for &policy in &policies {
-                keys.push((trace.clone(), cache, policy));
-            }
-        }
-    }
-    debug_assert_eq!(keys.len(), results.len());
-    let perf = results
-        .iter()
-        .map(|(label, r)| (label.clone(), r.host_elapsed_s, r.metrics.requests))
-        .collect();
-    let map = keys
-        .into_iter()
-        .zip(results)
-        .map(|(key, (_label, result))| (key, result))
-        .collect();
-    Comparison { results: map, traces, caches, policies, perf }
-}
-
-/// Assemble the [`Comparison`] over the paper's axes (job order of
-/// [`comparison_jobs`]).
-pub(crate) fn comparison_build(opts: &Opts, results: Vec<(String, RunResult)>) -> Comparison {
-    comparison_build_from(
-        opts.profiles().iter().map(|p| p.name.clone()).collect(),
-        CacheSizeMb::ALL.to_vec(),
-        PolicyKind::paper_comparison().iter().map(|p| p.name()).collect(),
-        results,
-    )
-}
-
-/// Run the full comparison grid (4 policies x 3 cache sizes x 6 traces).
-pub fn comparison(opts: &Opts) -> Comparison {
-    comparison_build(opts, JobPool::new(comparison_jobs(opts)).run(opts.threads))
 }
 
 /// Replay-throughput summary of the comparison grid: host wall-clock and
-/// requests/s per job (each [`JobPool`] result times its own replay).
-pub fn perf_table(cmp: &Comparison) -> Table {
+/// requests/s per job (each pooled result times its own replay).
+fn perf_table(cmp: &Comparison) -> Table {
     let mut t = Table::new(
         "Run performance - host wall-clock per comparison job",
         &["Job", "Requests", "Host time (s)", "Req/s"],
     );
-    for (label, elapsed, requests) in cmp.perf() {
+    for (label, elapsed, requests) in &cmp.perf {
         let rps = if *elapsed > 0.0 { *requests as f64 / elapsed } else { 0.0 };
         t.push_row(vec![
             label.clone(),
@@ -556,16 +494,16 @@ pub fn perf_table(cmp: &Comparison) -> Table {
 }
 
 /// Figure 8: mean I/O response time normalized to LRU, plus LRU absolute ms.
-pub fn fig8(cmp: &Comparison) -> Table {
+fn fig8(cmp: &Comparison) -> Table {
     let mut cols = vec!["Trace", "Cache"];
     cols.extend(cmp.policies());
     cols.push("LRU abs (ms)");
     let mut t = Table::new("Figure 8 - I/O response time (normalized to LRU)", &cols);
-    for trace in cmp.traces() {
-        for &cache in cmp.caches() {
+    for trace in &cmp.traces {
+        for &cache in &cmp.caches {
             let lru = cmp.get(trace, cache, "LRU").metrics.avg_response_ms();
             let mut row = vec![trace.clone(), cache.to_string()];
-            for &p in cmp.policies() {
+            for p in cmp.policies() {
                 let v = cmp.get(trace, cache, p).metrics.avg_response_ms();
                 row.push(f3(v / lru.max(f64::MIN_POSITIVE)));
             }
@@ -577,16 +515,16 @@ pub fn fig8(cmp: &Comparison) -> Table {
 }
 
 /// Figure 9: hit ratio normalized to Req-block, plus Req-block absolute.
-pub fn fig9(cmp: &Comparison) -> Table {
+fn fig9(cmp: &Comparison) -> Table {
     let mut cols = vec!["Trace", "Cache"];
     cols.extend(cmp.policies());
     cols.push("Req-block abs");
     let mut t = Table::new("Figure 9 - Cache hit ratio (normalized to Req-block)", &cols);
-    for trace in cmp.traces() {
-        for &cache in cmp.caches() {
+    for trace in &cmp.traces {
+        for &cache in &cmp.caches {
             let rb = cmp.get(trace, cache, "Req-block").metrics.hit_ratio();
             let mut row = vec![trace.clone(), cache.to_string()];
-            for &p in cmp.policies() {
+            for p in cmp.policies() {
                 let v = cmp.get(trace, cache, p).metrics.hit_ratio();
                 row.push(f3(v / rb.max(f64::MIN_POSITIVE)));
             }
@@ -598,17 +536,16 @@ pub fn fig9(cmp: &Comparison) -> Table {
 }
 
 /// Figure 10: mean pages per eviction at 32 MB (block-granularity schemes).
-pub fn fig10(cmp: &Comparison) -> Table {
+fn fig10(cmp: &Comparison) -> Table {
     let headline = cmp.headline_cache();
-    let block_schemes: Vec<&'static str> =
-        cmp.policies().iter().copied().filter(|&p| p != "LRU").collect();
+    let block_schemes: Vec<&str> = cmp.policies().filter(|&p| p != "LRU").collect();
     let mut cols = vec!["Trace"];
     cols.extend(&block_schemes);
     let mut t = Table::new(
         format!("Figure 10 - Average pages per eviction ({headline})"),
         &cols,
     );
-    for trace in cmp.traces() {
+    for trace in &cmp.traces {
         let mut row = vec![trace.clone()];
         for &p in &block_schemes {
             row.push(f2(cmp.get(trace, headline, p).metrics.avg_pages_per_eviction()));
@@ -619,7 +556,7 @@ pub fn fig10(cmp: &Comparison) -> Table {
 }
 
 /// Figure 11: flash write count (user flush programs, 10^6) at 32 MB.
-pub fn fig11(cmp: &Comparison) -> Table {
+fn fig11(cmp: &Comparison) -> Table {
     let headline = cmp.headline_cache();
     let mut cols = vec!["Trace"];
     cols.extend(cmp.policies());
@@ -627,9 +564,9 @@ pub fn fig11(cmp: &Comparison) -> Table {
         format!("Figure 11 - Write count to flash (x10^6, {headline})"),
         &cols,
     );
-    for trace in cmp.traces() {
+    for trace in &cmp.traces {
         let mut row = vec![trace.clone()];
-        for &p in cmp.policies() {
+        for p in cmp.policies() {
             row.push(f3(cmp.get(trace, headline, p).flash_user_writes() as f64 / 1e6));
         }
         t.push_row(row);
@@ -639,21 +576,19 @@ pub fn fig11(cmp: &Comparison) -> Table {
 
 /// Figure 12: mean metadata size (KB) per scheme and cache size, averaged
 /// over traces, with the overhead as a fraction of cache capacity.
-pub fn fig12(cmp: &Comparison) -> Table {
+fn fig12(cmp: &Comparison) -> Table {
     let mut cols = vec!["Cache"];
-    for &p in cmp.policies() {
-        cols.push(p);
-    }
+    cols.extend(cmp.policies());
     let mut t = Table::new("Figure 12 - Space overhead (KB, mean over traces)", &cols);
-    for &cache in cmp.caches() {
+    for &cache in &cmp.caches {
         let mut row = vec![cache.to_string()];
-        for &p in cmp.policies() {
+        for p in cmp.policies() {
             let mean_bytes: f64 = cmp
-                .traces()
+                .traces
                 .iter()
                 .map(|tr| cmp.get(tr, cache, p).metrics.avg_metadata_bytes())
                 .sum::<f64>()
-                / cmp.traces().len() as f64;
+                / cmp.traces.len() as f64;
             let frac = mean_bytes / (cache.pages() as f64 * 4096.0);
             row.push(format!("{:.1} ({:.2}%)", mean_bytes / 1024.0, frac * 100.0));
         }
@@ -664,15 +599,14 @@ pub fn fig12(cmp: &Comparison) -> Table {
 
 /// Mean normalized response time and hit ratio per policy (bar-chart data
 /// for the `repro` terminal output).
-pub fn policy_means(cmp: &Comparison) -> Vec<(String, f64, f64)> {
+fn policy_means(cmp: &Comparison) -> Vec<(String, f64, f64)> {
     cmp.policies()
-        .iter()
-        .map(|&p| {
+        .map(|p| {
             let mut resp = 0.0;
             let mut hits = 0.0;
             let mut n = 0.0;
-            for trace in cmp.traces() {
-                for &cache in cmp.caches() {
+            for trace in &cmp.traces {
+                for &cache in &cmp.caches {
                     let lru = cmp.get(trace, cache, "LRU").metrics.avg_response_ms();
                     let rb = cmp.get(trace, cache, "Req-block").metrics.hit_ratio();
                     let r = cmp.get(trace, cache, p);
@@ -688,20 +622,20 @@ pub fn policy_means(cmp: &Comparison) -> Vec<(String, f64, f64)> {
 
 /// Headline summary: mean improvement of Req-block over each baseline, in
 /// the same terms the paper quotes (§4.2.2, §4.2.3, §4.2.4).
-pub fn summary(cmp: &Comparison) -> Table {
+fn summary(cmp: &Comparison) -> Table {
     let mut t = Table::new(
         "Summary - Req-block vs baselines (mean over traces and cache sizes)",
         &["Baseline", "Response time reduction", "Hit ratio improvement", "Flash write reduction"],
     );
     let headline = cmp.headline_cache();
-    for &base in cmp.policies().iter().filter(|&&p| p != "Req-block") {
+    for base in cmp.policies().filter(|&p| p != "Req-block") {
         let mut resp_gain = 0.0;
         let mut hit_gain = 0.0;
         let mut write_gain = 0.0;
         let mut n_rh = 0.0;
         let mut n_w = 0.0;
-        for trace in cmp.traces() {
-            for &cache in cmp.caches() {
+        for trace in &cmp.traces {
+            for &cache in &cmp.caches {
                 let rb = cmp.get(trace, cache, "Req-block");
                 let bl = cmp.get(trace, cache, base);
                 resp_gain += 1.0
@@ -890,32 +824,31 @@ mod tests {
     fn comparison_grid_is_complete() {
         let mut opts = tiny_opts();
         opts.scale = 0.0005;
-        let cmp = comparison(&opts);
-        for trace in cmp.traces() {
-            for cache in CacheSizeMb::ALL {
-                for p in COMPARISON_POLICIES {
-                    let r = cmp.get(trace, cache, p);
-                    assert!(r.metrics.requests > 0);
-                }
-            }
-        }
-        let t8 = fig8(&cmp);
-        assert_eq!(t8.rows.len(), 18); // 6 traces x 3 sizes
-        let t9 = fig9(&cmp);
-        assert_eq!(t9.rows.len(), 18);
-        let t10 = fig10(&cmp);
-        assert_eq!(t10.rows.len(), 6);
-        let t11 = fig11(&cmp);
-        assert_eq!(t11.rows.len(), 6);
-        let t12 = fig12(&cmp);
-        assert_eq!(t12.rows.len(), 3);
-        let s = summary(&cmp);
-        assert_eq!(s.rows.len(), 3);
-        // Satellite: every grid job keeps its own host wall-clock.
-        assert_eq!(cmp.perf().len(), 6 * 3 * 4);
-        assert!(cmp.perf().iter().all(|(_, elapsed, reqs)| *elapsed > 0.0 && *reqs > 0));
-        let tp = perf_table(&cmp);
-        assert_eq!(tp.rows.len(), 72);
+        let outcome = crate::scenario::run_builtin("comparison", &opts);
+        let rows: Vec<(&str, usize)> = outcome
+            .sections
+            .iter()
+            .map(|(name, tables)| (name.as_str(), tables[0].rows.len()))
+            .collect();
+        // 6 traces x 3 sizes for fig8/9, 6 traces for fig10/11, 3 sizes for
+        // fig12, one summary row per baseline, one perf row per job.
+        assert_eq!(
+            rows,
+            [
+                ("fig8", 18),
+                ("fig9", 18),
+                ("fig10", 6),
+                ("fig11", 6),
+                ("fig12", 3),
+                ("summary", 3),
+                ("perf", 6 * 3 * 4),
+            ]
+        );
+        // Every grid job keeps its own host wall-clock, labelled by cells.
+        let perf = &outcome.sections[6].1[0];
+        assert_eq!(perf.rows[0][0], "hm_1/16MB/LRU");
+        assert!(perf.rows.iter().all(|r| r[1] != "0"));
+        assert_eq!(outcome.charts.len(), 2);
     }
 
     #[test]

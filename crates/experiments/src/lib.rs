@@ -1,25 +1,25 @@
 //! Experiment harness regenerating every table and figure of the paper.
 //!
-//! Each `figures::*` function runs the simulations behind one artifact of
-//! the paper's evaluation section and renders a [`report::Table`]:
+//! The probe-shaped artifacts are `figures::*` functions that render a
+//! [`report::Table`]:
 //!
 //! | function | paper artifact |
 //! |----------|----------------|
 //! | `figures::table1` | Table 1 — SSDsim settings |
 //! | `figures::table2` | Table 2 — trace specifications (paper vs measured) |
-//! | `figures::fig2` | Figure 2 — insert/hit CDFs vs request size |
-//! | `figures::fig3` | Figure 3 — large-request hit statistics |
-//! | `figures::fig7` | Figure 7 — delta sensitivity |
-//! | `figures::comparison` + `fig8`..`fig12` | Figures 8-12 — policy comparison grid |
+//! | `figures::fig2_fig3` | Figures 2 and 3 — insert/hit CDFs, large-request hits |
 //! | `figures::fig13` | Figure 13 — Req-block list occupancy over time |
 //!
-//! The `repro` binary exposes them as subcommands; results are printed and
-//! written into `results/`. `repro all` goes through [`sweep::run_all`],
-//! which submits every figure's jobs into one barrier-free work pool and
-//! renders identical tables from the pooled results. The experiment grids
-//! themselves (comparison, tails, wear, ablations, faults, qdepth, load)
-//! are declared in committed `scenarios/*.toml` files and compiled by the
-//! [`scenario`] planner; `repro run <file>` executes any such scenario.
+//! Every experiment grid — Figure 7 (`scenarios/fig7.toml`), the Figures
+//! 8-12 comparison (`scenarios/comparison.toml`) and the extensions
+//! (tails, wear, ablations, faults, qdepth, load) — is a committed
+//! `scenarios/*.toml` file lowered by the one [`scenario`] compiler and
+//! rendered by its kind's report. The `repro` binary exposes all of them
+//! as subcommands (the grid subcommands run the builtin scenario of the
+//! same name); results are printed and written into `results/`. `repro
+//! all` goes through [`sweep::run_all`], which submits every figure's
+//! jobs into one barrier-free work pool and renders identical tables from
+//! the pooled results; `repro run <file>` executes any scenario file.
 
 pub mod extensions;
 pub mod figures;

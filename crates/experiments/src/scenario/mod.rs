@@ -7,7 +7,7 @@
 //! ```text
 //! [scenario]
 //! name = "qdepth"          # section name of the emitted table(s)
-//! kind = "qdepth"          # which compiler interprets the axes
+//! kind = "qdepth"          # which report renders the grid
 //!
 //! [axes]                   # declaration order = nesting order
 //! trace = "ts_0"           # scalar = a one-value axis
@@ -18,44 +18,41 @@
 //! section = "qdepth"       # defaults to scenario.name
 //! ```
 //!
-//! [`plan`] validates the axes against the kind's schema and compiles the
-//! cartesian grid into a flat job list with one order-preserving result
-//! slot per job (the PR4 [`reqblock_sim::run_task_pool`] contract), plus a
-//! pure build closure that renders the results into tables. Because task
+//! [`plan`] validates the axes against the kind's schema and lowers the
+//! cartesian grid through one compiler into a flat job list with one
+//! order-preserving result slot per job (the
+//! [`reqblock_sim::run_task_pool`] contract). Each job keeps its grid
+//! point's axis cells, and the kind's *report* — a pure renderer — reads
+//! those cells by axis name next to each [`RunResult`]. Because task
 //! *claiming* order never influences which slot a result lands in, the
 //! rendered tables — and therefore each section's [`section_digest`] — are
 //! byte-identical at any thread count.
 //!
-//! The non-`grid` kinds (`comparison`, `tails`, `wear`, `ablations`,
-//! `faults`, `qdepth`, `load`) reproduce the hand-coded experiment grids
-//! that used to live in `figures.rs`/`extensions.rs`, byte for byte; the
-//! committed files under `scenarios/` are the canonical definitions and
-//! are embedded here as [`BUILTIN_SCENARIOS`]. The generic `grid` kind
-//! composes any subset of the axes (policy x trace x scale x delta x
-//! qdepth x fault_ppm x load_mult x geometry) with a column/group-by
-//! output spec — every new experiment axis is one line in a scenario
-//! file, not a new module (ROADMAP item 5).
+//! The purpose-built kinds (`comparison`, `fig7`, `tails`, `wear`,
+//! `ablations`, `faults`, `qdepth`, `load`) render the repo's tables byte
+//! for byte; the committed files under `scenarios/` are their canonical
+//! definitions and are embedded here as [`BUILTIN_SCENARIOS`]. The
+//! generic `grid` kind renders any subset of the axes (policy x trace x
+//! scale x delta x qdepth x fault_ppm x load_mult x geometry) with a
+//! column/group-by output spec — a new experiment axis is one line in a
+//! scenario file and one case in the compiler.
 
 pub mod toml;
 
 use crate::extensions::{
-    ablation_variants, ablations_build, calibrated_service_gap_ns, fault_build, load_build,
-    pressured_ssd, qdepth_build, tails_build, wear_build, LOAD_BURST,
+    ablations_build, calibrated_service_gap_ns, fault_build, load_build, pressured_ssd,
+    qdepth_build, tails_build, wear_build, LOAD_BURST,
 };
-use crate::figures::{
-    comparison_build_from, comparison_jobs_from, fig10, fig11, fig12, fig8, fig9, perf_table,
-    policy_means, summary, Opts,
-};
+use crate::figures::{comparison_report, fig7_build, Opts};
 use crate::report::{f2, f3, pct, Table};
 use reqblock_cache::fxhash::FxHasher;
 use reqblock_cache::policies::{BplruConfig, CflruConfig, VbbmsConfig};
-use reqblock_core::ReqBlockConfig;
+use reqblock_core::{PriorityModel, ReqBlockConfig};
 use reqblock_sim::{
-    ArrivalProcess, CacheSizeMb, FaultConfig, Job, JobPool, PolicyKind, RunResult,
-    SampleInterval, SimConfig, SubmitMode, Task, TraceSource,
+    ArrivalProcess, CacheSizeMb, FaultConfig, Job, JobPool, PolicyKind, RunResult, SimConfig,
+    SubmitMode, Task, TraceSource,
 };
 use reqblock_trace::profiles::profile_by_name;
-use reqblock_trace::WorkloadProfile;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hasher;
@@ -87,16 +84,19 @@ fn err<T>(msg: impl Into<String>) -> Result<T, ScenarioError> {
 // Schema
 // ---------------------------------------------------------------------
 
-/// Which compiler interprets a scenario's axes.
+/// Which report renders a scenario's grid. Every kind lowers through the
+/// same cartesian compiler; the kind fixes the axis schema and the tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
     /// Figures 8-12 + summary + perf: the (trace x cache x policy) grid.
     Comparison,
+    /// Figure 7: Req-block hit ratio and response time per (trace, delta).
+    Fig7,
     /// Response-time percentiles per (trace, policy).
     Tails,
     /// GC activity / write amplification per policy.
     Wear,
-    /// Req-block design-choice variants per (trace, variant).
+    /// Req-block design-choice variants per (trace, policy).
     Ablations,
     /// Seeded fault-rate sweep on a pressured device.
     Faults,
@@ -108,26 +108,30 @@ pub enum Kind {
     Grid,
 }
 
+/// Every kind, in error-message order.
+const KINDS: [Kind; 9] = [
+    Kind::Comparison,
+    Kind::Fig7,
+    Kind::Tails,
+    Kind::Wear,
+    Kind::Ablations,
+    Kind::Faults,
+    Kind::Qdepth,
+    Kind::Load,
+    Kind::Grid,
+];
+
 impl Kind {
     /// Parse the `[scenario] kind` string.
     pub fn from_name(name: &str) -> Option<Kind> {
-        Some(match name {
-            "comparison" => Kind::Comparison,
-            "tails" => Kind::Tails,
-            "wear" => Kind::Wear,
-            "ablations" => Kind::Ablations,
-            "faults" => Kind::Faults,
-            "qdepth" => Kind::Qdepth,
-            "load" => Kind::Load,
-            "grid" => Kind::Grid,
-            _ => return None,
-        })
+        KINDS.into_iter().find(|k| k.name() == name)
     }
 
     /// The `kind = "..."` spelling.
     pub fn name(&self) -> &'static str {
         match self {
             Kind::Comparison => "comparison",
+            Kind::Fig7 => "fig7",
             Kind::Tails => "tails",
             Kind::Wear => "wear",
             Kind::Ablations => "ablations",
@@ -138,43 +142,44 @@ impl Kind {
         }
     }
 
-    /// Axis schema: which axes the kind understands, which must be
-    /// present, and which may hold only a single value.
+    /// Axis schema: which axes the kind's report understands, which must
+    /// be present besides `trace` and `policy` (every kind needs those),
+    /// and which may hold only a single value.
     fn spec(&self) -> KindSpec {
         match self {
             Kind::Comparison => KindSpec {
                 allowed: &["trace", "policy", "cache_mb"],
-                required: &["trace", "policy", "cache_mb"],
+                required: &["cache_mb"],
                 singleton: &[],
             },
-            Kind::Tails => KindSpec {
+            Kind::Fig7 => KindSpec {
+                allowed: &["trace", "policy", "delta"],
+                required: &["delta"],
+                singleton: &["policy"],
+            },
+            Kind::Tails | Kind::Ablations => KindSpec {
                 allowed: &["trace", "policy", "cache_mb"],
-                required: &["trace", "policy"],
+                required: &[],
                 singleton: &["cache_mb"],
             },
             Kind::Wear => KindSpec {
                 allowed: &["trace", "policy", "cache_mb"],
-                required: &["trace", "policy"],
+                required: &[],
                 singleton: &["trace", "cache_mb"],
-            },
-            Kind::Ablations => KindSpec {
-                allowed: &["trace", "variant", "cache_mb"],
-                required: &["trace", "variant"],
-                singleton: &["cache_mb"],
             },
             Kind::Faults => KindSpec {
                 allowed: &["trace", "policy", "fault_ppm", "geometry"],
-                required: &["trace", "fault_ppm"],
+                required: &["fault_ppm", "geometry"],
                 singleton: &["trace", "policy", "geometry"],
             },
             Kind::Qdepth => KindSpec {
                 allowed: &["trace", "policy", "qdepth", "cache_mb"],
-                required: &["trace", "policy", "qdepth"],
+                required: &["qdepth"],
                 singleton: &["trace", "cache_mb"],
             },
             Kind::Load => KindSpec {
                 allowed: &["trace", "policy", "load_mult", "qdepth", "cache_mb"],
-                required: &["trace", "policy", "load_mult"],
+                required: &["load_mult"],
                 singleton: &["trace", "qdepth", "cache_mb"],
             },
             Kind::Grid => KindSpec {
@@ -182,7 +187,7 @@ impl Kind {
                     "trace", "policy", "cache_mb", "delta", "qdepth", "fault_ppm", "load_mult",
                     "geometry", "scale",
                 ],
-                required: &["trace", "policy"],
+                required: &[],
                 singleton: &[],
             },
         }
@@ -204,10 +209,9 @@ enum AxisType {
 }
 
 /// Every axis the schema knows, with its value type.
-const AXIS_TYPES: [(&str, AxisType); 10] = [
+const AXIS_TYPES: [(&str, AxisType); 9] = [
     ("trace", AxisType::Str),
     ("policy", AxisType::Str),
-    ("variant", AxisType::Str),
     ("cache_mb", AxisType::Int),
     ("delta", AxisType::Int),
     ("qdepth", AxisType::Int),
@@ -225,7 +229,7 @@ fn axis_type(name: &str) -> Option<AxisType> {
 /// integer literals on a float axis are promoted.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AxisValues {
-    /// String-valued axis (`trace`, `policy`, `variant`, `geometry`).
+    /// String-valued axis (`trace`, `policy`, `geometry`).
     Strs(Vec<String>),
     /// Integer-valued axis (`cache_mb`, `delta`, `qdepth`, `fault_ppm`).
     Ints(Vec<i64>),
@@ -257,65 +261,46 @@ impl AxisValues {
         }
     }
 
+    /// Display cells of every grid point, in axis order.
+    pub(crate) fn displays(&self) -> Vec<String> {
+        (0..self.len()).map(|i| self.display(i)).collect()
+    }
+
     fn from_value(value: &toml::Value, axis: &str) -> Result<AxisValues, ScenarioError> {
-        let items: Vec<&toml::Value> = match value {
-            toml::Value::Array(items) => {
-                if items.is_empty() {
-                    return err(format!("axis {axis:?} is an empty grid (no values)"));
-                }
-                items.iter().collect()
+        use toml::Value::{Float, Int, Str};
+        let items = match value {
+            toml::Value::Array(items) if items.is_empty() => {
+                return err(format!("axis {axis:?} is an empty grid (no values)"))
             }
-            scalar => vec![scalar],
+            toml::Value::Array(items) => items.as_slice(),
+            scalar => std::slice::from_ref(scalar),
         };
+        if let Some(other) = items.iter().find(|v| !matches!(v, Str(_) | Int(_) | Float(_))) {
+            return err(format!(
+                "axis {axis:?} holds a {}; only strings and numbers are axis values",
+                other.type_name()
+            ));
+        }
         // Infer the common scalar shape, promoting Int -> Float on mixes.
-        let mut any_float = false;
-        let mut any_int = false;
-        let mut any_str = false;
-        for item in &items {
-            match item {
-                toml::Value::Str(_) => any_str = true,
-                toml::Value::Int(_) => any_int = true,
-                toml::Value::Float(_) => any_float = true,
-                other => {
-                    return err(format!(
-                        "axis {axis:?} holds a {}; only strings and numbers are axis values",
-                        other.type_name()
-                    ))
-                }
-            }
-        }
-        if any_str && (any_int || any_float) {
-            return err(format!("axis {axis:?} mixes strings and numbers"));
-        }
-        if any_str {
-            let strs = items
-                .iter()
-                .map(|v| match v {
-                    toml::Value::Str(s) => s.clone(),
-                    _ => unreachable!(),
-                })
-                .collect();
+        let strs: Option<Vec<String>> =
+            items.iter().map(|v| if let Str(s) = v { Some(s.clone()) } else { None }).collect();
+        if let Some(strs) = strs {
             return Ok(AxisValues::Strs(strs));
         }
-        if any_float {
-            let floats = items
-                .iter()
-                .map(|v| match v {
-                    toml::Value::Int(i) => *i as f64,
-                    toml::Value::Float(f) => *f,
-                    _ => unreachable!(),
-                })
-                .collect();
-            return Ok(AxisValues::Floats(floats));
+        if items.iter().any(|v| matches!(v, Str(_))) {
+            return err(format!("axis {axis:?} mixes strings and numbers"));
         }
-        let ints = items
-            .iter()
-            .map(|v| match v {
-                toml::Value::Int(i) => *i,
-                _ => unreachable!(),
-            })
-            .collect();
-        Ok(AxisValues::Ints(ints))
+        let ints: Option<Vec<i64>> =
+            items.iter().map(|v| if let Int(i) = v { Some(*i) } else { None }).collect();
+        let float = |v: &toml::Value| match v {
+            Int(i) => *i as f64,
+            Float(f) => *f,
+            _ => unreachable!("strings were handled above"),
+        };
+        Ok(match ints {
+            Some(ints) => AxisValues::Ints(ints),
+            None => AxisValues::Floats(items.iter().map(float).collect()),
+        })
     }
 }
 
@@ -339,7 +324,7 @@ pub struct OutputSpec {
 pub struct Scenario {
     /// Scenario name (`[A-Za-z0-9_-]+`); the default section name.
     pub name: String,
-    /// Which compiler interprets the axes.
+    /// Which report renders the grid.
     pub kind: Kind,
     /// `(axis, values)` in declaration order — the grid nesting order.
     axes: Vec<(String, AxisValues)>,
@@ -374,8 +359,8 @@ impl Scenario {
                 ("kind", toml::Value::Str(s)) => {
                     kind = Some(Kind::from_name(s).ok_or_else(|| ScenarioError {
                         msg: format!(
-                            "unknown kind {s:?}; expected one of comparison, tails, wear, \
-                             ablations, faults, qdepth, load, grid"
+                            "unknown kind {s:?}; expected one of {}",
+                            KINDS.map(|k| k.name()).join(", ")
                         ),
                     })?)
                 }
@@ -439,11 +424,6 @@ impl Scenario {
         self.axes.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
 
-    /// All axes in declaration order.
-    pub fn axes(&self) -> &[(String, AxisValues)] {
-        &self.axes
-    }
-
     /// Replace (or append) one axis and re-validate — the hook the CLI's
     /// `--depths`/`--rates` overrides use.
     pub fn set_axis(&mut self, name: &str, values: AxisValues) -> Result<(), ScenarioError> {
@@ -463,19 +443,14 @@ impl Scenario {
             .join(" ")
     }
 
-    /// Jobs the planner will emit, computed from the axis lengths alone
-    /// (no simulation, no calibration run — safe for `repro --list`).
+    /// Jobs the planner will emit: the product of the axis lengths (no
+    /// simulation, no calibration run — safe for `repro --list`).
     pub fn estimated_jobs(&self) -> usize {
-        let len = |n: &str| self.axis(n).map(|a| a.len()).unwrap_or(1);
+        let product = self.axes.iter().map(|(_, v)| v.len()).product();
         match self.kind {
-            Kind::Comparison => len("trace") * len("cache_mb") * len("policy"),
-            Kind::Tails | Kind::Wear => len("trace") * len("policy"),
-            Kind::Ablations => len("trace") * len("variant"),
-            Kind::Faults => len("fault_ppm"),
-            Kind::Qdepth => len("policy") * len("qdepth"),
             // One bursty row per policy rides along with the Poisson steps.
-            Kind::Load => len("policy") * (len("load_mult") + 1),
-            Kind::Grid => self.axes.iter().map(|(_, v)| v.len()).product(),
+            Kind::Load => product + self.axis("policy").map_or(0, AxisValues::len),
+            _ => product,
         }
     }
 
@@ -526,14 +501,14 @@ impl Scenario {
             }
             validate_axis_values(axis, values)?;
         }
-        for req in spec.required {
+        for req in ["trace", "policy"].iter().chain(spec.required) {
             if self.axis(req).is_none() {
                 return err(format!("kind {kind:?} requires the {req:?} axis"));
             }
         }
-        // Kind-specific cross-axis rules.
+        // Cross-axis rules.
+        let Some(AxisValues::Strs(policies)) = self.axis("policy") else { unreachable!() };
         if self.kind == Kind::Comparison {
-            let AxisValues::Strs(policies) = self.axis("policy").unwrap() else { unreachable!() };
             for anchor in ["LRU", "Req-block"] {
                 if !policies.iter().any(|p| p == anchor) {
                     return err(format!(
@@ -543,30 +518,18 @@ impl Scenario {
                 }
             }
         }
-        if self.kind == Kind::Faults {
-            if let Some(AxisValues::Strs(g)) = self.axis("geometry") {
-                if g[0] != "pressured" {
-                    return err(
-                        "fault scenarios run on the pressured device; geometry must be \
-                         \"pressured\" (or omitted)",
-                    );
-                }
-            }
+        if self.kind == Kind::Faults
+            && self.axis("geometry").is_some_and(|g| g.display(0) != "pressured")
+        {
+            return err(
+                "fault scenarios run on the pressured device; geometry must be \"pressured\"",
+            );
         }
-        if self.kind == Kind::Grid {
-            if self.axis("delta").is_some() {
-                let AxisValues::Strs(policies) = self.axis("policy").unwrap() else {
-                    unreachable!()
-                };
-                if policies.iter().any(|p| p != "Req-block") {
-                    return err(
-                        "the delta axis tunes Req-block; a grid sweeping delta must set \
-                         policy to \"Req-block\" only",
-                    );
-                }
-            }
-        } else if self.axis("delta").is_some() {
-            return err(format!("axis \"delta\" is not allowed for kind {kind:?}"));
+        if self.axis("delta").is_some() && policies.iter().any(|p| p != "Req-block") {
+            return err(
+                "the delta axis tunes Req-block; a scenario sweeping delta must set \
+                 policy to \"Req-block\" only",
+            );
         }
         // Output spec.
         if self.kind == Kind::Comparison && self.output.section.is_some() {
@@ -628,19 +591,8 @@ fn validate_axis_values(axis: &str, values: &AxisValues) -> Result<(), ScenarioE
             for p in v {
                 if policy_by_name(p).is_none() {
                     return err(format!(
-                        "unknown policy {p:?} (known: LRU, FIFO, LFU, CFLRU, FAB, PUD-LRU, \
-                         BPLRU, VBBMS, Req-block)"
-                    ));
-                }
-            }
-        }
-        ("variant", AxisValues::Strs(v)) => {
-            let known = ablation_variants();
-            for name in v {
-                if !known.iter().any(|(n, _)| n == name) {
-                    return err(format!(
-                        "unknown variant {name:?} (known: {})",
-                        known.iter().map(|(n, _)| format!("{n:?}")).collect::<Vec<_>>().join(", ")
+                        "unknown policy {p:?} (known: {})",
+                        POLICY_NAMES.map(|n| format!("{n:?}")).join(", ")
                     ));
                 }
             }
@@ -685,8 +637,31 @@ fn validate_axis_values(axis: &str, values: &AxisValues) -> Result<(), ScenarioE
     Ok(())
 }
 
-/// Map a policy display name to its paper-default [`PolicyKind`].
+/// Every name the `policy` axis accepts: the nine policies at their paper
+/// defaults, then the Req-block/BPLRU design-choice ablations (DESIGN.md
+/// A1-A4).
+pub const POLICY_NAMES: [&str; 16] = [
+    "LRU",
+    "FIFO",
+    "LFU",
+    "CFLRU",
+    "FAB",
+    "PUD-LRU",
+    "BPLRU",
+    "VBBMS",
+    "Req-block",
+    "Req-block (paper)",
+    "A1: no DRL split",
+    "A2: no downgraded merge",
+    "A3: Eq.1 without size term",
+    "A3: Eq.1 without age term",
+    "BPLRU without padding",
+    "A4: BPLRU with padding",
+];
+
+/// Map a [`POLICY_NAMES`] entry to its [`PolicyKind`].
 pub fn policy_by_name(name: &str) -> Option<PolicyKind> {
+    let paper = ReqBlockConfig::paper();
     Some(match name {
         "LRU" => PolicyKind::Lru,
         "FIFO" => PolicyKind::Fifo,
@@ -696,12 +671,26 @@ pub fn policy_by_name(name: &str) -> Option<PolicyKind> {
         "PUD-LRU" => PolicyKind::PudLru,
         "BPLRU" => PolicyKind::Bplru(BplruConfig::default()),
         "VBBMS" => PolicyKind::Vbbms(VbbmsConfig::default()),
-        "Req-block" => PolicyKind::ReqBlock(ReqBlockConfig::paper()),
+        "Req-block" | "Req-block (paper)" => PolicyKind::ReqBlock(paper),
+        "A1: no DRL split" => {
+            PolicyKind::ReqBlock(ReqBlockConfig { split_large_on_hit: false, ..paper })
+        }
+        "A2: no downgraded merge" => {
+            PolicyKind::ReqBlock(ReqBlockConfig { merge_on_evict: false, ..paper })
+        }
+        "A3: Eq.1 without size term" => {
+            PolicyKind::ReqBlock(ReqBlockConfig { priority: PriorityModel::NoSize, ..paper })
+        }
+        "A3: Eq.1 without age term" => {
+            PolicyKind::ReqBlock(ReqBlockConfig { priority: PriorityModel::NoAge, ..paper })
+        }
+        "BPLRU without padding" => PolicyKind::Bplru(BplruConfig { page_padding: false }),
+        "A4: BPLRU with padding" => PolicyKind::Bplru(BplruConfig { page_padding: true }),
         _ => return None,
     })
 }
 
-fn cache_from_mb(mb: i64) -> Option<CacheSizeMb> {
+pub(crate) fn cache_from_mb(mb: i64) -> Option<CacheSizeMb> {
     Some(match mb {
         16 => CacheSizeMb::Mb16,
         32 => CacheSizeMb::Mb32,
@@ -749,8 +738,7 @@ impl ScenarioOutcome {
             .collect()
     }
 
-    /// The single table of a single-section outcome (panics otherwise —
-    /// the wrapper entry points in `extensions` use this).
+    /// The single table of a single-section outcome (panics otherwise).
     pub fn into_single_table(mut self) -> Table {
         assert_eq!(self.sections.len(), 1, "scenario emits more than one section");
         let (_, mut tables) = self.sections.pop().expect("one section");
@@ -759,22 +747,42 @@ impl ScenarioOutcome {
     }
 }
 
-type BuildFn = Box<dyn FnOnce(Vec<(String, RunResult)>) -> ScenarioOutcome>;
+/// `(axis, display)` pairs of one grid point, in nesting order.
+type Cells = Vec<(String, String)>;
+
+/// One finished grid point: its axis cells and its run's result. Reports
+/// read the cells by axis name.
+pub(crate) struct Point {
+    cells: Cells,
+    /// The point's simulation result.
+    pub result: RunResult,
+}
+
+impl Point {
+    /// The display cell of `axis` (present by the kind's schema).
+    pub fn cell(&self, axis: &str) -> &str {
+        self.cells
+            .iter()
+            .find(|(n, _)| n == axis)
+            .map(|(_, v)| v.as_str())
+            .unwrap_or_else(|| panic!("grid point has no {axis:?} cell"))
+    }
+}
 
 /// A compiled scenario: the flat job list (one order-preserving result
-/// slot per job) plus the pure build closure. `tasks` borrows the plan;
-/// submit them into any [`reqblock_sim::run_task_pool`] and call
-/// [`ScenarioPlan::finish`] once the pool has drained.
+/// slot per job) plus each job's axis cells for the report. `tasks`
+/// borrows the plan; submit them into any [`reqblock_sim::run_task_pool`]
+/// and call [`ScenarioPlan::finish`] once the pool has drained.
 pub struct ScenarioPlan {
-    name: String,
+    sc: Scenario,
     pool: JobPool,
-    build: BuildFn,
+    cells: Vec<Cells>,
 }
 
 impl ScenarioPlan {
     /// The scenario name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.sc.name
     }
 
     /// Number of pooled simulation jobs.
@@ -790,29 +798,23 @@ impl ScenarioPlan {
     /// Render the outcome from the filled slots (call after the pool has
     /// drained every task).
     pub fn finish(self) -> ScenarioOutcome {
-        (self.build)(self.pool.take_results())
+        render(&self.sc, self.cells, self.pool.take_results())
     }
 
     /// Run the plan on its own pool with `threads` workers.
     pub fn run(self, threads: usize) -> ScenarioOutcome {
-        (self.build)(self.pool.run(threads))
+        render(&self.sc, self.cells, self.pool.run(threads))
     }
 }
 
 /// Compile a validated scenario against the harness options.
 pub fn plan(sc: &Scenario, opts: &Opts) -> Result<ScenarioPlan, ScenarioError> {
     sc.validate()?;
-    let (jobs, build) = match sc.kind {
-        Kind::Comparison => compile_comparison(sc, opts),
-        Kind::Tails => compile_tails(sc, opts),
-        Kind::Wear => compile_wear(sc, opts),
-        Kind::Ablations => compile_ablations(sc, opts),
-        Kind::Faults => compile_faults(sc, opts),
-        Kind::Qdepth => compile_qdepth(sc, opts),
+    let (jobs, cells) = match sc.kind {
         Kind::Load => compile_load(sc, opts),
-        Kind::Grid => compile_grid(sc, opts),
+        _ => compile_grid(sc, opts),
     };
-    Ok(ScenarioPlan { name: sc.name.clone(), pool: JobPool::new(jobs), build })
+    Ok(ScenarioPlan { sc: sc.clone(), pool: JobPool::new(jobs), cells })
 }
 
 /// Plan and run a scenario in one call.
@@ -820,14 +822,37 @@ pub fn run(sc: &Scenario, opts: &Opts) -> Result<ScenarioOutcome, ScenarioError>
     Ok(plan(sc, opts)?.run(opts.threads))
 }
 
+/// Pair each job's cells with its result and render the kind's report.
+fn render(sc: &Scenario, cells: Vec<Cells>, results: Vec<(String, RunResult)>) -> ScenarioOutcome {
+    let points: Vec<Point> = cells
+        .into_iter()
+        .zip(results)
+        .map(|(cells, (_, result))| Point { cells, result })
+        .collect();
+    let tables = match sc.kind {
+        Kind::Comparison => return comparison_report(sc, points),
+        Kind::Fig7 => fig7_build(sc, &points),
+        Kind::Tails => vec![tails_build(&points)],
+        Kind::Wear => vec![wear_build(&points)],
+        Kind::Ablations => vec![ablations_build(&points)],
+        Kind::Faults => vec![fault_build(&points)],
+        Kind::Qdepth => vec![qdepth_build(&points)],
+        Kind::Load => vec![load_build(&points)],
+        Kind::Grid => vec![grid_build(sc, &points)],
+    };
+    let section = sc.output.section.clone().unwrap_or_else(|| sc.name.clone());
+    ScenarioOutcome { sections: vec![(section, tables)], charts: vec![] }
+}
+
 // ---------------------------------------------------------------------
 // Built-in scenarios (the committed files, embedded)
 // ---------------------------------------------------------------------
 
 /// The committed scenario files under `scenarios/`, embedded so the
-/// library needs no runtime path to them. `repro all` and the
-/// `extensions` entry points run these; `repro --list` lists them.
-pub const BUILTIN_SCENARIOS: [(&str, &str); 8] = [
+/// library needs no runtime path to them. `repro all` and the grid
+/// subcommands run these; `repro --list` lists them.
+pub const BUILTIN_SCENARIOS: [(&str, &str); 9] = [
+    ("fig7", include_str!("../../../../scenarios/fig7.toml")),
     ("comparison", include_str!("../../../../scenarios/comparison.toml")),
     ("tails", include_str!("../../../../scenarios/tails.toml")),
     ("wear", include_str!("../../../../scenarios/wear.toml")),
@@ -857,300 +882,25 @@ pub fn run_builtin(name: &str, opts: &Opts) -> ScenarioOutcome {
 }
 
 // ---------------------------------------------------------------------
-// Kind compilers
+// The compiler
 // ---------------------------------------------------------------------
 
-fn single_section(section: String, table: Table) -> ScenarioOutcome {
-    ScenarioOutcome { sections: vec![(section, vec![table])], charts: vec![] }
-}
-
-/// Post-validation axis getters (unwraps are guarded by `validate`).
-fn strs(sc: &Scenario, name: &str) -> Vec<String> {
-    match sc.axis(name) {
-        Some(AxisValues::Strs(v)) => v.clone(),
-        _ => unreachable!("validated string axis {name}"),
-    }
-}
-
-fn ints(sc: &Scenario, name: &str) -> Vec<i64> {
-    match sc.axis(name) {
-        Some(AxisValues::Ints(v)) => v.clone(),
-        _ => unreachable!("validated integer axis {name}"),
-    }
-}
-
-fn floats(sc: &Scenario, name: &str) -> Vec<f64> {
-    match sc.axis(name) {
-        Some(AxisValues::Floats(v)) => v.clone(),
-        _ => unreachable!("validated float axis {name}"),
-    }
-}
-
-fn profiles_of(sc: &Scenario, opts: &Opts) -> Vec<WorkloadProfile> {
-    strs(sc, "trace")
-        .iter()
-        .map(|t| profile_by_name(t).expect("validated trace").scaled(opts.scale))
-        .collect()
-}
-
-fn policies_of(sc: &Scenario) -> Vec<PolicyKind> {
-    strs(sc, "policy").iter().map(|p| policy_by_name(p).expect("validated policy")).collect()
-}
-
-/// The `cache_mb` singleton, defaulting to the paper's 32 MB headline.
-fn single_cache(sc: &Scenario) -> CacheSizeMb {
-    match sc.axis("cache_mb") {
-        Some(AxisValues::Ints(v)) => cache_from_mb(v[0]).expect("validated cache_mb"),
-        _ => CacheSizeMb::Mb32,
-    }
-}
-
-fn section_name(sc: &Scenario) -> String {
-    sc.output.section.clone().unwrap_or_else(|| sc.name.clone())
-}
-
-/// The comparison grid (Figures 8-12 + summary + perf) from the `trace`,
-/// `cache_mb`, and `policy` axes, nested in that order like the legacy
-/// hand-coded grid.
-fn compile_comparison(sc: &Scenario, opts: &Opts) -> (Vec<Job>, BuildFn) {
-    let profiles = profiles_of(sc, opts);
-    let caches: Vec<CacheSizeMb> =
-        ints(sc, "cache_mb").into_iter().map(|mb| cache_from_mb(mb).expect("validated")).collect();
-    let policies = policies_of(sc);
-    let jobs = comparison_jobs_from(opts, &profiles, &caches, &policies);
-    let traces: Vec<String> = profiles.iter().map(|p| p.name.clone()).collect();
-    let policy_names: Vec<&'static str> = policies.iter().map(|p| p.name()).collect();
-    let build: BuildFn = Box::new(move |results| {
-        let cmp = comparison_build_from(traces, caches, policy_names, results);
-        let means = policy_means(&cmp);
-        ScenarioOutcome {
-            sections: vec![
-                ("fig8".into(), vec![fig8(&cmp)]),
-                ("fig9".into(), vec![fig9(&cmp)]),
-                ("fig10".into(), vec![fig10(&cmp)]),
-                ("fig11".into(), vec![fig11(&cmp)]),
-                ("fig12".into(), vec![fig12(&cmp)]),
-                ("summary".into(), vec![summary(&cmp)]),
-                ("perf".into(), vec![perf_table(&cmp)]),
-            ],
-            charts: vec![
-                (
-                    "mean response time (normalized to LRU, lower is better)".into(),
-                    means.iter().map(|(n, r, _)| (n.clone(), *r)).collect(),
-                ),
-                (
-                    "mean hit ratio (normalized to Req-block, higher is better)".into(),
-                    means.iter().map(|(n, _, h)| (n.clone(), *h)).collect(),
-                ),
-            ],
-        }
-    });
-    (jobs, build)
-}
-
-/// The tails grid: one `(trace, policy)` job at the singleton cache size.
-fn compile_tails(sc: &Scenario, opts: &Opts) -> (Vec<Job>, BuildFn) {
-    let cache = single_cache(sc);
-    let mut jobs = Vec::new();
-    for profile in profiles_of(sc, opts) {
-        for policy in policies_of(sc) {
-            jobs.push(Job {
-                label: format!("{}/{}", profile.name, policy.name()),
-                cfg: SimConfig::paper(cache, policy),
-                source: opts.source_for(&profile),
-            });
-        }
-    }
-    let section = section_name(sc);
-    (jobs, Box::new(move |results| single_section(section, tails_build(results))))
-}
-
-/// The wear grid: one job per policy over the singleton trace.
-fn compile_wear(sc: &Scenario, opts: &Opts) -> (Vec<Job>, BuildFn) {
-    let cache = single_cache(sc);
-    let profile = profiles_of(sc, opts).remove(0);
-    let jobs = policies_of(sc)
-        .into_iter()
-        .map(|policy| Job {
-            label: policy.name().to_string(),
-            cfg: SimConfig::paper(cache, policy),
-            source: opts.source_for(&profile),
-        })
-        .collect();
-    let section = section_name(sc);
-    (jobs, Box::new(move |results| single_section(section, wear_build(results))))
-}
-
-/// The ablation grid: every `(trace, variant)` pair, trace-major.
-fn compile_ablations(sc: &Scenario, opts: &Opts) -> (Vec<Job>, BuildFn) {
-    let cache = single_cache(sc);
-    let known = ablation_variants();
-    let mut jobs = Vec::new();
-    for profile in profiles_of(sc, opts) {
-        for name in strs(sc, "variant") {
-            let (_, policy) =
-                known.iter().find(|(n, _)| *n == name).expect("validated variant");
-            jobs.push(Job {
-                label: format!("{name}|{}", profile.name),
-                cfg: SimConfig::paper(cache, *policy),
-                source: opts.source_for(&profile),
-            });
-        }
-    }
-    let section = section_name(sc);
-    (jobs, Box::new(move |results| single_section(section, ablations_build(results))))
-}
-
-/// The fault sweep: the singleton trace replayed on a pressured device at
-/// each `fault_ppm` (the same seeded [`FaultConfig`] everywhere, so the
-/// table is reproducible bit for bit).
-fn compile_faults(sc: &Scenario, opts: &Opts) -> (Vec<Job>, BuildFn) {
-    let profile = profiles_of(sc, opts).remove(0);
-    let policy = match sc.axis("policy") {
-        Some(AxisValues::Strs(v)) => policy_by_name(&v[0]).expect("validated policy"),
-        _ => PolicyKind::ReqBlock(ReqBlockConfig::paper()),
-    };
-    let ssd = pressured_ssd(&profile);
-    let jobs = ints(sc, "fault_ppm")
-        .into_iter()
-        .map(|ppm| Job {
-            label: ppm.to_string(),
-            cfg: SimConfig {
-                ssd: ssd.clone(),
-                cache_pages: 64,
-                policy,
-                overhead_sample_every: 1_000,
-                sampling: SampleInterval::Off,
-                fault: FaultConfig {
-                    read_fail_ppm: ppm as u32,
-                    program_fail_ppm: ppm as u32,
-                    erase_fail_ppm: ppm as u32,
-                    ..FaultConfig::default()
-                },
-                submit: SubmitMode::default(),
-                attr: None,
-            },
-            source: opts.source_for(&profile),
-        })
-        .collect();
-    let section = section_name(sc);
-    (jobs, Box::new(move |results| single_section(section, fault_build(results))))
-}
-
-/// The queue-depth grid: each policy at each `qdepth`, queued submit mode.
-fn compile_qdepth(sc: &Scenario, opts: &Opts) -> (Vec<Job>, BuildFn) {
-    let cache = single_cache(sc);
-    let profile = profiles_of(sc, opts).remove(0);
-    let depths = ints(sc, "qdepth");
-    let mut jobs = Vec::new();
-    for policy in policies_of(sc) {
-        for &depth in &depths {
-            let depth = depth as u32;
-            jobs.push(Job {
-                label: format!("{}/qd{depth}", policy.name()),
-                cfg: SimConfig::paper(cache, policy).with_submit(SubmitMode::Queued { depth }),
-                source: opts.source_for(&profile),
-            });
-        }
-    }
-    let section = section_name(sc);
-    (jobs, Box::new(move |results| single_section(section, qdepth_build(results))))
-}
-
-/// The open-loop load grid: each policy at each `load_mult` multiple of
-/// the calibrated service rate (Poisson), plus the fixed bursty 1x row.
-/// Arrival seeds depend only on the position in the multiplier list, so
-/// every policy sees byte-identical arrivals at the same step.
-fn compile_load(sc: &Scenario, opts: &Opts) -> (Vec<Job>, BuildFn) {
-    let cache = single_cache(sc);
-    let profile = profiles_of(sc, opts).remove(0);
-    let depth = match sc.axis("qdepth") {
-        Some(AxisValues::Ints(v)) => v[0] as u32,
-        _ => 8,
-    };
-    let mults = floats(sc, "load_mult");
-    let base = opts.source_for(&profile);
-    // One serial plan-time probe: the device's back-to-back service gap
-    // for this mix (see `calibrated_service_gap_ns`). Runs before the
-    // pool, so the grid stays thread-count invariant.
-    let service_gap_ns = calibrated_service_gap_ns(&base);
-    let mut jobs = Vec::new();
-    for policy in policies_of(sc) {
-        for (i, mult) in mults.iter().copied().enumerate() {
-            let process = ArrivalProcess::Poisson {
-                mean_interarrival_ns: ((service_gap_ns as f64 / mult) as u64).max(1),
-            };
-            jobs.push(Job {
-                label: format!(
-                    "{}|poisson|{mult}|{:.0}",
-                    policy.name(),
-                    process.offered_rate_per_s()
-                ),
-                cfg: SimConfig::paper(cache, policy)
-                    .with_submit(SubmitMode::Queued { depth }),
-                source: TraceSource::open_loop(base.clone(), process, 0x10AD_5EED + i as u64),
-            });
-        }
-        let (burst_len, peak_to_mean) = LOAD_BURST;
-        let process = ArrivalProcess::Bursty {
-            mean_interarrival_ns: service_gap_ns,
-            burst_len,
-            peak_to_mean,
-        };
-        jobs.push(Job {
-            label: format!("{}|bursty|1|{:.0}", policy.name(), process.offered_rate_per_s()),
-            cfg: SimConfig::paper(cache, policy).with_submit(SubmitMode::Queued { depth }),
-            source: TraceSource::open_loop(base.clone(), process, 0x10AD_B025),
-        });
-    }
-    let section = section_name(sc);
-    (jobs, Box::new(move |results| single_section(section, load_build(results))))
-}
-
-// ---------------------------------------------------------------------
-// The generic grid kind
-// ---------------------------------------------------------------------
-
-type MetricFn = fn(&RunResult) -> String;
-
-/// Metrics a grid scenario's `output.columns` can request.
-pub const METRICS: [(&str, MetricFn); 20] = [
-    ("requests", |r| r.metrics.requests.to_string()),
-    ("hit_ratio", |r| f3(r.metrics.hit_ratio())),
-    ("avg_resp_ms", |r| f3(r.metrics.avg_response_ms())),
-    ("p50_ms", |r| f3(r.metrics.response_percentile_ms(0.50))),
-    ("p95_ms", |r| f3(r.metrics.response_percentile_ms(0.95))),
-    ("p99_ms", |r| f3(r.metrics.response_percentile_ms(0.99))),
-    ("p999_ms", |r| f3(r.metrics.response_percentile_ms(0.999))),
-    ("max_ms", |r| f3(r.metrics.response_percentile_ms(1.0))),
-    ("hit_pct", |r| pct(r.metrics.hit_ratio())),
-    ("flush_stalls", |r| r.metrics.flush_stalls.to_string()),
-    ("stall_ms", |r| f2(r.metrics.flush_stall_ns as f64 / 1e6)),
-    ("pages_per_eviction", |r| f2(r.metrics.avg_pages_per_eviction())),
-    ("user_programs", |r| r.flash.user_programs.to_string()),
-    ("gc_programs", |r| r.flash.gc_programs.to_string()),
-    ("gc_runs", |r| r.ftl.gc_runs.to_string()),
-    ("erases", |r| r.flash.erases.to_string()),
-    ("write_amp", |r| f2(r.flash.write_amplification())),
-    ("read_retries", |r| r.faults.read_retries.to_string()),
-    ("bad_blocks", |r| r.faults.retired_blocks.to_string()),
-    ("health", |r| format!("{:?}", r.health)),
-];
-
-/// Compile the generic cartesian grid. Axes nest in declaration order,
+/// Lower the cartesian grid into jobs. Axes nest in declaration order,
 /// except that `output.group_by` axes are hoisted outermost (in the given
 /// order). Per grid point the modifier axes compose:
 ///
 /// * `scale` multiplies the harness `--scale` (relative, default 1),
+/// * `cache_mb` sizes the write buffer (default 32 MB),
 /// * `delta` swaps the policy for `Req-block` with that delta,
-/// * `geometry = "pressured"` shrinks the flash array to ~115% of the
-///   workload footprint (the fault-sweep device),
+/// * `geometry = "pressured"` is the fault-sweep device: a two-chip flash
+///   array at ~115% of the workload footprint behind a 64-page buffer
+///   (which replaces the `cache_mb` size),
 /// * `qdepth` switches to queued submission at that depth,
 /// * `fault_ppm` seeds read/program/erase faults at that rate,
 /// * `load_mult` re-times arrivals open-loop at that multiple of the
 ///   calibrated service rate (Poisson; seeded by the multiplier's
 ///   position, calibrated once per unique trace x scale).
-fn compile_grid(sc: &Scenario, opts: &Opts) -> (Vec<Job>, BuildFn) {
+fn compile_grid(sc: &Scenario, opts: &Opts) -> (Vec<Job>, Vec<Cells>) {
     // Axis evaluation order: group_by first, then declaration order.
     let group_by = sc.output.group_by.clone().unwrap_or_default();
     let mut order: Vec<usize> = group_by
@@ -1172,8 +922,7 @@ fn compile_grid(sc: &Scenario, opts: &Opts) -> (Vec<Job>, BuildFn) {
     let mut gaps: HashMap<(usize, usize), u64> = HashMap::new();
 
     let mut jobs = Vec::with_capacity(total);
-    // Axis display cells per grid point, for the build's column lookup.
-    let mut point_cells: Vec<Vec<(String, String)>> = Vec::with_capacity(total);
+    let mut point_cells: Vec<Cells> = Vec::with_capacity(total);
     for flat in 0..total {
         let mut idx = vec![0usize; axes.len()];
         let mut rem = flat;
@@ -1213,6 +962,7 @@ fn compile_grid(sc: &Scenario, opts: &Opts) -> (Vec<Job>, BuildFn) {
         let mut cfg = SimConfig::paper(cache.unwrap_or(CacheSizeMb::Mb32), policy);
         if sval("geometry") == Some("pressured") {
             cfg.ssd = pressured_ssd(&profile);
+            cfg.cache_pages = 64;
         }
         if let Some(ppm) = ival("fault_ppm") {
             cfg.fault = FaultConfig {
@@ -1247,22 +997,124 @@ fn compile_grid(sc: &Scenario, opts: &Opts) -> (Vec<Job>, BuildFn) {
             None => opts.source_for(&profile),
         };
 
-        let cells: Vec<(String, String)> = axes
+        let cells: Cells = axes
             .iter()
             .enumerate()
             .map(|(k, (name, values))| (name.to_string(), values.display(idx[k])))
             .collect();
-        let label = format!(
-            "{}/{}",
-            sc.name,
-            cells.iter().map(|(_, v)| v.as_str()).collect::<Vec<_>>().join("/")
-        );
-        jobs.push(Job { label, cfg, source });
+        jobs.push(Job { label: job_label(sc, &cells), cfg, source });
         point_cells.push(cells);
     }
+    (jobs, point_cells)
+}
 
+/// `<scenario>/<cell>/<cell>/...` — the pool's per-job label.
+fn job_label(sc: &Scenario, cells: &Cells) -> String {
+    let mut label = sc.name.clone();
+    for (_, v) in cells {
+        label.push('/');
+        label.push_str(v);
+    }
+    label
+}
+
+/// The open-loop load sweep's generator. Its per-policy bursty 1x row is
+/// an arrival process, not a value of any grid axis, so this kind keeps a
+/// dedicated lowering: each policy at each `load_mult` multiple of the
+/// calibrated service rate (Poisson, the same arrivals [`compile_grid`]
+/// builds for that axis), then the fixed bursty 1x row. Arrival seeds
+/// depend only on the position in the multiplier list, so every policy
+/// sees byte-identical arrivals at the same step. Besides the `policy`
+/// and `load_mult` cells, each point carries the derived `process`
+/// (`poisson`/`bursty`) and `offered` (req/s) cells.
+fn compile_load(sc: &Scenario, opts: &Opts) -> (Vec<Job>, Vec<Cells>) {
+    let first_int = |axis: &str| match sc.axis(axis) {
+        Some(AxisValues::Ints(v)) => Some(v[0]),
+        _ => None,
+    };
+    let cache =
+        first_int("cache_mb").map_or(CacheSizeMb::Mb32, |mb| cache_from_mb(mb).expect("validated"));
+    let depth = first_int("qdepth").map_or(8, |d| d as u32);
+    let (Some(AxisValues::Strs(traces)), Some(AxisValues::Floats(mults))) =
+        (sc.axis("trace"), sc.axis("load_mult"))
+    else {
+        unreachable!("validated trace and load_mult axes")
+    };
+    let profile = profile_by_name(&traces[0]).expect("validated trace").scaled(opts.scale);
+    let base = opts.source_for(&profile);
+    // One serial plan-time probe: the device's back-to-back service gap
+    // for this mix (see `calibrated_service_gap_ns`). Runs before the
+    // pool, so the grid stays thread-count invariant.
+    let service_gap_ns = calibrated_service_gap_ns(&base);
+    let (burst_len, peak_to_mean) = LOAD_BURST;
+    let bursty =
+        ArrivalProcess::Bursty { mean_interarrival_ns: service_gap_ns, burst_len, peak_to_mean };
+    let mut jobs = Vec::new();
+    let mut cells = Vec::new();
+    for name in sc.axis("policy").expect("validated policy axis").displays() {
+        let policy = policy_by_name(&name).expect("validated policy");
+        let poisson = mults.iter().enumerate().map(|(i, &mult)| {
+            let process = ArrivalProcess::Poisson {
+                mean_interarrival_ns: ((service_gap_ns as f64 / mult) as u64).max(1),
+            };
+            (format!("{mult}"), "poisson", process, 0x10AD_5EED + i as u64)
+        });
+        for (mult, kind, process, seed) in
+            poisson.chain([("1".to_string(), "bursty", bursty, 0x10AD_B025)])
+        {
+            let point: Cells = vec![
+                ("policy".into(), name.clone()),
+                ("load_mult".into(), mult),
+                ("process".into(), kind.into()),
+                ("offered".into(), format!("{:.0}", process.offered_rate_per_s())),
+            ];
+            jobs.push(Job {
+                label: job_label(sc, &point),
+                cfg: SimConfig::paper(cache, policy).with_submit(SubmitMode::Queued { depth }),
+                source: TraceSource::open_loop(base.clone(), process, seed),
+            });
+            cells.push(point);
+        }
+    }
+    (jobs, cells)
+}
+
+// ---------------------------------------------------------------------
+// The generic grid report
+// ---------------------------------------------------------------------
+
+type MetricFn = fn(&RunResult) -> String;
+
+/// Metrics a grid scenario's `output.columns` can request.
+pub const METRICS: [(&str, MetricFn); 20] = [
+    ("requests", |r| r.metrics.requests.to_string()),
+    ("hit_ratio", |r| f3(r.metrics.hit_ratio())),
+    ("avg_resp_ms", |r| f3(r.metrics.avg_response_ms())),
+    ("p50_ms", |r| f3(r.metrics.response_percentile_ms(0.50))),
+    ("p95_ms", |r| f3(r.metrics.response_percentile_ms(0.95))),
+    ("p99_ms", |r| f3(r.metrics.response_percentile_ms(0.99))),
+    ("p999_ms", |r| f3(r.metrics.response_percentile_ms(0.999))),
+    ("max_ms", |r| f3(r.metrics.response_percentile_ms(1.0))),
+    ("hit_pct", |r| pct(r.metrics.hit_ratio())),
+    ("flush_stalls", |r| r.metrics.flush_stalls.to_string()),
+    ("stall_ms", |r| f2(r.metrics.flush_stall_ns as f64 / 1e6)),
+    ("pages_per_eviction", |r| f2(r.metrics.avg_pages_per_eviction())),
+    ("user_programs", |r| r.flash.user_programs.to_string()),
+    ("gc_programs", |r| r.flash.gc_programs.to_string()),
+    ("gc_runs", |r| r.ftl.gc_runs.to_string()),
+    ("erases", |r| r.flash.erases.to_string()),
+    ("write_amp", |r| f2(r.flash.write_amplification())),
+    ("read_retries", |r| r.faults.read_retries.to_string()),
+    ("bad_blocks", |r| r.faults.retired_blocks.to_string()),
+    ("health", |r| format!("{:?}", r.health)),
+];
+
+/// Render a grid scenario: one row per point with the `output.columns`
+/// spec (default: every axis in nesting order, then `hit_ratio` and
+/// `avg_resp_ms`).
+fn grid_build(sc: &Scenario, points: &[Point]) -> Table {
     let columns: Vec<String> = sc.output.columns.clone().unwrap_or_else(|| {
-        let mut cols: Vec<String> = axes.iter().map(|(n, _)| n.to_string()).collect();
+        let mut cols: Vec<String> = points[0].cells.iter().map(|(n, _)| n.clone()).collect();
         cols.push("hit_ratio".into());
         cols.push("avg_resp_ms".into());
         cols
@@ -1272,28 +1124,22 @@ fn compile_grid(sc: &Scenario, opts: &Opts) -> (Vec<Job>, BuildFn) {
         .title
         .clone()
         .unwrap_or_else(|| format!("Scenario {} - declarative grid", sc.name));
-    let section = section_name(sc);
-    let build: BuildFn = Box::new(move |results| {
-        let col_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
-        let mut t = Table::new(title, &col_refs);
-        for ((_, r), cells) in results.iter().zip(&point_cells) {
-            let row = columns
-                .iter()
-                .map(|col| {
-                    if let Some((_, v)) = cells.iter().find(|(n, _)| n == col) {
-                        v.clone()
-                    } else {
-                        let (_, f) =
-                            METRICS.iter().find(|(n, _)| n == col).expect("validated column");
-                        f(r)
-                    }
-                })
-                .collect();
-            t.push_row(row);
-        }
-        single_section(section, t)
-    });
-    (jobs, build)
+    let col_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
+    let mut t = Table::new(title, &col_refs);
+    for p in points {
+        let row = columns
+            .iter()
+            .map(|col| match sc.axis(col) {
+                Some(_) => p.cell(col).to_string(),
+                None => {
+                    let (_, f) = METRICS.iter().find(|(n, _)| n == col).expect("validated column");
+                    f(&p.result)
+                }
+            })
+            .collect();
+        t.push_row(row);
+    }
+    t
 }
 
 #[cfg(test)]
@@ -1317,17 +1163,26 @@ mod tests {
             assert!(sc.estimated_jobs() > 0, "{name} estimates no jobs");
         }
         assert_eq!(builtin("comparison").unwrap().estimated_jobs(), 6 * 3 * 4);
+        assert_eq!(builtin("fig7").unwrap().estimated_jobs(), 6 * 8);
         assert_eq!(builtin("load").unwrap().estimated_jobs(), 4 * 7);
     }
 
     #[test]
     fn plan_job_count_matches_estimate() {
         let opts = tiny_opts();
-        for name in ["tails", "wear", "ablations", "faults", "qdepth", "smoke"] {
+        for (name, _) in BUILTIN_SCENARIOS {
             let sc = builtin(name).unwrap();
             let plan = plan(&sc, &opts).unwrap();
             assert_eq!(plan.job_count(), sc.estimated_jobs(), "{name}");
         }
+    }
+
+    #[test]
+    fn every_policy_name_resolves() {
+        for name in POLICY_NAMES {
+            assert!(policy_by_name(name).is_some(), "{name}");
+        }
+        assert!(policy_by_name("lru").is_none());
     }
 
     #[test]
@@ -1378,7 +1233,27 @@ mod tests {
              trace = [\"ts_0\", \"proj_0\"]\npolicy = \"LRU\"\n",
             "single value",
         );
+        bad(
+            "[scenario]\nname = \"x\"\nkind = \"faults\"\n[axes]\ntrace = \"ts_0\"\n\
+             policy = \"LRU\"\nfault_ppm = [0]\n",
+            "requires the \"geometry\" axis",
+        );
+        bad(
+            "[scenario]\nname = \"x\"\nkind = \"ablations\"\n[axes]\ntrace = \"ts_0\"\n\
+             variant = \"A1: no DRL split\"\n",
+            "unknown axis",
+        );
         bad("[scenario]\nname = \"x y\"\nkind = \"tails\"\n", "invalid scenario name");
+    }
+
+    #[test]
+    fn pressured_geometry_is_the_fault_sweep_device() {
+        let src = "[scenario]\nname = \"p\"\nkind = \"grid\"\n[axes]\ntrace = \"ts_0\"\n\
+                   policy = \"Req-block\"\ngeometry = [\"paper\", \"pressured\"]\n";
+        let (jobs, _) = compile_grid(&Scenario::parse(src).unwrap(), &tiny_opts());
+        assert_eq!(jobs[0].cfg.cache_pages, CacheSizeMb::Mb32.pages());
+        assert_eq!(jobs[1].cfg.cache_pages, 64);
+        assert_eq!(jobs[1].cfg.ssd.total_chips(), 2);
     }
 
     #[test]

@@ -215,7 +215,8 @@ fn parse_value(s: &str, line: usize) -> Result<(Value, &str), ParseError> {
                 .unwrap_or(s.len());
             let (token, rest) = s.split_at(end);
             if token.is_empty() {
-                return Err(err(format!("expected a value, found {:?}", &s[..s.len().min(8)])));
+                let preview: String = s.chars().take(8).collect();
+                return Err(err(format!("expected a value, found {preview:?}")));
             }
             let value = match token {
                 "true" => Value::Bool(true),
@@ -354,6 +355,13 @@ enabled = true
         assert!(e.msg.contains("nested"), "{e}");
         let e = parse("[a]\nx = \"open\n").unwrap_err();
         assert!(e.msg.contains("unterminated string"), "{e}");
+    }
+
+    #[test]
+    fn error_preview_respects_char_boundaries() {
+        let e = parse("[a]\nx = ,\u{e9}\u{e9}\u{e9}\u{e9}\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.msg.contains("expected a value, found \",\u{e9}\u{e9}\u{e9}\u{e9}\""), "{e}");
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! of figure N+1, and on a multi-core host the tail of each pool leaves
 //! workers idle. [`run_all`] removes those barriers by planning every
 //! figure up front — the probed figures through their `*_probe` halves in
-//! [`figures`](crate::figures), the experiment grids through the
-//! [`scenario`] planner over the committed
-//! `scenarios/*.toml` files — submitting all tasks into one
+//! [`figures`](crate::figures), the experiment grids (Figure 7, the
+//! comparison grid and the extensions) through the [`scenario`] planner
+//! over the committed `scenarios/*.toml` files — submitting all tasks into one
 //! [`run_task_pool`], and running the pure builds afterwards. Result
 //! routing is order-preserving — each task writes into its own
 //! pre-allocated slot — so the emitted tables are byte-identical to the
@@ -20,22 +20,25 @@
 //! `Arc<[Request]>` slice zero-copy.
 
 use crate::figures::{
-    fig13_build, fig13_probe, fig23_build, fig23_probe, fig7_build, fig7_jobs, per_trace_tasks,
-    table1, table2_build, table2_stats, take_slots, telemetry, Opts,
+    fig13_build, fig13_probe, fig23_build, fig23_probe, per_trace_tasks, table1, table2_build,
+    table2_stats, take_slots, telemetry, Opts,
 };
 use crate::report::Table;
 use crate::scenario::{self, plan_builtin};
-use reqblock_sim::{run_task_pool, JobPool, Task};
+use reqblock_sim::{run_task_pool, Task};
 use std::sync::OnceLock;
 
 /// The trace instrumented by the sweep's telemetry run.
 pub const TELEMETRY_TRACE: &str = "ts_0";
 
-/// The built-in scenarios `repro all` plans, in task-submission order.
-/// The comparison grid runs between the Figure 7 and Figure 13 probes
-/// like the original hand-coded sweep; the extension grids follow.
-pub const ALL_SCENARIOS: [&str; 7] =
-    ["comparison", "tails", "wear", "ablations", "faults", "qdepth", "load"];
+/// The built-in scenarios `repro all` plans, in task-submission and
+/// emission order: the paper's figure grids (Figure 7, the comparison)
+/// run and emit before the Figure 13 probes; the extension grids follow.
+pub const ALL_SCENARIOS: [&str; 8] =
+    ["fig7", "comparison", "tails", "wear", "ablations", "faults", "qdepth", "load"];
+
+/// How many of [`ALL_SCENARIOS`] precede the Figure 13 probes.
+const PAPER_GRIDS: usize = 2;
 
 /// Every section `repro all` emits, in emission order. The canonical
 /// list: the `repro` binary's `all`/`export` section handling and the
@@ -94,7 +97,6 @@ pub fn run_all(opts: &Opts) -> AllArtifacts {
     let probe_table2 = table2_stats;
     let probe_fig23 = fig23_probe;
     let probe_fig13 = fig13_probe;
-    let fig7_pool = JobPool::new(fig7_jobs(opts));
     let plans: Vec<scenario::ScenarioPlan> =
         ALL_SCENARIOS.iter().map(|name| plan_builtin(name, opts)).collect();
 
@@ -104,10 +106,11 @@ pub fn run_all(opts: &Opts) -> AllArtifacts {
     let mut tasks = Vec::new();
     tasks.extend(per_trace_tasks("table2", opts, &profiles, &table2_slots, &probe_table2));
     tasks.extend(per_trace_tasks("fig2_fig3", opts, &profiles, &fig23_slots, &probe_fig23));
-    tasks.extend(fig7_pool.tasks());
-    tasks.extend(plans[0].tasks()); // comparison
+    for plan in &plans[..PAPER_GRIDS] {
+        tasks.extend(plan.tasks());
+    }
     tasks.extend(per_trace_tasks("fig13", opts, &profiles, &fig13_slots, &probe_fig13));
-    for plan in &plans[1..] {
+    for plan in &plans[PAPER_GRIDS..] {
         tasks.extend(plan.tasks());
     }
     tasks.push(Task::new(format!("telemetry/{TELEMETRY_TRACE}"), || {
@@ -118,10 +121,7 @@ pub fn run_all(opts: &Opts) -> AllArtifacts {
 
     // Pure builds, in the emission order of `repro all`.
     let (fig2_t, fig3_t) = fig23_build(take_slots(fig23_slots));
-    let (fig7_hits, fig7_resp) = fig7_build(opts, fig7_pool.take_results());
     let (fig13_samples, fig13_shares) = fig13_build(opts, take_slots(fig13_slots));
-    let mut outcomes = plans.into_iter().map(scenario::ScenarioPlan::finish);
-    let cmp_out = outcomes.next().expect("comparison outcome");
     let (telemetry_jsonl, telemetry_table) =
         telemetry_slot.into_inner().expect("pool task must have filled the telemetry slot");
     let mut sections = vec![
@@ -129,22 +129,22 @@ pub fn run_all(opts: &Opts) -> AllArtifacts {
         ("table2".to_string(), vec![table2_build(opts, take_slots(table2_slots))]),
         ("fig2".to_string(), vec![fig2_t]),
         ("fig3".to_string(), vec![fig3_t]),
-        ("fig7".to_string(), vec![fig7_hits, fig7_resp]),
     ];
-    let mut charts = cmp_out.charts.into_iter();
-    sections.extend(cmp_out.sections); // fig8..fig12, summary, perf
+    let mut grids: Vec<_> = plans.into_iter().map(scenario::ScenarioPlan::finish).collect();
+    // Only the comparison grid draws charts: response time, then hit ratio.
+    let charts: Vec<_> = grids.iter_mut().flat_map(|o| std::mem::take(&mut o.charts)).collect();
+    let [(_, resp_chart), (_, hit_chart)]: [_; 2] =
+        charts.try_into().unwrap_or_else(|_| panic!("expected the comparison grid's two charts"));
+    let extensions = grids.split_off(PAPER_GRIDS);
+    sections.extend(grids.into_iter().flat_map(|o| o.sections)); // fig7, fig8..perf
     sections.push(("fig13".to_string(), vec![fig13_shares, fig13_samples]));
-    for outcome in outcomes {
-        sections.extend(outcome.sections); // tails..load
-    }
+    sections.extend(extensions.into_iter().flat_map(|o| o.sections)); // tails..load
     sections.push((format!("telemetry_{TELEMETRY_TRACE}"), vec![telemetry_table]));
     let digests = sections
         .iter()
         .filter(|(name, _)| !scenario::UNSTABLE_SECTIONS.contains(&name.as_str()))
         .map(|(name, tables)| (name.clone(), scenario::section_digest(tables)))
         .collect();
-    let (_, resp_chart) = charts.next().expect("comparison response chart");
-    let (_, hit_chart) = charts.next().expect("comparison hit chart");
     AllArtifacts { sections, resp_chart, hit_chart, telemetry_jsonl, digests }
 }
 

@@ -85,26 +85,34 @@ fn parse_line(line: &str, lineno: usize) -> Result<(u64, OpType, u64, u64), Pars
 /// * Zero-size requests are dropped (a handful exist in the raw traces).
 /// * Timestamps are rebased so the earliest record is `t = 0` and converted
 ///   from 100 ns ticks to nanoseconds.
+///
+/// A record whose rebased timestamp does not fit in `u64` nanoseconds
+/// (a span of more than `u64::MAX / 100` ticks) is a [`ParseError`] naming
+/// its line.
 pub fn parse_reader<R: BufRead>(reader: R) -> Result<Vec<Request>, ParseError> {
-    let mut raw: Vec<(u64, OpType, u64, u64)> = Vec::new();
-    scan_records(reader, |rec| raw.push(rec))?;
-    let base = raw.iter().map(|r| r.0).min().unwrap_or(0);
-    Ok(raw
-        .into_iter()
-        .map(|(ts, op, offset, size)| Request {
-            time_ns: ts.saturating_sub(base) * NS_PER_TICK,
-            op,
-            offset,
-            len: size,
+    let mut raw: Vec<(usize, (u64, OpType, u64, u64))> = Vec::new();
+    scan_records(reader, |lineno, rec| raw.push((lineno, rec)))?;
+    let base = raw.iter().map(|(_, r)| r.0).min().unwrap_or(0);
+    raw.into_iter()
+        .map(|(lineno, (ts, op, offset, size))| {
+            let time_ns = (ts - base).checked_mul(NS_PER_TICK).ok_or_else(|| ParseError {
+                line: lineno,
+                message: format!(
+                    "timestamp {ts} is {} ticks after the earliest record; the span overflows \
+                     u64 nanoseconds",
+                    ts - base
+                ),
+            })?;
+            Ok(Request { time_ns, op, offset, len: size })
         })
-        .collect())
+        .collect()
 }
 
 /// Scan every valid record of an MSR trace, invoking `f` once per record in
-/// file order.
+/// file order with its 1-based line number.
 fn scan_records<R: BufRead, F>(reader: R, mut f: F) -> Result<(), ParseError>
 where
-    F: FnMut((u64, OpType, u64, u64)),
+    F: FnMut(usize, (u64, OpType, u64, u64)),
 {
     for (idx, line) in reader.lines().enumerate() {
         let lineno = idx + 1;
@@ -120,7 +128,7 @@ where
         if rec.3 == 0 {
             continue;
         }
-        f(rec);
+        f(lineno, rec);
     }
     Ok(())
 }
@@ -224,6 +232,18 @@ mod tests {
     fn reports_missing_fields() {
         let err = parse_str("1,hm,1\n").unwrap_err();
         assert!(err.message.contains("missing op type"));
+    }
+
+    #[test]
+    fn timestamp_span_overflow_names_the_line() {
+        let s = "18446744073709551615,h,0,Read,0,4096\n0,h,0,Read,0,4096\n";
+        let err = parse_str(s).unwrap_err();
+        assert_eq!(err.line, 1);
+        assert!(err.message.contains("overflows"), "{err}");
+        // The largest span that still fits parses.
+        let max_ticks = u64::MAX / NS_PER_TICK;
+        let reqs = parse_str(&format!("{max_ticks},h,0,Read,0,4096\n0,h,0,Read,0,4096\n")).unwrap();
+        assert_eq!(reqs[0].time_ns, max_ticks * NS_PER_TICK);
     }
 
     #[test]

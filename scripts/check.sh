@@ -53,6 +53,15 @@ if [[ "$SMOKE_GOT" != "$SMOKE_WANT" ]]; then
 fi
 echo "smoke digest ok: $SMOKE_GOT"
 
+echo "== scenario list (every scenarios/*.toml validates) =="
+LIST=$(./target/release/repro --list)
+if grep -q '(invalid: ' <<<"$LIST"; then
+    echo "FAIL: repro --list reports invalid scenario files:" >&2
+    grep '(invalid: ' <<<"$LIST" >&2
+    exit 1
+fi
+echo "scenario list ok: $(($(wc -l <<<"$LIST") - 1)) scenarios"
+
 echo "== fleet golden + streaming merge-equivalence proptests (tests/fleet.rs, release) =="
 cargo test -q --release --test fleet
 

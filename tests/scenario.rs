@@ -1,33 +1,43 @@
-//! Integration tests for the declarative scenario subsystem: the committed
-//! `scenarios/*.toml` files must reproduce the pre-refactor hand-coded
-//! tables byte for byte (pinned FxHash digests), scenario output must be
-//! thread-count invariant, the TOML-subset writer/parser must round-trip,
+//! Integration tests for the declarative scenario subsystem: every
+//! `repro all` section must reproduce the pre-refactor tables byte for
+//! byte (pinned FxHash digests), scenario output must be thread-count
+//! invariant, the committed `scenarios/*.toml` files and the embedded
+//! builtins must agree, the TOML-subset writer/parser must round-trip,
 //! and the grid planner's job count must equal the axis product.
 
 use proptest::prelude::*;
-use reqblock_experiments::scenario::{self, toml, AxisValues, Scenario};
-use reqblock_experiments::{extensions, figures, sweep, Opts};
+use reqblock_experiments::scenario::{self, toml, Scenario};
+use reqblock_experiments::{sweep, Opts};
 
 fn tiny_opts(threads: usize) -> Opts {
     Opts { scale: 0.001, threads, out_dir: std::env::temp_dir(), trace_dir: None }
 }
 
-/// Pre-refactor section digests at `--scale 0.001`, captured from the
-/// hand-coded grids before they were re-expressed as scenario files. Any
-/// drift here means a scenario no longer compiles to the same table bytes.
-const PINNED: [(&str, u64); 12] = [
+/// Section digests of every deterministic `repro all` section at
+/// `--scale 0.001` (all but the wall-clock `perf`), captured before the
+/// experiment grids were re-expressed as scenario files and before Figure
+/// 7 moved onto the scenario compiler. Any drift here means a section no
+/// longer renders the same table bytes.
+const PINNED: [(&str, u64); 19] = [
+    ("table1", 0x931d4bffada034db),
+    ("table2", 0x417aecaf61dbe9e8),
+    ("fig2", 0xb1fbfa51c239682b),
+    ("fig3", 0x4612a2ae2f00b9ba),
+    ("fig7", 0xe32658b8438316d0),
     ("fig8", 0xbd337c63bdce4125),
     ("fig9", 0x851de0d702c34af6),
     ("fig10", 0xfe2da9bb1094de54),
     ("fig11", 0x60708550b7060e4e),
     ("fig12", 0xffa2cf67f3742657),
     ("summary", 0xcc28dbcd92a1426b),
+    ("fig13", 0xed10f874371e0933),
     ("tails", 0x4fbdeb79ac2d4296),
     ("wear", 0xad7a81e3b58b3b08),
     ("ablations", 0x02090e993817c85c),
     ("faults", 0x5df1a26326fe1a9d),
     ("qdepth", 0x339b09e36b43b930),
     ("load", 0x0013853ddd9d794d),
+    ("telemetry_ts_0", 0x3228496f6d714ae3),
 ];
 
 /// The `scenarios/smoke.toml` digest pinned by scripts/check.sh.
@@ -36,6 +46,7 @@ const SMOKE_DIGEST: u64 = 0x8b55b878785a2112;
 #[test]
 fn run_all_matches_pre_refactor_pinned_digests() {
     let art = sweep::run_all(&tiny_opts(2));
+    assert_eq!(art.digests.len(), PINNED.len(), "every stable section is pinned");
     for (name, want) in PINNED {
         let got = art.digests.iter().find(|(n, _)| n == name).map(|(_, d)| *d);
         assert_eq!(
@@ -63,29 +74,27 @@ fn smoke_scenario_digest_is_pinned() {
     assert_eq!(digests, vec![("smoke".to_string(), SMOKE_DIGEST)]);
 }
 
-/// The builtin scenario files must carry the same grids as the canonical
-/// constants the rest of the crate (CLI defaults, docs) advertises.
+/// Every committed `scenarios/*.toml` file is an embedded builtin with
+/// the same text, and every builtin has its file on disk.
 #[test]
-fn builtin_scenarios_match_canonical_sweep_constants() {
-    let qdepth = scenario::builtin("qdepth").unwrap();
-    let want: Vec<i64> = extensions::QDEPTH_SWEEP.iter().map(|&d| d as i64).collect();
-    assert_eq!(qdepth.axis("qdepth"), Some(&AxisValues::Ints(want)));
-
-    let load = scenario::builtin("load").unwrap();
-    assert_eq!(load.axis("load_mult"), Some(&AxisValues::Floats(extensions::LOAD_SWEEP.to_vec())));
-
-    let faults = scenario::builtin("faults").unwrap();
-    let want: Vec<i64> = extensions::FAULT_SWEEP_PPM.iter().map(|&p| p as i64).collect();
-    assert_eq!(faults.axis("fault_ppm"), Some(&AxisValues::Ints(want)));
-
-    let comparison = scenario::builtin("comparison").unwrap();
-    let want: Vec<String> = figures::COMPARISON_POLICIES.iter().map(|p| p.to_string()).collect();
-    assert_eq!(comparison.axis("policy"), Some(&AxisValues::Strs(want)));
-
-    let ablations = scenario::builtin("ablations").unwrap();
-    let want: Vec<String> =
-        extensions::ablation_variants().iter().map(|(n, _)| n.to_string()).collect();
-    assert_eq!(ablations.axis("variant"), Some(&AxisValues::Strs(want)));
+fn scenario_files_and_builtins_agree() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios");
+    let mut on_disk: Vec<(String, String)> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "toml"))
+        .map(|p| {
+            let stem = p.file_stem().unwrap().to_str().unwrap().to_string();
+            (stem, std::fs::read_to_string(&p).unwrap())
+        })
+        .collect();
+    on_disk.sort();
+    let mut builtins: Vec<(String, String)> = scenario::BUILTIN_SCENARIOS
+        .iter()
+        .map(|(name, text)| (name.to_string(), text.to_string()))
+        .collect();
+    builtins.sort();
+    assert_eq!(on_disk, builtins, "scenarios/*.toml and BUILTIN_SCENARIOS drifted");
 }
 
 #[test]
@@ -237,11 +246,12 @@ proptest! {
     /// the offending axis.
     #[test]
     fn unknown_axes_are_rejected(
-        kind in (0usize..8),
+        kind in (0usize..9),
         bad in (0usize..4),
     ) {
-        const KINDS: [&str; 8] =
-            ["comparison", "tails", "wear", "ablations", "faults", "qdepth", "load", "grid"];
+        const KINDS: [&str; 9] = [
+            "comparison", "fig7", "tails", "wear", "ablations", "faults", "qdepth", "load", "grid",
+        ];
         const BAD: [&str; 4] = ["zdepth", "Policy", "trace2", "cacheMb"];
         let src = format!(
             "[scenario]\nname = \"x\"\nkind = \"{}\"\n[axes]\n{} = 1\n",
