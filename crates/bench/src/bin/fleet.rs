@@ -5,8 +5,8 @@
 //! noise hits both the same way:
 //!
 //! * `fleet_stream`    — the production engine: per-device loser-tree
-//!   merge over lazy [`ArrivalIter`]s, pooled simulators, zero shard
-//!   materialization.
+//!   merge over strided cursors into the shared tenant traces, pooled
+//!   simulators, zero shard materialization.
 //! * `fleet_reference` — the PR 8 shape kept as the oracle: materialize
 //!   every tenant stream, shard per device, sort, simulate.
 //!
@@ -26,7 +26,6 @@
 //! devices/s ratio (`FLEET_TOLERANCE`), plus the committed
 //! `BENCH_sweep.json` `fleet_stream` baseline.
 //!
-//! [`ArrivalIter`]: reqblock_sim::ArrivalIter
 //! [`fleet_placements`]: reqblock_experiments::extensions::fleet_placements
 //! [`FleetMetrics`]: reqblock_sim::FleetMetrics
 
@@ -120,7 +119,6 @@ fn main() {
     cli.require(threads > 0, "--threads", "must be >= 1");
     cli.require(!devices_list.contains(&0), "--devices", "device counts must be >= 1");
 
-    shared::set_enabled(true);
     shared::clear();
     let opts = Opts {
         scale,

@@ -1,20 +1,16 @@
 //! Dependency-free sweep benchmark: wall-clock for a full `repro all`.
 //!
 //! Measures [`reqblock_experiments::sweep::run_all`] — the barrier-free
-//! pool behind `repro all` — in three modes, interleaved inside every
-//! repeat so background noise hits all of them the same way:
+//! pool behind `repro all` — in two modes, interleaved inside every
+//! repeat so background noise hits both of them the same way:
 //!
-//! * `uncached_serial`   — shared trace cache off, one worker thread. This
-//!   is the pre-optimization shape: every figure re-synthesizes every
-//!   trace it touches, jobs run one after another.
-//! * `cached_serial`     — trace cache on, one worker. Isolates what the
-//!   shared `Arc<[Request]>` cache buys on its own: each (source, scale)
-//!   pair is synthesized once per sweep instead of once per figure.
-//! * `cached_parallel`   — trace cache on, `--threads` workers. The full
-//!   configuration; on a multi-core host this adds the pool speedup on
-//!   top of the cache (on one core it tracks `cached_serial`).
+//! * `cached_serial`     — one worker thread: every job runs one after
+//!   another over the shared `Arc<[Request]>` trace cache, which
+//!   synthesizes each (source, scale) pair once per sweep.
+//! * `cached_parallel`   — `--threads` workers. On a multi-core host this
+//!   adds the pool speedup (on one core it tracks `cached_serial`).
 //!
-//! Every repeat asserts the three modes emit byte-identical tables and
+//! Every repeat asserts both modes emit byte-identical tables and
 //! telemetry (the "perf" section is excluded — it embeds host wall-clock),
 //! so the benchmark doubles as an end-to-end determinism check.
 //!
@@ -24,7 +20,7 @@
 //! ```
 //!
 //! Without `--out` the JSON goes to stdout. `scripts/bench.sh` wraps this
-//! and gates the cached_parallel median against `BENCH_sweep.json`.
+//! and gates both modes' medians against `BENCH_sweep.json`.
 
 use reqblock_bench::{median, Cli};
 use reqblock_experiments::sweep::{run_all, AllArtifacts};
@@ -50,15 +46,13 @@ fn artifact_digest(art: &AllArtifacts) -> String {
     s
 }
 
-/// One timed `run_all` with the trace cache set as given. The cache is
-/// cleared first either way, so every measurement is one cold `repro all`.
-fn timed_run(opts: &Opts, cache_on: bool) -> (f64, String) {
-    shared::set_enabled(cache_on);
+/// One timed `run_all`. The trace cache is cleared first, so every
+/// measurement is one cold `repro all`.
+fn timed_run(opts: &Opts) -> (f64, String) {
     shared::clear();
     let t0 = Instant::now();
     let art = run_all(opts);
     let elapsed = t0.elapsed().as_secs_f64();
-    shared::set_enabled(true);
     (elapsed, artifact_digest(&art))
 }
 
@@ -92,17 +86,13 @@ fn main() {
 
     // Warm-up: page in code paths once, and pin the reference artifacts
     // every measured run must reproduce.
-    let (_, reference) = timed_run(&serial, true);
+    let (_, reference) = timed_run(&serial);
 
-    let mut times: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    let modes: [(&str, &Opts, bool); 3] = [
-        ("uncached_serial", &serial, false),
-        ("cached_serial", &serial, true),
-        ("cached_parallel", &parallel, true),
-    ];
+    let mut times: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
+    let modes: [(&str, &Opts); 2] = [("cached_serial", &serial), ("cached_parallel", &parallel)];
     for rep in 0..repeats {
-        for (i, (name, opts, cache_on)) in modes.iter().enumerate() {
-            let (elapsed, digest) = timed_run(opts, *cache_on);
+        for (i, (name, opts)) in modes.iter().enumerate() {
+            let (elapsed, digest) = timed_run(opts);
             assert_eq!(
                 digest, reference,
                 "{name} emitted different artifacts on repeat {rep}"
@@ -120,7 +110,7 @@ fn main() {
     let _ = writeln!(json, "  \"repeats\": {repeats},");
     let _ = writeln!(json, "  \"threads\": {threads},");
     let _ = writeln!(json, "  \"modes\": [");
-    for (i, (name, _, _)) in modes.iter().enumerate() {
+    for (i, (name, _)) in modes.iter().enumerate() {
         let t = &times[i];
         let samples: Vec<String> = t.iter().map(|v| format!("{v:.3}")).collect();
         let _ = writeln!(
@@ -132,22 +122,9 @@ fn main() {
             if i + 1 < modes.len() { "," } else { "" }
         );
     }
-    let _ = writeln!(json, "  ],");
-    let speedup =
-        |num: &[f64], den: &[f64]| (best(num) / best(den), median(num) / median(den));
-    let (sb, sm) = speedup(&times[0], &times[1]);
-    let _ = writeln!(
-        json,
-        "  \"speedup_cache\": {{\"best\": {sb:.2}, \"median\": {sm:.2}}},"
-    );
-    let (pb, pm) = speedup(&times[0], &times[2]);
-    let _ = writeln!(
-        json,
-        "  \"speedup_total\": {{\"best\": {pb:.2}, \"median\": {pm:.2}}}"
-    );
+    let _ = writeln!(json, "  ]");
     json.push_str("}\n");
 
-    eprintln!("sweep: cache speedup {sm:.2}x, total speedup {pm:.2}x (median over repeats)");
     match out {
         Some(path) => std::fs::write(&path, json).expect("cannot write bench output"),
         None => print!("{json}"),

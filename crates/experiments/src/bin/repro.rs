@@ -422,7 +422,14 @@ fn main() -> ExitCode {
         ));
     }
     // Load every trace file --trace-dir supplies before planning: a bad
-    // file is a usage error here, not a panic inside the worker pool.
+    // file is a usage error here, not a panic inside the worker pool. A
+    // missing directory is one too; only missing files inside it fall
+    // back to the synthetic traces.
+    if let Some(dir) = opts.trace_dir.as_ref().filter(|d| !d.is_dir()) {
+        let why = std::fs::metadata(dir).map_or_else(|e| e.to_string(), |_| "not a directory".into());
+        eprintln!("repro: --trace-dir: {}: {why}", dir.display());
+        return ExitCode::from(2);
+    }
     if let Err((path, e)) = opts.check_trace_dir() {
         eprintln!("repro: --trace-dir: {}: {e}", path.display());
         return ExitCode::from(2);
@@ -452,6 +459,9 @@ fn main() -> ExitCode {
         }
         "telemetry" => {
             let trace = operands.first().map(String::as_str).unwrap_or("ts_0");
+            if reqblock_trace::profiles::profile_by_name(trace).is_none() {
+                fail(&format!("telemetry: unknown trace {trace:?}"));
+            }
             run_telemetry(&opts, trace);
         }
         "run" => {

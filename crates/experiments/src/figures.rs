@@ -31,7 +31,9 @@ pub struct Opts {
     pub out_dir: PathBuf,
     /// Directory holding the paper's original traces as `<name>.csv` in
     /// MSR format (e.g. `hm_1.csv`). When a file exists for a workload, it
-    /// replaces the synthetic stand-in for every experiment.
+    /// replaces the synthetic stand-in for every experiment; workloads
+    /// without a file keep the synthetic trace. `repro` rejects a
+    /// directory that does not exist.
     pub trace_dir: Option<PathBuf>,
 }
 
@@ -65,10 +67,9 @@ impl Opts {
     }
 
     /// Shared materialized requests for one workload
-    /// ([`TraceSource::requests`]): the process-wide cached slice when the
-    /// trace cache is on (the default), so probed experiments and the
-    /// sweep's simulation jobs all read the same memory; a fresh uncached
-    /// materialization otherwise. Panics on an unreadable trace file —
+    /// ([`TraceSource::requests`]): the process-wide cached slice, so
+    /// probed experiments and the sweep's simulation jobs all read the
+    /// same memory. Panics on an unreadable trace file —
     /// `repro` checks `--trace-dir` with [`Opts::check_trace_dir`] before
     /// planning, so this only fires on library misuse.
     pub fn shared_for(&self, profile: &WorkloadProfile) -> Arc<[Request]> {

@@ -1,393 +1,14 @@
-//! Allocation-free event core: the host engine's completion bookkeeping.
+//! Per-chip completion ledger: the host engine's NCQ-style bookkeeping of
+//! outstanding flash operations (DESIGN.md §7.3).
 //!
-//! Two structures, both designed for single-core speed on the submit hot
-//! path (DESIGN.md §7.3):
-//!
-//! * [`TimerWheel`] — a bucketed calendar queue over an arena of event
-//!   slots with an intrusive freelist. It replaces the per-event
-//!   `BinaryHeap<Reverse<u64>>` churn of the original flush window: slots
-//!   are recycled through the freelist (no allocation after the initial
-//!   reserve), events hash into time buckets by a shift, and the earliest
-//!   event is found by scanning forward from a floor cursor instead of
-//!   re-heapifying. Drain order is **exactly** the order a min-heap of
-//!   `(time, insertion_seq)` would produce — ties retire in insertion
-//!   order — which the event-core proptest pins against a reference
-//!   `BinaryHeap`.
-//!
-//! * [`ChipCursors`] — per-chip FIFO rings of outstanding completion
-//!   times. Chip timelines serialize (a read holds the chip through its
-//!   bus transfer, a program holds it to the end of the array operation),
-//!   so per-chip completion times are monotone and a plain ring with a
-//!   head cursor drains ready completions in batches with one comparison
-//!   each — no ordering structure at all. This is the NCQ-style
-//!   outstanding-I/O ledger the engine samples in queued mode.
-
-/// Sentinel for "no slot" in the intrusive chains.
-const NIL: u32 = u32::MAX;
-
-/// Bucket width = `2^BUCKET_SHIFT` ns (~1.05 ms): comparable to one flash
-/// program (2 ms), so a queued window's in-flight flushes land within a few
-/// buckets of the floor cursor.
-const BUCKET_SHIFT: u32 = 20;
-
-/// Bucket count (power of two). One rotation covers ~67 ms — past the
-/// slowest single operation (15 ms erase); anything further wraps and is
-/// found by the rotation-miss rescan.
-const BUCKETS: usize = 64;
-
-/// One arena slot: an event in a bucket chain, or a freelist link.
-#[derive(Debug, Clone)]
-struct EventSlot {
-    /// Retire time of the event, ns.
-    time: u64,
-    /// Insertion sequence number — the deterministic tie-breaker.
-    seq: u64,
-    /// Caller payload (opaque).
-    payload: u64,
-    /// Next slot in this bucket's chain (or next free slot).
-    next: u32,
-}
-
-/// Bucketed calendar queue over an arena of event slots.
-///
-/// `insert` is O(1); `pop_earliest`/`peek_earliest` scan buckets forward
-/// from the floor cursor (the bucket of the last popped event) and fall
-/// back to one O(n) rescan when a whole rotation is empty — in the
-/// simulator's workloads events sit within a couple of buckets of the
-/// floor, so the common case is a handful of comparisons.
-#[derive(Debug, Clone)]
-pub struct TimerWheel {
-    /// Arena of event slots; freed slots are chained through `free_head`.
-    slots: Vec<EventSlot>,
-    /// Intrusive freelist head (`NIL` when every slot is live).
-    free_head: u32,
-    /// Chain head per bucket (`NIL` when empty).
-    buckets: [u32; BUCKETS],
-    /// Occupancy bitmap: bit `b` set iff `buckets[b]` is non-empty. Scans
-    /// (earliest-event search, retirement sweeps) jump between set bits
-    /// with `trailing_zeros` instead of probing all 64 chain heads — with
-    /// a handful of events in flight that is the difference between ~64
-    /// loads per scan and ~2.
-    occupied: u64,
-    /// Absolute bucket (`time >> BUCKET_SHIFT`) at/after which the
-    /// earliest live event is known to sit.
-    floor_bucket: u64,
-    /// Live events.
-    len: usize,
-    /// Monotone insertion counter (tie order).
-    seq: u64,
-    /// Cached earliest retire time (cleared by pops, refined by inserts).
-    earliest: Option<u64>,
-    /// Lower bound on every live event's retire time — unlike `earliest`
-    /// it survives pops and sweeps, so [`TimerWheel::retire_until`] can
-    /// answer "nothing ready yet" in O(1) between retirements.
-    min_bound: u64,
-    /// High-water mark of `len` over the wheel's lifetime.
-    max_len: usize,
-}
-
-impl Default for TimerWheel {
-    fn default() -> Self {
-        Self::with_capacity(0)
-    }
-}
-
-impl TimerWheel {
-    /// A wheel with `capacity` event slots pre-reserved (it grows past
-    /// this only if more events are ever in flight at once).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            slots: Vec::with_capacity(capacity),
-            free_head: NIL,
-            buckets: [NIL; BUCKETS],
-            occupied: 0,
-            floor_bucket: 0,
-            len: 0,
-            seq: 0,
-            earliest: None,
-            min_bound: u64::MAX,
-            max_len: 0,
-        }
-    }
-
-    /// Drop every event and reset all cursors/counters (including `seq` and
-    /// the high-water mark), keeping the arena's allocation. Equivalent to
-    /// a fresh wheel of the same capacity; part of the simulator reset path.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.free_head = NIL;
-        self.buckets = [NIL; BUCKETS];
-        self.occupied = 0;
-        self.floor_bucket = 0;
-        self.len = 0;
-        self.seq = 0;
-        self.earliest = None;
-        self.min_bound = u64::MAX;
-        self.max_len = 0;
-    }
-
-    /// Live events in the wheel.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when no event is in flight.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// High-water mark of [`TimerWheel::len`] over the wheel's lifetime.
-    pub fn max_len(&self) -> usize {
-        self.max_len
-    }
-
-    /// Arena slots currently allocated (capacity diagnostics).
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    #[inline]
-    fn bucket_of(time: u64) -> usize {
-        ((time >> BUCKET_SHIFT) as usize) & (BUCKETS - 1)
-    }
-
-    /// Insert an event retiring at `time` with an opaque `payload`.
-    pub fn insert(&mut self, time: u64, payload: u64) {
-        let seq = self.seq;
-        self.seq += 1;
-        let idx = if self.free_head != NIL {
-            let idx = self.free_head;
-            self.free_head = self.slots[idx as usize].next;
-            idx
-        } else {
-            assert!(self.slots.len() < NIL as usize, "event arena exhausted");
-            self.slots.push(EventSlot { time: 0, seq: 0, payload: 0, next: NIL });
-            (self.slots.len() - 1) as u32
-        };
-        let bucket = Self::bucket_of(time);
-        let slot = &mut self.slots[idx as usize];
-        slot.time = time;
-        slot.seq = seq;
-        slot.payload = payload;
-        slot.next = self.buckets[bucket];
-        self.buckets[bucket] = idx;
-        self.occupied |= 1u64 << bucket;
-        self.len += 1;
-        self.max_len = self.max_len.max(self.len);
-        let abs = time >> BUCKET_SHIFT;
-        if self.len == 1 || abs < self.floor_bucket {
-            self.floor_bucket = abs;
-        }
-        // Refine the cached minimum only when it is known: after a pop the
-        // cache is unknown (`None`) and must stay so — a surviving event
-        // may retire earlier than this insert.
-        if self.len == 1 {
-            self.earliest = Some(time);
-            self.min_bound = time;
-        } else {
-            if let Some(cur) = self.earliest {
-                if time < cur {
-                    self.earliest = Some(time);
-                }
-            }
-            self.min_bound = self.min_bound.min(time);
-        }
-    }
-
-    /// Locate the earliest live event: `(bucket, prev_slot, slot)` with
-    /// `prev_slot == NIL` when the slot heads its chain. `None` when empty.
-    fn find_earliest(&mut self) -> Option<(usize, u32, u32)> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            // Scan one rotation forward from the floor cursor, visiting
-            // only occupied buckets (rotate the bitmap so the floor's
-            // bucket is bit 0, then jump between set bits). Events in a
-            // visited bucket only count when they belong to this rotation
-            // (their absolute bucket matches), otherwise they are aliases a
-            // full rotation (or more) away.
-            let start = (self.floor_bucket as usize) & (BUCKETS - 1);
-            let mut mask = self.occupied.rotate_right(start as u32);
-            while mask != 0 {
-                let off = mask.trailing_zeros() as u64;
-                mask &= mask - 1;
-                let abs = self.floor_bucket + off;
-                let bucket = (abs as usize) & (BUCKETS - 1);
-                let mut best: Option<(u64, u64, u32, u32)> = None; // (time, seq, prev, slot)
-                let mut prev = NIL;
-                let mut cur = self.buckets[bucket];
-                while cur != NIL {
-                    let s = &self.slots[cur as usize];
-                    if s.time >> BUCKET_SHIFT == abs
-                        && best.is_none_or(|(t, q, _, _)| (s.time, s.seq) < (t, q))
-                    {
-                        best = Some((s.time, s.seq, prev, cur));
-                    }
-                    prev = cur;
-                    cur = s.next;
-                }
-                if let Some((_, _, prev, slot)) = best {
-                    self.floor_bucket = abs;
-                    return Some((bucket, prev, slot));
-                }
-            }
-            // Rotation miss: every live event is at least one full rotation
-            // past the floor. Recompute the true floor in one O(n) sweep
-            // and rescan (guaranteed hit on the first bucket then).
-            let min_abs = self
-                .slots
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| self.is_live(i as u32))
-                .map(|(_, s)| s.time >> BUCKET_SHIFT)
-                .min()
-                .expect("non-empty wheel must have a live event");
-            debug_assert!(min_abs >= self.floor_bucket + BUCKETS as u64);
-            self.floor_bucket = min_abs;
-        }
-    }
-
-    /// Is arena slot `idx` live (reachable from a bucket chain)? O(free
-    /// list); used only by the rotation-miss rescan.
-    fn is_live(&self, idx: u32) -> bool {
-        let mut cur = self.free_head;
-        while cur != NIL {
-            if cur == idx {
-                return false;
-            }
-            cur = self.slots[cur as usize].next;
-        }
-        true
-    }
-
-    /// Retire time of the earliest event, if any.
-    pub fn peek_earliest(&mut self) -> Option<u64> {
-        if let Some(t) = self.earliest {
-            return Some(t);
-        }
-        let (_, _, slot) = self.find_earliest()?;
-        let t = self.slots[slot as usize].time;
-        self.earliest = Some(t);
-        Some(t)
-    }
-
-    /// Remove and return the earliest event as `(time, payload)`; ties
-    /// retire in insertion order.
-    pub fn pop_earliest(&mut self) -> Option<(u64, u64)> {
-        let (bucket, prev, slot) = self.find_earliest()?;
-        let next = self.slots[slot as usize].next;
-        if prev == NIL {
-            self.buckets[bucket] = next;
-            if next == NIL {
-                self.occupied &= !(1u64 << bucket);
-            }
-        } else {
-            self.slots[prev as usize].next = next;
-        }
-        let s = &mut self.slots[slot as usize];
-        let out = (s.time, s.payload);
-        s.next = self.free_head;
-        self.free_head = slot;
-        self.len -= 1;
-        if self.len == 0 {
-            self.earliest = None;
-            self.min_bound = u64::MAX;
-        } else {
-            // Refresh the exact minimum while the floor cursor is parked
-            // right at it — with the occupancy bitmap this is a couple of
-            // probes, and it keeps every retire_until call until the next
-            // event is actually due on the O(1) path.
-            let (_, _, slot) = self.find_earliest().expect("non-empty wheel has an earliest");
-            let t = self.slots[slot as usize].time;
-            self.earliest = Some(t);
-            self.min_bound = t;
-        }
-        Some(out)
-    }
-
-    /// Pop every event retiring at or before `now`, returning how many
-    /// retired. Events strictly after `now` stay in flight.
-    ///
-    /// Retirement discards events, so no ordering work is needed: this is
-    /// one sweep over the bucket range `[floor, now]` unlinking everything
-    /// ready — not a pop-loop of earliest-scans.
-    #[inline]
-    pub fn retire_until(&mut self, now: u64) -> usize {
-        // Split so the two-compare idle path always inlines into the
-        // engine's per-request loop; the sweep below stays out of line.
-        if self.len == 0 || self.min_bound > now {
-            return 0;
-        }
-        self.retire_sweep(now)
-    }
-
-    /// The non-trivial tail of [`TimerWheel::retire_until`]: at least one
-    /// event is due.
-    fn retire_sweep(&mut self, now: u64) -> usize {
-        let now_abs = now >> BUCKET_SHIFT;
-        // `floor_bucket` lower-bounds every live event's absolute bucket,
-        // so events with `time <= now` sit in `[floor_bucket, now_abs]`.
-        // When that span covers a full rotation every bucket index aliases
-        // into it; otherwise only the spanned buckets need visiting —
-        // and among those, only the occupied ones (bitmap jump).
-        let span = now_abs.saturating_sub(self.floor_bucket);
-        let start = (self.floor_bucket as usize) & (BUCKETS - 1);
-        let mut mask = self.occupied.rotate_right(start as u32);
-        if span < BUCKETS as u64 - 1 {
-            mask &= (2u64 << span) - 1; // keep offsets 0..=span only
-        }
-        let mut retired = 0;
-        while mask != 0 {
-            let off = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let bucket = (start + off) & (BUCKETS - 1);
-            let mut prev = NIL;
-            let mut cur = self.buckets[bucket];
-            while cur != NIL {
-                let next = self.slots[cur as usize].next;
-                let t = self.slots[cur as usize].time;
-                if t <= now {
-                    if prev == NIL {
-                        self.buckets[bucket] = next;
-                    } else {
-                        self.slots[prev as usize].next = next;
-                    }
-                    self.slots[cur as usize].next = self.free_head;
-                    self.free_head = cur;
-                    retired += 1;
-                } else {
-                    prev = cur;
-                }
-                cur = next;
-            }
-            if self.buckets[bucket] == NIL {
-                self.occupied &= !(1u64 << bucket);
-            }
-        }
-        self.len -= retired;
-        // Every survivor has `time > now`, hence an absolute bucket at or
-        // past `now`'s — the new floor.
-        self.floor_bucket = now_abs;
-        if self.len == 0 {
-            self.earliest = None;
-            self.min_bound = u64::MAX;
-        } else {
-            // Recompute the exact minimum now rather than settling for the
-            // next bucket boundary as a lower bound: an exact
-            // `earliest`/`min_bound` keeps every retire_until call until
-            // that event is actually due on the O(1) path, instead of
-            // re-sweeping once per ~1 ms bucket crossing. It also leaves
-            // the floor cursor parked on the earliest event's bucket, so a
-            // following pop finds it immediately.
-            let (_, _, slot) = self.find_earliest().expect("non-empty wheel has an earliest");
-            let t = self.slots[slot as usize].time;
-            self.earliest = Some(t);
-            self.min_bound = t;
-        }
-        retired
-    }
-}
+//! [`ChipCursors`] keeps per-chip FIFO rings of outstanding completion
+//! times. Chip timelines serialize (a read holds the chip through its bus
+//! transfer, a program holds it to the end of the array operation), so
+//! per-chip completion times are monotone and a plain ring with a head
+//! cursor drains ready completions in batches with one comparison each —
+//! no ordering structure at all. The engine samples this ledger in queued
+//! mode. The host's flush window, the one out-of-order structure the
+//! simulator needs, is [`crate::host::FlushWindow`].
 
 /// Per-chip FIFO rings of outstanding completion times.
 ///
@@ -474,115 +95,6 @@ impl ChipCursors {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    #[test]
-    fn empty_wheel() {
-        let mut w = TimerWheel::default();
-        assert!(w.is_empty());
-        assert_eq!(w.peek_earliest(), None);
-        assert_eq!(w.pop_earliest(), None);
-        assert_eq!(w.retire_until(u64::MAX), 0);
-    }
-
-    #[test]
-    fn pops_in_time_order() {
-        let mut w = TimerWheel::default();
-        for (t, p) in [(500u64, 1u64), (300, 2), (700, 3)] {
-            w.insert(t, p);
-        }
-        assert_eq!(w.pop_earliest(), Some((300, 2)));
-        assert_eq!(w.pop_earliest(), Some((500, 1)));
-        assert_eq!(w.pop_earliest(), Some((700, 3)));
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn ties_pop_in_insertion_order() {
-        let mut w = TimerWheel::default();
-        w.insert(42, 10);
-        w.insert(42, 20);
-        w.insert(42, 30);
-        assert_eq!(w.pop_earliest(), Some((42, 10)));
-        assert_eq!(w.pop_earliest(), Some((42, 20)));
-        assert_eq!(w.pop_earliest(), Some((42, 30)));
-    }
-
-    #[test]
-    fn retire_until_is_inclusive() {
-        let mut w = TimerWheel::default();
-        for t in [100u64, 200, 300] {
-            w.insert(t, t);
-        }
-        assert_eq!(w.retire_until(99), 0);
-        assert_eq!(w.retire_until(200), 2);
-        assert_eq!(w.len(), 1);
-        assert_eq!(w.peek_earliest(), Some(300));
-    }
-
-    #[test]
-    fn slots_are_recycled_not_grown() {
-        let mut w = TimerWheel::with_capacity(4);
-        for round in 0..100u64 {
-            for k in 0..4 {
-                w.insert(round * 1_000_000 + k, k);
-            }
-            assert_eq!(w.retire_until(u64::MAX), 4);
-        }
-        assert_eq!(w.slot_count(), 4, "freelist must recycle the four slots");
-        assert_eq!(w.max_len(), 4);
-    }
-
-    #[test]
-    fn far_future_events_survive_rotation_wrap() {
-        let mut w = TimerWheel::default();
-        // 15 ms erase horizon and a multi-rotation outlier (> 67 ms).
-        w.insert(15_000_000, 1);
-        w.insert(500_000_000, 2);
-        w.insert(1_000, 3);
-        assert_eq!(w.pop_earliest(), Some((1_000, 3)));
-        assert_eq!(w.pop_earliest(), Some((15_000_000, 1)));
-        assert_eq!(w.pop_earliest(), Some((500_000_000, 2)));
-    }
-
-    #[test]
-    fn aliased_buckets_resolve_by_absolute_time() {
-        let mut w = TimerWheel::default();
-        let rotation = (BUCKETS as u64) << BUCKET_SHIFT;
-        // Same bucket residue, one rotation apart: the earlier must win.
-        w.insert(rotation + 5, 1);
-        w.insert(5, 2);
-        assert_eq!(w.pop_earliest(), Some((5, 2)));
-        assert_eq!(w.pop_earliest(), Some((rotation + 5, 1)));
-    }
-
-    #[test]
-    fn matches_reference_heap_on_mixed_ops() {
-        // Deterministic pseudo-random interleaving of inserts and pops.
-        let mut w = TimerWheel::with_capacity(8);
-        let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let mut seq = 0u64;
-        for _ in 0..10_000 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            if !state.is_multiple_of(3) || heap.is_empty() {
-                let t = state % 200_000_000; // spans several rotations
-                w.insert(t, seq);
-                heap.push(Reverse((t, seq)));
-                seq += 1;
-            } else {
-                let Reverse((t, p)) = heap.pop().unwrap();
-                assert_eq!(w.pop_earliest(), Some((t, p)));
-            }
-        }
-        while let Some(Reverse((t, p))) = heap.pop() {
-            assert_eq!(w.pop_earliest(), Some((t, p)));
-        }
-        assert!(w.is_empty());
-    }
 
     #[test]
     fn chip_cursors_drain_in_batches() {

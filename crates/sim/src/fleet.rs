@@ -37,18 +37,14 @@
 //! pipeline ([`shard_reference`], kept as the equivalence oracle and
 //! bench baseline behind [`run_fleet_reference`]) produces.
 //!
-//! The cursors feeding the merge come in two flavors, mirroring the
-//! [`SyntheticStream`] Cached/Live split. With the shared trace cache on
-//! (the default), [`run_fleet`] computes each tenant's arrival-time
-//! schedule once — the arrival RNG is strictly sequential, so the
-//! schedule is the one per-request artifact devices cannot derive
-//! independently — and every device strides directly over the sequence
-//! numbers it owns (an arithmetic progression, [`Placement::owned_seqs`]):
-//! O(own requests) per device, O(8 bytes x total requests) shared. With
-//! the cache off, each device lazily re-drives the tenants'
-//! [`ArrivalIter`]s, generating and dropping requests routed elsewhere:
-//! O(total requests) CPU per device, zero materialization. Both flavors
-//! yield byte-identical streams — one seeded timer defines the schedule.
+//! The cursors feeding the merge read each tenant's base request mix from
+//! the shared trace cache ([`reqblock_trace::shared`]) and an arrival-time
+//! schedule that [`run_fleet`] computes once per run: the arrival RNG is
+//! strictly sequential, so the schedule is the one per-request artifact
+//! devices cannot derive independently. Every device then strides directly
+//! over the sequence numbers it owns (an arithmetic progression,
+//! [`Placement::owned_seqs`]): O(own requests) per device, O(8 bytes x
+//! total requests) shared.
 //!
 //! Device simulators are pooled: a worker pops a finished [`Ssd`] and
 //! resets it to the fresh-device state instead of reallocating the
@@ -61,8 +57,8 @@
 //! Every source of nondeterminism is pinned:
 //!
 //! 1. Tenant streams are deterministic in `(profile, process, seed)`
-//!    ([`ArrivalProcess::rewrite`] and the streaming
-//!    [`ArrivalIter`] drive the same seeded xorshift64* sequence).
+//!    ([`ArrivalProcess::rewrite`] and the per-run arrival schedules drive
+//!    the same seeded xorshift64* sequence).
 //! 2. Placement is a pure function of indices.
 //! 3. Per-device merge order is the total order `(time_ns, tenant index,
 //!    sequence number)` — a stable tie-break even when two tenants'
@@ -87,11 +83,11 @@
 
 use crate::config::SimConfig;
 use crate::host::Ssd;
-use crate::load::{ArrivalIter, ArrivalProcess};
+use crate::load::ArrivalProcess;
 use crate::runner::{run_task_pool, Task};
 use reqblock_obs::telemetry::to_jsonl;
 use reqblock_obs::{Histogram, MemoryRecorder};
-use reqblock_trace::shared::{self, synthetic_stream, SyntheticStream};
+use reqblock_trace::shared;
 use reqblock_trace::{Request, WorkloadProfile};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -115,18 +111,12 @@ pub struct TenantSpec {
 }
 
 impl TenantSpec {
-    /// This tenant's request stream as a lazy iterator: the profile's
-    /// synthetic stream (shared zero-copy via the trace cache when it is
-    /// enabled, generated live otherwise — never cloned per call) re-timed
-    /// by the arrival process. Deterministic in `(profile, process, seed)`.
-    pub fn arrivals(&self) -> ArrivalIter<SyntheticStream> {
-        self.process.arrivals(synthetic_stream(&self.profile), self.seed)
-    }
-
-    /// [`TenantSpec::arrivals`] materialized. Kept for the reference
-    /// pipeline and callers that want the whole stream at once.
+    /// This tenant's whole request stream: the profile's shared synthetic
+    /// trace re-timed by the arrival process. Deterministic in
+    /// `(profile, process, seed)`. Kept for the reference pipeline and
+    /// callers that want the whole stream at once.
     pub fn stream(&self) -> Vec<Request> {
-        self.arrivals().collect()
+        self.process.rewrite(&shared::synthetic(&self.profile), self.seed)
     }
 }
 
@@ -428,12 +418,11 @@ struct DeviceOutcome {
 /// independently per device; 8 bytes per request buys every device an
 /// O(own requests) stride instead of an O(total requests) regeneration.
 struct SharedTenant {
-    /// The tenant's base request mix (shared trace-cache slice when the
-    /// cache is enabled, materialized once per run otherwise).
+    /// The tenant's base request mix (the shared trace-cache slice).
     base: Arc<[Request]>,
     /// `times[k]` is the `time_ns` the tenant's [`ArrivalTimer`] assigns
-    /// to request `k` — byte-identical to what the lazy [`ArrivalIter`]
-    /// yields, because both drive the same seeded timer.
+    /// to request `k` — byte-identical to [`TenantSpec::stream`], because
+    /// both drive the same seeded timer.
     ///
     /// [`ArrivalTimer`]: crate::load::ArrivalTimer
     times: Arc<[u64]>,
@@ -444,11 +433,7 @@ fn shared_tenants(mix: &TenantMix) -> Vec<SharedTenant> {
     mix.tenants
         .iter()
         .map(|spec| {
-            let base: Arc<[Request]> = if shared::enabled() {
-                shared::synthetic(&spec.profile)
-            } else {
-                synthetic_stream(&spec.profile).collect::<Vec<_>>().into()
-            };
+            let base = shared::synthetic(&spec.profile);
             let mut timer = spec.process.timer(spec.seed);
             let times: Vec<u64> = (0..base.len()).map(|_| timer.next_arrival_ns()).collect();
             SharedTenant { base, times: times.into() }
@@ -456,42 +441,19 @@ fn shared_tenants(mix: &TenantMix) -> Vec<SharedTenant> {
         .collect()
 }
 
-/// Where a [`TenantCursor`] reads its tenant's device-filtered stream.
-enum CursorSource {
-    /// Fully lazy: the tenant's [`ArrivalIter`] with requests routed to
-    /// other devices generated and dropped — the arrival RNG is strictly
-    /// sequential, so every gap must be sampled even for requests another
-    /// device serves. Zero per-run materialization; O(total requests) CPU
-    /// per device. This is the cache-off mode, mirroring
-    /// [`SyntheticStream::Live`].
-    Lazy {
-        iter: ArrivalIter<SyntheticStream>,
-        /// Sequence number of the next request `iter` will yield.
-        seq: u32,
-    },
-    /// Strided reads over the run's [`SharedTenant`]: the owned sequence
-    /// numbers form an arithmetic progression ([`Placement::owned_seqs`]),
-    /// so the cursor jumps straight from one owned request to the next —
-    /// O(own requests) CPU per device. This is the cache-on mode,
-    /// mirroring [`SyntheticStream::Cached`].
-    Indexed {
-        base: Arc<[Request]>,
-        times: Arc<[u64]>,
-        /// Next owned sequence number.
-        next: usize,
-        /// Stride between owned sequence numbers.
-        step: usize,
-    },
-}
-
-/// One tenant's placement-filtered stream for a single device: a
-/// [`CursorSource`] plus a one-element lookahead (`head`) holding the
-/// next request destined for the target device. Both sources yield the
-/// same `(seq, request)` sequence — the schedule is computed by the same
-/// seeded timer either way — so the merge above them cannot tell them
-/// apart.
+/// One tenant's placement-filtered stream for a single device: strided
+/// reads over the run's [`SharedTenant`] plus a one-element lookahead
+/// (`head`) holding the next request destined for the device. The owned
+/// sequence numbers form an arithmetic progression
+/// ([`Placement::owned_seqs`]), so the cursor jumps straight from one
+/// owned request to the next: O(own requests) CPU per device.
 struct TenantCursor {
-    source: CursorSource,
+    base: Arc<[Request]>,
+    times: Arc<[u64]>,
+    /// Next owned sequence number.
+    next: usize,
+    /// Stride between owned sequence numbers.
+    step: usize,
     /// Tenant index in the mix — the merge tie-break key.
     tenant: u32,
     /// Next `(seq, request)` of this tenant routed to the device.
@@ -499,43 +461,25 @@ struct TenantCursor {
 }
 
 impl TenantCursor {
-    fn lazy(spec: &TenantSpec, tenant: u32) -> Self {
-        Self { source: CursorSource::Lazy { iter: spec.arrivals(), seq: 0 }, tenant, head: None }
-    }
-
-    fn indexed(st: &SharedTenant, tenant: u32, first: usize, step: usize) -> Self {
-        Self {
-            source: CursorSource::Indexed {
-                base: st.base.clone(),
-                times: st.times.clone(),
-                next: first,
-                step,
-            },
+    fn new(st: &SharedTenant, tenant: u32, first: usize, step: usize) -> Self {
+        let mut cursor = Self {
+            base: st.base.clone(),
+            times: st.times.clone(),
+            next: first,
+            step,
             tenant,
             head: None,
-        }
+        };
+        cursor.advance();
+        cursor
     }
 
-    /// Advance to this tenant's next request placed on `device`.
-    fn advance(&mut self, placement: Placement, device: usize, devices: usize) {
+    /// Advance to this tenant's next request placed on the device.
+    fn advance(&mut self) {
         self.head = None;
-        match &mut self.source {
-            CursorSource::Lazy { iter, seq } => {
-                for r in iter.by_ref() {
-                    let s = *seq;
-                    *seq += 1;
-                    if placement.device_for(self.tenant as usize, s as usize, devices) == device {
-                        self.head = Some((s, r));
-                        return;
-                    }
-                }
-            }
-            CursorSource::Indexed { base, times, next, step } => {
-                if let Some(r) = base.get(*next) {
-                    self.head = Some((*next as u32, Request { time_ns: times[*next], ..*r }));
-                    *next += *step;
-                }
-            }
+        if let Some(r) = self.base.get(self.next) {
+            self.head = Some((self.next as u32, Request { time_ns: self.times[self.next], ..*r }));
+            self.next += self.step;
         }
     }
 
@@ -623,23 +567,21 @@ impl LoserTree {
 }
 
 /// The streaming merged input for one device: every tenant's
-/// placement-filtered [`ArrivalIter`] merged by a k-way loser tree in
+/// placement-filtered stream merged by a k-way loser tree in
 /// `(time_ns, tenant, seq)` order — exactly the order the reference
 /// materialize+sort pipeline ([`shard_reference`]) produces, without ever
 /// building a shard. Yields `(request, tenant index)`.
 pub struct DeviceStream {
     cursors: Vec<TenantCursor>,
     tree: Option<LoserTree>,
-    placement: Placement,
-    device: usize,
-    devices: usize,
 }
 
 /// Build the [`DeviceStream`] for `device` of a `devices`-wide fleet over
 /// `mix`, with `exclude`'s stream withheld (its tenant index is skipped,
 /// every other tenant's cursor is unchanged — the noisy-neighbor
 /// contract). Public so equivalence tests and tools can inspect the
-/// merged order directly.
+/// merged order directly; it computes the mix's arrival schedules on
+/// every call, which [`run_fleet`] does once per run instead.
 pub fn device_stream(
     mix: &TenantMix,
     placement: Placement,
@@ -647,28 +589,14 @@ pub fn device_stream(
     device: usize,
     exclude: Option<usize>,
 ) -> DeviceStream {
-    assert!(device < devices, "device index out of range");
-    let mut cursors: Vec<TenantCursor> = mix
-        .tenants
-        .iter()
-        .enumerate()
-        .filter(|&(t, _)| exclude != Some(t))
-        .map(|(t, spec)| TenantCursor::lazy(spec, t as u32))
-        .collect();
-    for c in &mut cursors {
-        c.advance(placement, device, devices);
-    }
-    let tree = (!cursors.is_empty()).then(|| LoserTree::new(&cursors));
-    DeviceStream { cursors, tree, placement, device, devices }
+    merge_device(&shared_tenants(mix), placement, devices, device, exclude)
 }
 
 /// [`device_stream`] over a run's precomputed [`SharedTenant`]s: cursors
 /// stride directly over their owned sequence numbers
 /// ([`Placement::owned_seqs`]), so building and draining the stream costs
-/// O(this device's requests), not O(the fleet's). Emits exactly the
-/// sequence [`device_stream`] emits — same base requests, same timer
-/// schedule, same merge keys.
-fn device_stream_shared(
+/// O(this device's requests), not O(the fleet's).
+fn merge_device(
     tenants: &[SharedTenant],
     placement: Placement,
     devices: usize,
@@ -676,23 +604,18 @@ fn device_stream_shared(
     exclude: Option<usize>,
 ) -> DeviceStream {
     assert!(device < devices, "device index out of range");
-    let mut cursors: Vec<TenantCursor> = tenants
+    let cursors: Vec<TenantCursor> = tenants
         .iter()
         .enumerate()
         .filter(|&(t, _)| exclude != Some(t))
         .filter_map(|(t, st)| {
-            // Tenants with no residue on this device contribute nothing;
-            // dropping their cursor up front is observationally identical
-            // to the lazy cursor exhausting without ever finding a head.
+            // Tenants with no residue on this device contribute nothing.
             let (first, step) = placement.owned_seqs(t, devices, device)?;
-            Some(TenantCursor::indexed(st, t as u32, first, step))
+            Some(TenantCursor::new(st, t as u32, first, step))
         })
         .collect();
-    for c in &mut cursors {
-        c.advance(placement, device, devices);
-    }
     let tree = (!cursors.is_empty()).then(|| LoserTree::new(&cursors));
-    DeviceStream { cursors, tree, placement, device, devices }
+    DeviceStream { cursors, tree }
 }
 
 impl Iterator for DeviceStream {
@@ -704,7 +627,7 @@ impl Iterator for DeviceStream {
         let cursor = &mut self.cursors[w as usize];
         let (_, req) = cursor.head.take()?;
         let tenant = cursor.tenant;
-        cursor.advance(self.placement, self.device, self.devices);
+        cursor.advance();
         tree.replay(&self.cursors, w);
         Some((req, tenant))
     }
@@ -847,12 +770,10 @@ pub fn run_fleet_excluding(
     // instead of reallocating FTL tables per device, so the pool never
     // holds more simulators than there are workers.
     let pool: Mutex<Vec<Ssd>> = Mutex::new(Vec::new());
-    // With the trace cache on, the base mixes are materialized process-wide
-    // anyway — share the arrival schedules too and let every device stride
-    // over its owned requests (O(own) per device). Cache off keeps the
-    // fully lazy per-device regeneration (O(total) per device, zero
-    // materialization), mirroring the SyntheticStream Cached/Live split.
-    let tenant_shared: Option<Vec<SharedTenant>> = shared::enabled().then(|| shared_tenants(mix));
+    // The base mixes are materialized process-wide by the trace cache;
+    // share the arrival schedules too and let every device stride over its
+    // owned requests (O(own) per device).
+    let tenant_shared = shared_tenants(mix);
     let slots: Vec<OnceLock<DeviceOutcome>> = (0..devices).map(|_| OnceLock::new()).collect();
     let tasks: Vec<Task<'_>> = cfg
         .devices
@@ -876,10 +797,7 @@ pub fn run_fleet_excluding(
                     }
                     None => Ssd::new(dev_cfg.clone()),
                 };
-                let input = match tenant_shared {
-                    Some(t) => device_stream_shared(t, cfg.placement, devices, idx, exclude),
-                    None => device_stream(mix, cfg.placement, devices, idx, exclude),
-                };
+                let input = merge_device(tenant_shared, cfg.placement, devices, idx, exclude);
                 let outcome = simulate_device(
                     &mut ssd,
                     input,
@@ -1094,29 +1012,6 @@ mod tests {
                         assert_eq!(
                             owned, strided,
                             "{p:?} tenant {tenant} device {device}/{devices}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn shared_cursors_match_lazy_cursors_on_every_device() {
-        let mix = tiny_mix();
-        let tenants = shared_tenants(&mix);
-        for placement in [Placement::Striped, Placement::Packed { devices_per_tenant: 2 }] {
-            for devices in [1, 3, 4] {
-                for exclude in [None, Some(0), Some(1)] {
-                    for device in 0..devices {
-                        let lazy: Vec<(Request, u32)> =
-                            device_stream(&mix, placement, devices, device, exclude).collect();
-                        let fast: Vec<(Request, u32)> =
-                            device_stream_shared(&tenants, placement, devices, device, exclude)
-                                .collect();
-                        assert_eq!(
-                            lazy, fast,
-                            "{placement:?} device {device}/{devices} exclude {exclude:?}"
                         );
                     }
                 }

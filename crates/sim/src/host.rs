@@ -23,9 +23,10 @@ use crate::metrics::Metrics;
 use reqblock_cache::WriteBuffer;
 use reqblock_flash::{FaultStats, OpCounters};
 use reqblock_ftl::{FtlStats, Health};
-use crate::event::TimerWheel;
 use reqblock_obs::{NoopRecorder, Recorder};
 use reqblock_trace::Request;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// How the host issues requests to the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,35 +71,39 @@ impl std::fmt::Display for SubmitMode {
 }
 
 /// The host's bounded window of in-flight eviction flushes (queued mode's
-/// event order), carried by the allocation-free [`TimerWheel`] event core:
-/// the arena is pre-reserved to [`SubmitMode::window_slots`] at
-/// construction and slots recycle through the wheel's intrusive freelist,
-/// so a run performs no per-flush allocation. Zero-capacity at depth 1,
-/// where it is never consulted.
+/// event order): a min-heap of retire times, pre-reserved to
+/// [`SubmitMode::window_slots`] at construction, so a run performs no
+/// per-flush allocation. The window never holds more than `depth - 1`
+/// flushes (7 at qd8), which is why a plain binary heap is all the
+/// ordering structure it needs. Zero-capacity at depth 1, where it is
+/// never consulted.
 ///
-/// Retire semantics are identical to the min-heap this replaced: a full
-/// window waits for the *earliest* outstanding flush, and `retire_until`
-/// drops everything at or before `now` — the queued-mode golden pins stay
-/// valid bit for bit.
+/// A full window waits for the *earliest* outstanding flush, and
+/// `retire_until` drops everything at or before `now`.
 #[derive(Debug, Clone, Default)]
 pub struct FlushWindow {
     slots: usize,
-    inflight: TimerWheel,
+    /// Retire times of the in-flight flushes, earliest on top.
+    inflight: BinaryHeap<Reverse<u64>>,
+    /// High-water mark of `inflight.len()`.
+    max_outstanding: usize,
 }
 
 impl FlushWindow {
-    /// A window sized for `mode`, with its event arena pre-reserved to the
-    /// mode's slot count (no mid-run growth).
+    /// A window sized for `mode`, with its heap pre-reserved to the mode's
+    /// slot count (no mid-run growth).
     pub fn new(mode: SubmitMode) -> Self {
         let slots = mode.window_slots();
-        Self { slots, inflight: TimerWheel::with_capacity(slots) }
+        Self { slots, inflight: BinaryHeap::with_capacity(slots), max_outstanding: 0 }
     }
 
-    /// Reset to an empty window sized for `mode`, keeping the event arena's
+    /// Reset to an empty window sized for `mode`, keeping the heap's
     /// allocation. Equivalent to `FlushWindow::new(mode)`.
     pub fn reset(&mut self, mode: SubmitMode) {
         self.slots = mode.window_slots();
         self.inflight.clear();
+        self.inflight.reserve(self.slots);
+        self.max_outstanding = 0;
     }
 
     /// Background-flush slots (0 at depth 1).
@@ -113,14 +118,27 @@ impl FlushWindow {
 
     /// High-water mark of [`FlushWindow::outstanding`] over the run.
     pub fn max_outstanding(&self) -> usize {
-        self.inflight.max_len()
+        self.max_outstanding
     }
 
     /// Drop every in-flight flush that has retired by `now` (event order:
     /// earliest retire time first).
     #[inline]
     pub fn retire_until(&mut self, now: u64) {
-        self.inflight.retire_until(now);
+        // Split so the one-peek idle check always inlines into the
+        // engine's per-request loop; the pop loop stays out of line.
+        if self.inflight.peek().is_some_and(|&Reverse(t)| t <= now) {
+            self.retire_due(now);
+        }
+    }
+
+    /// The non-trivial tail of [`FlushWindow::retire_until`]: at least one
+    /// flush is due.
+    #[inline(never)]
+    fn retire_due(&mut self, now: u64) {
+        while self.inflight.peek().is_some_and(|&Reverse(t)| t <= now) {
+            self.inflight.pop();
+        }
     }
 
     /// Admit a flush retiring at `ready_ns`. When the window is full the
@@ -130,11 +148,12 @@ impl FlushWindow {
     pub fn admit(&mut self, ready_ns: u64) -> Option<u64> {
         debug_assert!(self.slots > 0, "depth-1 hosts never admit background flushes");
         let waited = if self.inflight.len() >= self.slots {
-            self.inflight.pop_earliest().map(|(t, _)| t)
+            self.inflight.pop().map(|Reverse(t)| t)
         } else {
             None
         };
-        self.inflight.insert(ready_ns, 0);
+        self.inflight.push(Reverse(ready_ns));
+        self.max_outstanding = self.max_outstanding.max(self.inflight.len());
         waited
     }
 }
@@ -156,7 +175,7 @@ impl Ssd {
     }
 
     /// Reset to the fresh-device state for `cfg`, reusing the large FTL,
-    /// timeline and event-core allocations where the geometry allows.
+    /// timeline and flush-window allocations where the geometry allows.
     /// Observationally identical to `Ssd::new(cfg)` — the pooled fleet
     /// engine recycles simulator instances through this path, and
     /// `tests/fleet.rs` pins the equivalence.

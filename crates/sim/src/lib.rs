@@ -67,7 +67,7 @@ pub use buffer::PolicyBuffer;
 pub use config::{CacheSizeMb, PolicyKind, SampleInterval, SimConfig};
 pub use device::Device;
 pub use engine::Engine;
-pub use event::{ChipCursors, TimerWheel};
+pub use event::ChipCursors;
 pub use fleet::{
     device_stream, noisy_neighbor, run_fleet, run_fleet_excluding, run_fleet_reference,
     run_fleet_reference_excluding, shard_reference, DeviceStream, DeviceSummary, FleetConfig,
@@ -75,7 +75,7 @@ pub use fleet::{
     TenantStats,
 };
 pub use host::{FlushWindow, Ssd, SubmitMode};
-pub use load::{ArrivalIter, ArrivalProcess, ArrivalTimer};
+pub use load::{ArrivalProcess, ArrivalTimer};
 pub use reqblock_flash::{DegradedMode, FaultConfig, FaultStats};
 pub use reqblock_ftl::Health;
 pub use metrics::Metrics;

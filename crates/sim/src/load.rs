@@ -73,9 +73,9 @@ impl ArrivalProcess {
     /// gaps starting at the first sampled gap, so rewritten times are
     /// nondecreasing and strictly positive.
     ///
-    /// Implemented on [`ArrivalProcess::timer`], so a streaming
-    /// [`ArrivalIter`] over the same `(trace, seed)` yields bit-identical
-    /// times by construction — there is exactly one sampling loop.
+    /// Implemented on [`ArrivalProcess::timer`], so the fleet's per-tenant
+    /// arrival schedules, drawn from the same timer, yield bit-identical
+    /// times by construction: there is exactly one sampling loop.
     pub fn rewrite(&self, trace: &[Request], seed: u64) -> Vec<Request> {
         let mut timer = self.timer(seed);
         trace.iter().map(|r| Request { time_ns: timer.next_arrival_ns(), ..*r }).collect()
@@ -104,15 +104,6 @@ impl ArrivalProcess {
             }
         };
         ArrivalTimer { rng: XorShift64Star::new(seed), now: 0, index: 0, kind }
-    }
-
-    /// Lazily re-time `base` with this process: a streaming counterpart of
-    /// [`ArrivalProcess::rewrite`] that never materializes the output.
-    pub fn arrivals<I>(&self, base: I, seed: u64) -> ArrivalIter<I>
-    where
-        I: Iterator<Item = Request>,
-    {
-        ArrivalIter { base, timer: self.timer(seed) }
     }
 }
 
@@ -162,28 +153,6 @@ impl ArrivalTimer {
     /// Requests timed so far.
     pub fn emitted(&self) -> u64 {
         self.index
-    }
-}
-
-/// Streaming open-loop re-timing: yields `base`'s requests with their
-/// `time_ns` replaced by an [`ArrivalTimer`], one at a time. Equivalent to
-/// [`ArrivalProcess::rewrite`] without materializing the output vector.
-#[derive(Debug, Clone)]
-pub struct ArrivalIter<I> {
-    base: I,
-    timer: ArrivalTimer,
-}
-
-impl<I: Iterator<Item = Request>> Iterator for ArrivalIter<I> {
-    type Item = Request;
-
-    fn next(&mut self) -> Option<Request> {
-        let r = self.base.next()?;
-        Some(Request { time_ns: self.timer.next_arrival_ns(), ..r })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.base.size_hint()
     }
 }
 
@@ -313,19 +282,6 @@ mod tests {
             burst_mean < mean_ns as f64 * 0.5,
             "within-burst mean gap {burst_mean:.0} must be far below {mean_ns}"
         );
-    }
-
-    #[test]
-    fn streaming_arrivals_match_rewrite_bit_for_bit() {
-        let base = base_trace();
-        for p in [
-            ArrivalProcess::poisson_rate(50_000.0),
-            ArrivalProcess::Bursty { mean_interarrival_ns: 20_000, burst_len: 32, peak_to_mean: 8 },
-        ] {
-            let materialized = p.rewrite(&base, 7);
-            let streamed: Vec<Request> = p.arrivals(base.iter().copied(), 7).collect();
-            assert_eq!(materialized, streamed, "one sampling loop, two transports");
-        }
     }
 
     #[test]

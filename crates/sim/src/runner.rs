@@ -7,7 +7,7 @@ use reqblock_flash::{FaultStats, OpCounters};
 use reqblock_ftl::{FtlStats, Health};
 use reqblock_obs::{NoopRecorder, Recorder};
 use reqblock_trace::msr::ParseError;
-use reqblock_trace::{Request, SyntheticTrace, WorkloadProfile};
+use reqblock_trace::{Request, WorkloadProfile};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -118,19 +118,13 @@ impl TraceSource {
     /// The materialized request slice for this source, shared process-wide
     /// via [`reqblock_trace::shared`]: the first caller synthesizes/parses,
     /// every later caller (and every concurrent sweep job) gets the same
-    /// `Arc<[Request]>` zero-copy. When the cache is disabled
-    /// (`REQBLOCK_TRACE_CACHE=0`), a fresh uncached slice is built per call.
-    /// An unreadable or malformed trace file is an `Err` carrying the
-    /// offending line.
+    /// `Arc<[Request]>` zero-copy. An unreadable or malformed trace file is
+    /// an `Err` carrying the offending line.
     pub fn requests(&self) -> Result<Arc<[Request]>, ParseError> {
         use reqblock_trace::shared;
         Ok(match self {
-            TraceSource::Synthetic(profile) if shared::enabled() => shared::synthetic(profile),
-            TraceSource::Synthetic(profile) => {
-                SyntheticTrace::new(profile.clone()).generate_all().into()
-            }
-            TraceSource::MsrFile(path) if shared::enabled() => shared::msr_file(path)?,
-            TraceSource::MsrFile(path) => reqblock_trace::msr::parse_file(path)?.into(),
+            TraceSource::Synthetic(profile) => shared::synthetic(profile),
+            TraceSource::MsrFile(path) => shared::msr_file(path)?,
             // The base slice is shared via the cache as usual; the arrival
             // rewrite is deterministic in (base, process, seed) and cheap
             // relative to a replay, so it is done per call.
@@ -309,6 +303,7 @@ mod tests {
     use reqblock_core::ReqBlockConfig;
     use reqblock_obs::MemoryRecorder;
     use reqblock_trace::profiles::ts_0;
+    use reqblock_trace::SyntheticTrace;
 
     fn mini_profile() -> WorkloadProfile {
         ts_0().scaled(0.002) // ~3.6k requests

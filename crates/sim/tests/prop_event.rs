@@ -1,67 +1,90 @@
-//! Property-based tests of the event core: on arbitrary (time, id)
-//! schedules the timer wheel must drain in exactly the order of a
-//! reference min-heap keyed on (time, insertion seq), and bulk retirement
-//! must agree with a reference filter. Times span multiple wheel rotations
-//! so bucket aliasing, rotation wrap, and the occupancy bitmap are all
-//! exercised.
+//! Property-based tests of the host's flush window: driven the way the
+//! engine drives it (retire up to each arrival, then admit the flushes
+//! that arrival triggers), `FlushWindow` must agree step for step with a
+//! naive sorted-`Vec` model on what a full window waits for, how many
+//! flushes are in flight, and the high-water mark. Depths run past the
+//! largest builtin queue depth (32), and flush-ready offsets reach 400 ms,
+//! far beyond the slowest single flash operation (a 15 ms erase).
 
 use proptest::prelude::*;
-use reqblock_sim::TimerWheel;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use reqblock_sim::{FlushWindow, SubmitMode};
 
-/// (event time, pop-right-after?) pairs. The time range covers several
-/// wheel rotations (one rotation is 64 buckets x ~1.05 ms = ~67 ms).
-fn schedule() -> impl Strategy<Value = Vec<(u64, bool)>> {
-    proptest::collection::vec((0u64..400_000_000, any::<bool>()), 1..300)
+/// One engine step: the gap to the next arrival (often 0, so several
+/// flushes share an instant), then a flush ready that far past it.
+fn steps() -> impl Strategy<Value = Vec<(u64, u64)>> {
+    let gap = prop_oneof![Just(0u64), 0u64..5_000_000];
+    proptest::collection::vec((gap, 0u64..400_000_000), 1..400)
+}
+
+/// The reference window: retire times kept sorted, earliest first.
+#[derive(Default)]
+struct Model {
+    inflight: Vec<u64>,
+    max: usize,
+}
+
+impl Model {
+    fn retire_until(&mut self, now: u64) {
+        self.inflight.retain(|&t| t > now);
+    }
+
+    fn admit(&mut self, slots: usize, ready: u64) -> Option<u64> {
+        let waited = (self.inflight.len() >= slots).then(|| self.inflight.remove(0));
+        let at = self.inflight.partition_point(|&t| t <= ready);
+        self.inflight.insert(at, ready);
+        self.max = self.max.max(self.inflight.len());
+        waited
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn wheel_drains_like_reference_heap(ops in schedule()) {
-        let mut w = TimerWheel::with_capacity(8);
-        let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-        for (seq, (t, pop)) in ops.into_iter().enumerate() {
-            let seq = seq as u64;
-            w.insert(t, seq);
-            heap.push(Reverse((t, seq)));
-            if pop {
-                let Reverse(expect) = heap.pop().unwrap();
-                prop_assert_eq!(w.pop_earliest(), Some(expect));
-            }
-            prop_assert_eq!(w.len(), heap.len());
-            prop_assert_eq!(w.peek_earliest(), heap.peek().map(|Reverse((t, _))| *t));
+    fn flush_window_matches_sorted_vec_model(depth in 2u32..40, steps in steps()) {
+        let mut window = FlushWindow::new(SubmitMode::Queued { depth });
+        let slots = window.capacity();
+        prop_assert_eq!(slots, depth as usize - 1);
+        let mut model = Model::default();
+        let mut now = 0u64;
+        for (gap, offset) in steps {
+            now += gap;
+            window.retire_until(now);
+            model.retire_until(now);
+            prop_assert_eq!(window.outstanding(), model.inflight.len());
+            let ready = now + offset;
+            prop_assert_eq!(window.admit(ready), model.admit(slots, ready));
+            prop_assert_eq!(window.outstanding(), model.inflight.len());
+            prop_assert_eq!(window.max_outstanding(), model.max);
+            prop_assert!(window.outstanding() <= slots);
         }
-        while let Some(Reverse(expect)) = heap.pop() {
-            prop_assert_eq!(w.pop_earliest(), Some(expect));
-        }
-        prop_assert!(w.is_empty());
+        // Far past every ready time the window drains completely.
+        window.retire_until(u64::MAX);
+        prop_assert_eq!(window.outstanding(), 0);
+        prop_assert_eq!(window.max_outstanding(), model.max);
     }
 
     #[test]
-    fn retire_until_matches_reference_filter(
-        times in proptest::collection::vec(0u64..100_000_000, 1..200),
-        cut in 0u64..120_000_000,
-    ) {
-        let mut w = TimerWheel::with_capacity(8);
-        for (i, &t) in times.iter().enumerate() {
-            w.insert(t, i as u64);
+    fn reset_window_replays_like_a_fresh_one(depth in 2u32..40, steps in steps()) {
+        let mode = SubmitMode::Queued { depth };
+        let mut reused = FlushWindow::new(SubmitMode::Queued { depth: 42 - depth });
+        let mut now = 0u64;
+        for &(gap, offset) in &steps {
+            now += gap;
+            reused.admit(now + offset);
         }
-        let expect_retired = times.iter().filter(|&&t| t <= cut).count();
-        prop_assert_eq!(w.retire_until(cut), expect_retired);
-        // Survivors still drain in exact (time, insertion seq) order.
-        let mut survivors: Vec<(u64, u64)> = times
-            .iter()
-            .enumerate()
-            .filter(|&(_, &t)| t > cut)
-            .map(|(i, &t)| (t, i as u64))
-            .collect();
-        survivors.sort_unstable();
-        for expect in survivors {
-            prop_assert_eq!(w.pop_earliest(), Some(expect));
+        reused.reset(mode);
+        prop_assert_eq!(reused.outstanding(), 0);
+        prop_assert_eq!(reused.max_outstanding(), 0);
+        let mut fresh = FlushWindow::new(mode);
+        let mut now = 0u64;
+        for (gap, offset) in steps {
+            now += gap;
+            reused.retire_until(now);
+            fresh.retire_until(now);
+            prop_assert_eq!(reused.admit(now + offset), fresh.admit(now + offset));
+            prop_assert_eq!(reused.outstanding(), fresh.outstanding());
         }
-        prop_assert!(w.is_empty());
+        prop_assert_eq!(reused.max_outstanding(), fresh.max_outstanding());
     }
 }

@@ -26,14 +26,13 @@
 //! one thread generates) while requests for different traces proceed in
 //! parallel.
 //!
-//! # Opting out
+//! # Lifetime
 //!
 //! The cache holds every materialized trace until [`clear`] is called, which
 //! trades memory for sweep throughput (a full-scale six-trace sweep is
-//! ~1.1 GB of requests). Set the environment variable
-//! `REQBLOCK_TRACE_CACHE=0` — or call [`set_enabled`]`(false)` — to fall
-//! back to one fresh materialization per job; results are identical either
-//! way, as the equivalence tests in `tests/sweep.rs` pin.
+//! ~1.1 GB of requests). It is always on: every replay reads its trace
+//! through it, and `tests/sweep.rs` pins that a cached replay equals one
+//! over a trace regenerated from scratch.
 
 use crate::msr::{self, ParseError};
 use crate::profiles::WorkloadProfile;
@@ -41,7 +40,6 @@ use crate::request::Request;
 use crate::synth::SyntheticTrace;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Identity of a materialized trace.
@@ -93,41 +91,10 @@ fn cache() -> &'static Mutex<HashMap<TraceKey, Slot>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-fn flag() -> &'static AtomicBool {
-    static ENABLED: OnceLock<AtomicBool> = OnceLock::new();
-    ENABLED.get_or_init(|| {
-        let on = std::env::var("REQBLOCK_TRACE_CACHE").map_or(true, |v| v != "0");
-        AtomicBool::new(on)
-    })
-}
-
-/// Whether the shared cache is active (default `true`; the
-/// `REQBLOCK_TRACE_CACHE=0` environment variable disables it at startup).
-pub fn enabled() -> bool {
-    flag().load(Ordering::Relaxed)
-}
-
-/// Turn the cache on or off at runtime. Used by the sweep benchmark to
-/// measure the uncached architecture; disabling does not drop already
-/// cached traces (call [`clear`] for that).
-pub fn set_enabled(on: bool) {
-    flag().store(on, Ordering::Relaxed);
-}
-
 /// Drop every cached trace. Slices still held by running jobs stay alive
 /// (they are `Arc`s); only the cache's own references are released.
 pub fn clear() {
     cache().lock().unwrap().clear();
-}
-
-/// Number of traces currently materialized in the cache.
-pub fn cached_traces() -> usize {
-    cache()
-        .lock()
-        .unwrap()
-        .values()
-        .filter(|slot| slot.get().is_some())
-        .count()
 }
 
 fn slot_for(key: TraceKey) -> Slot {
@@ -151,65 +118,6 @@ pub fn synthetic(profile: &WorkloadProfile) -> Arc<[Request]> {
     get_or_build(TraceKey::Synthetic(fingerprint(profile)), || {
         SyntheticTrace::new(profile.clone()).generate_all()
     })
-}
-
-/// A streaming view of a synthetic workload, keyed by the same
-/// [`fingerprint`] as [`synthetic`].
-///
-/// When the cache is [`enabled`] the stream walks the shared materialized
-/// slice (one copy per distinct profile process-wide, zero-copy per
-/// reader); when it is disabled the stream drives a live generator and
-/// nothing is ever materialized. The yielded request sequence is identical
-/// either way — [`SyntheticTrace`] is deterministic in its profile — so
-/// callers choose a memory/CPU trade-off, never a result.
-pub enum SyntheticStream {
-    /// Cursor over the shared cached slice.
-    Cached {
-        /// The process-wide materialized trace.
-        data: Arc<[Request]>,
-        /// Next index to yield.
-        pos: usize,
-    },
-    /// A live generator; requests are produced on demand and dropped.
-    Live(Box<SyntheticTrace>),
-}
-
-impl Iterator for SyntheticStream {
-    type Item = Request;
-
-    fn next(&mut self) -> Option<Request> {
-        match self {
-            SyntheticStream::Cached { data, pos } => {
-                let r = data.get(*pos).copied()?;
-                *pos += 1;
-                Some(r)
-            }
-            SyntheticStream::Live(generator) => generator.next(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            SyntheticStream::Cached { data, pos } => {
-                let left = data.len().saturating_sub(*pos);
-                (left, Some(left))
-            }
-            SyntheticStream::Live(generator) => generator.size_hint(),
-        }
-    }
-}
-
-/// A [`SyntheticStream`] over `profile`: cached when the shared cache is
-/// [`enabled`] (materializing the slice on first use, exactly like
-/// [`synthetic`]), live otherwise. Clones the profile only on the live
-/// path — the cached path borrows it for the fingerprint and shares the
-/// slice.
-pub fn synthetic_stream(profile: &WorkloadProfile) -> SyntheticStream {
-    if enabled() {
-        SyntheticStream::Cached { data: synthetic(profile), pos: 0 }
-    } else {
-        SyntheticStream::Live(Box::new(SyntheticTrace::new(profile.clone())))
-    }
 }
 
 /// The shared slice for an MSR CSV file, parsing it on first use.
@@ -267,31 +175,6 @@ mod tests {
         let cached = synthetic(&p);
         let fresh = SyntheticTrace::new(p).generate_all();
         assert_eq!(&cached[..], &fresh[..]);
-    }
-
-    #[test]
-    fn stream_matches_slice_on_both_paths() {
-        let p = ts_0().scaled(0.0006);
-        let slice = synthetic(&p);
-        let cached: Vec<Request> =
-            SyntheticStream::Cached { data: slice.clone(), pos: 0 }.collect();
-        let live: Vec<Request> =
-            SyntheticStream::Live(Box::new(SyntheticTrace::new(p.clone()))).collect();
-        assert_eq!(&cached[..], &slice[..]);
-        assert_eq!(cached, live, "cache on/off must not change the sequence");
-        let via_api: Vec<Request> = synthetic_stream(&p).collect();
-        assert_eq!(via_api, cached);
-    }
-
-    #[test]
-    fn stream_size_hint_tracks_remaining() {
-        let p = ts_0().scaled(0.0006);
-        let mut s = synthetic_stream(&p);
-        let (n, hi) = s.size_hint();
-        assert_eq!(hi, Some(n));
-        assert!(n > 0);
-        s.next();
-        assert_eq!(s.size_hint(), (n - 1, Some(n - 1)));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 #           host_refactor section — the host/engine/device layering must
 #           not tax the paper-faithful one-at-a-time path.
 #   gate 4 (tolerance 15%): queued qd8 vs the synchronous path of the SAME
-#           run — the timer-wheel event core must keep out-of-order
-#           completion within 15% of one-at-a-time submission. The ratio is
+#           run — the flush window must keep out-of-order completion
+#           within 15% of one-at-a-time submission. The ratio is
 #           taken within each attempt (both sides see the same machine
 #           conditions) and the best attempt's ratio is gated, so a slow
 #           attempt cannot fail the gate on noise alone. The committed
@@ -31,8 +31,8 @@
 #   not get slower than the committed median wall-clock. Like the 2% gate,
 #   5% sits below a shared machine's noise floor, so the sweep runs
 #   multiple attempts and gates on the best median per mode. The sweep
-#   bench also asserts all three modes emit byte-identical artifacts, so
-#   this doubles as an end-to-end determinism check.
+#   bench also asserts both modes emit byte-identical artifacts, so this
+#   doubles as an end-to-end determinism check.
 #
 # Fleet gate (tolerance 10%): the streaming fleet engine (lazy loser-tree
 #   merge, pooled simulators) replays the X8 loaded grid against the
@@ -123,7 +123,7 @@ import sys
 # Gate 3: the refactored synchronous path vs the host_refactor section;
 # 5% is the acceptance bar from the host/engine/device layering PR.
 # Gate 4: queued qd8 vs the synchronous path of the same run; 15% is the
-# acceptance bar from the timer-wheel event-core PR.
+# acceptance bar for the flush window.
 # Gate 5: attribution configured under a disabled recorder vs the plain
 # no-op path of the same attempt; 2% is the acceptance bar from the tail-
 # forensics PR (the double gate must compile the layer away entirely).
@@ -220,7 +220,7 @@ for name, base in sorted(sync_base.items()):
         verdict = "ok"
     print(f"{name}: sync median {now:,.0f} req/s vs committed {base:,.0f} "
           f"({ratio:.2f}x) {verdict}")
-print("-- queued gate (timer-wheel event core, qd8 vs same-run sync) --")
+print("-- queued gate (flush window, qd8 vs same-run sync) --")
 for name, base in sorted(queued_base.items()):
     now = queued.get(name)
     ratio = queued_ratio.get(name)
@@ -275,21 +275,17 @@ SWEEP_TOL = float(os.environ.get("SWEEP_TOLERANCE", "0.05"))
 # noisy repeat inside one attempt, the min across attempts absorbs a noisy
 # attempt on a shared machine (mirrors the hotpath gate's structure).
 now = {}
-speedups = []
 for path in sys.argv[1:]:
     with open(path) as f:
         run = json.load(f)
     for m in run["modes"]:
         prev = now.get(m["name"])
         now[m["name"]] = min(prev, m["median_s"]) if prev else m["median_s"]
-    speedups.append((run["speedup_cache"]["median"], run["speedup_total"]["median"]))
 with open("BENCH_sweep.json") as f:
     committed = json.load(f)
 base = {m["name"]: m["median_s"] for m in committed["modes"]}
 
 failed = False
-# Gate the optimized configurations only; uncached_serial is the reference
-# shape and is reported informationally.
 for name in ("cached_serial", "cached_parallel"):
     ratio = now[name] / base[name]
     if ratio > 1.0 + SWEEP_TOL:
@@ -299,10 +295,6 @@ for name in ("cached_serial", "cached_parallel"):
         verdict = "ok"
     print(f"{name}: median {now[name]:.2f}s vs committed {base[name]:.2f}s "
           f"({ratio:.2f}x) {verdict}")
-print(f"uncached_serial: median {now['uncached_serial']:.2f}s "
-      f"(committed {base['uncached_serial']:.2f}s)")
-for cache_s, total_s in speedups:
-    print(f"speedup over uncached: cache {cache_s:.2f}x, total {total_s:.2f}x (median)")
 
 sys.exit(1 if failed else 0)
 PY

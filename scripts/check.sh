@@ -1,17 +1,19 @@
 #!/usr/bin/env bash
-# Full pre-merge gate: release build, every test (including the Perfetto
-# trace-JSON smoke test, tests/trace_smoke.rs, and an explicit release
-# run of tests/fleet.rs — the small-fleet golden plus the streaming
+# Full pre-merge gate: release build, the tests of every workspace crate
+# (`cargo test --workspace`: the root package's integration tests, each
+# crate's unit and property tests, the Perfetto trace-JSON smoke test
+# tests/trace_smoke.rs and the repro CLI error table
+# crates/experiments/tests/cli.rs), an explicit release run of
+# tests/fleet.rs (the small-fleet golden plus the streaming
 # merge-equivalence proptests pinning the loser-tree order and the
 # stream-vs-reference FleetMetrics against the materialize+sort
-# pipeline), the benchmark/ package tests, clippy with warnings denied,
-# and the benchmark gates from
-# scripts/bench.sh — the hot-path median gates (the <2% no-op recorder
-# overhead check and the <2% attribution-compiled-out check), the
-# small-scale sweep gate (`repro all` pool median wall-clock, >5%
-# median regression fails), and the fleet gate (streaming engine median
-# devices/s vs the same-attempt materialized reference and the
-# committed fleet_stream baseline).
+# pipeline), the benchmark/ package tests, clippy and rustdoc with
+# warnings denied, and the benchmark gates from scripts/bench.sh — the
+# hot-path median gates (the <2% no-op recorder overhead check and the
+# <2% attribution-compiled-out check), the small-scale sweep gate
+# (`repro all` pool median wall-clock, >5% median regression fails), and
+# the fleet gate (streaming engine median devices/s vs the same-attempt
+# materialized reference and the committed fleet_stream baseline).
 #
 # Usage: scripts/check.sh [--no-bench]
 #
@@ -34,8 +36,8 @@ cargo build --release
 # not depend on: build it so the pinned digest checks the current code.
 cargo build --release -p reqblock-experiments --bin repro
 
-echo "== cargo test =="
-cargo test -q
+echo "== cargo test --workspace =="
+cargo test -q --workspace
 
 # benchmark/ is a workspace of its own, so neither the test step above nor
 # clippy --workspace compiles it; build and test it against the current

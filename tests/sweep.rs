@@ -5,7 +5,6 @@
 use reqblock::obs::NoopRecorder;
 use reqblock::sim::{replay, CacheSizeMb, PolicyKind, RunResult, SimConfig, TraceSource};
 use reqblock::trace::{Request, SyntheticTrace};
-use reqblock::trace::shared;
 use reqblock_experiments::sweep::run_all;
 use reqblock_experiments::Opts;
 use std::path::PathBuf;
@@ -69,7 +68,7 @@ fn shared_slice_is_reused_not_regenerated() {
     let a = source.requests().unwrap();
     let b = source.requests().unwrap();
     assert!(
-        std::sync::Arc::ptr_eq(&a, &b) || !shared::enabled(),
+        std::sync::Arc::ptr_eq(&a, &b),
         "two lookups of the same (source, scale) must share one allocation"
     );
 }
