@@ -177,7 +177,7 @@ const TRACK_CAP: usize = 4_096;
 /// allocates this). Intervals on one track never overlap: the busy-horizon
 /// scheduling discipline starts every operation at or after the previous
 /// release of the same resource.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IntervalLog {
     /// Intervals per chip, in schedule order (monotone start times).
     pub chip: Vec<Vec<OpInterval>>,
@@ -316,11 +316,6 @@ impl FlashTimeline {
     #[inline]
     fn chan(&self, chip: ChipId) -> usize {
         if self.chan_pow2 { chip >> self.chan_shift } else { chip / self.chips_per_channel }
-    }
-
-    /// Earliest time the channel owning `chip` can start a transfer.
-    pub fn channel_free_at(&self, chip: ChipId) -> u64 {
-        self.channel_free_ns[self.chan(chip)]
     }
 
     /// Per-chip completion horizon: when every operation already scheduled

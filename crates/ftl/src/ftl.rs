@@ -66,20 +66,13 @@ pub enum Health {
     ReadOnly,
 }
 
-/// Structured completion of one FTL call — what the simulator's device
-/// layer consumes instead of bare `u64` finish times (the host/engine/device
-/// seam, DESIGN.md §7.2). Purely descriptive: constructing one performs no
-/// extra timeline work beyond the wrapped call.
+/// Completion of one [`Ftl::read_page_completion`] or
+/// [`Ftl::write_pages_completion`] call: exactly the finish time the bare
+/// [`Ftl::read_page`] / [`Ftl::write_pages`] return, as a named field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoCompletion {
     /// Completion time of the slowest page in the call, ns.
     pub done_ns: u64,
-    /// How far past the issue time the call ran (`done_ns - at`), ns.
-    pub service_ns: u64,
-    /// Flash operations actually issued on behalf of this call: programs
-    /// for writes (0 when a degraded device rejected the batch), reads
-    /// including fault retries for reads.
-    pub flash_ops: u64,
 }
 
 /// Sentinel for "unmapped" in the dense translation tables.
@@ -820,9 +813,7 @@ impl Ftl {
         done
     }
 
-    /// [`Ftl::write_pages`] with a structured completion: the finish time
-    /// plus how many pages actually reached flash. A [`Health::ReadOnly`]
-    /// device rejects the whole batch and reports `flash_ops == 0`.
+    /// [`Ftl::write_pages`] with a structured completion.
     pub fn write_pages_completion(
         &mut self,
         lpns: &[Lpn],
@@ -830,13 +821,7 @@ impl Ftl {
         placement: Placement,
         tl: &mut FlashTimeline,
     ) -> IoCompletion {
-        let before = tl.counters().user_programs;
-        let done_ns = self.write_pages(lpns, at, placement, tl);
-        IoCompletion {
-            done_ns,
-            service_ns: done_ns.saturating_sub(at),
-            flash_ops: tl.counters().user_programs - before,
-        }
+        IoCompletion { done_ns: self.write_pages(lpns, at, placement, tl) }
     }
 
     /// Hint that `lpn`'s forward mapping is about to be consulted. Lets a
@@ -864,16 +849,9 @@ impl Ftl {
         }
     }
 
-    /// [`Ftl::read_page`] with a structured completion; `flash_ops` counts
-    /// the flash reads actually issued, including fault-injection retries.
+    /// [`Ftl::read_page`] with a structured completion.
     pub fn read_page_completion(&mut self, lpn: Lpn, at: u64, tl: &mut FlashTimeline) -> IoCompletion {
-        let before = tl.counters().user_reads;
-        let done_ns = self.read_page(lpn, at, tl);
-        IoCompletion {
-            done_ns,
-            service_ns: done_ns.saturating_sub(at),
-            flash_ops: tl.counters().user_reads - before,
-        }
+        IoCompletion { done_ns: self.read_page(lpn, at, tl) }
     }
 
     /// Debug-grade consistency check: every l2p entry has a matching p2l

@@ -133,7 +133,7 @@ impl SpanRecord {
 
 /// Accumulator for per-request attribution: histograms, exact totals, and
 /// the deterministic sample streams.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttrAcc {
     cfg: AttrConfig,
     /// Seeded phase of the every-Kth stream: sample when

@@ -78,11 +78,6 @@ impl TraceBuilder {
         });
     }
 
-    /// Number of slices added so far.
-    pub fn slice_count(&self) -> usize {
-        self.slices.len()
-    }
-
     /// Render the document. Slices sort by `(pid, tid, start, insertion)`
     /// so every track reads in time order; the sort is stable and inputs
     /// are deterministic, so output bytes are too.

@@ -1,13 +1,13 @@
 //! Static dispatch over the cache-policy zoo.
 //!
-//! [`Device`](crate::Device) used to hold its policy as a
-//! `Box<dyn WriteBuffer>`, which costs an indirect call per buffered page —
-//! the single hottest call site in the simulator (every page of every
-//! request goes through `write`/`read`). [`PolicyBuffer`] closes the set:
-//! the nine policy implementations become enum variants, so the per-page
-//! calls devirtualize and inline into the engine loop, while everything
-//! cold (occupancy queries, event counters, telemetry) still goes through
-//! the trait object view returned by [`PolicyBuffer::as_dyn`].
+//! The [`Device`](crate::Device)'s write buffer is called once per page of
+//! every request, the single hottest call site in the simulator; held as a
+//! `Box<dyn WriteBuffer>` it would cost an indirect call each time.
+//! [`PolicyBuffer`] closes the set: the nine policy implementations become
+//! enum variants, so the per-page `write`/`read` calls devirtualize and
+//! inline into [`Ssd`](crate::Ssd)'s submit loop, while everything cold
+//! (occupancy queries, event counters, telemetry) still goes through the
+//! trait object view returned by [`PolicyBuffer::as_dyn`].
 
 use reqblock_cache::policies::{
     BplruCache, CflruCache, FabCache, FifoCache, LfuCache, LruCache, PudLruCache, VbbmsCache,

@@ -161,7 +161,7 @@ pub struct SimConfig {
     /// byte-identical to the pre-host-layer simulator.
     pub submit: SubmitMode,
     /// Per-request latency attribution (DESIGN.md §7.4). `None` (the
-    /// default) keeps the engine's plain path: no decomposition, no span
+    /// default) keeps the simulator's plain path: no decomposition, no span
     /// sampling, no new telemetry keys — recorded JSONL stays
     /// byte-identical to earlier schema consumers. `Some` activates the
     /// attribution accumulator on *recorded* runs only; with the no-op

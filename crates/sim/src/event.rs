@@ -1,4 +1,4 @@
-//! Per-chip completion ledger: the host engine's NCQ-style bookkeeping of
+//! Per-chip completion ledger: the simulator's NCQ-style bookkeeping of
 //! outstanding flash operations (DESIGN.md §7.3).
 //!
 //! [`ChipCursors`] keeps per-chip FIFO rings of outstanding completion
@@ -6,7 +6,7 @@
 //! transfer, a program holds it to the end of the array operation), so
 //! per-chip completion times are monotone and a plain ring with a head
 //! cursor drains ready completions in batches with one comparison each —
-//! no ordering structure at all. The engine samples this ledger in queued
+//! no ordering structure at all. [`crate::Ssd`] samples this ledger in queued
 //! mode. The host's flush window, the one out-of-order structure the
 //! simulator needs, is [`crate::host::FlushWindow`].
 

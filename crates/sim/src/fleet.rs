@@ -18,10 +18,8 @@
 //!   `(tenant index, request sequence number, device count)` — no RNG, no
 //!   load feedback — so the sharding is reproducible by construction.
 //! * [`run_fleet`] simulates every device over its merged stream on the
-//!   barrier-free task pool ([`run_task_pool`]), with an optional
-//!   wall-clock [`FleetControl::device_starts_per_s`] rate limiter and
-//!   progress reporting, and aggregates per-device results into
-//!   [`FleetMetrics`] in device order.
+//!   barrier-free task pool ([`run_task_pool`]) and aggregates per-device
+//!   results into [`FleetMetrics`] in device order.
 //! * [`noisy_neighbor`] reruns the same fleet with one tenant's stream
 //!   removed — same seeds, same placement indices for everyone else — so
 //!   the per-tenant p99 delta isolates interference, not RNG drift.
@@ -75,10 +73,8 @@
 //! The thread pool therefore only decides *when* each device is simulated
 //! — and thereby which pooled simulator it reuses, which point 4 makes
 //! irrelevant — never *what* any device computes or the order results are
-//! merged: [`FleetMetrics`] is byte-identical at any `threads` value. The
-//! wall-clock rate limiter and progress counter touch nothing the
-//! simulation reads, so they cannot break this either. `tests/fleet.rs`
-//! pins the property (proptest across thread counts, plus a
+//! merged: [`FleetMetrics`] is byte-identical at any `threads` value.
+//! `tests/fleet.rs` pins the property (proptest across thread counts, plus a
 //! streaming-vs-reference equivalence proptest) and a small-fleet golden.
 
 use crate::config::SimConfig;
@@ -89,9 +85,7 @@ use reqblock_obs::telemetry::to_jsonl;
 use reqblock_obs::{Histogram, MemoryRecorder};
 use reqblock_trace::shared;
 use reqblock_trace::{Request, WorkloadProfile};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
 
 /// One tenant of the fleet: a named request stream with its own arrival
 /// process and seed.
@@ -253,64 +247,18 @@ impl FleetConfig {
     }
 }
 
-/// Execution knobs that cannot affect simulation output: worker threads,
-/// the global wall-clock rate limiter, and progress reporting.
+/// Execution knobs that cannot affect simulation output.
 #[derive(Debug, Clone)]
 pub struct FleetControl {
     /// Worker threads for the device pool; `1` is the explicit serial
     /// mode. Results are byte-identical at every value.
     pub threads: usize,
-    /// Global rate limiter: at most this many device simulations *started*
-    /// per wall-clock second, enforced across all workers. Paces host load
-    /// (CPU, page cache) when a huge fleet shares a machine with other
-    /// work; it delays starts only and cannot change any result.
-    pub device_starts_per_s: Option<f64>,
-    /// Report `fleet: <done>/<total> devices` to stderr every this many
-    /// completed devices (stdout artifacts stay clean).
-    pub progress_every: Option<usize>,
-}
-
-impl Default for FleetControl {
-    fn default() -> Self {
-        Self { threads: 1, device_starts_per_s: None, progress_every: None }
-    }
 }
 
 impl FleetControl {
-    /// `threads` workers, no pacing, no progress output.
+    /// `threads` workers.
     pub fn threads(threads: usize) -> Self {
-        Self { threads, ..Self::default() }
-    }
-}
-
-/// Token-interval pacer behind [`FleetControl::device_starts_per_s`]: each
-/// start claims the next slot of a fixed-interval schedule and sleeps
-/// until it. Wall-clock only — the simulation never reads it.
-struct Pacer {
-    interval: Duration,
-    next: Mutex<Instant>,
-}
-
-impl Pacer {
-    fn new(starts_per_s: f64) -> Self {
-        assert!(
-            starts_per_s.is_finite() && starts_per_s > 0.0,
-            "device start rate must be positive"
-        );
-        Self { interval: Duration::from_secs_f64(1.0 / starts_per_s), next: Mutex::new(Instant::now()) }
-    }
-
-    fn wait(&self) {
-        let at = {
-            let mut next = self.next.lock().unwrap();
-            let at = (*next).max(Instant::now());
-            *next = at + self.interval;
-            at
-        };
-        let now = Instant::now();
-        if at > now {
-            std::thread::sleep(at - now);
-        }
+        Self { threads }
     }
 }
 
@@ -388,19 +336,6 @@ pub struct FleetResult {
     /// One telemetry JSONL document per device when
     /// [`FleetConfig::telemetry`] is set (device order), else empty.
     pub telemetry: Vec<String>,
-    /// Host wall-clock seconds the whole fleet took (throughput
-    /// reporting; not deterministic, not part of [`FleetMetrics`]).
-    pub host_elapsed_s: f64,
-}
-
-impl FleetResult {
-    /// Devices simulated per host wall-clock second (0 when untimeable).
-    pub fn devices_per_sec(&self) -> f64 {
-        if self.host_elapsed_s <= 0.0 {
-            return 0.0;
-        }
-        self.metrics.devices() as f64 / self.host_elapsed_s
-    }
 }
 
 /// What one device's worker computes before aggregation.
@@ -706,11 +641,7 @@ fn simulate_device(
 /// thread — thread-count invariance lives here. Histograms merge
 /// streamingly (bucket-wise sums), so grouping by device cannot change
 /// any total.
-fn aggregate(
-    mix: &TenantMix,
-    slots: Vec<OnceLock<DeviceOutcome>>,
-    started: Instant,
-) -> FleetResult {
+fn aggregate(mix: &TenantMix, slots: Vec<OnceLock<DeviceOutcome>>) -> FleetResult {
     let mut per_tenant: Vec<TenantStats> = mix
         .tenants
         .iter()
@@ -734,11 +665,7 @@ fn aggregate(
             telemetry.push(doc);
         }
     }
-    FleetResult {
-        metrics: FleetMetrics { per_tenant, fleet, per_device },
-        telemetry,
-        host_elapsed_s: started.elapsed().as_secs_f64(),
-    }
+    FleetResult { metrics: FleetMetrics { per_tenant, fleet, per_device }, telemetry }
 }
 
 /// Run the fleet: every device simulated independently over its streaming
@@ -761,11 +688,8 @@ pub fn run_fleet_excluding(
 ) -> FleetResult {
     let devices = cfg.device_count();
     assert!(devices > 0, "a fleet needs at least one device");
-    let started = Instant::now();
     let tenants = mix.tenants.len();
 
-    let pacer = ctl.device_starts_per_s.map(Pacer::new);
-    let done = AtomicUsize::new(0);
     // Pooled simulators: a worker pops a finished Ssd and resets it
     // instead of reallocating FTL tables per device, so the pool never
     // holds more simulators than there are workers.
@@ -781,14 +705,9 @@ pub fn run_fleet_excluding(
         .zip(&slots)
         .enumerate()
         .map(|(idx, (dev_cfg, slot))| {
-            let pacer = &pacer;
-            let done = &done;
             let pool = &pool;
             let tenant_shared = &tenant_shared;
             Task::new(format!("fleet/device{idx}"), move || {
-                if let Some(p) = pacer {
-                    p.wait();
-                }
                 let pooled = pool.lock().unwrap().pop();
                 let mut ssd = match pooled {
                     Some(mut s) => {
@@ -810,17 +729,11 @@ pub fn run_fleet_excluding(
                 pool.lock().unwrap().push(ssd);
                 let ok = slot.set(outcome).is_ok();
                 debug_assert!(ok, "fleet device slot filled twice");
-                let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if let Some(every) = ctl.progress_every {
-                    if every > 0 && (finished.is_multiple_of(every) || finished == devices) {
-                        eprintln!("fleet: {finished}/{devices} devices");
-                    }
-                }
             })
         })
         .collect();
     run_task_pool(tasks, ctl.threads);
-    aggregate(mix, slots, started)
+    aggregate(mix, slots)
 }
 
 /// [`run_fleet`] on the reference materialize+sort pipeline with a fresh
@@ -842,13 +755,10 @@ pub fn run_fleet_reference_excluding(
 ) -> FleetResult {
     let devices = cfg.device_count();
     assert!(devices > 0, "a fleet needs at least one device");
-    let started = Instant::now();
     let streams = mix.streams();
     let shards = shard_reference(&streams, cfg.placement, devices, exclude);
     let tenants = mix.tenants.len();
 
-    let pacer = ctl.device_starts_per_s.map(Pacer::new);
-    let done = AtomicUsize::new(0);
     let slots: Vec<OnceLock<DeviceOutcome>> = (0..devices).map(|_| OnceLock::new()).collect();
     let tasks: Vec<Task<'_>> = cfg
         .devices
@@ -857,12 +767,7 @@ pub fn run_fleet_reference_excluding(
         .zip(&slots)
         .enumerate()
         .map(|(idx, ((dev_cfg, stream), slot))| {
-            let pacer = &pacer;
-            let done = &done;
             Task::new(format!("fleet/device{idx}"), move || {
-                if let Some(p) = pacer {
-                    p.wait();
-                }
                 let mut ssd = Ssd::new(dev_cfg.clone());
                 let outcome = simulate_device(
                     &mut ssd,
@@ -875,17 +780,11 @@ pub fn run_fleet_reference_excluding(
                 );
                 let ok = slot.set(outcome).is_ok();
                 debug_assert!(ok, "fleet device slot filled twice");
-                let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if let Some(every) = ctl.progress_every {
-                    if every > 0 && (finished.is_multiple_of(every) || finished == devices) {
-                        eprintln!("fleet: {finished}/{devices} devices");
-                    }
-                }
             })
         })
         .collect();
     run_task_pool(tasks, ctl.threads);
-    aggregate(mix, slots, started)
+    aggregate(mix, slots)
 }
 
 /// The noisy-neighbor experiment: the same fleet run with and without one
@@ -1132,23 +1031,6 @@ mod tests {
         plain_cfg.telemetry = false;
         let plain = run_fleet(&plain_cfg, &tiny_mix(), &FleetControl::threads(2));
         assert_eq!(plain.metrics, result.metrics);
-    }
-
-    #[test]
-    fn pacing_and_progress_do_not_change_results() {
-        let cfg = tiny_fleet(2);
-        let mix = tiny_mix();
-        let plain = run_fleet(&cfg, &mix, &FleetControl::threads(2));
-        let paced = run_fleet(
-            &cfg,
-            &mix,
-            &FleetControl {
-                threads: 2,
-                device_starts_per_s: Some(1e6),
-                progress_every: Some(1),
-            },
-        );
-        assert_eq!(plain.metrics, paced.metrics);
     }
 
     #[test]

@@ -15,20 +15,18 @@
 //! the mechanism that translates eviction-batch placement into the response
 //! time differences of the paper's Figure 8.
 //!
-//! The simulator core is split into three layers with explicit seams
-//! (DESIGN.md §7.2): the [`device`] layer times operations (cache + FTL +
-//! flash timeline behind the narrow [`Device`] API, returning structured
-//! [`device::Completion`]s), the [`engine`] layer owns request identity,
-//! metrics, sampling and telemetry, and the [`host`] layer issues requests
-//! per [`SubmitMode::Queued`]: an outstanding-flush window of `depth - 1`
-//! background slots. The default, `Queued { depth: 1 }` (displayed
-//! `sync`), has no background slot and is the paper's one-at-a-time model;
-//! deeper windows drive the X5 queue-depth sweep.
+//! One object runs the whole pipeline (DESIGN.md §7.2): [`Ssd`] owns the
+//! [`Device`] (cache + FTL + flash timeline) and drives it directly, keeps
+//! request identity, metrics, sampling and telemetry, and issues requests
+//! per [`SubmitMode::Queued`]: an outstanding-flush window
+//! ([`FlushWindow`]) of `depth - 1` background slots. The default,
+//! `Queued { depth: 1 }` (displayed `sync`), has no background slot and is
+//! the paper's one-at-a-time model; deeper windows drive the X5
+//! queue-depth sweep.
 //!
 //! * [`SimConfig`]/[`PolicyKind`]/[`CacheSizeMb`] — run configuration.
-//! * [`host::Ssd`] — the host-facing façade (`submit` one request at a
-//!   time; `submit_recorded` streams events into a
-//!   [`reqblock_obs::Recorder`]).
+//! * [`Ssd`] — the simulator (`submit` one request at a time;
+//!   `submit_recorded` streams events into a [`reqblock_obs::Recorder`]).
 //! * [`Metrics`] — hit/response/eviction counters (Figures 8-11).
 //! * [`probes`] — figure-specific recorder consumers (Figures 2, 3).
 //! * [`runner`] — whole-trace replay ([`replay`]) and the job pool behind
@@ -54,7 +52,6 @@
 pub mod buffer;
 pub mod config;
 pub mod device;
-pub mod engine;
 pub mod event;
 pub mod fleet;
 pub mod host;
@@ -66,7 +63,6 @@ pub mod runner;
 pub use buffer::PolicyBuffer;
 pub use config::{CacheSizeMb, PolicyKind, SampleInterval, SimConfig};
 pub use device::Device;
-pub use engine::Engine;
 pub use event::ChipCursors;
 pub use fleet::{
     device_stream, noisy_neighbor, run_fleet, run_fleet_excluding, run_fleet_reference,

@@ -10,7 +10,7 @@
 //!
 //! Open loop matters: the simulator issues each request at its trace
 //! arrival time under **every** [`crate::host::SubmitMode`] (arrivals never
-//! wait for earlier completions), and the engine measures response as
+//! wait for earlier completions), and [`crate::Ssd`] measures response as
 //! arrival→completion. Rewritten arrivals therefore model clients that keep
 //! submitting at the offered rate regardless of how far behind the device
 //! falls — past saturation the measured response grows without bound

@@ -101,14 +101,6 @@ impl Metrics {
         self.metadata_bytes_sum as f64 / self.overhead_samples as f64
     }
 
-    /// Mean sampled node count.
-    pub fn avg_node_count(&self) -> f64 {
-        if self.overhead_samples == 0 {
-            return 0.0;
-        }
-        self.node_count_sum as f64 / self.overhead_samples as f64
-    }
-
     /// Response-time percentile in milliseconds (bucketed upper bound;
     /// 0.0 for an empty run).
     pub fn response_percentile_ms(&self, q: f64) -> f64 {

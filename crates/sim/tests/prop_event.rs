@@ -1,5 +1,5 @@
-//! Property-based tests of the host's flush window: driven the way the
-//! engine drives it (retire up to each arrival, then admit the flushes
+//! Property-based tests of the host's flush window: driven the way `Ssd`
+//! drives it (retire up to each arrival, then admit the flushes
 //! that arrival triggers), `FlushWindow` must agree step for step with a
 //! naive sorted-`Vec` model on what a full window waits for, how many
 //! flushes are in flight, and the high-water mark. Depths run past the
@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use reqblock_sim::{FlushWindow, SubmitMode};
 
-/// One engine step: the gap to the next arrival (often 0, so several
+/// One submit step: the gap to the next arrival (often 0, so several
 /// flushes share an instant), then a flush ready that far past it.
 fn steps() -> impl Strategy<Value = Vec<(u64, u64)>> {
     let gap = prop_oneof![Just(0u64), 0u64..5_000_000];

@@ -10,9 +10,9 @@
 #           2% is below the noise floor of a busy machine, so this gate
 #           retries (keeping the best median per policy across attempts)
 #           and MUST be run on an otherwise idle box to be meaningful.
-#   gate 3 (tolerance 5%):  the refactored synchronous path vs the
-#           host_refactor section — the host/engine/device layering must
-#           not tax the paper-faithful one-at-a-time path.
+#   gate 3 (tolerance 5%):  the synchronous path vs the host_refactor
+#           section — the simulator's submit path must not tax the
+#           paper-faithful one-at-a-time path.
 #   gate 4 (tolerance 15%): queued qd8 vs the synchronous path of the SAME
 #           run — the flush window must keep out-of-order completion
 #           within 15% of one-at-a-time submission. The ratio is
@@ -120,8 +120,8 @@ import sys
 
 # Gate 1: real hot-path regressions. Gate 2: the disabled observability
 # layer must stay (near-)free; 2% is the acceptance bar from the obs PR.
-# Gate 3: the refactored synchronous path vs the host_refactor section;
-# 5% is the acceptance bar from the host/engine/device layering PR.
+# Gate 3: the synchronous path vs the host_refactor section; 5% is the
+# acceptance bar the section was committed with.
 # Gate 4: queued qd8 vs the synchronous path of the same run; 15% is the
 # acceptance bar for the flush window.
 # Gate 5: attribution configured under a disabled recorder vs the plain
@@ -205,7 +205,7 @@ for name, base in sorted(committed.items()):
     print(f"{name}: median {now:,.0f} req/s vs committed {base:,.0f} "
           f"({ratio:.2f}x) {verdict}{rec}")
 
-print("-- sync gate (host/engine/device layering, host_refactor baseline) --")
+print("-- sync gate (synchronous submit path, host_refactor baseline) --")
 for name, base in sorted(sync_base.items()):
     now = current.get(name)
     if now is None:

@@ -7,7 +7,7 @@
 # tests/fleet.rs (the small-fleet golden plus the streaming
 # merge-equivalence proptests pinning the loser-tree order and the
 # stream-vs-reference FleetMetrics against the materialize+sort
-# pipeline), the benchmark/ package tests, clippy and rustdoc with
+# pipeline), the benchmark/ package tests (--locked), clippy and rustdoc with
 # warnings denied, and the benchmark gates from scripts/bench.sh — the
 # hot-path median gates (the <2% no-op recorder overhead check and the
 # <2% attribution-compiled-out check), the small-scale sweep gate
@@ -41,9 +41,10 @@ cargo test -q --workspace
 
 # benchmark/ is a workspace of its own, so neither the test step above nor
 # clippy --workspace compiles it; build and test it against the current
-# crate APIs here.
-echo "== benchmark package tests (benchmark/Cargo.toml) =="
-cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+# crate APIs here. --locked: its Cargo.lock is committed, so a change to
+# the crates' dependency graph fails here instead of rewriting it.
+echo "== benchmark package tests (benchmark/Cargo.toml, --locked) =="
+cargo test -q --release --offline --locked --manifest-path benchmark/Cargo.toml
 
 echo "== scenario smoke (scenarios/smoke.toml vs pinned digest) =="
 SMOKE_WANT="[digest smoke 8b55b878785a2112]"
