@@ -3,17 +3,14 @@
 //! Inside the simulated SSD, the DRAM data cache is a **write buffer**: only
 //! the data of write requests is inserted (paper §3.4), reads are served
 //! from the buffer when they hit and from flash otherwise. This crate
-//! defines the policy interface and implements every scheme the paper
-//! compares against or cites:
+//! defines the policy interface and implements the three baselines the
+//! paper compares against, plus CFLRU, the one policy that caches read
+//! data:
 //!
 //! | policy | granularity | eviction | paper role |
 //! |--------|-------------|----------|-----------|
 //! | [`policies::lru::LruCache`] | page | LRU page | baseline (§4.1) |
-//! | [`policies::fifo::FifoCache`] | page | FIFO page | related work (§2.1) |
-//! | [`policies::lfu::LfuCache`] | page | least-frequently-used | related work (§2.1) |
 //! | [`policies::cflru::CflruCache`] | page | clean-first LRU \[9\] | related work (§2.1) |
-//! | [`policies::fab::FabCache`] | flash block | largest group \[19\] | related work (§2.1) |
-//! | [`policies::pudlru::PudLruCache`] | flash block | largest predicted update distance \[21\] | related work (§2.1) |
 //! | [`policies::bplru::BplruCache`] | flash block | block LRU + seq demotion \[15\] | compared baseline |
 //! | [`policies::vbbms::VbbmsCache`] | virtual block | split random/seq regions \[16\] | compared baseline |
 //!

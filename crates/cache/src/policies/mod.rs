@@ -2,24 +2,15 @@
 
 pub mod bplru;
 pub mod cflru;
-pub mod fab;
-pub mod fifo;
-pub mod lfu;
 pub mod lru;
-pub mod pudlru;
 pub mod vbbms;
 
 pub use bplru::{BplruCache, BplruConfig};
 pub use cflru::{CflruCache, CflruConfig};
-pub use fab::FabCache;
-pub use fifo::FifoCache;
-pub use lfu::LfuCache;
 pub use lru::LruCache;
-pub use pudlru::PudLruCache;
-pub use vbbms::{VbbmsCache, VbbmsConfig};
+pub use vbbms::VbbmsCache;
 
 #[cfg(test)]
-#[allow(dead_code)] // helpers are shared across policy test modules
 pub(crate) mod testutil {
     //! Shared helpers for policy unit tests.
 
@@ -35,54 +26,6 @@ pub(crate) mod testutil {
             buf.write(&a, &mut ev);
         }
         ev
-    }
-
-    /// Write one multi-page request starting at `start`.
-    pub fn write_req<B: WriteBuffer>(
-        buf: &mut B,
-        req_id: u64,
-        start: Lpn,
-        pages: u64,
-        now: u64,
-        ev: &mut Vec<EvictionBatch>,
-    ) -> usize {
-        let mut hits = 0;
-        for i in 0..pages {
-            let a = Access {
-                lpn: start + i,
-                req_id,
-                req_pages: pages as u32,
-                now: now + i,
-            };
-            if buf.write(&a, ev) {
-                hits += 1;
-            }
-        }
-        hits
-    }
-
-    /// Read one multi-page request; returns page hits.
-    pub fn read_req<B: WriteBuffer>(
-        buf: &mut B,
-        req_id: u64,
-        start: Lpn,
-        pages: u64,
-        now: u64,
-        ev: &mut Vec<EvictionBatch>,
-    ) -> usize {
-        let mut hits = 0;
-        for i in 0..pages {
-            let a = Access {
-                lpn: start + i,
-                req_id,
-                req_pages: pages as u32,
-                now: now + i,
-            };
-            if buf.read(&a, ev) {
-                hits += 1;
-            }
-        }
-        hits
     }
 
     /// All pages evicted so far, flattened in order.

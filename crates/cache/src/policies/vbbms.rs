@@ -5,10 +5,10 @@
 //! **sequential-request region** at a 3:2 capacity ratio (paper §4.1) and
 //! manages each at *virtual block* granularity: 3-page VBs under LRU in the
 //! random region, 4-page VBs under FIFO in the sequential region. A request
-//! is classified by size: requests larger than
-//! [`VbbmsConfig::seq_threshold_pages`] go to the sequential region.
-//! Evicting a VB flushes its few pages striped across channels, which is
-//! why VBBMS keeps good response times (paper §4.2.2).
+//! is classified by size: requests larger than 4 pages go to the sequential
+//! region. These four values are fixed constants, as in the paper. Evicting
+//! a VB flushes its few pages striped across channels, which is why VBBMS
+//! keeps good response times (paper §4.2.2).
 //!
 //! A page cached in one region that is re-written by a request of the other
 //! class stays where it is (it is a hit; no migration) — VBBMS regions are
@@ -20,29 +20,14 @@ use crate::policy::{Access, EvictionBatch, WriteBuffer};
 use reqblock_trace::Lpn;
 use crate::fxhash::{fx_map_with_capacity, FxHashMap};
 
-/// VBBMS tuning knobs (defaults follow the paper's §4.1 description).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VbbmsConfig {
-    /// Random-region share of capacity, as (numerator, denominator).
-    pub random_share: (usize, usize),
-    /// Virtual-block size of the random region, pages.
-    pub random_vb_pages: u64,
-    /// Virtual-block size of the sequential region, pages.
-    pub seq_vb_pages: u64,
-    /// Requests with more pages than this go to the sequential region.
-    pub seq_threshold_pages: u32,
-}
-
-impl Default for VbbmsConfig {
-    fn default() -> Self {
-        Self {
-            random_share: (3, 5),
-            random_vb_pages: 3,
-            seq_vb_pages: 4,
-            seq_threshold_pages: 4,
-        }
-    }
-}
+/// Random-region share of capacity, as (numerator, denominator): 3:2.
+const RANDOM_SHARE: (usize, usize) = (3, 5);
+/// Virtual-block size of the random region, pages.
+const RANDOM_VB_PAGES: u64 = 3;
+/// Virtual-block size of the sequential region, pages.
+const SEQ_VB_PAGES: u64 = 4;
+/// Requests with more pages than this go to the sequential region.
+const SEQ_THRESHOLD_PAGES: u32 = 4;
 
 #[derive(Debug, Clone)]
 struct Vb {
@@ -146,39 +131,23 @@ impl Region {
 /// VBBMS write buffer.
 pub struct VbbmsCache {
     capacity: usize,
-    cfg: VbbmsConfig,
     random: Region,
     sequential: Region,
 }
 
 impl VbbmsCache {
-    /// VBBMS buffer of `capacity_pages` total pages split per `cfg`.
-    pub fn new(capacity_pages: usize, cfg: VbbmsConfig) -> Self {
+    /// VBBMS buffer of `capacity_pages` total pages, split 3:2 between the
+    /// random and sequential regions.
+    pub fn new(capacity_pages: usize) -> Self {
         assert!(capacity_pages > 0, "cache capacity must be positive");
-        let (num, den) = cfg.random_share;
-        assert!(num > 0 && num < den, "random_share must be a proper fraction");
+        let (num, den) = RANDOM_SHARE;
         let rand_cap = (capacity_pages * num / den).max(1);
         let seq_cap = (capacity_pages - rand_cap).max(1);
         Self {
             capacity: capacity_pages,
-            random: Region::new(cfg.random_vb_pages, rand_cap, true),
-            sequential: Region::new(cfg.seq_vb_pages, seq_cap, false),
-            cfg,
+            random: Region::new(RANDOM_VB_PAGES, rand_cap, true),
+            sequential: Region::new(SEQ_VB_PAGES, seq_cap, false),
         }
-    }
-
-    /// Capacity of the random region in pages.
-    pub fn random_capacity_pages(&self) -> usize {
-        self.random.cap_pages
-    }
-
-    /// Capacity of the sequential region in pages.
-    pub fn sequential_capacity_pages(&self) -> usize {
-        self.sequential.cap_pages
-    }
-
-    fn is_sequential_request(&self, a: &Access) -> bool {
-        a.req_pages > self.cfg.seq_threshold_pages
     }
 }
 
@@ -207,7 +176,7 @@ impl WriteBuffer for VbbmsCache {
         if self.sequential.contains(a.lpn) {
             return true; // FIFO: no recency update
         }
-        if self.is_sequential_request(a) {
+        if a.req_pages > SEQ_THRESHOLD_PAGES {
             self.sequential.insert(a.lpn, evictions);
         } else {
             self.random.insert(a.lpn, evictions);
@@ -245,9 +214,6 @@ mod tests {
     use super::*;
     use crate::policies::testutil::*;
 
-    fn vbbms(cap: usize) -> VbbmsCache {
-        VbbmsCache::new(cap, VbbmsConfig::default())
-    }
 
     fn small_write(c: &mut VbbmsCache, lpn: Lpn, now: u64, ev: &mut Vec<EvictionBatch>) -> bool {
         c.write(&Access { lpn, req_id: now, req_pages: 1, now }, ev)
@@ -259,14 +225,14 @@ mod tests {
 
     #[test]
     fn capacity_split_is_three_to_two() {
-        let c = vbbms(10);
-        assert_eq!(c.random_capacity_pages(), 6);
-        assert_eq!(c.sequential_capacity_pages(), 4);
+        let c = VbbmsCache::new(10);
+        assert_eq!(c.random.cap_pages, 6);
+        assert_eq!(c.sequential.cap_pages, 4);
     }
 
     #[test]
     fn small_requests_go_to_random_region() {
-        let mut c = vbbms(10);
+        let mut c = VbbmsCache::new(10);
         let mut ev = Vec::new();
         small_write(&mut c, 0, 0, &mut ev);
         assert!(c.random.contains(0));
@@ -275,7 +241,7 @@ mod tests {
 
     #[test]
     fn large_requests_go_to_sequential_region() {
-        let mut c = vbbms(10);
+        let mut c = VbbmsCache::new(10);
         let mut ev = Vec::new();
         large_write(&mut c, 100, 0, &mut ev);
         assert!(c.sequential.contains(100));
@@ -284,7 +250,7 @@ mod tests {
 
     #[test]
     fn regions_evict_independently() {
-        let mut c = vbbms(10); // random cap 6, seq cap 4
+        let mut c = VbbmsCache::new(10); // random cap 6, seq cap 4
         let mut ev = Vec::new();
         // Fill the sequential region with 4 pages; the random region stays
         // empty. A 5th sequential page must evict from sequential only.
@@ -303,7 +269,7 @@ mod tests {
 
     #[test]
     fn random_region_is_lru() {
-        let mut c = vbbms(5); // random cap 3 (1 VB), seq cap 2
+        let mut c = VbbmsCache::new(5); // random cap 3 (1 VB), seq cap 2
         let mut ev = Vec::new();
         // VB size 3: lpns 0..3 are VB 0; lpns 3..6 are VB 1.
         small_write(&mut c, 0, 0, &mut ev);
@@ -318,7 +284,7 @@ mod tests {
 
     #[test]
     fn sequential_region_is_fifo() {
-        let mut c = vbbms(20); // seq cap 8 = 2 VBs of 4
+        let mut c = VbbmsCache::new(20); // seq cap 8 = 2 VBs of 4
         let mut ev = Vec::new();
         // Two sequential VBs: 100..104 (VB 25) and 104..108 (VB 26).
         for i in 0..8 {
@@ -333,7 +299,7 @@ mod tests {
 
     #[test]
     fn vb_eviction_is_striped_batch() {
-        let mut c = vbbms(5);
+        let mut c = VbbmsCache::new(5);
         let mut ev = Vec::new();
         for lpn in [0u64, 1, 2] {
             small_write(&mut c, lpn, lpn, &mut ev);
@@ -346,7 +312,7 @@ mod tests {
 
     #[test]
     fn cross_region_rewrite_is_hit_in_place() {
-        let mut c = vbbms(10);
+        let mut c = VbbmsCache::new(10);
         let mut ev = Vec::new();
         small_write(&mut c, 0, 0, &mut ev); // in random
         // A large request touching lpn 0 is a hit; page stays in random.
@@ -357,7 +323,7 @@ mod tests {
 
     #[test]
     fn read_hits_both_regions() {
-        let mut c = vbbms(10);
+        let mut c = VbbmsCache::new(10);
         let mut ev = Vec::new();
         small_write(&mut c, 0, 0, &mut ev);
         large_write(&mut c, 100, 1, &mut ev);
@@ -368,7 +334,7 @@ mod tests {
 
     #[test]
     fn drain_empties_both_regions() {
-        let mut c = vbbms(10);
+        let mut c = VbbmsCache::new(10);
         let mut ev = Vec::new();
         small_write(&mut c, 0, 0, &mut ev);
         large_write(&mut c, 100, 1, &mut ev);
@@ -381,7 +347,7 @@ mod tests {
 
     #[test]
     fn metadata_counts_vbs() {
-        let mut c = vbbms(20);
+        let mut c = VbbmsCache::new(20);
         let mut ev = Vec::new();
         small_write(&mut c, 0, 0, &mut ev);
         small_write(&mut c, 1, 1, &mut ev); // same VB

@@ -16,7 +16,7 @@ pub struct Access {
     /// Total pages of the enclosing request (`R_size` in Algorithm 1).
     pub req_pages: u32,
     /// Logical time: count of page accesses processed so far. Used as the
-    /// time base of the paper's Eq. 1 and for LFU/CFLRU tie-breaking.
+    /// time base of the paper's Eq. 1.
     pub now: u64,
 }
 
@@ -27,7 +27,7 @@ pub struct Access {
 pub enum Placement {
     /// Stripe pages round-robin across chips — exploits channel parallelism.
     Striped,
-    /// Append the whole batch on one chip (BPLRU/FAB whole-block flushes).
+    /// Append the whole batch on one chip (BPLRU whole-block flushes).
     SingleBlock,
 }
 

@@ -11,8 +11,7 @@
 
 use proptest::prelude::*;
 use reqblock_cache::policies::{
-    BplruCache, BplruConfig, CflruCache, CflruConfig, FabCache, FifoCache, LfuCache, LruCache,
-    PudLruCache, VbbmsCache, VbbmsConfig,
+    BplruCache, BplruConfig, CflruCache, CflruConfig, LruCache, VbbmsCache,
 };
 use reqblock_cache::{Access, Arena, ArenaId, EvictionBatch, FxHashMap, SlabList, WriteBuffer};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -30,18 +29,14 @@ fn steps() -> impl Strategy<Value = Vec<Step>> {
 fn build_policies(capacity: usize) -> Vec<Box<dyn WriteBuffer>> {
     vec![
         Box::new(LruCache::new(capacity)),
-        Box::new(FifoCache::new(capacity)),
-        Box::new(LfuCache::new(capacity)),
         Box::new(CflruCache::new(capacity, CflruConfig::default())),
         Box::new(CflruCache::new(
             capacity,
             CflruConfig { window_fraction: 0.5, cache_reads: true },
         )),
-        Box::new(FabCache::new(capacity, 8)),
-        Box::new(PudLruCache::new(capacity, 8)),
         Box::new(BplruCache::new(capacity, 8, BplruConfig::default())),
         Box::new(BplruCache::new(capacity, 8, BplruConfig { page_padding: true })),
-        Box::new(VbbmsCache::new(capacity, VbbmsConfig::default())),
+        Box::new(VbbmsCache::new(capacity)),
     ]
 }
 

@@ -337,10 +337,10 @@ fn run_scenario(opts: &Opts, sc: &scenario::Scenario, only: Option<&str>) {
     }
 }
 
-/// A grid subcommand: the builtin scenario of the same name (`fig8`..
+/// A grid subcommand's scenario: the builtin of the same name (`fig8`..
 /// `fig12` run `comparison` and emit only their own figure), with the
 /// `--depths`/`--rates` overrides applied to the `qdepth`/`load` grids.
-fn run_alias(opts: &Opts, extras: &CliExtras, cmd: &str) {
+fn alias_scenario<'a>(extras: &CliExtras, cmd: &'a str) -> (scenario::Scenario, Option<&'a str>) {
     let (name, only) = match cmd {
         "fig8" | "fig9" | "fig10" | "fig11" | "fig12" => ("comparison", Some(cmd)),
         _ => (cmd, None),
@@ -354,7 +354,7 @@ fn run_alias(opts: &Opts, extras: &CliExtras, cmd: &str) {
         sc.set_axis("load_mult", AxisValues::Floats(rates.clone()))
             .unwrap_or_else(|e| fail(&format!("--rates: {e}")));
     }
-    run_scenario(opts, &sc, only);
+    (sc, only)
 }
 
 /// `repro --list`: every built-in scenario plus any extra `scenarios/*.toml`
@@ -421,7 +421,28 @@ fn main() -> ExitCode {
             operands.len()
         ));
     }
-    // Load every trace file --trace-dir supplies before planning: a bad
+    // The scenarios a grid command runs, with the one section it emits
+    // (`None`: all of them). Built first so the trace check below knows
+    // every device they replay a trace file on.
+    let grids: Vec<(scenario::Scenario, Option<&str>)> = match cmd {
+        "fig7" | "comparison" | "fig8" | "fig9" | "fig10" | "fig11" | "fig12" | "tails"
+        | "wear" | "ablations" | "faults" | "qdepth" | "load" => vec![alias_scenario(&extras, cmd)],
+        "run" => {
+            let path = &operands[0];
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| fail(&format!("run: cannot read {path}: {e}")));
+            let sc = scenario::Scenario::parse(&text)
+                .unwrap_or_else(|e| fail(&format!("run: {path}: {e}")));
+            vec![(sc, None)]
+        }
+        "all" => sweep::ALL_SCENARIOS
+            .iter()
+            .map(|name| (scenario::builtin(name).expect("sweep scenarios are builtin"), None))
+            .collect(),
+        _ => Vec::new(),
+    };
+    // Load every trace file --trace-dir supplies before planning, and check
+    // it fits every device the command builds for it: a bad or oversized
     // file is a usage error here, not a panic inside the worker pool. A
     // missing directory is one too; only missing files inside it fall
     // back to the synthetic traces.
@@ -430,7 +451,8 @@ fn main() -> ExitCode {
         eprintln!("repro: --trace-dir: {}: {why}", dir.display());
         return ExitCode::from(2);
     }
-    if let Err((path, e)) = opts.check_trace_dir() {
+    let devices: Vec<_> = grids.iter().flat_map(|(sc, _)| sc.pressured_devices(&opts)).collect();
+    if let Err((path, e)) = opts.check_trace_dir(&devices) {
         eprintln!("repro: --trace-dir: {}: {e}", path.display());
         return ExitCode::from(2);
     }
@@ -451,7 +473,10 @@ fn main() -> ExitCode {
             emit(&opts, "fig13", &[shares, samples]);
         }
         "fig7" | "comparison" | "fig8" | "fig9" | "fig10" | "fig11" | "fig12" | "tails"
-        | "wear" | "ablations" | "faults" | "qdepth" | "load" => run_alias(&opts, &extras, cmd),
+        | "wear" | "ablations" | "faults" | "qdepth" | "load" | "run" => {
+            let (sc, only) = &grids[0];
+            run_scenario(&opts, sc, *only);
+        }
         "why" => run_why(&opts),
         "fleet" => {
             let devices = extras.devices.as_deref().unwrap_or(&extensions::FLEET_DEVICES);
@@ -463,14 +488,6 @@ fn main() -> ExitCode {
                 fail(&format!("telemetry: unknown trace {trace:?}"));
             }
             run_telemetry(&opts, trace);
-        }
-        "run" => {
-            let path = &operands[0];
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| fail(&format!("run: cannot read {path}: {e}")));
-            let sc = scenario::Scenario::parse(&text)
-                .unwrap_or_else(|e| fail(&format!("run: {path}: {e}")));
-            run_scenario(&opts, &sc, None);
         }
         "list" => run_list(),
         "export" => {

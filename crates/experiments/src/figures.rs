@@ -3,6 +3,7 @@
 use crate::report::{f2, f3, pct, Table};
 use crate::scenario::{cache_from_mb, Point, Scenario, ScenarioOutcome};
 use reqblock_core::ReqBlockConfig;
+use reqblock_flash::SsdConfig;
 use reqblock_obs::{Fanout, MemoryRecorder};
 use reqblock_sim::probes::{LargeReqHitProbe, SizeCdfProbe};
 use reqblock_obs::telemetry::{summary_rows, to_jsonl};
@@ -10,9 +11,8 @@ use reqblock_sim::{
     replay, run_task_pool, CacheSizeMb, PolicyKind, RunResult, SampleInterval, SimConfig, Task,
     TraceSource,
 };
-use reqblock_trace::msr::ParseError;
 use reqblock_trace::stats::StatsBuilder;
-use reqblock_trace::{paper_profiles, Request, TraceStats, WorkloadProfile};
+use reqblock_trace::{paper_profiles, Request, TraceStats, WorkloadProfile, PAGE_SIZE};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -33,7 +33,8 @@ pub struct Opts {
     /// MSR format (e.g. `hm_1.csv`). When a file exists for a workload, it
     /// replaces the synthetic stand-in for every experiment; workloads
     /// without a file keep the synthetic trace. `repro` rejects a
-    /// directory that does not exist.
+    /// directory that does not exist, and a file that fails
+    /// [`Opts::check_trace_dir`].
     pub trace_dir: Option<PathBuf>,
 }
 
@@ -80,13 +81,35 @@ impl Opts {
 
     /// Load every `<name>.csv` under [`Opts::trace_dir`] that
     /// [`Opts::source_for`] would pick, through the shared trace cache (so
-    /// the runs that follow do not parse the files again). Returns the
-    /// first file that fails to load with its parse error.
-    pub fn check_trace_dir(&self) -> Result<(), (PathBuf, ParseError)> {
+    /// the runs that follow do not parse the files again), and check that
+    /// its largest LPN fits the paper device and every entry of `devices`
+    /// named after its workload. Returns the first file that fails to load
+    /// or to fit, with the reason.
+    pub fn check_trace_dir(
+        &self,
+        devices: &[(String, SsdConfig)],
+    ) -> Result<(), (PathBuf, String)> {
+        let paper = SsdConfig::paper();
         for profile in self.profiles() {
             let source = self.source_for(&profile);
-            if let TraceSource::MsrFile(path) = &source {
-                source.requests().map_err(|e| (path.clone(), e))?;
+            let TraceSource::MsrFile(path) = &source else { continue };
+            let requests = source.requests().map_err(|e| (path.clone(), e.to_string()))?;
+            // Zero-length requests never reach a device (the parser drops
+            // them); saturating keeps a wrapping byte range out of range.
+            let Some(last) =
+                requests.iter().map(|r| r.offset.saturating_add(r.len - 1) / PAGE_SIZE).max()
+            else {
+                continue;
+            };
+            let named = devices.iter().filter(|(name, _)| *name == profile.name);
+            for ssd in std::iter::once(&paper).chain(named.map(|(_, ssd)| ssd)) {
+                let pages = ssd.total_pages();
+                if last >= pages {
+                    return Err((
+                        path.clone(),
+                        format!("LPN {last} is beyond the last page of a {pages}-page device"),
+                    ));
+                }
             }
         }
         Ok(())
@@ -902,7 +925,7 @@ mod trace_dir_tests {
         assert!(matches!(opts.source_for(hm1), TraceSource::Synthetic(_)));
         // The file source loads the exported requests.
         assert_eq!(opts.shared_for(ts0).len(), reqs.len());
-        assert!(opts.check_trace_dir().is_ok());
+        assert!(opts.check_trace_dir(&[]).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -46,8 +46,9 @@ use crate::extensions::{
 use crate::figures::{comparison_report, fig7_build, Opts};
 use crate::report::{f2, f3, pct, Table};
 use reqblock_cache::fxhash::FxHasher;
-use reqblock_cache::policies::{BplruConfig, CflruConfig, VbbmsConfig};
+use reqblock_cache::policies::{BplruConfig, CflruConfig};
 use reqblock_core::{PriorityModel, ReqBlockConfig};
+use reqblock_flash::SsdConfig;
 use reqblock_sim::{
     ArrivalProcess, CacheSizeMb, FaultConfig, Job, JobPool, PolicyKind, RunResult, SimConfig,
     SubmitMode, Task, TraceSource,
@@ -443,6 +444,33 @@ impl Scenario {
             .join(" ")
     }
 
+    /// The flash devices this scenario's `geometry = "pressured"` points
+    /// build, one per `trace` x `scale` cell, each with its trace's name
+    /// (the input [`Opts::check_trace_dir`] checks trace files against).
+    /// Empty when no point is pressured.
+    pub fn pressured_devices(&self, opts: &Opts) -> Vec<(String, SsdConfig)> {
+        let pressured = matches!(
+            self.axis("geometry"),
+            Some(AxisValues::Strs(g)) if g.iter().any(|g| g == "pressured")
+        );
+        let (true, Some(AxisValues::Strs(traces))) = (pressured, self.axis("trace")) else {
+            return Vec::new();
+        };
+        let scales = match self.axis("scale") {
+            Some(AxisValues::Floats(v)) => v.clone(),
+            _ => vec![1.0],
+        };
+        let mut devices = Vec::new();
+        for trace in traces {
+            for &rel_scale in &scales {
+                let profile =
+                    profile_by_name(trace).expect("validated trace").scaled(opts.scale * rel_scale);
+                devices.push((trace.clone(), pressured_ssd(&profile)));
+            }
+        }
+        devices
+    }
+
     /// Jobs the planner will emit: the product of the axis lengths (no
     /// simulation, no calibration run — safe for `repro --list`).
     pub fn estimated_jobs(&self) -> usize {
@@ -637,16 +665,12 @@ fn validate_axis_values(axis: &str, values: &AxisValues) -> Result<(), ScenarioE
     Ok(())
 }
 
-/// Every name the `policy` axis accepts: the nine policies at their paper
+/// Every name the `policy` axis accepts: the five policies at their paper
 /// defaults, then the Req-block/BPLRU design-choice ablations (DESIGN.md
 /// A1-A4).
-pub const POLICY_NAMES: [&str; 16] = [
+pub const POLICY_NAMES: [&str; 12] = [
     "LRU",
-    "FIFO",
-    "LFU",
     "CFLRU",
-    "FAB",
-    "PUD-LRU",
     "BPLRU",
     "VBBMS",
     "Req-block",
@@ -664,13 +688,9 @@ pub fn policy_by_name(name: &str) -> Option<PolicyKind> {
     let paper = ReqBlockConfig::paper();
     Some(match name {
         "LRU" => PolicyKind::Lru,
-        "FIFO" => PolicyKind::Fifo,
-        "LFU" => PolicyKind::Lfu,
         "CFLRU" => PolicyKind::Cflru(CflruConfig::default()),
-        "FAB" => PolicyKind::Fab,
-        "PUD-LRU" => PolicyKind::PudLru,
         "BPLRU" => PolicyKind::Bplru(BplruConfig::default()),
-        "VBBMS" => PolicyKind::Vbbms(VbbmsConfig::default()),
+        "VBBMS" => PolicyKind::Vbbms,
         "Req-block" | "Req-block (paper)" => PolicyKind::ReqBlock(paper),
         "A1: no DRL split" => {
             PolicyKind::ReqBlock(ReqBlockConfig { split_large_on_hit: false, ..paper })
@@ -1178,9 +1198,21 @@ mod tests {
     }
 
     #[test]
-    fn every_policy_name_resolves() {
-        for name in POLICY_NAMES {
-            assert!(policy_by_name(name).is_some(), "{name}");
+    fn policy_registry_round_trips() {
+        let kinds = [
+            PolicyKind::Lru,
+            PolicyKind::Cflru(CflruConfig::default()),
+            PolicyKind::Bplru(BplruConfig::default()),
+            PolicyKind::Vbbms,
+            PolicyKind::ReqBlock(ReqBlockConfig::paper()),
+        ];
+        for kind in kinds {
+            assert_eq!(policy_by_name(kind.name()), Some(kind), "{}", kind.name());
+        }
+        let names = kinds.map(|k| k.name());
+        for entry in POLICY_NAMES {
+            let kind = policy_by_name(entry).expect("every entry resolves");
+            assert!(names.contains(&kind.name()), "{entry} -> {}", kind.name());
         }
         assert!(policy_by_name("lru").is_none());
     }

@@ -45,3 +45,36 @@ fn malformed_invocations_exit_2_naming_the_bad_input() {
     assert!(!Path::new(&export_to).exists(), "a rejected export writes nothing");
     let _ = std::fs::remove_dir_all(&out);
 }
+
+#[test]
+fn trace_files_beyond_a_device_exit_2_naming_the_file() {
+    let out = std::env::temp_dir().join(format!("reqblock_cli_range_{}", std::process::id()));
+    // A two-line ts_0.csv whose first request reads at `offset` bytes.
+    let trace_dir = |name: &str, offset: u64| {
+        let dir = out.join(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        let csv = format!(
+            "128166372003061629,ts,0,Read,{offset},4096,0\n\
+             128166372003061630,ts,0,Write,0,4096,0\n"
+        );
+        std::fs::write(dir.join("ts_0.csv"), csv).unwrap();
+        dir.to_str().unwrap().to_string()
+    };
+    // 1 TiB is LPN 268435456: past the 128 GB paper device.
+    let tib = trace_dir("tib", 1 << 40);
+    let named = format!("{tib}/ts_0.csv: LPN 268435456 ");
+    rejects(&out, &["--trace-dir", &tib, "telemetry", "ts_0"], &named);
+    // 4 GiB is LPN 1048576: inside the paper device, so `telemetry` runs,
+    // but past the faults sweep's pressured device.
+    let gib = trace_dir("gib", 4 << 30);
+    let named = format!("{gib}/ts_0.csv: LPN 1048576 ");
+    rejects(&out, &["--trace-dir", &gib, "faults"], &named);
+    let run = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--scale", "0.001", "--out"])
+        .arg(&out)
+        .args(["--trace-dir", &gib, "telemetry", "ts_0"])
+        .output()
+        .expect("repro binary runs");
+    assert!(run.status.success(), "{}", String::from_utf8_lossy(&run.stderr));
+    let _ = std::fs::remove_dir_all(&out);
+}

@@ -1,12 +1,12 @@
 //! Deterministic fault injection for the flash substrate.
 //!
 //! Real NAND fails: reads suffer raw bit errors that force retries with
-//! tuned reference voltages, programs fail and condemn their block, erases
-//! fail and retire blocks outright — and all three get *more* likely as a
-//! block wears. The simulator reproduces those behaviours with a seeded
-//! [`FaultModel`] so that reliability experiments stay exactly as
-//! reproducible as the happy path: identical seed + config ⇒ the same
-//! operations fail at the same points ⇒ byte-identical telemetry.
+//! tuned reference voltages, programs fail and condemn their block, and
+//! erases fail and retire blocks outright. The simulator reproduces those
+//! behaviours with a seeded [`FaultModel`], one fixed rate per operation
+//! kind whatever the block's wear, so that reliability experiments stay
+//! exactly as reproducible as the happy path: identical seed + config ⇒
+//! the same operations fail at the same points ⇒ byte-identical telemetry.
 //!
 //! Design constraints (see DESIGN.md §9):
 //!
@@ -32,19 +32,9 @@ use serde::{Deserialize, Serialize};
 /// Probability scale: rates are parts per million (1_000_000 = always).
 pub const PPM_SCALE: u32 = 1_000_000;
 
-/// What the FTL does once a chip can no longer honour new writes (free
-/// blocks below [`FaultConfig::read_only_free_floor`], or physical
-/// exhaustion while faults are active).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DegradedMode {
-    /// Reject new host writes but keep serving reads — how real drives
-    /// fail: the data you have stays readable.
-    #[default]
-    ReadOnly,
-    /// Escalate with a panic: for harnesses that treat capacity exhaustion
-    /// under faults as a configuration error rather than a scenario.
-    Escalate,
-}
+/// Read retries attempted before declaring a read uncorrectable. Each retry
+/// is a full flash read that re-occupies the chip/bus timelines.
+pub const MAX_READ_RETRIES: u32 = 3;
 
 /// Configuration of the deterministic fault layer. All-zero rates (the
 /// default) disable injection entirely.
@@ -53,25 +43,16 @@ pub struct FaultConfig {
     /// PRNG seed; together with the operation sequence it fully determines
     /// which operations fail.
     pub seed: u64,
-    /// Base probability that a flash read needs retries, in ppm.
+    /// Probability that a flash read needs retries, in ppm.
     pub read_fail_ppm: u32,
-    /// Base probability that a program operation fails, in ppm.
+    /// Probability that a program operation fails, in ppm.
     pub program_fail_ppm: u32,
-    /// Base probability that an erase operation fails, in ppm.
+    /// Probability that an erase operation fails, in ppm.
     pub erase_fail_ppm: u32,
-    /// Wear scaling: added to each base rate once per erase the target
-    /// block has seen (`effective = base + erase_count * this`, saturating
-    /// at [`PPM_SCALE`]).
-    pub wear_ppm_per_erase: u32,
-    /// Read retries attempted before declaring a read uncorrectable. Each
-    /// retry is a full flash read that re-occupies the chip/bus timelines.
-    pub max_read_retries: u32,
-    /// Per-chip free-block floor that triggers degraded mode; `0` (the
-    /// default) never degrades, preserving the legacy out-of-space panic.
+    /// Per-chip free-block floor below which the device turns read-only;
+    /// `0` (the default) never degrades, preserving the legacy
+    /// out-of-space panic.
     pub read_only_free_floor: usize,
-    /// Behaviour once the floor is crossed (or a chip is physically out of
-    /// space while faults are active).
-    pub on_exhaustion: DegradedMode,
 }
 
 impl Default for FaultConfig {
@@ -81,17 +62,14 @@ impl Default for FaultConfig {
             read_fail_ppm: 0,
             program_fail_ppm: 0,
             erase_fail_ppm: 0,
-            wear_ppm_per_erase: 0,
-            max_read_retries: 3,
             read_only_free_floor: 0,
-            on_exhaustion: DegradedMode::ReadOnly,
         }
     }
 }
 
 impl FaultConfig {
-    /// A config failing reads/programs/erases at the given base rates (ppm)
-    /// with the given seed; other knobs at their defaults.
+    /// A config failing reads/programs/erases at the given rates (ppm) with
+    /// the given seed and no free-block floor.
     pub fn with_rates(seed: u64, read_ppm: u32, program_ppm: u32, erase_ppm: u32) -> Self {
         Self {
             seed,
@@ -104,10 +82,7 @@ impl FaultConfig {
 
     /// True when no operation can ever fail under this config.
     pub fn is_inert(&self) -> bool {
-        self.read_fail_ppm == 0
-            && self.program_fail_ppm == 0
-            && self.erase_fail_ppm == 0
-            && self.wear_ppm_per_erase == 0
+        self.read_fail_ppm == 0 && self.program_fail_ppm == 0 && self.erase_fail_ppm == 0
     }
 }
 
@@ -120,7 +95,7 @@ pub struct FaultStats {
     pub read_faults: u64,
     /// Total retry read operations issued (each a full timed flash read).
     pub read_retries: u64,
-    /// Reads still failing after [`FaultConfig::max_read_retries`] retries.
+    /// Reads still failing after [`MAX_READ_RETRIES`] retries.
     pub read_uncorrectable: u64,
     /// Program operations that failed (each retires a block).
     pub program_failures: u64,
@@ -138,7 +113,7 @@ pub struct FaultStats {
 /// Seeded fault decision engine: one per FTL instance.
 ///
 /// Decisions are drawn from an inline xorshift64* PRNG, consumed **only**
-/// when the corresponding effective rate is nonzero, so enabling the layer
+/// when the corresponding rate is nonzero, so enabling the layer
 /// with zero rates changes nothing — and a run with only program faults
 /// draws exactly one number per program, never for reads or erases.
 #[derive(Debug, Clone)]
@@ -163,7 +138,7 @@ impl FaultModel {
     }
 
     /// True when no operation can ever fail (all rates zero): callers may
-    /// skip wear lookups and bookkeeping entirely.
+    /// skip the fault bookkeeping entirely.
     #[inline]
     pub fn is_inert(&self) -> bool {
         self.inert
@@ -180,38 +155,29 @@ impl FaultModel {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    /// One fault decision at `base_ppm` on a block with `wear` erases.
-    /// Consumes a PRNG draw only when the effective rate is nonzero.
+    /// One fault decision at `ppm`. Consumes a PRNG draw only when the
+    /// rate is nonzero.
     #[inline]
-    fn roll(&mut self, base_ppm: u32, wear: u32) -> bool {
-        if self.inert {
-            return false;
-        }
-        let eff = (base_ppm as u64 + wear as u64 * self.cfg.wear_ppm_per_erase as u64)
-            .min(PPM_SCALE as u64);
-        if eff == 0 {
-            return false;
-        }
-        self.next_u64() % (PPM_SCALE as u64) < eff
+    fn roll(&mut self, ppm: u32) -> bool {
+        ppm != 0 && self.next_u64() % (PPM_SCALE as u64) < ppm as u64
     }
 
-    /// Does a read (initial attempt or retry) on a block with `wear` erases
-    /// fail?
+    /// Does a read (initial attempt or retry) fail?
     #[inline]
-    pub fn read_fails(&mut self, wear: u32) -> bool {
-        self.roll(self.cfg.read_fail_ppm, wear)
+    pub fn read_fails(&mut self) -> bool {
+        self.roll(self.cfg.read_fail_ppm)
     }
 
-    /// Does a program on a block with `wear` erases fail?
+    /// Does a program fail?
     #[inline]
-    pub fn program_fails(&mut self, wear: u32) -> bool {
-        self.roll(self.cfg.program_fail_ppm, wear)
+    pub fn program_fails(&mut self) -> bool {
+        self.roll(self.cfg.program_fail_ppm)
     }
 
-    /// Does an erase of a block with `wear` prior erases fail?
+    /// Does an erase fail?
     #[inline]
-    pub fn erase_fails(&mut self, wear: u32) -> bool {
-        self.roll(self.cfg.erase_fail_ppm, wear)
+    pub fn erase_fails(&mut self) -> bool {
+        self.roll(self.cfg.erase_fail_ppm)
     }
 }
 
@@ -225,10 +191,10 @@ mod tests {
         assert!(cfg.is_inert());
         let mut m = FaultModel::new(cfg);
         assert!(m.is_inert());
-        for wear in [0, 10, 1_000] {
-            assert!(!m.read_fails(wear));
-            assert!(!m.program_fails(wear));
-            assert!(!m.erase_fails(wear));
+        for _ in 0..3 {
+            assert!(!m.read_fails());
+            assert!(!m.program_fails());
+            assert!(!m.erase_fails());
         }
     }
 
@@ -237,10 +203,10 @@ mod tests {
         let cfg = FaultConfig::with_rates(42, 250_000, 125_000, 62_500);
         let mut a = FaultModel::new(cfg.clone());
         let mut b = FaultModel::new(cfg);
-        for wear in 0..1_000 {
-            assert_eq!(a.read_fails(wear % 7), b.read_fails(wear % 7));
-            assert_eq!(a.program_fails(wear % 5), b.program_fails(wear % 5));
-            assert_eq!(a.erase_fails(wear % 3), b.erase_fails(wear % 3));
+        for _ in 0..1_000 {
+            assert_eq!(a.read_fails(), b.read_fails());
+            assert_eq!(a.program_fails(), b.program_fails());
+            assert_eq!(a.erase_fails(), b.erase_fails());
         }
     }
 
@@ -248,7 +214,7 @@ mod tests {
     fn different_seeds_diverge() {
         let mut a = FaultModel::new(FaultConfig::with_rates(1, 500_000, 0, 0));
         let mut b = FaultModel::new(FaultConfig::with_rates(2, 500_000, 0, 0));
-        let diverged = (0..256).any(|_| a.read_fails(0) != b.read_fails(0));
+        let diverged = (0..256).any(|_| a.read_fails() != b.read_fails());
         assert!(diverged, "seeds 1 and 2 produced identical decision streams");
     }
 
@@ -256,9 +222,9 @@ mod tests {
     fn certain_failure_at_full_scale() {
         let mut m = FaultModel::new(FaultConfig::with_rates(7, PPM_SCALE, PPM_SCALE, PPM_SCALE));
         for _ in 0..64 {
-            assert!(m.read_fails(0));
-            assert!(m.program_fails(0));
-            assert!(m.erase_fails(0));
+            assert!(m.read_fails());
+            assert!(m.program_fails());
+            assert!(m.erase_fails());
         }
     }
 
@@ -268,37 +234,9 @@ mod tests {
         // land well inside ±1.5% (xorshift64* is far better than that).
         let mut m = FaultModel::new(FaultConfig::with_rates(1234, 100_000, 0, 0));
         let trials = 100_000;
-        let fails = (0..trials).filter(|_| m.read_fails(0)).count();
+        let fails = (0..trials).filter(|_| m.read_fails()).count();
         let rate = fails as f64 / trials as f64;
         assert!((rate - 0.10).abs() < 0.015, "observed {rate}");
-    }
-
-    #[test]
-    fn wear_scaling_raises_failure_rate() {
-        let cfg = FaultConfig {
-            read_fail_ppm: 10_000,       // 1% when fresh
-            wear_ppm_per_erase: 10_000,  // +1% per erase
-            ..FaultConfig::with_rates(99, 0, 0, 0)
-        };
-        let count = |wear: u32| {
-            let mut m = FaultModel::new(cfg.clone());
-            (0..20_000).filter(|_| m.read_fails(wear)).count()
-        };
-        let fresh = count(0);
-        let worn = count(50); // effective 51%
-        assert!(worn > fresh * 10, "fresh {fresh} vs worn {worn}");
-    }
-
-    #[test]
-    fn wear_scaling_saturates_at_certainty() {
-        let cfg = FaultConfig {
-            wear_ppm_per_erase: PPM_SCALE, // one erase is enough
-            ..FaultConfig::with_rates(5, 0, 0, 0)
-        };
-        let mut m = FaultModel::new(cfg);
-        assert!(!m.program_fails(0), "no base rate, fresh block never fails");
-        assert!(m.program_fails(1));
-        assert!(m.program_fails(u32::MAX), "saturating math must not overflow");
     }
 
     #[test]
@@ -311,12 +249,12 @@ mod tests {
             let mut m = FaultModel::new(cfg);
             (0..500)
                 .map(|_| {
-                    assert!(!m.read_fails(0));
-                    m.program_fails(0)
+                    assert!(!m.read_fails());
+                    m.program_fails()
                 })
                 .collect::<Vec<_>>()
         };
-        let alone: Vec<bool> = (0..500).map(|_| plain.program_fails(0)).collect();
+        let alone: Vec<bool> = (0..500).map(|_| plain.program_fails()).collect();
         assert_eq!(with_reads, alone);
     }
 }

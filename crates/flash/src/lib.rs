@@ -16,7 +16,7 @@
 //!
 //! Reliability: [`fault`] adds a seeded, deterministic fault model
 //! ([`FaultConfig`]/[`FaultModel`]) that the FTL consults to fail
-//! reads/programs/erases with configurable, wear-scaled probabilities. The
+//! reads/programs/erases with configurable fixed probabilities. The
 //! default configuration is zero-fault and bit-identical to a build without
 //! the layer.
 //!
@@ -30,5 +30,5 @@ pub mod timeline;
 
 pub use addr::{Addr, ChipId, Ppn};
 pub use config::SsdConfig;
-pub use fault::{DegradedMode, FaultConfig, FaultModel, FaultStats, PPM_SCALE};
+pub use fault::{FaultConfig, FaultModel, FaultStats, MAX_READ_RETRIES, PPM_SCALE};
 pub use timeline::{BusyStats, Completion, FlashTimeline, IntervalLog, OpCounters, OpInterval, OpKind};

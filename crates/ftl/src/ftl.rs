@@ -3,7 +3,9 @@
 use crate::blocks::{BlockState, ChipBlocks};
 use crate::gc::GreedyPicker;
 use reqblock_flash::timeline::Origin;
-use reqblock_flash::{DegradedMode, FaultConfig, FaultModel, FaultStats, FlashTimeline, SsdConfig};
+use reqblock_flash::{
+    FaultConfig, FaultModel, FaultStats, FlashTimeline, SsdConfig, MAX_READ_RETRIES,
+};
 use reqblock_trace::Lpn;
 use serde::{Deserialize, Serialize};
 
@@ -222,10 +224,7 @@ impl Ftl {
             l2p: PageMap::new(total_pages),
             p2l: PageMap::new(total_pages),
             chips: (0..cfg.total_chips())
-                .map(|_| ChipDomain {
-                    blocks: ChipBlocks::new(cfg),
-                    picker: GreedyPicker::with_capacity(cfg.blocks_per_chip()),
-                })
+                .map(|_| ChipDomain { blocks: ChipBlocks::new(cfg), picker: GreedyPicker::new() })
                 .collect(),
             cursor: 0,
             stats: FtlStats::default(),
@@ -304,11 +303,6 @@ impl Ftl {
     /// Reliability counters so far (all zero with the default fault config).
     pub fn fault_stats(&self) -> &FaultStats {
         &self.fstats
-    }
-
-    /// The fault-injection configuration this FTL runs with.
-    pub fn fault_config(&self) -> &FaultConfig {
-        self.faults.config()
     }
 
     /// Current device health.
@@ -503,7 +497,7 @@ impl Ftl {
                 if self.faults.is_inert() {
                     panic!("flash chip out of space: live data exceeds physical capacity");
                 }
-                self.degrade("no space left to migrate a GC victim");
+                self.health = Health::ReadOnly;
                 return false;
             };
             let rd = tl.read(&self.cfg, chip, at, Origin::Gc);
@@ -520,8 +514,7 @@ impl Ftl {
         round_busy_ns += (er.end_ns - er.start_ns) as u128;
         self.obs.gc_busy_ns += round_busy_ns;
         self.obs.gc_max_pause_ns = self.obs.gc_max_pause_ns.max(round_busy_ns as u64);
-        let wear = self.chips[chip].blocks.meta(victim).erase_count;
-        if self.faults.erase_fails(wear) {
+        if self.faults.erase_fails() {
             // The erase was attempted (and charged to the timeline) but the
             // block failed to clear: retire it instead of recycling it. Its
             // valid pages were already migrated, so no data is at risk —
@@ -557,7 +550,7 @@ impl Ftl {
             let lpn = self.p2l.get(src_ppn as usize);
             debug_assert_ne!(lpn, UNMAPPED, "valid page without reverse mapping");
             let Some((nb, np)) = self.try_allocate_raw(chip) else {
-                self.degrade("no space left to migrate off a failing block");
+                self.health = Health::ReadOnly;
                 return;
             };
             tl.read(&self.cfg, chip, at, Origin::Gc);
@@ -574,9 +567,8 @@ impl Ftl {
         self.refresh_health();
     }
 
-    /// Enter degraded mode (or escalate, per configuration) when any chip's
-    /// free blocks fall below the reliability floor. No-op with the default
-    /// floor of 0.
+    /// Enter read-only mode when any chip's free blocks fall below the
+    /// reliability floor. No-op with the default floor of 0.
     fn refresh_health(&mut self) {
         if self.health == Health::ReadOnly {
             return;
@@ -586,15 +578,7 @@ impl Ftl {
             return;
         }
         if self.chips.iter().any(|c| c.blocks.free_count() < floor) {
-            self.degrade("free blocks fell below the reliability floor");
-        }
-    }
-
-    /// Transition to read-only, or panic under [`DegradedMode::Escalate`].
-    fn degrade(&mut self, why: &str) {
-        match self.faults.config().on_exhaustion {
-            DegradedMode::ReadOnly => self.health = Health::ReadOnly,
-            DegradedMode::Escalate => panic!("flash device degraded: {why}"),
+            self.health = Health::ReadOnly;
         }
     }
 
@@ -615,13 +599,12 @@ impl Ftl {
                 // Out of space while faults are live: retirements may have
                 // eaten the overprovisioning GC needs, so this is a device
                 // failure, not a configuration error.
-                self.degrade("chip out of space after block retirements");
+                self.health = Health::ReadOnly;
                 self.fstats.rejected_write_pages += 1;
                 return at;
             };
             let done = tl.program(&self.cfg, chip, at, Origin::User).end_ns;
-            let wear = self.chips[chip].blocks.meta(block).erase_count;
-            if !self.faults.program_fails(wear) {
+            if !self.faults.program_fails() {
                 // Commit: map the new page, then invalidate the old copy.
                 let old = self.l2p.get(lpn as usize);
                 let ppn = self.ppn_of(chip, block, page);
@@ -771,21 +754,14 @@ impl Ftl {
     pub fn read_page(&mut self, lpn: Lpn, at: u64, tl: &mut FlashTimeline) -> u64 {
         assert!(lpn < self.logical_pages(), "LPN {lpn} beyond device");
         let ppn = self.l2p.get(lpn as usize);
-        let (chip, wear) = if ppn == UNMAPPED {
+        let chip = if ppn == UNMAPPED {
             self.stats.unmapped_reads += 1;
-            ((lpn % self.chips.len() as u64) as usize, 0)
+            (lpn % self.chips.len() as u64) as usize
         } else {
-            let chip = self.chip_of_ppn(ppn);
-            let wear = if self.faults.is_inert() {
-                0 // skip the block-metadata lookup on the zero-fault path
-            } else {
-                let (block, _) = self.block_page_of_ppn(ppn);
-                self.chips[chip].blocks.meta(block).erase_count
-            };
-            (chip, wear)
+            self.chip_of_ppn(ppn)
         };
         let done = tl.read(&self.cfg, chip, at, Origin::User).end_ns;
-        if !self.faults.read_fails(wear) {
+        if !self.faults.read_fails() {
             return done;
         }
         // Raw-bit-error path: each retry is a full flash read issued after
@@ -795,10 +771,10 @@ impl Ftl {
         let first_attempt = done;
         let mut done = done;
         let mut corrected = false;
-        for _ in 0..self.faults.config().max_read_retries {
+        for _ in 0..MAX_READ_RETRIES {
             self.fstats.read_retries += 1;
             done = tl.read(&self.cfg, chip, at, Origin::User).end_ns;
-            if !self.faults.read_fails(wear) {
+            if !self.faults.read_fails() {
                 corrected = true;
                 break;
             }
@@ -1238,7 +1214,7 @@ mod tests {
 
     #[test]
     fn uncorrectable_reads_counted_after_retry_budget() {
-        // Reads always fail: 1 fault + max_read_retries retries each, all
+        // Reads always fail: 1 fault + MAX_READ_RETRIES retries each, all
         // uncorrectable.
         let fc = FaultConfig::with_rates(5, PPM_SCALE, 0, 0);
         let (mut ftl, mut tl, _cfg) = setup_faulty(fc);
@@ -1249,7 +1225,7 @@ mod tests {
         let fs = *ftl.fault_stats();
         assert_eq!(fs.read_faults, 3);
         assert_eq!(fs.read_uncorrectable, 3);
-        assert_eq!(fs.read_retries, 3 * ftl.fault_config().max_read_retries as u64);
+        assert_eq!(fs.read_retries, 3 * MAX_READ_RETRIES as u64);
     }
 
     #[test]
@@ -1281,20 +1257,6 @@ mod tests {
         assert!(r > 10_000);
         assert!(ftl.is_mapped(0));
         ftl.check_consistency().unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "flash device degraded")]
-    fn escalate_mode_panics_at_the_floor() {
-        let fc = FaultConfig {
-            read_only_free_floor: 30,
-            on_exhaustion: DegradedMode::Escalate,
-            ..FaultConfig::default()
-        };
-        let (mut ftl, mut tl, _cfg) = setup_faulty(fc);
-        for lpn in 0..512u64 {
-            ftl.write_pages(&[lpn], 0, Placement::Striped, &mut tl);
-        }
     }
 
     #[test]

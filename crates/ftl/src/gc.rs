@@ -42,12 +42,6 @@ impl GreedyPicker {
         Self::default()
     }
 
-    /// Empty picker; `_capacity` is accepted for API stability but unused —
-    /// the per-count buckets grow on demand and individually stay small.
-    pub fn with_capacity(_capacity: usize) -> Self {
-        Self::default()
-    }
-
     /// Drop every entry (live and stale), keeping the bucket allocations.
     /// Equivalent to a fresh picker; part of the FTL reset path.
     pub fn clear(&mut self) {

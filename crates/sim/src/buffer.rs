@@ -3,15 +3,13 @@
 //! The [`Device`](crate::Device)'s write buffer is called once per page of
 //! every request, the single hottest call site in the simulator; held as a
 //! `Box<dyn WriteBuffer>` it would cost an indirect call each time.
-//! [`PolicyBuffer`] closes the set: the nine policy implementations become
+//! [`PolicyBuffer`] closes the set: the five policy implementations become
 //! enum variants, so the per-page `write`/`read` calls devirtualize and
 //! inline into [`Ssd`](crate::Ssd)'s submit loop, while everything cold
 //! (occupancy queries, event counters, telemetry) still goes through the
 //! trait object view returned by [`PolicyBuffer::as_dyn`].
 
-use reqblock_cache::policies::{
-    BplruCache, CflruCache, FabCache, FifoCache, LfuCache, LruCache, PudLruCache, VbbmsCache,
-};
+use reqblock_cache::policies::{BplruCache, CflruCache, LruCache, VbbmsCache};
 use reqblock_cache::{Access, EvictionBatch, WriteBuffer};
 use reqblock_core::ReqBlock;
 
@@ -21,16 +19,8 @@ use reqblock_core::ReqBlock;
 pub enum PolicyBuffer {
     /// Page-level LRU.
     Lru(LruCache),
-    /// Page-level FIFO.
-    Fifo(FifoCache),
-    /// Page-level LFU.
-    Lfu(LfuCache),
     /// Clean-first LRU.
     Cflru(CflruCache),
-    /// Flash-aware buffer.
-    Fab(FabCache),
-    /// Predicted-update-distance block buffer.
-    PudLru(PudLruCache),
     /// Block padding LRU.
     Bplru(BplruCache),
     /// Virtual-block split-region scheme.
@@ -43,11 +33,7 @@ macro_rules! each_policy {
     ($self:expr, $inner:ident => $body:expr) => {
         match $self {
             PolicyBuffer::Lru($inner) => $body,
-            PolicyBuffer::Fifo($inner) => $body,
-            PolicyBuffer::Lfu($inner) => $body,
             PolicyBuffer::Cflru($inner) => $body,
-            PolicyBuffer::Fab($inner) => $body,
-            PolicyBuffer::PudLru($inner) => $body,
             PolicyBuffer::Bplru($inner) => $body,
             PolicyBuffer::Vbbms($inner) => $body,
             PolicyBuffer::ReqBlock($inner) => $body,

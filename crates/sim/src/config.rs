@@ -3,8 +3,7 @@
 use crate::buffer::PolicyBuffer;
 use crate::host::SubmitMode;
 use reqblock_cache::policies::{
-    BplruCache, BplruConfig, CflruCache, CflruConfig, FabCache, FifoCache, LfuCache, LruCache,
-    PudLruCache, VbbmsCache, VbbmsConfig,
+    BplruCache, BplruConfig, CflruCache, CflruConfig, LruCache, VbbmsCache,
 };
 use reqblock_core::{ReqBlock, ReqBlockConfig};
 use reqblock_flash::{FaultConfig, SsdConfig};
@@ -54,20 +53,12 @@ impl std::fmt::Display for CacheSizeMb {
 pub enum PolicyKind {
     /// Page-level LRU (baseline).
     Lru,
-    /// Page-level FIFO.
-    Fifo,
-    /// Page-level LFU.
-    Lfu,
     /// Clean-first LRU.
     Cflru(CflruConfig),
-    /// Flash-aware buffer (largest-group eviction).
-    Fab,
-    /// Predicted-update-distance block buffer.
-    PudLru,
     /// Block padding LRU.
     Bplru(BplruConfig),
     /// Virtual-block split-region scheme.
-    Vbbms(VbbmsConfig),
+    Vbbms,
     /// The paper's contribution.
     ReqBlock(ReqBlockConfig),
 }
@@ -79,7 +70,7 @@ impl PolicyKind {
         [
             PolicyKind::Lru,
             PolicyKind::Bplru(BplruConfig::default()),
-            PolicyKind::Vbbms(VbbmsConfig::default()),
+            PolicyKind::Vbbms,
             PolicyKind::ReqBlock(ReqBlockConfig::paper()),
         ]
     }
@@ -88,13 +79,9 @@ impl PolicyKind {
     pub fn name(&self) -> &'static str {
         match self {
             PolicyKind::Lru => "LRU",
-            PolicyKind::Fifo => "FIFO",
-            PolicyKind::Lfu => "LFU",
             PolicyKind::Cflru(_) => "CFLRU",
-            PolicyKind::Fab => "FAB",
-            PolicyKind::PudLru => "PUD-LRU",
             PolicyKind::Bplru(_) => "BPLRU",
-            PolicyKind::Vbbms(_) => "VBBMS",
+            PolicyKind::Vbbms => "VBBMS",
             PolicyKind::ReqBlock(_) => "Req-block",
         }
     }
@@ -105,17 +92,11 @@ impl PolicyKind {
     pub fn build_buffer(&self, cache_pages: usize, pages_per_block: usize) -> PolicyBuffer {
         match *self {
             PolicyKind::Lru => PolicyBuffer::Lru(LruCache::new(cache_pages)),
-            PolicyKind::Fifo => PolicyBuffer::Fifo(FifoCache::new(cache_pages)),
-            PolicyKind::Lfu => PolicyBuffer::Lfu(LfuCache::new(cache_pages)),
             PolicyKind::Cflru(cfg) => PolicyBuffer::Cflru(CflruCache::new(cache_pages, cfg)),
-            PolicyKind::Fab => PolicyBuffer::Fab(FabCache::new(cache_pages, pages_per_block)),
-            PolicyKind::PudLru => {
-                PolicyBuffer::PudLru(PudLruCache::new(cache_pages, pages_per_block))
-            }
             PolicyKind::Bplru(cfg) => {
                 PolicyBuffer::Bplru(BplruCache::new(cache_pages, pages_per_block, cfg))
             }
-            PolicyKind::Vbbms(cfg) => PolicyBuffer::Vbbms(VbbmsCache::new(cache_pages, cfg)),
+            PolicyKind::Vbbms => PolicyBuffer::Vbbms(VbbmsCache::new(cache_pages)),
             PolicyKind::ReqBlock(cfg) => PolicyBuffer::ReqBlock(ReqBlock::new(cache_pages, cfg)),
         }
     }
@@ -133,9 +114,6 @@ pub enum SampleInterval {
     /// Snapshot every N completed requests (`t` = request index). The
     /// paper's Figure 13 samples every 10 000 requests at full scale.
     Requests(u64),
-    /// Snapshot when at least this much simulated time (request arrival
-    /// clock, ns) has passed since the previous snapshot (`t` = arrival ns).
-    SimTimeNs(u64),
 }
 
 /// Full configuration of one simulation run.
@@ -249,13 +227,9 @@ mod tests {
     fn build_constructs_each_policy() {
         for kind in [
             PolicyKind::Lru,
-            PolicyKind::Fifo,
-            PolicyKind::Lfu,
             PolicyKind::Cflru(CflruConfig::default()),
-            PolicyKind::Fab,
-            PolicyKind::PudLru,
             PolicyKind::Bplru(BplruConfig::default()),
-            PolicyKind::Vbbms(VbbmsConfig::default()),
+            PolicyKind::Vbbms,
             PolicyKind::ReqBlock(ReqBlockConfig::paper()),
         ] {
             let built = kind.build_buffer(128, 64);

@@ -176,9 +176,8 @@ pub struct Ssd {
     req_counter: u64,
     /// Arrival time (ns) of the most recent request.
     last_arrival_ns: u64,
-    /// Next `t` (request index or arrival ns, per the sampling mode) at
-    /// which the time-series sampler fires. Starts at 0 so the first
-    /// request is always sampled.
+    /// Next request index at which the time-series sampler fires. Starts
+    /// at 0 so the first request is always sampled.
     next_sample: u64,
     /// Next request id at which the metadata-overhead sampler fires;
     /// threshold compare instead of a per-request modulo.
@@ -546,31 +545,19 @@ impl Ssd {
                 }
             }
             rec.request_end(p.req_id);
-            self.maybe_sample(p.req_id, p.at, rec);
+            self.maybe_sample(p.req_id, rec);
         }
         response
     }
 
     /// Fire the periodic sampler if the configured interval has elapsed.
-    fn maybe_sample<R: Recorder + ?Sized>(&mut self, req_id: u64, arrival_ns: u64, rec: &mut R) {
-        let t = match self.cfg.sampling {
-            SampleInterval::Off => return,
-            SampleInterval::Requests(n) => {
-                if req_id < self.next_sample {
-                    return;
-                }
-                self.next_sample = req_id + n.max(1);
-                req_id
-            }
-            SampleInterval::SimTimeNs(dt) => {
-                if arrival_ns < self.next_sample {
-                    return;
-                }
-                self.next_sample = arrival_ns + dt.max(1);
-                arrival_ns
-            }
-        };
-        self.emit_sample(t, rec);
+    fn maybe_sample<R: Recorder + ?Sized>(&mut self, req_id: u64, rec: &mut R) {
+        let SampleInterval::Requests(n) = self.cfg.sampling else { return };
+        if req_id < self.next_sample {
+            return;
+        }
+        self.next_sample = req_id + n.max(1);
+        self.emit_sample(req_id, rec);
     }
 
     /// The utilization window: how much wall-clock the run spans so far.
@@ -1059,16 +1046,14 @@ mod tests {
     }
 
     #[test]
-    fn sim_time_sampler_respects_interval() {
-        let cfg = SimConfig::tiny(16, PolicyKind::Lru)
-            .with_sampling(SampleInterval::SimTimeNs(1_000));
+    fn lru_sampler_emits_no_list_series() {
+        let cfg = SimConfig::tiny(16, PolicyKind::Lru).with_sampling(SampleInterval::Requests(2));
         let mut ssd = Ssd::new(cfg);
         let mut rec = MemoryRecorder::default();
-        for t in [0u64, 100, 999, 1_500, 1_600, 3_000] {
-            ssd.submit_recorded(&Request::write_pages(t, t / 100, 1), &mut rec);
+        for i in 0..5u64 {
+            ssd.submit_recorded(&Request::write_pages(i, i, 1), &mut rec);
         }
-        let pts = rec.series_points("buf_occupancy");
-        assert_eq!(pts.iter().map(|&(t, _)| t).collect::<Vec<_>>(), vec![0, 1_500, 3_000]);
+        assert_eq!(rec.series_points("buf_occupancy").len(), 3);
         // LRU has no per-list occupancy series.
         assert!(rec.series_points("irl_pages").is_empty());
     }

@@ -72,7 +72,7 @@ pub use fleet::{
 };
 pub use host::{FlushWindow, Ssd, SubmitMode};
 pub use load::{ArrivalProcess, ArrivalTimer};
-pub use reqblock_flash::{DegradedMode, FaultConfig, FaultStats};
+pub use reqblock_flash::{FaultConfig, FaultStats};
 pub use reqblock_ftl::Health;
 pub use metrics::Metrics;
 pub use reqblock_flash::{IntervalLog, OpInterval, OpKind};

@@ -28,14 +28,6 @@ use rand::{Rng, SeedableRng};
 /// draws of the same Zipf rank re-touch the same pages.
 pub const EXTENT_PAGES: u64 = 8;
 
-/// Minimum address distance between consecutive hot extents, in pages (the
-/// actual stride is `streaming_pages / hot_extents`, validated to be at
-/// least this). Hot extents are *embedded* in the streamed region: real
-/// enterprise traces mix hot metadata updates among cold bulk data, so a
-/// 64-page flash block holds both — the unevenness that costs
-/// block-granularity schemes cache utilization (paper §4.2.3 on BPLRU/ts_0).
-pub const MIN_HOT_STRIDE_PAGES: u64 = 2 * EXTENT_PAGES;
-
 /// Capacity of the recent-small-writes ring that read locality draws from.
 const RECENT_SMALL_CAP: usize = 4096;
 /// Capacity of the recent-large-writes ring.

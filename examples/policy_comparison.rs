@@ -6,10 +6,10 @@
 //!
 //! `trace` is one of `hm_1 | lun_1 | usr_0 | src1_2 | ts_0 | proj_0`
 //! (default `src1_2`), `scale` the trace scale factor (default 0.05). The
-//! example runs all nine policies — the paper's four compared schemes plus
-//! the cited FIFO/LFU/CFLRU/FAB/PUD-LRU — on the paper's SSD with a 32 MB cache.
+//! example runs all five policies — the paper's four compared schemes plus
+//! CFLRU — on the paper's SSD with a 32 MB cache.
 
-use reqblock::cache::policies::{BplruConfig, CflruConfig, VbbmsConfig};
+use reqblock::cache::policies::{BplruConfig, CflruConfig};
 use reqblock::prelude::*;
 use reqblock::trace::profiles::profile_by_name;
 
@@ -26,13 +26,9 @@ fn main() {
 
     let policies = [
         PolicyKind::Lru,
-        PolicyKind::Fifo,
-        PolicyKind::Lfu,
         PolicyKind::Cflru(CflruConfig::default()),
-        PolicyKind::Fab,
-        PolicyKind::PudLru,
         PolicyKind::Bplru(BplruConfig::default()),
-        PolicyKind::Vbbms(VbbmsConfig::default()),
+        PolicyKind::Vbbms,
         PolicyKind::ReqBlock(ReqBlockConfig::paper()),
     ];
 

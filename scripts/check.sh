@@ -3,8 +3,10 @@
 # (`cargo test --workspace`: the root package's integration tests, each
 # crate's unit and property tests, the Perfetto trace-JSON smoke test
 # tests/trace_smoke.rs and the repro CLI error table
-# crates/experiments/tests/cli.rs), an explicit release run of
-# tests/fleet.rs (the small-fleet golden plus the streaming
+# crates/experiments/tests/cli.rs), one release run of each example at
+# its smallest input (`cargo test` only compiles them; a non-zero exit
+# fails), an explicit release run of tests/fleet.rs (the small-fleet
+# golden plus the streaming
 # merge-equivalence proptests pinning the loser-tree order and the
 # stream-vs-reference FleetMetrics against the materialize+sort
 # pipeline), the benchmark/ package tests (--locked), clippy and rustdoc with
@@ -38,6 +40,17 @@ cargo build --release -p reqblock-experiments --bin repro
 
 echo "== cargo test --workspace =="
 cargo test -q --workspace
+
+# `cargo test` only compiles the examples; run each once so one that
+# panics or exits non-zero fails here.
+echo "== examples (release, smallest input) =="
+cargo build --release --examples
+for run in "quickstart" "policy_comparison ts_0 0.001" "trace_analysis ts_0 0.001" "vdi_replay"; do
+    read -r name args <<<"$run"
+    echo "-- $run"
+    # shellcheck disable=SC2086 # $args is a word list
+    ./target/release/examples/"$name" $args >/dev/null
+done
 
 # benchmark/ is a workspace of its own, so neither the test step above nor
 # clippy --workspace compiles it; build and test it against the current

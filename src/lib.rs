@@ -40,7 +40,7 @@ pub use reqblock_trace as trace;
 pub mod prelude {
     pub use reqblock_cache::{EvictionBatch, Placement, WriteBuffer};
     pub use reqblock_core::{ReqBlock, ReqBlockConfig};
-    pub use reqblock_flash::{DegradedMode, FaultConfig, FaultStats, SsdConfig};
+    pub use reqblock_flash::{FaultConfig, FaultStats, SsdConfig};
     pub use reqblock_obs::{MemoryRecorder, NoopRecorder, Recorder};
     pub use reqblock_sim::{replay, CacheSizeMb, PolicyKind, SampleInterval, SimConfig};
     pub use reqblock_trace::{
