@@ -27,8 +27,9 @@
 //!   load        extension: X6 latency vs offered throughput — the ts_0
 //!               request mix re-timed by open-loop Poisson/bursty arrival
 //!               processes, p50/p99/p99.9 per policy and offered rate
-//!               (default multipliers 0.25x-8x; `--rates 0.5,2,...`
-//!               replaces the load_mult axis)
+//!               (default Poisson multipliers 0.25x-8x plus a bursty 1x
+//!               row; `--rates 0.5,2,...` replaces the arrival axis's
+//!               `poisson:*` values and keeps the bursty one after them)
 //!
 //!   why         tail forensics: per-component latency attribution across
 //!               policy x depth x offered load, plus Perfetto-loadable
@@ -56,7 +57,10 @@
 //! (several minutes of wall time on one core). `--threads N` sets the
 //! worker count; it defaults to the host's available parallelism, and
 //! `--threads 1` is the explicit serial mode. Tables and telemetry are
-//! byte-identical at every thread count.
+//! byte-identical at every thread count. `--depths`, `--rates` and
+//! `--devices` belong to `qdepth`, `load` and `fleet`; any other command
+//! rejects them, and `fleet` rejects `--trace-dir` (its tenants are
+//! synthetic).
 
 use reqblock_experiments::report::{bar_chart, save, Table};
 use reqblock_experiments::scenario::{self, AxisValues};
@@ -85,8 +89,8 @@ fn usage() -> ! {
          --threads defaults to the host's available parallelism; \
          --threads 1 is the explicit serial mode (identical output)\n\
          --depths picks the qdepth sweep's queue-depth grid (default 1,2,4,8,16,32)\n\
-         --rates picks the load sweep's offered-rate multipliers \
-         (default 0.25,0.5,1,2,4,8)\n\
+         --rates picks the load sweep's Poisson rate multipliers \
+         (default 0.25,0.5,1,2,4,8; the bursty 1x row stays)\n\
          --devices picks the fleet sweep's device counts (default 4,16)\n\
          run <scenario.toml> compiles a declarative scenario into the job pool; \
          --list shows every known scenario with its axes and job count"
@@ -125,8 +129,8 @@ struct CliExtras {
     /// Queue-depth axis for `qdepth` (`--depths`); `None` = the builtin
     /// scenario's.
     depths: Option<Vec<u32>>,
-    /// Offered-rate multipliers for `load` (`--rates`); `None` = the
-    /// builtin scenario's `load_mult` axis.
+    /// Poisson rate multipliers for `load` (`--rates`); `None` = the
+    /// builtin scenario's `arrival` axis.
     rates: Option<Vec<f64>>,
     /// Device counts for `fleet` (`--devices`); `None` = the default
     /// [`extensions::FLEET_DEVICES`].
@@ -218,6 +222,24 @@ fn run_telemetry(opts: &Opts, trace: &str) {
     emit(opts, &format!("telemetry_{trace}"), &[summary]);
 }
 
+/// Write telemetry documents as `<stem>` shards rotated at 64 KiB under
+/// the output directory, listing the files written.
+fn write_shards(opts: &Opts, stem: &str, docs: &[String]) {
+    let mut writer = reqblock_obs::TelemetryWriter::new(&opts.out_dir, stem, 64 * 1024);
+    for doc in docs {
+        writer.push_document(doc);
+    }
+    match writer.finish() {
+        Ok(paths) => {
+            for p in &paths {
+                println!("[saved {}]", p.display());
+            }
+            println!("[{} telemetry shard(s), rotated at 64 KiB]\n", paths.len());
+        }
+        Err(e) => eprintln!("warning: could not write telemetry shards: {e}"),
+    }
+}
+
 /// `repro why`: per-component tail attribution table, one Perfetto-loadable
 /// trace JSON per grid point, and size-rotated telemetry shards.
 fn run_why(opts: &Opts) {
@@ -241,20 +263,7 @@ fn run_why(opts: &Opts) {
             println!("[saved {} (open in Perfetto / chrome://tracing)]", path.display());
         }
     }
-    let mut writer =
-        reqblock_obs::TelemetryWriter::new(&opts.out_dir, "why_telemetry", 64 * 1024);
-    for doc in &report.telemetry {
-        writer.push_document(doc);
-    }
-    match writer.finish() {
-        Ok(paths) => {
-            for p in &paths {
-                println!("[saved {}]", p.display());
-            }
-            println!("[{} telemetry shard(s), rotated at 64 KiB]\n", paths.len());
-        }
-        Err(e) => eprintln!("warning: could not write telemetry shards: {e}"),
-    }
+    write_shards(opts, "why_telemetry", &report.telemetry);
     emit(opts, "why", &[report.table]);
 }
 
@@ -270,20 +279,7 @@ fn run_fleet(opts: &Opts, devices: &[usize]) {
     );
     let report = extensions::fleet_with_devices(opts, devices);
     eprintln!("grid done in {:.1?}", t0.elapsed());
-    let mut writer =
-        reqblock_obs::TelemetryWriter::new(&opts.out_dir, "fleet_telemetry", 64 * 1024);
-    for doc in &report.telemetry {
-        writer.push_document(doc);
-    }
-    match writer.finish() {
-        Ok(paths) => {
-            for p in &paths {
-                println!("[saved {}]", p.display());
-            }
-            println!("[{} telemetry shard(s), rotated at 64 KiB]\n", paths.len());
-        }
-        Err(e) => eprintln!("warning: could not write telemetry shards: {e}"),
-    }
+    write_shards(opts, "fleet_telemetry", &report.telemetry);
     println!(
         "[fleet throughput: {} devices in {:.2}s - {:.1} devices/s]\n",
         report.devices_simulated,
@@ -339,19 +335,26 @@ fn run_scenario(opts: &Opts, sc: &scenario::Scenario, only: Option<&str>) {
 
 /// A grid subcommand's scenario: the builtin of the same name (`fig8`..
 /// `fig12` run `comparison` and emit only their own figure), with the
-/// `--depths`/`--rates` overrides applied to the `qdepth`/`load` grids.
+/// `--depths`/`--rates` overrides (accepted only by `qdepth`/`load`)
+/// applied. `--rates` replaces the `poisson:*` arrival values and keeps
+/// the others after them.
 fn alias_scenario<'a>(extras: &CliExtras, cmd: &'a str) -> (scenario::Scenario, Option<&'a str>) {
     let (name, only) = match cmd {
         "fig8" | "fig9" | "fig10" | "fig11" | "fig12" => ("comparison", Some(cmd)),
         _ => (cmd, None),
     };
     let mut sc = scenario::builtin(name).expect("every grid subcommand is a builtin scenario");
-    if let (Some(depths), "qdepth") = (&extras.depths, name) {
+    if let Some(depths) = &extras.depths {
         let values = AxisValues::Ints(depths.iter().map(|&d| d as i64).collect());
         sc.set_axis("qdepth", values).unwrap_or_else(|e| fail(&format!("--depths: {e}")));
     }
-    if let (Some(rates), "load") = (&extras.rates, name) {
-        sc.set_axis("load_mult", AxisValues::Floats(rates.clone()))
+    if let Some(rates) = &extras.rates {
+        let Some(AxisValues::Strs(arrivals)) = sc.axis("arrival") else {
+            unreachable!("the load scenario declares an arrival axis")
+        };
+        let kept = arrivals.iter().filter(|a| !a.starts_with("poisson:")).cloned();
+        let values = rates.iter().map(|r| format!("poisson:{r}")).chain(kept).collect();
+        sc.set_axis("arrival", AxisValues::Strs(values))
             .unwrap_or_else(|e| fail(&format!("--rates: {e}")));
     }
     (sc, only)
@@ -406,6 +409,17 @@ fn run_list() {
 fn main() -> ExitCode {
     let (opts, extras, pos) = parse_args();
     let (cmd, operands) = (pos[0].as_str(), &pos[1..]);
+    // A sweep flag belongs to one command; anywhere else it would be
+    // silently dropped.
+    for (flag, set, owner) in [
+        ("--depths", extras.depths.is_some(), "qdepth"),
+        ("--rates", extras.rates.is_some(), "load"),
+        ("--devices", extras.devices.is_some(), "fleet"),
+    ] {
+        if set && cmd != owner {
+            fail(&format!("{flag} applies only to {owner}, not {cmd}"));
+        }
+    }
     // Commands that take positional operands; everything else takes none.
     let expected_operands: std::ops::RangeInclusive<usize> = match cmd {
         "export" => 2..=2,
@@ -449,6 +463,10 @@ fn main() -> ExitCode {
     if let Some(dir) = opts.trace_dir.as_ref().filter(|d| !d.is_dir()) {
         let why = std::fs::metadata(dir).map_or_else(|e| e.to_string(), |_| "not a directory".into());
         eprintln!("repro: --trace-dir: {}: {why}", dir.display());
+        return ExitCode::from(2);
+    }
+    if cmd == "fleet" && opts.trace_dir.is_some() {
+        eprintln!("repro: --trace-dir: fleet tenants replay synthetic streams, not trace files");
         return ExitCode::from(2);
     }
     let devices: Vec<_> = grids.iter().flat_map(|(sc, _)| sc.pressured_devices(&opts)).collect();

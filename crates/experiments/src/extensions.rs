@@ -1,11 +1,11 @@
 //! Extension experiments beyond the paper's figures.
 //!
-//! * The reports of the extension scenarios (`scenarios/*.toml`, compiled
-//!   by [`crate::scenario`]): [`TAIL_QUANTILES`] percentiles per policy
-//!   (`tails`), GC activity and write amplification (`wear`), the
-//!   Req-block design-choice ablations (`ablations`), the seeded
-//!   fault-rate sweep (`faults`), response time vs queue depth (`qdepth`,
-//!   X5) and latency vs offered load (`load`, X6).
+//! The one-table extensions (`tails`, `wear`, `ablations`, `faults`,
+//! `qdepth` X5 and `load` X6) are `grid` scenarios, data under
+//! `scenarios/`; this module keeps what their compiler borrows (the
+//! service-rate calibration, the pressured device, the burst shape) and
+//! the two experiments that are still code:
+//!
 //! * [`why`] — X7: per-request tail forensics across policy x depth x
 //!   offered load.
 //! * [`fleet`] — X8: a multi-device fleet under a blended three-tenant
@@ -14,7 +14,6 @@
 
 use crate::figures::Opts;
 use crate::report::{f2, f3, pct, Table};
-use crate::scenario::Point;
 use reqblock_core::ReqBlockConfig;
 use reqblock_obs::telemetry::to_jsonl;
 use reqblock_obs::{MemoryRecorder, NoopRecorder, TraceBuilder};
@@ -29,8 +28,8 @@ use reqblock_trace::WorkloadProfile;
 /// one serial probe replays the mix with every arrival at t=0 against an
 /// LRU paper device — pure service demand, no idle gaps — and the slowest
 /// request's completion divided by the request count is the calibrated
-/// gap. The open-loop sweeps (X6/X7/X8 and the scenario planner's
-/// `load_mult` axis) anchor their offered rates on it because the traces'
+/// gap. The open-loop sweeps (X7, X8 and the scenario planner's `arrival`
+/// axis behind X6) anchor their offered rates on it because the traces'
 /// own timestamps are far too sparse to stress the device. Runs at plan
 /// time on one thread, so the grids stay thread-count invariant.
 pub(crate) fn calibrated_service_gap_ns(base: &TraceSource) -> u64 {
@@ -60,189 +59,10 @@ pub(crate) fn pressured_ssd(profile: &WorkloadProfile) -> reqblock_flash::SsdCon
     ssd
 }
 
-/// Percentile columns of the `tails` report.
-pub const TAIL_QUANTILES: [(f64, &str); 4] =
-    [(0.50, "p50 (ms)"), (0.95, "p95 (ms)"), (0.99, "p99 (ms)"), (1.0, "max (ms)")];
-
-/// The `tails` report: response-time percentiles per (trace, policy) point
-/// (the paper reports means only; the policies differ most in their
-/// tails).
-pub(crate) fn tails_build(points: &[Point]) -> Table {
-    let mut cols = vec!["Trace", "Policy", "mean (ms)"];
-    for (_, label) in TAIL_QUANTILES {
-        cols.push(label);
-    }
-    let mut t = Table::new("Extension - Response time percentiles (32MB)", &cols);
-    for p in points {
-        let m = &p.result.metrics;
-        let mut row = vec![
-            p.cell("trace").to_string(),
-            p.cell("policy").to_string(),
-            f3(m.avg_response_ms()),
-        ];
-        for (q, _) in TAIL_QUANTILES {
-            row.push(f3(m.response_percentile_ms(q)));
-        }
-        t.push_row(row);
-    }
-    t
-}
-
-/// The `wear` report: GC activity, write amplification and erases per
-/// policy over a cache-pressure workload.
-pub(crate) fn wear_build(points: &[Point]) -> Table {
-    let mut t = Table::new(
-        "Extension - GC activity and write amplification (proj_0-like, 32MB)",
-        &["Policy", "User programs", "GC programs", "GC runs", "Erases", "WA"],
-    );
-    for p in points {
-        let r = &p.result;
-        t.push_row(vec![
-            p.cell("policy").to_string(),
-            r.flash.user_programs.to_string(),
-            r.flash.gc_programs.to_string(),
-            r.ftl.gc_runs.to_string(),
-            r.flash.erases.to_string(),
-            f2(r.flash.write_amplification()),
-        ]);
-    }
-    t
-}
-
-/// The `ablations` report: what each Req-block design choice buys
-/// (DESIGN.md A1-A4), one row per (trace, variant) point. The variants
-/// are policy names ([`crate::scenario::POLICY_NAMES`]).
-pub(crate) fn ablations_build(points: &[Point]) -> Table {
-    let mut t = Table::new(
-        "Extension - Ablations (32MB)",
-        &["Variant", "Trace", "Hit ratio", "Avg resp (ms)", "Flash writes", "Pages/eviction"],
-    );
-    for p in points {
-        let r = &p.result;
-        t.push_row(vec![
-            p.cell("policy").to_string(),
-            p.cell("trace").to_string(),
-            f3(r.metrics.hit_ratio()),
-            f3(r.metrics.avg_response_ms()),
-            r.flash.user_programs.to_string(),
-            f2(r.metrics.avg_pages_per_eviction()),
-        ]);
-    }
-    t
-}
-
-/// The `faults` report: one workload replayed under rising seeded fault
-/// rates (read/program/erase) on the pressured device, reporting retries,
-/// retired bad blocks, remapped pages and the device health outcome.
-/// Every run uses the same seeded fault stream, so the table is
-/// reproducible bit-for-bit; the zero-ppm row doubles as a control that
-/// matches a fault-free device.
-pub(crate) fn fault_build(points: &[Point]) -> Table {
-    let mut t = Table::new(
-        "Extension - Fault-rate sweep (Req-block, pressured device, fixed seed)",
-        &[
-            "Fault ppm",
-            "Read retries",
-            "Uncorrectable",
-            "Program fails",
-            "Erase fails",
-            "Bad blocks",
-            "Remapped pages",
-            "Rejected pages",
-            "Health",
-            "Avg resp (ms)",
-        ],
-    );
-    for p in points {
-        let (r, f) = (&p.result, &p.result.faults);
-        t.push_row(vec![
-            p.cell("fault_ppm").to_string(),
-            f.read_retries.to_string(),
-            f.read_uncorrectable.to_string(),
-            f.program_failures.to_string(),
-            f.erase_failures.to_string(),
-            f.retired_blocks.to_string(),
-            f.remapped_pages.to_string(),
-            f.rejected_write_pages.to_string(),
-            format!("{:?}", r.health),
-            f3(r.metrics.avg_response_ms()),
-        ]);
-    }
-    t
-}
-
-/// The `qdepth` report (X5): mean and p99 response time vs host queue
-/// depth per policy.
-///
-/// Depth 1 is definitionally the synchronous paper model (the property and
-/// golden tests pin the equality); deeper windows let eviction flushes
-/// retire in the background, so the sweep isolates how much of each
-/// policy's response time is buffer-induced stall that a queueing host
-/// could hide. Flash traffic is depth-invariant by construction.
-pub(crate) fn qdepth_build(points: &[Point]) -> Table {
-    let mut t = Table::new(
-        "Extension - X5: response time vs host queue depth (ts_0, 32MB)",
-        &["Policy", "Depth", "Mean resp (ms)", "p99 (ms)", "Flush stalls", "Stall time (ms)"],
-    );
-    for p in points {
-        let m = &p.result.metrics;
-        t.push_row(vec![
-            p.cell("policy").to_string(),
-            p.cell("qdepth").to_string(),
-            f3(m.avg_response_ms()),
-            f3(m.response_percentile_ms(0.99)),
-            m.flush_stalls.to_string(),
-            f2(m.flush_stall_ns as f64 / 1e6),
-        ]);
-    }
-    t
-}
-
-/// Burst shape of the X6 bursty rows: bursts of 64 requests arriving 8x
-/// faster than the long-run rate, idle gaps in between (same offered rate).
+/// Burst shape of the `arrival` axis's `bursty:<mult>` values (X6's
+/// bursty rows): bursts of 64 requests arriving 8x faster than the
+/// long-run rate, idle gaps in between (same offered rate).
 pub const LOAD_BURST: (u32, u32) = (64, 8);
-
-/// The `load` report (X6): latency vs offered throughput per policy.
-///
-/// Every job rewrites the same base trace's arrival times
-/// ([`TraceSource::OpenLoop`]): Poisson at each `load_mult` multiple of
-/// the calibrated service rate, plus one bursty row ([`LOAD_BURST`]) at 1x
-/// to show what burst clustering alone costs. Arrival seeds depend only on
-/// the rate step — every policy sees byte-identical arrivals, so the rows
-/// compare policies, not RNG draws. Responses are measured
-/// arrival->completion against an open loop that never self-throttles,
-/// which is what makes the saturation knee visible (see EXPERIMENTS.md).
-/// Calibration is [`calibrated_service_gap_ns`].
-pub(crate) fn load_build(points: &[Point]) -> Table {
-    let mut t = Table::new(
-        "Extension - X6: response time vs offered throughput (ts_0 mix, open loop, qd8, 32MB)",
-        &[
-            "Policy",
-            "Process",
-            "Load",
-            "Offered (kreq/s)",
-            "p50 (ms)",
-            "p99 (ms)",
-            "p99.9 (ms)",
-            "Mean (ms)",
-        ],
-    );
-    for p in points {
-        let m = &p.result.metrics;
-        let offered: f64 = p.cell("offered").parse().expect("offered rate cell");
-        t.push_row(vec![
-            p.cell("policy").to_string(),
-            p.cell("process").to_string(),
-            format!("{}x", p.cell("load_mult")),
-            f2(offered / 1e3),
-            f3(m.response_percentile_ms(0.50)),
-            f3(m.response_percentile_ms(0.99)),
-            f3(m.response_percentile_ms(0.999)),
-            f3(m.avg_response_ms()),
-        ]);
-    }
-    t
-}
 
 /// Host queue depths probed by [`why`] (X7).
 pub const WHY_DEPTHS: [u32; 2] = [1, 8];
@@ -286,7 +106,8 @@ pub struct WhyReport {
 }
 
 /// Run the X7 grid: [`why_policies`] x [`WHY_DEPTHS`] x [`WHY_LOADS`],
-/// replaying the `ts_0` mix open-loop with attribution enabled. Unlike the
+/// replaying the `ts_0` mix ([`Opts::source_for`]: the trace file when
+/// one is given) open-loop with attribution enabled. Unlike the
 /// [`JobPool`](reqblock_sim::JobPool) grids this keeps the whole device
 /// around per point — the attribution accumulator and captured busy
 /// intervals live on the `Ssd`, not in the `RunResult` — so it drives
@@ -294,8 +115,7 @@ pub struct WhyReport {
 /// Sampling is deterministic in the run alone, so the grid is
 /// thread-count invariant.
 pub(crate) fn why_points(opts: &Opts) -> Vec<WhyPoint> {
-    let profile = reqblock_trace::profiles::ts_0().scaled(opts.scale);
-    let base = TraceSource::Synthetic(profile);
+    let base = opts.source_for(&reqblock_trace::profiles::ts_0().scaled(opts.scale));
     let service_gap_ns = calibrated_service_gap_ns(&base);
     let mut specs: Vec<(String, SimConfig, TraceSource)> = Vec::new();
     for policy in why_policies() {
@@ -897,8 +717,8 @@ mod tests {
 
     #[test]
     fn load_sweep_accepts_custom_rate_list() {
-        let rates = AxisValues::Floats(vec![0.5, 4.0]);
-        let t = builtin_table("load", &tiny_opts(), Some(("load_mult", rates)));
+        let rates = ["poisson:0.5", "poisson:4", "bursty:1"].map(String::from).to_vec();
+        let t = builtin_table("load", &tiny_opts(), Some(("arrival", AxisValues::Strs(rates))));
         // Per policy: both Poisson steps plus the fixed bursty row.
         assert_eq!(t.rows.len(), 4 * 3);
         for policy in PolicyKind::paper_comparison() {

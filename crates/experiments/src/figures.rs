@@ -31,9 +31,11 @@ pub struct Opts {
     pub out_dir: PathBuf,
     /// Directory holding the paper's original traces as `<name>.csv` in
     /// MSR format (e.g. `hm_1.csv`). When a file exists for a workload, it
-    /// replaces the synthetic stand-in for every experiment; workloads
-    /// without a file keep the synthetic trace. `repro` rejects a
-    /// directory that does not exist, and a file that fails
+    /// replaces the synthetic stand-in in every experiment that replays
+    /// that workload (Table 2 names it in its title); workloads without a
+    /// file keep the synthetic trace. The fleet's tenant streams are
+    /// always synthetic, so `repro fleet` rejects the flag. `repro` also
+    /// rejects a directory that does not exist, and a file that fails
     /// [`Opts::check_trace_dir`].
     pub trace_dir: Option<PathBuf>,
 }
@@ -222,10 +224,22 @@ pub(crate) fn table2_stats(opts: &Opts, profile: &WorkloadProfile) -> TraceStats
     b.finish()
 }
 
-/// Render Table 2 from the per-trace statistics (profile order).
+/// Render Table 2 from the per-trace statistics (profile order). The
+/// title names the workloads read from trace files, if any.
 pub(crate) fn table2_build(opts: &Opts, stats: Vec<TraceStats>) -> Table {
+    let profiles = opts.profiles();
+    let files: Vec<&str> = profiles
+        .iter()
+        .filter(|p| matches!(opts.source_for(p), TraceSource::MsrFile(_)))
+        .map(|p| p.name.as_str())
+        .collect();
+    let files = (!files.is_empty()).then(|| format!("; trace files: {}", files.join(", ")));
     let mut t = Table::new(
-        format!("Table 2 - Trace specifications (synthetic, scale {})", opts.scale),
+        format!(
+            "Table 2 - Trace specifications (synthetic, scale {}{})",
+            opts.scale,
+            files.unwrap_or_default()
+        ),
         &[
             "Trace",
             "Req # (paper)",
@@ -240,7 +254,7 @@ pub(crate) fn table2_build(opts: &Opts, stats: Vec<TraceStats>) -> Table {
             "Frequent Wr (ours)",
         ],
     );
-    for ((profile, paper), s) in opts.profiles().into_iter().zip(TABLE2_PAPER).zip(stats) {
+    for ((profile, paper), s) in profiles.into_iter().zip(TABLE2_PAPER).zip(stats) {
         t.push_row(vec![
             profile.name.clone(),
             paper.1.to_string(),
@@ -323,16 +337,12 @@ pub(crate) fn fig23_probe(opts: &Opts, profile: &WorkloadProfile) -> Fig23Row {
 
 /// Render Figures 2 and 3 from the per-trace probe rows (profile order).
 pub(crate) fn fig23_build(rows: Vec<Fig23Row>) -> (Table, Table) {
+    let size_cols: Vec<String> = FIG2_SIZES.iter().map(|s| format!("<= {s}p")).collect();
+    let mut cols = vec!["Trace", "Series"];
+    cols.extend(size_cols.iter().map(String::as_str));
     let mut fig2 = Table::new(
         "Figure 2 - CDF of page inserts and hits vs write request size (16MB cache, LRU)",
-        &{
-            let mut cols = vec!["Trace", "Series"];
-            cols.extend(FIG2_SIZES.iter().map(|s| {
-                // leak: tiny, once-per-run label strings
-                Box::leak(format!("<= {s}p").into_boxed_str()) as &str
-            }));
-            cols
-        },
+        &cols,
     );
     let mut fig3 = Table::new(
         "Figure 3 - Hit statistics of large-request pages (16MB cache, LRU)",
@@ -926,6 +936,23 @@ mod trace_dir_tests {
         // The file source loads the exported requests.
         assert_eq!(opts.shared_for(ts0).len(), reqs.len());
         assert!(opts.check_trace_dir(&[]).is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn table2_title_names_file_backed_traces_only() {
+        let dir = std::env::temp_dir().join(format!("reqblock_table2_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let opts = Opts { scale: 0.001, trace_dir: Some(dir.clone()), ..Opts::default() };
+        // No file in the directory: the synthetic title, unchanged.
+        assert_eq!(table2(&opts).title, "Table 2 - Trace specifications (synthetic, scale 0.001)");
+        let profile = reqblock_trace::profiles::ts_0().scaled(0.001);
+        let reqs = reqblock_trace::SyntheticTrace::new(profile).generate_all();
+        reqblock_trace::msr::write_file(&dir.join("ts_0.csv"), &reqs).unwrap();
+        assert_eq!(
+            table2(&opts).title,
+            "Table 2 - Trace specifications (synthetic, scale 0.001; trace files: ts_0)"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

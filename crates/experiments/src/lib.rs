@@ -11,10 +11,10 @@
 //! | `figures::fig13` | Figure 13 — Req-block list occupancy over time |
 //!
 //! Every experiment grid — Figure 7 (`scenarios/fig7.toml`), the Figures
-//! 8-12 comparison (`scenarios/comparison.toml`) and the extensions
-//! (tails, wear, ablations, faults, qdepth, load) — is a committed
-//! `scenarios/*.toml` file lowered by the one [`scenario`] compiler and
-//! rendered by its kind's report. The `repro` binary exposes all of them
+//! 8-12 comparison (`scenarios/comparison.toml`) and the one-table
+//! extensions (tails, wear, ablations, faults, qdepth, load: plain `grid`
+//! files) — is a committed `scenarios/*.toml` file lowered by the one
+//! [`scenario`] compiler and rendered by its kind's report. The `repro` binary exposes all of them
 //! as subcommands (the grid subcommands run the builtin scenario of the
 //! same name); results are printed and written into `results/`. `repro
 //! all` goes through [`sweep::run_all`], which submits every figure's

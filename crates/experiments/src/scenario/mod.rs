@@ -6,8 +6,8 @@
 //!
 //! ```text
 //! [scenario]
-//! name = "qdepth"          # section name of the emitted table(s)
-//! kind = "qdepth"          # which report renders the grid
+//! name = "qdepth"          # section name of the emitted table
+//! kind = "grid"            # which report renders the grid
 //!
 //! [axes]                   # declaration order = nesting order
 //! trace = "ts_0"           # scalar = a one-value axis
@@ -15,7 +15,9 @@
 //! qdepth = [1, 2, 4, 8, 16, 32]
 //!
 //! [output]                 # optional
-//! section = "qdepth"       # defaults to scenario.name
+//! title = "Response time vs host queue depth"
+//! columns = ["policy", "qdepth", "avg_resp_ms", "p99_ms"]
+//! labels = ["Policy", "Depth", "Mean resp (ms)", "p99 (ms)"]
 //! ```
 //!
 //! [`plan`] validates the axes against the kind's schema and lowers the
@@ -28,21 +30,19 @@
 //! rendered tables — and therefore each section's [`section_digest`] — are
 //! byte-identical at any thread count.
 //!
-//! The purpose-built kinds (`comparison`, `fig7`, `tails`, `wear`,
-//! `ablations`, `faults`, `qdepth`, `load`) render the repo's tables byte
-//! for byte; the committed files under `scenarios/` are their canonical
-//! definitions and are embedded here as [`BUILTIN_SCENARIOS`]. The
-//! generic `grid` kind renders any subset of the axes (policy x trace x
-//! scale x delta x qdepth x fault_ppm x load_mult x geometry) with a
-//! column/group-by output spec — a new experiment axis is one line in a
-//! scenario file and one case in the compiler.
+//! There are three kinds. `comparison` (Figures 8-12, summary, perf) and
+//! `fig7` pivot their grids into several tables; every one-table
+//! experiment is a `grid`, which renders one row per point over any
+//! subset of the axes (policy x trace x scale x delta x qdepth x
+//! fault_ppm x arrival x geometry) with a title/column/label output
+//! spec. The committed files under `scenarios/` are the canonical
+//! definitions and are embedded here as [`BUILTIN_SCENARIOS`] — a new
+//! experiment axis is one line in a scenario file and one case in the
+//! compiler.
 
 pub mod toml;
 
-use crate::extensions::{
-    ablations_build, calibrated_service_gap_ns, fault_build, load_build, pressured_ssd,
-    qdepth_build, tails_build, wear_build, LOAD_BURST,
-};
+use crate::extensions::{calibrated_service_gap_ns, pressured_ssd, LOAD_BURST};
 use crate::figures::{comparison_report, fig7_build, Opts};
 use crate::report::{f2, f3, pct, Table};
 use reqblock_cache::fxhash::FxHasher;
@@ -93,34 +93,12 @@ pub enum Kind {
     Comparison,
     /// Figure 7: Req-block hit ratio and response time per (trace, delta).
     Fig7,
-    /// Response-time percentiles per (trace, policy).
-    Tails,
-    /// GC activity / write amplification per policy.
-    Wear,
-    /// Req-block design-choice variants per (trace, policy).
-    Ablations,
-    /// Seeded fault-rate sweep on a pressured device.
-    Faults,
-    /// Response time vs host queue depth per policy.
-    Qdepth,
-    /// Open-loop latency vs offered throughput per policy.
-    Load,
-    /// Generic cartesian grid with a declarative column spec.
+    /// One table, one row per point, with a declarative output spec.
     Grid,
 }
 
 /// Every kind, in error-message order.
-const KINDS: [Kind; 9] = [
-    Kind::Comparison,
-    Kind::Fig7,
-    Kind::Tails,
-    Kind::Wear,
-    Kind::Ablations,
-    Kind::Faults,
-    Kind::Qdepth,
-    Kind::Load,
-    Kind::Grid,
-];
+const KINDS: [Kind; 3] = [Kind::Comparison, Kind::Fig7, Kind::Grid];
 
 impl Kind {
     /// Parse the `[scenario] kind` string.
@@ -133,12 +111,6 @@ impl Kind {
         match self {
             Kind::Comparison => "comparison",
             Kind::Fig7 => "fig7",
-            Kind::Tails => "tails",
-            Kind::Wear => "wear",
-            Kind::Ablations => "ablations",
-            Kind::Faults => "faults",
-            Kind::Qdepth => "qdepth",
-            Kind::Load => "load",
             Kind::Grid => "grid",
         }
     }
@@ -158,34 +130,9 @@ impl Kind {
                 required: &["delta"],
                 singleton: &["policy"],
             },
-            Kind::Tails | Kind::Ablations => KindSpec {
-                allowed: &["trace", "policy", "cache_mb"],
-                required: &[],
-                singleton: &["cache_mb"],
-            },
-            Kind::Wear => KindSpec {
-                allowed: &["trace", "policy", "cache_mb"],
-                required: &[],
-                singleton: &["trace", "cache_mb"],
-            },
-            Kind::Faults => KindSpec {
-                allowed: &["trace", "policy", "fault_ppm", "geometry"],
-                required: &["fault_ppm", "geometry"],
-                singleton: &["trace", "policy", "geometry"],
-            },
-            Kind::Qdepth => KindSpec {
-                allowed: &["trace", "policy", "qdepth", "cache_mb"],
-                required: &["qdepth"],
-                singleton: &["trace", "cache_mb"],
-            },
-            Kind::Load => KindSpec {
-                allowed: &["trace", "policy", "load_mult", "qdepth", "cache_mb"],
-                required: &["load_mult"],
-                singleton: &["trace", "qdepth", "cache_mb"],
-            },
             Kind::Grid => KindSpec {
                 allowed: &[
-                    "trace", "policy", "cache_mb", "delta", "qdepth", "fault_ppm", "load_mult",
+                    "trace", "policy", "cache_mb", "delta", "qdepth", "fault_ppm", "arrival",
                     "geometry", "scale",
                 ],
                 required: &[],
@@ -217,7 +164,7 @@ const AXIS_TYPES: [(&str, AxisType); 9] = [
     ("delta", AxisType::Int),
     ("qdepth", AxisType::Int),
     ("fault_ppm", AxisType::Int),
-    ("load_mult", AxisType::Float),
+    ("arrival", AxisType::Str),
     ("geometry", AxisType::Str),
     ("scale", AxisType::Float),
 ];
@@ -230,11 +177,11 @@ fn axis_type(name: &str) -> Option<AxisType> {
 /// integer literals on a float axis are promoted.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AxisValues {
-    /// String-valued axis (`trace`, `policy`, `geometry`).
+    /// String-valued axis (`trace`, `policy`, `arrival`, `geometry`).
     Strs(Vec<String>),
     /// Integer-valued axis (`cache_mb`, `delta`, `qdepth`, `fault_ppm`).
     Ints(Vec<i64>),
-    /// Float-valued axis (`load_mult`, `scale`).
+    /// Float-valued axis (`scale`).
     Floats(Vec<f64>),
 }
 
@@ -315,6 +262,9 @@ pub struct OutputSpec {
     pub title: Option<String>,
     /// Column spec: axis names and/or metric names (`grid` kind only).
     pub columns: Option<Vec<String>>,
+    /// Header text, one per `columns` entry (`grid` kind only; defaults
+    /// to the column names).
+    pub labels: Option<Vec<String>>,
     /// Axes hoisted to the outermost nesting positions, in the given
     /// order (`grid` kind only).
     pub group_by: Option<Vec<String>>,
@@ -410,6 +360,7 @@ impl Scenario {
                 "section" => output.section = Some(as_str(value)?),
                 "title" => output.title = Some(as_str(value)?),
                 "columns" => output.columns = Some(as_str_list(value)?),
+                "labels" => output.labels = Some(as_str_list(value)?),
                 "group_by" => output.group_by = Some(as_str_list(value)?),
                 _ => return err(format!("unknown key output.{key}")),
             }
@@ -474,12 +425,7 @@ impl Scenario {
     /// Jobs the planner will emit: the product of the axis lengths (no
     /// simulation, no calibration run — safe for `repro --list`).
     pub fn estimated_jobs(&self) -> usize {
-        let product = self.axes.iter().map(|(_, v)| v.len()).product();
-        match self.kind {
-            // One bursty row per policy rides along with the Poisson steps.
-            Kind::Load => product + self.axis("policy").map_or(0, AxisValues::len),
-            _ => product,
-        }
+        self.axes.iter().map(|(_, v)| v.len()).product()
     }
 
     /// Check the axes and output spec against the kind's schema.
@@ -546,13 +492,6 @@ impl Scenario {
                 }
             }
         }
-        if self.kind == Kind::Faults
-            && self.axis("geometry").is_some_and(|g| g.display(0) != "pressured")
-        {
-            return err(
-                "fault scenarios run on the pressured device; geometry must be \"pressured\"",
-            );
-        }
         if self.axis("delta").is_some() && policies.iter().any(|p| p != "Req-block") {
             return err(
                 "the delta axis tunes Req-block; a scenario sweeping delta must set \
@@ -568,6 +507,7 @@ impl Scenario {
             for (key, set) in [
                 ("title", self.output.title.is_some()),
                 ("columns", self.output.columns.is_some()),
+                ("labels", self.output.labels.is_some()),
                 ("group_by", self.output.group_by.is_some()),
             ] {
                 if set {
@@ -577,7 +517,9 @@ impl Scenario {
         } else {
             if let Some(cols) = &self.output.columns {
                 for col in cols {
-                    let is_axis = self.axis(col).is_some();
+                    let is_arrival_cell =
+                        self.axis("arrival").is_some() && ARRIVAL_CELLS.contains(&col.as_str());
+                    let is_axis = self.axis(col).is_some() || is_arrival_cell;
                     let is_metric = METRICS.iter().any(|(n, _)| n == col);
                     if !is_axis && !is_metric {
                         return err(format!(
@@ -586,6 +528,16 @@ impl Scenario {
                             METRICS.iter().map(|(n, _)| *n).collect::<Vec<_>>().join(", ")
                         ));
                     }
+                }
+            }
+            if let Some(labels) = &self.output.labels {
+                let columns = self.output.columns.as_ref().map_or(0, Vec::len);
+                if labels.len() != columns {
+                    return err(format!(
+                        "output.labels must match output.columns one for one \
+                         ({} label(s) for {columns} column(s))",
+                        labels.len()
+                    ));
                 }
             }
             if let Some(group) = &self.output.group_by {
@@ -646,10 +598,20 @@ fn validate_axis_values(axis: &str, values: &AxisValues) -> Result<(), ScenarioE
                 }
             }
         }
-        ("load_mult" | "scale", AxisValues::Floats(v)) => {
+        ("scale", AxisValues::Floats(v)) => {
             for &x in v {
                 if !x.is_finite() || x <= 0.0 {
                     return err(format!("{axis} {x} must be a finite positive number"));
+                }
+            }
+        }
+        ("arrival", AxisValues::Strs(v)) => {
+            for a in v {
+                if parse_arrival(a).is_none() {
+                    return err(format!(
+                        "unknown arrival {a:?} (poisson:<mult> or bursty:<mult>, \
+                         mult a finite number > 0)"
+                    ));
                 }
             }
         }
@@ -664,6 +626,19 @@ fn validate_axis_values(axis: &str, values: &AxisValues) -> Result<(), ScenarioE
     }
     Ok(())
 }
+
+/// Parse one `arrival` value, `poisson:<mult>` or `bursty:<mult>`: the
+/// process name and its multiple of the calibrated service rate.
+fn parse_arrival(value: &str) -> Option<(&str, f64)> {
+    let (process, mult) = value.split_once(':')?;
+    let mult: f64 = mult.parse().ok()?;
+    let known = matches!(process, "poisson" | "bursty");
+    (known && mult.is_finite() && mult > 0.0).then_some((process, mult))
+}
+
+/// Cells every `arrival` point carries after its axis cells: the process
+/// name, the multiplier as `<mult>x`, and the offered rate in kreq/s.
+const ARRIVAL_CELLS: [&str; 3] = ["process", "load", "offered_kreq_s"];
 
 /// Every name the `policy` axis accepts: the five policies at their paper
 /// defaults, then the Req-block/BPLRU design-choice ablations (DESIGN.md
@@ -830,10 +805,7 @@ impl ScenarioPlan {
 /// Compile a validated scenario against the harness options.
 pub fn plan(sc: &Scenario, opts: &Opts) -> Result<ScenarioPlan, ScenarioError> {
     sc.validate()?;
-    let (jobs, cells) = match sc.kind {
-        Kind::Load => compile_load(sc, opts),
-        _ => compile_grid(sc, opts),
-    };
+    let (jobs, cells) = compile_grid(sc, opts);
     Ok(ScenarioPlan { sc: sc.clone(), pool: JobPool::new(jobs), cells })
 }
 
@@ -852,12 +824,6 @@ fn render(sc: &Scenario, cells: Vec<Cells>, results: Vec<(String, RunResult)>) -
     let tables = match sc.kind {
         Kind::Comparison => return comparison_report(sc, points),
         Kind::Fig7 => fig7_build(sc, &points),
-        Kind::Tails => vec![tails_build(&points)],
-        Kind::Wear => vec![wear_build(&points)],
-        Kind::Ablations => vec![ablations_build(&points)],
-        Kind::Faults => vec![fault_build(&points)],
-        Kind::Qdepth => vec![qdepth_build(&points)],
-        Kind::Load => vec![load_build(&points)],
         Kind::Grid => vec![grid_build(sc, &points)],
     };
     let section = sc.output.section.clone().unwrap_or_else(|| sc.name.clone());
@@ -917,9 +883,13 @@ pub fn run_builtin(name: &str, opts: &Opts) -> ScenarioOutcome {
 ///   (which replaces the `cache_mb` size),
 /// * `qdepth` switches to queued submission at that depth,
 /// * `fault_ppm` seeds read/program/erase faults at that rate,
-/// * `load_mult` re-times arrivals open-loop at that multiple of the
-///   calibrated service rate (Poisson; seeded by the multiplier's
-///   position, calibrated once per unique trace x scale).
+/// * `arrival` re-times arrivals open-loop at a multiple of the
+///   calibrated service rate (calibrated once per unique trace x scale):
+///   `poisson:<mult>`, or `bursty:<mult>` with the [`LOAD_BURST`] shape.
+///   The k-th value of each process is seeded `0x10AD_5EED + k`
+///   (Poisson) or `0x10AD_B025 + k` (bursty), so every other axis value
+///   sees byte-identical arrivals at the same step. The point also gets
+///   the [`ARRIVAL_CELLS`] after its axis cells.
 fn compile_grid(sc: &Scenario, opts: &Opts) -> (Vec<Job>, Vec<Cells>) {
     // Axis evaluation order: group_by first, then declaration order.
     let group_by = sc.output.group_by.clone().unwrap_or_default();
@@ -938,8 +908,8 @@ fn compile_grid(sc: &Scenario, opts: &Opts) -> (Vec<Job>, Vec<Cells>) {
     let total: usize = lens.iter().product();
     let pos = |name: &str| axes.iter().position(|(n, _)| *n == name);
 
-    // Calibration gaps for load_mult grids, one per (trace, scale) point.
-    let mut gaps: HashMap<(usize, usize), u64> = HashMap::new();
+    // Calibration gaps for arrival grids, one per (trace, scale) point.
+    let mut gaps: HashMap<(String, u64), u64> = HashMap::new();
 
     let mut jobs = Vec::with_capacity(total);
     let mut point_cells: Vec<Cells> = Vec::with_capacity(total);
@@ -950,41 +920,32 @@ fn compile_grid(sc: &Scenario, opts: &Opts) -> (Vec<Job>, Vec<Cells>) {
             idx[k] = rem % lens[k];
             rem /= lens[k];
         }
-        let sval = |name: &str| -> Option<&str> {
-            pos(name).map(|k| match axes[k].1 {
-                AxisValues::Strs(v) => v[idx[k]].as_str(),
-                _ => unreachable!(),
-            })
-        };
-        let ival = |name: &str| -> Option<i64> {
-            pos(name).map(|k| match axes[k].1 {
-                AxisValues::Ints(v) => v[idx[k]],
-                _ => unreachable!(),
-            })
-        };
-        let fval = |name: &str| -> Option<f64> {
-            pos(name).map(|k| match axes[k].1 {
-                AxisValues::Floats(v) => v[idx[k]],
-                _ => unreachable!(),
-            })
-        };
+        let mut cells: Cells = axes
+            .iter()
+            .zip(&idx)
+            .map(|((name, values), &i)| (name.to_string(), values.display(i)))
+            .collect();
+        // The modifiers read the point's values back from its cells (number
+        // cells parse back to the exact axis value).
+        let cell = |name: &str| cells.iter().find(|(n, _)| n == name).map(|(_, v)| v.clone());
+        let int = |name: &str| cell(name).map(|v| v.parse::<i64>().expect("validated integer"));
 
-        let trace = sval("trace").expect("trace is required");
-        let rel_scale = fval("scale").unwrap_or(1.0);
+        let trace = cell("trace").expect("trace is required");
+        let rel_scale: f64 = cell("scale").map_or(1.0, |v| v.parse().expect("validated scale"));
         let profile =
-            profile_by_name(trace).expect("validated trace").scaled(opts.scale * rel_scale);
-        let cache = ival("cache_mb").map(|mb| cache_from_mb(mb).expect("validated"));
-        let policy = match ival("delta") {
+            profile_by_name(&trace).expect("validated trace").scaled(opts.scale * rel_scale);
+        let cache = int("cache_mb").map(|mb| cache_from_mb(mb).expect("validated"));
+        let policy = match int("delta") {
             Some(d) => PolicyKind::ReqBlock(ReqBlockConfig::with_delta(d as u32)),
-            None => policy_by_name(sval("policy").expect("policy is required"))
+            None => policy_by_name(&cell("policy").expect("policy is required"))
                 .expect("validated policy"),
         };
         let mut cfg = SimConfig::paper(cache.unwrap_or(CacheSizeMb::Mb32), policy);
-        if sval("geometry") == Some("pressured") {
+        if cell("geometry").as_deref() == Some("pressured") {
             cfg.ssd = pressured_ssd(&profile);
             cfg.cache_pages = 64;
         }
-        if let Some(ppm) = ival("fault_ppm") {
+        if let Some(ppm) = int("fault_ppm") {
             cfg.fault = FaultConfig {
                 read_fail_ppm: ppm as u32,
                 program_fail_ppm: ppm as u32,
@@ -992,36 +953,34 @@ fn compile_grid(sc: &Scenario, opts: &Opts) -> (Vec<Job>, Vec<Cells>) {
                 ..FaultConfig::default()
             };
         }
-        if let Some(depth) = ival("qdepth") {
+        if let Some(depth) = int("qdepth") {
             cfg = cfg.with_submit(SubmitMode::Queued { depth: depth as u32 });
         }
-        let source = match fval("load_mult") {
-            Some(mult) => {
-                let key = (
-                    pos("trace").map(|k| idx[k]).unwrap_or(0),
-                    pos("scale").map(|k| idx[k]).unwrap_or(0),
-                );
-                let gap = *gaps
-                    .entry(key)
-                    .or_insert_with(|| calibrated_service_gap_ns(&opts.source_for(&profile)));
-                let process = ArrivalProcess::Poisson {
-                    mean_interarrival_ns: ((gap as f64 / mult) as u64).max(1),
-                };
-                let seed_idx = pos("load_mult").map(|k| idx[k]).unwrap_or(0);
-                TraceSource::open_loop(
-                    opts.source_for(&profile),
-                    process,
-                    0x10AD_5EED + seed_idx as u64,
-                )
-            }
-            None => opts.source_for(&profile),
-        };
-
-        let cells: Cells = axes
-            .iter()
-            .enumerate()
-            .map(|(k, (name, values))| (name.to_string(), values.display(idx[k])))
-            .collect();
+        let mut source = opts.source_for(&profile);
+        if let Some(k) = pos("arrival") {
+            let AxisValues::Strs(values) = axes[k].1 else { unreachable!() };
+            let (process, mult) = parse_arrival(&values[idx[k]]).expect("validated arrival");
+            // One serial plan-time probe per trace x scale, before the pool
+            // runs, so the grid stays thread-count invariant.
+            let gap = *gaps
+                .entry((trace, rel_scale.to_bits()))
+                .or_insert_with(|| calibrated_service_gap_ns(&source));
+            let mean_interarrival_ns = ((gap as f64 / mult) as u64).max(1);
+            let (burst_len, peak_to_mean) = LOAD_BURST;
+            let (arrival, seed) = match process {
+                "poisson" => (ArrivalProcess::Poisson { mean_interarrival_ns }, 0x10AD_5EED),
+                _ => (
+                    ArrivalProcess::Bursty { mean_interarrival_ns, burst_len, peak_to_mean },
+                    0x10AD_B025,
+                ),
+            };
+            let nth = values[..idx[k]].iter().filter(|v| v.starts_with(process)).count();
+            let offered: f64 =
+                format!("{:.0}", arrival.offered_rate_per_s()).parse().expect("formatted rate");
+            let derived = [process.to_string(), format!("{mult}x"), f2(offered / 1e3)];
+            cells.extend(ARRIVAL_CELLS.iter().map(|n| n.to_string()).zip(derived));
+            source = TraceSource::open_loop(source, arrival, seed + nth as u64);
+        }
         jobs.push(Job { label: job_label(sc, &cells), cfg, source });
         point_cells.push(cells);
     }
@@ -1038,67 +997,6 @@ fn job_label(sc: &Scenario, cells: &Cells) -> String {
     label
 }
 
-/// The open-loop load sweep's generator. Its per-policy bursty 1x row is
-/// an arrival process, not a value of any grid axis, so this kind keeps a
-/// dedicated lowering: each policy at each `load_mult` multiple of the
-/// calibrated service rate (Poisson, the same arrivals [`compile_grid`]
-/// builds for that axis), then the fixed bursty 1x row. Arrival seeds
-/// depend only on the position in the multiplier list, so every policy
-/// sees byte-identical arrivals at the same step. Besides the `policy`
-/// and `load_mult` cells, each point carries the derived `process`
-/// (`poisson`/`bursty`) and `offered` (req/s) cells.
-fn compile_load(sc: &Scenario, opts: &Opts) -> (Vec<Job>, Vec<Cells>) {
-    let first_int = |axis: &str| match sc.axis(axis) {
-        Some(AxisValues::Ints(v)) => Some(v[0]),
-        _ => None,
-    };
-    let cache =
-        first_int("cache_mb").map_or(CacheSizeMb::Mb32, |mb| cache_from_mb(mb).expect("validated"));
-    let depth = first_int("qdepth").map_or(8, |d| d as u32);
-    let (Some(AxisValues::Strs(traces)), Some(AxisValues::Floats(mults))) =
-        (sc.axis("trace"), sc.axis("load_mult"))
-    else {
-        unreachable!("validated trace and load_mult axes")
-    };
-    let profile = profile_by_name(&traces[0]).expect("validated trace").scaled(opts.scale);
-    let base = opts.source_for(&profile);
-    // One serial plan-time probe: the device's back-to-back service gap
-    // for this mix (see `calibrated_service_gap_ns`). Runs before the
-    // pool, so the grid stays thread-count invariant.
-    let service_gap_ns = calibrated_service_gap_ns(&base);
-    let (burst_len, peak_to_mean) = LOAD_BURST;
-    let bursty =
-        ArrivalProcess::Bursty { mean_interarrival_ns: service_gap_ns, burst_len, peak_to_mean };
-    let mut jobs = Vec::new();
-    let mut cells = Vec::new();
-    for name in sc.axis("policy").expect("validated policy axis").displays() {
-        let policy = policy_by_name(&name).expect("validated policy");
-        let poisson = mults.iter().enumerate().map(|(i, &mult)| {
-            let process = ArrivalProcess::Poisson {
-                mean_interarrival_ns: ((service_gap_ns as f64 / mult) as u64).max(1),
-            };
-            (format!("{mult}"), "poisson", process, 0x10AD_5EED + i as u64)
-        });
-        for (mult, kind, process, seed) in
-            poisson.chain([("1".to_string(), "bursty", bursty, 0x10AD_B025)])
-        {
-            let point: Cells = vec![
-                ("policy".into(), name.clone()),
-                ("load_mult".into(), mult),
-                ("process".into(), kind.into()),
-                ("offered".into(), format!("{:.0}", process.offered_rate_per_s())),
-            ];
-            jobs.push(Job {
-                label: job_label(sc, &point),
-                cfg: SimConfig::paper(cache, policy).with_submit(SubmitMode::Queued { depth }),
-                source: TraceSource::open_loop(base.clone(), process, seed),
-            });
-            cells.push(point);
-        }
-    }
-    (jobs, cells)
-}
-
 // ---------------------------------------------------------------------
 // The generic grid report
 // ---------------------------------------------------------------------
@@ -1106,7 +1004,7 @@ fn compile_load(sc: &Scenario, opts: &Opts) -> (Vec<Job>, Vec<Cells>) {
 type MetricFn = fn(&RunResult) -> String;
 
 /// Metrics a grid scenario's `output.columns` can request.
-pub const METRICS: [(&str, MetricFn); 20] = [
+pub const METRICS: [(&str, MetricFn); 25] = [
     ("requests", |r| r.metrics.requests.to_string()),
     ("hit_ratio", |r| f3(r.metrics.hit_ratio())),
     ("avg_resp_ms", |r| f3(r.metrics.avg_response_ms())),
@@ -1125,13 +1023,18 @@ pub const METRICS: [(&str, MetricFn); 20] = [
     ("erases", |r| r.flash.erases.to_string()),
     ("write_amp", |r| f2(r.flash.write_amplification())),
     ("read_retries", |r| r.faults.read_retries.to_string()),
+    ("read_uncorrectable", |r| r.faults.read_uncorrectable.to_string()),
+    ("program_failures", |r| r.faults.program_failures.to_string()),
+    ("erase_failures", |r| r.faults.erase_failures.to_string()),
     ("bad_blocks", |r| r.faults.retired_blocks.to_string()),
+    ("remapped_pages", |r| r.faults.remapped_pages.to_string()),
+    ("rejected_pages", |r| r.faults.rejected_write_pages.to_string()),
     ("health", |r| format!("{:?}", r.health)),
 ];
 
 /// Render a grid scenario: one row per point with the `output.columns`
-/// spec (default: every axis in nesting order, then `hit_ratio` and
-/// `avg_resp_ms`).
+/// spec (default: every cell in nesting order, then `hit_ratio` and
+/// `avg_resp_ms`), headed by `output.labels` (default: the column names).
 fn grid_build(sc: &Scenario, points: &[Point]) -> Table {
     let columns: Vec<String> = sc.output.columns.clone().unwrap_or_else(|| {
         let mut cols: Vec<String> = points[0].cells.iter().map(|(n, _)| n.clone()).collect();
@@ -1144,13 +1047,13 @@ fn grid_build(sc: &Scenario, points: &[Point]) -> Table {
         .title
         .clone()
         .unwrap_or_else(|| format!("Scenario {} - declarative grid", sc.name));
-    let col_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
-    let mut t = Table::new(title, &col_refs);
+    let headers = sc.output.labels.as_ref().unwrap_or(&columns);
+    let mut t = Table::new(title, &headers.iter().map(String::as_str).collect::<Vec<_>>());
     for p in points {
         let row = columns
             .iter()
-            .map(|col| match sc.axis(col) {
-                Some(_) => p.cell(col).to_string(),
+            .map(|col| match p.cells.iter().find(|(n, _)| n == col) {
+                Some((_, cell)) => cell.clone(),
                 None => {
                     let (_, f) = METRICS.iter().find(|(n, _)| n == col).expect("validated column");
                     f(&p.result)
@@ -1223,59 +1126,73 @@ mod tests {
             let e = Scenario::parse(src).unwrap_err();
             assert!(e.msg.contains(needle), "expected {needle:?} in {e}");
         };
+        // A `kind` scenario whose axes (and output) are `rest`.
+        let doc = |kind: &str, rest: &str| {
+            format!("[scenario]\nname = \"x\"\nkind = \"{kind}\"\n[axes]\n{rest}")
+        };
+        let grid = |rest: &str| doc("grid", rest);
+        let comparison = |rest: &str| doc("comparison", &format!("trace = \"ts_0\"\n{rest}"));
+        // A one-point ts_0/LRU grid followed by `rest`.
+        let lru = |rest: &str| grid(&format!("trace = \"ts_0\"\npolicy = \"LRU\"\n{rest}"));
         bad("[scenario]\nname = \"x\"\nkind = \"nope\"\n", "unknown kind");
-        bad("[scenario]\nname = \"x\"\nkind = \"tails\"\n", "empty grid");
+        bad("[scenario]\nname = \"x\"\nkind = \"grid\"\n", "empty grid");
+        bad(&grid("trace = \"ts_0\"\npolicy = []\n"), "empty grid");
+        bad(&grid("bogus = \"y\"\n"), "unknown axis");
+        bad(&comparison("qdepth = [1]\n"), "not allowed for kind");
+        bad(&grid("trace = \"nope\"\npolicy = \"LRU\"\n"), "unknown trace");
+        bad(&grid("trace = \"ts_0\"\npolicy = \"lru\"\n"), "unknown policy");
         bad(
-            "[scenario]\nname = \"x\"\nkind = \"tails\"\n[axes]\ntrace = \"ts_0\"\npolicy = []\n",
-            "empty grid",
-        );
-        bad(
-            "[scenario]\nname = \"x\"\nkind = \"tails\"\n[axes]\nbogus = \"y\"\n",
-            "unknown axis",
-        );
-        bad(
-            "[scenario]\nname = \"x\"\nkind = \"tails\"\n[axes]\nqdepth = [1]\n",
-            "not allowed for kind",
-        );
-        bad(
-            "[scenario]\nname = \"x\"\nkind = \"tails\"\n[axes]\ntrace = \"nope\"\npolicy = \"LRU\"\n",
-            "unknown trace",
-        );
-        bad(
-            "[scenario]\nname = \"x\"\nkind = \"grid\"\n[axes]\ntrace = \"ts_0\"\npolicy = \"lru\"\n",
-            "unknown policy",
-        );
-        bad(
-            "[scenario]\nname = \"x\"\nkind = \"comparison\"\n[axes]\ntrace = \"ts_0\"\n\
-             policy = [\"LRU\", \"BPLRU\"]\ncache_mb = [16, 32, 64]\n",
+            &comparison("policy = [\"LRU\", \"BPLRU\"]\ncache_mb = [16, 32, 64]\n"),
             "Req-block",
         );
         bad(
-            "[scenario]\nname = \"x\"\nkind = \"grid\"\n[axes]\ntrace = \"ts_0\"\n\
-             policy = \"LRU\"\n[output]\ncolumns = [\"policy\", \"bogus_metric\"]\n",
+            &lru("[output]\ncolumns = [\"policy\", \"bogus_metric\"]\n"),
             "neither a declared axis nor a metric",
         );
+        // The arrival cells exist only on grids with an arrival axis.
+        bad(&lru("[output]\ncolumns = [\"process\"]\n"), "neither a declared axis nor a metric");
+        bad(&lru("delta = [1, 2]\n"), "Req-block");
+        let two_policies = "trace = \"ts_0\"\npolicy = [\"Req-block\", \"LRU\"]\ndelta = [1]\n";
+        bad(&doc("fig7", two_policies), "single value");
+        bad(&comparison("policy = [\"LRU\", \"Req-block\"]\n"), "requires the \"cache_mb\" axis");
+        bad(&grid("trace = \"ts_0\"\nvariant = \"A1: no DRL split\"\n"), "unknown axis");
+        bad("[scenario]\nname = \"x y\"\nkind = \"grid\"\n", "invalid scenario name");
         bad(
-            "[scenario]\nname = \"x\"\nkind = \"grid\"\n[axes]\ntrace = \"ts_0\"\n\
-             policy = \"LRU\"\ndelta = [1, 2]\n",
-            "Req-block",
+            &lru("[output]\ncolumns = [\"policy\", \"p99_ms\"]\nlabels = [\"Policy\"]\n"),
+            "(1 label(s) for 2 column(s))",
         );
+        bad(&lru("[output]\nlabels = [\"Policy\"]\n"), "output.labels must match output.columns");
         bad(
-            "[scenario]\nname = \"x\"\nkind = \"wear\"\n[axes]\n\
-             trace = [\"ts_0\", \"proj_0\"]\npolicy = \"LRU\"\n",
-            "single value",
+            &comparison(
+                "policy = [\"LRU\", \"Req-block\"]\ncache_mb = 32\n[output]\nlabels = [\"a\"]\n",
+            ),
+            "output.labels applies to grid scenarios only",
         );
-        bad(
-            "[scenario]\nname = \"x\"\nkind = \"faults\"\n[axes]\ntrace = \"ts_0\"\n\
-             policy = \"LRU\"\nfault_ppm = [0]\n",
-            "requires the \"geometry\" axis",
-        );
-        bad(
-            "[scenario]\nname = \"x\"\nkind = \"ablations\"\n[axes]\ntrace = \"ts_0\"\n\
-             variant = \"A1: no DRL split\"\n",
-            "unknown axis",
-        );
-        bad("[scenario]\nname = \"x y\"\nkind = \"tails\"\n", "invalid scenario name");
+        for value in ["poisson", "poisson:0", "uniform:1", "bursty:inf"] {
+            bad(&lru(&format!("arrival = [\"{value}\"]\n")), &format!("unknown arrival {value:?}"));
+        }
+        bad(&lru("load_mult = [1.0]\n"), "unknown axis \"load_mult\"");
+    }
+
+    #[test]
+    fn arrival_points_carry_process_load_and_offered_cells() {
+        let src = "[scenario]\nname = \"a\"\nkind = \"grid\"\n[axes]\ntrace = \"ts_0\"\n\
+                   policy = \"LRU\"\narrival = [\"poisson:0.5\", \"bursty:1\", \"poisson:2\"]\n";
+        let (jobs, cells) = compile_grid(&Scenario::parse(src).unwrap(), &tiny_opts());
+        let names: Vec<&str> = cells[0].iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["trace", "policy", "arrival", "process", "load", "offered_kreq_s"]);
+        let derived: Vec<(&str, &str)> =
+            cells.iter().map(|c| (c[3].1.as_str(), c[4].1.as_str())).collect();
+        assert_eq!(derived, [("poisson", "0.5x"), ("bursty", "1x"), ("poisson", "2x")]);
+        // Seeds count per process: the second Poisson value is seed + 1.
+        let seeds: Vec<u64> = jobs
+            .iter()
+            .map(|j| match &j.source {
+                TraceSource::OpenLoop { seed, .. } => *seed,
+                other => panic!("expected an open-loop source, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(seeds, [0x10AD_5EED, 0x10AD_B025, 0x10AD_5EED + 1]);
     }
 
     #[test]

@@ -311,7 +311,7 @@ kind = "grid"
 [axes]
 trace = "ts_0"
 qdepth = [1, 2, 4,]
-load_mult = [0.25, 8.0]
+scale = [0.25, 8.0]
 enabled = true
 "#,
         )
@@ -322,7 +322,7 @@ enabled = true
             Some(&Value::Array(vec![Value::Int(1), Value::Int(2), Value::Int(4)]))
         );
         assert_eq!(
-            doc.get("axes", "load_mult"),
+            doc.get("axes", "scale"),
             Some(&Value::Array(vec![Value::Float(0.25), Value::Float(8.0)]))
         );
         assert_eq!(doc.get("axes", "enabled"), Some(&Value::Bool(true)));

@@ -9,10 +9,11 @@
 #
 #   scripts/profile.sh hotpath --scale 0.25 --repeats 2
 #   scripts/profile.sh repro --threads 1 load
+#   scripts/profile.sh fleet --scale 0.01 --repeats 1
 #   scripts/profile.sh -o /tmp/wheel.er -n 40 hotpath --scale 0.5
 #
-# <binary> is a target name in this workspace (hotpath, sweep, repro) or a
-# path to an executable. The experiment directory is kept so you can dig
+# <binary> is a target name in this workspace (hotpath, sweep, fleet, repro)
+# or a path to an executable. The experiment directory is kept so you can dig
 # further, e.g.:
 #   gprofng display text -functions /tmp/profile.er
 #   gprofng display text -lines /tmp/profile.er
@@ -44,9 +45,10 @@ shift
 # on demand (release keeps debuginfo, so symbols resolve).
 if [[ ! -x "$BIN" || "$BIN" != */* ]]; then
     case "$BIN" in
-        hotpath|sweep) cargo build --release -p reqblock-bench --bin "$BIN" ;;
+        hotpath|sweep|fleet) cargo build --release -p reqblock-bench --bin "$BIN" ;;
         repro) cargo build --release -p reqblock-experiments --bin repro ;;
-        *) echo "profile.sh: unknown target '$BIN' (expected hotpath, sweep, repro, or a path)" >&2; exit 2 ;;
+        *) echo "profile.sh: unknown target '$BIN' (expected hotpath, sweep, fleet," \
+               "repro, or a path)" >&2; exit 2 ;;
     esac
     BIN="./target/release/$BIN"
 fi

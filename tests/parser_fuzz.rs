@@ -24,18 +24,19 @@ fn token(pool: &'static [&'static str]) -> BoxedStrategy<String> {
 }
 
 /// Bare names: TOML section headers and keys.
-const TOML_NAMES: [&str; 12] = [
+const TOML_NAMES: [&str; 13] = [
     "scenario", "axes", "output", "name", "kind", "trace", "policy", "qdepth", "delta",
-    "load_mult", "columns", "\u{e9}",
+    "arrival", "columns", "labels", "\u{e9}",
 ];
 
 /// Value fragments, concatenated without separators — so a delimiter is
 /// often followed directly by multi-byte characters, where error
 /// previews slice the line.
-const TOML_VALUES: [&str; 22] = [
+const TOML_VALUES: [&str; 30] = [
     ",", "]", "[", "\"", "\\", "#", " ", "\u{e9}", "\u{e9}\u{e9}\u{e9}", "\u{65e5}\u{672c}",
     "\u{1f600}", "1", "-7", "1.5", "1e9", "true", "\"grid\"", "\"ts_0\"", "\"LRU\"",
-    "\"Req-block\"", "\"tails\"", "[1, 2]",
+    "\"Req-block\"", "\"tails\"", "[1, 2]", "\"poisson:2\"", "\"bursty:1\"", "\"poisson:\"",
+    "\"bursty:inf\"", "\"poisson:-1e9\"", "\"poisson:NaN\"", "\":\u{e9}\"", "poisson:0.25",
 ];
 
 /// A TOML-subset document: section headers, `key = value` lines whose

@@ -102,7 +102,7 @@ fn scenario_rejections_name_the_problem() {
     let cases = [
         ("[scenario]\nname = \"x\"\nkind = \"nope\"\n[axes]\ntrace = \"ts_0\"\n", "kind"),
         (
-            "[scenario]\nname = \"x\"\nkind = \"tails\"\n[axes]\ntrace = \"ts_0\"\n\
+            "[scenario]\nname = \"x\"\nkind = \"comparison\"\n[axes]\ntrace = \"ts_0\"\n\
              policy = \"LRU\"\nqdepth = 4\n",
             "qdepth",
         ),
@@ -174,7 +174,7 @@ fn names(pool: &'static [&'static str]) -> BoxedStrategy<Vec<&'static str>> {
 
 fn doc() -> BoxedStrategy<toml::Doc> {
     const SECTIONS: [&str; 4] = ["scenario", "axes", "output", "extra-1_section"];
-    const KEYS: [&str; 5] = ["name", "kind", "trace", "load_mult", "k-9_z"];
+    const KEYS: [&str; 5] = ["name", "kind", "trace", "arrival", "k-9_z"];
     (names(&SECTIONS), proptest::collection::vec((names(&KEYS), value()), 0..24))
         .prop_map(|(sections, entries)| {
             let mut doc = toml::Doc::default();
@@ -246,12 +246,10 @@ proptest! {
     /// the offending axis.
     #[test]
     fn unknown_axes_are_rejected(
-        kind in (0usize..9),
+        kind in (0usize..3),
         bad in (0usize..4),
     ) {
-        const KINDS: [&str; 9] = [
-            "comparison", "fig7", "tails", "wear", "ablations", "faults", "qdepth", "load", "grid",
-        ];
+        const KINDS: [&str; 3] = ["comparison", "fig7", "grid"];
         const BAD: [&str; 4] = ["zdepth", "Policy", "trace2", "cacheMb"];
         let src = format!(
             "[scenario]\nname = \"x\"\nkind = \"{}\"\n[axes]\n{} = 1\n",
