@@ -11,8 +11,9 @@
 //!   adds the pool speedup (on one core it tracks `cached_serial`).
 //!
 //! Every repeat asserts both modes emit byte-identical tables and
-//! telemetry (the "perf" section is excluded — it embeds host wall-clock),
-//! so the benchmark doubles as an end-to-end determinism check.
+//! telemetry — the digest of every stable section (the "perf" section is
+//! excluded: it embeds host wall-clock) plus every file — so the benchmark
+//! doubles as an end-to-end determinism check.
 //!
 //! ```text
 //! cargo run --release -p reqblock-bench --bin sweep -- \
@@ -23,26 +24,22 @@
 //! and gates both modes' medians against `BENCH_sweep.json`.
 
 use reqblock_bench::{median, Cli};
-use reqblock_experiments::sweep::{run_all, AllArtifacts};
+use reqblock_experiments::sweep::{run_all, Outcome};
 use reqblock_experiments::Opts;
 use reqblock_trace::shared;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Render the comparable artifact surface: every section's tables as
-/// markdown (minus "perf", whose cells embed host timings) plus the
-/// telemetry JSONL.
-fn artifact_digest(art: &AllArtifacts) -> String {
+/// Render the comparable artifact surface: the digest of every stable
+/// section (minus "perf", whose cells embed host timings) plus every file.
+fn artifact_digest(all: &Outcome) -> String {
     let mut s = String::new();
-    for (name, tables) in &art.sections {
-        if name == "perf" {
-            continue;
-        }
-        for t in tables {
-            let _ = writeln!(s, "## {name}\n{}", t.to_markdown());
-        }
+    for (name, digest) in all.digests() {
+        let _ = writeln!(s, "[digest {name} {digest:016x}]");
     }
-    s.push_str(&art.telemetry_jsonl);
+    for (name, contents) in &all.files {
+        let _ = writeln!(s, "## {name}\n{contents}");
+    }
     s
 }
 
@@ -51,9 +48,9 @@ fn artifact_digest(art: &AllArtifacts) -> String {
 fn timed_run(opts: &Opts) -> (f64, String) {
     shared::clear();
     let t0 = Instant::now();
-    let art = run_all(opts);
+    let all = run_all(opts);
     let elapsed = t0.elapsed().as_secs_f64();
-    (elapsed, artifact_digest(&art))
+    (elapsed, artifact_digest(&all))
 }
 
 fn best(samples: &[f64]) -> f64 {

@@ -43,14 +43,20 @@
 //!   telemetry   instrumented example run: JSONL time series + summary
 //!               (optionally `telemetry <trace>`; default ts_0)
 //!   run         run a declarative scenario file: run <scenario.toml>
-//!               (see scenarios/ and the EXPERIMENTS.md scenario guide);
-//!               prints a `[digest <section> <hex>]` line per section
+//!               (see scenarios/ and the EXPERIMENTS.md scenario guide)
 //!   --list      enumerate the built-in scenarios and any scenarios/*.toml
 //!               files with their axes and estimated job counts
 //!   export      export a synthetic trace as MSR CSV: export <trace> <path>
-//!   all         everything above (paper artifacts + extensions), scheduled
-//!               as one barrier-free job pool across all figures
+//!   all         everything above but why and fleet (paper artifacts +
+//!               extensions) on one job pool
 //! ```
+//!
+//! Every command but `--list` and `export` runs its experiments as plans
+//! on one barrier-free job pool (`sweep::run`), then writes the outcome
+//! under `--out` (created first; exit 2 if it cannot be) and prints a
+//! `[scenario <name>: <n> jobs in <t>s]` line and one `[digest <section>
+//! <hex>]` line per section whose bytes are stable. A result that cannot
+//! be written exits 1, naming its path.
 //!
 //! `--scale` shrinks each trace's request count (default 0.05). `--full`
 //! is shorthand for `--scale 1.0` — the paper's exact request counts
@@ -62,9 +68,10 @@
 //! rejects them, and `fleet` rejects `--trace-dir` (its tenants are
 //! synthetic).
 
-use reqblock_experiments::report::{bar_chart, save, Table};
+use reqblock_experiments::report::{bar_chart, section_files};
 use reqblock_experiments::scenario::{self, AxisValues};
-use reqblock_experiments::{extensions, figures, figures::Opts, sweep};
+use reqblock_experiments::sweep::{self, Outcome, Plan};
+use reqblock_experiments::{extensions, figures, figures::Opts};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -74,11 +81,6 @@ use std::time::Instant;
 /// allocation-free, so tables are unaffected.
 #[global_allocator]
 static ALLOC: reqblock_obs::CountingAlloc = reqblock_obs::CountingAlloc::new();
-
-/// [`extensions::AllocProbe`] over the binary's global allocator.
-fn alloc_probe() -> extensions::AllocProbe {
-    (|| ALLOC.reset_peak(), || ALLOC.peak_bytes())
-}
 
 fn usage() -> ! {
     eprintln!(
@@ -198,139 +200,50 @@ fn parse_args() -> (Opts, CliExtras, Vec<String>) {
     (opts, extras, pos)
 }
 
-fn emit(opts: &Opts, name: &str, tables: &[Table]) {
-    for t in tables {
-        println!("{}", t.to_markdown());
+/// Write one outcome under `--out` — its files, its telemetry shards
+/// (rotated at 64 KiB) and each section's `.md`/`.csv` pair, printing the
+/// section's tables — then print its charts and the digest of each stable
+/// section. `only` keeps one section and drops the charts. Stops at the
+/// first write that fails, naming its path.
+fn write(opts: &Opts, outcome: &Outcome, only: Option<&str>) -> Result<(), String> {
+    let put = |name: &str, contents: &str| {
+        let path = opts.out_dir.join(name);
+        std::fs::write(&path, contents).map_err(|e| format!("{}: {e}", path.display()))?;
+        Ok::<_, String>(path)
+    };
+    for (name, contents) in &outcome.files {
+        println!("[saved {}]", put(name, contents)?.display());
     }
-    if let Err(e) = save(&opts.out_dir, name, tables) {
-        eprintln!("warning: could not write {}/{}: {e}", opts.out_dir.display(), name);
-    } else {
+    for (stem, docs) in &outcome.shards {
+        let mut writer = reqblock_obs::TelemetryWriter::new(&opts.out_dir, stem, 64 * 1024);
+        for doc in docs {
+            writer.push_document(doc);
+        }
+        let paths = writer.finish().map_err(|e| e.to_string())?;
+        for p in &paths {
+            println!("[saved {}]", p.display());
+        }
+        println!("[{} telemetry shard(s), rotated at 64 KiB]\n", paths.len());
+    }
+    let kept = |name: &str| only.is_none_or(|only| only == name);
+    for (name, tables) in outcome.sections.iter().filter(|(name, _)| kept(name)) {
+        for t in tables {
+            println!("{}", t.to_markdown());
+        }
+        for (file, contents) in section_files(name, tables) {
+            put(&file, &contents)?;
+        }
         println!("[saved {}/{name}.md and .csv]\n", opts.out_dir.display());
     }
-}
-
-fn run_telemetry(opts: &Opts, trace: &str) {
-    let (jsonl, summary) = figures::telemetry(opts, trace);
-    let path = opts.out_dir.join(format!("telemetry_{trace}.jsonl"));
-    if let Err(e) = std::fs::create_dir_all(&opts.out_dir)
-        .and_then(|_| std::fs::write(&path, &jsonl))
-    {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("[saved {} ({} lines)]\n", path.display(), jsonl.lines().count());
-    }
-    emit(opts, &format!("telemetry_{trace}"), &[summary]);
-}
-
-/// Write telemetry documents as `<stem>` shards rotated at 64 KiB under
-/// the output directory, listing the files written.
-fn write_shards(opts: &Opts, stem: &str, docs: &[String]) {
-    let mut writer = reqblock_obs::TelemetryWriter::new(&opts.out_dir, stem, 64 * 1024);
-    for doc in docs {
-        writer.push_document(doc);
-    }
-    match writer.finish() {
-        Ok(paths) => {
-            for p in &paths {
-                println!("[saved {}]", p.display());
-            }
-            println!("[{} telemetry shard(s), rotated at 64 KiB]\n", paths.len());
-        }
-        Err(e) => eprintln!("warning: could not write telemetry shards: {e}"),
-    }
-}
-
-/// `repro why`: per-component tail attribution table, one Perfetto-loadable
-/// trace JSON per grid point, and size-rotated telemetry shards.
-fn run_why(opts: &Opts) {
-    let t0 = Instant::now();
-    eprintln!(
-        "running tail-attribution grid (2 policies x {} depths x {} loads, scale {}) ...",
-        extensions::WHY_DEPTHS.len(),
-        extensions::WHY_LOADS.len(),
-        opts.scale
-    );
-    let report = extensions::why(opts);
-    eprintln!("grid done in {:.1?}", t0.elapsed());
-    if let Err(e) = std::fs::create_dir_all(&opts.out_dir) {
-        eprintln!("warning: could not create {}: {e}", opts.out_dir.display());
-    }
-    for (stem, json) in &report.traces {
-        let path = opts.out_dir.join(format!("{stem}.trace.json"));
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("[saved {} (open in Perfetto / chrome://tracing)]", path.display());
+    if only.is_none() {
+        for (title, chart) in &outcome.charts {
+            println!("{}", bar_chart(title, chart, 40));
         }
     }
-    write_shards(opts, "why_telemetry", &report.telemetry);
-    emit(opts, "why", &[report.table]);
-}
-
-/// `repro fleet`: the X8 noisy-neighbor table plus per-device telemetry
-/// shards from the headline grid point and an informational fleet-
-/// throughput line (parsed by scripts/bench.sh).
-fn run_fleet(opts: &Opts, devices: &[usize]) {
-    let t0 = Instant::now();
-    eprintln!(
-        "running fleet grid (2 placements x {} device counts, 3 tenants, scale {}) ...",
-        devices.len(),
-        opts.scale
-    );
-    let report = extensions::fleet_with_devices(opts, devices);
-    eprintln!("grid done in {:.1?}", t0.elapsed());
-    write_shards(opts, "fleet_telemetry", &report.telemetry);
-    println!(
-        "[fleet throughput: {} devices in {:.2}s - {:.1} devices/s]\n",
-        report.devices_simulated,
-        report.elapsed_s,
-        report.devices_simulated as f64 / report.elapsed_s.max(1e-9)
-    );
-    eprintln!("running X8b scaling sweep (1 loaded run per device count) ...");
-    let scaling = extensions::fleet_scaling(opts, devices, Some(alloc_probe()));
-    for row in &scaling {
-        println!(
-            "[fleet scaling: {} devices in {:.2}s - {:.2} devices/s - peak {:.1} MiB]",
-            row.devices,
-            row.elapsed_s,
-            row.devices as f64 / row.elapsed_s.max(1e-9),
-            row.peak_bytes.unwrap_or(0) as f64 / (1024.0 * 1024.0),
-        );
-    }
-    println!();
-    emit(opts, "fleet", &[report.table, extensions::fleet_scaling_build(&scaling)]);
-}
-
-/// Run one declarative scenario through the barrier-free pool, then emit
-/// its sections, charts, and per-section digests — or, with `only`, just
-/// that section and its digest.
-fn run_scenario(opts: &Opts, sc: &scenario::Scenario, only: Option<&str>) {
-    let plan = scenario::plan(sc, opts).unwrap_or_else(|e| fail(&format!("{}: {e}", sc.name)));
-    let jobs = plan.job_count();
-    eprintln!(
-        "running scenario {} ({} kind, {} jobs, {} threads, scale {}) ...",
-        sc.name,
-        sc.kind.name(),
-        jobs,
-        opts.threads,
-        opts.scale
-    );
-    let t0 = Instant::now();
-    let mut outcome = plan.run(opts.threads);
-    println!("[scenario {}: {} jobs in {:.2}s]", sc.name, jobs, t0.elapsed().as_secs_f64());
-    if let Some(only) = only {
-        outcome.sections.retain(|(name, _)| name == only);
-        outcome.charts.clear();
-    }
-    for (name, tables) in &outcome.sections {
-        emit(opts, name, tables);
-    }
-    for (title, chart) in &outcome.charts {
-        println!("{}", bar_chart(title, chart, 40));
-    }
-    for (name, digest) in outcome.digests() {
+    for (name, digest) in outcome.digests().into_iter().filter(|(name, _)| kept(name)) {
         println!("[digest {name} {digest:016x}]");
     }
+    Ok(())
 }
 
 /// A grid subcommand's scenario: the builtin of the same name (`fig8`..
@@ -474,40 +387,11 @@ fn main() -> ExitCode {
         eprintln!("repro: --trace-dir: {}: {e}", path.display());
         return ExitCode::from(2);
     }
-    let t0 = Instant::now();
     match cmd {
-        "table1" => emit(&opts, "table1", &[figures::table1()]),
-        "table2" => emit(&opts, "table2", &[figures::table2(&opts)]),
-        "fig2" | "fig3" => {
-            let (f2, f3) = figures::fig2_fig3(&opts);
-            if cmd == "fig2" {
-                emit(&opts, "fig2", &[f2]);
-            } else {
-                emit(&opts, "fig3", &[f3]);
-            }
+        "list" => {
+            run_list();
+            return ExitCode::SUCCESS;
         }
-        "fig13" => {
-            let (samples, shares) = figures::fig13(&opts);
-            emit(&opts, "fig13", &[shares, samples]);
-        }
-        "fig7" | "comparison" | "fig8" | "fig9" | "fig10" | "fig11" | "fig12" | "tails"
-        | "wear" | "ablations" | "faults" | "qdepth" | "load" | "run" => {
-            let (sc, only) = &grids[0];
-            run_scenario(&opts, sc, *only);
-        }
-        "why" => run_why(&opts),
-        "fleet" => {
-            let devices = extras.devices.as_deref().unwrap_or(&extensions::FLEET_DEVICES);
-            run_fleet(&opts, devices);
-        }
-        "telemetry" => {
-            let trace = operands.first().map(String::as_str).unwrap_or("ts_0");
-            if reqblock_trace::profiles::profile_by_name(trace).is_none() {
-                fail(&format!("telemetry: unknown trace {trace:?}"));
-            }
-            run_telemetry(&opts, trace);
-        }
-        "list" => run_list(),
         "export" => {
             let (trace, path) = (&operands[0], &operands[1]);
             let profile = reqblock_trace::profiles::profile_by_name(trace)
@@ -515,61 +399,66 @@ fn main() -> ExitCode {
                 .scaled(opts.scale);
             let reqs: Vec<reqblock_trace::Request> =
                 reqblock_trace::SyntheticTrace::new(profile).generate_all();
-            reqblock_trace::msr::write_file(std::path::Path::new(path), &reqs)
-                .unwrap_or_else(|e| {
-                    eprintln!("cannot write {path}: {e}");
-                    std::process::exit(1);
-                });
+            if let Err(e) = reqblock_trace::msr::write_file(std::path::Path::new(path), &reqs) {
+                eprintln!("cannot write {path}: {e}");
+                return ExitCode::from(1);
+            }
             println!("wrote {} requests to {path} (MSR CSV format)", reqs.len());
+            return ExitCode::SUCCESS;
         }
-        "all" => {
-            let t0 = Instant::now();
-            eprintln!(
-                "running all figures on one pool ({} threads, scale {}) ...",
-                opts.threads, opts.scale
-            );
-            let art = sweep::run_all(&opts);
-            eprintln!("sweep done in {:.1?}", t0.elapsed());
-            for (name, tables) in &art.sections {
-                if name == "perf" {
-                    println!(
-                        "{}",
-                        bar_chart(
-                            "mean response time (normalized to LRU, lower is better)",
-                            &art.resp_chart,
-                            40
-                        )
-                    );
-                    println!(
-                        "{}",
-                        bar_chart(
-                            "mean hit ratio (normalized to Req-block, higher is better)",
-                            &art.hit_chart,
-                            40
-                        )
-                    );
-                }
-                if name == "telemetry_ts_0" {
-                    let path = opts.out_dir.join("telemetry_ts_0.jsonl");
-                    if let Err(e) = std::fs::create_dir_all(&opts.out_dir)
-                        .and_then(|_| std::fs::write(&path, &art.telemetry_jsonl))
-                    {
-                        eprintln!("warning: could not write {}: {e}", path.display());
-                    } else {
-                        println!(
-                            "[saved {} ({} lines)]\n",
-                            path.display(),
-                            art.telemetry_jsonl.lines().count()
-                        );
-                    }
-                }
-                emit(&opts, name, tables);
-            }
-            for (name, digest) in &art.digests {
-                println!("[digest {name} {digest:016x}]");
-            }
+        _ => {}
+    }
+    // Every other command writes results: an output directory that cannot
+    // be created is a usage error, caught before planning runs anything.
+    if let Err(e) = std::fs::create_dir_all(&opts.out_dir) {
+        eprintln!("repro: --out: {}: {e}", opts.out_dir.display());
+        return ExitCode::from(2);
+    }
+    let t0 = Instant::now();
+    let (mut name, mut only) = (cmd.to_string(), None);
+    let plans: Vec<Box<dyn Plan + '_>> = match cmd {
+        "table1" => vec![Box::new(figures::table1())],
+        "table2" => vec![Box::new(figures::table2(&opts))],
+        "fig2" | "fig3" => {
+            only = Some(cmd);
+            vec![Box::new(figures::fig2_fig3(&opts))]
         }
+        "fig13" => vec![Box::new(figures::fig13(&opts))],
+        "fig7" | "comparison" | "fig8" | "fig9" | "fig10" | "fig11" | "fig12" | "tails"
+        | "wear" | "ablations" | "faults" | "qdepth" | "load" | "run" => {
+            let (sc, grid_only) = &grids[0];
+            let plan =
+                scenario::plan(sc, &opts).unwrap_or_else(|e| fail(&format!("{}: {e}", sc.name)));
+            (name, only) = (sc.name.clone(), *grid_only);
+            vec![Box::new(plan)]
+        }
+        "why" => vec![Box::new(extensions::why(&opts))],
+        "fleet" => {
+            let devices = extras.devices.as_deref().unwrap_or(&extensions::FLEET_DEVICES);
+            let alloc: extensions::AllocProbe = (|| ALLOC.reset_peak(), || ALLOC.peak_bytes());
+            vec![Box::new(extensions::fleet(&opts, devices, Some(alloc)))]
+        }
+        "telemetry" => {
+            let trace = operands.first().map(String::as_str).unwrap_or("ts_0");
+            if reqblock_trace::profiles::profile_by_name(trace).is_none() {
+                fail(&format!("telemetry: unknown trace {trace:?}"));
+            }
+            vec![Box::new(figures::telemetry(&opts, trace))]
+        }
+        "all" => sweep::all_plans(&opts),
         other => fail(&format!("unknown command {other:?}")),
+    };
+    let jobs: usize = plans.iter().map(|plan| plan.tasks().len()).sum();
+    eprintln!(
+        "running {name} ({jobs} jobs, {} threads, scale {}) ...",
+        opts.threads, opts.scale
+    );
+    let ran = Instant::now();
+    let outcome: Outcome = sweep::run(plans, opts.threads).into_iter().collect();
+    println!("[scenario {name}: {jobs} jobs in {:.2}s]", ran.elapsed().as_secs_f64());
+    if let Err(e) = write(&opts, &outcome, only) {
+        eprintln!("repro: {e}");
+        return ExitCode::from(1);
     }
     eprintln!("total {:.1?}", t0.elapsed());
     ExitCode::SUCCESS

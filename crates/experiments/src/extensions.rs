@@ -4,23 +4,26 @@
 //! `qdepth` X5 and `load` X6) are `grid` scenarios, data under
 //! `scenarios/`; this module keeps what their compiler borrows (the
 //! service-rate calibration, the pressured device, the burst shape) and
-//! the two experiments that are still code:
+//! the two experiments that are still code, each a [`Plan`] for
+//! [`sweep::run`](crate::sweep::run):
 //!
 //! * [`why`] — X7: per-request tail forensics across policy x depth x
-//!   offered load.
+//!   offered load, one task per grid point.
 //! * [`fleet`] — X8: a multi-device fleet under a blended three-tenant
 //!   mix, per-tenant p50/p99/p999 and a noisy-neighbor delta per
-//!   placement x device-count grid point (see `reqblock_sim::fleet`).
+//!   placement x device-count grid point (see `reqblock_sim::fleet`),
+//!   plus the X8b scaling sweep, all in one task.
 
 use crate::figures::Opts;
 use crate::report::{f2, f3, pct, Table};
+use crate::sweep::{Outcome, Plan, Probes};
 use reqblock_core::ReqBlockConfig;
 use reqblock_obs::telemetry::to_jsonl;
 use reqblock_obs::{MemoryRecorder, NoopRecorder, TraceBuilder};
 use reqblock_sim::{
-    replay, run_task_pool, ArrivalProcess, AttrAcc, AttrConfig, CacheSizeMb, Component, FleetConfig,
-    FleetControl, IntervalLog, Metrics, NoisyNeighbor, Placement, PolicyKind,
-    SimConfig, Ssd, SubmitMode, Task, TenantMix, TenantSpec, TraceSource,
+    replay, ArrivalProcess, AttrAcc, AttrConfig, CacheSizeMb, Component, FleetConfig,
+    FleetControl, IntervalLog, Metrics, NoisyNeighbor, Placement, PolicyKind, SimConfig, Ssd,
+    SubmitMode, TenantMix, TenantSpec, TraceSource,
 };
 use reqblock_trace::WorkloadProfile;
 
@@ -65,59 +68,49 @@ pub(crate) fn pressured_ssd(profile: &WorkloadProfile) -> reqblock_flash::SsdCon
 pub const LOAD_BURST: (u32, u32) = (64, 8);
 
 /// Host queue depths probed by [`why`] (X7).
-pub const WHY_DEPTHS: [u32; 2] = [1, 8];
+const WHY_DEPTHS: [u32; 2] = [1, 8];
 
 /// Offered-load multipliers probed by [`why`], relative to the calibrated
 /// back-to-back service rate (same calibration as the `load` scenario): one
 /// point comfortably below the knee, one past it, one deep in overload.
-pub const WHY_LOADS: [f64; 3] = [0.5, 2.0, 8.0];
+const WHY_LOADS: [f64; 3] = [0.5, 2.0, 8.0];
 
 /// The two policies [`why`] contrasts: the baseline and the paper's
 /// contribution.
-pub fn why_policies() -> [PolicyKind; 2] {
+fn why_policies() -> [PolicyKind; 2] {
     [PolicyKind::Lru, PolicyKind::ReqBlock(ReqBlockConfig::paper())]
 }
 
 /// One fully analysed tail-forensics grid point.
-pub struct WhyPoint {
+struct WhyPoint {
     /// `policy|depth|mult` label.
-    pub label: String,
+    label: String,
     /// Plain run metrics (response percentiles).
-    pub metrics: Metrics,
+    metrics: Metrics,
     /// Attribution accumulator: component totals, histograms, sampled
     /// spans.
-    pub attr: AttrAcc,
+    attr: AttrAcc,
     /// Chip/channel busy intervals captured for the trace export.
-    pub intervals: Option<IntervalLog>,
+    intervals: Option<IntervalLog>,
     /// Telemetry JSONL document of the recorded run (one shard for the
     /// rotating writer).
-    pub telemetry: String,
+    telemetry: String,
 }
 
-/// Everything `repro why` produces: the per-point tail-attribution table
-/// plus the Perfetto trace documents and telemetry shards to write out.
-pub struct WhyReport {
-    /// The X7 attribution table.
-    pub table: Table,
-    /// `(file stem, Chrome trace_event JSON)` per grid point, grid order.
-    pub traces: Vec<(String, String)>,
-    /// Telemetry JSONL documents, one per grid point, grid order.
-    pub telemetry: Vec<String>,
-}
-
-/// Run the X7 grid: [`why_policies`] x [`WHY_DEPTHS`] x [`WHY_LOADS`],
-/// replaying the `ts_0` mix ([`Opts::source_for`]: the trace file when
-/// one is given) open-loop with attribution enabled. Unlike the
-/// [`JobPool`](reqblock_sim::JobPool) grids this keeps the whole device
-/// around per point — the attribution accumulator and captured busy
-/// intervals live on the `Ssd`, not in the `RunResult` — so it drives
-/// [`run_task_pool`] directly.
-/// Sampling is deterministic in the run alone, so the grid is
+/// X7 extension: per-request tail forensics. For each of the {LRU,
+/// Req-block} x queue depth {1, 8} x offered load {0.5x, 2x, 8x} points
+/// (of the calibrated service rate), replay the `ts_0` mix
+/// ([`Opts::source_for`]: the trace file when one is given) open-loop with
+/// attribution enabled, attribute p50/p99/p99.9 response time to named
+/// components and name the dominant tail cause. Renders section `why`, one
+/// Perfetto-loadable `<stem>.trace.json` file per point and shard set
+/// `why_telemetry`. Planning runs the serial service-rate calibration;
+/// sampling is deterministic in the run alone, so the outcome is
 /// thread-count invariant.
-pub(crate) fn why_points(opts: &Opts) -> Vec<WhyPoint> {
+pub fn why(opts: &Opts) -> impl Plan + '_ {
     let base = opts.source_for(&reqblock_trace::profiles::ts_0().scaled(opts.scale));
     let service_gap_ns = calibrated_service_gap_ns(&base);
-    let mut specs: Vec<(String, SimConfig, TraceSource)> = Vec::new();
+    let mut points = Vec::new();
     for policy in why_policies() {
         for &depth in &WHY_DEPTHS {
             for (i, mult) in WHY_LOADS.into_iter().enumerate() {
@@ -130,41 +123,45 @@ pub(crate) fn why_points(opts: &Opts) -> Vec<WhyPoint> {
                 let cfg = SimConfig::paper(CacheSizeMb::Mb32, policy)
                     .with_submit(SubmitMode::Queued { depth })
                     .with_attribution(AttrConfig::default());
-                specs.push((format!("{}|{depth}|{mult}", policy.name()), cfg, source));
+                points.push((format!("{}|{depth}|{mult}", policy.name()), cfg, source));
             }
         }
     }
-    let slots: Vec<std::sync::OnceLock<WhyPoint>> =
-        (0..specs.len()).map(|_| std::sync::OnceLock::new()).collect();
-    let tasks: Vec<Task<'_>> = specs
-        .iter()
-        .zip(&slots)
-        .map(|((label, cfg, source), slot)| {
-            Task::new(label.clone(), move || {
-                let mut rec = MemoryRecorder::default();
-                let mut ssd = Ssd::new(cfg.clone());
-                let requests =
-                    source.requests().unwrap_or_else(|e| panic!("cannot load trace: {e}"));
-                for req in requests.iter() {
-                    ssd.submit_recorded(req, &mut rec);
-                }
-                ssd.finish_recording(&mut rec);
-                let telemetry =
-                    to_jsonl(&rec, &[("experiment", "why".into()), ("point", label.clone())]);
-                let point = WhyPoint {
-                    label: label.clone(),
-                    metrics: ssd.metrics().clone(),
-                    attr: ssd.attribution().expect("attr configured").clone(),
-                    intervals: ssd.device().busy_intervals().cloned(),
-                    telemetry,
-                };
-                let ok = slot.set(point).is_ok();
-                debug_assert!(ok, "why slot filled twice");
-            })
-        })
-        .collect();
-    run_task_pool(tasks, opts.threads);
-    slots.into_iter().map(|s| s.into_inner().expect("every point must finish")).collect()
+    Probes::new(opts, points, |(label, _, _)| label.clone(), why_point, why_outcome)
+}
+
+/// Run one X7 point. The whole device stays around to the end — the
+/// attribution accumulator and captured busy intervals live on the `Ssd`,
+/// not in a `RunResult`.
+fn why_point(_: &Opts, (label, cfg, source): &(String, SimConfig, TraceSource)) -> WhyPoint {
+    let mut rec = MemoryRecorder::default();
+    let mut ssd = Ssd::new(cfg.clone());
+    let requests = source.requests().unwrap_or_else(|e| panic!("cannot load trace: {e}"));
+    for req in requests.iter() {
+        ssd.submit_recorded(req, &mut rec);
+    }
+    ssd.finish_recording(&mut rec);
+    let telemetry = to_jsonl(&rec, &[("experiment", "why".into()), ("point", label.clone())]);
+    WhyPoint {
+        label: label.clone(),
+        metrics: ssd.metrics().clone(),
+        attr: ssd.attribution().expect("attr configured").clone(),
+        intervals: ssd.device().busy_intervals().cloned(),
+        telemetry,
+    }
+}
+
+/// Render the X7 outcome from the analysed points (grid order).
+fn why_outcome(_: &Opts, points: Vec<WhyPoint>) -> Outcome {
+    Outcome {
+        sections: vec![("why".into(), vec![why_build(&points)])],
+        files: points
+            .iter()
+            .map(|p| (format!("{}.trace.json", why_stem(&p.label)), why_trace_json(p)))
+            .collect(),
+        shards: vec![("why_telemetry".into(), points.into_iter().map(|p| p.telemetry).collect())],
+        ..Outcome::default()
+    }
 }
 
 /// Component columns of the X7 table, in display order.
@@ -180,8 +177,8 @@ const WHY_COLUMNS: [Component; 6] = [
     Component::ReadRetry,
 ];
 
-/// Render the X7 table from analysed points (order of [`why_points`]).
-pub(crate) fn why_build(points: &[WhyPoint]) -> Table {
+/// Render the X7 table from analysed points (grid order).
+fn why_build(points: &[WhyPoint]) -> Table {
     let mut cols = vec!["Policy", "Depth", "Load", "p50 (ms)", "p99 (ms)", "p99.9 (ms)"];
     let names: Vec<String> = WHY_COLUMNS.iter().map(|c| format!("{} %", c.name())).collect();
     cols.extend(names.iter().map(String::as_str));
@@ -218,7 +215,7 @@ pub(crate) fn why_build(points: &[WhyPoint]) -> Table {
 /// or `about:tracing`). Track layout: pid 1 one track per sampled request
 /// with its components laid out back-to-back from arrival; pid 2 chips;
 /// pid 3 channel buses (GC-issued operations categorised `"gc"`).
-pub fn why_trace_json(point: &WhyPoint) -> String {
+fn why_trace_json(point: &WhyPoint) -> String {
     let mut b = TraceBuilder::new();
     b.process_name(1, "sampled requests");
     for (i, span) in point.attr.sampled_spans().iter().enumerate() {
@@ -267,19 +264,6 @@ fn why_stem(label: &str) -> String {
     let depth = parts.next().unwrap_or("0");
     let mult = parts.next().unwrap_or("0");
     format!("why_{policy}_qd{depth}_{mult}x")
-}
-
-/// X7 extension: per-request tail forensics. For each policy x depth x
-/// offered-load point, attribute p50/p99/p99.9 response time to named
-/// components and name the dominant tail cause; also produce the Perfetto
-/// trace documents and telemetry shards `repro why` writes to disk.
-pub fn why(opts: &Opts) -> WhyReport {
-    let points = why_points(opts);
-    let table = why_build(&points);
-    let traces =
-        points.iter().map(|p| (why_stem(&p.label), why_trace_json(p))).collect();
-    let telemetry = points.into_iter().map(|p| p.telemetry).collect();
-    WhyReport { table, traces, telemetry }
 }
 
 /// Device counts swept by [`fleet`] (X8); `repro fleet --devices N1,N2,...`
@@ -371,30 +355,50 @@ pub fn fleet_device_config() -> SimConfig {
 }
 
 /// One analysed X8 grid point: the with/without-antagonist run pair.
-pub struct FleetPoint {
+struct FleetPoint {
     /// Placement map of this point.
-    pub placement: Placement,
+    placement: Placement,
     /// Devices in the fleet.
-    pub devices: usize,
+    devices: usize,
     /// The noisy-neighbor run pair (loaded + solo aggregates).
-    pub nn: NoisyNeighbor,
+    nn: NoisyNeighbor,
     /// Offered rate per tenant (requests/s), mix order.
-    pub offered_per_s: Vec<f64>,
+    offered_per_s: Vec<f64>,
     /// Per-device telemetry JSONL documents (headline point only).
-    pub telemetry: Vec<String>,
+    telemetry: Vec<String>,
 }
 
-/// Everything `repro fleet` produces.
-pub struct FleetReport {
-    /// The X8 table: per-tenant and fleet-wide rows per grid point.
-    pub table: Table,
-    /// Per-device telemetry documents from the headline grid point, for
-    /// the rotating shard writer.
-    pub telemetry: Vec<String>,
-    /// Devices simulated across the whole grid (both runs of every pair).
-    pub devices_simulated: usize,
-    /// Host wall-clock seconds for the whole grid (throughput reporting).
-    pub elapsed_s: f64,
+/// X8 extension over `devices` (the [`FLEET_DEVICES`] default, or `repro
+/// fleet --devices N1,N2,...`), plus the X8b scaling sweep over the same
+/// device counts with `alloc` sampling peak memory. One task: X8b times
+/// its runs alone, and each fleet run keeps its own pool of
+/// `opts.threads` device workers. Renders section `fleet` (the X8 and X8b
+/// tables) and shard set `fleet_telemetry`; prints the grid's fleet
+/// throughput to stderr.
+pub fn fleet<'o>(opts: &'o Opts, devices: &[usize], alloc: Option<AllocProbe>) -> impl Plan + 'o {
+    let input = vec![(devices.to_vec(), alloc)];
+    Probes::new(opts, input, |_| "fleet".into(), fleet_outcome, |_, runs| {
+        runs.into_iter().collect()
+    })
+}
+
+fn fleet_outcome(opts: &Opts, (devices, alloc): &(Vec<usize>, Option<AllocProbe>)) -> Outcome {
+    let started = std::time::Instant::now();
+    let points = fleet_points(opts, devices);
+    // Each point runs the loaded and the antagonist-withheld fleet.
+    let simulated: usize = points.iter().map(|p| p.devices * 2).sum();
+    let elapsed_s = started.elapsed().as_secs_f64();
+    eprintln!(
+        "[fleet throughput: {simulated} devices in {elapsed_s:.2}s - {:.1} devices/s]",
+        simulated as f64 / elapsed_s.max(1e-9)
+    );
+    let tables = vec![fleet_build(&points), fleet_scaling(opts, devices, *alloc)];
+    let telemetry = points.into_iter().flat_map(|p| p.telemetry).collect();
+    Outcome {
+        sections: vec![("fleet".into(), tables)],
+        shards: vec![("fleet_telemetry".into(), telemetry)],
+        ..Outcome::default()
+    }
 }
 
 /// Run the X8 grid: [`fleet_placements`] x `devices_list`, each point a
@@ -403,17 +407,17 @@ pub struct FleetReport {
 /// background like the X6/X7 runs, which is what lets one tenant's flush
 /// bursts queue behind another tenant's reads).
 ///
-/// Calibration follows the X6 pattern: one serial plan-time probe replays
-/// the ts_0 mix back-to-back to find the device's service gap; tenant
-/// rates are [`FLEET_TENANT_LOADS`] fractions of the fleet's aggregate
-/// service rate. Each fleet run parallelizes over devices on the shared
-/// pool; grid points run in sequence. Every stage is deterministic, so
-/// the table is byte-identical at any `--threads` value.
+/// Calibration follows the X6 pattern: one serial probe replays the ts_0
+/// mix back-to-back to find the device's service gap; tenant rates are
+/// [`FLEET_TENANT_LOADS`] fractions of the fleet's aggregate service rate.
+/// Each fleet run parallelizes over devices on its own pool; grid points
+/// run in sequence. Every stage is deterministic, so the table is
+/// byte-identical at any `--threads` value.
 ///
 /// Per-device telemetry is captured for the headline point only — the
 /// first placement at the smallest device count — to bound output size;
 /// each document carries `device`/`devices`/`placement` meta tags.
-pub(crate) fn fleet_points(opts: &Opts, devices_list: &[usize]) -> Vec<FleetPoint> {
+fn fleet_points(opts: &Opts, devices_list: &[usize]) -> Vec<FleetPoint> {
     assert!(!devices_list.is_empty(), "fleet sweep needs at least one device count");
     let service_gap_ns = fleet_service_gap_ns(opts);
     let device = fleet_device_config();
@@ -455,7 +459,7 @@ pub(crate) fn fleet_points(opts: &Opts, devices_list: &[usize]) -> Vec<FleetPoin
 /// and `NN delta` columns compare against the same-seed run without the
 /// antagonist ("-" for the antagonist itself); `Worst-dev p99` is reported
 /// on the fleet row.
-pub(crate) fn fleet_build(points: &[FleetPoint]) -> Table {
+fn fleet_build(points: &[FleetPoint]) -> Table {
     let mut t = Table::new(
         "Extension - X8: fleet-scale multi-tenant QoS (web+usr vs bursty batch antagonist, qd8, 32MB)",
         &[
@@ -509,97 +513,47 @@ pub(crate) fn fleet_build(points: &[FleetPoint]) -> Table {
     t
 }
 
-/// X8 extension over the default [`FLEET_DEVICES`] grid.
-pub fn fleet(opts: &Opts) -> FleetReport {
-    fleet_with_devices(opts, &FLEET_DEVICES)
-}
-
-/// [`fleet`] over a caller-chosen device-count list (`repro fleet
-/// --devices 4,16,64`). The headline telemetry point follows the first
-/// entry.
-pub fn fleet_with_devices(opts: &Opts, devices_list: &[usize]) -> FleetReport {
-    let started = std::time::Instant::now();
-    let points = fleet_points(opts, devices_list);
-    let table = fleet_build(&points);
-    // Each point runs the loaded and the antagonist-withheld fleet.
-    let devices_simulated = points.iter().map(|p| p.devices * 2).sum();
-    let telemetry = points.into_iter().flat_map(|p| p.telemetry).collect();
-    FleetReport { table, telemetry, devices_simulated, elapsed_s: started.elapsed().as_secs_f64() }
-}
-
-/// One X8b scaling row: one *loaded* streaming fleet run (striped
-/// placement, no solo pair, no telemetry) at a device count.
-pub struct FleetScalingRow {
-    /// Devices in the fleet.
-    pub devices: usize,
-    /// Host requests simulated across the fleet.
-    pub requests: u64,
-    /// Wall-clock seconds for the run.
-    pub elapsed_s: f64,
-    /// Peak bytes allocated during the run; `None` without an instrumented
-    /// allocator.
-    pub peak_bytes: Option<usize>,
-}
-
-/// Peak-allocation probe the `repro` binary passes into [`fleet_scaling`]:
+/// Peak-allocation probe the `repro` binary passes into [`fleet`]:
 /// `(reset_peak, peak_bytes)` over its `#[global_allocator]`
 /// [`reqblock_obs::CountingAlloc`]. Plain function pointers, so this
 /// library needs no view of the binary's static.
 pub type AllocProbe = (fn(), fn() -> usize);
 
-/// X8b: the streaming-engine scaling sweep. One loaded fleet run per
-/// device count isolates how simulation throughput and peak memory scale
-/// with the grid — the zero-materialization claim: the request streams are
-/// merged lazily per device, so peak allocation grows with the device
-/// count (pooled simulators + outcome slots), not with
-/// devices x total requests.
-pub fn fleet_scaling(
-    opts: &Opts,
-    devices_list: &[usize],
-    probe: Option<AllocProbe>,
-) -> Vec<FleetScalingRow> {
+/// X8b: the streaming-engine scaling sweep. One *loaded* fleet run per
+/// device count (striped placement, no solo pair, no telemetry) isolates
+/// how simulation throughput and peak memory scale with the grid — the
+/// zero-materialization claim: the request streams are merged lazily per
+/// device, so peak allocation (`-` without a `probe`) grows with the
+/// device count (pooled simulators + outcome slots), not with devices x
+/// total requests.
+fn fleet_scaling(opts: &Opts, devices_list: &[usize], probe: Option<AllocProbe>) -> Table {
     let service_gap_ns = fleet_service_gap_ns(opts);
     let device = fleet_device_config();
     let ctl = FleetControl::threads(opts.threads);
-    devices_list
-        .iter()
-        .map(|&devices| {
-            let mix = fleet_mix(opts, service_gap_ns, devices);
-            let mut cfg = FleetConfig::uniform(devices, device.clone());
-            cfg.placement = Placement::Striped;
-            cfg.telemetry = false;
-            if let Some((reset_peak, _)) = probe {
-                reset_peak();
-            }
-            let started = std::time::Instant::now();
-            let res = reqblock_sim::run_fleet(&cfg, &mix, &ctl);
-            FleetScalingRow {
-                devices,
-                requests: res.metrics.fleet.count(),
-                elapsed_s: started.elapsed().as_secs_f64(),
-                peak_bytes: probe.map(|(_, peak_bytes)| peak_bytes()),
-            }
-        })
-        .collect()
-}
-
-/// Render the X8b scaling table (one row per [`fleet_scaling`] run).
-pub fn fleet_scaling_build(rows: &[FleetScalingRow]) -> Table {
     let mut t = Table::new(
         "Extension - X8b: streaming fleet scaling (striped, loaded mix, qd8, 32MB)",
         &["Devices", "Requests", "Wall (s)", "Devices/s", "Req/s (M)", "Peak alloc (MiB)"],
     );
-    for r in rows {
-        let wall = r.elapsed_s.max(1e-9);
+    for &devices in devices_list {
+        let mix = fleet_mix(opts, service_gap_ns, devices);
+        let mut cfg = FleetConfig::uniform(devices, device.clone());
+        cfg.placement = Placement::Striped;
+        cfg.telemetry = false;
+        if let Some((reset_peak, _)) = probe {
+            reset_peak();
+        }
+        let started = std::time::Instant::now();
+        let requests = reqblock_sim::run_fleet(&cfg, &mix, &ctl).metrics.fleet.count();
+        let elapsed_s = started.elapsed().as_secs_f64();
+        let peak_bytes = probe.map(|(_, peak_bytes)| peak_bytes());
+        let wall = elapsed_s.max(1e-9);
         t.push_row(vec![
-            r.devices.to_string(),
-            r.requests.to_string(),
-            f2(r.elapsed_s),
-            f2(r.devices as f64 / wall),
-            f2(r.requests as f64 / wall / 1e6),
-            r.peak_bytes
-                .map(|b| f2(b as f64 / (1024.0 * 1024.0)))
-                .unwrap_or_else(|| "-".into()),
+            devices.to_string(),
+            requests.to_string(),
+            f2(elapsed_s),
+            f2(devices as f64 / wall),
+            f2(requests as f64 / wall / 1e6),
+            peak_bytes.map(|b| f2(b as f64 / (1024.0 * 1024.0))).unwrap_or_else(|| "-".into()),
         ]);
     }
     t
@@ -609,6 +563,7 @@ pub fn fleet_scaling_build(rows: &[FleetScalingRow]) -> Table {
 mod tests {
     use super::*;
     use crate::scenario::{self, AxisValues};
+    use crate::sweep::run_one;
     use std::path::PathBuf;
 
     fn tiny_opts() -> Opts {
@@ -734,12 +689,26 @@ mod tests {
 
     #[test]
     fn why_covers_grid_and_attributes_the_tail() {
-        let report = why(&tiny_opts());
-        let t = &report.table;
+        let opts = tiny_opts();
+        let outcome = run_one(why(&opts), 2);
         let grid = why_policies().len() * WHY_DEPTHS.len() * WHY_LOADS.len();
+        // Every trace document is a loadable trace_event JSON with slices.
+        assert_eq!(outcome.files.len(), grid);
+        for (name, json) in &outcome.files {
+            assert!(name.starts_with("why_") && name.ends_with(".trace.json"), "file {name}");
+            assert!(json.starts_with("{\"traceEvents\":["), "{name} not a trace doc");
+            assert!(json.contains("\"ph\":\"X\""), "{name} has no slices");
+            assert!(json.contains("\"ph\":\"M\""), "{name} has no track names");
+        }
+        // Telemetry shards carry the attribution rollup keys.
+        let [(stem, telemetry)] = &outcome.shards[..] else { panic!("one shard set") };
+        assert_eq!(stem, "why_telemetry");
+        assert_eq!(telemetry.len(), grid);
+        for doc in telemetry {
+            assert!(doc.contains("attr_sampled_spans"), "shard missing attr rollup");
+        }
+        let t = outcome.into_single_table();
         assert_eq!(t.rows.len(), grid);
-        assert_eq!(report.traces.len(), grid);
-        assert_eq!(report.telemetry.len(), grid);
         let component_names: Vec<&str> = Component::ALL.iter().map(|c| c.name()).collect();
         for row in &t.rows {
             // Component shares are percentages that sum to ~100.
@@ -759,33 +728,30 @@ mod tests {
                 .unwrap()
         };
         assert!(p99("LRU", "1", "8x") >= p99("LRU", "1", "0.5x"));
-        // Every trace document is a loadable trace_event JSON with slices.
-        for (stem, json) in &report.traces {
-            assert!(stem.starts_with("why_"), "stem {stem}");
-            assert!(json.starts_with("{\"traceEvents\":["), "{stem} not a trace doc");
-            assert!(json.contains("\"ph\":\"X\""), "{stem} has no slices");
-            assert!(json.contains("\"ph\":\"M\""), "{stem} has no track names");
-        }
-        // Telemetry shards carry the attribution rollup keys.
-        for doc in &report.telemetry {
-            assert!(doc.contains("attr_sampled_spans"), "shard missing attr rollup");
-        }
     }
 
     #[test]
     fn fleet_covers_grid_with_tenant_and_fleet_rows() {
-        let report = fleet(&tiny_opts());
-        let points = fleet_placements().len() * FLEET_DEVICES.len();
-        // One row per tenant plus the fleet row, per grid point.
-        assert_eq!(report.table.rows.len(), points * 4);
+        let opts = tiny_opts();
+        let outcome = run_one(fleet(&opts, &FLEET_DEVICES, None), 2);
+        let [(stem, telemetry)] = &outcome.shards[..] else { panic!("one shard set") };
+        assert_eq!(stem, "fleet_telemetry");
         // Telemetry comes from the headline point only: one document per
         // device of the smallest fleet.
-        assert_eq!(report.telemetry.len(), FLEET_DEVICES[0]);
-        for doc in &report.telemetry {
+        assert_eq!(telemetry.len(), FLEET_DEVICES[0]);
+        for doc in telemetry {
             assert!(doc.contains("\"experiment\":\"fleet\""), "doc missing meta tag");
         }
-        assert_eq!(report.devices_simulated, 2 * (4 + 16) * 2);
-        for row in &report.table.rows {
+        let [(name, tables)] = &outcome.sections[..] else { panic!("one section") };
+        assert_eq!(name, "fleet");
+        let [table, scaling] = &tables[..] else { panic!("the X8 and X8b tables") };
+        // One X8b row per device count, no peak without an allocator probe.
+        assert_eq!(scaling.rows.len(), FLEET_DEVICES.len());
+        assert!(scaling.rows.iter().all(|row| row[5] == "-"));
+        let points = fleet_placements().len() * FLEET_DEVICES.len();
+        // One row per tenant plus the fleet row, per grid point.
+        assert_eq!(table.rows.len(), points * 4);
+        for row in &table.rows {
             match row[2].as_str() {
                 // Victims always have a solo p99 and a delta.
                 "web" | "usr" => {
@@ -811,18 +777,25 @@ mod tests {
 
     #[test]
     fn fleet_is_thread_invariant() {
-        let serial = fleet(&Opts { threads: 1, ..tiny_opts() });
-        let parallel = fleet(&Opts { threads: 3, ..tiny_opts() });
-        assert_eq!(serial.table.rows, parallel.table.rows);
-        assert_eq!(serial.telemetry, parallel.telemetry, "device telemetry must be deterministic");
+        let x8 = |threads| {
+            let opts = Opts { threads, ..tiny_opts() };
+            let mut outcome = run_one(fleet(&opts, &FLEET_DEVICES, None), threads);
+            let (_, mut tables) = outcome.sections.remove(0);
+            (tables.remove(0), outcome.shards)
+        };
+        let (serial, serial_telemetry) = x8(1);
+        let (parallel, parallel_telemetry) = x8(3);
+        assert_eq!(serial, parallel);
+        assert_eq!(serial_telemetry, parallel_telemetry, "device telemetry must be deterministic");
     }
 
     #[test]
     fn why_is_thread_invariant() {
-        let serial = why(&Opts { threads: 1, ..tiny_opts() });
-        let parallel = why(&Opts { threads: 3, ..tiny_opts() });
-        assert_eq!(serial.table.rows, parallel.table.rows);
-        assert_eq!(serial.traces, parallel.traces, "trace export must be deterministic");
+        let outcome = |threads| {
+            let opts = Opts { threads, ..tiny_opts() };
+            run_one(why(&opts), threads)
+        };
+        assert_eq!(outcome(1), outcome(3), "why must be byte-identical at any thread count");
     }
 
     #[test]

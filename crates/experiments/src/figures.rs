@@ -1,21 +1,21 @@
 //! Per-figure experiment runners. See the crate docs for the index.
 
 use crate::report::{f2, f3, pct, Table};
-use crate::scenario::{cache_from_mb, Point, Scenario, ScenarioOutcome};
+use crate::scenario::{cache_from_mb, Point, Scenario};
+use crate::sweep::{Outcome, Plan, Probes};
 use reqblock_core::ReqBlockConfig;
 use reqblock_flash::SsdConfig;
 use reqblock_obs::{Fanout, MemoryRecorder};
 use reqblock_sim::probes::{LargeReqHitProbe, SizeCdfProbe};
 use reqblock_obs::telemetry::{summary_rows, to_jsonl};
 use reqblock_sim::{
-    replay, run_task_pool, CacheSizeMb, PolicyKind, RunResult, SampleInterval, SimConfig, Task,
-    TraceSource,
+    replay, CacheSizeMb, PolicyKind, RunResult, SampleInterval, SimConfig, TraceSource,
 };
 use reqblock_trace::stats::StatsBuilder;
 use reqblock_trace::{paper_profiles, Request, TraceStats, WorkloadProfile, PAGE_SIZE};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Harness options shared by all experiments.
 #[derive(Debug, Clone)]
@@ -118,57 +118,9 @@ impl Opts {
     }
 }
 
-// ---------------------------------------------------------------------
-// Pooled execution plumbing (plan/build split)
-//
-// Every figure below is split into a *plan* (jobs or per-trace probe
-// tasks) and a *build* (results -> Table). The public per-figure entry
-// points wire the two through their own pool; `sweep::run_all` instead
-// collects every figure's tasks into one barrier-free pool and runs the
-// builds afterwards.
-// ---------------------------------------------------------------------
-
-/// Unwrap a vector of filled one-shot slots (panics if a task never ran —
-/// the pool propagates task panics first, so this only fires on misuse).
-pub(crate) fn take_slots<T>(slots: Vec<OnceLock<T>>) -> Vec<T> {
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("pool task must have filled its slot"))
-        .collect()
-}
-
-/// One task per profile, routing `f(opts, profile)` into the matching slot.
-pub(crate) fn per_trace_tasks<'s, T: Send + Sync>(
-    prefix: &str,
-    opts: &'s Opts,
-    profiles: &'s [WorkloadProfile],
-    slots: &'s [OnceLock<T>],
-    f: &'s (dyn Fn(&Opts, &WorkloadProfile) -> T + Sync),
-) -> Vec<Task<'s>> {
-    profiles
-        .iter()
-        .zip(slots)
-        .map(|(profile, slot)| {
-            Task::new(format!("{prefix}/{}", profile.name), move || {
-                let ok = slot.set(f(opts, profile)).is_ok();
-                debug_assert!(ok, "probe slot filled twice");
-            })
-        })
-        .collect()
-}
-
-/// Run `f` once per paper profile on a pool and return results in profile
-/// order (the standalone path for probed figures; `repro all` submits the
-/// same tasks into the shared pool instead).
-fn per_trace<T: Send + Sync>(
-    prefix: &str,
-    opts: &Opts,
-    f: impl Fn(&Opts, &WorkloadProfile) -> T + Sync,
-) -> Vec<T> {
-    let profiles = opts.profiles();
-    let slots: Vec<OnceLock<T>> = profiles.iter().map(|_| OnceLock::new()).collect();
-    run_task_pool(per_trace_tasks(prefix, opts, &profiles, &slots, &f), opts.threads);
-    take_slots(slots)
+/// One section of tables.
+fn section(name: impl Into<String>, tables: Vec<Table>) -> Outcome {
+    Outcome { sections: vec![(name.into(), tables)], ..Outcome::default() }
 }
 
 // ---------------------------------------------------------------------
@@ -176,7 +128,7 @@ fn per_trace<T: Send + Sync>(
 // ---------------------------------------------------------------------
 
 /// Table 1: the SSD configuration in effect (paper values by construction).
-pub fn table1() -> Table {
+pub fn table1() -> Outcome {
     let c = reqblock_flash::SsdConfig::paper();
     let mut t = Table::new("Table 1 - Experimental settings of the SSD model", &["Parameter", "Value"]);
     let rows: Vec<(&str, String)> = vec![
@@ -196,7 +148,7 @@ pub fn table1() -> Table {
     for (k, v) in rows {
         t.push_row(vec![k.to_string(), v]);
     }
-    t
+    section("table1", vec![t])
 }
 
 // ---------------------------------------------------------------------
@@ -215,7 +167,7 @@ pub const TABLE2_PAPER: [(&str, u64, f64, f64, f64, f64); 6] = [
 ];
 
 /// Table 2 probe for one trace: measured statistics over the shared slice.
-pub(crate) fn table2_stats(opts: &Opts, profile: &WorkloadProfile) -> TraceStats {
+fn table2_stats(opts: &Opts, profile: &WorkloadProfile) -> TraceStats {
     let requests = opts.shared_for(profile);
     let mut b = StatsBuilder::new();
     for req in requests.iter() {
@@ -226,7 +178,7 @@ pub(crate) fn table2_stats(opts: &Opts, profile: &WorkloadProfile) -> TraceStats
 
 /// Render Table 2 from the per-trace statistics (profile order). The
 /// title names the workloads read from trace files, if any.
-pub(crate) fn table2_build(opts: &Opts, stats: Vec<TraceStats>) -> Table {
+fn table2_build(opts: &Opts, stats: Vec<TraceStats>) -> Outcome {
     let profiles = opts.profiles();
     let files: Vec<&str> = profiles
         .iter()
@@ -269,13 +221,14 @@ pub(crate) fn table2_build(opts: &Opts, stats: Vec<TraceStats>) -> Table {
             pct(s.frequent_write_ratio),
         ]);
     }
-    t
+    section("table2", vec![t])
 }
 
 /// Table 2: paper trace specifications vs the synthetic traces' measured
-/// statistics (at the harness scale). Probes run in parallel per trace.
-pub fn table2(opts: &Opts) -> Table {
-    table2_build(opts, per_trace("table2", opts, table2_stats))
+/// statistics (at the harness scale), one probe per trace.
+pub fn table2(opts: &Opts) -> impl Plan + '_ {
+    let label = |p: &WorkloadProfile| format!("table2/{}", p.name);
+    Probes::new(opts, opts.profiles(), label, table2_stats, table2_build)
 }
 
 // ---------------------------------------------------------------------
@@ -286,7 +239,7 @@ pub fn table2(opts: &Opts) -> Table {
 pub const FIG2_SIZES: [u32; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 
 /// Per-trace result of the probed Figure 2/3 run.
-pub(crate) struct Fig23Row {
+struct Fig23Row {
     name: String,
     threshold: u32,
     insert_cdf: Vec<f64>,
@@ -298,7 +251,7 @@ pub(crate) struct Fig23Row {
 
 /// Figure 2/3 probe for one trace: one LRU/16MB run feeding both figure
 /// consumers through a fanout recorder.
-pub(crate) fn fig23_probe(opts: &Opts, profile: &WorkloadProfile) -> Fig23Row {
+fn fig23_probe(opts: &Opts, profile: &WorkloadProfile) -> Fig23Row {
     let requests = opts.shared_for(profile);
     // The paper's "small" cut-off: the trace's mean request size.
     let mut b = StatsBuilder::new();
@@ -336,7 +289,7 @@ pub(crate) fn fig23_probe(opts: &Opts, profile: &WorkloadProfile) -> Fig23Row {
 }
 
 /// Render Figures 2 and 3 from the per-trace probe rows (profile order).
-pub(crate) fn fig23_build(rows: Vec<Fig23Row>) -> (Table, Table) {
+fn fig23_build(_: &Opts, rows: Vec<Fig23Row>) -> Outcome {
     let size_cols: Vec<String> = FIG2_SIZES.iter().map(|s| format!("<= {s}p")).collect();
     let mut cols = vec!["Trace", "Series"];
     cols.extend(size_cols.iter().map(String::as_str));
@@ -363,13 +316,16 @@ pub(crate) fn fig23_build(rows: Vec<Fig23Row>) -> (Table, Table) {
             pct(row.hit_fraction),
         ]);
     }
-    (fig2, fig3)
+    let mut outcome = section("fig2", vec![fig2]);
+    outcome.sections.push(("fig3".into(), vec![fig3]));
+    outcome
 }
 
-/// Figures 2 and 3 from one probed LRU/16MB run per trace (probes run in
-/// parallel per trace).
-pub fn fig2_fig3(opts: &Opts) -> (Table, Table) {
-    fig23_build(per_trace("fig2_fig3", opts, fig23_probe))
+/// Figures 2 and 3 (sections `fig2` and `fig3`) from one probed LRU/16MB
+/// run per trace.
+pub fn fig2_fig3(opts: &Opts) -> impl Plan + '_ {
+    let label = |p: &WorkloadProfile| format!("fig2_fig3/{}", p.name);
+    Probes::new(opts, opts.profiles(), label, fig23_probe, fig23_build)
 }
 
 // ---------------------------------------------------------------------
@@ -482,10 +438,10 @@ impl Comparison {
 
 /// The `comparison` report: Figures 8-12, the summary and the perf
 /// appendix as fixed sections, plus the two normalized bar charts.
-pub(crate) fn comparison_report(sc: &Scenario, points: Vec<Point>) -> ScenarioOutcome {
+pub(crate) fn comparison_report(sc: &Scenario, points: Vec<Point>) -> Outcome {
     let cmp = Comparison::from_points(sc, points);
     let means = policy_means(&cmp);
-    ScenarioOutcome {
+    Outcome {
         sections: vec![
             ("fig8".into(), vec![fig8(&cmp)]),
             ("fig9".into(), vec![fig9(&cmp)]),
@@ -505,6 +461,7 @@ pub(crate) fn comparison_report(sc: &Scenario, points: Vec<Point>) -> ScenarioOu
                 means.iter().map(|(n, _, h)| (n.clone(), *h)).collect(),
             ),
         ],
+        ..Outcome::default()
     }
 }
 
@@ -701,7 +658,7 @@ fn summary(cmp: &Comparison) -> Table {
 // ---------------------------------------------------------------------
 
 /// Per-trace result of the probed Figure 13 run.
-pub(crate) struct Fig13Row {
+struct Fig13Row {
     name: String,
     /// `(request index, [IRL, SRL, DRL] pages)` per sample.
     samples: Vec<(u64, [u64; 3])>,
@@ -711,7 +668,7 @@ pub(crate) struct Fig13Row {
 
 /// Figure 13 probe for one trace: a recorded Req-block/32MB run whose
 /// periodic sampler captures the `irl_pages`/`srl_pages`/`drl_pages` series.
-pub(crate) fn fig13_probe(opts: &Opts, profile: &WorkloadProfile) -> Fig13Row {
+fn fig13_probe(opts: &Opts, profile: &WorkloadProfile) -> Fig13Row {
     let sample_every = ((10_000.0 * opts.scale) as u64).max(100);
     let cfg = SimConfig::paper(CacheSizeMb::Mb32, PolicyKind::ReqBlock(ReqBlockConfig::paper()))
         .with_sampling(SampleInterval::Requests(sample_every));
@@ -739,8 +696,9 @@ pub(crate) fn fig13_probe(opts: &Opts, profile: &WorkloadProfile) -> Fig13Row {
     Fig13Row { name: profile.name.clone(), samples, shares: [sums[0] / n, sums[1] / n, sums[2] / n] }
 }
 
-/// Render Figure 13 from the per-trace probe rows (profile order).
-pub(crate) fn fig13_build(opts: &Opts, rows: Vec<Fig13Row>) -> (Table, Table) {
+/// Render Figure 13 from the per-trace probe rows (profile order): the
+/// mean shares, then the samples.
+fn fig13_build(opts: &Opts, rows: Vec<Fig13Row>) -> Outcome {
     let sample_every = ((10_000.0 * opts.scale) as u64).max(100);
     let mut samples_table = Table::new(
         format!("Figure 13 - Req-block list occupancy (32MB, sampled every {sample_every} requests)"),
@@ -767,16 +725,17 @@ pub(crate) fn fig13_build(opts: &Opts, rows: Vec<Fig13Row>) -> (Table, Table) {
             pct(row.shares[2]),
         ]);
     }
-    (samples_table, shares)
+    section("fig13", vec![shares, samples_table])
 }
 
 /// Figure 13: Req-block per-list page counts sampled every `10_000 * scale`
 /// requests at 32 MB (the paper samples every 10 000 at full scale). The
 /// samples come from the observability layer's periodic sampler: a
 /// [`MemoryRecorder`] attached to each run captures the
-/// `irl_pages`/`srl_pages`/`drl_pages` time series; traces run in parallel.
-pub fn fig13(opts: &Opts) -> (Table, Table) {
-    fig13_build(opts, per_trace("fig13", opts, fig13_probe))
+/// `irl_pages`/`srl_pages`/`drl_pages` time series; one probe per trace.
+pub fn fig13(opts: &Opts) -> impl Plan + '_ {
+    let label = |p: &WorkloadProfile| format!("fig13/{}", p.name);
+    Probes::new(opts, opts.profiles(), label, fig13_probe, fig13_build)
 }
 
 // ---------------------------------------------------------------------
@@ -784,20 +743,27 @@ pub fn fig13(opts: &Opts) -> (Table, Table) {
 // ---------------------------------------------------------------------
 
 /// One fully instrumented, seeded run: Req-block at 16 MB over `trace` with
-/// the periodic sampler on. Returns the JSONL telemetry document
-/// (`reqblock-obs/1` schema) and a human-readable end-of-run summary table.
-/// Deterministic: the same trace and scale produce byte-identical JSONL.
-pub fn telemetry(opts: &Opts, trace: &str) -> (String, Table) {
+/// the periodic sampler on. Renders section `telemetry_<trace>`, a
+/// human-readable end-of-run summary table, and file
+/// `telemetry_<trace>.jsonl`, the JSONL telemetry document
+/// (`reqblock-obs/1` schema). Deterministic: the same trace and scale
+/// produce byte-identical JSONL. Panics on an unknown trace.
+pub fn telemetry<'o>(opts: &'o Opts, trace: &str) -> impl Plan + 'o {
     let profile = opts
         .profiles()
         .into_iter()
         .find(|p| p.name == trace)
         .unwrap_or_else(|| panic!("unknown trace {trace:?}"));
+    let label = |p: &WorkloadProfile| format!("telemetry/{}", p.name);
+    Probes::new(opts, vec![profile], label, telemetry_probe, |_, runs| runs.into_iter().collect())
+}
+
+fn telemetry_probe(opts: &Opts, profile: &WorkloadProfile) -> Outcome {
     let sample_every = ((10_000.0 * opts.scale) as u64).max(100);
     let cfg = SimConfig::paper(CacheSizeMb::Mb16, PolicyKind::ReqBlock(ReqBlockConfig::paper()))
         .with_sampling(SampleInterval::Requests(sample_every));
     let mut rec = MemoryRecorder::default();
-    replay(&cfg, opts.shared_for(&profile).iter().copied(), &mut rec);
+    replay(&cfg, opts.shared_for(profile).iter().copied(), &mut rec);
     let meta = [
         ("trace", profile.name.clone()),
         ("policy", cfg.policy.name().to_string()),
@@ -805,7 +771,6 @@ pub fn telemetry(opts: &Opts, trace: &str) -> (String, Table) {
         ("scale", format!("{}", opts.scale)),
         ("sample_every", sample_every.to_string()),
     ];
-    let jsonl = to_jsonl(&rec, &meta);
     let mut t = Table::new(
         format!("Telemetry summary - {} / {} / 16MB", profile.name, cfg.policy.name()),
         &["Kind", "Name", "Value"],
@@ -813,12 +778,15 @@ pub fn telemetry(opts: &Opts, trace: &str) -> (String, Table) {
     for (kind, name, value) in summary_rows(&rec) {
         t.push_row(vec![kind, name, value]);
     }
-    (jsonl, t)
+    let mut outcome = section(format!("telemetry_{}", profile.name), vec![t]);
+    outcome.files.push((format!("telemetry_{}.jsonl", profile.name), to_jsonl(&rec, &meta)));
+    outcome
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::run_one;
 
     fn tiny_opts() -> Opts {
         Opts { scale: 0.001, threads: 2, out_dir: std::env::temp_dir(), trace_dir: None }
@@ -826,7 +794,7 @@ mod tests {
 
     #[test]
     fn table1_lists_all_parameters() {
-        let t = table1();
+        let t = table1().into_single_table();
         assert_eq!(t.rows.len(), 12);
         assert!(t.to_markdown().contains("128 GB"));
         assert!(t.to_markdown().contains("Page level"));
@@ -834,7 +802,8 @@ mod tests {
 
     #[test]
     fn table2_compares_paper_and_measured() {
-        let t = table2(&tiny_opts());
+        let opts = tiny_opts();
+        let t = run_one(table2(&opts), 2).into_single_table();
         assert_eq!(t.rows.len(), 6);
         assert_eq!(t.rows[0][0], "hm_1");
         assert_eq!(t.rows[5][0], "proj_0");
@@ -842,7 +811,11 @@ mod tests {
 
     #[test]
     fn fig2_fig3_produce_rows_per_trace() {
-        let (f2t, f3t) = fig2_fig3(&tiny_opts());
+        let opts = tiny_opts();
+        let sections = run_one(fig2_fig3(&opts), 2).sections;
+        let [(fig2, f2t), (fig3, f3t)] = &sections[..] else { panic!("two sections") };
+        assert_eq!((fig2.as_str(), fig3.as_str()), ("fig2", "fig3"));
+        let (f2t, f3t) = (&f2t[0], &f3t[0]);
         assert_eq!(f2t.rows.len(), 12); // 6 traces x 2 series
         assert_eq!(f3t.rows.len(), 6);
         // CDFs must be monotone across size columns.
@@ -887,7 +860,10 @@ mod tests {
 
     #[test]
     fn fig13_reports_samples_and_shares() {
-        let (samples, shares) = fig13(&tiny_opts());
+        let opts = tiny_opts();
+        let (name, tables) = run_one(fig13(&opts), 2).sections.remove(0);
+        assert_eq!(name, "fig13");
+        let [shares, samples] = &tables[..] else { panic!("two tables") };
         assert!(!samples.rows.is_empty());
         assert_eq!(shares.rows.len(), 6);
     }
@@ -895,17 +871,20 @@ mod tests {
     #[test]
     fn telemetry_run_is_deterministic_and_sampled() {
         let opts = tiny_opts();
-        let (jsonl_a, summary) = telemetry(&opts, "ts_0");
-        let (jsonl_b, _) = telemetry(&opts, "ts_0");
-        assert_eq!(jsonl_a, jsonl_b, "seeded telemetry must be byte-identical");
-        assert!(jsonl_a.starts_with("{\"type\":\"run_meta\""));
+        let a = run_one(telemetry(&opts, "ts_0"), 2);
+        let b = run_one(telemetry(&opts, "ts_0"), 1);
+        assert_eq!(a, b, "seeded telemetry must be byte-identical");
+        let [(name, jsonl)] = &a.files[..] else { panic!("one telemetry file") };
+        assert_eq!(name, "telemetry_ts_0.jsonl");
+        assert!(jsonl.starts_with("{\"type\":\"run_meta\""));
         for series in ["hit_ratio", "write_amp", "chan_util"] {
             assert!(
-                jsonl_a.contains(&format!("\"series\":\"{series}\"")),
+                jsonl.contains(&format!("\"series\":\"{series}\"")),
                 "missing series {series}"
             );
         }
-        assert!(!summary.rows.is_empty());
+        assert_eq!(a.sections[0].0, "telemetry_ts_0");
+        assert!(!a.into_single_table().rows.is_empty());
     }
 }
 
@@ -944,13 +923,14 @@ mod trace_dir_tests {
         let dir = std::env::temp_dir().join(format!("reqblock_table2_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let opts = Opts { scale: 0.001, trace_dir: Some(dir.clone()), ..Opts::default() };
+        let title = || crate::sweep::run_one(table2(&opts), 2).into_single_table().title;
         // No file in the directory: the synthetic title, unchanged.
-        assert_eq!(table2(&opts).title, "Table 2 - Trace specifications (synthetic, scale 0.001)");
+        assert_eq!(title(), "Table 2 - Trace specifications (synthetic, scale 0.001)");
         let profile = reqblock_trace::profiles::ts_0().scaled(0.001);
         let reqs = reqblock_trace::SyntheticTrace::new(profile).generate_all();
         reqblock_trace::msr::write_file(&dir.join("ts_0.csv"), &reqs).unwrap();
         assert_eq!(
-            table2(&opts).title,
+            title(),
             "Table 2 - Trace specifications (synthetic, scale 0.001; trace files: ts_0)"
         );
         let _ = std::fs::remove_dir_all(&dir);

@@ -4,8 +4,6 @@
 //! its own CSV/markdown instead of pulling in a serialization stack.
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
 /// A titled table of string cells.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,18 +69,16 @@ impl Table {
     }
 }
 
-/// Write a set of tables to `<dir>/<name>.md` and `<dir>/<name>.csv`
-/// (tables concatenated; CSV sections separated by a blank line).
-pub fn save(dir: &Path, name: &str, tables: &[Table]) -> io::Result<()> {
-    std::fs::create_dir_all(dir)?;
+/// The `<name>.md` and `<name>.csv` files of one section: its tables
+/// concatenated, each CSV table under a `# title` line and followed by a
+/// blank line.
+pub fn section_files(name: &str, tables: &[Table]) -> [(String, String); 2] {
     let md: String = tables.iter().map(|t| t.to_markdown() + "\n").collect();
-    std::fs::write(dir.join(format!("{name}.md")), md)?;
     let csv: String = tables
         .iter()
         .map(|t| format!("# {}\n{}\n", t.title, t.to_csv()))
         .collect();
-    std::fs::write(dir.join(format!("{name}.csv")), csv)?;
-    Ok(())
+    [(format!("{name}.md"), md), (format!("{name}.csv"), csv)]
 }
 
 /// Format a float with 3 decimal places.
@@ -134,13 +130,11 @@ mod tests {
     }
 
     #[test]
-    fn save_writes_both_files() {
-        let dir = std::env::temp_dir().join("reqblock_report_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        save(&dir, "demo", &[sample()]).unwrap();
-        assert!(dir.join("demo.md").exists());
-        assert!(dir.join("demo.csv").exists());
-        let _ = std::fs::remove_dir_all(&dir);
+    fn section_files_render_both_formats() {
+        let [(md_name, md), (csv_name, csv)] = section_files("demo", &[sample(), sample()]);
+        assert_eq!((md_name.as_str(), csv_name.as_str()), ("demo.md", "demo.csv"));
+        assert_eq!(md, format!("{0}\n{0}\n", sample().to_markdown()));
+        assert_eq!(csv, "# Demo\na,b\n1,\"x,y\"\n\n# Demo\na,b\n1,\"x,y\"\n\n");
     }
 
     #[test]

@@ -21,13 +21,13 @@
 //! ```
 //!
 //! [`plan`] validates the axes against the kind's schema and lowers the
-//! cartesian grid through one compiler into a flat job list with one
-//! order-preserving result slot per job (the
-//! [`reqblock_sim::run_task_pool`] contract). Each job keeps its grid
-//! point's axis cells, and the kind's *report* — a pure renderer — reads
-//! those cells by axis name next to each [`RunResult`]. Because task
-//! *claiming* order never influences which slot a result lands in, the
-//! rendered tables — and therefore each section's [`section_digest`] — are
+//! cartesian grid through one compiler into a [`ScenarioPlan`]: a flat job
+//! list with one order-preserving result slot per job, run like every
+//! other [`Plan`] by [`sweep::run`]. Each job keeps its grid point's axis
+//! cells, and the kind's *report* — a pure renderer — reads those cells by
+//! axis name next to each [`RunResult`]. Because task *claiming* order
+//! never influences which slot a result lands in, the rendered tables —
+//! and therefore each section's [`sweep::section_digest`] — are
 //! byte-identical at any thread count.
 //!
 //! There are three kinds. `comparison` (Figures 8-12, summary, perf) and
@@ -45,7 +45,7 @@ pub mod toml;
 use crate::extensions::{calibrated_service_gap_ns, pressured_ssd, LOAD_BURST};
 use crate::figures::{comparison_report, fig7_build, Opts};
 use crate::report::{f2, f3, pct, Table};
-use reqblock_cache::fxhash::FxHasher;
+use crate::sweep::{self, Outcome, Plan};
 use reqblock_cache::policies::{BplruConfig, CflruConfig};
 use reqblock_core::{PriorityModel, ReqBlockConfig};
 use reqblock_flash::SsdConfig;
@@ -56,7 +56,6 @@ use reqblock_sim::{
 use reqblock_trace::profiles::profile_by_name;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::Hasher;
 
 // ---------------------------------------------------------------------
 // Errors
@@ -322,8 +321,7 @@ impl Scenario {
             }
         }
         let name = name.ok_or_else(|| ScenarioError { msg: "missing scenario.name".into() })?;
-        if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-        {
+        if !is_name(&name) {
             return err(format!("invalid scenario name {name:?} (use [A-Za-z0-9_-]+)"));
         }
         let kind = kind.ok_or_else(|| ScenarioError { msg: "missing scenario.kind".into() })?;
@@ -498,7 +496,10 @@ impl Scenario {
                  policy to \"Req-block\" only",
             );
         }
-        // Output spec.
+        // Output spec. The section names the output files.
+        if let Some(section) = self.output.section.as_deref().filter(|s| !is_name(s)) {
+            return err(format!("invalid output.section {section:?} (use [A-Za-z0-9_-]+)"));
+        }
         if self.kind == Kind::Comparison && self.output.section.is_some() {
             return err("comparison scenarios emit fixed sections (fig8..fig12, summary, perf); \
                         output.section does not apply");
@@ -555,6 +556,11 @@ impl Scenario {
         }
         Ok(())
     }
+}
+
+/// The rule for names that become file names: `[A-Za-z0-9_-]+`.
+fn is_name(s: &str) -> bool {
+    !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
 }
 
 /// Per-axis value checks (independent of kind).
@@ -695,52 +701,8 @@ pub(crate) fn cache_from_mb(mb: i64) -> Option<CacheSizeMb> {
 }
 
 // ---------------------------------------------------------------------
-// Plan / outcome
+// Plan
 // ---------------------------------------------------------------------
-
-/// Sections excluded from digests: their cells carry host wall-clock
-/// measurements, which legitimately vary run to run.
-pub const UNSTABLE_SECTIONS: [&str; 1] = ["perf"];
-
-/// The stable FxHash digest of one section's tables: markdown and CSV
-/// renderings, in table order. Byte-identity proof for the thread-scaling
-/// gate — equal digests mean equal bytes on disk.
-pub fn section_digest(tables: &[Table]) -> u64 {
-    let mut h = FxHasher::default();
-    for t in tables {
-        h.write(t.to_markdown().as_bytes());
-        h.write(t.to_csv().as_bytes());
-    }
-    h.finish()
-}
-
-/// What a scenario renders: sections (each a named group of tables, like
-/// the `repro` output files) plus optional terminal bar charts.
-pub struct ScenarioOutcome {
-    /// `(section name, tables)` in emission order.
-    pub sections: Vec<(String, Vec<Table>)>,
-    /// `(chart title, labelled values)` for the terminal.
-    pub charts: Vec<(String, Vec<(String, f64)>)>,
-}
-
-impl ScenarioOutcome {
-    /// Per-section digests, skipping [`UNSTABLE_SECTIONS`].
-    pub fn digests(&self) -> Vec<(String, u64)> {
-        self.sections
-            .iter()
-            .filter(|(name, _)| !UNSTABLE_SECTIONS.contains(&name.as_str()))
-            .map(|(name, tables)| (name.clone(), section_digest(tables)))
-            .collect()
-    }
-
-    /// The single table of a single-section outcome (panics otherwise).
-    pub fn into_single_table(mut self) -> Table {
-        assert_eq!(self.sections.len(), 1, "scenario emits more than one section");
-        let (_, mut tables) = self.sections.pop().expect("one section");
-        assert_eq!(tables.len(), 1, "section holds more than one table");
-        tables.pop().expect("one table")
-    }
-}
 
 /// `(axis, display)` pairs of one grid point, in nesting order.
 type Cells = Vec<(String, String)>;
@@ -765,40 +727,20 @@ impl Point {
 }
 
 /// A compiled scenario: the flat job list (one order-preserving result
-/// slot per job) plus each job's axis cells for the report. `tasks`
-/// borrows the plan; submit them into any [`reqblock_sim::run_task_pool`]
-/// and call [`ScenarioPlan::finish`] once the pool has drained.
+/// slot per job) plus each job's axis cells for the report.
 pub struct ScenarioPlan {
     sc: Scenario,
     pool: JobPool,
     cells: Vec<Cells>,
 }
 
-impl ScenarioPlan {
-    /// The scenario name.
-    pub fn name(&self) -> &str {
-        &self.sc.name
-    }
-
-    /// Number of pooled simulation jobs.
-    pub fn job_count(&self) -> usize {
-        self.pool.job_count()
-    }
-
-    /// One task per job, routing each result into its pre-allocated slot.
-    pub fn tasks(&self) -> Vec<Task<'_>> {
+impl Plan for ScenarioPlan {
+    fn tasks(&self) -> Vec<Task<'_>> {
         self.pool.tasks()
     }
 
-    /// Render the outcome from the filled slots (call after the pool has
-    /// drained every task).
-    pub fn finish(self) -> ScenarioOutcome {
+    fn finish(self: Box<Self>) -> Outcome {
         render(&self.sc, self.cells, self.pool.take_results())
-    }
-
-    /// Run the plan on its own pool with `threads` workers.
-    pub fn run(self, threads: usize) -> ScenarioOutcome {
-        render(&self.sc, self.cells, self.pool.run(threads))
     }
 }
 
@@ -810,12 +752,12 @@ pub fn plan(sc: &Scenario, opts: &Opts) -> Result<ScenarioPlan, ScenarioError> {
 }
 
 /// Plan and run a scenario in one call.
-pub fn run(sc: &Scenario, opts: &Opts) -> Result<ScenarioOutcome, ScenarioError> {
-    Ok(plan(sc, opts)?.run(opts.threads))
+pub fn run(sc: &Scenario, opts: &Opts) -> Result<Outcome, ScenarioError> {
+    Ok(sweep::run_one(plan(sc, opts)?, opts.threads))
 }
 
 /// Pair each job's cells with its result and render the kind's report.
-fn render(sc: &Scenario, cells: Vec<Cells>, results: Vec<(String, RunResult)>) -> ScenarioOutcome {
+fn render(sc: &Scenario, cells: Vec<Cells>, results: Vec<(String, RunResult)>) -> Outcome {
     let points: Vec<Point> = cells
         .into_iter()
         .zip(results)
@@ -827,7 +769,7 @@ fn render(sc: &Scenario, cells: Vec<Cells>, results: Vec<(String, RunResult)>) -
         Kind::Grid => vec![grid_build(sc, &points)],
     };
     let section = sc.output.section.clone().unwrap_or_else(|| sc.name.clone());
-    ScenarioOutcome { sections: vec![(section, tables)], charts: vec![] }
+    Outcome { sections: vec![(section, tables)], ..Outcome::default() }
 }
 
 // ---------------------------------------------------------------------
@@ -862,9 +804,9 @@ pub fn plan_builtin(name: &str, opts: &Opts) -> ScenarioPlan {
     plan(&sc, opts).unwrap_or_else(|e| panic!("builtin scenario {name}: {e}"))
 }
 
-/// Compile and run one built-in scenario on its own pool.
-pub fn run_builtin(name: &str, opts: &Opts) -> ScenarioOutcome {
-    plan_builtin(name, opts).run(opts.threads)
+/// Compile and run one built-in scenario.
+pub fn run_builtin(name: &str, opts: &Opts) -> Outcome {
+    sweep::run_one(plan_builtin(name, opts), opts.threads)
 }
 
 // ---------------------------------------------------------------------
@@ -1096,7 +1038,7 @@ mod tests {
         for (name, _) in BUILTIN_SCENARIOS {
             let sc = builtin(name).unwrap();
             let plan = plan(&sc, &opts).unwrap();
-            assert_eq!(plan.job_count(), sc.estimated_jobs(), "{name}");
+            assert_eq!(plan.tasks().len(), sc.estimated_jobs(), "{name}");
         }
     }
 
@@ -1157,6 +1099,10 @@ mod tests {
         bad(&comparison("policy = [\"LRU\", \"Req-block\"]\n"), "requires the \"cache_mb\" axis");
         bad(&grid("trace = \"ts_0\"\nvariant = \"A1: no DRL split\"\n"), "unknown axis");
         bad("[scenario]\nname = \"x y\"\nkind = \"grid\"\n", "invalid scenario name");
+        for section in ["../escaped", ""] {
+            let src = lru(&format!("[output]\nsection = \"{section}\"\n"));
+            bad(&src, &format!("invalid output.section {section:?}"));
+        }
         bad(
             &lru("[output]\ncolumns = [\"policy\", \"p99_ms\"]\nlabels = [\"Policy\"]\n"),
             "(1 label(s) for 2 column(s))",

@@ -1,32 +1,176 @@
-//! The barrier-free full sweep behind `repro all`.
+//! One shape for every experiment, one pool for every run.
 //!
-//! The per-figure entry points each run their own job pool, which puts a
-//! barrier between figures: the last straggler of figure N gates every job
-//! of figure N+1, and on a multi-core host the tail of each pool leaves
-//! workers idle. [`run_all`] removes those barriers by planning every
-//! figure up front — the probed figures through their `*_probe` halves in
-//! [`figures`](crate::figures), the experiment grids (Figure 7, the
-//! comparison grid and the extensions) through the [`scenario`] planner
-//! over the committed `scenarios/*.toml` files — submitting all tasks into one
-//! [`run_task_pool`], and running the pure builds afterwards. Result
-//! routing is order-preserving — each task writes into its own
-//! pre-allocated slot — so the emitted tables are byte-identical to the
-//! sequential per-figure path at any thread count, and each section's
-//! [`scenario::section_digest`] proves it.
+//! Every experiment is a [`Plan`]: its [`Plan::tasks`] fill result slots
+//! the plan owns, and its [`Plan::finish`] renders one [`Outcome`] from
+//! them. [`run`] submits the tasks of every plan it is given into one
+//! barrier-free [`run_task_pool`] — the last straggler of one figure never
+//! gates the jobs of the next — and then finishes the plans in order. The
+//! grids are [`ScenarioPlan`](crate::scenario::ScenarioPlan)s compiled
+//! from the committed `scenarios/*.toml` files; the experiments that are
+//! still code are `Probes` plans: one probe per input, one build over
+//! the probe results. Result routing is order-preserving — each task
+//! writes into its own pre-allocated slot — so every outcome is
+//! byte-identical at any thread count, and each section's
+//! [`section_digest`] proves it.
 //!
-//! The task list leads with the Table 2 statistics probes: they touch every
-//! workload first, so the shared trace cache (`reqblock_trace::shared`) is
-//! warmed once per (source, scale) and every later job replays the same
-//! `Arc<[Request]>` slice zero-copy.
+//! [`all_plans`] is `repro all`. Its task list leads with the Table 2
+//! statistics probes: they touch every workload first, so the shared trace
+//! cache (`reqblock_trace::shared`) is warmed once per (source, scale) and
+//! every later job replays the same `Arc<[Request]>` slice zero-copy.
 
-use crate::figures::{
-    fig13_build, fig13_probe, fig23_build, fig23_probe, per_trace_tasks, table1, table2_build,
-    table2_stats, take_slots, telemetry, Opts,
-};
+use crate::figures::{fig13, fig2_fig3, table1, table2, telemetry, Opts};
 use crate::report::Table;
-use crate::scenario::{self, plan_builtin};
+use crate::scenario::plan_builtin;
+use reqblock_cache::fxhash::FxHasher;
 use reqblock_sim::{run_task_pool, Task};
+use std::hash::Hasher;
 use std::sync::OnceLock;
+
+/// Sections excluded from digests: their cells carry host wall-clock
+/// measurements (the comparison grid's per-job perf appendix, X8b's
+/// scaling table), which legitimately vary run to run.
+pub const UNSTABLE_SECTIONS: [&str; 2] = ["perf", "fleet"];
+
+/// The stable FxHash digest of one section's tables: markdown and CSV
+/// renderings, in table order. Byte-identity proof for the thread-scaling
+/// gate — equal digests mean equal bytes on disk.
+pub fn section_digest(tables: &[Table]) -> u64 {
+    let mut h = FxHasher::default();
+    for t in tables {
+        h.write(t.to_markdown().as_bytes());
+        h.write(t.to_csv().as_bytes());
+    }
+    h.finish()
+}
+
+/// What an experiment renders; `repro` writes it under `--out`.
+#[derive(Debug, Default, PartialEq)]
+pub struct Outcome {
+    /// `(section name, tables)` in emission order, each saved as
+    /// `<name>.md` and `<name>.csv`.
+    pub sections: Vec<(String, Vec<Table>)>,
+    /// `(chart title, labelled values)` for the terminal.
+    pub charts: Vec<(String, Vec<(String, f64)>)>,
+    /// `(file name, contents)` written as they are.
+    pub files: Vec<(String, String)>,
+    /// `(stem, JSONL documents)` written as `<stem>.NNN.jsonl` shards
+    /// rotated at 64 KiB.
+    pub shards: Vec<(String, Vec<String>)>,
+}
+
+impl Outcome {
+    /// Per-section [`section_digest`]s, skipping [`UNSTABLE_SECTIONS`].
+    pub fn digests(&self) -> Vec<(String, u64)> {
+        self.sections
+            .iter()
+            .filter(|(name, _)| !UNSTABLE_SECTIONS.contains(&name.as_str()))
+            .map(|(name, tables)| (name.clone(), section_digest(tables)))
+            .collect()
+    }
+
+    /// The single table of a single-section outcome (panics otherwise).
+    pub fn into_single_table(mut self) -> Table {
+        assert_eq!(self.sections.len(), 1, "outcome has more than one section");
+        let (_, mut tables) = self.sections.pop().expect("one section");
+        assert_eq!(tables.len(), 1, "section holds more than one table");
+        tables.pop().expect("one table")
+    }
+}
+
+/// Concatenate outcomes in order.
+impl FromIterator<Outcome> for Outcome {
+    fn from_iter<It: IntoIterator<Item = Outcome>>(outcomes: It) -> Self {
+        let mut all = Outcome::default();
+        for o in outcomes {
+            all.sections.extend(o.sections);
+            all.charts.extend(o.charts);
+            all.files.extend(o.files);
+            all.shards.extend(o.shards);
+        }
+        all
+    }
+}
+
+/// An experiment: tasks that fill the plan's own result slots, and a
+/// render of the filled slots.
+pub trait Plan: Sync {
+    /// One task per unit of work; each writes into a slot of `self`.
+    fn tasks(&self) -> Vec<Task<'_>>;
+    /// Render the outcome (call once every task has run).
+    fn finish(self: Box<Self>) -> Outcome;
+}
+
+/// An outcome that needs no work, like Table 1.
+impl Plan for Outcome {
+    fn tasks(&self) -> Vec<Task<'_>> {
+        Vec::new()
+    }
+
+    fn finish(self: Box<Self>) -> Outcome {
+        *self
+    }
+}
+
+/// Run every plan's tasks on one pool of `threads` workers, then finish
+/// the plans in order.
+pub fn run<'o>(plans: Vec<Box<dyn Plan + 'o>>, threads: usize) -> Vec<Outcome> {
+    run_task_pool(plans.iter().flat_map(|plan| plan.tasks()).collect(), threads);
+    plans.into_iter().map(|plan| plan.finish()).collect()
+}
+
+/// Run one plan on its own pool.
+pub(crate) fn run_one<'o>(plan: impl Plan + 'o, threads: usize) -> Outcome {
+    run(vec![Box::new(plan)], threads).pop().expect("one plan, one outcome")
+}
+
+/// The plan of an experiment that is code: `probe` runs once per input
+/// (one task each, labelled by `label`), and `build` renders the results
+/// in input order.
+pub(crate) struct Probes<'o, I, T> {
+    opts: &'o Opts,
+    inputs: Vec<I>,
+    label: fn(&I) -> String,
+    probe: fn(&Opts, &I) -> T,
+    build: fn(&Opts, Vec<T>) -> Outcome,
+    slots: Vec<OnceLock<T>>,
+}
+
+impl<'o, I, T> Probes<'o, I, T> {
+    pub(crate) fn new(
+        opts: &'o Opts,
+        inputs: Vec<I>,
+        label: fn(&I) -> String,
+        probe: fn(&Opts, &I) -> T,
+        build: fn(&Opts, Vec<T>) -> Outcome,
+    ) -> Self {
+        let slots = inputs.iter().map(|_| OnceLock::new()).collect();
+        Self { opts, inputs, label, probe, build, slots }
+    }
+}
+
+impl<I: Sync, T: Send + Sync> Plan for Probes<'_, I, T> {
+    fn tasks(&self) -> Vec<Task<'_>> {
+        self.inputs
+            .iter()
+            .zip(&self.slots)
+            .map(|(input, slot)| {
+                Task::new((self.label)(input), move || {
+                    let ok = slot.set((self.probe)(self.opts, input)).is_ok();
+                    debug_assert!(ok, "probe slot filled twice");
+                })
+            })
+            .collect()
+    }
+
+    fn finish(self: Box<Self>) -> Outcome {
+        let results = self
+            .slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("pool task must have filled its slot"))
+            .collect();
+        (self.build)(self.opts, results)
+    }
+}
 
 /// The trace instrumented by the sweep's telemetry run.
 pub const TELEMETRY_TRACE: &str = "ts_0";
@@ -40,9 +184,7 @@ pub const ALL_SCENARIOS: [&str; 8] =
 /// How many of [`ALL_SCENARIOS`] precede the Figure 13 probes.
 const PAPER_GRIDS: usize = 2;
 
-/// Every section `repro all` emits, in emission order. The canonical
-/// list: the `repro` binary's `all`/`export` section handling and the
-/// sweep tests both derive from it, so they cannot drift.
+/// Every section `repro all` emits, in emission order.
 pub const ALL_SECTIONS: [&str; 20] = [
     "table1",
     "table2",
@@ -66,86 +208,24 @@ pub const ALL_SECTIONS: [&str; 20] = [
     "telemetry_ts_0",
 ];
 
-/// Everything `repro all` emits, in emission order.
-pub struct AllArtifacts {
-    /// `(section name, tables)` pairs matching the per-figure output files
-    /// ([`ALL_SECTIONS`] order).
-    pub sections: Vec<(String, Vec<Table>)>,
-    /// Mean normalized response time per policy (terminal bar chart).
-    pub resp_chart: Vec<(String, f64)>,
-    /// Mean normalized hit ratio per policy (terminal bar chart).
-    pub hit_chart: Vec<(String, f64)>,
-    /// JSONL telemetry document of the instrumented [`TELEMETRY_TRACE`] run.
-    pub telemetry_jsonl: String,
-    /// Per-section [`scenario::section_digest`] values in emission order
-    /// ([`scenario::UNSTABLE_SECTIONS`] skipped) — the byte-identity
-    /// fingerprint the thread-scaling gate compares.
-    pub digests: Vec<(String, u64)>,
+/// The plans of `repro all` — every figure, table and extension but
+/// `why` and `fleet` — in task-submission and emission order.
+pub fn all_plans(opts: &Opts) -> Vec<Box<dyn Plan + '_>> {
+    let grid = |name: &&str| Box::new(plan_builtin(name, opts)) as Box<dyn Plan + '_>;
+    let (paper, extensions) = ALL_SCENARIOS.split_at(PAPER_GRIDS);
+    let mut plans: Vec<Box<dyn Plan + '_>> =
+        vec![Box::new(table1()), Box::new(table2(opts)), Box::new(fig2_fig3(opts))];
+    plans.extend(paper.iter().map(grid));
+    plans.push(Box::new(fig13(opts)));
+    plans.extend(extensions.iter().map(grid));
+    plans.push(Box::new(telemetry(opts, TELEMETRY_TRACE)));
+    plans
 }
 
-/// Run every figure, table, and extension of `repro all` on one shared,
-/// barrier-free work pool with `opts.threads` workers.
-pub fn run_all(opts: &Opts) -> AllArtifacts {
-    let profiles = opts.profiles();
-    // Result slots for the probed figures and the telemetry run. Declared
-    // before the task list so the tasks' borrows stay valid until the pool
-    // has drained.
-    let table2_slots: Vec<OnceLock<_>> = profiles.iter().map(|_| OnceLock::new()).collect();
-    let fig23_slots: Vec<OnceLock<_>> = profiles.iter().map(|_| OnceLock::new()).collect();
-    let fig13_slots: Vec<OnceLock<_>> = profiles.iter().map(|_| OnceLock::new()).collect();
-    let telemetry_slot: OnceLock<(String, Table)> = OnceLock::new();
-    let probe_table2 = table2_stats;
-    let probe_fig23 = fig23_probe;
-    let probe_fig13 = fig13_probe;
-    let plans: Vec<scenario::ScenarioPlan> =
-        ALL_SCENARIOS.iter().map(|name| plan_builtin(name, opts)).collect();
-
-    // One flat task list. Tasks are claimed in order, so the cheap Table 2
-    // statistics probes run first and warm the shared trace cache for the
-    // simulation grids behind them.
-    let mut tasks = Vec::new();
-    tasks.extend(per_trace_tasks("table2", opts, &profiles, &table2_slots, &probe_table2));
-    tasks.extend(per_trace_tasks("fig2_fig3", opts, &profiles, &fig23_slots, &probe_fig23));
-    for plan in &plans[..PAPER_GRIDS] {
-        tasks.extend(plan.tasks());
-    }
-    tasks.extend(per_trace_tasks("fig13", opts, &profiles, &fig13_slots, &probe_fig13));
-    for plan in &plans[PAPER_GRIDS..] {
-        tasks.extend(plan.tasks());
-    }
-    tasks.push(Task::new(format!("telemetry/{TELEMETRY_TRACE}"), || {
-        let ok = telemetry_slot.set(telemetry(opts, TELEMETRY_TRACE)).is_ok();
-        debug_assert!(ok, "telemetry slot filled twice");
-    }));
-    run_task_pool(tasks, opts.threads);
-
-    // Pure builds, in the emission order of `repro all`.
-    let (fig2_t, fig3_t) = fig23_build(take_slots(fig23_slots));
-    let (fig13_samples, fig13_shares) = fig13_build(opts, take_slots(fig13_slots));
-    let (telemetry_jsonl, telemetry_table) =
-        telemetry_slot.into_inner().expect("pool task must have filled the telemetry slot");
-    let mut sections = vec![
-        ("table1".to_string(), vec![table1()]),
-        ("table2".to_string(), vec![table2_build(opts, take_slots(table2_slots))]),
-        ("fig2".to_string(), vec![fig2_t]),
-        ("fig3".to_string(), vec![fig3_t]),
-    ];
-    let mut grids: Vec<_> = plans.into_iter().map(scenario::ScenarioPlan::finish).collect();
-    // Only the comparison grid draws charts: response time, then hit ratio.
-    let charts: Vec<_> = grids.iter_mut().flat_map(|o| std::mem::take(&mut o.charts)).collect();
-    let [(_, resp_chart), (_, hit_chart)]: [_; 2] =
-        charts.try_into().unwrap_or_else(|_| panic!("expected the comparison grid's two charts"));
-    let extensions = grids.split_off(PAPER_GRIDS);
-    sections.extend(grids.into_iter().flat_map(|o| o.sections)); // fig7, fig8..perf
-    sections.push(("fig13".to_string(), vec![fig13_shares, fig13_samples]));
-    sections.extend(extensions.into_iter().flat_map(|o| o.sections)); // tails..load
-    sections.push((format!("telemetry_{TELEMETRY_TRACE}"), vec![telemetry_table]));
-    let digests = sections
-        .iter()
-        .filter(|(name, _)| !scenario::UNSTABLE_SECTIONS.contains(&name.as_str()))
-        .map(|(name, tables)| (name.clone(), scenario::section_digest(tables)))
-        .collect();
-    AllArtifacts { sections, resp_chart, hit_chart, telemetry_jsonl, digests }
+/// Run [`all_plans`] on one pool with `opts.threads` workers and merge
+/// their outcomes.
+pub fn run_all(opts: &Opts) -> Outcome {
+    run(all_plans(opts), opts.threads).into_iter().collect()
 }
 
 #[cfg(test)]
@@ -157,20 +237,24 @@ mod tests {
     fn run_all_covers_every_section_once() {
         let opts =
             Opts { scale: 0.001, threads: 2, out_dir: PathBuf::from("/tmp"), trace_dir: None };
-        let art = run_all(&opts);
-        let names: Vec<&str> = art.sections.iter().map(|(n, _)| n.as_str()).collect();
+        let all = run_all(&opts);
+        let names: Vec<&str> = all.sections.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ALL_SECTIONS);
-        for (name, tables) in &art.sections {
+        for (name, tables) in &all.sections {
             assert!(!tables.is_empty(), "{name} has no tables");
             for t in tables {
                 assert!(!t.rows.is_empty(), "{name} has an empty table");
             }
         }
-        assert_eq!(art.resp_chart.len(), 4);
-        assert_eq!(art.hit_chart.len(), 4);
-        assert!(art.telemetry_jsonl.starts_with("{\"type\":\"run_meta\""));
+        let charts: Vec<usize> = all.charts.iter().map(|(_, bars)| bars.len()).collect();
+        assert_eq!(charts, [4, 4]);
+        let [(name, jsonl)] = &all.files[..] else { panic!("one telemetry file") };
+        assert_eq!(name, "telemetry_ts_0.jsonl");
+        assert!(jsonl.starts_with("{\"type\":\"run_meta\""));
+        assert!(all.shards.is_empty());
         // Digests cover every section except the wall-clock perf appendix.
-        assert_eq!(art.digests.len(), ALL_SECTIONS.len() - 1);
-        assert!(art.digests.iter().all(|(n, _)| n != "perf"));
+        let digests = all.digests();
+        assert_eq!(digests.len(), ALL_SECTIONS.len() - 1);
+        assert!(digests.iter().all(|(n, _)| n != "perf"));
     }
 }

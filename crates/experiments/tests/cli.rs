@@ -1,5 +1,6 @@
 //! Malformed `repro` invocations are usage errors, never panics: each one
 //! exits 2 with a stderr line that starts `repro:` and names the bad input.
+//! A result that cannot be written after the run exits 1, naming its path.
 //! Flags whose effect only the binary shows (`--trace-dir` on `why`,
 //! `--rates` on `load`) are checked here too.
 
@@ -41,14 +42,18 @@ fn malformed_invocations_exit_2_naming_the_bad_input() {
         path("uniform.toml"),
     );
     std::fs::write(&plain_file, "").unwrap();
-    std::fs::write(
-        &uniform_toml,
-        "[scenario]\nname = \"u\"\nkind = \"grid\"\n[axes]\ntrace = \"ts_0\"\n\
-         policy = \"LRU\"\narrival = [\"uniform:1\"]\n",
-    )
-    .unwrap();
+    let grid = |axes: &str| {
+        format!("[scenario]\nname = \"u\"\nkind = \"grid\"\n[axes]\ntrace = \"ts_0\"\n{axes}")
+    };
+    std::fs::write(&uniform_toml, grid("policy = \"LRU\"\narrival = [\"uniform:1\"]\n")).unwrap();
+    // An output section names the output files, so it must not leave --out.
+    let (escaping_toml, empty_toml) = (path("escaping.toml"), path("empty.toml"));
+    for (file, section) in [(&escaping_toml, "../escaped"), (&empty_toml, "")] {
+        let output = format!("policy = \"LRU\"\n[output]\nsection = \"{section}\"\n");
+        std::fs::write(file, grid(&output)).unwrap();
+    }
 
-    let cases: [(&[&str], &str); 11] = [
+    let cases: [(&[&str], &str); 14] = [
         (&["telemetry", "bogus"], "bogus"),
         (&["--trace-dir", &missing_dir, "table2"], &missing_dir),
         (&["--trace-dir", &plain_file, "table2"], &plain_file),
@@ -61,11 +66,28 @@ fn malformed_invocations_exit_2_naming_the_bad_input() {
         (&["--rates", "2", "qdepth"], "--rates"),
         (&["--devices", "4", "why"], "--devices"),
         (&["run", &uniform_toml], "uniform:1"),
+        (&["run", &escaping_toml], "output.section \"../escaped\""),
+        (&["run", &empty_toml], "output.section \"\""),
+        // The last --out wins: a regular file cannot hold results.
+        (&["--out", &plain_file, "table1"], &format!("--out: {plain_file}")),
     ];
     for (args, names) in cases {
         rejects(&out, args, names);
     }
     assert!(!Path::new(&export_to).exists(), "a rejected export writes nothing");
+    let _ = std::fs::remove_dir_all(&out);
+}
+
+#[test]
+fn a_result_that_cannot_be_written_exits_1_naming_its_path() {
+    let out = std::env::temp_dir().join(format!("reqblock_cli_write_{}", std::process::id()));
+    let blocked = out.join("why.md");
+    std::fs::create_dir_all(&blocked).unwrap();
+    let run = repro(&out, &["why"]);
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "want exit 1, stderr:\n{stderr}");
+    let named = format!("repro: {}: ", blocked.display());
+    assert!(stderr.lines().any(|l| l.starts_with(&named)), "no line naming {named:?}:\n{stderr}");
     let _ = std::fs::remove_dir_all(&out);
 }
 

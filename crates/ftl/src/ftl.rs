@@ -582,18 +582,15 @@ impl Ftl {
         }
     }
 
-    /// Program one host/flush page on `chip` at `at`. Returns completion ns.
+    /// Program one host/flush page on `chip` at `at` under a live fault
+    /// model (the zero-fault path is [`Ftl::program_one_batched`]).
+    /// Returns completion ns.
     fn program_one(&mut self, chip: usize, lpn: Lpn, at: u64, tl: &mut FlashTimeline) -> u64 {
         assert!(lpn < self.logical_pages(), "LPN {lpn} beyond device");
         self.maybe_gc(chip, at, tl);
-        if self.faults.is_inert() {
-            self.invalidate_lpn(lpn);
-            self.allocate_mapped(chip, lpn);
-            return tl.program(&self.cfg, chip, at, Origin::User).end_ns;
-        }
-        // Fault path: keep the old copy mapped until the new program has
-        // succeeded (write-then-invalidate, like a real FTL) so a failed
-        // or rejected write never loses the previous version.
+        // Keep the old copy mapped until the new program has succeeded
+        // (write-then-invalidate, like a real FTL) so a failed or rejected
+        // write never loses the previous version.
         loop {
             let Some((block, page)) = self.try_allocate_raw(chip) else {
                 // Out of space while faults are live: retirements may have
@@ -626,19 +623,20 @@ impl Ftl {
         }
     }
 
-    /// [`Ftl::program_one`] for the zero-fault path of a batch: identical
-    /// timeline ops in identical order, but the GC re-check is skipped while
-    /// this batch has already established that the chip's free-block count
-    /// sits at/above the floor and nothing has moved it since.
+    /// Program one host/flush page of a batch on `chip` at `at` with no
+    /// fault model: invalidate the old copy, map a fresh page, program it.
+    /// Returns completion ns. The GC check before the program is skipped
+    /// while this batch has already established that the chip's free-block
+    /// count sits at/above the floor and nothing has moved it since.
     ///
     /// Exactness: between two programs on a chip, `free_count` only changes
     /// when an allocation opens a fresh block (GC runs to completion inside
     /// `maybe_gc`; invalidations never free blocks), and the floor itself
-    /// only changes when a block retires (impossible on the inert path). So
+    /// only changes when a block retires (impossible without faults). So
     /// when the post-check state was `free >= floor` and `free_count` is
     /// unchanged, `maybe_gc` is provably a no-op and skipping it cannot
     /// alter which GC runs happen or when — the pinned golden counters and
-    /// response times stay bit-identical.
+    /// response times are those of a GC check before every page.
     #[inline]
     fn program_one_batched(&mut self, chip: usize, lpn: Lpn, at: u64, tl: &mut FlashTimeline) -> u64 {
         assert!(lpn < self.logical_pages(), "LPN {lpn} beyond device");

@@ -97,12 +97,16 @@ impl TelemetryWriter {
 
     /// Write all shards and return their paths in order. Shards are
     /// numbered `000`, `001`, ... so lexicographic order is stream order.
+    /// An error names the directory or shard it failed on.
     pub fn finish(self) -> io::Result<Vec<PathBuf>> {
-        std::fs::create_dir_all(&self.dir)?;
+        let named = |path: &Path, e: io::Error| {
+            io::Error::new(e.kind(), format!("{}: {e}", path.display()))
+        };
+        std::fs::create_dir_all(&self.dir).map_err(|e| named(&self.dir, e))?;
         let mut paths = Vec::new();
         for (i, chunk) in self.sink.into_chunks().into_iter().enumerate() {
             let path = self.dir.join(format!("{}.{:03}.jsonl", self.base, i));
-            std::fs::write(&path, chunk)?;
+            std::fs::write(&path, chunk).map_err(|e| named(&path, e))?;
             paths.push(path);
         }
         Ok(paths)

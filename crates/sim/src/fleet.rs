@@ -20,9 +20,6 @@
 //! * [`run_fleet`] simulates every device over its merged stream on the
 //!   barrier-free task pool ([`run_task_pool`]) and aggregates per-device
 //!   results into [`FleetMetrics`] in device order.
-//! * [`noisy_neighbor`] reruns the same fleet with one tenant's stream
-//!   removed — same seeds, same placement indices for everyone else — so
-//!   the per-tenant p99 delta isolates interference, not RNG drift.
 //!
 //! # Streaming: memory O(devices), not O(devices x requests)
 //!
@@ -788,7 +785,9 @@ pub fn run_fleet_reference_excluding(
 }
 
 /// The noisy-neighbor experiment: the same fleet run with and without one
-/// antagonist tenant, same seeds and placement for everyone else.
+/// antagonist tenant ([`run_fleet`] and [`run_fleet_excluding`]), same
+/// seeds and placement for everyone else, so the per-tenant p99 delta
+/// isolates interference, not RNG drift.
 #[derive(Debug, Clone)]
 pub struct NoisyNeighbor {
     /// The full mix, antagonist included.
@@ -812,23 +811,6 @@ impl NoisyNeighbor {
         let solo = self.solo.per_tenant.get(tenant)?.percentile_ms(0.99)?;
         Some(loaded - solo)
     }
-}
-
-/// Run the fleet twice — with the full mix and with `antagonist` withheld —
-/// and return both aggregates. Victim tenants keep byte-identical streams
-/// and placement slots in both runs, so per-tenant deltas measure
-/// interference alone (BARD's framing: one tenant's flush bursts surface
-/// in another tenant's read tail).
-pub fn noisy_neighbor(
-    cfg: &FleetConfig,
-    mix: &TenantMix,
-    antagonist: usize,
-    ctl: &FleetControl,
-) -> NoisyNeighbor {
-    assert!(antagonist < mix.tenants.len(), "antagonist index out of range");
-    let loaded = run_fleet(cfg, mix, ctl).metrics;
-    let solo = run_fleet_excluding(cfg, mix, Some(antagonist), ctl).metrics;
-    NoisyNeighbor { loaded, solo, antagonist }
 }
 
 #[cfg(test)]
@@ -934,7 +916,11 @@ mod tests {
         let cfg = tiny_fleet(4);
         let mix = tiny_mix();
         let ctl = FleetControl::threads(2);
-        let nn = noisy_neighbor(&cfg, &mix, 1, &ctl);
+        let nn = NoisyNeighbor {
+            loaded: run_fleet(&cfg, &mix, &ctl).metrics,
+            solo: run_fleet_excluding(&cfg, &mix, Some(1), &ctl).metrics,
+            antagonist: 1,
+        };
         // Tenant slots persist in both runs.
         assert_eq!(nn.loaded.per_tenant.len(), 2);
         assert_eq!(nn.solo.per_tenant.len(), 2);

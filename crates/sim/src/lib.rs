@@ -65,7 +65,7 @@ pub use config::{CacheSizeMb, PolicyKind, SampleInterval, SimConfig};
 pub use device::Device;
 pub use event::ChipCursors;
 pub use fleet::{
-    device_stream, noisy_neighbor, run_fleet, run_fleet_excluding, run_fleet_reference,
+    device_stream, run_fleet, run_fleet_excluding, run_fleet_reference,
     run_fleet_reference_excluding, shard_reference, DeviceStream, DeviceSummary, FleetConfig,
     FleetControl, FleetMetrics, FleetResult, NoisyNeighbor, Placement, TenantMix, TenantSpec,
     TenantStats,

@@ -253,11 +253,6 @@ impl JobPool {
         Self { jobs, slots }
     }
 
-    /// Number of planned jobs.
-    pub fn job_count(&self) -> usize {
-        self.jobs.len()
-    }
-
     /// One task per job, routing each result into its slot.
     pub fn tasks(&self) -> Vec<Task<'_>> {
         self.jobs

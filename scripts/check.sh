@@ -5,7 +5,9 @@
 # tests/trace_smoke.rs and the repro CLI error table
 # crates/experiments/tests/cli.rs), one release run of each example at
 # its smallest input (`cargo test` only compiles them; a non-zero exit
-# fails), an explicit release run of tests/fleet.rs (the small-fleet
+# fails), the pinned digests that `repro run scenarios/smoke.toml` and
+# `repro why` print (the why step also writes trace files and telemetry
+# shards), an explicit release run of tests/fleet.rs (the small-fleet
 # golden plus the streaming
 # merge-equivalence proptests pinning the loser-tree order and the
 # stream-vs-reference FleetMetrics against the materialize+sort
@@ -68,6 +70,16 @@ if [[ "$SMOKE_GOT" != "$SMOKE_WANT" ]]; then
     exit 1
 fi
 echo "smoke digest ok: $SMOKE_GOT"
+
+echo "== why (tail forensics vs pinned digest) =="
+WHY_WANT="[digest why b13fccf1953d9bb8]"
+WHY_GOT=$(./target/release/repro --scale 0.001 --threads 2 --out /tmp/reqblock_why \
+    why 2>/dev/null | grep '^\[digest why ' || true)
+if [[ "$WHY_GOT" != "$WHY_WANT" ]]; then
+    echo "FAIL: why digest drifted: got '$WHY_GOT', want '$WHY_WANT'" >&2
+    exit 1
+fi
+echo "why digest ok: $WHY_GOT"
 
 echo "== scenario list (every scenarios/*.toml validates) =="
 LIST=$(./target/release/repro --list)

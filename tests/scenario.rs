@@ -1,13 +1,15 @@
 //! Integration tests for the declarative scenario subsystem: every
-//! `repro all` section must reproduce the pre-refactor tables byte for
-//! byte (pinned FxHash digests), scenario output must be thread-count
-//! invariant, the committed `scenarios/*.toml` files and the embedded
-//! builtins must agree, the TOML-subset writer/parser must round-trip,
-//! and the grid planner's job count must equal the axis product.
+//! `repro all` section, `repro why` and the X8 table of `repro fleet` must
+//! reproduce the pre-refactor tables byte for byte (pinned FxHash
+//! digests), scenario output must be thread-count invariant, the
+//! committed `scenarios/*.toml` files and the embedded builtins must
+//! agree, the TOML-subset writer/parser must round-trip, and the grid
+//! planner's job count must equal the axis product.
 
 use proptest::prelude::*;
 use reqblock_experiments::scenario::{self, toml, Scenario};
-use reqblock_experiments::{sweep, Opts};
+use reqblock_experiments::sweep::{self, section_digest, Plan};
+use reqblock_experiments::{extensions, Opts};
 
 fn tiny_opts(threads: usize) -> Opts {
     Opts { scale: 0.001, threads, out_dir: std::env::temp_dir(), trace_dir: None }
@@ -43,12 +45,19 @@ const PINNED: [(&str, u64); 19] = [
 /// The `scenarios/smoke.toml` digest pinned by scripts/check.sh.
 const SMOKE_DIGEST: u64 = 0x8b55b878785a2112;
 
+/// The `repro why` section digest, also pinned by scripts/check.sh.
+const WHY_DIGEST: u64 = 0xb13fccf1953d9bb8;
+
+/// The digest of the X8 table, the first table of the `fleet` section
+/// (its second, X8b, holds wall-clock cells).
+const X8_DIGEST: u64 = 0xd1b8fda08549d7a0;
+
 #[test]
 fn run_all_matches_pre_refactor_pinned_digests() {
-    let art = sweep::run_all(&tiny_opts(2));
-    assert_eq!(art.digests.len(), PINNED.len(), "every stable section is pinned");
+    let digests = sweep::run_all(&tiny_opts(2)).digests();
+    assert_eq!(digests.len(), PINNED.len(), "every stable section is pinned");
     for (name, want) in PINNED {
-        let got = art.digests.iter().find(|(n, _)| n == name).map(|(_, d)| *d);
+        let got = digests.iter().find(|(n, _)| n == name).map(|(_, d)| *d);
         assert_eq!(
             got,
             Some(want),
@@ -72,6 +81,23 @@ fn scenario_digests_are_thread_count_invariant() {
 fn smoke_scenario_digest_is_pinned() {
     let digests = scenario::run_builtin("smoke", &tiny_opts(2)).digests();
     assert_eq!(digests, vec![("smoke".to_string(), SMOKE_DIGEST)]);
+}
+
+#[test]
+fn why_and_fleet_x8_digests_are_pinned_at_1_and_2_threads() {
+    for threads in [1, 2] {
+        let opts = tiny_opts(threads);
+        let plans: Vec<Box<dyn Plan + '_>> = vec![
+            Box::new(extensions::why(&opts)),
+            Box::new(extensions::fleet(&opts, &extensions::FLEET_DEVICES, None)),
+        ];
+        let [why, fleet] = &sweep::run(plans, threads)[..] else { panic!("two outcomes") };
+        assert_eq!(why.digests(), vec![("why".to_string(), WHY_DIGEST)], "{threads} thread(s)");
+        let [(name, tables)] = &fleet.sections[..] else { panic!("one fleet section") };
+        assert_eq!(name, "fleet");
+        let got = section_digest(&tables[..1]);
+        assert_eq!(got, X8_DIGEST, "X8 drifted at {threads} thread(s): got {got:016x}");
+    }
 }
 
 /// Every committed `scenarios/*.toml` file is an embedded builtin with
@@ -239,7 +265,7 @@ proptest! {
         prop_assert_eq!(sc.estimated_jobs(), want);
         let plan = scenario::plan(&sc, &tiny_opts(1))
             .unwrap_or_else(|e| panic!("plan failed: {e}"));
-        prop_assert_eq!(plan.job_count(), want);
+        prop_assert_eq!(plan.tasks().len(), want);
     }
 
     /// Unknown axis names are rejected by every kind, and the error names

@@ -81,9 +81,8 @@ fn run_all_is_thread_count_invariant() {
     let serial = run_all(&tiny_opts(1));
     let parallel = run_all(&tiny_opts(4));
 
-    assert_eq!(serial.telemetry_jsonl, parallel.telemetry_jsonl);
-    assert_eq!(serial.resp_chart, parallel.resp_chart);
-    assert_eq!(serial.hit_chart, parallel.hit_chart);
+    assert_eq!(serial.files, parallel.files);
+    assert_eq!(serial.charts, parallel.charts);
     assert_eq!(serial.sections.len(), parallel.sections.len());
     for ((name_s, tables_s), (name_p, tables_p)) in
         serial.sections.iter().zip(&parallel.sections)

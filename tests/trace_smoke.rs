@@ -9,8 +9,7 @@
 //! exporter writes one event per line with a fixed key order, so exact
 //! string scanning both checks the events and pins that shape.
 
-use reqblock_experiments::extensions;
-use reqblock_experiments::Opts;
+use reqblock_experiments::{extensions, sweep, Opts};
 use std::collections::HashMap;
 
 fn tiny_opts() -> Opts {
@@ -37,9 +36,11 @@ fn us_to_ns(v: &str) -> u64 {
 
 #[test]
 fn why_traces_parse_and_tracks_never_overlap() {
-    let report = extensions::why(&tiny_opts());
-    assert!(!report.traces.is_empty(), "why must emit trace documents");
-    for (stem, doc) in &report.traces {
+    let opts = tiny_opts();
+    let outcomes = sweep::run(vec![Box::new(extensions::why(&opts))], opts.threads);
+    let traces = &outcomes[0].files;
+    assert!(!traces.is_empty(), "why must emit trace documents");
+    for (stem, doc) in traces {
         // Document frame: a single traceEvents array, one event per line.
         assert!(doc.starts_with("{\"traceEvents\":[\n"), "{stem}: bad header");
         assert!(doc.ends_with("\n]}\n"), "{stem}: bad footer");
