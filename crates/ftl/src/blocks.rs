@@ -1,19 +1,39 @@
 //! Per-chip physical block state.
 //!
 //! Each chip owns `blocks_per_chip` blocks. A block is either **free**
-//! (erased, on the free list), **active** (the chip's current append point),
+//! (erased, or never used), **active** (the chip's current append point),
 //! **full** (append pointer exhausted; candidate for GC once pages turn
 //! invalid), or **bad** (retired after a program/erase failure; permanently
 //! out of rotation). Valid pages are tracked in a per-block `u64` bitmap,
 //! which is why the simulator caps `pages_per_block` at 64 (the paper's
 //! value).
+//!
+//! State follows the written footprint, not the chip's capacity. Blocks
+//! are first opened in index order, so every block ever allocated lies
+//! below an allocation watermark; only that prefix stores metadata and a
+//! reverse map, and blocks at or above it read as fresh. Storage grows one
+//! chunk of 64 blocks at a time, so growth never copies a large buffer. A
+//! run that writes a few hundred of a paper chip's 32 768 blocks holds a
+//! few hundred blocks' state.
 
 use reqblock_flash::SsdConfig;
+
+/// Sentinel for "no page" in the translation tables: the forward map's
+/// unmapped entry, and the reverse map's entry for a page not programmed
+/// since its chunk materialized.
+pub(crate) const UNMAPPED: u32 = u32::MAX;
+
+/// log2 of [`CHUNK_BLOCKS`].
+const CHUNK_SHIFT: u32 = 6;
+/// Blocks whose metadata and reverse map materialize together: 1 KiB of
+/// metadata plus 16 KiB of reverse map at 64 pages per block.
+const CHUNK_BLOCKS: usize = 1 << CHUNK_SHIFT;
+const CHUNK_MASK: usize = CHUNK_BLOCKS - 1;
 
 /// Lifecycle state of a block (derived, stored for cheap assertions).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockState {
-    /// Erased and on the free list.
+    /// Erased (or never used) and free for allocation.
     Free,
     /// Current append point of its chip.
     Active,
@@ -26,7 +46,7 @@ pub enum BlockState {
 }
 
 /// Metadata of one physical block.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockMeta {
     /// Bitmap of valid pages (bit `i` = page `i` holds live data).
     pub valid: u64,
@@ -38,11 +58,11 @@ pub struct BlockMeta {
     pub state: BlockState,
 }
 
-impl BlockMeta {
-    fn fresh() -> Self {
-        Self { valid: 0, next_page: 0, erase_count: 0, state: BlockState::Free }
-    }
+/// The metadata of a block never allocated since construction or reset.
+const FRESH: BlockMeta =
+    BlockMeta { valid: 0, next_page: 0, erase_count: 0, state: BlockState::Free };
 
+impl BlockMeta {
     /// Number of valid pages.
     #[inline]
     pub fn valid_count(&self) -> u32 {
@@ -59,32 +79,43 @@ impl BlockMeta {
 /// Block manager for a single chip.
 #[derive(Debug, Clone)]
 pub struct ChipBlocks {
-    blocks: Vec<BlockMeta>,
+    /// Metadata of blocks `0..hot`, [`CHUNK_BLOCKS`] per chunk. Entries
+    /// at or past `hot` are fresh.
+    // Boxed so that growing the `Vec` moves chunk pointers, not chunks.
+    #[allow(clippy::vec_box)]
+    meta: Vec<Box<[BlockMeta; CHUNK_BLOCKS]>>,
+    /// Reverse map (PPN -> LPN) of the same chunks, `pages_per_block`
+    /// entries per block. Written when a page is programmed and left stale
+    /// when it is invalidated: the valid bitmap is the liveness source of
+    /// truth, and every reader consults it first.
+    lpns: Vec<Box<[u32]>>,
+    /// Erased blocks, popped before the watermark advances.
     free: Vec<u32>,
     /// Current append block, if one is open.
     active: Option<u32>,
     /// Blocks retired as bad (cached count; the states are authoritative).
     bad: usize,
+    /// Blocks on the chip.
+    blocks: u32,
     pages_per_block: u16,
-    /// Watermark: every block ever allocated has index `< hot`. The free
-    /// list is seeded to pop `0, 1, 2, ...` and erase/retire only recycle
-    /// previously allocated indices, so the ever-touched set is always the
-    /// prefix `0..hot`. Lets [`ChipBlocks::reset`] restore a chip in
-    /// O(touched blocks) instead of O(all blocks) — at paper geometry a
-    /// lightly used chip touches a few hundred of its 32 768 blocks.
+    /// Allocation watermark: blocks `0..hot` have been allocated since
+    /// construction or the last reset, and no other block has. Allocation
+    /// pops an erased block first and otherwise opens block `hot`, and
+    /// erase/retire only recycle allocated blocks, so the ever-touched set
+    /// is always this prefix.
     hot: u32,
 }
 
 impl ChipBlocks {
-    /// All blocks free, no active block.
+    /// All blocks free, no active block. Allocates nothing.
     pub fn new(cfg: &SsdConfig) -> Self {
-        let n = cfg.blocks_per_chip();
         Self {
-            blocks: vec![BlockMeta::fresh(); n],
-            // Pop from the back; seed in reverse so block 0 is used first.
-            free: (0..n as u32).rev().collect(),
+            meta: Vec::new(),
+            lpns: Vec::new(),
+            free: Vec::new(),
             active: None,
             bad: 0,
+            blocks: u32::try_from(cfg.blocks_per_chip()).expect("block index fits u32"),
             pages_per_block: cfg.pages_per_block as u16,
             hot: 0,
         }
@@ -92,26 +123,19 @@ impl ChipBlocks {
 
     /// Return every block to the pristine state [`ChipBlocks::new`]
     /// builds: bitmaps and append pointers cleared, wear zeroed, bad
-    /// blocks restored to rotation, the free list reseeded in
-    /// construction order (reverse, so block 0 is used first).
-    /// Allocation-free; observationally identical to a fresh chip.
+    /// blocks restored to rotation, the watermark back at block 0, so
+    /// allocation replays in construction order. Observationally identical
+    /// to a fresh chip.
     ///
-    /// O(blocks ever allocated), not O(all blocks): only metadata in the
-    /// `0..hot` prefix can differ from fresh, and the free list's first
-    /// `n - hot` entries are the untouched construction-order originals
-    /// (pops only ever consume the tail, pushes only ever append, and the
-    /// list never shrinks below `n - hot` entries because at most `hot`
-    /// blocks are out of rotation at once) — so only the recycled tail
-    /// needs reseeding.
+    /// O(blocks ever allocated), not O(all blocks): only the `0..hot`
+    /// prefix can differ from fresh. Keeps the materialized chunks (their
+    /// reverse maps go stale) and the free list's capacity, so a pooled
+    /// device does not allocate them again.
     pub fn reset(&mut self) {
-        let hot = self.hot as usize;
-        for meta in &mut self.blocks[..hot] {
-            *meta = BlockMeta::fresh();
+        for chunk in &mut self.meta[..(self.hot as usize).div_ceil(CHUNK_BLOCKS)] {
+            chunk.fill(FRESH);
         }
-        let n = self.blocks.len();
-        debug_assert!(self.free.len() >= n - hot);
-        self.free.truncate(n - hot);
-        self.free.extend((0..self.hot).rev());
+        self.free.clear();
         self.active = None;
         self.bad = 0;
         self.hot = 0;
@@ -126,10 +150,11 @@ impl ChipBlocks {
         self.hot
     }
 
-    /// Number of blocks currently free.
+    /// Number of blocks currently free: erased blocks plus those never
+    /// allocated.
     #[inline]
     pub fn free_count(&self) -> usize {
-        self.free.len()
+        self.free.len() + (self.blocks - self.hot) as usize
     }
 
     /// The active block index, if any.
@@ -138,24 +163,42 @@ impl ChipBlocks {
         self.active
     }
 
-    /// Immutable access to a block's metadata.
+    /// Immutable access to a block's metadata; a block never allocated
+    /// reads as fresh.
     #[inline]
     pub fn meta(&self, block: u32) -> &BlockMeta {
-        &self.blocks[block as usize]
+        if block < self.hot {
+            let b = block as usize;
+            &self.meta[b >> CHUNK_SHIFT][b & CHUNK_MASK]
+        } else {
+            assert!(block < self.blocks, "block {block} beyond a {}-block chip", self.blocks);
+            &FRESH
+        }
     }
 
-    /// Hint that `block`'s metadata is about to be accessed. The per-chip
-    /// metadata arrays total ~12 MB at paper geometry, so invalidations of
-    /// random old blocks are DRAM-latency-bound without a warm-up; purely a
-    /// cache hint, no architectural effect.
+    /// Mutable metadata of an allocated block.
+    #[inline]
+    fn meta_mut(&mut self, block: u32) -> &mut BlockMeta {
+        debug_assert!(block < self.hot, "block {block} was never allocated");
+        let b = block as usize;
+        &mut self.meta[b >> CHUNK_SHIFT][b & CHUNK_MASK]
+    }
+
+    /// Hint that `block`'s metadata is about to be accessed. Invalidations
+    /// of random old blocks are DRAM-latency-bound once the written
+    /// footprint's metadata outgrows the caches; purely a cache hint, no
+    /// architectural effect.
     #[inline]
     pub fn prefetch_meta(&self, block: u32) {
         #[cfg(target_arch = "x86_64")]
-        if (block as usize) < self.blocks.len() {
-            // SAFETY: in-bounds pointer, never dereferenced.
+        if block < self.hot {
+            let b = block as usize;
+            let meta: *const BlockMeta = &self.meta[b >> CHUNK_SHIFT][b & CHUNK_MASK];
+            // SAFETY: prefetch has no architectural effect; the pointer
+            // comes from a live reference and is never dereferenced.
             unsafe {
                 core::arch::x86_64::_mm_prefetch(
-                    self.blocks.as_ptr().add(block as usize) as *const i8,
+                    meta as *const i8,
                     core::arch::x86_64::_MM_HINT_T0,
                 );
             }
@@ -165,11 +208,11 @@ impl ChipBlocks {
     /// Total number of blocks on the chip.
     #[inline]
     pub fn block_count(&self) -> usize {
-        self.blocks.len()
+        self.blocks as usize
     }
 
     /// Allocate the next free page on the chip, opening a new active block
-    /// from the free list when needed.
+    /// (an erased one first, else the watermark block) when needed.
     ///
     /// Returns `(block, page)` or `None` if no free block is available and
     /// the active block is exhausted (the caller must GC first).
@@ -177,12 +220,13 @@ impl ChipBlocks {
         loop {
             match self.active {
                 Some(b) => {
-                    let meta = &mut self.blocks[b as usize];
-                    if meta.next_page < self.pages_per_block {
+                    let pages_per_block = self.pages_per_block;
+                    let meta = self.meta_mut(b);
+                    if meta.next_page < pages_per_block {
                         let page = meta.next_page;
                         meta.next_page += 1;
                         meta.valid |= 1u64 << page;
-                        if meta.next_page == self.pages_per_block {
+                        if meta.next_page == pages_per_block {
                             meta.state = BlockState::Full;
                             self.active = None;
                         }
@@ -194,11 +238,68 @@ impl ChipBlocks {
                     self.active = None;
                 }
                 None => {
-                    let b = self.free.pop()?;
-                    debug_assert_eq!(self.blocks[b as usize].state, BlockState::Free);
-                    self.blocks[b as usize].state = BlockState::Active;
-                    self.hot = self.hot.max(b + 1);
+                    let b = match self.free.pop() {
+                        Some(b) => b,
+                        None => self.open_watermark()?,
+                    };
+                    let meta = self.meta_mut(b);
+                    debug_assert_eq!(meta.state, BlockState::Free);
+                    meta.state = BlockState::Active;
                     self.active = Some(b);
+                }
+            }
+        }
+    }
+
+    /// Advance the watermark over block `hot`, materializing its chunk on
+    /// first use; `None` once every block has been allocated.
+    fn open_watermark(&mut self) -> Option<u32> {
+        let b = self.hot;
+        if b == self.blocks {
+            return None;
+        }
+        if b as usize >> CHUNK_SHIFT == self.meta.len() {
+            self.meta.push(Box::new([FRESH; CHUNK_BLOCKS]));
+            let lpns = CHUNK_BLOCKS * self.pages_per_block as usize;
+            self.lpns.push(vec![UNMAPPED; lpns].into_boxed_slice());
+        }
+        self.hot += 1;
+        Some(b)
+    }
+
+    /// Index of `(block, page)`'s reverse-map entry: `(chunk, slot)`.
+    #[inline]
+    fn lpn_slot(&self, block: u32, page: u16) -> (usize, usize) {
+        debug_assert!(block < self.hot && page < self.pages_per_block);
+        let b = block as usize;
+        (b >> CHUNK_SHIFT, (b & CHUNK_MASK) * self.pages_per_block as usize + page as usize)
+    }
+
+    /// The LPN last programmed into `(block, page)` of an allocated block.
+    /// Meaningful only while the page is valid.
+    #[inline]
+    pub(crate) fn lpn(&self, block: u32, page: u16) -> u32 {
+        let (chunk, slot) = self.lpn_slot(block, page);
+        self.lpns[chunk][slot]
+    }
+
+    /// Record that `(block, page)` now holds `lpn`.
+    #[inline]
+    pub(crate) fn set_lpn(&mut self, block: u32, page: u16, lpn: u32) {
+        let (chunk, slot) = self.lpn_slot(block, page);
+        self.lpns[chunk][slot] = lpn;
+    }
+
+    /// Call `f` with the LPN of every valid page, block by block.
+    pub(crate) fn for_each_live_lpn(&self, mut f: impl FnMut(u32)) {
+        let chunks = (self.hot as usize).div_ceil(CHUNK_BLOCKS);
+        let per_block = self.pages_per_block as usize;
+        for (meta, lpns) in self.meta[..chunks].iter().zip(&self.lpns) {
+            for (meta, lpns) in meta.iter().zip(lpns.chunks_exact(per_block)) {
+                let mut valid = meta.valid;
+                while valid != 0 {
+                    f(lpns[valid.trailing_zeros() as usize]);
+                    valid &= valid - 1;
                 }
             }
         }
@@ -212,11 +313,11 @@ impl ChipBlocks {
 
     /// [`ChipBlocks::invalidate`], also returning the block's lifecycle
     /// state from the same metadata access — the per-overwrite FTL path
-    /// needs both, and the block array is too large to stay cache-resident
-    /// at paper geometry, so one access instead of two matters.
+    /// needs both, and at paper geometry the metadata a long run writes
+    /// outgrows the caches, so one access instead of two matters.
     #[inline]
     pub fn invalidate_with_state(&mut self, block: u32, page: u16) -> (u32, BlockState) {
-        let meta = &mut self.blocks[block as usize];
+        let meta = self.meta_mut(block);
         debug_assert!(page < meta.next_page, "invalidating unwritten page");
         debug_assert!(meta.valid & (1u64 << page) != 0, "double invalidate");
         meta.valid &= !(1u64 << page);
@@ -233,7 +334,7 @@ impl ChipBlocks {
     /// overprovisioning/GC-floor math once retirements shrink the pool.
     #[inline]
     pub fn usable_count(&self) -> usize {
-        self.blocks.len() - self.bad
+        self.blocks as usize - self.bad
     }
 
     /// Close `block` if it is the chip's current append point, so no
@@ -242,7 +343,7 @@ impl ChipBlocks {
     /// writes on it).
     pub fn close_active(&mut self, block: u32) {
         if self.active == Some(block) {
-            self.blocks[block as usize].state = BlockState::Full;
+            self.meta_mut(block).state = BlockState::Full;
             self.active = None;
         }
     }
@@ -255,7 +356,7 @@ impl ChipBlocks {
         if self.active == Some(block) {
             self.active = None;
         }
-        let meta = &mut self.blocks[block as usize];
+        let meta = self.meta_mut(block);
         debug_assert_ne!(meta.state, BlockState::Free, "retiring a free block");
         debug_assert_ne!(meta.state, BlockState::Bad, "double retire");
         debug_assert_eq!(meta.valid, 0, "retiring a block with live pages");
@@ -266,10 +367,10 @@ impl ChipBlocks {
     /// Erase `block`: clears its bitmap and append pointer, bumps wear, and
     /// returns it to the free list. The block must not be active.
     pub fn erase(&mut self, block: u32) {
-        let meta = &mut self.blocks[block as usize];
+        debug_assert_ne!(Some(block), self.active, "erasing the active block");
+        let meta = self.meta_mut(block);
         debug_assert_ne!(meta.state, BlockState::Free, "erasing a free block");
         debug_assert_ne!(meta.state, BlockState::Bad, "erasing a retired block");
-        debug_assert_ne!(Some(block), self.active, "erasing the active block");
         meta.valid = 0;
         meta.next_page = 0;
         meta.erase_count += 1;
@@ -277,15 +378,69 @@ impl ChipBlocks {
         self.free.push(block);
     }
 
-    /// Live (valid) pages across the whole chip. O(blocks); used by tests
-    /// and occasional consistency checks only.
+    /// Metadata of the allocated blocks `0..hot`, in index order.
+    fn allocated(&self) -> impl Iterator<Item = &BlockMeta> {
+        self.meta.iter().flat_map(|chunk| chunk.iter()).take(self.hot as usize)
+    }
+
+    /// Live (valid) pages across the whole chip. O(allocated blocks); used
+    /// by tests and occasional consistency checks only.
     pub fn live_pages(&self) -> u64 {
-        self.blocks.iter().map(|b| b.valid_count() as u64).sum()
+        self.allocated().map(|b| b.valid_count() as u64).sum()
     }
 
     /// Maximum erase count across blocks (wear ceiling).
     pub fn max_erase_count(&self) -> u32 {
-        self.blocks.iter().map(|b| b.erase_count).max().unwrap_or(0)
+        self.allocated().map(|b| b.erase_count).max().unwrap_or(0)
+    }
+
+    /// Debug-grade check that the block states partition the chip: every
+    /// block is exactly one of free (on the free list, or at or above the
+    /// watermark), active (the append point), full, or bad, and the free
+    /// list and bad count agree with the states. Also checks each bitmap
+    /// against its append pointer. O(allocated blocks); tests only.
+    #[doc(hidden)]
+    pub fn check_consistency(&self) -> Result<(), String> {
+        let mut listed = vec![false; self.hot as usize];
+        for &b in &self.free {
+            let slot = listed
+                .get_mut(b as usize)
+                .ok_or_else(|| format!("free block {b} at or above the watermark {}", self.hot))?;
+            if std::mem::replace(slot, true) {
+                return Err(format!("block {b} listed free twice"));
+            }
+        }
+        if self.active.is_some_and(|b| b >= self.hot) {
+            let (active, hot) = (self.active, self.hot);
+            return Err(format!("active block {active:?} at or above the watermark {hot}"));
+        }
+        let mut bad = 0;
+        for (b, meta) in self.allocated().enumerate() {
+            let programmed = meta.next_page <= self.pages_per_block
+                && meta.valid.checked_shr(meta.next_page.into()).unwrap_or(0) == 0;
+            let (listed, active) = (listed[b], self.active == Some(b as u32));
+            let consistent = programmed
+                && match meta.state {
+                    BlockState::Free => listed && !active && meta.next_page == 0,
+                    BlockState::Active => {
+                        !listed && active && meta.next_page < self.pages_per_block
+                    }
+                    BlockState::Full => !listed && !active,
+                    BlockState::Bad => !listed && !active && meta.valid == 0,
+                };
+            if !consistent {
+                return Err(format!(
+                    "block {b}: {:?} with next page {} and valid bits {:#x} \
+                     (listed free: {listed}, active: {active})",
+                    meta.state, meta.next_page, meta.valid
+                ));
+            }
+            bad += usize::from(meta.state == BlockState::Bad);
+        }
+        if bad != self.bad {
+            return Err(format!("{bad} blocks are bad but {} are counted", self.bad));
+        }
+        Ok(())
     }
 }
 

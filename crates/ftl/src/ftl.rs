@@ -1,6 +1,6 @@
 //! The FTL proper: mapping, allocation, placement, GC orchestration.
 
-use crate::blocks::{BlockState, ChipBlocks};
+use crate::blocks::{BlockState, ChipBlocks, UNMAPPED};
 use crate::gc::GreedyPicker;
 use reqblock_flash::timeline::Origin;
 use reqblock_flash::{
@@ -77,53 +77,80 @@ pub struct IoCompletion {
     pub done_ns: u64,
 }
 
-/// Sentinel for "unmapped" in the dense translation tables.
-const UNMAPPED: u32 = u32::MAX;
+/// log2 of [`LEAF_LEN`].
+const LEAF_BITS: u32 = 10;
+/// Entries per forward-map leaf: 1 024 `u32`s, 4 KiB.
+const LEAF_LEN: usize = 1 << LEAF_BITS;
+const LEAF_MASK: usize = LEAF_LEN - 1;
 
-/// Dense page-translation table. Entries are stored **biased by one** so the
-/// empty state is all-zeroes: `vec![0; n]` is served by the allocator as
-/// untouched zero pages, making construction O(1) instead of a 134 MB
-/// sentinel memset per table on the paper's 128 GB drive, and pages the
-/// workload never touches are never materialized at all.
-#[derive(Debug, Clone)]
-struct PageMap(Vec<u32>);
+/// Forward map (LPN -> PPN): a directory of fixed 4 KiB leaves. A leaf is
+/// allocated on the first mapped write into its range and kept from then
+/// on; reading a missing leaf returns [`UNMAPPED`] and storing
+/// [`UNMAPPED`] into one allocates nothing. Memory therefore follows the
+/// written footprint, not the device's capacity. Leaves never move; only
+/// the directory, 8 bytes per leaf up to the highest leaf written (256 KiB
+/// at most at paper geometry), grows like a `Vec`.
+#[derive(Debug, Clone, Default)]
+struct PageMap {
+    leaves: Vec<Option<Box<[u32; LEAF_LEN]>>>,
+}
 
 impl PageMap {
-    fn new(entries: usize) -> Self {
-        Self(vec![0; entries])
-    }
-
-    /// Entry count (mapped or not).
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Read an entry; [`UNMAPPED`] when never set (0 - 1 wraps to the
-    /// sentinel).
+    /// Read an entry; [`UNMAPPED`] when never set.
     #[inline]
     fn get(&self, idx: usize) -> u32 {
-        self.0[idx].wrapping_sub(1)
+        match self.leaves.get(idx >> LEAF_BITS) {
+            Some(Some(leaf)) => leaf[idx & LEAF_MASK],
+            _ => UNMAPPED,
+        }
     }
 
-    /// Write an entry; storing [`UNMAPPED`] clears it (wraps back to 0).
+    /// Write an entry; storing [`UNMAPPED`] clears it.
     #[inline]
     fn set(&mut self, idx: usize, value: u32) {
-        self.0[idx] = value.wrapping_add(1);
+        match self.leaves.get_mut(idx >> LEAF_BITS) {
+            Some(Some(leaf)) => leaf[idx & LEAF_MASK] = value,
+            _ if value == UNMAPPED => {}
+            _ => self.materialize(idx >> LEAF_BITS)[idx & LEAF_MASK] = value,
+        }
     }
 
-    /// Hint the cache hierarchy that `idx` is about to be accessed. The
-    /// mapping tables span hundreds of megabytes at paper geometry, so the
+    /// Allocate leaf `leaf`, all unmapped.
+    #[cold]
+    fn materialize(&mut self, leaf: usize) -> &mut [u32; LEAF_LEN] {
+        if leaf >= self.leaves.len() {
+            self.leaves.resize_with(leaf + 1, || None);
+        }
+        self.leaves[leaf].insert(Box::new([UNMAPPED; LEAF_LEN]))
+    }
+
+    /// Every mapped `(index, value)` pair in index order, walking the
+    /// materialized leaves only.
+    fn mapped(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        self.leaves.iter().enumerate().flat_map(|(l, leaf)| {
+            leaf.iter().flat_map(move |leaf| {
+                leaf.iter()
+                    .enumerate()
+                    .filter(|&(_, &v)| v != UNMAPPED)
+                    .map(move |(i, &v)| ((l << LEAF_BITS) | i, v))
+            })
+        })
+    }
+
+    /// Hint the cache hierarchy that `idx` is about to be accessed. A long
+    /// run's written footprint spans far more than the caches, so the
     /// per-page walk is DRAM-latency-bound; issuing the loads for a whole
     /// batch up front overlaps the misses instead of serializing them.
     #[inline]
     fn prefetch(&self, idx: usize) {
         #[cfg(target_arch = "x86_64")]
-        if idx < self.0.len() {
-            // SAFETY: prefetch has no architectural effect; the pointer is
-            // in-bounds and never dereferenced.
+        if let Some(Some(leaf)) = self.leaves.get(idx >> LEAF_BITS) {
+            let entry: *const u32 = &leaf[idx & LEAF_MASK];
+            // SAFETY: prefetch has no architectural effect; the pointer
+            // comes from a live reference and is never dereferenced.
             unsafe {
                 core::arch::x86_64::_mm_prefetch(
-                    self.0.as_ptr().add(idx) as *const i8,
+                    entry as *const i8,
                     core::arch::x86_64::_MM_HINT_T0,
                 );
             }
@@ -142,21 +169,19 @@ struct ChipDomain {
 
 /// Page-level FTL over a multi-chip flash array.
 ///
-/// Translation tables are dense `Vec<u32>` (LPN -> PPN and PPN -> LPN),
-/// sized by the drive's logical/physical page counts; `u32::MAX` means
-/// unmapped. The paper's 128 GB drive has 2^25 pages, so indices fit u32
-/// comfortably and lookups are branch-plus-load instead of hashing.
+/// Translations are `u32` page indices (`u32::MAX` means unmapped): the
+/// paper's 128 GB drive has 2^25 pages, so indices fit comfortably and
+/// lookups are loads instead of hashing. The forward map is a `PageMap`
+/// of lazily allocated leaves; the reverse map (PPN -> LPN) lives in each
+/// chip's [`ChipBlocks`] beside the valid bitmaps it mirrors. Its entries
+/// for *invalidated* pages go stale rather than being cleared: the bitmap
+/// is the source of truth for liveness, and every reader (GC migration,
+/// retirement, reset, the consistency check) consults it first, so the
+/// per-page overwrite path makes no store into the reverse map.
 pub struct Ftl {
     cfg: SsdConfig,
     /// LPN -> PPN; `UNMAPPED` when the LPN has never been written.
     l2p: PageMap,
-    /// PPN -> LPN, written at program time only. Entries for *invalidated*
-    /// pages go stale rather than being cleared: the block valid bitmap is
-    /// the source of truth for liveness, and every reader (GC migration,
-    /// retirement, the consistency check) consults it first. Skipping the
-    /// clear removes a random store into a ~134 MB table from the per-page
-    /// overwrite path, which is DRAM-miss-bound at paper geometry.
-    p2l: PageMap,
     chips: Vec<ChipDomain>,
     /// Round-robin cursor for striped placement (and for spreading
     /// single-block batches across chips between evictions).
@@ -208,8 +233,7 @@ impl Ftl {
     /// [`Ftl::new`].
     pub fn with_faults(cfg: &SsdConfig, faults: FaultConfig) -> Self {
         cfg.validate().expect("invalid SSD config");
-        let total_pages = cfg.total_pages() as usize;
-        assert!(total_pages < UNMAPPED as usize, "drive too large for u32 page indices");
+        assert!(cfg.total_pages() < UNMAPPED as u64, "drive too large for u32 page indices");
         let pages_per_chip = cfg.pages_per_chip();
         let pages_per_block = cfg.pages_per_block as u64;
         let geom_pow2 = pages_per_chip.is_power_of_two() && pages_per_block.is_power_of_two();
@@ -221,8 +245,7 @@ impl Ftl {
             chip_mask: pages_per_chip.wrapping_sub(1),
             block_shift: pages_per_block.trailing_zeros(),
             block_mask: pages_per_block.wrapping_sub(1),
-            l2p: PageMap::new(total_pages),
-            p2l: PageMap::new(total_pages),
+            l2p: PageMap::default(),
             chips: (0..cfg.total_chips())
                 .map(|_| ChipDomain { blocks: ChipBlocks::new(cfg), picker: GreedyPicker::new() })
                 .collect(),
@@ -238,40 +261,32 @@ impl Ftl {
         }
     }
 
-    /// Reset to the freshly built state for `cfg` without reallocating the
-    /// O(total pages) translation tables. Returns `false` — leaving the FTL
-    /// untouched — when `cfg` differs from the config this FTL was built
-    /// with; the caller must rebuild from scratch instead.
+    /// Reset to the freshly built state for `cfg`, keeping the translation
+    /// storage already materialized (forward-map leaves, block chunks) so a
+    /// pooled device does not allocate it again. Returns `false` — leaving
+    /// the FTL untouched — when `cfg` differs from the config this FTL was
+    /// built with; the caller must rebuild from scratch instead.
     ///
-    /// Cost is O(live pages + blocks), not O(total pages):
+    /// Cost is O(live pages + allocated blocks):
     /// * `l2p` is cleared by unmapping exactly the currently mapped LPNs.
     ///   Mapped LPNs are in bijection with bitmap-valid physical pages, and
-    ///   `p2l` is accurate for every *valid* page (written at program time,
-    ///   stale only behind cleared valid bits), so walking chips → blocks →
-    ///   valid bits reaches every mapped LPN.
-    /// * `p2l` is left stale wholesale: the valid bitmaps are the liveness
-    ///   source of truth and every reader consults them first, so stale
-    ///   translations behind freshly cleared bitmaps are unobservable — the
-    ///   same invariant that lets overwrites skip the `p2l` clear.
+    ///   the reverse map is accurate for every *valid* page (written at
+    ///   program time, stale only behind cleared valid bits), so walking
+    ///   chips → allocated blocks → valid bits reaches every mapped LPN.
+    /// * The reverse map is left stale wholesale: the valid bitmaps are the
+    ///   liveness source of truth and every reader consults them first, so
+    ///   stale translations behind freshly cleared bitmaps are
+    ///   unobservable — the same invariant that lets overwrites skip the
+    ///   reverse-map clear.
     pub fn try_reset(&mut self, cfg: &SsdConfig, faults: FaultConfig) -> bool {
         if self.cfg != *cfg {
             return false;
         }
-        for chip in 0..self.chips.len() {
-            // Only ever-allocated blocks (the watermark prefix) can hold
-            // valid pages; the rest of the chip is bit-for-bit fresh.
-            for block in 0..self.chips[chip].blocks.allocated_watermark() {
-                let mut valid = self.chips[chip].blocks.meta(block).valid;
-                while valid != 0 {
-                    let page = valid.trailing_zeros() as u16;
-                    valid &= valid - 1;
-                    let ppn = self.ppn_of(chip, block, page);
-                    let lpn = self.p2l.get(ppn as usize);
-                    debug_assert_ne!(lpn, UNMAPPED, "valid page without reverse mapping");
-                    self.l2p.set(lpn as usize, UNMAPPED);
-                }
-            }
-            let domain = &mut self.chips[chip];
+        for domain in &mut self.chips {
+            domain.blocks.for_each_live_lpn(|lpn| {
+                debug_assert_ne!(lpn, UNMAPPED, "valid page without reverse mapping");
+                self.l2p.set(lpn as usize, UNMAPPED);
+            });
             domain.blocks.reset();
             domain.picker.clear();
         }
@@ -389,9 +404,8 @@ impl Ftl {
         }
     }
 
-    /// Invalidate the physical page `ppn` (which must be valid) and clear
-    /// its reverse mapping. Leaves `l2p` untouched — callers own the
-    /// forward mapping.
+    /// Invalidate the physical page `ppn` (which must be valid). Leaves
+    /// `l2p` untouched — callers own the forward mapping.
     fn invalidate_ppn(&mut self, ppn: u32) {
         let chip = self.chip_of_ppn(ppn);
         let (block, page) = self.block_page_of_ppn(ppn);
@@ -400,18 +414,6 @@ impl Ftl {
         if state == BlockState::Full {
             domain.picker.note(block, inv);
         }
-        // The stale p2l entry is left in place; the valid bitmap already
-        // records the page as dead, and p2l is only read for valid pages.
-    }
-
-    /// Invalidate the physical page currently backing `lpn`, if any.
-    fn invalidate_lpn(&mut self, lpn: Lpn) {
-        let old = self.l2p.get(lpn as usize);
-        if old == UNMAPPED {
-            return;
-        }
-        self.invalidate_ppn(old);
-        self.l2p.set(lpn as usize, UNMAPPED);
     }
 
     /// Allocate the next physical page on `chip` without mapping it, or
@@ -419,11 +421,14 @@ impl Ftl {
     fn try_allocate_raw(&mut self, chip: usize) -> Option<(u32, u16)> {
         let domain = &mut self.chips[chip];
         let (block, page) = domain.blocks.allocate_page()?;
-        // If the allocation sealed the block and earlier pages of it were
-        // already invalidated, make sure the picker knows about it.
-        let meta = domain.blocks.meta(block);
-        if meta.state == BlockState::Full && meta.invalid_count() > 0 {
-            domain.picker.note(block, meta.invalid_count());
+        // If the allocation sealed the block (it is no longer the append
+        // point) and earlier pages of it were already invalidated, make
+        // sure the picker knows about it.
+        if domain.blocks.active_block().is_none() {
+            let meta = domain.blocks.meta(block);
+            if meta.state == BlockState::Full && meta.invalid_count() > 0 {
+                domain.picker.note(block, meta.invalid_count());
+            }
         }
         Some((block, page))
     }
@@ -434,7 +439,7 @@ impl Ftl {
         let (block, page) = self.try_allocate_raw(chip)?;
         let ppn = self.ppn_of(chip, block, page);
         self.l2p.set(lpn as usize, ppn);
-        self.p2l.set(ppn as usize, lpn as u32);
+        self.chips[chip].blocks.set_lpn(block, page, lpn as u32);
         Some((block, page))
     }
 
@@ -488,8 +493,7 @@ impl Ftl {
             if valid_bitmap & (1u64 << page) == 0 {
                 continue;
             }
-            let src_ppn = self.ppn_of(chip, victim, page);
-            let lpn = self.p2l.get(src_ppn as usize);
+            let lpn = self.chips[chip].blocks.lpn(victim, page);
             debug_assert_ne!(lpn, UNMAPPED, "valid page without reverse mapping");
             // Allocate the destination before dropping the source, so an
             // exhausted chip degrades without losing the page.
@@ -502,10 +506,10 @@ impl Ftl {
             };
             let rd = tl.read(&self.cfg, chip, at, Origin::Gc);
             round_busy_ns += (rd.end_ns - rd.start_ns) as u128;
-            let dst_ppn = self.ppn_of(chip, nb, np);
-            self.chips[chip].blocks.invalidate(victim, page);
-            self.p2l.set(dst_ppn as usize, lpn);
-            self.l2p.set(lpn as usize, dst_ppn);
+            let blocks = &mut self.chips[chip].blocks;
+            blocks.invalidate(victim, page);
+            blocks.set_lpn(nb, np, lpn);
+            self.l2p.set(lpn as usize, self.ppn_of(chip, nb, np));
             let pr = tl.program(&self.cfg, chip, at, Origin::Gc);
             round_busy_ns += (pr.end_ns - pr.start_ns) as u128;
             self.stats.gc_migrated_pages += 1;
@@ -546,8 +550,7 @@ impl Ftl {
             if valid_bitmap & (1u64 << page) == 0 {
                 continue;
             }
-            let src_ppn = self.ppn_of(chip, block, page);
-            let lpn = self.p2l.get(src_ppn as usize);
+            let lpn = self.chips[chip].blocks.lpn(block, page);
             debug_assert_ne!(lpn, UNMAPPED, "valid page without reverse mapping");
             let Some((nb, np)) = self.try_allocate_raw(chip) else {
                 self.health = Health::ReadOnly;
@@ -555,10 +558,10 @@ impl Ftl {
             };
             tl.read(&self.cfg, chip, at, Origin::Gc);
             // New copy is safe; move the mapping and drop the old page.
-            let dst_ppn = self.ppn_of(chip, nb, np);
-            self.chips[chip].blocks.invalidate(block, page);
-            self.p2l.set(dst_ppn as usize, lpn);
-            self.l2p.set(lpn as usize, dst_ppn);
+            let blocks = &mut self.chips[chip].blocks;
+            blocks.invalidate(block, page);
+            blocks.set_lpn(nb, np, lpn);
+            self.l2p.set(lpn as usize, self.ppn_of(chip, nb, np));
             tl.program(&self.cfg, chip, at, Origin::Gc);
             self.fstats.remapped_pages += 1;
         }
@@ -604,9 +607,8 @@ impl Ftl {
             if !self.faults.program_fails() {
                 // Commit: map the new page, then invalidate the old copy.
                 let old = self.l2p.get(lpn as usize);
-                let ppn = self.ppn_of(chip, block, page);
-                self.l2p.set(lpn as usize, ppn);
-                self.p2l.set(ppn as usize, lpn as u32);
+                self.l2p.set(lpn as usize, self.ppn_of(chip, block, page));
+                self.chips[chip].blocks.set_lpn(block, page, lpn as u32);
                 if old != UNMAPPED {
                     self.invalidate_ppn(old);
                 }
@@ -624,7 +626,8 @@ impl Ftl {
     }
 
     /// Program one host/flush page of a batch on `chip` at `at` with no
-    /// fault model: invalidate the old copy, map a fresh page, program it.
+    /// fault model: invalidate the old copy, map a fresh page (overwriting
+    /// the old forward entry), program it.
     /// Returns completion ns. The GC check before the program is skipped
     /// while this batch has already established that the chip's free-block
     /// count sits at/above the floor and nothing has moved it since.
@@ -649,7 +652,10 @@ impl Ftl {
             // batched path must re-check too.
             self.gc_checked[chip] = self.chips[chip].blocks.free_count() >= self.gc_floor(chip);
         }
-        self.invalidate_lpn(lpn);
+        let old = self.l2p.get(lpn as usize);
+        if old != UNMAPPED {
+            self.invalidate_ppn(old);
+        }
         let free_before = self.chips[chip].blocks.free_count();
         self.allocate_mapped(chip, lpn);
         if self.chips[chip].blocks.free_count() != free_before {
@@ -685,24 +691,21 @@ impl Ftl {
             return at;
         }
         // Overlap the mapping-table misses of the whole batch: every page
-        // walk starts with an `l2p` load whose line is almost never
-        // resident (the table spans ~134 MB at paper geometry), then
-        // invalidates the old physical page's block metadata. Two passes
-        // warm both levels — the second pass re-reads `l2p` (now
-        // L1-resident) to issue the dependent block-meta prefetches early.
+        // walk starts with an `l2p` load whose line is rarely resident once
+        // a run's written footprint outgrows the caches, then invalidates
+        // the old physical page's block metadata. Two passes warm both
+        // levels — the second pass re-reads `l2p` (now L1-resident) to
+        // issue the dependent block-meta prefetches early. Neither pass
+        // panics on an out-of-range LPN: the per-page assert below does.
         for &lpn in lpns {
             self.l2p.prefetch(lpn as usize);
         }
         for &lpn in lpns {
-            // Out-of-range LPNs still hit the per-page assert below; the
-            // warm-up pass must not touch (or panic on) them first.
-            if (lpn as usize) < self.l2p.len() {
-                let old = self.l2p.get(lpn as usize);
-                if old != UNMAPPED {
-                    let chip = self.chip_of_ppn(old);
-                    let (block, _) = self.block_page_of_ppn(old);
-                    self.chips[chip].blocks.prefetch_meta(block);
-                }
+            let old = self.l2p.get(lpn as usize);
+            if old != UNMAPPED {
+                let chip = self.chip_of_ppn(old);
+                let (block, _) = self.block_page_of_ppn(old);
+                self.chips[chip].blocks.prefetch_meta(block);
             }
         }
         let chips = self.chips.len();
@@ -812,9 +815,6 @@ impl Ftl {
     /// chip attribution the host's outstanding-read ledger keys on.
     #[inline]
     pub fn chip_of_lpn(&self, lpn: Lpn) -> Option<usize> {
-        if lpn as usize >= self.l2p.len() {
-            return None;
-        }
         let ppn = self.l2p.get(lpn as usize);
         if ppn == UNMAPPED {
             None
@@ -828,37 +828,62 @@ impl Ftl {
         IoCompletion { done_ns: self.read_page(lpn, at, tl) }
     }
 
-    /// Debug-grade consistency check: every l2p entry has a matching p2l
-    /// entry and a valid bit set; live counts agree. O(total pages) — tests
-    /// only.
+    /// Debug-grade consistency check of the translation state:
+    /// * every forward entry maps an in-range LPN to a valid page of an
+    ///   allocated block whose reverse entry names that LPN;
+    /// * every valid page's reverse entry maps forward to that page;
+    /// * each block's valid count equals its live forward mappings;
+    /// * free, active, full and bad blocks partition each chip and agree
+    ///   with its free count ([`ChipBlocks::check_consistency`]).
+    ///
+    /// Walks the materialized forward-map leaves and the allocated blocks
+    /// only, so it stays cheap at paper geometry. Tests only.
     #[doc(hidden)]
     pub fn check_consistency(&self) -> Result<(), String> {
-        let mut mapped = 0u64;
-        for lpn in 0..self.l2p.len() {
-            let ppn = self.l2p.get(lpn);
-            if ppn == UNMAPPED {
-                continue;
-            }
-            mapped += 1;
-            if self.p2l.get(ppn as usize) != lpn as u32 {
-                return Err(format!("l2p/p2l mismatch at lpn {lpn}"));
+        let mut live: Vec<Vec<u32>> = self
+            .chips
+            .iter()
+            .map(|c| vec![0; c.blocks.allocated_watermark() as usize])
+            .collect();
+        for (lpn, ppn) in self.l2p.mapped() {
+            if lpn as u64 >= self.logical_pages() || ppn as u64 >= self.cfg.total_pages() {
+                return Err(format!("lpn {lpn} -> ppn {ppn} outside the device"));
             }
             let chip = self.chip_of_ppn(ppn);
             let (block, page) = self.block_page_of_ppn(ppn);
-            let meta = self.chips[chip].blocks.meta(block);
-            if meta.valid & (1u64 << page) == 0 {
+            let blocks = &self.chips[chip].blocks;
+            let Some(count) = live[chip].get_mut(block as usize) else {
+                return Err(format!("lpn {lpn} maps to unallocated block {block} of chip {chip}"));
+            };
+            if blocks.meta(block).valid & (1u64 << page) == 0 {
                 return Err(format!("mapped page not valid: lpn {lpn}"));
             }
+            if blocks.lpn(block, page) != lpn as u32 {
+                return Err(format!("l2p/p2l mismatch at lpn {lpn}"));
+            }
+            *count += 1;
         }
-        let live = self.live_pages();
-        if mapped != live {
-            return Err(format!("mapped {mapped} != live {live}"));
-        }
-        for (c, domain) in self.chips.iter().enumerate() {
-            for b in 0..domain.blocks.block_count() as u32 {
-                let meta = domain.blocks.meta(b);
-                if meta.state == BlockState::Bad && meta.valid != 0 {
-                    return Err(format!("bad block {b} on chip {c} still holds live pages"));
+        for (chip, (domain, per_block)) in self.chips.iter().zip(&live).enumerate() {
+            let blocks = &domain.blocks;
+            blocks.check_consistency().map_err(|e| format!("chip {chip}: {e}"))?;
+            for (block, &mapped) in (0..).zip(per_block) {
+                let mut valid = blocks.meta(block).valid;
+                if valid.count_ones() != mapped {
+                    return Err(format!(
+                        "chip {chip} block {block}: {} valid pages but {mapped} live mappings",
+                        valid.count_ones()
+                    ));
+                }
+                while valid != 0 {
+                    let page = valid.trailing_zeros() as u16;
+                    valid &= valid - 1;
+                    let lpn = blocks.lpn(block, page);
+                    if self.l2p.get(lpn as usize) != self.ppn_of(chip, block, page) {
+                        return Err(format!(
+                            "chip {chip} block {block} page {page}: \
+                             reverse entry {lpn} does not map back"
+                        ));
+                    }
                 }
             }
         }

@@ -103,8 +103,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let p = unsafe { System.realloc(ptr, layout, new_size) };
         if !p.is_null() {
-            // Count the delta as grow-then-shrink so the peak reflects the
-            // larger of the two sizes, like a copying realloc would.
+            // Count only the delta, so the peak reflects the larger of the
+            // two sizes. A copying realloc briefly holds both blocks, which
+            // this count does not show.
             if new_size >= layout.size() {
                 self.add(new_size - layout.size());
             } else {

@@ -42,8 +42,10 @@
 //! total requests) shared.
 //!
 //! Device simulators are pooled: a worker pops a finished [`Ssd`] and
-//! resets it to the fresh-device state instead of reallocating the
-//! multi-hundred-MB FTL tables per device, so peak memory is O(pool) +
+//! resets it to the fresh-device state instead of building one per
+//! device. The reset keeps the FTL's materialized translation storage,
+//! which follows the written footprint, so each worker allocates it once
+//! for the largest footprint it serves. Peak memory is O(pool) +
 //! O(devices) outcome slots — a thousand-device fleet fits where the old
 //! pipeline needed two copies of every request.
 //!
@@ -688,8 +690,8 @@ pub fn run_fleet_excluding(
     let tenants = mix.tenants.len();
 
     // Pooled simulators: a worker pops a finished Ssd and resets it
-    // instead of reallocating FTL tables per device, so the pool never
-    // holds more simulators than there are workers.
+    // instead of building one per device, so the pool never holds more
+    // simulators than there are workers.
     let pool: Mutex<Vec<Ssd>> = Mutex::new(Vec::new());
     // The base mixes are materialized process-wide by the trace cache;
     // share the arrival schedules too and let every device stride over its

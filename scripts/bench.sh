@@ -43,7 +43,7 @@
 #   attempt wins) and the committed `fleet_stream` median devices/s in
 #   BENCH_sweep.json are gated. The bench bin asserts both pipelines emit
 #   identical FleetMetrics, so this also re-checks equivalence, and its
-#   counting global allocator reports each mode's peak RSS. --no-fleet
+#   counting global allocator reports each mode's peak alloc. --no-fleet
 #   skips it.
 #
 # Thread-scaling section: runs the committed tails scenario through
@@ -357,7 +357,7 @@ else:
     verdict = "ok"
 print(f"fleet_stream: best median {best_stream:,.0f} dev/s vs committed "
       f"{base:,.0f} dev/s ({ratio:.2f}x) {verdict}")
-print(f"peak RSS: stream {peaks.get('fleet_stream', 0):,.0f} MiB, "
+print(f"peak alloc: stream {peaks.get('fleet_stream', 0):,.0f} MiB, "
       f"reference {peaks.get('fleet_reference', 0):,.0f} MiB "
       f"(committed stream baseline {committed['max_peak_mib']:,.0f} MiB)")
 
