@@ -6,8 +6,6 @@
 //! 10 % GC threshold. This crate models exactly those resources:
 //!
 //! * [`SsdConfig`] — the Table 1 parameter set plus derived geometry.
-//! * [`Addr`]/[`Ppn`] — physical page addressing across channels, chips,
-//!   blocks and pages.
 //! * [`FlashTimeline`] — per-channel bus and per-chip array occupancy
 //!   timelines; scheduling an operation returns its start/finish times and
 //!   advances the busy horizons, which is how multi-channel parallelism (and
@@ -20,15 +18,16 @@
 //! default configuration is zero-fault and bit-identical to a build without
 //! the layer.
 //!
-//! The FTL (sibling crate `reqblock-ftl`) owns block/page *state*; this crate
+//! The FTL (sibling crate `reqblock-ftl`) owns block/page *state* and the
+//! physical page numbering; this crate addresses chips by [`ChipId`] and
 //! owns *geometry, time, and fault decisions*.
 
-pub mod addr;
 pub mod config;
 pub mod fault;
 pub mod timeline;
 
-pub use addr::{Addr, ChipId, Ppn};
 pub use config::SsdConfig;
 pub use fault::{FaultConfig, FaultModel, FaultStats, MAX_READ_RETRIES, PPM_SCALE};
-pub use timeline::{BusyStats, Completion, FlashTimeline, IntervalLog, OpCounters, OpInterval, OpKind};
+pub use timeline::{
+    BusyStats, ChipId, Completion, FlashTimeline, IntervalLog, OpCounters, OpInterval, OpKind,
+};

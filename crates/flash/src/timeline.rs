@@ -22,9 +22,12 @@
 //!   once the transfer is done, the chip when the program finishes;
 //! * **erase**: chip only, no bus traffic.
 
-use crate::addr::ChipId;
 use crate::config::SsdConfig;
 use serde::{Deserialize, Serialize};
+
+/// Global chip index in `0..cfg.total_chips()`; chips of channel `c` are
+/// `c * chips_per_channel ..` consecutively.
+pub type ChipId = usize;
 
 /// Start and end of a scheduled flash operation, in simulated ns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

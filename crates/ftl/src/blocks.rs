@@ -290,21 +290,6 @@ impl ChipBlocks {
         self.lpns[chunk][slot] = lpn;
     }
 
-    /// Call `f` with the LPN of every valid page, block by block.
-    pub(crate) fn for_each_live_lpn(&self, mut f: impl FnMut(u32)) {
-        let chunks = (self.hot as usize).div_ceil(CHUNK_BLOCKS);
-        let per_block = self.pages_per_block as usize;
-        for (meta, lpns) in self.meta[..chunks].iter().zip(&self.lpns) {
-            for (meta, lpns) in meta.iter().zip(lpns.chunks_exact(per_block)) {
-                let mut valid = meta.valid;
-                while valid != 0 {
-                    f(lpns[valid.trailing_zeros() as usize]);
-                    valid &= valid - 1;
-                }
-            }
-        }
-    }
-
     /// Mark `(block, page)` invalid (its LPN was overwritten or migrated).
     /// Returns the block's new invalid count.
     pub fn invalidate(&mut self, block: u32, page: u16) -> u32 {

@@ -105,13 +105,24 @@ impl PageMap {
         }
     }
 
-    /// Write an entry; storing [`UNMAPPED`] clears it.
+    /// Write an entry and return the one it replaced, in one leaf lookup;
+    /// storing [`UNMAPPED`] clears it.
     #[inline]
-    fn set(&mut self, idx: usize, value: u32) {
+    fn replace(&mut self, idx: usize, value: u32) -> u32 {
         match self.leaves.get_mut(idx >> LEAF_BITS) {
-            Some(Some(leaf)) => leaf[idx & LEAF_MASK] = value,
-            _ if value == UNMAPPED => {}
-            _ => self.materialize(idx >> LEAF_BITS)[idx & LEAF_MASK] = value,
+            Some(Some(leaf)) => std::mem::replace(&mut leaf[idx & LEAF_MASK], value),
+            _ if value == UNMAPPED => UNMAPPED,
+            _ => {
+                self.materialize(idx >> LEAF_BITS)[idx & LEAF_MASK] = value;
+                UNMAPPED
+            }
+        }
+    }
+
+    /// Unmap every entry, keeping the materialized leaves.
+    fn clear(&mut self) {
+        for leaf in self.leaves.iter_mut().flatten() {
+            leaf.fill(UNMAPPED);
         }
     }
 
@@ -167,17 +178,31 @@ struct ChipDomain {
     picker: GreedyPicker,
 }
 
+/// What [`Ftl::migrate`] did to one block.
+struct Migration {
+    /// Valid pages moved off the block.
+    pages: u64,
+    /// Flash busy time of their reads and programs, ns.
+    busy_ns: u128,
+    /// `false` when the chip ran out of space before every valid page
+    /// moved; the device is then read-only.
+    emptied: bool,
+}
+
 /// Page-level FTL over a multi-chip flash array.
 ///
-/// Translations are `u32` page indices (`u32::MAX` means unmapped): the
-/// paper's 128 GB drive has 2^25 pages, so indices fit comfortably and
-/// lookups are loads instead of hashing. The forward map is a `PageMap`
-/// of lazily allocated leaves; the reverse map (PPN -> LPN) lives in each
-/// chip's [`ChipBlocks`] beside the valid bitmaps it mirrors. Its entries
-/// for *invalidated* pages go stale rather than being cleared: the bitmap
-/// is the source of truth for liveness, and every reader (GC migration,
-/// retirement, reset, the consistency check) consults it first, so the
-/// per-page overwrite path makes no store into the reverse map.
+/// Translations are `u32` physical page numbers (`u32::MAX` means
+/// unmapped): the paper's 128 GB drive has 2^25 pages, so they fit
+/// comfortably and lookups are loads instead of hashing. A PPN packs
+/// `chip << chip_shift | block << block_shift | page`, each field padded
+/// to a power of two, so decoding one is shifts and masks on any
+/// geometry. The forward map is a `PageMap` of lazily allocated leaves;
+/// the reverse map (PPN -> LPN) lives in each chip's [`ChipBlocks`]
+/// beside the valid bitmaps it mirrors. Its entries for *invalidated*
+/// pages go stale rather than being cleared: the bitmap is the source of
+/// truth for liveness, and every reader (migration, the consistency
+/// check) consults it first, so the per-page overwrite path makes no
+/// store into the reverse map.
 pub struct Ftl {
     cfg: SsdConfig,
     /// LPN -> PPN; `UNMAPPED` when the LPN has never been written.
@@ -198,27 +223,16 @@ pub struct Ftl {
     /// block has retired, hoisted off the per-page write path so batched
     /// flushes don't redo the float math for every page.
     gc_floor_healthy: usize,
-    /// Cached [`SsdConfig::pages_per_chip`] — the accessor divides by the
-    /// chip count on every call, far too hot for the per-page mapping path.
-    pages_per_chip: u64,
-    /// Cached `pages_per_block` as u64.
-    pages_per_block: u64,
-    /// `true` when both `pages_per_chip` and `pages_per_block` are powers
-    /// of two (every shipped geometry): PPN decomposition is then pure
-    /// shift/mask instead of two u64 divisions per page.
-    geom_pow2: bool,
-    /// `log2(pages_per_chip)` when `geom_pow2`.
-    chip_shift: u32,
-    /// `pages_per_chip - 1` when `geom_pow2`.
-    chip_mask: u64,
-    /// `log2(pages_per_block)` when `geom_pow2`.
+    /// PPN bit offset of the block field: `log2` of pages per block,
+    /// rounded up.
     block_shift: u32,
-    /// `pages_per_block - 1` when `geom_pow2`.
-    block_mask: u64,
+    /// PPN bit offset of the chip field: `block_shift` plus `log2` of
+    /// blocks per chip, rounded up.
+    chip_shift: u32,
     /// Per-chip scratch for [`Ftl::write_pages`]: `true` while the chip's
     /// free-block count is known to sit at/above the GC floor within the
     /// current batch, letting later pages of the batch skip the GC re-check
-    /// until an allocation opens a fresh block.
+    /// until an allocation opens a fresh block or a block retires.
     gc_checked: Vec<bool>,
 }
 
@@ -233,18 +247,17 @@ impl Ftl {
     /// [`Ftl::new`].
     pub fn with_faults(cfg: &SsdConfig, faults: FaultConfig) -> Self {
         cfg.validate().expect("invalid SSD config");
-        assert!(cfg.total_pages() < UNMAPPED as u64, "drive too large for u32 page indices");
-        let pages_per_chip = cfg.pages_per_chip();
-        let pages_per_block = cfg.pages_per_block as u64;
-        let geom_pow2 = pages_per_chip.is_power_of_two() && pages_per_block.is_power_of_two();
+        let block_shift = cfg.pages_per_block.next_power_of_two().trailing_zeros();
+        let chip_shift = block_shift + cfg.blocks_per_chip().next_power_of_two().trailing_zeros();
+        // Every PPN is below the padded space, and every LPN below the page
+        // count it bounds, so neither can collide with `UNMAPPED`.
+        assert!(
+            (cfg.total_chips() as u128) << chip_shift <= UNMAPPED as u128,
+            "drive too large for u32 page indices"
+        );
         Self {
-            pages_per_chip,
-            pages_per_block,
-            geom_pow2,
-            chip_shift: pages_per_chip.trailing_zeros(),
-            chip_mask: pages_per_chip.wrapping_sub(1),
-            block_shift: pages_per_block.trailing_zeros(),
-            block_mask: pages_per_block.wrapping_sub(1),
+            block_shift,
+            chip_shift,
             l2p: PageMap::default(),
             chips: (0..cfg.total_chips())
                 .map(|_| ChipDomain { blocks: ChipBlocks::new(cfg), picker: GreedyPicker::new() })
@@ -267,12 +280,9 @@ impl Ftl {
     /// the FTL untouched — when `cfg` differs from the config this FTL was
     /// built with; the caller must rebuild from scratch instead.
     ///
-    /// Cost is O(live pages + allocated blocks):
-    /// * `l2p` is cleared by unmapping exactly the currently mapped LPNs.
-    ///   Mapped LPNs are in bijection with bitmap-valid physical pages, and
-    ///   the reverse map is accurate for every *valid* page (written at
-    ///   program time, stale only behind cleared valid bits), so walking
-    ///   chips → allocated blocks → valid bits reaches every mapped LPN.
+    /// Cost is O(materialized leaves + allocated blocks):
+    /// * `l2p`'s leaves are refilled with `UNMAPPED`, a sequential store
+    ///   per entry instead of a directory lookup per live page.
     /// * The reverse map is left stale wholesale: the valid bitmaps are the
     ///   liveness source of truth and every reader consults them first, so
     ///   stale translations behind freshly cleared bitmaps are
@@ -282,11 +292,8 @@ impl Ftl {
         if self.cfg != *cfg {
             return false;
         }
+        self.l2p.clear();
         for domain in &mut self.chips {
-            domain.blocks.for_each_live_lpn(|lpn| {
-                debug_assert_ne!(lpn, UNMAPPED, "valid page without reverse mapping");
-                self.l2p.set(lpn as usize, UNMAPPED);
-            });
             domain.blocks.reset();
             domain.picker.clear();
         }
@@ -370,38 +377,18 @@ impl Ftl {
 
     #[inline]
     fn ppn_of(&self, chip: usize, block: u32, page: u16) -> u32 {
-        if self.geom_pow2 {
-            (((chip as u64) << self.chip_shift)
-                | ((block as u64) << self.block_shift)
-                | page as u64) as u32
-        } else {
-            (chip as u64 * self.pages_per_chip
-                + block as u64 * self.pages_per_block
-                + page as u64) as u32
-        }
+        ((chip as u32) << self.chip_shift) | (block << self.block_shift) | u32::from(page)
     }
 
     #[inline]
     fn chip_of_ppn(&self, ppn: u32) -> usize {
-        if self.geom_pow2 {
-            (ppn as u64 >> self.chip_shift) as usize
-        } else {
-            (ppn as u64 / self.pages_per_chip) as usize
-        }
+        (ppn >> self.chip_shift) as usize
     }
 
     #[inline]
     fn block_page_of_ppn(&self, ppn: u32) -> (u32, u16) {
-        if self.geom_pow2 {
-            let within = ppn as u64 & self.chip_mask;
-            ((within >> self.block_shift) as u32, (within & self.block_mask) as u16)
-        } else {
-            let within = ppn as u64 % self.pages_per_chip;
-            (
-                (within / self.pages_per_block) as u32,
-                (within % self.pages_per_block) as u16,
-            )
-        }
+        let within = ppn & ((1 << self.chip_shift) - 1);
+        (within >> self.block_shift, (within & ((1 << self.block_shift) - 1)) as u16)
     }
 
     /// Invalidate the physical page `ppn` (which must be valid). Leaves
@@ -433,24 +420,6 @@ impl Ftl {
         Some((block, page))
     }
 
-    /// Allocate a physical page on `chip` and record the `lpn` mapping, or
-    /// `None` if the chip is out of space even after GC had its chance.
-    fn try_allocate_mapped(&mut self, chip: usize, lpn: Lpn) -> Option<(u32, u16)> {
-        let (block, page) = self.try_allocate_raw(chip)?;
-        let ppn = self.ppn_of(chip, block, page);
-        self.l2p.set(lpn as usize, ppn);
-        self.chips[chip].blocks.set_lpn(block, page, lpn as u32);
-        Some((block, page))
-    }
-
-    /// Allocate a physical page on `chip` and record the `lpn` mapping.
-    /// Panics if the chip is out of space even after GC had its chance —
-    /// that means the live data set exceeds physical capacity.
-    fn allocate_mapped(&mut self, chip: usize, lpn: Lpn) -> (u32, u16) {
-        self.try_allocate_mapped(chip, lpn)
-            .expect("flash chip out of space: live data exceeds physical capacity")
-    }
-
     /// The free-block count GC defends on `chip`. Identical to
     /// [`SsdConfig::gc_free_blocks_floor`] until blocks retire; afterwards
     /// the threshold applies to the *usable* (non-bad) block count, so a
@@ -476,46 +445,20 @@ impl Ftl {
     }
 
     /// One greedy GC round on `chip`: migrate the victim's valid pages
-    /// within the chip, then erase it. Returns `false` if no victim exists.
+    /// within the chip, then erase it. Returns `false` if no victim exists
+    /// or the chip ran out of space mid-migration.
     fn gc_once(&mut self, chip: usize, at: u64, tl: &mut FlashTimeline) -> bool {
-        let victim = {
-            let domain = &mut self.chips[chip];
-            match domain.picker.pick(&domain.blocks) {
-                Some(b) => b,
-                None => return false,
-            }
+        let domain = &mut self.chips[chip];
+        let Some(victim) = domain.picker.pick(&domain.blocks) else {
+            return false;
         };
-        // Collect the victim's valid pages before mutating anything.
-        let valid_bitmap = self.chips[chip].blocks.meta(victim).valid;
-        let pages_per_block = self.cfg.pages_per_block as u16;
-        let mut round_busy_ns = 0u128;
-        for page in 0..pages_per_block {
-            if valid_bitmap & (1u64 << page) == 0 {
-                continue;
-            }
-            let lpn = self.chips[chip].blocks.lpn(victim, page);
-            debug_assert_ne!(lpn, UNMAPPED, "valid page without reverse mapping");
-            // Allocate the destination before dropping the source, so an
-            // exhausted chip degrades without losing the page.
-            let Some((nb, np)) = self.try_allocate_raw(chip) else {
-                if self.faults.is_inert() {
-                    panic!("flash chip out of space: live data exceeds physical capacity");
-                }
-                self.health = Health::ReadOnly;
-                return false;
-            };
-            let rd = tl.read(&self.cfg, chip, at, Origin::Gc);
-            round_busy_ns += (rd.end_ns - rd.start_ns) as u128;
-            let blocks = &mut self.chips[chip].blocks;
-            blocks.invalidate(victim, page);
-            blocks.set_lpn(nb, np, lpn);
-            self.l2p.set(lpn as usize, self.ppn_of(chip, nb, np));
-            let pr = tl.program(&self.cfg, chip, at, Origin::Gc);
-            round_busy_ns += (pr.end_ns - pr.start_ns) as u128;
-            self.stats.gc_migrated_pages += 1;
+        let moved = self.migrate(chip, victim, at, tl);
+        self.stats.gc_migrated_pages += moved.pages;
+        if !moved.emptied {
+            return false;
         }
         let er = tl.erase(&self.cfg, chip, at);
-        round_busy_ns += (er.end_ns - er.start_ns) as u128;
+        let round_busy_ns = moved.busy_ns + (er.end_ns - er.start_ns) as u128;
         self.obs.gc_busy_ns += round_busy_ns;
         self.obs.gc_max_pause_ns = self.obs.gc_max_pause_ns.max(round_busy_ns as u64);
         if self.faults.erase_fails() {
@@ -536,38 +479,57 @@ impl Ftl {
     }
 
     /// Migrate every remaining valid page off `block` (within the chip),
-    /// then mark the block bad. Migration traffic is charged to the
-    /// timelines as GC-origin reads/programs; it is exempt from further
-    /// fault checks so failure handling cannot recurse. If the chip runs
-    /// out of space mid-migration the block is *not* retired: its
-    /// unmigrated pages stay where they are (still readable) and the
-    /// device degrades instead of losing data.
+    /// then mark the block bad. If the chip runs out of space
+    /// mid-migration the block is *not* retired: its unmigrated pages stay
+    /// where they are (still readable) and the device degrades instead of
+    /// losing data.
     fn retire_block(&mut self, chip: usize, block: u32, at: u64, tl: &mut FlashTimeline) {
         // Stop allocating from the failing block before rewriting onto it.
         self.chips[chip].blocks.close_active(block);
-        let valid_bitmap = self.chips[chip].blocks.meta(block).valid;
-        for page in 0..self.cfg.pages_per_block as u16 {
-            if valid_bitmap & (1u64 << page) == 0 {
-                continue;
-            }
+        let moved = self.migrate(chip, block, at, tl);
+        self.fstats.remapped_pages += moved.pages;
+        if moved.emptied {
+            self.chips[chip].blocks.retire(block);
+            self.fstats.retired_blocks += 1;
+            self.refresh_health();
+        }
+    }
+
+    /// Move every valid page of `block` to a fresh page on the same chip,
+    /// in page order, charging each to the timelines as a GC-origin read
+    /// and program. Migration traffic is exempt from fault checks, so
+    /// failure handling cannot recurse. Each destination is allocated
+    /// before its source is dropped: a chip that runs out of space
+    /// mid-move keeps every page mapped and the device turns read-only (a
+    /// zero-fault device cannot run out, so there it is a panic: live data
+    /// exceeds physical capacity).
+    fn migrate(&mut self, chip: usize, block: u32, at: u64, tl: &mut FlashTimeline) -> Migration {
+        let mut moved = Migration { pages: 0, busy_ns: 0, emptied: false };
+        let mut valid = self.chips[chip].blocks.meta(block).valid;
+        while valid != 0 {
+            let page = valid.trailing_zeros() as u16;
+            valid &= valid - 1;
             let lpn = self.chips[chip].blocks.lpn(block, page);
-            debug_assert_ne!(lpn, UNMAPPED, "valid page without reverse mapping");
             let Some((nb, np)) = self.try_allocate_raw(chip) else {
+                assert!(
+                    !self.faults.is_inert(),
+                    "flash chip out of space: live data exceeds physical capacity"
+                );
                 self.health = Health::ReadOnly;
-                return;
+                return moved;
             };
-            tl.read(&self.cfg, chip, at, Origin::Gc);
-            // New copy is safe; move the mapping and drop the old page.
+            let rd = tl.read(&self.cfg, chip, at, Origin::Gc);
             let blocks = &mut self.chips[chip].blocks;
             blocks.invalidate(block, page);
             blocks.set_lpn(nb, np, lpn);
-            self.l2p.set(lpn as usize, self.ppn_of(chip, nb, np));
-            tl.program(&self.cfg, chip, at, Origin::Gc);
-            self.fstats.remapped_pages += 1;
+            let old = self.l2p.replace(lpn as usize, self.ppn_of(chip, nb, np));
+            debug_assert_eq!(old, self.ppn_of(chip, block, page), "valid page without mapping");
+            let pr = tl.program(&self.cfg, chip, at, Origin::Gc);
+            moved.busy_ns += u128::from(rd.end_ns - rd.start_ns + pr.end_ns - pr.start_ns);
+            moved.pages += 1;
         }
-        self.chips[chip].blocks.retire(block);
-        self.fstats.retired_blocks += 1;
-        self.refresh_health();
+        moved.emptied = true;
+        moved
     }
 
     /// Enter read-only mode when any chip's free blocks fall below the
@@ -585,95 +547,82 @@ impl Ftl {
         }
     }
 
-    /// Program one host/flush page on `chip` at `at` under a live fault
-    /// model (the zero-fault path is [`Ftl::program_one_batched`]).
-    /// Returns completion ns.
-    fn program_one(&mut self, chip: usize, lpn: Lpn, at: u64, tl: &mut FlashTimeline) -> u64 {
+    /// Program one host/flush page of a batch on `chip` at `at`. Returns
+    /// completion ns, or `at` when the chip is out of space and the page
+    /// is rejected.
+    ///
+    /// Write-then-invalidate, like a real FTL: the old copy stays mapped
+    /// until the new program has succeeded, so a failed or rejected write
+    /// never loses the previous version. A program failure charges the
+    /// attempt to the timeline, drops the dead (never-mapped) page,
+    /// retires its block — migrating the block's valid pages, possibly
+    /// including the old copy of this very LPN — and tries again.
+    ///
+    /// The GC check before the program is skipped while this batch has
+    /// already established that the chip's free-block count sits at/above
+    /// the floor and nothing has moved either since. This is exact: between
+    /// two programs on a chip, `free_count` only changes when an allocation
+    /// opens a fresh block or a retirement migrates pages (GC runs to
+    /// completion inside `maybe_gc`; invalidations never free blocks), and
+    /// the floor itself only changes when a block retires. Each of those
+    /// re-arms the check, so a skipped `maybe_gc` is provably a no-op and
+    /// the GC runs, golden counters and response times are those of a
+    /// check before every page.
+    #[inline]
+    fn program_page(&mut self, chip: usize, lpn: Lpn, at: u64, tl: &mut FlashTimeline) -> u64 {
         assert!(lpn < self.logical_pages(), "LPN {lpn} beyond device");
-        self.maybe_gc(chip, at, tl);
-        // Keep the old copy mapped until the new program has succeeded
-        // (write-then-invalidate, like a real FTL) so a failed or rejected
-        // write never loses the previous version.
         loop {
+            if !self.gc_checked[chip] {
+                self.maybe_gc(chip, at, tl);
+                // Only mark the chip safe when it ended above the floor;
+                // under space pressure (free below floor with no
+                // reclaimable victim) every program re-checks, because
+                // later invalidations of this very batch can mint a victim.
+                self.gc_checked[chip] = self.chips[chip].blocks.free_count() >= self.gc_floor(chip);
+            }
+            let free_before = self.chips[chip].blocks.free_count();
             let Some((block, page)) = self.try_allocate_raw(chip) else {
                 // Out of space while faults are live: retirements may have
                 // eaten the overprovisioning GC needs, so this is a device
                 // failure, not a configuration error.
+                assert!(
+                    !self.faults.is_inert(),
+                    "flash chip out of space: live data exceeds physical capacity"
+                );
                 self.health = Health::ReadOnly;
                 self.fstats.rejected_write_pages += 1;
                 return at;
             };
+            if self.chips[chip].blocks.free_count() != free_before {
+                // The allocation opened a fresh block: GC gets its usual
+                // look before the next program on this chip.
+                self.gc_checked[chip] = false;
+            }
             let done = tl.program(&self.cfg, chip, at, Origin::User).end_ns;
             if !self.faults.program_fails() {
                 // Commit: map the new page, then invalidate the old copy.
-                let old = self.l2p.get(lpn as usize);
-                self.l2p.set(lpn as usize, self.ppn_of(chip, block, page));
                 self.chips[chip].blocks.set_lpn(block, page, lpn as u32);
+                let old = self.l2p.replace(lpn as usize, self.ppn_of(chip, block, page));
                 if old != UNMAPPED {
                     self.invalidate_ppn(old);
                 }
                 return done;
             }
-            // Program failure: the attempt was charged to the timeline but
-            // the data never landed. Drop the dead (never-mapped) page,
-            // retire the block — migrating its valid pages, possibly
-            // including the old copy of this very LPN — and try elsewhere.
             self.fstats.program_failures += 1;
             self.chips[chip].blocks.invalidate(block, page);
             self.retire_block(chip, block, at, tl);
-            self.maybe_gc(chip, at, tl);
-        }
-    }
-
-    /// Program one host/flush page of a batch on `chip` at `at` with no
-    /// fault model: invalidate the old copy, map a fresh page (overwriting
-    /// the old forward entry), program it.
-    /// Returns completion ns. The GC check before the program is skipped
-    /// while this batch has already established that the chip's free-block
-    /// count sits at/above the floor and nothing has moved it since.
-    ///
-    /// Exactness: between two programs on a chip, `free_count` only changes
-    /// when an allocation opens a fresh block (GC runs to completion inside
-    /// `maybe_gc`; invalidations never free blocks), and the floor itself
-    /// only changes when a block retires (impossible without faults). So
-    /// when the post-check state was `free >= floor` and `free_count` is
-    /// unchanged, `maybe_gc` is provably a no-op and skipping it cannot
-    /// alter which GC runs happen or when — the pinned golden counters and
-    /// response times are those of a GC check before every page.
-    #[inline]
-    fn program_one_batched(&mut self, chip: usize, lpn: Lpn, at: u64, tl: &mut FlashTimeline) -> u64 {
-        assert!(lpn < self.logical_pages(), "LPN {lpn} beyond device");
-        if !self.gc_checked[chip] {
-            self.maybe_gc(chip, at, tl);
-            // Only mark the chip safe when it ended above the floor; under
-            // space pressure (free below floor with no reclaimable victim)
-            // the unbatched path re-checks before every program — later
-            // invalidations of this very batch can mint a victim — so the
-            // batched path must re-check too.
-            self.gc_checked[chip] = self.chips[chip].blocks.free_count() >= self.gc_floor(chip);
-        }
-        let old = self.l2p.get(lpn as usize);
-        if old != UNMAPPED {
-            self.invalidate_ppn(old);
-        }
-        let free_before = self.chips[chip].blocks.free_count();
-        self.allocate_mapped(chip, lpn);
-        if self.chips[chip].blocks.free_count() != free_before {
-            // The allocation opened a fresh block: GC gets its usual look
-            // before the next program on this chip.
             self.gc_checked[chip] = false;
         }
-        tl.program(&self.cfg, chip, at, Origin::User).end_ns
     }
 
     /// Flush a batch of pages at `at` with the given placement policy.
     /// Returns the completion time of the slowest page (the batch finish).
     ///
-    /// On the zero-fault path the batch is walked with per-chip GC state
-    /// hoisted out of the page loop (`program_one_batched`); the
-    /// timeline operations themselves stay strictly in per-page order —
-    /// reordering them per chip would change channel-bus interleaving and
-    /// with it every completion time (see DESIGN.md).
+    /// The batch is walked with per-chip GC state hoisted out of the page
+    /// loop (`Ftl::program_page`); the timeline operations themselves
+    /// stay strictly in per-page order — reordering them per chip would
+    /// change channel-bus interleaving and with it every completion time
+    /// (see DESIGN.md).
     pub fn write_pages(
         &mut self,
         lpns: &[Lpn],
@@ -696,7 +645,7 @@ impl Ftl {
         // the old physical page's block metadata. Two passes warm both
         // levels — the second pass re-reads `l2p` (now L1-resident) to
         // issue the dependent block-meta prefetches early. Neither pass
-        // panics on an out-of-range LPN: the per-page assert below does.
+        // panics on an out-of-range LPN: the per-page assert does.
         for &lpn in lpns {
             self.l2p.prefetch(lpn as usize);
         }
@@ -711,8 +660,8 @@ impl Ftl {
         let chips = self.chips.len();
         let mut done = at;
         match placement {
-            Placement::Striped if self.faults.is_inert() => {
-                self.gc_checked.iter_mut().for_each(|c| *c = false);
+            Placement::Striped => {
+                self.gc_checked.fill(false);
                 let mut cursor = self.cursor;
                 for &lpn in lpns {
                     let chip = cursor;
@@ -720,29 +669,16 @@ impl Ftl {
                     if cursor == chips {
                         cursor = 0;
                     }
-                    done = done.max(self.program_one_batched(chip, lpn, at, tl));
+                    done = done.max(self.program_page(chip, lpn, at, tl));
                 }
                 self.cursor = cursor;
             }
-            Placement::Striped => {
-                for &lpn in lpns {
-                    let chip = self.cursor;
-                    self.cursor = (self.cursor + 1) % chips;
-                    done = done.max(self.program_one(chip, lpn, at, tl));
-                }
-            }
             Placement::SingleBlock => {
                 let chip = self.cursor;
-                self.cursor = (self.cursor + 1) % chips;
-                if self.faults.is_inert() {
-                    self.gc_checked[chip] = false;
-                    for &lpn in lpns {
-                        done = done.max(self.program_one_batched(chip, lpn, at, tl));
-                    }
-                } else {
-                    for &lpn in lpns {
-                        done = done.max(self.program_one(chip, lpn, at, tl));
-                    }
+                self.cursor = (chip + 1) % chips;
+                self.gc_checked[chip] = false;
+                for &lpn in lpns {
+                    done = done.max(self.program_page(chip, lpn, at, tl));
                 }
             }
         }
@@ -834,7 +770,12 @@ impl Ftl {
     /// * every valid page's reverse entry maps forward to that page;
     /// * each block's valid count equals its live forward mappings;
     /// * free, active, full and bad blocks partition each chip and agree
-    ///   with its free count ([`ChipBlocks::check_consistency`]).
+    ///   with its free count ([`ChipBlocks::check_consistency`]);
+    /// * while the device is healthy, every full block with invalid pages
+    ///   has a GC picker entry at its current invalid count, so greedy GC
+    ///   can reach it. (A migration that runs out of space leaves its
+    ///   block without one, but it also turns the device read-only, and
+    ///   [`Ftl::write_pages`] rejects every later batch.)
     ///
     /// Walks the materialized forward-map leaves and the allocated blocks
     /// only, so it stays cheap at paper geometry. Tests only.
@@ -846,11 +787,11 @@ impl Ftl {
             .map(|c| vec![0; c.blocks.allocated_watermark() as usize])
             .collect();
         for (lpn, ppn) in self.l2p.mapped() {
-            if lpn as u64 >= self.logical_pages() || ppn as u64 >= self.cfg.total_pages() {
-                return Err(format!("lpn {lpn} -> ppn {ppn} outside the device"));
-            }
             let chip = self.chip_of_ppn(ppn);
             let (block, page) = self.block_page_of_ppn(ppn);
+            if lpn as u64 >= self.logical_pages() || chip >= self.chips.len() {
+                return Err(format!("lpn {lpn} -> ppn {ppn} outside the device"));
+            }
             let blocks = &self.chips[chip].blocks;
             let Some(count) = live[chip].get_mut(block as usize) else {
                 return Err(format!("lpn {lpn} maps to unallocated block {block} of chip {chip}"));
@@ -866,8 +807,26 @@ impl Ftl {
         for (chip, (domain, per_block)) in self.chips.iter().zip(&live).enumerate() {
             let blocks = &domain.blocks;
             blocks.check_consistency().map_err(|e| format!("chip {chip}: {e}"))?;
+            let mut noted = vec![false; per_block.len()];
+            for (block, count) in domain.picker.entries() {
+                if let Some(slot) = noted.get_mut(block as usize) {
+                    *slot |= blocks.meta(block).invalid_count() == count;
+                }
+            }
             for (block, &mapped) in (0..).zip(per_block) {
-                let mut valid = blocks.meta(block).valid;
+                let meta = blocks.meta(block);
+                if self.health == Health::Healthy
+                    && meta.state == BlockState::Full
+                    && meta.invalid_count() > 0
+                    && !noted[block as usize]
+                {
+                    return Err(format!(
+                        "chip {chip} block {block}: full with {} invalid pages \
+                         but no GC entry at that count",
+                        meta.invalid_count()
+                    ));
+                }
+                let mut valid = meta.valid;
                 if valid.count_ones() != mapped {
                     return Err(format!(
                         "chip {chip} block {block}: {} valid pages but {mapped} live mappings",
@@ -898,6 +857,52 @@ mod tests {
     fn setup() -> (Ftl, FlashTimeline, SsdConfig) {
         let cfg = SsdConfig::tiny();
         (Ftl::new(&cfg), FlashTimeline::new(&cfg), cfg)
+    }
+
+    /// 2 chips x 23 blocks x 6 pages: neither the block count nor the
+    /// pages per block is a power of two.
+    fn ragged() -> SsdConfig {
+        SsdConfig { pages_per_block: 6, capacity_bytes: 2 * 23 * 6 * 4096, ..SsdConfig::tiny() }
+    }
+
+    #[test]
+    fn ppn_fields_round_trip() {
+        let cfg = ragged();
+        let ftl = Ftl::new(&cfg);
+        for chip in 0..cfg.total_chips() {
+            for block in 0..cfg.blocks_per_chip() as u32 {
+                for page in 0..cfg.pages_per_block as u16 {
+                    let ppn = ftl.ppn_of(chip, block, page);
+                    assert_ne!(ppn, UNMAPPED);
+                    assert_eq!(ftl.chip_of_ppn(ppn), chip);
+                    assert_eq!(ftl.block_page_of_ppn(ppn), (block, page));
+                }
+            }
+        }
+        // On the paper device every field is a power of two, so the
+        // layout is dense: its last page is PPN `total_pages - 1`.
+        let cfg = SsdConfig::paper();
+        let ftl = Ftl::new(&cfg);
+        let (chip, block, page) = (cfg.total_chips() - 1, 32_767, 63);
+        let last = ftl.ppn_of(chip, block, page);
+        assert_eq!(u64::from(last), cfg.total_pages() - 1);
+        assert_eq!(ftl.chip_of_ppn(last), chip);
+        assert_eq!(ftl.block_page_of_ppn(last), (block, page));
+    }
+
+    #[test]
+    #[should_panic(expected = "drive too large")]
+    fn padded_ppn_space_must_fit_u32() {
+        // 2^31 + 128 pages fit a u32, but 2^24 + 1 blocks pad to 2^25, so
+        // the padded space holds 2 x 2^25 x 64 = 2^32 page numbers.
+        let blocks = (1u64 << 24) + 1;
+        let cfg = SsdConfig {
+            pages_per_block: 64,
+            capacity_bytes: 2 * blocks * 64 * 4096,
+            ..SsdConfig::tiny()
+        };
+        assert!(cfg.total_pages() < u64::from(UNMAPPED));
+        Ftl::new(&cfg);
     }
 
     #[test]

@@ -109,9 +109,10 @@ impl GreedyPicker {
         None
     }
 
-    /// Entries currently buffered (including stale ones); for tests.
-    pub fn pending_entries(&self) -> usize {
-        self.buckets.iter().map(Vec::len).sum()
+    /// Every buffered `(block, invalid count)` entry, stale ones included;
+    /// for tests and consistency checks.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        (0..).zip(&self.buckets).flat_map(|(count, bucket)| bucket.iter().map(move |&b| (b, count)))
     }
 }
 
@@ -187,7 +188,7 @@ mod tests {
         assert_eq!(p.pick(&cb), Some(b));
         // The (1, b) entry is now stale (count mismatch) and must be skipped.
         assert_eq!(p.pick(&cb), None);
-        assert_eq!(p.pending_entries(), 0);
+        assert_eq!(p.entries().count(), 0);
     }
 
     #[test]

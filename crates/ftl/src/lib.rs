@@ -14,10 +14,14 @@
 //!   ratios).
 //! * [`blocks`] — per-chip block state: free lists, append points, per-block
 //!   valid bitmaps (`u64`, hence the 64 pages/block limit), erase counts.
-//! * [`gc`] — greedy victim selection via a lazy max-heap keyed on invalid
-//!   page count; GC migrates valid pages within the chip and erases the
-//!   victim, charging all of it to the chip's timeline so later host
-//!   operations observe the delay.
+//! * [`gc`] — greedy victim selection via lazy per-count buckets of
+//!   blocks keyed on invalid page count; GC migrates valid pages within
+//!   the chip and erases the victim, charging all of it to the chip's
+//!   timeline so later host operations observe the delay.
+//!
+//! Every flushed page goes through one write-then-invalidate program
+//! routine, fault-injected or not, and GC and block retirement move valid
+//! pages with one migration loop.
 //!
 //! Reliability (see DESIGN.md §9): built with [`Ftl::with_faults`], the FTL
 //! consults a seeded `reqblock_flash::FaultModel` on host reads, host/flush

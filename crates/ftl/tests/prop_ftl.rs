@@ -1,11 +1,12 @@
-//! Property-based tests of the FTL: arbitrary write/read sequences on the
-//! tiny SSD must keep the mapping tables consistent, conserve live data
-//! through GC, and respect the free-block floor; on the paper device they
+//! Property-based tests of the FTL: arbitrary write/read sequences on
+//! small SSDs, with and without fault injection, must keep the mapping
+//! tables consistent, conserve live data through GC and block
+//! retirement, and respect the free-block floor; on the paper device they
 //! must keep both translation directions consistent across leaves and
 //! through a reset.
 
 use proptest::prelude::*;
-use reqblock_flash::{FlashTimeline, SsdConfig};
+use reqblock_flash::{FaultConfig, FlashTimeline, SsdConfig};
 use reqblock_ftl::{Ftl, Placement};
 
 /// (placement, start lpn, batch pages) over a small logical window so
@@ -14,39 +15,62 @@ fn ops() -> impl Strategy<Value = Vec<(bool, u64, u64)>> {
     proptest::collection::vec((any::<bool>(), 0u64..200, 1u64..12), 1..400)
 }
 
+/// Read, program and erase failure rates in ppm, each zero half the time.
+fn faults() -> impl Strategy<Value = FaultConfig> {
+    let ppm = || prop_oneof![Just(0u32), 1u32..50_000];
+    (any::<u64>(), ppm(), ppm(), ppm()).prop_map(|(seed, read, program, erase)| {
+        FaultConfig::with_rates(seed, read, program, erase)
+    })
+}
+
+/// A device and the LPN window the churn writes into: the tiny SSD, or 2
+/// chips x 23 blocks x 6 pages, whose block count and pages per block are
+/// not powers of two.
+fn geometry() -> impl Strategy<Value = (SsdConfig, u64)> {
+    let ragged =
+        SsdConfig { pages_per_block: 6, capacity_bytes: 2 * 23 * 6 * 4096, ..SsdConfig::tiny() };
+    prop_oneof![Just((SsdConfig::tiny(), 200)), Just((ragged, 96))]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn mapping_stays_consistent_under_churn(ops in ops()) {
-        let cfg = SsdConfig::tiny();
-        let mut ftl = Ftl::new(&cfg);
+    fn mapping_stays_consistent_under_churn(ops in ops(), faults in faults(), geometry in geometry()) {
+        let (cfg, window) = geometry;
+        let mut ftl = Ftl::with_faults(&cfg, faults);
         let mut tl = FlashTimeline::new(&cfg);
         let mut written = std::collections::HashSet::new();
         let mut at = 0u64;
         for (striped, start, pages) in ops {
             at += 1_000_000;
+            let start = start % window;
             let lpns: Vec<u64> = (start..start + pages).collect();
             let placement = if striped { Placement::Striped } else { Placement::SingleBlock };
             let done = ftl.write_pages(&lpns, at, placement, &mut tl);
             prop_assert!(done >= at);
-            for l in lpns {
-                written.insert(l);
+            written.extend(lpns);
+            ftl.check_consistency().map_err(TestCaseError::fail)?;
+        }
+        let faults = *ftl.fault_stats();
+        if faults.rejected_write_pages == 0 {
+            // Every write landed: program failures and retirements lost
+            // nothing, and every written LPN is mapped.
+            for &l in &written {
+                prop_assert!(ftl.is_mapped(l), "lost mapping for {l}");
             }
+            prop_assert_eq!(ftl.live_pages(), written.len() as u64);
         }
-        // Every written LPN is mapped; every mapping checks out.
-        for &l in &written {
-            prop_assert!(ftl.is_mapped(l), "lost mapping for {l}");
-        }
-        ftl.check_consistency().map_err(TestCaseError::fail)?;
-        prop_assert_eq!(ftl.live_pages(), written.len() as u64);
         // GC (if it ran) never breached physics: erases only of reclaimable
         // blocks, write amplification >= 1.
         prop_assert!(tl.counters().write_amplification() >= 1.0);
-        // Free floor holds unless nothing was reclaimable.
-        let floor = cfg.gc_free_blocks_floor();
-        for free in ftl.free_blocks_per_chip() {
-            prop_assert!(free >= floor.saturating_sub(1) || ftl.stats().gc_runs == 0);
+        // Free floor holds unless nothing was reclaimable or retirements
+        // shrank it.
+        if faults.retired_blocks == 0 {
+            let floor = cfg.gc_free_blocks_floor();
+            for free in ftl.free_blocks_per_chip() {
+                prop_assert!(free >= floor.saturating_sub(1) || ftl.stats().gc_runs == 0);
+            }
         }
     }
 

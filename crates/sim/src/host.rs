@@ -470,17 +470,15 @@ impl Ssd {
         }
     }
 
-    /// Settle one eviction batch: account it, flush it to flash, and
-    /// decide — via the host's flush window — how much of the flush the
-    /// triggering request actually waits for. Clean batches are dropped
-    /// for free; dirty batches pad-read any missing pages (BPLRU) and then
-    /// program every page per the batch's placement. Returns the
-    /// completion time visible to the request plus — when attributing —
-    /// the GC busy time the flush provoked (for the caller's flush-stall
-    /// vs GC-interference split; always 0 otherwise). The stall past
-    /// arrival is attributed to the dedicated flush-wait span so
-    /// buffer-induced stalls stay distinguishable from the device service
-    /// time of the request's own pages.
+    /// Settle one eviction batch: flush it ([`Ssd::flush`]) and decide —
+    /// via the host's flush window — how much of the flush the triggering
+    /// request actually waits for. Returns the completion time visible to
+    /// the request plus — when attributing — the GC busy time the flush
+    /// provoked (for the caller's flush-stall vs GC-interference split;
+    /// always 0 otherwise). The stall past arrival is attributed to the
+    /// dedicated flush-wait span so buffer-induced stalls stay
+    /// distinguishable from the device service time of the request's own
+    /// pages.
     fn settle_flush<R: Recorder + ?Sized>(
         &mut self,
         batch: &EvictionBatch,
@@ -488,21 +486,12 @@ impl Ssd {
         rec: &mut R,
     ) -> (u64, u64) {
         let at = p.at;
-        if !batch.dirty {
-            self.metrics.clean_dropped_pages += batch.lpns.len() as u64;
+        let gc_before = if p.attr_on { self.device.ftl.obs().gc_busy_ns } else { 0 };
+        let Some(ready) = self.flush(batch, at) else {
             return (at, 0);
-        }
-        self.metrics.evictions += 1;
-        self.metrics.evicted_pages += batch.lpns.len() as u64;
-        self.metrics.pad_read_pages += batch.pad_reads.len() as u64;
-        let Device { ftl, timeline, .. } = &mut self.device;
-        let gc_before = if p.attr_on { ftl.obs().gc_busy_ns } else { 0 };
-        let mut ready = at;
-        for &lpn in &batch.pad_reads {
-            ready = ready.max(ftl.read_page(lpn, at, timeline));
-        }
-        ready = ready.max(ftl.write_pages(&batch.lpns, ready, placement_of(batch), timeline));
-        let gc_ns = if p.attr_on { saturate_u64(ftl.obs().gc_busy_ns - gc_before) } else { 0 };
+        };
+        let gc_ns =
+            if p.attr_on { saturate_u64(self.device.ftl.obs().gc_busy_ns - gc_before) } else { 0 };
         let visible = if self.window.capacity() == 0 {
             // Depth 1: the request waits for its own victim flush — the
             // buffered data cannot be overwritten before it is safe on
@@ -523,6 +512,27 @@ impl Ssd {
             }
         }
         (visible, gc_ns)
+    }
+
+    /// Account one eviction batch and write it to flash at `at`: the only
+    /// flush step, shared by request-time evictions and the end-of-trace
+    /// drain. A clean batch is dropped for free (`None`); a dirty one
+    /// pad-reads any missing pages (BPLRU) and then programs every page
+    /// per the batch's placement, returning when the flash work finishes.
+    fn flush(&mut self, batch: &EvictionBatch, at: u64) -> Option<u64> {
+        if !batch.dirty {
+            self.metrics.clean_dropped_pages += batch.lpns.len() as u64;
+            return None;
+        }
+        self.metrics.evictions += 1;
+        self.metrics.evicted_pages += batch.lpns.len() as u64;
+        self.metrics.pad_read_pages += batch.pad_reads.len() as u64;
+        let Device { ftl, timeline, .. } = &mut self.device;
+        let mut ready = at;
+        for &lpn in &batch.pad_reads {
+            ready = ready.max(ftl.read_page(lpn, at, timeline));
+        }
+        Some(ready.max(ftl.write_pages(&batch.lpns, ready, placement_of(batch), timeline)))
     }
 
     /// Complete stage: record the response, take the metadata-overhead
@@ -716,19 +726,15 @@ impl Ssd {
         }
     }
 
-    /// Flush everything still buffered (end-of-trace). The flush traffic is
+    /// Flush everything still buffered (end-of-trace), batch by batch
+    /// through the same flush step as an eviction. The flush traffic is
     /// counted in the flash counters but not in request response times; it
     /// is issued at the run's completion horizon so it lands on the
     /// timelines *after* every request has arrived and been served.
     pub fn drain_cache(&mut self) {
         let at = self.utilization_window_ns();
-        let Device { cache, ftl, timeline } = &mut self.device;
-        for batch in cache.drain() {
-            if batch.dirty {
-                self.metrics.evictions += 1;
-                self.metrics.evicted_pages += batch.lpns.len() as u64;
-                ftl.write_pages(&batch.lpns, at, placement_of(&batch), timeline);
-            }
+        for batch in self.device.cache.drain() {
+            self.flush(&batch, at);
         }
     }
 
@@ -862,7 +868,7 @@ fn attribute_advance(
 mod tests {
     use super::*;
     use crate::config::{PolicyKind, SampleInterval};
-    use reqblock_cache::policies::CflruConfig;
+    use reqblock_cache::policies::{BplruConfig, CflruConfig};
     use reqblock_core::ReqBlockConfig;
     use reqblock_obs::MemoryRecorder;
 
@@ -986,6 +992,36 @@ mod tests {
         ssd.drain_cache();
         assert_eq!(ssd.flash_counters().user_programs, 5);
         assert_eq!(ssd.cache().len_pages(), 0);
+    }
+
+    #[test]
+    fn drain_pads_and_drops_like_an_eviction() {
+        // Padded BPLRU writes back whole logical blocks (8 pages on the
+        // tiny device): the drain pad-reads the 7 pages the buffer lacks,
+        // exactly as evicting the same block does.
+        let padded = PolicyKind::Bplru(BplruConfig { page_padding: true });
+        let mut drained = tiny(padded, 16);
+        drained.submit(&Request::write_pages(0, 0, 1));
+        drained.drain_cache();
+        let mut evicted = tiny(padded, 1);
+        evicted.submit(&Request::write_pages(0, 0, 1));
+        evicted.submit(&Request::write_pages(1_000, 8, 1));
+        for ssd in [&drained, &evicted] {
+            assert_eq!(ssd.metrics().pad_read_pages, 7);
+            assert_eq!(ssd.flash_counters().user_reads, 7);
+            assert_eq!(ssd.flash_counters().user_programs, 8);
+        }
+        // Read-caching CFLRU drains its clean pages as dropped, not lost.
+        let policy = PolicyKind::Cflru(CflruConfig { cache_reads: true, ..CflruConfig::default() });
+        let mut ssd = tiny(policy, 4);
+        ssd.submit(&Request::write_pages(0, 0, 1));
+        for i in 1..4u64 {
+            ssd.submit(&Request::read_pages(i * 1_000_000, i, 1));
+        }
+        ssd.drain_cache();
+        let m = ssd.metrics();
+        assert_eq!((m.evicted_pages, m.clean_dropped_pages), (1, 3));
+        assert_eq!(ssd.flash_counters().user_programs, 1);
     }
 
     #[test]

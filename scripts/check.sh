@@ -5,10 +5,10 @@
 # tests/trace_smoke.rs and the repro CLI error table
 # crates/experiments/tests/cli.rs), one release run of each example at
 # its smallest input (`cargo test` only compiles them; a non-zero exit
-# fails), the pinned digests that `repro run scenarios/smoke.toml` and
-# `repro why` print (the why step also writes trace files and telemetry
-# shards), an explicit release run of tests/fleet.rs (the small-fleet
-# golden plus the streaming
+# fails), the pinned digests that `repro run scenarios/smoke.toml`,
+# `repro why` and `repro --scale 0.01 faults` print (the why step also
+# writes trace files and telemetry shards), an explicit release run of
+# tests/fleet.rs (the small-fleet golden plus the streaming
 # merge-equivalence proptests pinning the loser-tree order and the
 # stream-vs-reference FleetMetrics against the materialize+sort
 # pipeline), the benchmark/ package tests (--locked), clippy and rustdoc with
@@ -80,6 +80,18 @@ if [[ "$WHY_GOT" != "$WHY_WANT" ]]; then
     exit 1
 fi
 echo "why digest ok: $WHY_GOT"
+
+echo "== faults (fault sweep at --scale 0.01 vs pinned digest) =="
+# At this scale the sweep reaches every fault branch of the FTL write
+# path: program and erase failures, rejected writes, read-only.
+FAULTS_WANT="[digest faults 9daa749e8bca803a]"
+FAULTS_GOT=$(./target/release/repro --scale 0.01 --threads 2 --out /tmp/reqblock_faults \
+    faults 2>/dev/null | grep '^\[digest faults ' || true)
+if [[ "$FAULTS_GOT" != "$FAULTS_WANT" ]]; then
+    echo "FAIL: faults digest drifted: got '$FAULTS_GOT', want '$FAULTS_WANT'" >&2
+    exit 1
+fi
+echo "faults digest ok: $FAULTS_GOT"
 
 echo "== scenario list (every scenarios/*.toml validates) =="
 LIST=$(./target/release/repro --list)

@@ -52,6 +52,12 @@ const WHY_DIGEST: u64 = 0xb13fccf1953d9bb8;
 /// (its second, X8b, holds wall-clock cells).
 const X8_DIGEST: u64 = 0xd1b8fda08549d7a0;
 
+/// The `faults` section at `--scale 0.01`, also pinned by scripts/check.sh.
+/// Unlike the `--scale 0.001` run in [`PINNED`], it reaches every fault
+/// branch of the FTL write path: program and erase failures, block
+/// retirement, rejected writes and the read-only end state.
+const FAULTS_DIGEST: u64 = 0x9daa749e8bca803a;
+
 #[test]
 fn run_all_matches_pre_refactor_pinned_digests() {
     let digests = sweep::run_all(&tiny_opts(2)).digests();
@@ -98,6 +104,13 @@ fn why_and_fleet_x8_digests_are_pinned_at_1_and_2_threads() {
         let got = section_digest(&tables[..1]);
         assert_eq!(got, X8_DIGEST, "X8 drifted at {threads} thread(s): got {got:016x}");
     }
+}
+
+#[test]
+fn faults_digest_at_scale_0_01_is_pinned() {
+    let opts = Opts { scale: 0.01, ..tiny_opts(2) };
+    let digests = scenario::run_builtin("faults", &opts).digests();
+    assert_eq!(digests, vec![("faults".to_string(), FAULTS_DIGEST)]);
 }
 
 /// Every committed `scenarios/*.toml` file is an embedded builtin with
