@@ -12,7 +12,7 @@ use reqblock_sim::{
     replay, CacheSizeMb, PolicyKind, RunResult, SampleInterval, SimConfig, TraceSource,
 };
 use reqblock_trace::stats::StatsBuilder;
-use reqblock_trace::{paper_profiles, Request, TraceStats, WorkloadProfile, PAGE_SIZE};
+use reqblock_trace::{paper_profiles, Request, TraceStats, WorkloadProfile};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -96,13 +96,7 @@ impl Opts {
             let source = self.source_for(&profile);
             let TraceSource::MsrFile(path) = &source else { continue };
             let requests = source.requests().map_err(|e| (path.clone(), e.to_string()))?;
-            // Zero-length requests never reach a device (the parser drops
-            // them); saturating keeps a wrapping byte range out of range.
-            let Some(last) =
-                requests.iter().map(|r| r.offset.saturating_add(r.len - 1) / PAGE_SIZE).max()
-            else {
-                continue;
-            };
+            let Some(last) = requests.iter().map(Request::last_lpn).max() else { continue };
             let named = devices.iter().filter(|(name, _)| *name == profile.name);
             for ssd in std::iter::once(&paper).chain(named.map(|(_, ssd)| ssd)) {
                 let pages = ssd.total_pages();

@@ -369,8 +369,9 @@ fn shared_tenants(mix: &TenantMix) -> Vec<SharedTenant> {
         .map(|spec| {
             let base = shared::synthetic(&spec.profile);
             let mut timer = spec.process.timer(spec.seed);
-            let times: Vec<u64> = (0..base.len()).map(|_| timer.next_arrival_ns()).collect();
-            SharedTenant { base, times: times.into() }
+            // Collected over a counted range: one allocation, no copy.
+            let times = (0..base.len()).map(|_| timer.next_arrival_ns()).collect();
+            SharedTenant { base, times }
         })
         .collect()
 }

@@ -75,8 +75,10 @@ impl ArrivalProcess {
     ///
     /// Implemented on [`ArrivalProcess::timer`], so the fleet's per-tenant
     /// arrival schedules, drawn from the same timer, yield bit-identical
-    /// times by construction: there is exactly one sampling loop.
-    pub fn rewrite(&self, trace: &[Request], seed: u64) -> Vec<Request> {
+    /// times by construction: there is exactly one sampling loop. The
+    /// result is collected into `C`; an `Arc<[Request]>` is allocated once
+    /// and written in place.
+    pub fn rewrite<C: FromIterator<Request>>(&self, trace: &[Request], seed: u64) -> C {
         let mut timer = self.timer(seed);
         trace.iter().map(|r| Request { time_ns: timer.next_arrival_ns(), ..*r }).collect()
     }
@@ -211,7 +213,7 @@ mod tests {
     fn rewrite_preserves_everything_but_time() {
         let base = base_trace();
         let p = ArrivalProcess::poisson_rate(50_000.0);
-        let rewritten = p.rewrite(&base, 7);
+        let rewritten: Vec<Request> = p.rewrite(&base, 7);
         assert_eq!(rewritten.len(), base.len());
         for (a, b) in base.iter().zip(&rewritten) {
             assert_eq!(a.op, b.op);
@@ -224,15 +226,16 @@ mod tests {
     fn rewrite_is_deterministic_and_seed_sensitive() {
         let base = base_trace();
         let p = ArrivalProcess::poisson_rate(50_000.0);
-        assert_eq!(p.rewrite(&base, 7), p.rewrite(&base, 7));
-        assert_ne!(p.rewrite(&base, 7), p.rewrite(&base, 8));
+        let rewrite = |seed| -> Vec<Request> { p.rewrite(&base, seed) };
+        assert_eq!(rewrite(7), rewrite(7));
+        assert_ne!(rewrite(7), rewrite(8));
     }
 
     #[test]
     fn arrivals_strictly_advance() {
         let base = base_trace();
         let p = ArrivalProcess::poisson_rate(1_000_000.0);
-        let rewritten = p.rewrite(&base, 3);
+        let rewritten: Vec<Request> = p.rewrite(&base, 3);
         let mut prev = 0;
         for r in &rewritten {
             assert!(r.time_ns > prev, "arrivals must strictly advance");
@@ -245,7 +248,7 @@ mod tests {
         let base: Vec<Request> =
             (0..20_000).map(|i| Request::write_pages(i, i, 1)).collect();
         let p = ArrivalProcess::Poisson { mean_interarrival_ns: 10_000 };
-        let rewritten = p.rewrite(&base, 42);
+        let rewritten: Vec<Request> = p.rewrite(&base, 42);
         let span = rewritten.last().unwrap().time_ns as f64;
         let mean = span / rewritten.len() as f64;
         assert!(
@@ -266,8 +269,8 @@ mod tests {
             peak_to_mean: 8,
         };
         assert_eq!(poisson.offered_rate_per_s(), bursty.offered_rate_per_s());
-        let pr = poisson.rewrite(&base, 9);
-        let br = bursty.rewrite(&base, 9);
+        let pr: Vec<Request> = poisson.rewrite(&base, 9);
+        let br: Vec<Request> = bursty.rewrite(&base, 9);
         let p_mean = pr.last().unwrap().time_ns as f64 / pr.len() as f64;
         let b_mean = br.last().unwrap().time_ns as f64 / br.len() as f64;
         assert!(
@@ -310,7 +313,7 @@ mod tests {
             Request::read_pages(9, 0, 2),
         ];
         let p = ArrivalProcess::Bursty { mean_interarrival_ns: 100, burst_len: 4, peak_to_mean: 4 };
-        let out = p.rewrite(&base, 1);
+        let out: Vec<Request> = p.rewrite(&base, 1);
         assert_eq!(out[0].op, OpType::Write);
         assert_eq!(out[1].op, OpType::Read);
     }

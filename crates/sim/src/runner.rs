@@ -129,7 +129,7 @@ impl TraceSource {
             // rewrite is deterministic in (base, process, seed) and cheap
             // relative to a replay, so it is done per call.
             TraceSource::OpenLoop { base, process, seed } => {
-                process.rewrite(&base.requests()?, *seed).into()
+                process.rewrite(&base.requests()?, *seed)
             }
         })
     }
@@ -431,7 +431,8 @@ mod tests {
         let base = TraceSource::Synthetic(mini_profile());
         let process = crate::load::ArrivalProcess::Poisson { mean_interarrival_ns: 20_000 };
         let source = TraceSource::open_loop(base, process, 11);
-        let direct = process.rewrite(&SyntheticTrace::new(mini_profile()).generate_all(), 11);
+        let direct: Vec<Request> =
+            process.rewrite(&SyntheticTrace::new(mini_profile()).generate_all(), 11);
         let requests = source.requests().unwrap();
         assert_eq!(&requests[..], &direct[..]);
         let via_source = replay(&cfg, requests.iter().copied(), &mut NoopRecorder);

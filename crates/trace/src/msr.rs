@@ -44,8 +44,10 @@ const NS_PER_TICK: u64 = 100;
 
 /// Parse one CSV record (without the newline) into its raw fields.
 ///
-/// Returns `(timestamp_ticks, op, offset, size)`.
-fn parse_line(line: &str, lineno: usize) -> Result<(u64, OpType, u64, u64), ParseError> {
+/// Returns `(timestamp_ticks, op, offset, size)`. A size that does not fit
+/// [`Request::len`]'s `u32`, or a byte range whose last byte
+/// `offset + size - 1` overflows `u64`, is an error.
+fn parse_line(line: &str, lineno: usize) -> Result<(u64, OpType, u64, u32), ParseError> {
     let err = |msg: String| ParseError { line: lineno, message: msg };
     let mut fields = line.split(',');
     let ts: u64 = fields
@@ -76,6 +78,12 @@ fn parse_line(line: &str, lineno: usize) -> Result<(u64, OpType, u64, u64), Pars
         .trim()
         .parse()
         .map_err(|e| err(format!("bad size: {e}")))?;
+    let size = u32::try_from(size).map_err(|_| {
+        err(format!("size {size} is above the {} bytes a request can hold", u32::MAX))
+    })?;
+    if size > 0 && offset.checked_add(u64::from(size) - 1).is_none() {
+        return Err(err(format!("offset {offset} + size {size} wraps past the last u64 byte")));
+    }
     Ok((ts, op, offset, size))
 }
 
@@ -87,10 +95,11 @@ fn parse_line(line: &str, lineno: usize) -> Result<(u64, OpType, u64, u64), Pars
 ///   from 100 ns ticks to nanoseconds.
 ///
 /// A record whose rebased timestamp does not fit in `u64` nanoseconds
-/// (a span of more than `u64::MAX / 100` ticks) is a [`ParseError`] naming
-/// its line.
+/// (a span of more than `u64::MAX / 100` ticks), whose size is above
+/// `u32::MAX` bytes, or whose byte range wraps past `u64::MAX` is a
+/// [`ParseError`] naming its line.
 pub fn parse_reader<R: BufRead>(reader: R) -> Result<Vec<Request>, ParseError> {
-    let mut raw: Vec<(usize, (u64, OpType, u64, u64))> = Vec::new();
+    let mut raw: Vec<(usize, (u64, OpType, u64, u32))> = Vec::new();
     scan_records(reader, |lineno, rec| raw.push((lineno, rec)))?;
     let base = raw.iter().map(|(_, r)| r.0).min().unwrap_or(0);
     raw.into_iter()
@@ -112,7 +121,7 @@ pub fn parse_reader<R: BufRead>(reader: R) -> Result<Vec<Request>, ParseError> {
 /// file order with its 1-based line number.
 fn scan_records<R: BufRead, F>(reader: R, mut f: F) -> Result<(), ParseError>
 where
-    F: FnMut(usize, (u64, OpType, u64, u64)),
+    F: FnMut(usize, (u64, OpType, u64, u32)),
 {
     for (idx, line) in reader.lines().enumerate() {
         let lineno = idx + 1;
@@ -244,6 +253,31 @@ mod tests {
         let max_ticks = u64::MAX / NS_PER_TICK;
         let reqs = parse_str(&format!("{max_ticks},h,0,Read,0,4096\n0,h,0,Read,0,4096\n")).unwrap();
         assert_eq!(reqs[0].time_ns, max_ticks * NS_PER_TICK);
+    }
+
+    #[test]
+    fn size_beyond_u32_names_the_line() {
+        let s = "0,h,0,Read,0,4096\n1,h,0,Write,0,4294967296\n";
+        let err = parse_str(s).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("size 4294967296"), "{err}");
+        // The largest length that fits parses.
+        let reqs = parse_str("0,h,0,Write,0,4294967295\n").unwrap();
+        assert_eq!(reqs[0].len, u32::MAX);
+    }
+
+    #[test]
+    fn wrapping_byte_range_names_the_line() {
+        let s = "0,h,0,Read,0,4096\n128166372003061629,h,0,Read,18446744073709551615,4096,0\n";
+        let err = parse_str(s).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("wraps"), "{err}");
+        // A range that ends on the last byte parses, and so does a
+        // zero-size record there (it is dropped).
+        let last = "0,h,0,Read,18446744073709551615";
+        let reqs = parse_str(&format!("{last},1\n{last},0\n")).unwrap();
+        assert_eq!(reqs.len(), 1);
+        assert_eq!(reqs[0].page_count(), 1);
     }
 
     #[test]

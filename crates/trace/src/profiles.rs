@@ -20,6 +20,7 @@
 //! * `read_*` probabilities shape read locality, which drives the overall
 //!   "Frequent R" column for read-heavy traces.
 
+use crate::request::PAGE_SIZE;
 use serde::{Deserialize, Serialize};
 
 /// All knobs of one synthetic workload. See the module docs for the mapping
@@ -108,6 +109,16 @@ impl WorkloadProfile {
         }
         if self.large_write_min_pages <= self.small_write_max_pages {
             return Err("large writes must be larger than small writes".into());
+        }
+        // No request is longer than the largest large write (small writes
+        // are shorter, checked above), and its bytes must fit `Request::len`.
+        let max_pages = u64::from(u32::MAX) / PAGE_SIZE;
+        if self.large_write_max_pages > max_pages {
+            return Err(format!(
+                "large_write_max_pages {} is above the {max_pages} pages a request's u32 byte \
+                 length holds",
+                self.large_write_max_pages
+            ));
         }
         if self.hot_extents == 0 {
             return Err("hot_extents must be > 0".into());
@@ -395,5 +406,17 @@ mod tests {
         p.read_hot = 0.9;
         p.read_recent_small = 0.9;
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_writes_past_the_u32_length() {
+        let mut p = hm_1();
+        p.large_write_max_pages = 1 << 20;
+        p.streaming_pages = 8 << 20;
+        let err = p.validate().unwrap_err();
+        assert!(err.contains("large_write_max_pages"), "{err}");
+        // The largest whole-page length that fits still validates.
+        p.large_write_max_pages = (1 << 20) - 1;
+        p.validate().unwrap();
     }
 }

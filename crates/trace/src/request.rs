@@ -33,7 +33,11 @@ impl OpType {
 /// One host I/O request.
 ///
 /// `offset` and `len` are in bytes, exactly as they appear in block traces.
-/// `len` must be non-zero for the request to touch any page.
+/// `len` must be non-zero for the request to touch any page, and the last
+/// byte `offset + len - 1` must fit in `u64`: the MSR parser rejects a
+/// record that breaks either bound and the synthetic generator never makes
+/// one. `len` is a `u32` (at most 4 GiB - 1) so a request packs into 24
+/// bytes; every materialized trace is a slice of these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Request {
     /// Arrival time in nanoseconds since trace start.
@@ -43,24 +47,34 @@ pub struct Request {
     /// Starting byte offset on the logical device.
     pub offset: u64,
     /// Length in bytes.
-    pub len: u64,
+    pub len: u32,
 }
 
+// A field that re-pads the record grows every trace copy by a third.
+const _: () = assert!(std::mem::size_of::<Request>() == 24);
+
 impl Request {
-    /// Construct a request. Panics in debug builds if `len == 0`.
+    /// Construct a request.
+    ///
+    /// # Panics
+    /// Panics if `len` does not fit the `u32` length field, and in debug
+    /// builds if `len == 0`.
     #[inline]
     pub fn new(time_ns: u64, op: OpType, offset: u64, len: u64) -> Self {
         debug_assert!(len > 0, "zero-length request");
+        let len = u32::try_from(len).expect("a request's length must fit its u32 byte count");
         Self { time_ns, op, offset, len }
     }
 
-    /// Convenience constructor for a write covering whole pages.
+    /// Convenience constructor for a write covering whole pages. Panics
+    /// like [`Request::new`] beyond 1 048 575 pages.
     #[inline]
     pub fn write_pages(time_ns: u64, start_lpn: Lpn, pages: u64) -> Self {
         Self::new(time_ns, OpType::Write, start_lpn * PAGE_SIZE, pages * PAGE_SIZE)
     }
 
-    /// Convenience constructor for a read covering whole pages.
+    /// Convenience constructor for a read covering whole pages. Panics
+    /// like [`Request::new`] beyond 1 048 575 pages.
     #[inline]
     pub fn read_pages(time_ns: u64, start_lpn: Lpn, pages: u64) -> Self {
         Self::new(time_ns, OpType::Read, start_lpn * PAGE_SIZE, pages * PAGE_SIZE)
@@ -72,6 +86,13 @@ impl Request {
         self.offset / PAGE_SIZE
     }
 
+    /// Last logical page touched by this request: the page holding byte
+    /// `offset + len - 1`. Meaningful only for a non-empty request.
+    #[inline]
+    pub fn last_lpn(&self) -> Lpn {
+        (self.offset + (u64::from(self.len) - 1)) / PAGE_SIZE
+    }
+
     /// Number of logical pages the byte range `[offset, offset+len)` touches.
     ///
     /// A request that straddles a page boundary touches both pages, so this
@@ -81,9 +102,7 @@ impl Request {
         if self.len == 0 {
             return 0;
         }
-        let first = self.offset / PAGE_SIZE;
-        let last = (self.offset + self.len - 1) / PAGE_SIZE;
-        last - first + 1
+        self.last_lpn() - self.start_lpn() + 1
     }
 
     /// Iterator over every logical page number this request touches, in
@@ -149,6 +168,21 @@ mod tests {
         let r = Request { time_ns: 0, op: OpType::Read, offset: 4096, len: 0 };
         assert_eq!(r.page_count(), 0);
         assert_eq!(r.lpns().count(), 0);
+    }
+
+    #[test]
+    fn last_lpn_is_the_page_of_the_last_byte() {
+        let r = Request::new(0, OpType::Write, PAGE_SIZE - 50, 100);
+        assert_eq!(r.last_lpn(), 1);
+        let r = Request::new(0, OpType::Read, u64::MAX - 9, 10);
+        assert_eq!(r.last_lpn(), u64::MAX / PAGE_SIZE);
+        assert_eq!(r.page_count(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "u32 byte count")]
+    fn lengths_past_u32_are_refused() {
+        Request::write_pages(0, 0, 1 << 20);
     }
 
     #[test]

@@ -58,7 +58,7 @@ proptest! {
     /// The MSR writer and parser round-trip arbitrary tick-aligned requests.
     #[test]
     fn msr_roundtrip(reqs in proptest::collection::vec(
-        (0u64..1 << 40, any::<bool>(), 0u64..1 << 35, 1u64..1 << 20),
+        (0u64..1 << 40, any::<bool>(), 0u64..1 << 35, 1u32..1 << 20),
         1..50,
     )) {
         let requests: Vec<Request> = reqs

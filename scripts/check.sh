@@ -11,8 +11,11 @@
 # tests/fleet.rs (the small-fleet golden plus the streaming
 # merge-equivalence proptests pinning the loser-tree order and the
 # stream-vs-reference FleetMetrics against the materialize+sort
-# pipeline), the benchmark/ package tests (--locked), clippy and rustdoc with
-# warnings denied, and the benchmark gates from scripts/bench.sh — the
+# pipeline), an explicit release run of tests/parser_fuzz.rs (where
+# arithmetic wraps, its page-range assertion is what catches an MSR byte
+# range past u64::MAX), the benchmark/ package tests (--locked), clippy
+# and rustdoc with warnings denied, and the benchmark gates from
+# scripts/bench.sh — the
 # hot-path median gates (the <2% no-op recorder overhead check and the
 # <2% attribution-compiled-out check), the small-scale sweep gate
 # (`repro all` pool median wall-clock, >5% median regression fails), and
@@ -104,6 +107,11 @@ echo "scenario list ok: $(($(wc -l <<<"$LIST") - 1)) scenarios"
 
 echo "== fleet golden + streaming merge-equivalence proptests (tests/fleet.rs, release) =="
 cargo test -q --release --test fleet
+
+# Release arithmetic wraps instead of panicking, so only the fuzz's page
+# range assertion catches an MSR byte range that wraps past u64::MAX.
+echo "== parser fuzz (tests/parser_fuzz.rs, release) =="
+cargo test -q --release --test parser_fuzz
 
 echo "== cargo clippy (warnings denied) =="
 cargo clippy --workspace --all-targets -- -D warnings

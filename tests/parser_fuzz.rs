@@ -3,11 +3,14 @@
 //! on top of it (`Scenario::parse`), and the MSR trace CSV reader
 //! (`msr::parse_str`). Arbitrary bytes (lossily decoded to UTF-8) and
 //! token soups shaped like each format must come back as `Ok` or `Err` —
-//! never a panic, in debug or release builds.
+//! never a panic, in debug or release builds. Every request of an `Ok`
+//! MSR parse must also cover a sane page range: release builds wrap on
+//! overflow, so a byte range past `u64::MAX` shows there only as a page
+//! count out of proportion to its length.
 
 use proptest::prelude::*;
 use reqblock_experiments::scenario::{toml, Scenario};
-use reqblock_trace::msr;
+use reqblock_trace::{msr, PAGE_SIZE};
 
 /// Up to `max` arbitrary bytes, lossily decoded (invalid sequences become
 /// U+FFFD).
@@ -51,27 +54,33 @@ fn toml_doc() -> BoxedStrategy<String> {
     proptest::collection::vec(line, 0..12).prop_map(|lines| lines.join("\n")).boxed()
 }
 
-/// Numeric MSR fields: small values, a real filetime, and timestamps at
-/// and just past the `u64::MAX / 100` tick span that overflows
-/// nanoseconds.
-const MSR_NUMBERS: [&str; 9] = [
+/// Numeric MSR fields: small values, a real filetime, timestamps at and
+/// just past the `u64::MAX / 100` tick span that overflows nanoseconds,
+/// and the first size past a request's `u32` length.
+const MSR_NUMBERS: [&str; 10] = [
     "0", "1", "4096", "128166372003061629", "18446744073709551615", "18446744073709551615",
-    "184467440737095516", "-1", "",
+    "184467440737095516", "4294967296", "-1", "",
 ];
 
 /// Op-type fields, mostly valid.
 const MSR_OPS: [&str; 6] = ["Read", "Write", "Read", "Write", "write", "Trim"];
 
 /// MSR CSV: lines of comma-joined `timestamp,host,disk,op,offset,size,rt`
-/// fields drawn per position, some lines truncated.
+/// fields drawn per position, some lines truncated; half the lines are
+/// whole records over `MSR_NUMBERS` alone, so that `Ok` parses often carry
+/// offsets and sizes at the `u64` and `u32` limits.
 fn msr_csv() -> BoxedStrategy<String> {
     let num = || token(&MSR_NUMBERS);
-    let line = (num(), token(&MSR_OPS), num(), num(), 4usize..8).prop_map(
+    let soup = (num(), token(&MSR_OPS), num(), num(), 4usize..8).prop_map(
         |(ts, op, offset, size, n)| {
             [ts.as_str(), "h", "0", op.as_str(), offset.as_str(), size.as_str(), "0"][..n]
                 .join(",")
         },
     );
+    let pick = || (0..MSR_NUMBERS.len()).prop_map(|i| MSR_NUMBERS[i]);
+    let record = (pick(), pick(), pick())
+        .prop_map(|(ts, offset, size)| format!("{ts},h,0,Write,{offset},{size},0"));
+    let line = prop_oneof![soup, record];
     proptest::collection::vec(line, 0..16).prop_map(|lines| lines.join("\n")).boxed()
 }
 
@@ -93,7 +102,12 @@ proptest! {
 
     #[test]
     fn msr_parse_never_panics(bytes in lossy_text(256), text in msr_csv()) {
-        let _ = msr::parse_str(&bytes);
-        let _ = msr::parse_str(&text);
+        for parsed in [msr::parse_str(&bytes), msr::parse_str(&text)] {
+            for r in parsed.iter().flatten() {
+                let pages = r.page_count();
+                let most = u64::from(r.len) / PAGE_SIZE + 2;
+                prop_assert!((1..=most).contains(&pages), "{r:?} covers {pages} pages");
+            }
+        }
     }
 }
