@@ -382,6 +382,32 @@ fn main() -> ExitCode {
         eprintln!("repro: --trace-dir: fleet tenants replay synthetic streams, not trace files");
         return ExitCode::from(2);
     }
+    // Check every trace the command synthesizes at its effective scale
+    // before anything is planned: a scale that makes a profile invalid is a
+    // usage error here, not a generator panic inside the worker pool.
+    let at_scale = |names: &[&str]| names.iter().map(|n| (n.to_string(), 1.0)).collect::<Vec<_>>();
+    let mut synthesized: Vec<(String, f64)> =
+        grids.iter().flat_map(|(sc, _)| sc.trace_scales()).collect();
+    synthesized.extend(match cmd {
+        "table2" | "fig2" | "fig3" | "fig13" | "all" => {
+            reqblock_trace::paper_profiles().into_iter().map(|p| (p.name, 1.0)).collect()
+        }
+        "why" => at_scale(&["ts_0"]),
+        // The three tenants, and the ts_0 mix their rates are calibrated on.
+        "fleet" => at_scale(&["hm_1", "usr_0", "proj_0", "ts_0"]),
+        "telemetry" => at_scale(&[operands.first().map_or("ts_0", String::as_str)]),
+        "export" => at_scale(&[&operands[0]]),
+        _ => Vec::new(),
+    });
+    // `export` synthesizes even when --trace-dir holds a file for its trace.
+    let checked = match cmd {
+        "export" => Opts { trace_dir: None, ..opts.clone() },
+        _ => opts.clone(),
+    };
+    if let Err(e) = checked.check_synthetic(&synthesized) {
+        eprintln!("repro: --scale: {e}");
+        return ExitCode::from(2);
+    }
     let devices: Vec<_> = grids.iter().flat_map(|(sc, _)| sc.pressured_devices(&opts)).collect();
     if let Err((path, e)) = opts.check_trace_dir(&devices) {
         eprintln!("repro: --trace-dir: {}: {e}", path.display());

@@ -11,6 +11,7 @@ use reqblock_obs::telemetry::{summary_rows, to_jsonl};
 use reqblock_sim::{
     replay, CacheSizeMb, PolicyKind, RunResult, SampleInterval, SimConfig, TraceSource,
 };
+use reqblock_trace::profiles::profile_by_name;
 use reqblock_trace::stats::StatsBuilder;
 use reqblock_trace::{paper_profiles, Request, TraceStats, WorkloadProfile};
 use std::collections::HashMap;
@@ -79,6 +80,28 @@ impl Opts {
         self.source_for(profile)
             .requests()
             .unwrap_or_else(|e| panic!("cannot load trace {}: {e}", profile.name))
+    }
+
+    /// Check that every `(workload, scale)` of `uses` that is synthesized
+    /// — the scale relative to [`Opts::scale`], the workload one no
+    /// [`Opts::trace_dir`] file replaces — makes a profile that passes
+    /// [`WorkloadProfile::validate`] at the effective scale, so that no
+    /// generator panics inside the worker pool. Unknown names are skipped
+    /// (the command reports them). Returns the first failure, naming the
+    /// workload, the effective scale and the reason.
+    pub fn check_synthetic(&self, uses: &[(String, f64)]) -> Result<(), String> {
+        for (name, rel_scale) in uses {
+            let Some(profile) = profile_by_name(name) else { continue };
+            let scale = self.scale * rel_scale;
+            if !(scale.is_finite() && scale > 0.0) {
+                return Err(format!("{name} at scale {scale}: not a finite scale above 0"));
+            }
+            let profile = profile.scaled(scale);
+            if let TraceSource::Synthetic(profile) = self.source_for(&profile) {
+                profile.validate().map_err(|e| format!("{name} at scale {scale}: {e}"))?;
+            }
+        }
+        Ok(())
     }
 
     /// Load every `<name>.csv` under [`Opts::trace_dir`] that
@@ -909,6 +932,24 @@ mod trace_dir_tests {
         // The file source loads the exported requests.
         assert_eq!(opts.shared_for(ts0).len(), reqs.len());
         assert!(opts.check_trace_dir(&[]).is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn check_synthetic_names_the_invalid_trace_and_skips_files() {
+        let uses =
+            |rel_scale: f64| vec![("bogus".to_string(), 1.0), ("lun_1".to_string(), rel_scale)];
+        let mut opts = Opts { scale: 1.0, trace_dir: None, ..Opts::default() };
+        assert!(opts.check_synthetic(&uses(2.0)).is_ok());
+        // A scenario's relative scale multiplies --scale.
+        let err = opts.check_synthetic(&uses(3.0)).unwrap_err();
+        assert!(err.starts_with("lun_1 at scale 3: footprint exceeds"), "{err}");
+        // A trace file stands in for lun_1, so its profile is never built.
+        let dir = std::env::temp_dir().join(format!("reqblock_check_synth_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("lun_1.csv"), "").unwrap();
+        opts.trace_dir = Some(dir.clone());
+        assert!(opts.check_synthetic(&uses(3.0)).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -393,6 +393,20 @@ impl Scenario {
             .join(" ")
     }
 
+    /// Every `trace` x `scale` cell of the grid, the scale relative to the
+    /// harness `--scale` (1 when there is no `scale` axis): the input
+    /// [`Opts::check_synthetic`] checks.
+    pub fn trace_scales(&self) -> Vec<(String, f64)> {
+        let Some(AxisValues::Strs(traces)) = self.axis("trace") else {
+            return Vec::new();
+        };
+        let scales = match self.axis("scale") {
+            Some(AxisValues::Floats(v)) => v.clone(),
+            _ => vec![1.0],
+        };
+        traces.iter().flat_map(|t| scales.iter().map(move |&s| (t.clone(), s))).collect()
+    }
+
     /// The flash devices this scenario's `geometry = "pressured"` points
     /// build, one per `trace` x `scale` cell, each with its trace's name
     /// (the input [`Opts::check_trace_dir`] checks trace files against).
@@ -402,22 +416,16 @@ impl Scenario {
             self.axis("geometry"),
             Some(AxisValues::Strs(g)) if g.iter().any(|g| g == "pressured")
         );
-        let (true, Some(AxisValues::Strs(traces))) = (pressured, self.axis("trace")) else {
+        if !pressured {
             return Vec::new();
-        };
-        let scales = match self.axis("scale") {
-            Some(AxisValues::Floats(v)) => v.clone(),
-            _ => vec![1.0],
-        };
-        let mut devices = Vec::new();
-        for trace in traces {
-            for &rel_scale in &scales {
-                let profile =
-                    profile_by_name(trace).expect("validated trace").scaled(opts.scale * rel_scale);
-                devices.push((trace.clone(), pressured_ssd(&profile)));
-            }
         }
-        devices
+        self.trace_scales()
+            .into_iter()
+            .map(|(trace, rel_scale)| {
+                let profile = profile_by_name(&trace).expect("validated trace");
+                (trace, pressured_ssd(&profile.scaled(opts.scale * rel_scale)))
+            })
+            .collect()
     }
 
     /// Jobs the planner will emit: the product of the axis lengths (no

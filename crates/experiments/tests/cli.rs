@@ -34,10 +34,11 @@ fn malformed_invocations_exit_2_naming_the_bad_input() {
     let out = std::env::temp_dir().join(format!("reqblock_cli_{}", std::process::id()));
     std::fs::create_dir_all(&out).unwrap();
     let path = |name: &str| out.join(name).to_str().unwrap().to_string();
-    let (missing_dir, missing_toml, export_to, plain_file, uniform_toml) = (
+    let (missing_dir, missing_toml, export_to, scaled_export, plain_file, uniform_toml) = (
         path("missing"),
         path("missing.toml"),
         path("bogus.csv"),
+        path("ts_0.csv"),
         path("plain"),
         path("uniform.toml"),
     );
@@ -53,11 +54,15 @@ fn malformed_invocations_exit_2_naming_the_bad_input() {
         std::fs::write(file, grid(&output)).unwrap();
     }
 
-    let cases: [(&[&str], &str); 14] = [
+    let cases: [(&[&str], &str); 16] = [
         (&["telemetry", "bogus"], "bogus"),
         (&["--trace-dir", &missing_dir, "table2"], &missing_dir),
         (&["--trace-dir", &plain_file, "table2"], &plain_file),
         (&["export", "bogus", &export_to], "bogus"),
+        // A scale past a profile's limits, for a trace the command
+        // synthesizes (lun_1's footprint outgrows the drive above x2.28).
+        (&["--scale", "3", "table2"], "lun_1 at scale 3: footprint"),
+        (&["--scale", "30", "export", "ts_0", &scaled_export], "ts_0 at scale 30: footprint"),
         (&["--depths", "0", "qdepth"], "--depths"),
         (&["run", &missing_toml], &missing_toml),
         (&["frobnicate"], "frobnicate"),
@@ -74,7 +79,9 @@ fn malformed_invocations_exit_2_naming_the_bad_input() {
     for (args, names) in cases {
         rejects(&out, args, names);
     }
-    assert!(!Path::new(&export_to).exists(), "a rejected export writes nothing");
+    for path in [&export_to, &scaled_export] {
+        assert!(!Path::new(path).exists(), "a rejected export writes nothing");
+    }
     let _ = std::fs::remove_dir_all(&out);
 }
 

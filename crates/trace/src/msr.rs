@@ -21,6 +21,7 @@
 use crate::request::{OpType, Request};
 use std::fmt;
 use std::io::BufRead;
+use std::sync::Arc;
 
 /// Error produced while parsing an MSR trace line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,12 +43,10 @@ impl std::error::Error for ParseError {}
 /// Number of nanoseconds per Windows filetime tick.
 const NS_PER_TICK: u64 = 100;
 
-/// Parse one CSV record (without the newline) into its raw fields.
-///
-/// Returns `(timestamp_ticks, op, offset, size)`. A size that does not fit
-/// [`Request::len`]'s `u32`, or a byte range whose last byte
-/// `offset + size - 1` overflows `u64`, is an error.
-fn parse_line(line: &str, lineno: usize) -> Result<(u64, OpType, u64, u32), ParseError> {
+/// Parse one CSV record (without the newline) into its raw fields. A size
+/// that does not fit [`Request::len`]'s `u32`, or a byte range whose last
+/// byte `offset + size - 1` overflows `u64`, is an error.
+fn parse_line(line: &str, lineno: usize) -> Result<RawRecord, ParseError> {
     let err = |msg: String| ParseError { line: lineno, message: msg };
     let mut fields = line.split(',');
     let ts: u64 = fields
@@ -87,74 +86,129 @@ fn parse_line(line: &str, lineno: usize) -> Result<(u64, OpType, u64, u32), Pars
     Ok((ts, op, offset, size))
 }
 
-/// Parse a whole MSR-format trace from a buffered reader.
+/// The fields of one valid record: `(timestamp_ticks, op, offset, size)`.
+type RawRecord = (u64, OpType, u64, u32);
+
+/// The valid records of an MSR trace in file order, each with its 1-based
+/// line number. Empty lines, lines starting with `#` and zero-size records
+/// are skipped; a malformed line or a read error yields its
+/// [`ParseError`].
+struct Records<R> {
+    lines: std::io::Lines<R>,
+    /// Lines read so far.
+    lineno: usize,
+}
+
+impl<R: BufRead> Records<R> {
+    fn new(reader: R) -> Self {
+        Self { lines: reader.lines(), lineno: 0 }
+    }
+}
+
+impl<R: BufRead> Iterator for Records<R> {
+    type Item = Result<(usize, RawRecord), ParseError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            let line = self.lines.next()?;
+            self.lineno += 1;
+            let lineno = self.lineno;
+            let line = match line {
+                Ok(line) => line,
+                Err(e) => {
+                    let message = format!("I/O error: {e}");
+                    return Some(Err(ParseError { line: lineno, message }));
+                }
+            };
+            let trimmed = line.trim();
+            if trimmed.is_empty() || trimmed.starts_with('#') {
+                continue;
+            }
+            match parse_line(trimmed, lineno) {
+                Ok(rec) if rec.3 == 0 => continue,
+                rec => return Some(rec.map(|rec| (lineno, rec))),
+            }
+        }
+    }
+}
+
+/// Parse a whole MSR-format trace into one shared slice, reading it
+/// twice: `open` yields a fresh reader over the same bytes for each pass.
 ///
 /// * Empty lines and lines starting with `#` are skipped.
 /// * Zero-size requests are dropped (a handful exist in the raw traces).
 /// * Timestamps are rebased so the earliest record is `t = 0` and converted
 ///   from 100 ns ticks to nanoseconds.
 ///
-/// A record whose rebased timestamp does not fit in `u64` nanoseconds
-/// (a span of more than `u64::MAX / 100` ticks), whose size is above
+/// The first pass checks every line, counts the records and finds the
+/// earliest timestamp; the second collects exactly that many requests
+/// straight into the slice, so the trace is never staged or copied. A
+/// record whose rebased timestamp does not fit in `u64` nanoseconds (a
+/// span of more than `u64::MAX / 100` ticks), whose size is above
 /// `u32::MAX` bytes, or whose byte range wraps past `u64::MAX` is a
-/// [`ParseError`] naming its line.
-pub fn parse_reader<R: BufRead>(reader: R) -> Result<Vec<Request>, ParseError> {
-    let mut raw: Vec<(usize, (u64, OpType, u64, u32))> = Vec::new();
-    scan_records(reader, |lineno, rec| raw.push((lineno, rec)))?;
-    let base = raw.iter().map(|(_, r)| r.0).min().unwrap_or(0);
-    raw.into_iter()
-        .map(|(lineno, (ts, op, offset, size))| {
-            let time_ns = (ts - base).checked_mul(NS_PER_TICK).ok_or_else(|| ParseError {
-                line: lineno,
-                message: format!(
-                    "timestamp {ts} is {} ticks after the earliest record; the span overflows \
-                     u64 nanoseconds",
-                    ts - base
-                ),
-            })?;
-            Ok(Request { time_ns, op, offset, len: size })
+/// [`ParseError`] naming its line. So is a second pass that runs out of
+/// records, or meets one earlier than the earliest the first pass saw: the
+/// file changed between the passes.
+fn parse_twice<R: BufRead>(
+    open: impl Fn() -> Result<R, ParseError>,
+) -> Result<Arc<[Request]>, ParseError> {
+    let (mut count, mut base) = (0, u64::MAX);
+    for rec in Records::new(open()?) {
+        let (_, (ts, ..)) = rec?;
+        count += 1;
+        base = base.min(ts);
+    }
+    let mut records = Records::new(open()?);
+    let mut failed = None;
+    // A counted range keeps the length visible to `collect`, which then
+    // allocates the slice once; after an error the remaining slots are
+    // filler, and the slice is dropped.
+    let requests: Arc<[Request]> = (0..count)
+        .map(|_| {
+            if failed.is_none() {
+                match rebased(&mut records, base) {
+                    Ok(req) => return req,
+                    Err(e) => failed = Some(e),
+                }
+            }
+            Request { time_ns: 0, op: OpType::Read, offset: 0, len: 0 }
         })
-        .collect()
+        .collect();
+    failed.map_or(Ok(requests), Err)
 }
 
-/// Scan every valid record of an MSR trace, invoking `f` once per record in
-/// file order with its 1-based line number.
-fn scan_records<R: BufRead, F>(reader: R, mut f: F) -> Result<(), ParseError>
-where
-    F: FnMut(usize, (u64, OpType, u64, u32)),
-{
-    for (idx, line) in reader.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = line.map_err(|e| ParseError {
-            line: lineno,
-            message: format!("I/O error: {e}"),
-        })?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let rec = parse_line(trimmed, lineno)?;
-        if rec.3 == 0 {
-            continue;
-        }
-        f(lineno, rec);
-    }
-    Ok(())
+/// The next record of the second pass as a request whose timestamp is
+/// rebased to `base`, the earliest timestamp of the first pass.
+fn rebased<R: BufRead>(records: &mut Records<R>, base: u64) -> Result<Request, ParseError> {
+    let changed = |line| ParseError { line, message: "the trace changed while it was read".into() };
+    let (lineno, (ts, op, offset, len)) =
+        records.next().unwrap_or_else(|| Err(changed(records.lineno + 1)))?;
+    let span = ts.checked_sub(base).ok_or_else(|| changed(lineno))?;
+    let time_ns = span.checked_mul(NS_PER_TICK).ok_or_else(|| ParseError {
+        line: lineno,
+        message: format!(
+            "timestamp {ts} is {span} ticks after the earliest record; the span overflows u64 \
+             nanoseconds"
+        ),
+    })?;
+    Ok(Request { time_ns, op, offset, len })
 }
 
 /// Parse an MSR-format trace from a string (convenience for tests and small
 /// embedded traces).
-pub fn parse_str(s: &str) -> Result<Vec<Request>, ParseError> {
-    parse_reader(s.as_bytes())
+pub fn parse_str(s: &str) -> Result<Arc<[Request]>, ParseError> {
+    parse_twice(|| Ok(s.as_bytes()))
 }
 
-/// Parse an MSR-format trace file from disk.
-pub fn parse_file(path: &std::path::Path) -> Result<Vec<Request>, ParseError> {
-    let file = std::fs::File::open(path).map_err(|e| ParseError {
-        line: 0,
-        message: format!("cannot open {}: {e}", path.display()),
-    })?;
-    parse_reader(std::io::BufReader::new(file))
+/// Parse an MSR-format trace file from disk, opening it once per pass.
+pub fn parse_file(path: &std::path::Path) -> Result<Arc<[Request]>, ParseError> {
+    parse_twice(|| {
+        let file = std::fs::File::open(path).map_err(|e| ParseError {
+            line: 0,
+            message: format!("cannot open {}: {e}", path.display()),
+        })?;
+        Ok(std::io::BufReader::new(file))
+    })
 }
 
 /// Render requests in the MSR CSV format (hostname/disk filled with
@@ -281,6 +335,25 @@ mod tests {
     }
 
     #[test]
+    fn a_trace_that_changes_between_passes_is_an_error() {
+        // The second pass meets a record earlier than the first pass's
+        // earliest, or runs out of records.
+        for (first, second, line) in [
+            ("5,h,0,Read,0,4096\n", "1,h,0,Read,0,4096\n", 1),
+            ("5,h,0,Read,0,4096\n6,h,0,Read,0,4096\n", "5,h,0,Read,0,4096\n", 2),
+        ] {
+            let passes = std::cell::Cell::new(0);
+            let err = parse_twice(|| {
+                passes.set(passes.get() + 1);
+                Ok(if passes.get() == 1 { first } else { second }.as_bytes())
+            })
+            .unwrap_err();
+            assert_eq!(err.line, line, "{err}");
+            assert!(err.message.contains("changed"), "{err}");
+        }
+    }
+
+    #[test]
     fn empty_input_is_empty_trace() {
         assert!(parse_str("").unwrap().is_empty());
     }
@@ -314,7 +387,7 @@ mod writer_tests {
         assert_eq!(parsed.len(), reqs.len());
         // The parser rebases timestamps to the earliest record.
         let base = reqs.iter().map(|r| r.time_ns).min().unwrap();
-        for (orig, round) in reqs.iter().zip(&parsed) {
+        for (orig, round) in reqs.iter().zip(parsed.iter()) {
             assert_eq!(round.op, orig.op);
             assert_eq!(round.offset, orig.offset);
             assert_eq!(round.len, orig.len);

@@ -125,9 +125,11 @@ pub fn synthetic(profile: &WorkloadProfile) -> Arc<[Request]> {
 
 /// The shared slice for an MSR CSV file, parsing it on first use.
 ///
-/// Parsing happens outside the per-key slot so an I/O or syntax error is
-/// returned to the caller instead of wedging the slot; if two threads race
-/// on a cold file both parse and one result wins (the parse is
+/// [`msr::parse_file`] reads the file twice and collects the second pass
+/// straight into the slice the cache keeps, so loading holds the trace
+/// once. Parsing happens outside the per-key slot so an I/O or syntax error
+/// is returned to the caller instead of wedging the slot; if two threads
+/// race on a cold file both parse and one result wins (the parse is
 /// deterministic, so the loser's copy is identical and simply dropped).
 pub fn msr_file(path: &Path) -> Result<Arc<[Request]>, ParseError> {
     let slot = slot_for(TraceKey::File(path.to_path_buf()));
@@ -135,7 +137,7 @@ pub fn msr_file(path: &Path) -> Result<Arc<[Request]>, ParseError> {
         return Ok(cached.clone());
     }
     let parsed = msr::parse_file(path)?;
-    Ok(slot.get_or_init(|| Arc::from(parsed)).clone())
+    Ok(slot.get_or_init(|| parsed).clone())
 }
 
 #[cfg(test)]

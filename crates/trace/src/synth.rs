@@ -60,7 +60,10 @@ impl Ring {
             self.buf.push(e);
         } else {
             self.buf[self.next] = e;
-            self.next = (self.next + 1) % self.cap;
+            self.next += 1;
+            if self.next == self.cap {
+                self.next = 0;
+            }
         }
     }
 
@@ -81,7 +84,14 @@ impl Ring {
         let idx = if n < self.cap {
             n - 1 - back
         } else {
-            (self.next + self.cap - 1 - back) % self.cap
+            // `back < cap`, so this is below `2 * cap`: one subtraction
+            // wraps it.
+            let idx = self.next + self.cap - 1 - back;
+            if idx >= self.cap {
+                idx - self.cap
+            } else {
+                idx
+            }
         };
         Some(self.buf[idx])
     }
@@ -103,8 +113,12 @@ pub struct SyntheticTrace {
     recent_large: Ring,
     /// Probability a write is small (solved from the target mean size).
     p_small_write: f64,
-    /// Truncated-geometric parameter for small sizes.
-    small_q: f64,
+    /// `ln(1 - q)` of the truncated-geometric small-size law (`q` is
+    /// `1 / small_write_mean_pages`), computed once.
+    small_ln_1mq: f64,
+    /// Address distance between consecutive hot extents (see
+    /// [`SyntheticTrace::hot_stride`]).
+    hot_stride: u64,
     emitted: u64,
     now_ns: u64,
 }
@@ -126,10 +140,8 @@ impl SyntheticTrace {
             let j = rng.gen_range(0..=i);
             perm.swap(i, j);
         }
-        let stream_base = Self::streaming_base_for(&profile);
-        let streams: Vec<u64> = (0..profile.streams)
-            .map(|_| stream_base + rng.gen_range(0..profile.streaming_pages / 2))
-            .collect();
+        let streams: Vec<u64> =
+            (0..profile.streams).map(|_| rng.gen_range(0..profile.streaming_pages / 2)).collect();
         let small_q = 1.0 / profile.small_write_mean_pages;
         let mean_small = truncated_geometric_mean(small_q, profile.small_write_max_pages);
         let mean_large =
@@ -145,36 +157,21 @@ impl SyntheticTrace {
             recent_small: Ring::new(RECENT_SMALL_CAP),
             recent_large: Ring::new(RECENT_LARGE_CAP),
             p_small_write,
-            small_q,
+            small_ln_1mq: (1.0 - small_q).ln(),
+            hot_stride: profile.streaming_pages / profile.hot_extents as u64,
             emitted: 0,
             now_ns: 0,
             profile,
         }
     }
 
-    /// First page of the streaming region. Hot extents live *inside* the
-    /// streaming region (spaced every [`Self::hot_stride`] pages), so this
-    /// is always 0 — kept as a named method for readability at call sites.
-    fn streaming_base_for(_profile: &WorkloadProfile) -> Lpn {
-        0
-    }
-
-    /// First page of this generator's streaming region.
-    pub fn streaming_base(&self) -> Lpn {
-        Self::streaming_base_for(&self.profile)
-    }
-
     /// Address distance between consecutive hot extents. Hot extents are
-    /// embedded in the streamed region so flash blocks mix hot small-write
-    /// pages with cold streamed pages — the unevenness that makes
-    /// block-granularity schemes lose cache utilization (paper §4.2.3 on
-    /// BPLRU/ts_0).
+    /// embedded in the streamed region (which starts at page 0) so flash
+    /// blocks mix hot small-write pages with cold streamed pages — the
+    /// unevenness that makes block-granularity schemes lose cache
+    /// utilization (paper §4.2.3 on BPLRU/ts_0).
     pub fn hot_stride(&self) -> u64 {
-        Self::hot_stride_for(&self.profile)
-    }
-
-    fn hot_stride_for(profile: &WorkloadProfile) -> u64 {
-        profile.streaming_pages / profile.hot_extents as u64
+        self.hot_stride
     }
 
     /// Total logical footprint in pages (streaming region, which embeds the
@@ -203,7 +200,11 @@ impl SyntheticTrace {
     }
 
     fn sample_small_pages(&mut self) -> u64 {
-        sample_truncated_geometric(&mut self.rng, self.small_q, self.profile.small_write_max_pages)
+        sample_truncated_geometric(
+            &mut self.rng,
+            self.small_ln_1mq,
+            self.profile.small_write_max_pages,
+        )
     }
 
     fn sample_large_pages(&mut self) -> u64 {
@@ -219,7 +220,7 @@ impl SyntheticTrace {
         let extent = self.perm[rank] as u64;
         let max_off = EXTENT_PAGES.saturating_sub(pages);
         let off = if max_off == 0 { 0 } else { self.rng.gen_range(0..=max_off) };
-        extent * Self::hot_stride_for(&self.profile) + off
+        extent * self.hot_stride + off
     }
 
     fn next_write(&mut self) -> (Lpn, u64) {
@@ -240,13 +241,12 @@ impl SyntheticTrace {
                 return (e.start, e.pages);
             }
             let pages = self.sample_large_pages();
-            let base = self.streaming_base();
             let region = self.profile.streaming_pages;
             let s = self.rng.gen_range(0..self.streams.len());
             let jump = self.rng.gen::<f64>() < self.profile.p_stream_jump;
             let cursor = self.streams[s];
-            let start = if jump || cursor + pages > base + region {
-                base + self.rng.gen_range(0..region - pages)
+            let start = if jump || cursor + pages > region {
+                self.rng.gen_range(0..region - pages)
             } else {
                 cursor
             };
@@ -342,11 +342,15 @@ pub fn truncated_geometric_mean(q: f64, max: u64) -> f64 {
     mean / norm
 }
 
-/// Sample the truncated geometric distribution on `1..=max`.
-fn sample_truncated_geometric<R: Rng + ?Sized>(rng: &mut R, q: f64, max: u64) -> u64 {
+/// Sample the truncated geometric distribution on `1..=max` whose success
+/// probability `q` gives `ln_1mq = ln(1 - q)`.
+fn sample_truncated_geometric<R: Rng + ?Sized>(rng: &mut R, ln_1mq: f64, max: u64) -> u64 {
     loop {
         let u: f64 = rng.gen();
-        let s = 1 + ((1.0 - u).ln() / (1.0 - q).ln()).floor() as u64;
+        // `x as u64` is `x.floor() as u64` for every f64 `x`: both truncate
+        // a non-negative quotient and saturate a negative one to 0. The
+        // cast alone skips `floor`'s libm call.
+        let s = 1 + ((1.0 - u).ln() / ln_1mq) as u64;
         if s <= max {
             return s;
         }
@@ -488,7 +492,7 @@ mod tests {
     fn truncated_geometric_samples_in_range() {
         let mut rng = SmallRng::seed_from_u64(3);
         for _ in 0..5_000 {
-            let s = sample_truncated_geometric(&mut rng, 0.5, 8);
+            let s = sample_truncated_geometric(&mut rng, 0.5f64.ln(), 8);
             assert!((1..=8).contains(&s));
         }
     }

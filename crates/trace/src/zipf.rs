@@ -6,9 +6,19 @@
 //! the paper's Figure 2/3 analysis measures on the MSR traces.
 //!
 //! The sampler precomputes the cumulative distribution once (`O(n)` memory,
-//! `O(n)` setup) and then draws samples with a binary search (`O(log n)`),
-//! which is both simple and fast enough for the tens of millions of draws a
-//! full trace generation performs.
+//! `O(n)` setup) and inverts it with a guide table, the "indexed search" of
+//! Chen & Asau (*AIIE Transactions* 6(2), 1974): `K`, the smallest power of
+//! two `>= n`, equal buckets split `[0, 1)`, and `guide[j]` is the first rank
+//! whose cdf is `>= j / K`. A draw `u` falls in bucket `j = floor(u * K)`,
+//! and only the ranks `guide[j]..guide[j + 1]` are searched, about one step
+//! on average where a binary search over all `n` ranks takes `log2 n`.
+//!
+//! The table returns exactly the rank the full binary search would. `u` is a
+//! multiple of 2^-53 and `K` a power of two, so `u * K` and `j / K` are exact
+//! and `j / K <= u < (j + 1) / K` holds without rounding. The first rank
+//! whose cdf is `>= u` therefore has a cdf `>= j / K`, so it is no lower than
+//! `guide[j]`; and `cdf[guide[j + 1]] >= (j + 1) / K > u`, so it is no higher
+//! than `guide[j + 1]`. A search confined to that window finds it.
 
 use rand::Rng;
 
@@ -17,15 +27,19 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// `guide[j]`: the first rank whose cdf is `>= j / K`, for `j` in
+    /// `0..=K` (see the module docs).
+    guide: Vec<u32>,
 }
 
 impl Zipf {
     /// Build a sampler over `n` ranks with exponent `s`.
     ///
     /// # Panics
-    /// Panics if `n == 0` or `s` is not finite.
+    /// Panics if `n == 0`, `n` does not fit `u32`, or `s` is not finite.
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf universe must be non-empty");
+        assert!(u32::try_from(n).is_ok(), "Zipf universe must fit u32 ranks");
         assert!(s.is_finite(), "Zipf exponent must be finite");
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0f64;
@@ -41,7 +55,20 @@ impl Zipf {
         if let Some(last) = cdf.last_mut() {
             *last = 1.0;
         }
-        Self { cdf }
+        // One pass: bucket edges and ranks both only grow. `cdf[n - 1]` is
+        // 1.0, no lower than any edge, so the rank never runs off the end.
+        let k = n.next_power_of_two();
+        let mut rank = 0;
+        let guide = (0..=k)
+            .map(|j| {
+                let edge = j as f64 / k as f64;
+                while cdf[rank] < edge {
+                    rank += 1;
+                }
+                rank as u32
+            })
+            .collect();
+        Self { cdf, guide }
     }
 
     /// Number of ranks in the universe.
@@ -54,8 +81,17 @@ impl Zipf {
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
-        // partition_point returns the first index whose cdf >= u.
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
+        self.rank_of(u)
+    }
+
+    /// The first rank whose cdf is `>= u`, searched within `u`'s guide
+    /// bucket only; `u` is a draw in `[0, 1)`.
+    #[inline]
+    fn rank_of(&self, u: f64) -> usize {
+        let buckets = self.guide.len() - 1;
+        let j = (u * buckets as f64) as usize;
+        let (lo, hi) = (self.guide[j] as usize, self.guide[j + 1] as usize);
+        (lo + self.cdf[lo..hi].partition_point(|&c| c < u)).min(self.cdf.len() - 1)
     }
 
     /// Probability mass of rank `k`.
@@ -125,6 +161,30 @@ mod tests {
         let z = Zipf::new(n, 0.0);
         for k in 0..n {
             assert!((z.pmf(k) - 0.1).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn guide_table_matches_the_full_binary_search() {
+        let mut rng = SmallRng::seed_from_u64(0x6A1D);
+        for n in [1, 2, 3, 50, 2_400, 6_000, 45_000] {
+            for s in [0.0, 0.6, 0.8, 1.05, 4.0] {
+                let z = Zipf::new(n, s);
+                let full = |u: f64| z.cdf.partition_point(|&c| c < u).min(n - 1);
+                let k = z.guide.len() - 1;
+                assert!(k.is_power_of_two() && k >= n && k / 2 < n, "n {n}: {k} buckets");
+                let edges: Vec<f64> = (0..=k).map(|j| j as f64 / k as f64).collect();
+                // 0, the largest draw 1 - 2^-53, every cdf value and bucket
+                // edge with both f64 neighbours, and random draws.
+                let mut us = vec![0.0, 1.0 - f64::EPSILON / 2.0];
+                for &x in z.cdf.iter().chain(&edges) {
+                    us.extend([x.next_down(), x, x.next_up()]);
+                }
+                us.extend((0..10_000).map(|_| rng.gen::<f64>()));
+                for u in us.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+                    assert_eq!(z.rank_of(u), full(u), "n {n} s {s} u {u:e}");
+                }
+            }
         }
     }
 

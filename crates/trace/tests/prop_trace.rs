@@ -73,7 +73,7 @@ proptest! {
         let parsed = msr::parse_str(&msr::write_csv(&requests)).unwrap();
         prop_assert_eq!(parsed.len(), requests.len());
         let base = requests.iter().map(|r| r.time_ns).min().unwrap();
-        for (orig, round) in requests.iter().zip(&parsed) {
+        for (orig, round) in requests.iter().zip(parsed.iter()) {
             prop_assert_eq!(round.op, orig.op);
             prop_assert_eq!(round.offset, orig.offset);
             prop_assert_eq!(round.len, orig.len);

@@ -45,7 +45,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let stats = reqblock::trace::stats::compute(&requests);
+    let stats = reqblock::trace::stats::compute(requests.iter());
     println!("parsed {} requests:", stats.requests);
     println!("  write ratio      : {:.1}%", stats.write_ratio * 100.0);
     println!("  mean write size  : {:.1} KB", stats.mean_write_kb);

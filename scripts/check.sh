@@ -13,7 +13,10 @@
 # stream-vs-reference FleetMetrics against the materialize+sort
 # pipeline), an explicit release run of tests/parser_fuzz.rs (where
 # arithmetic wraps, its page-range assertion is what catches an MSR byte
-# range past u64::MAX), the benchmark/ package tests (--locked), clippy
+# range past u64::MAX), an explicit release run of the ignored full-scale
+# trace digests (crates/trace/tests/digests.rs: every paper profile's
+# synthetic trace at x1, 12.7 M requests; the debug workspace step checks
+# x0.05), the benchmark/ package tests (--locked), clippy
 # and rustdoc with warnings denied, and the benchmark gates from
 # scripts/bench.sh — the
 # hot-path median gates (the <2% no-op recorder overhead check and the
@@ -112,6 +115,11 @@ cargo test -q --release --test fleet
 # range assertion catches an MSR byte range that wraps past u64::MAX.
 echo "== parser fuzz (tests/parser_fuzz.rs, release) =="
 cargo test -q --release --test parser_fuzz
+
+# The x1 column of the trace digests is 12.7 M requests, too slow for the
+# debug workspace step above, which checks the x0.05 column.
+echo "== full-scale trace digests (crates/trace/tests/digests.rs, release, --ignored) =="
+cargo test -q --release -p reqblock-trace -- --ignored
 
 echo "== cargo clippy (warnings denied) =="
 cargo clippy --workspace --all-targets -- -D warnings

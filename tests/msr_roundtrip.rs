@@ -37,6 +37,6 @@ fn stats_survive_roundtrip() {
         .collect();
     let before = reqblock::trace::stats::compute(&reqs);
     let parsed = msr::parse_str(&msr::write_csv(&reqs)).unwrap();
-    let after = reqblock::trace::stats::compute(&parsed);
+    let after = reqblock::trace::stats::compute(parsed.iter());
     assert_eq!(before, after);
 }

@@ -103,7 +103,7 @@ proptest! {
     #[test]
     fn msr_parse_never_panics(bytes in lossy_text(256), text in msr_csv()) {
         for parsed in [msr::parse_str(&bytes), msr::parse_str(&text)] {
-            for r in parsed.iter().flatten() {
+            for r in parsed.iter().flat_map(|reqs| reqs.iter()) {
                 let pages = r.page_count();
                 let most = u64::from(r.len) / PAGE_SIZE + 2;
                 prop_assert!((1..=most).contains(&pages), "{r:?} covers {pages} pages");

@@ -56,7 +56,7 @@ fn cached_replay_matches_uncached_regeneration_msr_file() {
     let source = TraceSource::MsrFile(path.clone());
     let cfg = SimConfig::paper(CacheSizeMb::Mb16, PolicyKind::ReqBlock(Default::default()));
     let cached = run_cached(&cfg, &source);
-    let fresh = run_uncached(&cfg, reqblock::trace::msr::parse_file(&path).unwrap());
+    let fresh = run_uncached(&cfg, reqblock::trace::msr::parse_file(&path).unwrap().to_vec());
     assert_eq!(simulated(&cached), simulated(&fresh));
     let _ = std::fs::remove_dir_all(&dir);
 }
