@@ -18,13 +18,13 @@
 //!
 //! ```text
 //! cargo run --release -p reqblock-bench --bin fleet -- \
-//!     [--scale 0.01] [--repeats 3] [--devices 4,16] [--threads N] [--out fleet.json]
+//!     [--scale 0.01] [--repeats 3] [--devices 4,16] [--threads N]
 //! ```
 //!
-//! Without `--out` the JSON goes to stdout. `scripts/bench.sh` wraps this
-//! and gates the within-attempt `fleet_stream`/`fleet_reference` median
-//! devices/s ratio (`FLEET_TOLERANCE`), plus the committed
-//! `BENCH_sweep.json` `fleet_stream` baseline.
+//! The JSON goes to stdout. `scripts/ab.sh` runs this binary for a
+//! revision and for the working tree, and its gate table reads the
+//! within-run `ratio_stream_over_ref` median and the `fleet_stream`
+//! median devices/s.
 //!
 //! [`fleet_placements`]: reqblock_experiments::extensions::fleet_placements
 //! [`FleetMetrics`]: reqblock_sim::FleetMetrics
@@ -99,18 +99,14 @@ fn main() {
     let mut repeats = 3u32;
     let mut threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let mut devices_list: Vec<usize> = vec![4, 16];
-    let mut out: Option<String> = None;
-    let mut cli = Cli::new(
-        "fleet",
-        "[--scale F] [--repeats N] [--devices N1,N2,...] [--threads N] [--out FILE]",
-    );
+    let mut cli =
+        Cli::new("fleet", "[--scale F] [--repeats N] [--devices N1,N2,...] [--threads N]");
     while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
             "--scale" => scale = cli.value("--scale"),
             "--repeats" => repeats = cli.value("--repeats"),
             "--threads" => threads = cli.value("--threads"),
             "--devices" => devices_list = cli.list("--devices"),
-            "--out" => out = Some(cli.value("--out")),
             other => cli.fail(&format!("unknown flag {other:?}")),
         }
     }
@@ -220,8 +216,5 @@ fn main() {
         median(&ref_dps),
         median(&ratios)
     );
-    match out {
-        Some(path) => std::fs::write(&path, json).expect("cannot write bench output"),
-        None => print!("{json}"),
-    }
+    print!("{json}");
 }

@@ -20,11 +20,13 @@
 //!
 //! ```text
 //! cargo run --release -p reqblock-bench --bin hotpath -- \
-//!     [--scale 0.25] [--repeats 3] [--out hotpath.json]
+//!     [--scale 0.25] [--repeats 3]
 //! ```
 //!
-//! Without `--out` the JSON goes to stdout. `scripts/bench.sh` wraps this
-//! and diffs the numbers against the committed `BENCH_hotpath.json`.
+//! The JSON goes to stdout. `scripts/ab.sh` runs this binary for a
+//! revision and for the working tree, and its gate table reads the
+//! `median_requests_per_sec` of `policies`, `queued_policies` and
+//! `attr_noop_policies`.
 
 use reqblock_bench::{median, Cli};
 use reqblock_core::ReqBlockConfig;
@@ -63,7 +65,8 @@ fn policy_name(policy: PolicyKind) -> &'static str {
 /// attribution bookkeeping out of this path entirely. The modes are
 /// interleaved inside every repeat so a load spike on a shared machine
 /// hits all of them the same way — sequential blocks would let background
-/// noise masquerade as (or hide) per-mode overhead.
+/// noise masquerade as (or hide) per-mode overhead — and their order
+/// rotates from repeat to repeat.
 fn measure(
     policy: PolicyKind,
     trace: &[Request],
@@ -93,43 +96,25 @@ fn measure(
         warm.metrics, warm_attr.metrics,
         "attribution config must not change the simulated model"
     );
-    let mut noop_times = Vec::with_capacity(repeats as usize);
-    let mut recording_times = Vec::with_capacity(repeats as usize);
-    let mut queued_times = Vec::with_capacity(repeats as usize);
-    let mut attr_times = Vec::with_capacity(repeats as usize);
-    for _ in 0..repeats {
-        let t0 = Instant::now();
-        let res = run(&cfg);
-        noop_times.push(t0.elapsed().as_secs_f64());
-        assert_eq!(
-            res.metrics, warm.metrics,
-            "replay must be deterministic across repeats"
-        );
-
-        let mut rec = MemoryRecorder::default();
-        let t0 = Instant::now();
-        let res = replay(&cfg_rec, trace.iter().copied(), &mut rec);
-        recording_times.push(t0.elapsed().as_secs_f64());
-        assert_eq!(
-            res.metrics, warm.metrics,
-            "recorded replay must be deterministic across repeats"
-        );
-
-        let t0 = Instant::now();
-        let res = run(&cfg_queued);
-        queued_times.push(t0.elapsed().as_secs_f64());
-        assert_eq!(
-            res.metrics, warm_queued.metrics,
-            "queued replay must be deterministic across repeats"
-        );
-
-        let t0 = Instant::now();
-        let res = run(&cfg_attr);
-        attr_times.push(t0.elapsed().as_secs_f64());
-        assert_eq!(
-            res.metrics, warm.metrics,
-            "attr-noop replay must be deterministic across repeats"
-        );
+    // Times per mode: no-op, recording, queued, attr-noop. Each repeat
+    // starts one mode later, so the modes take turns in each slot: on a
+    // shared 2-core host the slot after the queued mode read about 4 %
+    // slower for Req-block, which a fixed order charged to attr-noop.
+    let mut times: [Vec<f64>; 4] = Default::default();
+    for rep in 0..repeats as usize {
+        for mode in (0..4).map(|k| (k + rep) % 4) {
+            let mut rec = MemoryRecorder::default();
+            let t0 = Instant::now();
+            let res = match mode {
+                0 => run(&cfg),
+                1 => replay(&cfg_rec, trace.iter().copied(), &mut rec),
+                2 => run(&cfg_queued),
+                _ => run(&cfg_attr),
+            };
+            times[mode].push(t0.elapsed().as_secs_f64());
+            let want = if mode == 2 { &warm_queued.metrics } else { &warm.metrics };
+            assert_eq!(res.metrics, *want, "mode {mode} replay must be deterministic across repeats");
+        }
     }
     let result = |times: &[f64]| {
         let best = times.iter().fold(f64::INFINITY, |a, &b| a.min(b));
@@ -143,12 +128,8 @@ fn measure(
             hit_ratio: warm.metrics.hit_ratio(),
         }
     };
-    (
-        result(&noop_times),
-        result(&recording_times),
-        result(&queued_times),
-        result(&attr_times),
-    )
+    let [noop, recording, queued, attr] = times.map(|t| result(&t));
+    (noop, recording, queued, attr)
 }
 
 fn push_policy_array(json: &mut String, key: &str, results: &[PolicyResult], last: bool) {
@@ -173,13 +154,11 @@ fn push_policy_array(json: &mut String, key: &str, results: &[PolicyResult], las
 fn main() {
     let mut scale = 0.25f64;
     let mut repeats = 3u32;
-    let mut out: Option<String> = None;
-    let mut cli = Cli::new("hotpath", "[--scale F] [--repeats N] [--out FILE]");
+    let mut cli = Cli::new("hotpath", "[--scale F] [--repeats N]");
     while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
             "--scale" => scale = cli.value("--scale"),
             "--repeats" => repeats = cli.value("--repeats"),
-            "--out" => out = Some(cli.value("--out")),
             other => cli.fail(&format!("unknown flag {other:?}")),
         }
     }
@@ -255,9 +234,5 @@ fn main() {
         );
     }
     json.push_str("  ]\n}\n");
-
-    match out {
-        Some(path) => std::fs::write(&path, json).expect("cannot write bench output"),
-        None => print!("{json}"),
-    }
+    print!("{json}");
 }

@@ -17,11 +17,12 @@
 //!
 //! ```text
 //! cargo run --release -p reqblock-bench --bin sweep -- \
-//!     [--scale 0.05] [--repeats 3] [--threads N] [--out sweep.json]
+//!     [--scale 0.05] [--repeats 3] [--threads N]
 //! ```
 //!
-//! Without `--out` the JSON goes to stdout. `scripts/bench.sh` wraps this
-//! and gates both modes' medians against `BENCH_sweep.json`.
+//! The JSON goes to stdout. `scripts/ab.sh` runs this binary for a
+//! revision and for the working tree, and its gate table reads both
+//! modes' `median_s` and `threads`.
 
 use reqblock_bench::{median, Cli};
 use reqblock_experiments::sweep::{run_all, Outcome};
@@ -61,14 +62,12 @@ fn main() {
     let mut scale = 0.02f64;
     let mut repeats = 3u32;
     let mut threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut out: Option<String> = None;
-    let mut cli = Cli::new("sweep", "[--scale F] [--repeats N] [--threads N] [--out FILE]");
+    let mut cli = Cli::new("sweep", "[--scale F] [--repeats N] [--threads N]");
     while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
             "--scale" => scale = cli.value("--scale"),
             "--repeats" => repeats = cli.value("--repeats"),
             "--threads" => threads = cli.value("--threads"),
-            "--out" => out = Some(cli.value("--out")),
             other => cli.fail(&format!("unknown flag {other:?}")),
         }
     }
@@ -121,9 +120,5 @@ fn main() {
     }
     let _ = writeln!(json, "  ]");
     json.push_str("}\n");
-
-    match out {
-        Some(path) => std::fs::write(&path, json).expect("cannot write bench output"),
-        None => print!("{json}"),
-    }
+    print!("{json}");
 }

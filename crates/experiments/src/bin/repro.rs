@@ -368,11 +368,11 @@ fn main() -> ExitCode {
             .collect(),
         _ => Vec::new(),
     };
-    // Load every trace file --trace-dir supplies before planning, and check
-    // it fits every device the command builds for it: a bad or oversized
-    // file is a usage error here, not a panic inside the worker pool. A
-    // missing directory is one too; only missing files inside it fall
-    // back to the synthetic traces.
+    // Load every trace file --trace-dir supplies for the command before
+    // planning, and check it fits every device the command builds for it:
+    // a bad or oversized file is a usage error here, not a panic inside
+    // the worker pool. A missing directory is one too; only missing files
+    // inside it fall back to the synthetic traces.
     if let Some(dir) = opts.trace_dir.as_ref().filter(|d| !d.is_dir()) {
         let why = std::fs::metadata(dir).map_or_else(|e| e.to_string(), |_| "not a directory".into());
         eprintln!("repro: --trace-dir: {}: {why}", dir.display());
@@ -382,13 +382,15 @@ fn main() -> ExitCode {
         eprintln!("repro: --trace-dir: fleet tenants replay synthetic streams, not trace files");
         return ExitCode::from(2);
     }
-    // Check every trace the command synthesizes at its effective scale
-    // before anything is planned: a scale that makes a profile invalid is a
-    // usage error here, not a generator panic inside the worker pool.
+    // The traces the command replays, each at its scale relative to
+    // --scale. Before anything is planned, every one that is synthesized is
+    // checked at its effective scale and every one a --trace-dir file
+    // supplies is loaded: a scale that makes a profile invalid is a usage
+    // error here, not a generator panic inside the worker pool.
     let at_scale = |names: &[&str]| names.iter().map(|n| (n.to_string(), 1.0)).collect::<Vec<_>>();
-    let mut synthesized: Vec<(String, f64)> =
+    let mut traces: Vec<(String, f64)> =
         grids.iter().flat_map(|(sc, _)| sc.trace_scales()).collect();
-    synthesized.extend(match cmd {
+    traces.extend(match cmd {
         "table2" | "fig2" | "fig3" | "fig13" | "all" => {
             reqblock_trace::paper_profiles().into_iter().map(|p| (p.name, 1.0)).collect()
         }
@@ -399,17 +401,18 @@ fn main() -> ExitCode {
         "export" => at_scale(&[&operands[0]]),
         _ => Vec::new(),
     });
-    // `export` synthesizes even when --trace-dir holds a file for its trace.
+    // `export` synthesizes even when --trace-dir holds a file for its
+    // trace, so it reads no file.
     let checked = match cmd {
         "export" => Opts { trace_dir: None, ..opts.clone() },
         _ => opts.clone(),
     };
-    if let Err(e) = checked.check_synthetic(&synthesized) {
+    if let Err(e) = checked.check_synthetic(&traces) {
         eprintln!("repro: --scale: {e}");
         return ExitCode::from(2);
     }
     let devices: Vec<_> = grids.iter().flat_map(|(sc, _)| sc.pressured_devices(&opts)).collect();
-    if let Err((path, e)) = opts.check_trace_dir(&devices) {
+    if let Err((path, e)) = checked.check_trace_dir(&traces, &devices) {
         eprintln!("repro: --trace-dir: {}: {e}", path.display());
         return ExitCode::from(2);
     }
@@ -423,13 +426,13 @@ fn main() -> ExitCode {
             let profile = reqblock_trace::profiles::profile_by_name(trace)
                 .unwrap_or_else(|| fail(&format!("export: unknown trace {trace:?}")))
                 .scaled(opts.scale);
-            let reqs: Vec<reqblock_trace::Request> =
-                reqblock_trace::SyntheticTrace::new(profile).generate_all();
-            if let Err(e) = reqblock_trace::msr::write_file(std::path::Path::new(path), &reqs) {
+            let trace = reqblock_trace::SyntheticTrace::new(profile);
+            let requests = trace.len();
+            if let Err(e) = reqblock_trace::msr::write_file(std::path::Path::new(path), trace) {
                 eprintln!("cannot write {path}: {e}");
                 return ExitCode::from(1);
             }
-            println!("wrote {} requests to {path} (MSR CSV format)", reqs.len());
+            println!("wrote {requests} requests to {path} (MSR CSV format)");
             return ExitCode::SUCCESS;
         }
         _ => {}

@@ -105,17 +105,21 @@ impl Opts {
     }
 
     /// Load every `<name>.csv` under [`Opts::trace_dir`] that
-    /// [`Opts::source_for`] would pick, through the shared trace cache (so
-    /// the runs that follow do not parse the files again), and check that
-    /// its largest LPN fits the paper device and every entry of `devices`
-    /// named after its workload. Returns the first file that fails to load
-    /// or to fit, with the reason.
+    /// [`Opts::source_for`] would pick for a workload of `uses` (the
+    /// command's traces, the list [`Opts::check_synthetic`] takes), through
+    /// the shared trace cache (so the runs that follow do not parse the
+    /// files again), and check that its largest LPN fits the paper device
+    /// and every entry of `devices` named after its workload. Files of
+    /// other workloads are never read. Returns the first file that fails
+    /// to load or to fit, with the reason.
     pub fn check_trace_dir(
         &self,
+        uses: &[(String, f64)],
         devices: &[(String, SsdConfig)],
     ) -> Result<(), (PathBuf, String)> {
         let paper = SsdConfig::paper();
-        for profile in self.profiles() {
+        let used = self.profiles().into_iter().filter(|p| uses.iter().any(|(n, _)| *n == p.name));
+        for profile in used {
             let source = self.source_for(&profile);
             let TraceSource::MsrFile(path) = &source else { continue };
             let requests = source.requests().map_err(|e| (path.clone(), e.to_string()))?;
@@ -917,7 +921,7 @@ mod trace_dir_tests {
         // Export a tiny ts_0 as the "real" trace file.
         let profile = reqblock_trace::profiles::ts_0().scaled(0.001);
         let reqs = reqblock_trace::SyntheticTrace::new(profile).generate_all();
-        reqblock_trace::msr::write_file(&dir.join("ts_0.csv"), &reqs).unwrap();
+        reqblock_trace::msr::write_file(&dir.join("ts_0.csv"), reqs.iter().copied()).unwrap();
 
         let opts = Opts { trace_dir: Some(dir.clone()), ..Opts::default() };
         let profiles = opts.profiles();
@@ -931,7 +935,7 @@ mod trace_dir_tests {
         assert!(matches!(opts.source_for(hm1), TraceSource::Synthetic(_)));
         // The file source loads the exported requests.
         assert_eq!(opts.shared_for(ts0).len(), reqs.len());
-        assert!(opts.check_trace_dir(&[]).is_ok());
+        assert!(opts.check_trace_dir(&[("ts_0".to_string(), 1.0)], &[]).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -963,7 +967,7 @@ mod trace_dir_tests {
         assert_eq!(title(), "Table 2 - Trace specifications (synthetic, scale 0.001)");
         let profile = reqblock_trace::profiles::ts_0().scaled(0.001);
         let reqs = reqblock_trace::SyntheticTrace::new(profile).generate_all();
-        reqblock_trace::msr::write_file(&dir.join("ts_0.csv"), &reqs).unwrap();
+        reqblock_trace::msr::write_file(&dir.join("ts_0.csv"), reqs.iter().copied()).unwrap();
         assert_eq!(
             title(),
             "Table 2 - Trace specifications (synthetic, scale 0.001; trace files: ts_0)"

@@ -127,6 +127,25 @@ fn trace_files_beyond_a_device_exit_2_naming_the_file() {
 }
 
 #[test]
+fn trace_dir_files_are_read_only_by_commands_that_replay_them() {
+    let out = std::env::temp_dir().join(format!("reqblock_cli_unread_{}", std::process::id()));
+    // A garbage hm_1.csv: only a command that replays hm_1 may read it.
+    let dir = out.join("traces");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("hm_1.csv"), "garbage\n").unwrap();
+    let dir = dir.to_str().unwrap();
+    let run = repro(&out, &["--trace-dir", dir, "table1"]);
+    assert!(run.status.success(), "table1: {}", String::from_utf8_lossy(&run.stderr));
+    assert!(out.join("table1.md").exists(), "table1 wrote no table1.md");
+    let exported = out.join("ts_0.csv");
+    let run = repro(&out, &["--trace-dir", dir, "export", "ts_0", exported.to_str().unwrap()]);
+    assert!(run.status.success(), "export: {}", String::from_utf8_lossy(&run.stderr));
+    assert!(exported.exists(), "export wrote no file");
+    rejects(&out, &["--trace-dir", dir, "table2"], "hm_1.csv");
+    let _ = std::fs::remove_dir_all(&out);
+}
+
+#[test]
 fn trace_dir_reaches_why_and_is_rejected_by_fleet() {
     let out = std::env::temp_dir().join(format!("reqblock_cli_why_{}", std::process::id()));
     // 3,000 sequential 64 KiB writes: nothing like the synthetic ts_0 mix.

@@ -8,8 +8,8 @@
 //! * [`Recorder`] — the sink trait. Every hook has a no-op default and
 //!   [`Recorder::enabled`] defaults to `false`, so instrumented code guards
 //!   its per-event calls with one cached bool and a disabled run costs
-//!   nothing measurable (the hot path stays at PR 1 speed; `scripts/bench.sh`
-//!   gates the overhead at < 2 %).
+//!   nothing measurable (`scripts/ab.sh` holds the no-op hotpath replay
+//!   within 2 % of the parent revision's).
 //! * [`NoopRecorder`] — the disabled sink ([`Ssd::submit`]-style paths).
 //! * [`MemoryRecorder`] — accumulates counters, gauges, span stats and
 //!   sampled time series in `BTreeMap`s, so iteration order — and therefore

@@ -211,27 +211,47 @@ pub fn parse_file(path: &std::path::Path) -> Result<Arc<[Request]>, ParseError> 
     })
 }
 
-/// Render requests in the MSR CSV format (hostname/disk filled with
-/// placeholders, response-time column zero). `parse_str(write_csv(reqs))`
-/// round-trips exactly: timestamps are emitted as filetime ticks with the
-/// same truncation the parser applies.
-pub fn write_csv(requests: &[Request]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(requests.len() * 48);
-    for r in requests {
+/// One request as an MSR CSV row, without its line end: hostname/disk
+/// filled with placeholders, response-time column zero, and the timestamp
+/// in filetime ticks with the same truncation the parser applies.
+struct Row(Request);
+
+impl fmt::Display for Row {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let r = &self.0;
         let op = match r.op {
             OpType::Read => "Read",
             OpType::Write => "Write",
         };
-        let ticks = r.time_ns / NS_PER_TICK;
-        let _ = writeln!(out, "{ticks},synth,0,{op},{},{},0", r.offset, r.len);
+        write!(f, "{},synth,0,{op},{},{},0", r.time_ns / NS_PER_TICK, r.offset, r.len)
+    }
+}
+
+/// Render requests in the MSR CSV format (hostname/disk filled with
+/// placeholders, response-time column zero), one row per line.
+/// `parse_str(write_csv(reqs))` round-trips exactly.
+pub fn write_csv(requests: &[Request]) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(requests.len() * 48);
+    for &r in requests {
+        let _ = writeln!(out, "{}", Row(r));
     }
     out
 }
 
-/// Write requests to an MSR-format CSV file.
-pub fn write_file(path: &std::path::Path, requests: &[Request]) -> std::io::Result<()> {
-    std::fs::write(path, write_csv(requests))
+/// Write requests to an MSR-format CSV file, the bytes [`write_csv`]
+/// renders, one row at a time through a buffer: neither the file nor, when
+/// `requests` is a generator, the trace is ever held in memory.
+pub fn write_file(
+    path: &std::path::Path,
+    requests: impl IntoIterator<Item = Request>,
+) -> std::io::Result<()> {
+    use std::io::Write as _;
+    let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
+    for r in requests {
+        writeln!(out, "{}", Row(r))?;
+    }
+    out.flush()
 }
 
 #[cfg(test)]
@@ -410,8 +430,8 @@ mod writer_tests {
     #[test]
     fn write_file_then_parse_file() {
         let path = std::env::temp_dir().join("reqblock_msr_roundtrip_test.csv");
-        let reqs = vec![Request::write_pages(0, 1, 1), Request::read_pages(200, 1, 1)];
-        write_file(&path, &reqs).unwrap();
+        let reqs = [Request::write_pages(0, 1, 1), Request::read_pages(200, 1, 1)];
+        write_file(&path, reqs.iter().copied()).unwrap();
         let parsed = parse_file(&path).unwrap();
         assert_eq!(parsed.len(), 2);
         let _ = std::fs::remove_file(&path);

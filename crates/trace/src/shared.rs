@@ -187,7 +187,7 @@ mod tests {
         let p = ts_0().scaled(0.0005);
         let reqs = SyntheticTrace::new(p).generate_all();
         let path = std::env::temp_dir().join("reqblock_shared_trace_test.csv");
-        msr::write_file(&path, &reqs).unwrap();
+        msr::write_file(&path, reqs.iter().copied()).unwrap();
         let a = msr_file(&path).unwrap();
         let b = msr_file(&path).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
@@ -203,7 +203,7 @@ mod tests {
         // The slot must stay usable: create the file and retry.
         let p = ts_0().scaled(0.0004);
         let reqs = SyntheticTrace::new(p).generate_all();
-        msr::write_file(&path, &reqs).unwrap();
+        msr::write_file(&path, reqs.iter().copied()).unwrap();
         assert_eq!(msr_file(&path).unwrap().len(), reqs.len());
         let _ = std::fs::remove_file(&path);
     }

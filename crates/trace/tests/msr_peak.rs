@@ -18,7 +18,7 @@ fn loading_an_msr_file_holds_the_trace_once() {
     let path = std::env::temp_dir().join(format!("reqblock_msr_peak_{}.csv", std::process::id()));
     let written = {
         let reqs: Vec<Request> = SyntheticTrace::new(profiles::ts_0().scaled(0.1)).collect();
-        msr::write_file(&path, &reqs).unwrap();
+        msr::write_file(&path, reqs.iter().copied()).unwrap();
         reqs.len()
     };
 

@@ -2,8 +2,10 @@
 # Full pre-merge gate: release build, the tests of every workspace crate
 # (`cargo test --workspace`: the root package's integration tests, each
 # crate's unit and property tests, the Perfetto trace-JSON smoke test
-# tests/trace_smoke.rs and the repro CLI error table
-# crates/experiments/tests/cli.rs), one release run of each example at
+# tests/trace_smoke.rs, the repro CLI error table
+# crates/experiments/tests/cli.rs and crates/bench/tests/contract.rs,
+# which runs the three bench binaries at tiny inputs and checks every
+# field the gate table below reads), one release run of each example at
 # its smallest input (`cargo test` only compiles them; a non-zero exit
 # fails), the pinned digests that `repro run scenarios/smoke.toml`,
 # `repro why` and `repro --scale 0.01 faults` print (the why step also
@@ -17,13 +19,22 @@
 # trace digests (crates/trace/tests/digests.rs: every paper profile's
 # synthetic trace at x1, 12.7 M requests; the debug workspace step checks
 # x0.05), the benchmark/ package tests (--locked), clippy
-# and rustdoc with warnings denied, and the benchmark gates from
-# scripts/bench.sh — the
-# hot-path median gates (the <2% no-op recorder overhead check and the
-# <2% attribution-compiled-out check), the small-scale sweep gate
-# (`repro all` pool median wall-clock, >5% median regression fails), and
-# the fleet gate (streaming engine median devices/s vs the same-attempt
-# materialized reference and the committed fleet_stream baseline).
+# and rustdoc with warnings denied, and the wall-clock gates:
+# `scripts/ab.sh HEAD --pairs 3 --seconds 5` A/B's the working tree against
+# HEAD (on a clean tree an A/A run, so a "worse" row means the host or the
+# harness is broken) over the benchmark's four workloads and the bench
+# binaries, and judges the gate table's rows:
+#   - sync path req/s per policy (hotpath, A/B, 2 %);
+#   - flush window qd8/sync per policy (hotpath, within-run floor 0.85);
+#   - attribution compiled out, attr-noop/noop per policy (hotpath,
+#     within-run floor 0.98);
+#   - `repro all` serial and parallel seconds (sweep, A/B, 5 % each);
+#   - pool efficiency serial/(threads x parallel) when threads > 1 (sweep,
+#     within-run floor 0.5);
+#   - streaming fleet vs reference devices/s (fleet, within-run floor 0.90);
+#   - streaming fleet devices/s (fleet, A/B, 10 %).
+# Its JSON goes to target/ab/check.json, never over the committed
+# BENCH_ab.json.
 #
 # Usage: scripts/check.sh [--no-bench]
 #
@@ -128,7 +139,8 @@ echo "== cargo doc (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 if [[ "$RUN_BENCH" == 1 ]]; then
-    scripts/bench.sh
+    echo "== wall-clock gates (scripts/ab.sh HEAD, 3 pairs) =="
+    scripts/ab.sh HEAD --pairs 3 --seconds 5 --out target/ab/check.json
 else
     echo "== bench gates skipped (--no-bench) =="
 fi

@@ -15,7 +15,7 @@ fn exported_trace_replays_identically() {
         .collect();
 
     let path = std::env::temp_dir().join("reqblock_it_roundtrip.csv");
-    msr::write_file(&path, &reqs).expect("write trace file");
+    msr::write_file(&path, reqs.iter().copied()).expect("write trace file");
     let parsed = msr::parse_file(&path).expect("parse trace file");
     let _ = std::fs::remove_file(&path);
     assert_eq!(parsed.len(), reqs.len());

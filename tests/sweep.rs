@@ -51,7 +51,7 @@ fn cached_replay_matches_uncached_regeneration_msr_file() {
     let profile = reqblock::trace::profiles::ts_0().scaled(0.001);
     let reqs: Vec<reqblock::trace::Request> =
         reqblock::trace::SyntheticTrace::new(profile).generate_all();
-    reqblock::trace::msr::write_file(&path, &reqs).unwrap();
+    reqblock::trace::msr::write_file(&path, reqs.iter().copied()).unwrap();
 
     let source = TraceSource::MsrFile(path.clone());
     let cfg = SimConfig::paper(CacheSizeMb::Mb16, PolicyKind::ReqBlock(Default::default()));
