@@ -25,7 +25,7 @@ use reqblock_sim::{
     FleetControl, IntervalLog, Metrics, NoisyNeighbor, Placement, PolicyKind, SimConfig, Ssd,
     SubmitMode, TenantMix, TenantSpec, TraceSource,
 };
-use reqblock_trace::WorkloadProfile;
+use reqblock_trace::{Request, SyntheticTrace, WorkloadProfile};
 
 /// The device's back-to-back per-request service gap for one request mix:
 /// one serial probe replays the mix with every arrival at t=0 against an
@@ -34,16 +34,18 @@ use reqblock_trace::WorkloadProfile;
 /// gap. The open-loop sweeps (X7, X8 and the scenario planner's `arrival`
 /// axis behind X6) anchor their offered rates on it because the traces'
 /// own timestamps are far too sparse to stress the device. Runs at plan
-/// time on one thread, so the grids stay thread-count invariant.
-pub(crate) fn calibrated_service_gap_ns(base: &TraceSource) -> u64 {
-    let requests = base.requests().unwrap_or_else(|e| panic!("cannot load trace: {e}"));
-    let probe = requests.iter().map(|r| reqblock_trace::Request { time_ns: 0, ..*r });
+/// time on one thread, so the grids stay thread-count invariant. The mix
+/// streams through once: a caller that replays it next passes the shared
+/// slice, and one that does not passes the generator, so the probe pins
+/// no trace in the shared cache.
+pub(crate) fn calibrated_service_gap_ns(requests: impl IntoIterator<Item = Request>) -> u64 {
+    let probe = requests.into_iter().map(|r| Request { time_ns: 0, ..r });
     let cal = replay(
         &SimConfig::paper(CacheSizeMb::Mb32, PolicyKind::Lru),
         probe,
         &mut NoopRecorder,
     );
-    (cal.metrics.max_response_ns / (requests.len() as u64).max(1)).max(1)
+    (cal.metrics.max_response_ns / cal.metrics.requests.max(1)).max(1)
 }
 
 /// A deliberately tight flash array for one workload (~115% of the write
@@ -109,7 +111,8 @@ struct WhyPoint {
 /// thread-count invariant.
 pub fn why(opts: &Opts) -> impl Plan + '_ {
     let base = opts.source_for(&reqblock_trace::profiles::ts_0().scaled(opts.scale));
-    let service_gap_ns = calibrated_service_gap_ns(&base);
+    let requests = base.requests().unwrap_or_else(|e| panic!("cannot load trace: {e}"));
+    let service_gap_ns = calibrated_service_gap_ns(requests.iter().copied());
     let mut points = Vec::new();
     for policy in why_policies() {
         for &depth in &WHY_DEPTHS {
@@ -340,11 +343,12 @@ pub fn fleet_mix(opts: &Opts, service_gap_ns: u64, devices: usize) -> TenantMix 
 
 /// The X8 calibration probe: one serial plan-time replay of the ts_0 mix
 /// back-to-back against an LRU paper device, yielding the per-request
-/// service gap tenant rates are scaled from. Public so the fleet bench
-/// binary reproduces the exact `repro fleet` grid.
+/// service gap tenant rates are scaled from. No fleet replays ts_0, so the
+/// probe streams it from the generator instead of caching it. Public so
+/// the fleet bench binary reproduces the exact `repro fleet` grid.
 pub fn fleet_service_gap_ns(opts: &Opts) -> u64 {
-    let probe_src = TraceSource::Synthetic(reqblock_trace::profiles::ts_0().scaled(opts.scale));
-    calibrated_service_gap_ns(&probe_src)
+    let profile = reqblock_trace::profiles::ts_0().scaled(opts.scale);
+    calibrated_service_gap_ns(SyntheticTrace::new(profile))
 }
 
 /// The uniform per-device configuration of the X8/X8b fleets: Req-block,
@@ -384,7 +388,8 @@ pub fn fleet<'o>(opts: &'o Opts, devices: &[usize], alloc: Option<AllocProbe>) -
 
 fn fleet_outcome(opts: &Opts, (devices, alloc): &(Vec<usize>, Option<AllocProbe>)) -> Outcome {
     let started = std::time::Instant::now();
-    let points = fleet_points(opts, devices);
+    let service_gap_ns = fleet_service_gap_ns(opts);
+    let points = fleet_points(opts, service_gap_ns, devices);
     // Each point runs the loaded and the antagonist-withheld fleet.
     let simulated: usize = points.iter().map(|p| p.devices * 2).sum();
     let elapsed_s = started.elapsed().as_secs_f64();
@@ -392,7 +397,7 @@ fn fleet_outcome(opts: &Opts, (devices, alloc): &(Vec<usize>, Option<AllocProbe>
         "[fleet throughput: {simulated} devices in {elapsed_s:.2}s - {:.1} devices/s]",
         simulated as f64 / elapsed_s.max(1e-9)
     );
-    let tables = vec![fleet_build(&points), fleet_scaling(opts, devices, *alloc)];
+    let tables = vec![fleet_build(&points), fleet_scaling(opts, service_gap_ns, devices, *alloc)];
     let telemetry = points.into_iter().flat_map(|p| p.telemetry).collect();
     Outcome {
         sections: vec![("fleet".into(), tables)],
@@ -407,9 +412,10 @@ fn fleet_outcome(opts: &Opts, (devices, alloc): &(Vec<usize>, Option<AllocProbe>
 /// background like the X6/X7 runs, which is what lets one tenant's flush
 /// bursts queue behind another tenant's reads).
 ///
-/// Calibration follows the X6 pattern: one serial probe replays the ts_0
-/// mix back-to-back to find the device's service gap; tenant rates are
-/// [`FLEET_TENANT_LOADS`] fractions of the fleet's aggregate service rate.
+/// Calibration follows the X6 pattern: `service_gap_ns` is the device's
+/// back-to-back service gap on the ts_0 mix ([`fleet_service_gap_ns`],
+/// probed once per plan), and tenant rates are [`FLEET_TENANT_LOADS`]
+/// fractions of the fleet's aggregate service rate.
 /// Each fleet run parallelizes over devices on its own pool; grid points
 /// run in sequence. Every stage is deterministic, so the table is
 /// byte-identical at any `--threads` value.
@@ -417,9 +423,8 @@ fn fleet_outcome(opts: &Opts, (devices, alloc): &(Vec<usize>, Option<AllocProbe>
 /// Per-device telemetry is captured for the headline point only — the
 /// first placement at the smallest device count — to bound output size;
 /// each document carries `device`/`devices`/`placement` meta tags.
-fn fleet_points(opts: &Opts, devices_list: &[usize]) -> Vec<FleetPoint> {
+fn fleet_points(opts: &Opts, service_gap_ns: u64, devices_list: &[usize]) -> Vec<FleetPoint> {
     assert!(!devices_list.is_empty(), "fleet sweep needs at least one device count");
-    let service_gap_ns = fleet_service_gap_ns(opts);
     let device = fleet_device_config();
     let ctl = FleetControl::threads(opts.threads);
     let headline = (fleet_placements()[0], devices_list[0]);
@@ -526,8 +531,12 @@ pub type AllocProbe = (fn(), fn() -> usize);
 /// device, so peak allocation (`-` without a `probe`) grows with the
 /// device count (pooled simulators + outcome slots), not with devices x
 /// total requests.
-fn fleet_scaling(opts: &Opts, devices_list: &[usize], probe: Option<AllocProbe>) -> Table {
-    let service_gap_ns = fleet_service_gap_ns(opts);
+fn fleet_scaling(
+    opts: &Opts,
+    service_gap_ns: u64,
+    devices_list: &[usize],
+    probe: Option<AllocProbe>,
+) -> Table {
     let device = fleet_device_config();
     let ctl = FleetControl::threads(opts.threads);
     let mut t = Table::new(
@@ -685,6 +694,16 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn streamed_and_cached_calibration_agree() {
+        let opts = tiny_opts();
+        let profile = reqblock_trace::profiles::ts_0().scaled(opts.scale);
+        let cached = TraceSource::Synthetic(profile.clone()).requests().unwrap();
+        let gap = calibrated_service_gap_ns(cached.iter().copied());
+        assert_eq!(calibrated_service_gap_ns(SyntheticTrace::new(profile)), gap);
+        assert_eq!(fleet_service_gap_ns(&opts), gap);
     }
 
     #[test]

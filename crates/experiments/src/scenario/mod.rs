@@ -914,7 +914,11 @@ fn compile_grid(sc: &Scenario, opts: &Opts) -> (Vec<Job>, Vec<Cells>) {
             // runs, so the grid stays thread-count invariant.
             let gap = *gaps
                 .entry((trace, rel_scale.to_bits()))
-                .or_insert_with(|| calibrated_service_gap_ns(&source));
+                .or_insert_with(|| {
+                    let requests =
+                        source.requests().unwrap_or_else(|e| panic!("cannot load trace: {e}"));
+                    calibrated_service_gap_ns(requests.iter().copied())
+                });
             let mean_interarrival_ns = ((gap as f64 / mult) as u64).max(1);
             let (burst_len, peak_to_mean) = LOAD_BURST;
             let (arrival, seed) = match process {

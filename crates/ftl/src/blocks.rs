@@ -364,7 +364,7 @@ impl ChipBlocks {
     }
 
     /// Metadata of the allocated blocks `0..hot`, in index order.
-    fn allocated(&self) -> impl Iterator<Item = &BlockMeta> {
+    pub(crate) fn allocated(&self) -> impl Iterator<Item = &BlockMeta> {
         self.meta.iter().flat_map(|chunk| chunk.iter()).take(self.hot as usize)
     }
 

@@ -399,7 +399,7 @@ impl Ftl {
         let domain = &mut self.chips[chip];
         let (inv, state) = domain.blocks.invalidate_with_state(block, page);
         if state == BlockState::Full {
-            domain.picker.note(block, inv);
+            domain.picker.note(block, inv, &domain.blocks);
         }
     }
 
@@ -414,7 +414,7 @@ impl Ftl {
         if domain.blocks.active_block().is_none() {
             let meta = domain.blocks.meta(block);
             if meta.state == BlockState::Full && meta.invalid_count() > 0 {
-                domain.picker.note(block, meta.invalid_count());
+                domain.picker.note(block, meta.invalid_count(), &domain.blocks);
             }
         }
         Some((block, page))
@@ -776,6 +776,8 @@ impl Ftl {
     ///   can reach it. (A migration that runs out of space leaves its
     ///   block without one, but it also turns the device read-only, and
     ///   [`Ftl::write_pages`] rejects every later batch.)
+    /// * each chip's GC picker holds no more entries than its compaction
+    ///   trigger, which the chip's allocation watermark bounds.
     ///
     /// Walks the materialized forward-map leaves and the allocated blocks
     /// only, so it stays cheap at paper geometry. Tests only.
@@ -808,10 +810,19 @@ impl Ftl {
             let blocks = &domain.blocks;
             blocks.check_consistency().map_err(|e| format!("chip {chip}: {e}"))?;
             let mut noted = vec![false; per_block.len()];
+            let mut held = 0;
             for (block, count) in domain.picker.entries() {
                 if let Some(slot) = noted.get_mut(block as usize) {
                     *slot |= blocks.meta(block).invalid_count() == count;
                 }
+                held += 1;
+            }
+            let limit = domain.picker.limit(blocks.allocated_watermark());
+            if held != domain.picker.len() || held > limit {
+                return Err(format!(
+                    "chip {chip}: GC picker holds {held} entries, counts {}, limit {limit}",
+                    domain.picker.len()
+                ));
             }
             for (block, &mapped) in (0..).zip(per_block) {
                 let meta = blocks.meta(block);

@@ -227,31 +227,29 @@ impl fmt::Display for Row {
     }
 }
 
-/// Render requests in the MSR CSV format (hostname/disk filled with
-/// placeholders, response-time column zero), one row per line.
-/// `parse_str(write_csv(reqs))` round-trips exactly.
-pub fn write_csv(requests: &[Request]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(requests.len() * 48);
-    for &r in requests {
-        let _ = writeln!(out, "{}", Row(r));
-    }
-    out
-}
-
-/// Write requests to an MSR-format CSV file, the bytes [`write_csv`]
-/// renders, one row at a time through a buffer: neither the file nor, when
-/// `requests` is a generator, the trace is ever held in memory.
-pub fn write_file(
-    path: &std::path::Path,
+/// Write requests to `out` in the MSR CSV format (hostname/disk filled
+/// with placeholders, response-time column zero), one row per line, then
+/// flush it. Parsing the bytes back round-trips exactly. Rows go out one
+/// at a time, so when `requests` is a generator the trace is never held
+/// in memory.
+pub fn write_to(
+    mut out: impl std::io::Write,
     requests: impl IntoIterator<Item = Request>,
 ) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
     for r in requests {
         writeln!(out, "{}", Row(r))?;
     }
     out.flush()
+}
+
+/// Write requests to an MSR-format CSV file through a buffer
+/// ([`write_to`]): neither the file nor, when `requests` is a generator,
+/// the trace is ever held in memory.
+pub fn write_file(
+    path: &std::path::Path,
+    requests: impl IntoIterator<Item = Request>,
+) -> std::io::Result<()> {
+    write_to(std::io::BufWriter::new(std::fs::File::create(path)?), requests)
 }
 
 #[cfg(test)]
@@ -392,6 +390,13 @@ mod writer_tests {
     use crate::request::PAGE_SIZE;
     use crate::{profiles, SyntheticTrace};
 
+    /// The CSV text [`write_to`] renders for `reqs`.
+    fn csv(reqs: &[Request]) -> String {
+        let mut out = Vec::new();
+        write_to(&mut out, reqs.iter().copied()).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
     #[test]
     fn roundtrip_small_synthetic_trace() {
         // Timestamps must be tick-aligned to round-trip exactly; quantize
@@ -402,8 +407,7 @@ mod writer_tests {
                 r
             })
             .collect();
-        let csv = write_csv(&reqs);
-        let parsed = parse_str(&csv).unwrap();
+        let parsed = parse_str(&csv(&reqs)).unwrap();
         assert_eq!(parsed.len(), reqs.len());
         // The parser rebases timestamps to the earliest record.
         let base = reqs.iter().map(|r| r.time_ns).min().unwrap();
@@ -421,7 +425,7 @@ mod writer_tests {
             Request::write_pages(100, 5, 2),
             Request::read_pages(1_000, 0, 1),
         ];
-        let csv = write_csv(&reqs);
+        let csv = csv(&reqs);
         assert!(csv.contains(&format!("Write,{},{}", 5 * PAGE_SIZE, 2 * PAGE_SIZE)));
         assert!(csv.contains("Read,0,4096"));
         assert_eq!(csv.lines().count(), 2);

@@ -24,8 +24,9 @@ fn exporting_from_the_generator_holds_no_trace() {
 
     let written = std::fs::read(&path).unwrap();
     let _ = std::fs::remove_file(&path);
-    let want = msr::write_csv(&SyntheticTrace::new(profile).generate_all());
-    assert!(written == want.as_bytes(), "the file differs from write_csv of the same trace");
+    let mut want = Vec::new();
+    msr::write_to(&mut want, SyntheticTrace::new(profile).generate_all()).unwrap();
+    assert!(written == want, "the file differs from write_to of the same trace");
     assert!(
         peak < 1 << 20,
         "exporting {} bytes of CSV peaked at {peak} heap bytes (limit 1 MiB)",

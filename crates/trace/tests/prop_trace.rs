@@ -70,7 +70,9 @@ proptest! {
                 len,
             })
             .collect();
-        let parsed = msr::parse_str(&msr::write_csv(&requests)).unwrap();
+        let mut csv = Vec::new();
+        msr::write_to(&mut csv, requests.iter().copied()).unwrap();
+        let parsed = msr::parse_str(std::str::from_utf8(&csv).unwrap()).unwrap();
         prop_assert_eq!(parsed.len(), requests.len());
         let base = requests.iter().map(|r| r.time_ns).min().unwrap();
         for (orig, round) in requests.iter().zip(parsed.iter()) {

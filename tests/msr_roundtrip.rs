@@ -36,7 +36,9 @@ fn stats_survive_roundtrip() {
         })
         .collect();
     let before = reqblock::trace::stats::compute(&reqs);
-    let parsed = msr::parse_str(&msr::write_csv(&reqs)).unwrap();
+    let mut csv = Vec::new();
+    msr::write_to(&mut csv, reqs.iter().copied()).unwrap();
+    let parsed = msr::parse_str(std::str::from_utf8(&csv).unwrap()).unwrap();
     let after = reqblock::trace::stats::compute(parsed.iter());
     assert_eq!(before, after);
 }
