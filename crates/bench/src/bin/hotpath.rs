@@ -7,16 +7,16 @@
 //! requests/sec as JSON (the regression gate reads the median — it is
 //! robust to a single noisy repeat in either direction).
 //!
-//! Each policy is measured four times: with the no-op recorder (the normal
+//! Each policy is measured three times: with the no-op recorder (the normal
 //! synchronous path — this is what the regression gates watch, since a
-//! disabled observability layer must cost ~nothing), with a full
-//! [`MemoryRecorder`] capturing page events and sampled time series, in
-//! queued submit mode (`Queued { depth: 8 }`) to track the host layer's
-//! flush-window overhead, and with latency attribution configured but the
-//! recorder disabled (`attr_noop`) — the double gate must monomorphize the
-//! whole attribution layer away, so this mode is gated against the plain
-//! no-op path of the same run. The JSON reports all four plus the recording
-//! overhead percentage.
+//! disabled observability layer must cost ~nothing), in queued submit mode
+//! (`Queued { depth: 8 }`) to track the host layer's flush-window
+//! overhead, and with latency attribution configured but the recorder
+//! disabled (`attr_noop`) — the double gate must monomorphize the whole
+//! attribution layer away, so this mode is gated against the plain no-op
+//! path of the same run. The JSON reports all three. A warm-up replay with
+//! a full [`MemoryRecorder`] checks that recording does not change the
+//! simulated model; it is not timed.
 //!
 //! ```text
 //! cargo run --release -p reqblock-bench --bin hotpath -- \
@@ -55,14 +55,15 @@ fn policy_name(policy: PolicyKind) -> &'static str {
     }
 }
 
-/// Best-of-`repeats` replay, measured four times per repeat: with the
-/// no-op recorder (the normal path), with a full [`MemoryRecorder`]
-/// capturing page events plus time series sampled every 1000 requests, in
-/// queued submit mode (`Queued { depth: 8 }`, no-op recorder) to track
-/// the flush-window overhead of the host layer, and with attribution
-/// configured under the no-op recorder (`attr_noop`) — the engine's
-/// double gate (`rec.enabled() && attr configured`) must compile the
-/// attribution bookkeeping out of this path entirely. The modes are
+/// Best-of-`repeats` replay, measured three times per repeat: with the
+/// no-op recorder (the normal path), in queued submit mode (`Queued {
+/// depth: 8 }`, no-op recorder) to track the flush-window overhead of the
+/// host layer, and with attribution configured under the no-op recorder
+/// (`attr_noop`) — the engine's double gate (`rec.enabled() && attr
+/// configured`) must compile the attribution bookkeeping out of this path
+/// entirely. A warm-up replay with a full [`MemoryRecorder`] capturing
+/// page events plus time series sampled every 1000 requests must leave
+/// the simulated model unchanged. The timed modes are
 /// interleaved inside every repeat so a load spike on a shared machine
 /// hits all of them the same way — sequential blocks would let background
 /// noise masquerade as (or hide) per-mode overhead — and their order
@@ -72,7 +73,7 @@ fn measure(
     trace: &[Request],
     requests: u64,
     repeats: u32,
-) -> (PolicyResult, PolicyResult, PolicyResult, PolicyResult) {
+) -> (PolicyResult, PolicyResult, PolicyResult) {
     let run = |cfg: &SimConfig| replay(cfg, trace.iter().copied(), &mut NoopRecorder);
     let cfg = SimConfig::paper(CacheSizeMb::Mb16, policy);
     let cfg_rec = cfg.clone().with_sampling(SampleInterval::Requests(1_000));
@@ -96,23 +97,21 @@ fn measure(
         warm.metrics, warm_attr.metrics,
         "attribution config must not change the simulated model"
     );
-    // Times per mode: no-op, recording, queued, attr-noop. Each repeat
-    // starts one mode later, so the modes take turns in each slot: on a
-    // shared 2-core host the slot after the queued mode read about 4 %
-    // slower for Req-block, which a fixed order charged to attr-noop.
-    let mut times: [Vec<f64>; 4] = Default::default();
+    // Times per mode: no-op, queued, attr-noop. Each repeat starts one
+    // mode later, so the modes take turns in each slot: on a shared 2-core
+    // host the slot after the queued mode read about 4 % slower for
+    // Req-block, which a fixed order charged to attr-noop.
+    let mut times: [Vec<f64>; 3] = Default::default();
     for rep in 0..repeats as usize {
-        for mode in (0..4).map(|k| (k + rep) % 4) {
-            let mut rec = MemoryRecorder::default();
+        for mode in (0..3).map(|k| (k + rep) % 3) {
             let t0 = Instant::now();
             let res = match mode {
                 0 => run(&cfg),
-                1 => replay(&cfg_rec, trace.iter().copied(), &mut rec),
-                2 => run(&cfg_queued),
+                1 => run(&cfg_queued),
                 _ => run(&cfg_attr),
             };
             times[mode].push(t0.elapsed().as_secs_f64());
-            let want = if mode == 2 { &warm_queued.metrics } else { &warm.metrics };
+            let want = if mode == 1 { &warm_queued.metrics } else { &warm.metrics };
             assert_eq!(res.metrics, *want, "mode {mode} replay must be deterministic across repeats");
         }
     }
@@ -128,8 +127,8 @@ fn measure(
             hit_ratio: warm.metrics.hit_ratio(),
         }
     };
-    let [noop, recording, queued, attr] = times.map(|t| result(&t));
-    (noop, recording, queued, attr)
+    let [noop, queued, attr] = times.map(|t| result(&t));
+    (noop, queued, attr)
 }
 
 fn push_policy_array(json: &mut String, key: &str, results: &[PolicyResult], last: bool) {
@@ -172,13 +171,11 @@ fn main() {
 
     let policies = [PolicyKind::ReqBlock(ReqBlockConfig::paper()), PolicyKind::Lru];
     let mut noop = Vec::new();
-    let mut recording = Vec::new();
     let mut queued = Vec::new();
     let mut attr_noop = Vec::new();
     for &p in &policies {
-        let (n, r, q, a) = measure(p, &trace, requests, repeats);
+        let (n, q, a) = measure(p, &trace, requests, repeats);
         noop.push(n);
-        recording.push(r);
         queued.push(q);
         attr_noop.push(a);
     }
@@ -187,13 +184,6 @@ fn main() {
         eprintln!(
             "hotpath: {:<9} noop      {:>12.0} req/s  (best {:.1} ms, median {:.1} ms, hit ratio {:.4})",
             r.name, r.requests_per_sec, r.best_elapsed_ms, r.median_elapsed_ms, r.hit_ratio
-        );
-    }
-    for (n, r) in noop.iter().zip(&recording) {
-        let pct = (r.best_elapsed_ms - n.best_elapsed_ms) / n.best_elapsed_ms * 100.0;
-        eprintln!(
-            "hotpath: {:<9} recording {:>12.0} req/s  (best {:.1} ms, overhead {:+.1}%)",
-            r.name, r.requests_per_sec, r.best_elapsed_ms, pct
         );
     }
     for (n, q) in noop.iter().zip(&queued) {
@@ -219,20 +209,8 @@ fn main() {
     let _ = writeln!(json, "  \"requests\": {requests},");
     let _ = writeln!(json, "  \"repeats\": {repeats},");
     push_policy_array(&mut json, "policies", &noop, false);
-    push_policy_array(&mut json, "recording_policies", &recording, false);
     push_policy_array(&mut json, "queued_policies", &queued, false);
-    push_policy_array(&mut json, "attr_noop_policies", &attr_noop, false);
-    json.push_str("  \"recording_overhead_pct\": [\n");
-    for (i, (n, r)) in noop.iter().zip(&recording).enumerate() {
-        let pct = (r.best_elapsed_ms - n.best_elapsed_ms) / n.best_elapsed_ms * 100.0;
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"pct\": {:.2}}}{}",
-            n.name,
-            pct,
-            if i + 1 < noop.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ]\n}\n");
+    push_policy_array(&mut json, "attr_noop_policies", &attr_noop, true);
+    json.push_str("}\n");
     print!("{json}");
 }

@@ -15,7 +15,12 @@
 //! chunk of 64 blocks at a time, so growth never copies a large buffer. A
 //! run that writes a few hundred of a paper chip's 32 768 blocks holds a
 //! few hundred blocks' state.
+//!
+//! Each chip also keeps its GC candidates, the full blocks with invalid
+//! pages, listed by invalid count ([`crate::gc`]). They are block state:
+//! the transitions below keep them exact, and nothing else changes them.
 
+use crate::gc::GcLists;
 use reqblock_flash::SsdConfig;
 
 /// Sentinel for "no page" in the translation tables: the forward map's
@@ -104,6 +109,8 @@ pub struct ChipBlocks {
     /// erase/retire only recycle allocated blocks, so the ever-touched set
     /// is always this prefix.
     hot: u32,
+    /// The full blocks with invalid pages, by invalid count.
+    gc: GcLists,
 }
 
 impl ChipBlocks {
@@ -118,19 +125,20 @@ impl ChipBlocks {
             blocks: u32::try_from(cfg.blocks_per_chip()).expect("block index fits u32"),
             pages_per_block: cfg.pages_per_block as u16,
             hot: 0,
+            gc: GcLists::default(),
         }
     }
 
     /// Return every block to the pristine state [`ChipBlocks::new`]
     /// builds: bitmaps and append pointers cleared, wear zeroed, bad
     /// blocks restored to rotation, the watermark back at block 0, so
-    /// allocation replays in construction order. Observationally identical
-    /// to a fresh chip.
+    /// allocation replays in construction order, and no GC candidate.
+    /// Observationally identical to a fresh chip.
     ///
     /// O(blocks ever allocated), not O(all blocks): only the `0..hot`
     /// prefix can differ from fresh. Keeps the materialized chunks (their
-    /// reverse maps go stale) and the free list's capacity, so a pooled
-    /// device does not allocate them again.
+    /// reverse maps go stale) and the capacity of the free list and the GC
+    /// lists, so a pooled device does not allocate them again.
     pub fn reset(&mut self) {
         for chunk in &mut self.meta[..(self.hot as usize).div_ceil(CHUNK_BLOCKS)] {
             chunk.fill(FRESH);
@@ -139,6 +147,7 @@ impl ChipBlocks {
         self.active = None;
         self.bad = 0;
         self.hot = 0;
+        self.gc.clear();
     }
 
     /// The allocation watermark: every block ever allocated since
@@ -161,6 +170,15 @@ impl ChipBlocks {
     #[inline]
     pub fn active_block(&self) -> Option<u32> {
         self.active
+    }
+
+    /// The greedy GC victim: the full block with the most invalid pages,
+    /// ties to the highest block number (the lexicographic max `(invalid
+    /// count, block)`), or `None` when no full block holds an invalid page
+    /// and GC cannot reclaim anything.
+    #[inline]
+    pub fn greediest(&self) -> Option<u32> {
+        self.gc.greediest()
     }
 
     /// Immutable access to a block's metadata; a block never allocated
@@ -227,15 +245,13 @@ impl ChipBlocks {
                         meta.next_page += 1;
                         meta.valid |= 1u64 << page;
                         if meta.next_page == pages_per_block {
-                            meta.state = BlockState::Full;
-                            self.active = None;
+                            self.seal(b);
                         }
                         return Some((b, page));
                     }
                     // Defensive: an active block should have been closed when
                     // its last page was taken.
-                    meta.state = BlockState::Full;
-                    self.active = None;
+                    self.seal(b);
                 }
                 None => {
                     let b = match self.free.pop() {
@@ -248,6 +264,28 @@ impl ChipBlocks {
                     self.active = Some(b);
                 }
             }
+        }
+    }
+
+    /// Mark the active `block` full and close it, listing it for GC if it
+    /// already holds invalid pages.
+    fn seal(&mut self, block: u32) {
+        let meta = self.meta_mut(block);
+        meta.state = BlockState::Full;
+        let invalid = meta.invalid_count();
+        self.active = None;
+        if invalid > 0 {
+            self.gc.insert(block, invalid);
+        }
+    }
+
+    /// Take `block` off the GC lists if it is on one: full with invalid
+    /// pages.
+    fn unlist(&mut self, block: u32) {
+        let meta = self.meta(block);
+        let invalid = meta.invalid_count();
+        if meta.state == BlockState::Full && invalid > 0 {
+            self.gc.remove(block, invalid);
         }
     }
 
@@ -290,23 +328,23 @@ impl ChipBlocks {
         self.lpns[chunk][slot] = lpn;
     }
 
-    /// Mark `(block, page)` invalid (its LPN was overwritten or migrated).
-    /// Returns the block's new invalid count.
-    pub fn invalidate(&mut self, block: u32, page: u16) -> u32 {
-        self.invalidate_with_state(block, page).0
-    }
-
-    /// [`ChipBlocks::invalidate`], also returning the block's lifecycle
-    /// state from the same metadata access — the per-overwrite FTL path
-    /// needs both, and at paper geometry the metadata a long run writes
-    /// outgrows the caches, so one access instead of two matters.
+    /// Mark `(block, page)` invalid (its LPN was overwritten or migrated);
+    /// a full block moves up one GC list. Returns the block's new invalid
+    /// count.
     #[inline]
-    pub fn invalidate_with_state(&mut self, block: u32, page: u16) -> (u32, BlockState) {
+    pub fn invalidate(&mut self, block: u32, page: u16) -> u32 {
         let meta = self.meta_mut(block);
         debug_assert!(page < meta.next_page, "invalidating unwritten page");
         debug_assert!(meta.valid & (1u64 << page) != 0, "double invalidate");
         meta.valid &= !(1u64 << page);
-        (meta.invalid_count(), meta.state)
+        let invalid = meta.invalid_count();
+        if meta.state == BlockState::Full {
+            if invalid > 1 {
+                self.gc.remove(block, invalid - 1);
+            }
+            self.gc.insert(block, invalid);
+        }
+        invalid
     }
 
     /// Blocks retired as bad so far.
@@ -325,22 +363,23 @@ impl ChipBlocks {
     /// Close `block` if it is the chip's current append point, so no
     /// further pages are allocated from it (pre-retirement: the caller is
     /// about to migrate data off a failing block and must not land new
-    /// writes on it).
+    /// writes on it). The block is full from then on, and a GC candidate
+    /// if it holds invalid pages.
     pub fn close_active(&mut self, block: u32) {
         if self.active == Some(block) {
-            self.meta_mut(block).state = BlockState::Full;
-            self.active = None;
+            self.seal(block);
         }
     }
 
     /// Retire `block` as bad after a program or erase failure: it leaves
-    /// the allocation rotation permanently (never returned to the free
-    /// list, skipped by GC victim validation via its state). The caller
-    /// must have migrated or invalidated all its valid pages first.
+    /// the allocation rotation and the GC lists permanently (never returned
+    /// to the free list). The caller must have migrated or invalidated all
+    /// its valid pages first.
     pub fn retire(&mut self, block: u32) {
         if self.active == Some(block) {
             self.active = None;
         }
+        self.unlist(block);
         let meta = self.meta_mut(block);
         debug_assert_ne!(meta.state, BlockState::Free, "retiring a free block");
         debug_assert_ne!(meta.state, BlockState::Bad, "double retire");
@@ -350,9 +389,11 @@ impl ChipBlocks {
     }
 
     /// Erase `block`: clears its bitmap and append pointer, bumps wear, and
-    /// returns it to the free list. The block must not be active.
+    /// returns it from the GC lists to the free list. The block must not
+    /// be active.
     pub fn erase(&mut self, block: u32) {
         debug_assert_ne!(Some(block), self.active, "erasing the active block");
+        self.unlist(block);
         let meta = self.meta_mut(block);
         debug_assert_ne!(meta.state, BlockState::Free, "erasing a free block");
         debug_assert_ne!(meta.state, BlockState::Bad, "erasing a retired block");
@@ -364,7 +405,7 @@ impl ChipBlocks {
     }
 
     /// Metadata of the allocated blocks `0..hot`, in index order.
-    pub(crate) fn allocated(&self) -> impl Iterator<Item = &BlockMeta> {
+    fn allocated(&self) -> impl Iterator<Item = &BlockMeta> {
         self.meta.iter().flat_map(|chunk| chunk.iter()).take(self.hot as usize)
     }
 
@@ -383,7 +424,9 @@ impl ChipBlocks {
     /// block is exactly one of free (on the free list, or at or above the
     /// watermark), active (the append point), full, or bad, and the free
     /// list and bad count agree with the states. Also checks each bitmap
-    /// against its append pointer. O(allocated blocks); tests only.
+    /// against its append pointer, and that the GC lists hold exactly the
+    /// full blocks with invalid pages, each at its count. O(allocated
+    /// blocks); tests only.
     #[doc(hidden)]
     pub fn check_consistency(&self) -> Result<(), String> {
         let mut listed = vec![false; self.hot as usize];
@@ -399,7 +442,7 @@ impl ChipBlocks {
             let (active, hot) = (self.active, self.hot);
             return Err(format!("active block {active:?} at or above the watermark {hot}"));
         }
-        let mut bad = 0;
+        let (mut bad, mut candidates) = (0, 0);
         for (b, meta) in self.allocated().enumerate() {
             let programmed = meta.next_page <= self.pages_per_block
                 && meta.valid.checked_shr(meta.next_page.into()).unwrap_or(0) == 0;
@@ -421,9 +464,16 @@ impl ChipBlocks {
                 ));
             }
             bad += usize::from(meta.state == BlockState::Bad);
+            candidates += usize::from(meta.state == BlockState::Full && meta.invalid_count() > 0);
         }
         if bad != self.bad {
             return Err(format!("{bad} blocks are bad but {} are counted", self.bad));
+        }
+        let listed = self.gc.check(self)?;
+        if listed != candidates {
+            return Err(format!(
+                "{candidates} full blocks hold invalid pages but {listed} are listed for GC"
+            ));
         }
         Ok(())
     }

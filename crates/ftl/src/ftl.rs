@@ -1,7 +1,6 @@
 //! The FTL proper: mapping, allocation, placement, GC orchestration.
 
-use crate::blocks::{BlockState, ChipBlocks, UNMAPPED};
-use crate::gc::GreedyPicker;
+use crate::blocks::{ChipBlocks, UNMAPPED};
 use reqblock_flash::timeline::Origin;
 use reqblock_flash::{
     FaultConfig, FaultModel, FaultStats, FlashTimeline, SsdConfig, MAX_READ_RETRIES,
@@ -171,13 +170,6 @@ impl PageMap {
     }
 }
 
-/// Per-chip domain: block state plus GC picker.
-#[derive(Debug, Clone)]
-struct ChipDomain {
-    blocks: ChipBlocks,
-    picker: GreedyPicker,
-}
-
 /// What [`Ftl::migrate`] did to one block.
 struct Migration {
     /// Valid pages moved off the block.
@@ -207,7 +199,7 @@ pub struct Ftl {
     cfg: SsdConfig,
     /// LPN -> PPN; `UNMAPPED` when the LPN has never been written.
     l2p: PageMap,
-    chips: Vec<ChipDomain>,
+    chips: Vec<ChipBlocks>,
     /// Round-robin cursor for striped placement (and for spreading
     /// single-block batches across chips between evictions).
     cursor: usize,
@@ -259,9 +251,7 @@ impl Ftl {
             block_shift,
             chip_shift,
             l2p: PageMap::default(),
-            chips: (0..cfg.total_chips())
-                .map(|_| ChipDomain { blocks: ChipBlocks::new(cfg), picker: GreedyPicker::new() })
-                .collect(),
+            chips: (0..cfg.total_chips()).map(|_| ChipBlocks::new(cfg)).collect(),
             cursor: 0,
             stats: FtlStats::default(),
             obs: FtlObs::default(),
@@ -293,9 +283,8 @@ impl Ftl {
             return false;
         }
         self.l2p.clear();
-        for domain in &mut self.chips {
-            domain.blocks.reset();
-            domain.picker.clear();
+        for blocks in &mut self.chips {
+            blocks.reset();
         }
         self.cursor = 0;
         self.stats = FtlStats::default();
@@ -339,7 +328,7 @@ impl Ftl {
 
     /// Blocks retired as bad across all chips.
     pub fn bad_blocks_total(&self) -> usize {
-        self.chips.iter().map(|c| c.blocks.bad_count()).sum()
+        self.chips.iter().map(|c| c.bad_count()).sum()
     }
 
     /// Is `lpn` currently mapped to a physical page?
@@ -356,23 +345,23 @@ impl Ftl {
 
     /// Live (mapped) page count. O(chips * blocks); test/diagnostic use.
     pub fn live_pages(&self) -> u64 {
-        self.chips.iter().map(|c| c.blocks.live_pages()).sum()
+        self.chips.iter().map(|c| c.live_pages()).sum()
     }
 
     /// Free blocks on each chip (diagnostics).
     pub fn free_blocks_per_chip(&self) -> Vec<usize> {
-        self.chips.iter().map(|c| c.blocks.free_count()).collect()
+        self.chips.iter().map(|c| c.free_count()).collect()
     }
 
     /// Free blocks across the drive (no allocation; sampled every
     /// observation interval, unlike [`Ftl::free_blocks_per_chip`]).
     pub fn free_blocks_total(&self) -> usize {
-        self.chips.iter().map(|c| c.blocks.free_count()).sum()
+        self.chips.iter().map(|c| c.free_count()).sum()
     }
 
     /// Maximum per-block erase count across the drive (wear ceiling).
     pub fn max_erase_count(&self) -> u32 {
-        self.chips.iter().map(|c| c.blocks.max_erase_count()).max().unwrap_or(0)
+        self.chips.iter().map(|c| c.max_erase_count()).max().unwrap_or(0)
     }
 
     #[inline]
@@ -396,28 +385,7 @@ impl Ftl {
     fn invalidate_ppn(&mut self, ppn: u32) {
         let chip = self.chip_of_ppn(ppn);
         let (block, page) = self.block_page_of_ppn(ppn);
-        let domain = &mut self.chips[chip];
-        let (inv, state) = domain.blocks.invalidate_with_state(block, page);
-        if state == BlockState::Full {
-            domain.picker.note(block, inv, &domain.blocks);
-        }
-    }
-
-    /// Allocate the next physical page on `chip` without mapping it, or
-    /// `None` if the chip is out of space even after GC had its chance.
-    fn try_allocate_raw(&mut self, chip: usize) -> Option<(u32, u16)> {
-        let domain = &mut self.chips[chip];
-        let (block, page) = domain.blocks.allocate_page()?;
-        // If the allocation sealed the block (it is no longer the append
-        // point) and earlier pages of it were already invalidated, make
-        // sure the picker knows about it.
-        if domain.blocks.active_block().is_none() {
-            let meta = domain.blocks.meta(block);
-            if meta.state == BlockState::Full && meta.invalid_count() > 0 {
-                domain.picker.note(block, meta.invalid_count(), &domain.blocks);
-            }
-        }
-        Some((block, page))
+        self.chips[chip].invalidate(block, page);
     }
 
     /// The free-block count GC defends on `chip`. Identical to
@@ -426,7 +394,7 @@ impl Ftl {
     /// shrinking pool keeps the same proportional overprovisioning instead
     /// of GC-ing ever harder against an unreachable absolute target.
     fn gc_floor(&self, chip: usize) -> usize {
-        let blocks = &self.chips[chip].blocks;
+        let blocks = &self.chips[chip];
         if blocks.bad_count() == 0 {
             return self.gc_floor_healthy;
         }
@@ -437,7 +405,7 @@ impl Ftl {
     /// threshold or no block can be reclaimed.
     fn maybe_gc(&mut self, chip: usize, at: u64, tl: &mut FlashTimeline) {
         let floor = self.gc_floor(chip);
-        while self.chips[chip].blocks.free_count() < floor {
+        while self.chips[chip].free_count() < floor {
             if !self.gc_once(chip, at, tl) {
                 break;
             }
@@ -448,8 +416,7 @@ impl Ftl {
     /// within the chip, then erase it. Returns `false` if no victim exists
     /// or the chip ran out of space mid-migration.
     fn gc_once(&mut self, chip: usize, at: u64, tl: &mut FlashTimeline) -> bool {
-        let domain = &mut self.chips[chip];
-        let Some(victim) = domain.picker.pick(&domain.blocks) else {
+        let Some(victim) = self.chips[chip].greediest() else {
             return false;
         };
         let moved = self.migrate(chip, victim, at, tl);
@@ -467,11 +434,11 @@ impl Ftl {
             // valid pages were already migrated, so no data is at risk —
             // but the free list does not grow.
             self.fstats.erase_failures += 1;
-            self.chips[chip].blocks.retire(victim);
+            self.chips[chip].retire(victim);
             self.fstats.retired_blocks += 1;
             self.refresh_health();
         } else {
-            self.chips[chip].blocks.erase(victim);
+            self.chips[chip].erase(victim);
             self.stats.gc_erased_blocks += 1;
         }
         self.stats.gc_runs += 1;
@@ -485,11 +452,11 @@ impl Ftl {
     /// losing data.
     fn retire_block(&mut self, chip: usize, block: u32, at: u64, tl: &mut FlashTimeline) {
         // Stop allocating from the failing block before rewriting onto it.
-        self.chips[chip].blocks.close_active(block);
+        self.chips[chip].close_active(block);
         let moved = self.migrate(chip, block, at, tl);
         self.fstats.remapped_pages += moved.pages;
         if moved.emptied {
-            self.chips[chip].blocks.retire(block);
+            self.chips[chip].retire(block);
             self.fstats.retired_blocks += 1;
             self.refresh_health();
         }
@@ -505,12 +472,12 @@ impl Ftl {
     /// exceeds physical capacity).
     fn migrate(&mut self, chip: usize, block: u32, at: u64, tl: &mut FlashTimeline) -> Migration {
         let mut moved = Migration { pages: 0, busy_ns: 0, emptied: false };
-        let mut valid = self.chips[chip].blocks.meta(block).valid;
+        let mut valid = self.chips[chip].meta(block).valid;
         while valid != 0 {
             let page = valid.trailing_zeros() as u16;
             valid &= valid - 1;
-            let lpn = self.chips[chip].blocks.lpn(block, page);
-            let Some((nb, np)) = self.try_allocate_raw(chip) else {
+            let lpn = self.chips[chip].lpn(block, page);
+            let Some((nb, np)) = self.chips[chip].allocate_page() else {
                 assert!(
                     !self.faults.is_inert(),
                     "flash chip out of space: live data exceeds physical capacity"
@@ -519,7 +486,7 @@ impl Ftl {
                 return moved;
             };
             let rd = tl.read(&self.cfg, chip, at, Origin::Gc);
-            let blocks = &mut self.chips[chip].blocks;
+            let blocks = &mut self.chips[chip];
             blocks.invalidate(block, page);
             blocks.set_lpn(nb, np, lpn);
             let old = self.l2p.replace(lpn as usize, self.ppn_of(chip, nb, np));
@@ -542,7 +509,7 @@ impl Ftl {
         if floor == 0 {
             return;
         }
-        if self.chips.iter().any(|c| c.blocks.free_count() < floor) {
+        if self.chips.iter().any(|c| c.free_count() < floor) {
             self.health = Health::ReadOnly;
         }
     }
@@ -578,10 +545,10 @@ impl Ftl {
                 // under space pressure (free below floor with no
                 // reclaimable victim) every program re-checks, because
                 // later invalidations of this very batch can mint a victim.
-                self.gc_checked[chip] = self.chips[chip].blocks.free_count() >= self.gc_floor(chip);
+                self.gc_checked[chip] = self.chips[chip].free_count() >= self.gc_floor(chip);
             }
-            let free_before = self.chips[chip].blocks.free_count();
-            let Some((block, page)) = self.try_allocate_raw(chip) else {
+            let free_before = self.chips[chip].free_count();
+            let Some((block, page)) = self.chips[chip].allocate_page() else {
                 // Out of space while faults are live: retirements may have
                 // eaten the overprovisioning GC needs, so this is a device
                 // failure, not a configuration error.
@@ -593,7 +560,7 @@ impl Ftl {
                 self.fstats.rejected_write_pages += 1;
                 return at;
             };
-            if self.chips[chip].blocks.free_count() != free_before {
+            if self.chips[chip].free_count() != free_before {
                 // The allocation opened a fresh block: GC gets its usual
                 // look before the next program on this chip.
                 self.gc_checked[chip] = false;
@@ -601,7 +568,7 @@ impl Ftl {
             let done = tl.program(&self.cfg, chip, at, Origin::User).end_ns;
             if !self.faults.program_fails() {
                 // Commit: map the new page, then invalidate the old copy.
-                self.chips[chip].blocks.set_lpn(block, page, lpn as u32);
+                self.chips[chip].set_lpn(block, page, lpn as u32);
                 let old = self.l2p.replace(lpn as usize, self.ppn_of(chip, block, page));
                 if old != UNMAPPED {
                     self.invalidate_ppn(old);
@@ -609,7 +576,7 @@ impl Ftl {
                 return done;
             }
             self.fstats.program_failures += 1;
-            self.chips[chip].blocks.invalidate(block, page);
+            self.chips[chip].invalidate(block, page);
             self.retire_block(chip, block, at, tl);
             self.gc_checked[chip] = false;
         }
@@ -654,7 +621,7 @@ impl Ftl {
             if old != UNMAPPED {
                 let chip = self.chip_of_ppn(old);
                 let (block, _) = self.block_page_of_ppn(old);
-                self.chips[chip].blocks.prefetch_meta(block);
+                self.chips[chip].prefetch_meta(block);
             }
         }
         let chips = self.chips.len();
@@ -770,14 +737,10 @@ impl Ftl {
     /// * every valid page's reverse entry maps forward to that page;
     /// * each block's valid count equals its live forward mappings;
     /// * free, active, full and bad blocks partition each chip and agree
-    ///   with its free count ([`ChipBlocks::check_consistency`]);
-    /// * while the device is healthy, every full block with invalid pages
-    ///   has a GC picker entry at its current invalid count, so greedy GC
-    ///   can reach it. (A migration that runs out of space leaves its
-    ///   block without one, but it also turns the device read-only, and
-    ///   [`Ftl::write_pages`] rejects every later batch.)
-    /// * each chip's GC picker holds no more entries than its compaction
-    ///   trigger, which the chip's allocation watermark bounds.
+    ///   with its free count, and its GC lists hold exactly the full
+    ///   blocks with invalid pages, each at its current count
+    ///   ([`ChipBlocks::check_consistency`]), on a healthy device and a
+    ///   degraded one alike.
     ///
     /// Walks the materialized forward-map leaves and the allocated blocks
     /// only, so it stays cheap at paper geometry. Tests only.
@@ -786,7 +749,7 @@ impl Ftl {
         let mut live: Vec<Vec<u32>> = self
             .chips
             .iter()
-            .map(|c| vec![0; c.blocks.allocated_watermark() as usize])
+            .map(|c| vec![0; c.allocated_watermark() as usize])
             .collect();
         for (lpn, ppn) in self.l2p.mapped() {
             let chip = self.chip_of_ppn(ppn);
@@ -794,7 +757,7 @@ impl Ftl {
             if lpn as u64 >= self.logical_pages() || chip >= self.chips.len() {
                 return Err(format!("lpn {lpn} -> ppn {ppn} outside the device"));
             }
-            let blocks = &self.chips[chip].blocks;
+            let blocks = &self.chips[chip];
             let Some(count) = live[chip].get_mut(block as usize) else {
                 return Err(format!("lpn {lpn} maps to unallocated block {block} of chip {chip}"));
             };
@@ -806,38 +769,10 @@ impl Ftl {
             }
             *count += 1;
         }
-        for (chip, (domain, per_block)) in self.chips.iter().zip(&live).enumerate() {
-            let blocks = &domain.blocks;
+        for (chip, (blocks, per_block)) in self.chips.iter().zip(&live).enumerate() {
             blocks.check_consistency().map_err(|e| format!("chip {chip}: {e}"))?;
-            let mut noted = vec![false; per_block.len()];
-            let mut held = 0;
-            for (block, count) in domain.picker.entries() {
-                if let Some(slot) = noted.get_mut(block as usize) {
-                    *slot |= blocks.meta(block).invalid_count() == count;
-                }
-                held += 1;
-            }
-            let limit = domain.picker.limit(blocks.allocated_watermark());
-            if held != domain.picker.len() || held > limit {
-                return Err(format!(
-                    "chip {chip}: GC picker holds {held} entries, counts {}, limit {limit}",
-                    domain.picker.len()
-                ));
-            }
             for (block, &mapped) in (0..).zip(per_block) {
-                let meta = blocks.meta(block);
-                if self.health == Health::Healthy
-                    && meta.state == BlockState::Full
-                    && meta.invalid_count() > 0
-                    && !noted[block as usize]
-                {
-                    return Err(format!(
-                        "chip {chip} block {block}: full with {} invalid pages \
-                         but no GC entry at that count",
-                        meta.invalid_count()
-                    ));
-                }
-                let mut valid = meta.valid;
+                let mut valid = blocks.meta(block).valid;
                 if valid.count_ones() != mapped {
                     return Err(format!(
                         "chip {chip} block {block}: {} valid pages but {mapped} live mappings",
@@ -1309,17 +1244,17 @@ mod tests {
         // Manually retire two blocks on chip 0 through the public surface:
         // fill them, invalidate them, and retire via erase-failure path is
         // indirect — use ChipBlocks directly instead.
-        let dom = &mut ftl.chips[0];
+        let blocks = &mut ftl.chips[0];
         for _ in 0..2 {
             let mut filled = None;
             for _ in 0..cfg.pages_per_block {
-                let (b, p) = dom.blocks.allocate_page().unwrap();
-                dom.blocks.invalidate(b, p);
+                let (b, p) = blocks.allocate_page().unwrap();
+                blocks.invalidate(b, p);
                 filled = Some(b);
             }
-            dom.blocks.retire(filled.unwrap());
+            blocks.retire(filled.unwrap());
         }
-        assert_eq!(dom.blocks.bad_count(), 2);
+        assert_eq!(blocks.bad_count(), 2);
         // usable 30 * 0.10 -> ceil(3.0) = 3 vs the healthy floor of 4.
         assert_eq!(ftl.gc_floor(0), 3);
         assert_eq!(cfg.gc_free_blocks_floor(), 4);

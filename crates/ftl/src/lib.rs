@@ -13,14 +13,13 @@
 //!   channel and is why BPLRU loses on response time despite similar hit
 //!   ratios).
 //! * [`blocks`] — per-chip block state: free lists, append points, per-block
-//!   valid bitmaps (`u64`, hence the 64 pages/block limit), erase counts.
-//! * [`gc`] — greedy victim selection via lazy per-count buckets of
-//!   blocks keyed on invalid page count, bounded by the chip's allocated
-//!   blocks rather than its write history: a note pops the entry it
-//!   outdates, and a compaction, one pass over the block metadata, drops
-//!   the other stale entries. GC migrates valid pages within the chip and
-//!   erases the victim, charging all of it to the chip's timeline so later
-//!   host operations observe the delay.
+//!   valid bitmaps (`u64`, hence the 64 pages/block limit), erase counts,
+//!   and the GC candidates.
+//! * [`gc`] — greedy victim selection: each chip lists its full blocks
+//!   with invalid pages by invalid count, and its block transitions keep
+//!   the lists exact. GC migrates valid pages within the chip and erases
+//!   the victim, charging all of it to the chip's timeline so later host
+//!   operations observe the delay.
 //!
 //! Every flushed page goes through one write-then-invalidate program
 //! routine, fault-injected or not, and GC and block retirement move valid

@@ -1,9 +1,10 @@
 //! `ChipBlocks` materializes block state on first allocation; this pins it
 //! to an eager reference model that stores every block's metadata up front
 //! and seeds its free list `[n-1, ..., 0]`. Random sequences of allocate,
-//! invalidate, erase, retire and reset on small geometries must return the
-//! same `(block, page)` at every allocation and leave the same counts and
-//! the same metadata for every block, untouched ones included.
+//! invalidate, erase, retire, close-active and reset on small geometries
+//! must return the same `(block, page)` at every allocation and leave the
+//! same counts, the same metadata for every block, untouched ones
+//! included, and the same greedy GC victim.
 
 use proptest::prelude::*;
 use reqblock_flash::SsdConfig;
@@ -83,6 +84,23 @@ impl Eager {
         self.bad += 1;
     }
 
+    fn close_active(&mut self) {
+        if let Some(b) = self.active.take() {
+            self.blocks[b as usize].state = BlockState::Full;
+        }
+    }
+
+    /// The greedy victim by scan: the max `(invalid count, block)` over
+    /// full blocks with invalid pages.
+    fn greediest(&self) -> Option<u32> {
+        (0..self.blocks.len() as u32)
+            .map(|b| (&self.blocks[b as usize], b))
+            .filter(|(m, _)| m.state == BlockState::Full && m.invalid_count() > 0)
+            .map(|(m, b)| (m.invalid_count(), b))
+            .max()
+            .map(|(_, b)| b)
+    }
+
     /// The `pick`-th block (modulo the count) satisfying `keep`, if any.
     fn choose(&self, pick: u32, keep: impl Fn(&BlockMeta) -> bool) -> Option<u32> {
         let candidates: Vec<u32> =
@@ -104,6 +122,7 @@ fn assert_same(lazy: &ChipBlocks, eager: &Eager) -> Result<(), TestCaseError> {
     prop_assert_eq!(lazy.allocated_watermark(), eager.watermark);
     prop_assert_eq!(lazy.active_block(), eager.active);
     prop_assert_eq!(lazy.block_count(), eager.blocks.len());
+    prop_assert_eq!(lazy.greediest(), eager.greediest());
     for (b, meta) in eager.blocks.iter().enumerate() {
         prop_assert_eq!(lazy.meta(b as u32), meta, "block {}", b);
     }
@@ -121,7 +140,7 @@ proptest! {
     fn allocation_order_is_the_eager_order(
         pages_per_block in prop_oneof![Just(1usize), Just(3usize), Just(8usize), Just(64usize)],
         blocks in 1usize..140,
-        ops in proptest::collection::vec((0u8..20, any::<u32>()), 1..600),
+        ops in proptest::collection::vec((0u8..21, any::<u32>()), 1..600),
     ) {
         let cfg = geometry(pages_per_block, blocks);
         let mut lazy = ChipBlocks::new(&cfg);
@@ -151,6 +170,11 @@ proptest! {
                     let Some(b) = eager.choose(pick, retirable) else { continue };
                     lazy.retire(b);
                     eager.retire(b);
+                }
+                19 => {
+                    let Some(b) = eager.active else { continue };
+                    lazy.close_active(b);
+                    eager.close_active();
                 }
                 _ => {
                     lazy.reset();

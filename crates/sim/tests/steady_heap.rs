@@ -5,8 +5,9 @@
 //! replays `proj_0` on a two-chip device sized at 1.15x the trace's write
 //! footprint, the shape of the benchmark's `proj0_gc`, so GC erases cycle
 //! the free pool, and then replays the same trace twice more. The later
-//! passes write no new footprint, so the device's state, the GC picker's
-//! entries among it, must not grow with the overwrites they make.
+//! passes write no new footprint, so the device's state, its GC candidate
+//! lists among it (one entry per full block with invalid pages), must not
+//! grow with the overwrites they make.
 
 use reqblock_core::ReqBlockConfig;
 use reqblock_obs::CountingAlloc;

@@ -8,9 +8,9 @@
 # field the gate table below reads), one release run of each example at
 # its smallest input (`cargo test` only compiles them; a non-zero exit
 # fails), the pinned digests that `repro run scenarios/smoke.toml`,
-# `repro why`, `repro --scale 0.01 faults` and `repro --scale 0.05
-# faults` print (the why step also writes trace files and telemetry
-# shards), an explicit release run of
+# `repro why`, `repro --scale 0.01 faults`, `repro --scale 0.05 faults`
+# and `repro --scale 0.2 faults` print (the why step also writes trace
+# files and telemetry shards), an explicit release run of
 # tests/fleet.rs (the small-fleet golden plus the streaming
 # merge-equivalence proptests pinning the loser-tree order and the
 # stream-vs-reference FleetMetrics against the materialize+sort
@@ -113,9 +113,9 @@ echo "faults digest ok: $FAULTS_GOT"
 
 echo "== faults (fault sweep at --scale 0.05 vs pinned digest) =="
 # Degraded devices are where GC bookkeeping that healthy runs never see
-# (a block a failed migration leaves behind, a stale picker entry) could
-# change a victim; at this scale the 1 % row ends read-only after 1 111
-# program and 28 erase failures.
+# (a block a failed migration leaves behind) could change a victim; at
+# this scale the 1 % row ends read-only after 1 111 program and 28 erase
+# failures.
 FAULTS05_WANT="[digest faults b66693e3ff257bff]"
 FAULTS05_GOT=$(./target/release/repro --scale 0.05 --threads 2 --out /tmp/reqblock_faults05 \
     faults 2>/dev/null | grep '^\[digest faults ' || true)
@@ -124,6 +124,18 @@ if [[ "$FAULTS05_GOT" != "$FAULTS05_WANT" ]]; then
     exit 1
 fi
 echo "faults x0.05 digest ok: $FAULTS05_GOT"
+
+echo "== faults (fault sweep at --scale 0.2 vs pinned digest) =="
+# The most degraded run: the 1 % row ends read-only after 4 445 program
+# and 103 erase failures and 129 350 rejected pages.
+FAULTS2_WANT="[digest faults 9b337c79911e89b6]"
+FAULTS2_GOT=$(./target/release/repro --scale 0.2 --threads 2 --out /tmp/reqblock_faults2 \
+    faults 2>/dev/null | grep '^\[digest faults ' || true)
+if [[ "$FAULTS2_GOT" != "$FAULTS2_WANT" ]]; then
+    echo "FAIL: faults digest at --scale 0.2 drifted: got '$FAULTS2_GOT', want '$FAULTS2_WANT'" >&2
+    exit 1
+fi
+echo "faults x0.2 digest ok: $FAULTS2_GOT"
 
 echo "== scenario list (every scenarios/*.toml validates) =="
 LIST=$(./target/release/repro --list)
