@@ -6,16 +6,18 @@
 //!
 //! commands:
 //!   table1      Table 1  (SSD configuration)
-//!   table2      Table 2  (trace specifications, paper vs measured)
-//!   fig2        Figure 2 (insert/hit CDFs vs request size)
-//!   fig3        Figure 3 (large-request hit statistics)
-//!   fig13       Figure 13 (list occupancy over time)
 //!
-//!   grid subcommands — each runs the builtin scenario of the same name
-//!   (scenarios/<name>.toml), exactly like `run scenarios/<name>.toml`:
+//!   scenario subcommands — each runs the builtin scenario of the same name
+//!   (scenarios/<name>.toml, all of them listed by --list), exactly like
+//!   `run scenarios/<name>.toml`:
+//!   table2      Table 2  (trace specifications, paper vs measured)
+//!   fig2, fig3  Figures 2 and 3 (insert/hit CDFs vs request size, large-
+//!               request hit statistics): the fig2_fig3 scenario, emitting
+//!               only that figure
 //!   fig7        Figure 7 (delta sensitivity)
 //!   comparison  Figures 8-12 + summary + perf in one pass (the grid is shared)
 //!   fig8..fig12 the comparison grid, emitting only that figure
+//!   fig13       Figure 13 (list occupancy over time)
 //!   tails       extension: response-time percentiles per policy
 //!   wear        extension: GC activity and write amplification
 //!   ablations   extension: Req-block design-choice ablations (A1-A4)
@@ -24,24 +26,24 @@
 //!   qdepth      extension: X5 response time vs host queue depth per
 //!               policy, queued submit mode (default depths 1-32;
 //!               `--depths 1,2,4,...` replaces the qdepth axis)
-//!   load        extension: X6 latency vs offered throughput — the ts_0
-//!               request mix re-timed by open-loop Poisson/bursty arrival
+//!   load        extension: X6 latency vs offered throughput — a request
+//!               mix re-timed by open-loop Poisson/bursty arrival
 //!               processes, p50/p99/p99.9 per policy and offered rate
 //!               (default Poisson multipliers 0.25x-8x plus a bursty 1x
 //!               row; `--rates 0.5,2,...` replaces the arrival axis's
 //!               `poisson:*` values and keeps the bursty one after them)
-//!
 //!   why         tail forensics: per-component latency attribution across
 //!               policy x depth x offered load, plus Perfetto-loadable
 //!               trace JSON and size-rotated telemetry shards per point
+//!   telemetry   instrumented example run: JSONL time series + summary
+//!               (`telemetry <trace>` replaces the scenario's trace axis)
+//!
 //!   fleet       extension: X8 fleet-scale multi-tenant QoS — N independent
 //!               devices under a blended three-tenant mix, per-tenant and
 //!               fleet-wide p50/p99/p999 plus a noisy-neighbor delta per
 //!               placement x device-count point, with per-device telemetry
 //!               shards (default fleets 4 and 16 devices;
 //!               `--devices 4,16,...` picks the grid)
-//!   telemetry   instrumented example run: JSONL time series + summary
-//!               (optionally `telemetry <trace>`; default ts_0)
 //!   run         run a declarative scenario file: run <scenario.toml>
 //!               (see scenarios/ and the EXPERIMENTS.md scenario guide)
 //!   --list      enumerate the built-in scenarios and any scenarios/*.toml
@@ -69,7 +71,7 @@
 //! synthetic).
 
 use reqblock_experiments::report::{bar_chart, section_files};
-use reqblock_experiments::scenario::{self, AxisValues};
+use reqblock_experiments::scenario::{self, AxisValues, Scenario};
 use reqblock_experiments::sweep::{self, Outcome, Plan};
 use reqblock_experiments::{extensions, figures, figures::Opts};
 use std::process::ExitCode;
@@ -246,31 +248,60 @@ fn write(opts: &Opts, outcome: &Outcome, only: Option<&str>) -> Result<(), Strin
     Ok(())
 }
 
-/// A grid subcommand's scenario: the builtin of the same name (`fig8`..
-/// `fig12` run `comparison` and emit only their own figure), with the
-/// `--depths`/`--rates` overrides (accepted only by `qdepth`/`load`)
-/// applied. `--rates` replaces the `poisson:*` arrival values and keeps
-/// the others after them.
-fn alias_scenario<'a>(extras: &CliExtras, cmd: &'a str) -> (scenario::Scenario, Option<&'a str>) {
+/// The scenarios a command runs, and the one section it emits (`None`:
+/// all of them). A command runs the builtin scenario of its name, except
+/// that `fig2`/`fig3` run `fig2_fig3` and `fig8`..`fig12` run
+/// `comparison`, each emitting only its own figure; `all` runs every
+/// builtin of [`sweep::ALL_SCENARIOS`], `run` the file it names, and
+/// `table1`, `fleet`, `export` and `--list` none. The overrides are
+/// applied to the scenario: the `telemetry` operand replaces the trace
+/// axis, `--depths` the qdepth axis, and `--rates` the `poisson:*` arrival
+/// values, keeping the others after them.
+fn scenarios<'a>(
+    cmd: &'a str,
+    operands: &[String],
+    extras: &CliExtras,
+) -> (Vec<Scenario>, Option<&'a str>) {
     let (name, only) = match cmd {
+        "fig2" | "fig3" => ("fig2_fig3", Some(cmd)),
         "fig8" | "fig9" | "fig10" | "fig11" | "fig12" => ("comparison", Some(cmd)),
         _ => (cmd, None),
     };
-    let mut sc = scenario::builtin(name).expect("every grid subcommand is a builtin scenario");
-    if let Some(depths) = &extras.depths {
-        let values = AxisValues::Ints(depths.iter().map(|&d| d as i64).collect());
-        sc.set_axis("qdepth", values).unwrap_or_else(|e| fail(&format!("--depths: {e}")));
+    let mut scenarios = match cmd {
+        "table1" | "fleet" | "export" | "list" => Vec::new(),
+        "all" => sweep::ALL_SCENARIOS.map(|name| scenario::builtin(name).expect("builtin")).into(),
+        "run" => {
+            let path = &operands[0];
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| fail(&format!("run: cannot read {path}: {e}")));
+            vec![Scenario::parse(&text).unwrap_or_else(|e| fail(&format!("run: {path}: {e}")))]
+        }
+        _ => {
+            let sc = scenario::builtin(name);
+            vec![sc.unwrap_or_else(|| fail(&format!("unknown command {cmd:?}")))]
+        }
+    };
+    let set = |sc: &mut Scenario, flag: &str, axis: &str, values: AxisValues| {
+        sc.set_axis(axis, values).unwrap_or_else(|e| fail(&format!("{flag}: {e}")));
+    };
+    for sc in &mut scenarios {
+        if let (Some(trace), "telemetry") = (operands.first(), cmd) {
+            set(sc, "telemetry", "trace", AxisValues::Strs(vec![trace.clone()]));
+        }
+        if let Some(depths) = &extras.depths {
+            let depths = depths.iter().map(|&d| d as i64).collect();
+            set(sc, "--depths", "qdepth", AxisValues::Ints(depths));
+        }
+        if let Some(rates) = &extras.rates {
+            let Some(AxisValues::Strs(arrivals)) = sc.axis("arrival") else {
+                unreachable!("the load scenario declares an arrival axis")
+            };
+            let kept = arrivals.iter().filter(|a| !a.starts_with("poisson:")).cloned();
+            let values = rates.iter().map(|r| format!("poisson:{r}")).chain(kept).collect();
+            set(sc, "--rates", "arrival", AxisValues::Strs(values));
+        }
     }
-    if let Some(rates) = &extras.rates {
-        let Some(AxisValues::Strs(arrivals)) = sc.axis("arrival") else {
-            unreachable!("the load scenario declares an arrival axis")
-        };
-        let kept = arrivals.iter().filter(|a| !a.starts_with("poisson:")).cloned();
-        let values = rates.iter().map(|r| format!("poisson:{r}")).chain(kept).collect();
-        sc.set_axis("arrival", AxisValues::Strs(values))
-            .unwrap_or_else(|e| fail(&format!("--rates: {e}")));
-    }
-    (sc, only)
+    (scenarios, only)
 }
 
 /// `repro --list`: every built-in scenario plus any extra `scenarios/*.toml`
@@ -278,7 +309,7 @@ fn alias_scenario<'a>(extras: &CliExtras, cmd: &'a str) -> (scenario::Scenario, 
 fn run_list() {
     println!("{:<12} {:<12} {:>6}  axes", "scenario", "kind", "jobs");
     for (name, text) in scenario::BUILTIN_SCENARIOS {
-        let sc = scenario::Scenario::parse(text)
+        let sc = Scenario::parse(text)
             .unwrap_or_else(|e| panic!("builtin scenario {name}: {e}"));
         println!(
             "{:<12} {:<12} {:>6}  {}",
@@ -304,7 +335,7 @@ fn run_list() {
     extra.sort();
     for path in extra {
         match std::fs::read_to_string(&path).map_err(|e| e.to_string()).and_then(|text| {
-            scenario::Scenario::parse(&text).map_err(|e| e.to_string())
+            Scenario::parse(&text).map_err(|e| e.to_string())
         }) {
             Ok(sc) => println!(
                 "{:<12} {:<12} {:>6}  {}  ({})",
@@ -348,26 +379,7 @@ fn main() -> ExitCode {
             operands.len()
         ));
     }
-    // The scenarios a grid command runs, with the one section it emits
-    // (`None`: all of them). Built first so the trace check below knows
-    // every device they replay a trace file on.
-    let grids: Vec<(scenario::Scenario, Option<&str>)> = match cmd {
-        "fig7" | "comparison" | "fig8" | "fig9" | "fig10" | "fig11" | "fig12" | "tails"
-        | "wear" | "ablations" | "faults" | "qdepth" | "load" => vec![alias_scenario(&extras, cmd)],
-        "run" => {
-            let path = &operands[0];
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| fail(&format!("run: cannot read {path}: {e}")));
-            let sc = scenario::Scenario::parse(&text)
-                .unwrap_or_else(|e| fail(&format!("run: {path}: {e}")));
-            vec![(sc, None)]
-        }
-        "all" => sweep::ALL_SCENARIOS
-            .iter()
-            .map(|name| (scenario::builtin(name).expect("sweep scenarios are builtin"), None))
-            .collect(),
-        _ => Vec::new(),
-    };
+    let (scenarios, only) = scenarios(cmd, operands, &extras);
     // Load every trace file --trace-dir supplies for the command before
     // planning, and check it fits every device the command builds for it:
     // a bad or oversized file is a usage error here, not a panic inside
@@ -383,35 +395,27 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     // The traces the command replays, each at its scale relative to
-    // --scale. Before anything is planned, every one that is synthesized is
-    // checked at its effective scale and every one a --trace-dir file
-    // supplies is loaded: a scale that makes a profile invalid is a usage
-    // error here, not a generator panic inside the worker pool.
-    let at_scale = |names: &[&str]| names.iter().map(|n| (n.to_string(), 1.0)).collect::<Vec<_>>();
-    let mut traces: Vec<(String, f64)> =
-        grids.iter().flat_map(|(sc, _)| sc.trace_scales()).collect();
-    traces.extend(match cmd {
-        "table2" | "fig2" | "fig3" | "fig13" | "all" => {
-            reqblock_trace::paper_profiles().into_iter().map(|p| (p.name, 1.0)).collect()
-        }
-        "why" => at_scale(&["ts_0"]),
-        // The three tenants, and the ts_0 mix their rates are calibrated on.
-        "fleet" => at_scale(&["hm_1", "usr_0", "proj_0", "ts_0"]),
-        "telemetry" => at_scale(&[operands.first().map_or("ts_0", String::as_str)]),
-        "export" => at_scale(&[&operands[0]]),
-        _ => Vec::new(),
-    });
-    // `export` synthesizes even when --trace-dir holds a file for its
-    // trace, so it reads no file.
-    let checked = match cmd {
-        "export" => Opts { trace_dir: None, ..opts.clone() },
-        _ => opts.clone(),
-    };
+    // --scale: those its scenarios declare, fleet's tenants and
+    // calibration mix, or the one `export` writes. Before anything is
+    // planned, every one that is synthesized is checked at its effective
+    // scale and every one a --trace-dir file supplies is loaded: a scale
+    // that makes a profile invalid is a usage error here, not a generator
+    // panic inside the worker pool. `export` synthesizes even when
+    // --trace-dir holds a file for its trace, so it reads no file.
+    let mut traces: Vec<_> = scenarios.iter().flat_map(Scenario::trace_scales).collect();
+    let mut checked = opts.clone();
+    if cmd == "fleet" {
+        traces.extend(extensions::fleet_trace_scales());
+    }
+    if cmd == "export" {
+        traces.push((operands[0].clone(), 1.0));
+        checked.trace_dir = None;
+    }
     if let Err(e) = checked.check_synthetic(&traces) {
         eprintln!("repro: --scale: {e}");
         return ExitCode::from(2);
     }
-    let devices: Vec<_> = grids.iter().flat_map(|(sc, _)| sc.pressured_devices(&opts)).collect();
+    let devices: Vec<_> = scenarios.iter().flat_map(|sc| sc.pressured_devices(&opts)).collect();
     if let Err((path, e)) = checked.check_trace_dir(&traces, &devices) {
         eprintln!("repro: --trace-dir: {}: {e}", path.display());
         return ExitCode::from(2);
@@ -444,38 +448,24 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     let t0 = Instant::now();
-    let (mut name, mut only) = (cmd.to_string(), None);
-    let plans: Vec<Box<dyn Plan + '_>> = match cmd {
-        "table1" => vec![Box::new(figures::table1())],
-        "table2" => vec![Box::new(figures::table2(&opts))],
-        "fig2" | "fig3" => {
-            only = Some(cmd);
-            vec![Box::new(figures::fig2_fig3(&opts))]
-        }
-        "fig13" => vec![Box::new(figures::fig13(&opts))],
-        "fig7" | "comparison" | "fig8" | "fig9" | "fig10" | "fig11" | "fig12" | "tails"
-        | "wear" | "ablations" | "faults" | "qdepth" | "load" | "run" => {
-            let (sc, grid_only) = &grids[0];
-            let plan =
-                scenario::plan(sc, &opts).unwrap_or_else(|e| fail(&format!("{}: {e}", sc.name)));
-            (name, only) = (sc.name.clone(), *grid_only);
-            vec![Box::new(plan)]
-        }
-        "why" => vec![Box::new(extensions::why(&opts))],
-        "fleet" => {
-            let devices = extras.devices.as_deref().unwrap_or(&extensions::FLEET_DEVICES);
-            let alloc: extensions::AllocProbe = (|| ALLOC.reset_peak(), || ALLOC.peak_bytes());
-            vec![Box::new(extensions::fleet(&opts, devices, Some(alloc)))]
-        }
-        "telemetry" => {
-            let trace = operands.first().map(String::as_str).unwrap_or("ts_0");
-            if reqblock_trace::profiles::profile_by_name(trace).is_none() {
-                fail(&format!("telemetry: unknown trace {trace:?}"));
-            }
-            vec![Box::new(figures::telemetry(&opts, trace))]
-        }
-        "all" => sweep::all_plans(&opts),
-        other => fail(&format!("unknown command {other:?}")),
+    // The two experiments that are code lead (Table 1, in `all` too); the
+    // command's scenarios follow.
+    let mut plans: Vec<Box<dyn Plan>> = Vec::new();
+    if cmd == "table1" || cmd == "all" {
+        plans.push(Box::new(figures::table1()));
+    }
+    if cmd == "fleet" {
+        let devices = extras.devices.as_deref().unwrap_or(&extensions::FLEET_DEVICES);
+        let alloc: extensions::AllocProbe = (|| ALLOC.reset_peak(), || ALLOC.peak_bytes());
+        plans.push(Box::new(extensions::fleet(&opts, devices, Some(alloc))));
+    }
+    for sc in &scenarios {
+        let plan = scenario::plan(sc, &opts);
+        plans.push(plan.unwrap_or_else(|e| fail(&format!("{}: {e}", sc.name))));
+    }
+    let name = match &scenarios[..] {
+        [sc] if plans.len() == 1 => sc.name.as_str(),
+        _ => cmd,
     };
     let jobs: usize = plans.iter().map(|plan| plan.tasks().len()).sum();
     eprintln!(

@@ -3,12 +3,13 @@
 //! The one-table extensions (`tails`, `wear`, `ablations`, `faults`,
 //! `qdepth` X5 and `load` X6) are `grid` scenarios, data under
 //! `scenarios/`; this module keeps what their compiler borrows (the
-//! service-rate calibration, the pressured device, the burst shape) and
-//! the two experiments that are still code, each a [`Plan`] for
+//! service-rate calibration, the pressured device, the burst shape), the
+//! point runner and report of the `why` scenario kind, and `fleet`, the
+//! one extension that is still a code [`Plan`] for
 //! [`sweep::run`](crate::sweep::run):
 //!
 //! * [`why`] — X7: per-request tail forensics across policy x depth x
-//!   offered load, one task per grid point.
+//!   offered load, the builtin `scenarios/why.toml`.
 //! * [`fleet`] — X8: a multi-device fleet under a blended three-tenant
 //!   mix, per-tenant p50/p99/p999 and a noisy-neighbor delta per
 //!   placement x device-count grid point (see `reqblock_sim::fleet`),
@@ -16,16 +17,19 @@
 
 use crate::figures::Opts;
 use crate::report::{f2, f3, pct, Table};
-use crate::sweep::{Outcome, Plan, Probes};
+use crate::scenario::{plan_builtin, Point, Scenario};
+use crate::sweep::{Outcome, Plan};
 use reqblock_core::ReqBlockConfig;
 use reqblock_obs::telemetry::to_jsonl;
 use reqblock_obs::{MemoryRecorder, NoopRecorder, TraceBuilder};
 use reqblock_sim::{
     replay, ArrivalProcess, AttrAcc, AttrConfig, CacheSizeMb, Component, FleetConfig,
     FleetControl, IntervalLog, Metrics, NoisyNeighbor, Placement, PolicyKind, SimConfig, Ssd,
-    SubmitMode, TenantMix, TenantSpec, TraceSource,
+    SubmitMode, Task, TenantMix, TenantSpec,
 };
+use reqblock_trace::profiles::profile_by_name;
 use reqblock_trace::{Request, SyntheticTrace, WorkloadProfile};
+use std::sync::OnceLock;
 
 /// The device's back-to-back per-request service gap for one request mix:
 /// one serial probe replays the mix with every arrival at t=0 against an
@@ -69,24 +73,23 @@ pub(crate) fn pressured_ssd(profile: &WorkloadProfile) -> reqblock_flash::SsdCon
 /// long-run rate, idle gaps in between (same offered rate).
 pub const LOAD_BURST: (u32, u32) = (64, 8);
 
-/// Host queue depths probed by [`why`] (X7).
-const WHY_DEPTHS: [u32; 2] = [1, 8];
-
-/// Offered-load multipliers probed by [`why`], relative to the calibrated
-/// back-to-back service rate (same calibration as the `load` scenario): one
-/// point comfortably below the knee, one past it, one deep in overload.
-const WHY_LOADS: [f64; 3] = [0.5, 2.0, 8.0];
-
-/// The two policies [`why`] contrasts: the baseline and the paper's
-/// contribution.
-fn why_policies() -> [PolicyKind; 2] {
-    [PolicyKind::Lru, PolicyKind::ReqBlock(ReqBlockConfig::paper())]
+/// X7 extension: per-request tail forensics, the builtin `why` scenario
+/// (`scenarios/why.toml`). For each of the {LRU, Req-block} x queue depth
+/// {1, 8} x offered load {0.5x, 2x, 8x} points (of the calibrated service
+/// rate), replay the `ts_0` mix ([`Opts::source_for`]: the trace file when
+/// one is given) open-loop with attribution enabled, attribute
+/// p50/p99/p99.9 response time to named components and name the dominant
+/// tail cause. Renders section `why`, one Perfetto-loadable
+/// `<stem>.trace.json` file per point and shard set `why_telemetry`.
+/// Planning runs the serial service-rate calibration; sampling is
+/// deterministic in the run alone, so the outcome is thread-count
+/// invariant.
+pub fn why(opts: &Opts) -> Box<dyn Plan> {
+    plan_builtin("why", opts)
 }
 
-/// One fully analysed tail-forensics grid point.
-struct WhyPoint {
-    /// `policy|depth|mult` label.
-    label: String,
+/// What the `why` runner keeps of one point's run.
+pub(crate) struct WhyRun {
     /// Plain run metrics (response percentiles).
     metrics: Metrics,
     /// Attribution accumulator: component totals, histograms, sampled
@@ -99,54 +102,28 @@ struct WhyPoint {
     telemetry: String,
 }
 
-/// X7 extension: per-request tail forensics. For each of the {LRU,
-/// Req-block} x queue depth {1, 8} x offered load {0.5x, 2x, 8x} points
-/// (of the calibrated service rate), replay the `ts_0` mix
-/// ([`Opts::source_for`]: the trace file when one is given) open-loop with
-/// attribution enabled, attribute p50/p99/p99.9 response time to named
-/// components and name the dominant tail cause. Renders section `why`, one
-/// Perfetto-loadable `<stem>.trace.json` file per point and shard set
-/// `why_telemetry`. Planning runs the serial service-rate calibration;
-/// sampling is deterministic in the run alone, so the outcome is
-/// thread-count invariant.
-pub fn why(opts: &Opts) -> impl Plan + '_ {
-    let base = opts.source_for(&reqblock_trace::profiles::ts_0().scaled(opts.scale));
-    let requests = base.requests().unwrap_or_else(|e| panic!("cannot load trace: {e}"));
-    let service_gap_ns = calibrated_service_gap_ns(requests.iter().copied());
-    let mut points = Vec::new();
-    for policy in why_policies() {
-        for &depth in &WHY_DEPTHS {
-            for (i, mult) in WHY_LOADS.into_iter().enumerate() {
-                let process = ArrivalProcess::Poisson {
-                    mean_interarrival_ns: ((service_gap_ns as f64 / mult) as u64).max(1),
-                };
-                // Seeded per rate step like the X6 sweep: every policy and
-                // depth sees byte-identical arrivals at the same load.
-                let source = TraceSource::open_loop(base.clone(), process, 0x7A11_CA05 + i as u64);
-                let cfg = SimConfig::paper(CacheSizeMb::Mb32, policy)
-                    .with_submit(SubmitMode::Queued { depth })
-                    .with_attribution(AttrConfig::default());
-                points.push((format!("{}|{depth}|{mult}", policy.name()), cfg, source));
-            }
-        }
-    }
-    Probes::new(opts, points, |(label, _, _)| label.clone(), why_point, why_outcome)
+/// A `why` point's `(policy, depth, load multiplier)`, as its telemetry
+/// meta, trace file stem and table row name it.
+fn why_point(p: &Point) -> (&'static str, &str, &str) {
+    let mult = p.cell("load").strip_suffix('x').expect("an arrival point's load cell");
+    (p.cfg.policy.name(), p.cell("qdepth"), mult)
 }
 
-/// Run one X7 point. The whole device stays around to the end — the
-/// attribution accumulator and captured busy intervals live on the `Ssd`,
-/// not in a `RunResult`.
-fn why_point(_: &Opts, (label, cfg, source): &(String, SimConfig, TraceSource)) -> WhyPoint {
+/// The `why` runner: a recorded replay of the point with attribution
+/// enabled. The whole device stays around to the end — the attribution
+/// accumulator and captured busy intervals live on the `Ssd`, not in a
+/// `RunResult`.
+pub(crate) fn why_run(_: &Opts, p: &Point) -> WhyRun {
     let mut rec = MemoryRecorder::default();
-    let mut ssd = Ssd::new(cfg.clone());
-    let requests = source.requests().unwrap_or_else(|e| panic!("cannot load trace: {e}"));
-    for req in requests.iter() {
+    let mut ssd = Ssd::new(p.cfg.clone().with_attribution(AttrConfig::default()));
+    for req in p.requests().iter() {
         ssd.submit_recorded(req, &mut rec);
     }
     ssd.finish_recording(&mut rec);
-    let telemetry = to_jsonl(&rec, &[("experiment", "why".into()), ("point", label.clone())]);
-    WhyPoint {
-        label: label.clone(),
+    let (policy, depth, mult) = why_point(p);
+    let label = format!("{policy}|{depth}|{mult}");
+    let telemetry = to_jsonl(&rec, &[("experiment", "why".into()), ("point", label)]);
+    WhyRun {
         metrics: ssd.metrics().clone(),
         attr: ssd.attribution().expect("attr configured").clone(),
         intervals: ssd.device().busy_intervals().cloned(),
@@ -154,16 +131,24 @@ fn why_point(_: &Opts, (label, cfg, source): &(String, SimConfig, TraceSource)) 
     }
 }
 
-/// Render the X7 outcome from the analysed points (grid order).
-fn why_outcome(_: &Opts, points: Vec<WhyPoint>) -> Outcome {
+/// The `why` report: the X7 table, one trace document per point (file
+/// `why_<policy>_qd<depth>_<mult>x.trace.json`) and the shard set
+/// `why_telemetry`, in grid order.
+pub(crate) fn why_report(sc: &Scenario, _: &Opts, runs: Vec<(Point, WhyRun)>) -> Outcome {
+    let files = runs
+        .iter()
+        .map(|(p, run)| {
+            let (policy, depth, mult) = why_point(p);
+            let policy = policy.to_lowercase().replace('-', "_");
+            (format!("why_{policy}_qd{depth}_{mult}x.trace.json"), why_trace_json(run))
+        })
+        .collect();
+    let table = why_table(&runs);
+    let telemetry = runs.into_iter().map(|(_, run)| run.telemetry).collect();
     Outcome {
-        sections: vec![("why".into(), vec![why_build(&points)])],
-        files: points
-            .iter()
-            .map(|p| (format!("{}.trace.json", why_stem(&p.label)), why_trace_json(p)))
-            .collect(),
-        shards: vec![("why_telemetry".into(), points.into_iter().map(|p| p.telemetry).collect())],
-        ..Outcome::default()
+        files,
+        shards: vec![("why_telemetry".into(), telemetry)],
+        ..sc.section(vec![table])
     }
 }
 
@@ -180,34 +165,35 @@ const WHY_COLUMNS: [Component; 6] = [
     Component::ReadRetry,
 ];
 
-/// Render the X7 table from analysed points (grid order).
-fn why_build(points: &[WhyPoint]) -> Table {
+/// Render the X7 table from the analysed points (grid order).
+fn why_table(runs: &[(Point, WhyRun)]) -> Table {
     let mut cols = vec!["Policy", "Depth", "Load", "p50 (ms)", "p99 (ms)", "p99.9 (ms)"];
     let names: Vec<String> = WHY_COLUMNS.iter().map(|c| format!("{} %", c.name())).collect();
     cols.extend(names.iter().map(String::as_str));
     cols.push("Tail cause");
     let mut t = Table::new(
-        "Extension - X7: tail forensics - response attribution by component (ts_0 mix, open loop, 32MB)",
+        format!(
+            "Extension - X7: tail forensics - response attribution by component \
+             ({} mix, open loop, 32MB)",
+            runs[0].0.cell("trace")
+        ),
         &cols,
     );
-    for p in points {
-        let mut parts = p.label.split('|');
-        let policy = parts.next().expect("why label has policy");
-        let depth = parts.next().expect("why label has depth");
-        let mult = parts.next().expect("why label has multiplier");
-        let total = p.attr.total_response_ns().max(1) as f64;
+    for (p, run) in runs {
+        let (policy, depth, mult) = why_point(p);
+        let total = run.attr.total_response_ns().max(1) as f64;
         let mut row = vec![
             policy.to_string(),
             depth.to_string(),
             format!("{mult}x"),
-            f3(p.metrics.response_percentile_ms(0.50)),
-            f3(p.metrics.response_percentile_ms(0.99)),
-            f3(p.metrics.response_percentile_ms(0.999)),
+            f3(run.metrics.response_percentile_ms(0.50)),
+            f3(run.metrics.response_percentile_ms(0.99)),
+            f3(run.metrics.response_percentile_ms(0.999)),
         ];
         for c in WHY_COLUMNS {
-            row.push(pct(p.attr.total_ns(c) as f64 / total));
+            row.push(pct(run.attr.total_ns(c) as f64 / total));
         }
-        row.push(p.attr.dominant_tail_component().name().to_string());
+        row.push(run.attr.dominant_tail_component().name().to_string());
         t.push_row(row);
     }
     t
@@ -218,7 +204,7 @@ fn why_build(points: &[WhyPoint]) -> Table {
 /// or `about:tracing`). Track layout: pid 1 one track per sampled request
 /// with its components laid out back-to-back from arrival; pid 2 chips;
 /// pid 3 channel buses (GC-issued operations categorised `"gc"`).
-fn why_trace_json(point: &WhyPoint) -> String {
+fn why_trace_json(point: &WhyRun) -> String {
     let mut b = TraceBuilder::new();
     b.process_name(1, "sampled requests");
     for (i, span) in point.attr.sampled_spans().iter().enumerate() {
@@ -260,15 +246,6 @@ fn why_trace_json(point: &WhyPoint) -> String {
     b.finish()
 }
 
-/// File stem for one point's trace document (`why_req_block_qd8_2x`).
-fn why_stem(label: &str) -> String {
-    let mut parts = label.split('|');
-    let policy = parts.next().unwrap_or("unknown").to_lowercase().replace('-', "_");
-    let depth = parts.next().unwrap_or("0");
-    let mult = parts.next().unwrap_or("0");
-    format!("why_{policy}_qd{depth}_{mult}x")
-}
-
 /// Device counts swept by [`fleet`] (X8); `repro fleet --devices N1,N2,...`
 /// overrides them.
 pub const FLEET_DEVICES: [usize; 2] = [4, 16];
@@ -282,73 +259,76 @@ pub fn fleet_placements() -> [Placement; 2] {
     [Placement::Striped, Placement::Packed { devices_per_tenant: 2 }]
 }
 
-/// Index of the antagonist tenant in [`fleet_mix`]: the write-heavy
+/// The X8 tenants in mix order: name, the paper trace its requests are
+/// synthesized from, its offered rate as a fraction of the *fleet's*
+/// aggregate calibrated service rate (`devices / service_gap`), and its
+/// arrival seed. Two read-leaning victims, `web` (hm_1-like) and `usr`
+/// (usr_0-like), at 0.2x each, plus the write-heavy antagonist `batch`
+/// (proj_0-like, bursty arrivals) at 0.4x. Total offered load is 0.8x of
+/// fleet capacity at every grid point, so tables are comparable across
+/// device counts — per-device load stays constant as the fleet grows.
+pub const FLEET_TENANTS: [(&str, &str, f64, u64); 3] = [
+    ("web", "hm_1", 0.2, 0xF1EE_7E01),
+    ("usr", "usr_0", 0.2, 0xF1EE_7E02),
+    ("batch", "proj_0", 0.4, 0xF1EE_7E03),
+];
+
+/// The trace whose request mix [`fleet_service_gap_ns`] calibrates the
+/// tenant rates on.
+pub const FLEET_CALIBRATION_TRACE: &str = "ts_0";
+
+/// Every trace behind X8 — the [`FLEET_TENANTS`]' traces, then
+/// [`FLEET_CALIBRATION_TRACE`] — each at the harness scale, in the shape
+/// of [`Scenario::trace_scales`]: what `repro fleet` checks before it
+/// plans.
+pub fn fleet_trace_scales() -> Vec<(String, f64)> {
+    let tenants = FLEET_TENANTS.iter().map(|&(_, trace, _, _)| trace);
+    tenants.chain([FLEET_CALIBRATION_TRACE]).map(|trace| (trace.to_string(), 1.0)).collect()
+}
+
+/// Index of the antagonist tenant in [`FLEET_TENANTS`]: the write-heavy
 /// bursty `batch` tenant whose flush bursts interfere with the victims'
 /// read tails.
 pub const FLEET_ANTAGONIST: usize = 2;
-
-/// Per-tenant offered-rate multipliers, as fractions of the *fleet's*
-/// aggregate calibrated service rate (`devices / service_gap`): two
-/// read-leaning victims at 0.2x each plus the bursty antagonist at 0.4x.
-/// Total offered load is 0.8x of fleet capacity at every grid point, so
-/// tables are comparable across device counts — per-device load stays
-/// constant as the fleet grows.
-pub const FLEET_TENANT_LOADS: [f64; 3] = [0.2, 0.2, 0.4];
 
 /// Burst shape of the antagonist's arrivals: bursts of 64 requests at 8x
 /// the long-run rate (same shape as [`LOAD_BURST`]).
 pub const FLEET_BURST: (u32, u32) = (64, 8);
 
-/// The X8 tenant mix for a fleet of `devices` drives: `web` (hm_1-like,
-/// read-heavy victim), `usr` (usr_0-like victim), and `batch` (proj_0-like
-/// write-heavy antagonist, bursty arrivals). Arrival rates are the
-/// [`FLEET_TENANT_LOADS`] fractions of the fleet's aggregate service rate,
-/// so the mix depends on the device count but every tenant's seed is
-/// fixed — the same tenant replays byte-identical request mixes at every
-/// grid point with the same device count.
+/// The X8 tenant mix ([`FLEET_TENANTS`]) for a fleet of `devices` drives.
+/// Arrival rates are fractions of the fleet's aggregate service rate, so
+/// the mix depends on the device count but every tenant's seed is fixed —
+/// the same tenant replays byte-identical request mixes at every grid
+/// point with the same device count. The antagonist's arrivals are bursty
+/// ([`FLEET_BURST`]), the victims' Poisson.
 pub fn fleet_mix(opts: &Opts, service_gap_ns: u64, devices: usize) -> TenantMix {
-    let rate = |mult: f64| {
-        ((service_gap_ns as f64 / (mult * devices as f64)) as u64).max(1)
-    };
     let (burst_len, peak_to_mean) = FLEET_BURST;
-    TenantMix::new(vec![
+    let tenants = FLEET_TENANTS.iter().enumerate().map(|(i, &(name, trace, load, seed))| {
+        let mean_interarrival_ns =
+            ((service_gap_ns as f64 / (load * devices as f64)) as u64).max(1);
         TenantSpec {
-            name: "web".into(),
-            profile: reqblock_trace::profiles::hm_1().scaled(opts.scale),
-            process: ArrivalProcess::Poisson {
-                mean_interarrival_ns: rate(FLEET_TENANT_LOADS[0]),
+            name: name.into(),
+            profile: profile_by_name(trace).expect("a paper trace").scaled(opts.scale),
+            process: if i == FLEET_ANTAGONIST {
+                ArrivalProcess::Bursty { mean_interarrival_ns, burst_len, peak_to_mean }
+            } else {
+                ArrivalProcess::Poisson { mean_interarrival_ns }
             },
-            seed: 0xF1EE_7E01,
-        },
-        TenantSpec {
-            name: "usr".into(),
-            profile: reqblock_trace::profiles::usr_0().scaled(opts.scale),
-            process: ArrivalProcess::Poisson {
-                mean_interarrival_ns: rate(FLEET_TENANT_LOADS[1]),
-            },
-            seed: 0xF1EE_7E02,
-        },
-        TenantSpec {
-            name: "batch".into(),
-            profile: reqblock_trace::profiles::proj_0().scaled(opts.scale),
-            process: ArrivalProcess::Bursty {
-                mean_interarrival_ns: rate(FLEET_TENANT_LOADS[2]),
-                burst_len,
-                peak_to_mean,
-            },
-            seed: 0xF1EE_7E03,
-        },
-    ])
+            seed,
+        }
+    });
+    TenantMix::new(tenants.collect())
 }
 
-/// The X8 calibration probe: one serial plan-time replay of the ts_0 mix
-/// back-to-back against an LRU paper device, yielding the per-request
-/// service gap tenant rates are scaled from. No fleet replays ts_0, so the
-/// probe streams it from the generator instead of caching it. Public so
-/// the fleet bench binary reproduces the exact `repro fleet` grid.
+/// The X8 calibration probe: one serial plan-time replay of the
+/// [`FLEET_CALIBRATION_TRACE`] mix back-to-back against an LRU paper
+/// device, yielding the per-request service gap tenant rates are scaled
+/// from. No fleet replays that trace, so the probe streams it from the
+/// generator instead of caching it. Public so the fleet bench binary
+/// reproduces the exact `repro fleet` grid.
 pub fn fleet_service_gap_ns(opts: &Opts) -> u64 {
-    let profile = reqblock_trace::profiles::ts_0().scaled(opts.scale);
-    calibrated_service_gap_ns(SyntheticTrace::new(profile))
+    let profile = profile_by_name(FLEET_CALIBRATION_TRACE).expect("a paper trace");
+    calibrated_service_gap_ns(SyntheticTrace::new(profile.scaled(opts.scale)))
 }
 
 /// The uniform per-device configuration of the X8/X8b fleets: Req-block,
@@ -380,13 +360,31 @@ struct FleetPoint {
 /// tables) and shard set `fleet_telemetry`; prints the grid's fleet
 /// throughput to stderr.
 pub fn fleet<'o>(opts: &'o Opts, devices: &[usize], alloc: Option<AllocProbe>) -> impl Plan + 'o {
-    let input = vec![(devices.to_vec(), alloc)];
-    Probes::new(opts, input, |_| "fleet".into(), fleet_outcome, |_, runs| {
-        runs.into_iter().collect()
-    })
+    FleetPlan { opts, devices: devices.to_vec(), alloc, outcome: OnceLock::new() }
 }
 
-fn fleet_outcome(opts: &Opts, (devices, alloc): &(Vec<usize>, Option<AllocProbe>)) -> Outcome {
+/// The X8/X8b plan: one task fills the one outcome slot.
+struct FleetPlan<'o> {
+    opts: &'o Opts,
+    devices: Vec<usize>,
+    alloc: Option<AllocProbe>,
+    outcome: OnceLock<Outcome>,
+}
+
+impl Plan for FleetPlan<'_> {
+    fn tasks(&self) -> Vec<Task<'_>> {
+        vec![Task::new("fleet", || {
+            let ok = self.outcome.set(fleet_outcome(self.opts, &self.devices, self.alloc)).is_ok();
+            debug_assert!(ok, "fleet slot filled twice");
+        })]
+    }
+
+    fn finish(self: Box<Self>) -> Outcome {
+        self.outcome.into_inner().expect("the fleet task must have run")
+    }
+}
+
+fn fleet_outcome(opts: &Opts, devices: &[usize], alloc: Option<AllocProbe>) -> Outcome {
     let started = std::time::Instant::now();
     let service_gap_ns = fleet_service_gap_ns(opts);
     let points = fleet_points(opts, service_gap_ns, devices);
@@ -397,7 +395,7 @@ fn fleet_outcome(opts: &Opts, (devices, alloc): &(Vec<usize>, Option<AllocProbe>
         "[fleet throughput: {simulated} devices in {elapsed_s:.2}s - {:.1} devices/s]",
         simulated as f64 / elapsed_s.max(1e-9)
     );
-    let tables = vec![fleet_build(&points), fleet_scaling(opts, service_gap_ns, devices, *alloc)];
+    let tables = vec![fleet_build(&points), fleet_scaling(opts, service_gap_ns, devices, alloc)];
     let telemetry = points.into_iter().flat_map(|p| p.telemetry).collect();
     Outcome {
         sections: vec![("fleet".into(), tables)],
@@ -414,7 +412,7 @@ fn fleet_outcome(opts: &Opts, (devices, alloc): &(Vec<usize>, Option<AllocProbe>
 ///
 /// Calibration follows the X6 pattern: `service_gap_ns` is the device's
 /// back-to-back service gap on the ts_0 mix ([`fleet_service_gap_ns`],
-/// probed once per plan), and tenant rates are [`FLEET_TENANT_LOADS`]
+/// probed once per plan), and tenant rates are [`FLEET_TENANTS`]
 /// fractions of the fleet's aggregate service rate.
 /// Each fleet run parallelizes over devices on its own pool; grid points
 /// run in sequence. Every stage is deterministic, so the table is
@@ -573,6 +571,7 @@ mod tests {
     use super::*;
     use crate::scenario::{self, AxisValues};
     use crate::sweep::run_one;
+    use reqblock_sim::TraceSource;
     use std::path::PathBuf;
 
     fn tiny_opts() -> Opts {
@@ -710,7 +709,7 @@ mod tests {
     fn why_covers_grid_and_attributes_the_tail() {
         let opts = tiny_opts();
         let outcome = run_one(why(&opts), 2);
-        let grid = why_policies().len() * WHY_DEPTHS.len() * WHY_LOADS.len();
+        let grid = 2 * 2 * 3; // policy x queue depth x offered load
         // Every trace document is a loadable trace_event JSON with slices.
         assert_eq!(outcome.files.len(), grid);
         for (name, json) in &outcome.files {
@@ -752,7 +751,7 @@ mod tests {
     #[test]
     fn fleet_covers_grid_with_tenant_and_fleet_rows() {
         let opts = tiny_opts();
-        let outcome = run_one(fleet(&opts, &FLEET_DEVICES, None), 2);
+        let outcome = run_one(Box::new(fleet(&opts, &FLEET_DEVICES, None)), 2);
         let [(stem, telemetry)] = &outcome.shards[..] else { panic!("one shard set") };
         assert_eq!(stem, "fleet_telemetry");
         // Telemetry comes from the headline point only: one document per
@@ -798,7 +797,7 @@ mod tests {
     fn fleet_is_thread_invariant() {
         let x8 = |threads| {
             let opts = Opts { threads, ..tiny_opts() };
-            let mut outcome = run_one(fleet(&opts, &FLEET_DEVICES, None), threads);
+            let mut outcome = run_one(Box::new(fleet(&opts, &FLEET_DEVICES, None)), threads);
             let (_, mut tables) = outcome.sections.remove(0);
             (tables.remove(0), outcome.shards)
         };

@@ -1,22 +1,19 @@
-//! Per-figure experiment runners. See the crate docs for the index.
+//! The paper's tables and figures: Table 1, and the point runners and
+//! reports of the `table2`, `fig2_fig3`, `fig7`, `comparison`, `fig13`
+//! and `telemetry` scenario kinds. See the crate docs for the index.
 
 use crate::report::{f2, f3, pct, Table};
 use crate::scenario::{cache_from_mb, Point, Scenario};
-use crate::sweep::{Outcome, Plan, Probes};
-use reqblock_core::ReqBlockConfig;
+use crate::sweep::Outcome;
 use reqblock_flash::SsdConfig;
+use reqblock_obs::telemetry::{summary_rows, to_jsonl};
 use reqblock_obs::{Fanout, MemoryRecorder};
 use reqblock_sim::probes::{LargeReqHitProbe, SizeCdfProbe};
-use reqblock_obs::telemetry::{summary_rows, to_jsonl};
-use reqblock_sim::{
-    replay, CacheSizeMb, PolicyKind, RunResult, SampleInterval, SimConfig, TraceSource,
-};
+use reqblock_sim::{replay, CacheSizeMb, RunResult, SampleInterval, TraceSource};
 use reqblock_trace::profiles::profile_by_name;
-use reqblock_trace::stats::StatsBuilder;
-use reqblock_trace::{paper_profiles, Request, TraceStats, WorkloadProfile};
+use reqblock_trace::{paper_profiles, stats, Request, TraceStats, WorkloadProfile};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 /// Harness options shared by all experiments.
 #[derive(Debug, Clone)]
@@ -53,11 +50,6 @@ impl Default for Opts {
 }
 
 impl Opts {
-    /// The six paper workloads at this scale.
-    pub fn profiles(&self) -> Vec<WorkloadProfile> {
-        paper_profiles().into_iter().map(|p| p.scaled(self.scale)).collect()
-    }
-
     /// The trace source for one workload: the real trace file when
     /// `trace_dir/<name>.csv` exists, the calibrated synthetic otherwise.
     pub fn source_for(&self, profile: &WorkloadProfile) -> TraceSource {
@@ -68,18 +60,6 @@ impl Opts {
             }
         }
         TraceSource::Synthetic(profile.clone())
-    }
-
-    /// Shared materialized requests for one workload
-    /// ([`TraceSource::requests`]): the process-wide cached slice, so
-    /// probed experiments and the sweep's simulation jobs all read the
-    /// same memory. Panics on an unreadable trace file —
-    /// `repro` checks `--trace-dir` with [`Opts::check_trace_dir`] before
-    /// planning, so this only fires on library misuse.
-    pub fn shared_for(&self, profile: &WorkloadProfile) -> Arc<[Request]> {
-        self.source_for(profile)
-            .requests()
-            .unwrap_or_else(|e| panic!("cannot load trace {}: {e}", profile.name))
     }
 
     /// Check that every `(workload, scale)` of `uses` that is synthesized
@@ -118,7 +98,7 @@ impl Opts {
         devices: &[(String, SsdConfig)],
     ) -> Result<(), (PathBuf, String)> {
         let paper = SsdConfig::paper();
-        let used = self.profiles().into_iter().filter(|p| uses.iter().any(|(n, _)| *n == p.name));
+        let used = paper_profiles().into_iter().filter(|p| uses.iter().any(|(n, _)| *n == p.name));
         for profile in used {
             let source = self.source_for(&profile);
             let TraceSource::MsrFile(path) = &source else { continue };
@@ -137,11 +117,6 @@ impl Opts {
         }
         Ok(())
     }
-}
-
-/// One section of tables.
-fn section(name: impl Into<String>, tables: Vec<Table>) -> Outcome {
-    Outcome { sections: vec![(name.into(), tables)], ..Outcome::default() }
 }
 
 // ---------------------------------------------------------------------
@@ -169,7 +144,7 @@ pub fn table1() -> Outcome {
     for (k, v) in rows {
         t.push_row(vec![k.to_string(), v]);
     }
-    section("table1", vec![t])
+    Outcome { sections: vec![("table1".into(), vec![t])], ..Outcome::default() }
 }
 
 // ---------------------------------------------------------------------
@@ -187,24 +162,14 @@ pub const TABLE2_PAPER: [(&str, u64, f64, f64, f64, f64); 6] = [
     ("proj_0", 4_224_525, 0.875, 40.9, 0.625, 0.599),
 ];
 
-/// Table 2 probe for one trace: measured statistics over the shared slice.
-fn table2_stats(opts: &Opts, profile: &WorkloadProfile) -> TraceStats {
-    let requests = opts.shared_for(profile);
-    let mut b = StatsBuilder::new();
-    for req in requests.iter() {
-        b.add(req);
-    }
-    b.finish()
-}
-
-/// Render Table 2 from the per-trace statistics (profile order). The
-/// title names the workloads read from trace files, if any.
-fn table2_build(opts: &Opts, stats: Vec<TraceStats>) -> Outcome {
-    let profiles = opts.profiles();
-    let files: Vec<&str> = profiles
+/// The `table2` report: each trace's measured statistics (the kind's
+/// runner) next to the paper's, at the harness scale. The title names the
+/// traces read from `--trace-dir` files, if any.
+pub(crate) fn table2_report(sc: &Scenario, opts: &Opts, runs: Vec<(Point, TraceStats)>) -> Outcome {
+    let files: Vec<&str> = runs
         .iter()
-        .filter(|p| matches!(opts.source_for(p), TraceSource::MsrFile(_)))
-        .map(|p| p.name.as_str())
+        .filter(|(p, _)| matches!(p.source, TraceSource::MsrFile(_)))
+        .map(|(p, _)| p.cell("trace"))
         .collect();
     let files = (!files.is_empty()).then(|| format!("; trace files: {}", files.join(", ")));
     let mut t = Table::new(
@@ -227,9 +192,11 @@ fn table2_build(opts: &Opts, stats: Vec<TraceStats>) -> Outcome {
             "Frequent Wr (ours)",
         ],
     );
-    for ((profile, paper), s) in profiles.into_iter().zip(TABLE2_PAPER).zip(stats) {
+    for (p, s) in &runs {
+        let trace = p.cell("trace");
+        let paper = TABLE2_PAPER.iter().find(|row| row.0 == trace).expect("a paper trace");
         t.push_row(vec![
-            profile.name.clone(),
+            trace.to_string(),
             paper.1.to_string(),
             s.requests.to_string(),
             pct(paper.2),
@@ -242,26 +209,18 @@ fn table2_build(opts: &Opts, stats: Vec<TraceStats>) -> Outcome {
             pct(s.frequent_write_ratio),
         ]);
     }
-    section("table2", vec![t])
-}
-
-/// Table 2: paper trace specifications vs the synthetic traces' measured
-/// statistics (at the harness scale), one probe per trace.
-pub fn table2(opts: &Opts) -> impl Plan + '_ {
-    let label = |p: &WorkloadProfile| format!("table2/{}", p.name);
-    Probes::new(opts, opts.profiles(), label, table2_stats, table2_build)
+    sc.section(vec![t])
 }
 
 // ---------------------------------------------------------------------
-// Figures 2 and 3 (shared runs: LRU, 16 MB, probed)
+// Figures 2 and 3 (one probed run per trace)
 // ---------------------------------------------------------------------
 
 /// Request-size thresholds (pages) at which the Figure 2 CDFs are reported.
 pub const FIG2_SIZES: [u32; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 
-/// Per-trace result of the probed Figure 2/3 run.
-struct Fig23Row {
-    name: String,
+/// What the `fig2_fig3` runner measures on one trace.
+pub(crate) struct Fig23Row {
     threshold: u32,
     insert_cdf: Vec<f64>,
     hit_cdf: Vec<f64>,
@@ -270,36 +229,29 @@ struct Fig23Row {
     hit_fraction: f64,
 }
 
-/// Figure 2/3 probe for one trace: one LRU/16MB run feeding both figure
-/// consumers through a fanout recorder.
-fn fig23_probe(opts: &Opts, profile: &WorkloadProfile) -> Fig23Row {
-    let requests = opts.shared_for(profile);
-    // The paper's "small" cut-off: the trace's mean request size.
-    let mut b = StatsBuilder::new();
-    for req in requests.iter() {
-        b.add(req);
-    }
-    let s = b.finish();
-    let total_reqs = s.requests;
-    let mean_req_pages = if total_reqs == 0 {
+/// The `fig2_fig3` runner: one replay of the point feeding both figure
+/// consumers through a fanout recorder. The paper's "large" cut-off is
+/// the trace's mean request size.
+pub(crate) fn fig23_run(_: &Opts, p: &Point) -> Fig23Row {
+    let requests = p.requests();
+    let s = stats::compute(requests.iter());
+    let mean_req_pages = if s.requests == 0 {
         1.0
     } else {
-        s.total_page_accesses as f64 / total_reqs as f64
+        s.total_page_accesses as f64 / s.requests as f64
     };
     let threshold = mean_req_pages.round().max(1.0) as u32;
 
-    let cfg = SimConfig::paper(CacheSizeMb::Mb16, PolicyKind::Lru);
     let mut cdf = SizeCdfProbe::new();
     let mut large = LargeReqHitProbe::new(threshold);
     {
         let mut fan = Fanout::new();
         fan.push(&mut cdf);
         fan.push(&mut large);
-        replay(&cfg, requests.iter().copied(), &mut fan);
+        replay(&p.cfg, requests.iter().copied(), &mut fan);
     }
     large.finish();
     Fig23Row {
-        name: profile.name.clone(),
         threshold,
         insert_cdf: FIG2_SIZES.iter().map(|&s| cdf.insert_fraction_upto(s)).collect(),
         hit_cdf: FIG2_SIZES.iter().map(|&s| cdf.hit_fraction_upto(s)).collect(),
@@ -309,44 +261,41 @@ fn fig23_probe(opts: &Opts, profile: &WorkloadProfile) -> Fig23Row {
     }
 }
 
-/// Render Figures 2 and 3 from the per-trace probe rows (profile order).
-fn fig23_build(_: &Opts, rows: Vec<Fig23Row>) -> Outcome {
+/// The `fig2_fig3` report: sections `fig2` and `fig3`, one row set per
+/// trace.
+pub(crate) fn fig23_report(_: &Scenario, _: &Opts, runs: Vec<(Point, Fig23Row)>) -> Outcome {
+    let setup = format!("{}MB cache, {}", runs[0].0.cell("cache_mb"), runs[0].0.cell("policy"));
     let size_cols: Vec<String> = FIG2_SIZES.iter().map(|s| format!("<= {s}p")).collect();
     let mut cols = vec!["Trace", "Series"];
     cols.extend(size_cols.iter().map(String::as_str));
     let mut fig2 = Table::new(
-        "Figure 2 - CDF of page inserts and hits vs write request size (16MB cache, LRU)",
+        format!("Figure 2 - CDF of page inserts and hits vs write request size ({setup})"),
         &cols,
     );
     let mut fig3 = Table::new(
-        "Figure 3 - Hit statistics of large-request pages (16MB cache, LRU)",
+        format!("Figure 3 - Hit statistics of large-request pages ({setup})"),
         &["Trace", "Large threshold (pages)", "Pages hit", "Pages not hit", "Hit fraction"],
     );
-    for row in rows {
-        let mut r1 = vec![row.name.clone(), "Page Insert".into()];
+    for (p, row) in runs {
+        let trace = p.cell("trace");
+        let mut r1 = vec![trace.to_string(), "Page Insert".into()];
         r1.extend(row.insert_cdf.iter().map(|&v| f3(v)));
         fig2.push_row(r1);
-        let mut r2 = vec![row.name.clone(), "Page Hit".into()];
+        let mut r2 = vec![trace.to_string(), "Page Hit".into()];
         r2.extend(row.hit_cdf.iter().map(|&v| f3(v)));
         fig2.push_row(r2);
         fig3.push_row(vec![
-            row.name,
+            trace.to_string(),
             row.threshold.to_string(),
             row.episodes_hit.to_string(),
             (row.episodes - row.episodes_hit).to_string(),
             pct(row.hit_fraction),
         ]);
     }
-    let mut outcome = section("fig2", vec![fig2]);
-    outcome.sections.push(("fig3".into(), vec![fig3]));
-    outcome
-}
-
-/// Figures 2 and 3 (sections `fig2` and `fig3`) from one probed LRU/16MB
-/// run per trace.
-pub fn fig2_fig3(opts: &Opts) -> impl Plan + '_ {
-    let label = |p: &WorkloadProfile| format!("fig2_fig3/{}", p.name);
-    Probes::new(opts, opts.profiles(), label, fig23_probe, fig23_build)
+    Outcome {
+        sections: vec![("fig2".into(), vec![fig2]), ("fig3".into(), vec![fig3])],
+        ..Outcome::default()
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -356,7 +305,7 @@ pub fn fig2_fig3(opts: &Opts) -> impl Plan + '_ {
 /// The `fig7` report: Req-block hit ratio (7a) and response time (7b) per
 /// trace for each delta of the scenario's `delta` axis, normalized to the
 /// axis's first delta (the committed `scenarios/fig7.toml` starts at 1).
-pub(crate) fn fig7_build(sc: &Scenario, points: &[Point]) -> Vec<Table> {
+pub(crate) fn fig7_report(sc: &Scenario, _: &Opts, points: Vec<(Point, RunResult)>) -> Outcome {
     let deltas = sc.axis("delta").expect("fig7 requires delta").displays();
     let base = &deltas[0];
     let delta_cols: Vec<String> = deltas.iter().map(|d| format!("d={d}")).collect();
@@ -372,7 +321,7 @@ pub(crate) fn fig7_build(sc: &Scenario, points: &[Point]) -> Vec<Table> {
     );
 
     let by_point: HashMap<(&str, &str), &RunResult> =
-        points.iter().map(|p| ((p.cell("trace"), p.cell("delta")), &p.result)).collect();
+        points.iter().map(|(p, r)| ((p.cell("trace"), p.cell("delta")), r)).collect();
     for trace in sc.axis("trace").expect("fig7 requires trace").displays() {
         let at = |delta: &str| by_point[&(trace.as_str(), delta)];
         let base_hit = at(base).metrics.hit_ratio();
@@ -387,7 +336,7 @@ pub(crate) fn fig7_build(sc: &Scenario, points: &[Point]) -> Vec<Table> {
         hits.push_row(hrow);
         resp.push_row(rrow);
     }
-    vec![hits, resp]
+    sc.section(vec![hits, resp])
 }
 
 // ---------------------------------------------------------------------
@@ -409,20 +358,19 @@ impl Comparison {
     /// Assemble the grid from a `comparison` scenario's finished points:
     /// the row/column order follows the scenario's `trace`, `cache_mb`
     /// and `policy` axes, and each point is keyed by its cells.
-    fn from_points(sc: &Scenario, points: Vec<Point>) -> Comparison {
+    fn from_points(sc: &Scenario, points: Vec<(Point, RunResult)>) -> Comparison {
         let axis = |name: &str| sc.axis(name).expect("comparison axes are required").displays();
         let cache_of =
             |mb: &str| cache_from_mb(mb.parse().expect("integer cell")).expect("validated cache");
         let mut results = HashMap::new();
         let mut perf = Vec::new();
-        for p in points {
+        for (p, r) in points {
             let key = (
                 p.cell("trace").to_string(),
                 cache_of(p.cell("cache_mb")),
                 p.cell("policy").to_string(),
             );
             let (trace, cache, policy) = &key;
-            let r = p.result;
             perf.push((format!("{trace}/{cache}/{policy}"), r.host_elapsed_s, r.metrics.requests));
             results.insert(key, r);
         }
@@ -459,7 +407,11 @@ impl Comparison {
 
 /// The `comparison` report: Figures 8-12, the summary and the perf
 /// appendix as fixed sections, plus the two normalized bar charts.
-pub(crate) fn comparison_report(sc: &Scenario, points: Vec<Point>) -> Outcome {
+pub(crate) fn comparison_report(
+    sc: &Scenario,
+    _: &Opts,
+    points: Vec<(Point, RunResult)>,
+) -> Outcome {
     let cmp = Comparison::from_points(sc, points);
     let means = policy_means(&cmp);
     Outcome {
@@ -678,24 +630,27 @@ fn summary(cmp: &Comparison) -> Table {
 // Figure 13: list occupancy over time
 // ---------------------------------------------------------------------
 
-/// Per-trace result of the probed Figure 13 run.
-struct Fig13Row {
-    name: String,
+/// The periodic sampler's cadence for `fig13` and `telemetry` runs: every
+/// `10_000 * scale` requests (the paper samples every 10 000 at full
+/// scale), at least every 100.
+fn sample_every(opts: &Opts) -> u64 {
+    ((10_000.0 * opts.scale) as u64).max(100)
+}
+
+/// What the `fig13` runner samples on one trace.
+pub(crate) struct Fig13Row {
     /// `(request index, [IRL, SRL, DRL] pages)` per sample.
     samples: Vec<(u64, [u64; 3])>,
     /// Mean share of cached pages per list over the samples.
     shares: [f64; 3],
 }
 
-/// Figure 13 probe for one trace: a recorded Req-block/32MB run whose
-/// periodic sampler captures the `irl_pages`/`srl_pages`/`drl_pages` series.
-fn fig13_probe(opts: &Opts, profile: &WorkloadProfile) -> Fig13Row {
-    let sample_every = ((10_000.0 * opts.scale) as u64).max(100);
-    let cfg = SimConfig::paper(CacheSizeMb::Mb32, PolicyKind::ReqBlock(ReqBlockConfig::paper()))
-        .with_sampling(SampleInterval::Requests(sample_every));
+/// The `fig13` runner: a recorded replay of the point whose periodic
+/// sampler captures the `irl_pages`/`srl_pages`/`drl_pages` series.
+pub(crate) fn fig13_run(opts: &Opts, p: &Point) -> Fig13Row {
+    let cfg = p.cfg.clone().with_sampling(SampleInterval::Requests(sample_every(opts)));
     let mut rec = MemoryRecorder::default();
-    let requests = opts.shared_for(profile);
-    replay(&cfg, requests.iter().copied(), &mut rec);
+    replay(&cfg, p.requests().iter().copied(), &mut rec);
     let irl = rec.series_points("irl_pages");
     let srl = rec.series_points("srl_pages");
     let drl = rec.series_points("drl_pages");
@@ -714,25 +669,29 @@ fn fig13_probe(opts: &Opts, profile: &WorkloadProfile) -> Fig13Row {
         }
     }
     let n = n.max(1.0);
-    Fig13Row { name: profile.name.clone(), samples, shares: [sums[0] / n, sums[1] / n, sums[2] / n] }
+    Fig13Row { samples, shares: [sums[0] / n, sums[1] / n, sums[2] / n] }
 }
 
-/// Render Figure 13 from the per-trace probe rows (profile order): the
-/// mean shares, then the samples.
-fn fig13_build(opts: &Opts, rows: Vec<Fig13Row>) -> Outcome {
-    let sample_every = ((10_000.0 * opts.scale) as u64).max(100);
+/// The `fig13` report: Req-block's per-list page counts, the mean shares
+/// and then the samples.
+pub(crate) fn fig13_report(sc: &Scenario, opts: &Opts, runs: Vec<(Point, Fig13Row)>) -> Outcome {
     let mut samples_table = Table::new(
-        format!("Figure 13 - Req-block list occupancy (32MB, sampled every {sample_every} requests)"),
+        format!(
+            "Figure 13 - Req-block list occupancy ({}MB, sampled every {} requests)",
+            runs[0].0.cell("cache_mb"),
+            sample_every(opts)
+        ),
         &["Trace", "Request #", "IRL pages", "SRL pages", "DRL pages"],
     );
     let mut shares = Table::new(
         "Figure 13 (summary) - Mean share of cached pages per list",
         &["Trace", "IRL", "SRL", "DRL"],
     );
-    for row in rows {
+    for (p, row) in runs {
+        let trace = p.cell("trace");
         for (idx, occ) in &row.samples {
             samples_table.push_row(vec![
-                row.name.clone(),
+                trace.to_string(),
                 idx.to_string(),
                 occ[0].to_string(),
                 occ[1].to_string(),
@@ -740,74 +699,56 @@ fn fig13_build(opts: &Opts, rows: Vec<Fig13Row>) -> Outcome {
             ]);
         }
         shares.push_row(vec![
-            row.name,
+            trace.to_string(),
             pct(row.shares[0]),
             pct(row.shares[1]),
             pct(row.shares[2]),
         ]);
     }
-    section("fig13", vec![shares, samples_table])
-}
-
-/// Figure 13: Req-block per-list page counts sampled every `10_000 * scale`
-/// requests at 32 MB (the paper samples every 10 000 at full scale). The
-/// samples come from the observability layer's periodic sampler: a
-/// [`MemoryRecorder`] attached to each run captures the
-/// `irl_pages`/`srl_pages`/`drl_pages` time series; one probe per trace.
-pub fn fig13(opts: &Opts) -> impl Plan + '_ {
-    let label = |p: &WorkloadProfile| format!("fig13/{}", p.name);
-    Probes::new(opts, opts.profiles(), label, fig13_probe, fig13_build)
+    sc.section(vec![shares, samples_table])
 }
 
 // ---------------------------------------------------------------------
 // Telemetry: an instrumented example run
 // ---------------------------------------------------------------------
 
-/// One fully instrumented, seeded run: Req-block at 16 MB over `trace` with
-/// the periodic sampler on. Renders section `telemetry_<trace>`, a
-/// human-readable end-of-run summary table, and file
+/// The `telemetry` runner: one fully instrumented, seeded replay of the
+/// point with the periodic sampler on. Renders section `telemetry_<trace>`,
+/// a human-readable end-of-run summary table, and file
 /// `telemetry_<trace>.jsonl`, the JSONL telemetry document
 /// (`reqblock-obs/1` schema). Deterministic: the same trace and scale
-/// produce byte-identical JSONL. Panics on an unknown trace.
-pub fn telemetry<'o>(opts: &'o Opts, trace: &str) -> impl Plan + 'o {
-    let profile = opts
-        .profiles()
-        .into_iter()
-        .find(|p| p.name == trace)
-        .unwrap_or_else(|| panic!("unknown trace {trace:?}"));
-    let label = |p: &WorkloadProfile| format!("telemetry/{}", p.name);
-    Probes::new(opts, vec![profile], label, telemetry_probe, |_, runs| runs.into_iter().collect())
-}
-
-fn telemetry_probe(opts: &Opts, profile: &WorkloadProfile) -> Outcome {
-    let sample_every = ((10_000.0 * opts.scale) as u64).max(100);
-    let cfg = SimConfig::paper(CacheSizeMb::Mb16, PolicyKind::ReqBlock(ReqBlockConfig::paper()))
-        .with_sampling(SampleInterval::Requests(sample_every));
+/// produce byte-identical JSONL.
+pub(crate) fn telemetry_run(opts: &Opts, p: &Point) -> Outcome {
+    let sample_every = sample_every(opts);
+    let cfg = p.cfg.clone().with_sampling(SampleInterval::Requests(sample_every));
     let mut rec = MemoryRecorder::default();
-    replay(&cfg, opts.shared_for(profile).iter().copied(), &mut rec);
-    let meta = [
-        ("trace", profile.name.clone()),
-        ("policy", cfg.policy.name().to_string()),
-        ("cache", "16MB".to_string()),
-        ("scale", format!("{}", opts.scale)),
-        ("sample_every", sample_every.to_string()),
-    ];
+    replay(&cfg, p.requests().iter().copied(), &mut rec);
+    let (trace, cache) = (p.cell("trace"), format!("{}MB", p.cell("cache_mb")));
     let mut t = Table::new(
-        format!("Telemetry summary - {} / {} / 16MB", profile.name, cfg.policy.name()),
+        format!("Telemetry summary - {trace} / {} / {cache}", cfg.policy.name()),
         &["Kind", "Name", "Value"],
     );
     for (kind, name, value) in summary_rows(&rec) {
         t.push_row(vec![kind, name, value]);
     }
-    let mut outcome = section(format!("telemetry_{}", profile.name), vec![t]);
-    outcome.files.push((format!("telemetry_{}.jsonl", profile.name), to_jsonl(&rec, &meta)));
-    outcome
+    let meta = [
+        ("trace", trace.to_string()),
+        ("policy", cfg.policy.name().to_string()),
+        ("cache", cache),
+        ("scale", format!("{}", opts.scale)),
+        ("sample_every", sample_every.to_string()),
+    ];
+    Outcome {
+        sections: vec![(format!("telemetry_{trace}"), vec![t])],
+        files: vec![(format!("telemetry_{trace}.jsonl"), to_jsonl(&rec, &meta))],
+        ..Outcome::default()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::run_one;
+    use crate::scenario::run_builtin;
 
     fn tiny_opts() -> Opts {
         Opts { scale: 0.001, threads: 2, out_dir: std::env::temp_dir(), trace_dir: None }
@@ -824,7 +765,7 @@ mod tests {
     #[test]
     fn table2_compares_paper_and_measured() {
         let opts = tiny_opts();
-        let t = run_one(table2(&opts), 2).into_single_table();
+        let t = run_builtin("table2", &opts).into_single_table();
         assert_eq!(t.rows.len(), 6);
         assert_eq!(t.rows[0][0], "hm_1");
         assert_eq!(t.rows[5][0], "proj_0");
@@ -833,7 +774,7 @@ mod tests {
     #[test]
     fn fig2_fig3_produce_rows_per_trace() {
         let opts = tiny_opts();
-        let sections = run_one(fig2_fig3(&opts), 2).sections;
+        let sections = run_builtin("fig2_fig3", &opts).sections;
         let [(fig2, f2t), (fig3, f3t)] = &sections[..] else { panic!("two sections") };
         assert_eq!((fig2.as_str(), fig3.as_str()), ("fig2", "fig3"));
         let (f2t, f3t) = (&f2t[0], &f3t[0]);
@@ -852,7 +793,7 @@ mod tests {
     fn comparison_grid_is_complete() {
         let mut opts = tiny_opts();
         opts.scale = 0.0005;
-        let outcome = crate::scenario::run_builtin("comparison", &opts);
+        let outcome = run_builtin("comparison", &opts);
         let rows: Vec<(&str, usize)> = outcome
             .sections
             .iter()
@@ -882,7 +823,7 @@ mod tests {
     #[test]
     fn fig13_reports_samples_and_shares() {
         let opts = tiny_opts();
-        let (name, tables) = run_one(fig13(&opts), 2).sections.remove(0);
+        let (name, tables) = run_builtin("fig13", &opts).sections.remove(0);
         assert_eq!(name, "fig13");
         let [shares, samples] = &tables[..] else { panic!("two tables") };
         assert!(!samples.rows.is_empty());
@@ -891,9 +832,8 @@ mod tests {
 
     #[test]
     fn telemetry_run_is_deterministic_and_sampled() {
-        let opts = tiny_opts();
-        let a = run_one(telemetry(&opts, "ts_0"), 2);
-        let b = run_one(telemetry(&opts, "ts_0"), 1);
+        let a = run_builtin("telemetry", &tiny_opts());
+        let b = run_builtin("telemetry", &Opts { threads: 1, ..tiny_opts() });
         assert_eq!(a, b, "seeded telemetry must be byte-identical");
         let [(name, jsonl)] = &a.files[..] else { panic!("one telemetry file") };
         assert_eq!(name, "telemetry_ts_0.jsonl");
@@ -924,17 +864,16 @@ mod trace_dir_tests {
         reqblock_trace::msr::write_file(&dir.join("ts_0.csv"), reqs.iter().copied()).unwrap();
 
         let opts = Opts { trace_dir: Some(dir.clone()), ..Opts::default() };
-        let profiles = opts.profiles();
-        let ts0 = profiles.iter().find(|p| p.name == "ts_0").unwrap();
-        let hm1 = profiles.iter().find(|p| p.name == "hm_1").unwrap();
         // ts_0.csv exists -> file source; hm_1.csv does not -> synthetic.
-        match opts.source_for(ts0) {
+        let source = opts.source_for(&reqblock_trace::profiles::ts_0());
+        match &source {
             TraceSource::MsrFile(path) => assert!(path.ends_with("ts_0.csv")),
             other => panic!("expected file source, got {other:?}"),
         }
-        assert!(matches!(opts.source_for(hm1), TraceSource::Synthetic(_)));
+        let hm1 = reqblock_trace::profiles::hm_1();
+        assert!(matches!(opts.source_for(&hm1), TraceSource::Synthetic(_)));
         // The file source loads the exported requests.
-        assert_eq!(opts.shared_for(ts0).len(), reqs.len());
+        assert_eq!(source.requests().unwrap().len(), reqs.len());
         assert!(opts.check_trace_dir(&[("ts_0".to_string(), 1.0)], &[]).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -962,7 +901,7 @@ mod trace_dir_tests {
         let dir = std::env::temp_dir().join(format!("reqblock_table2_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let opts = Opts { scale: 0.001, trace_dir: Some(dir.clone()), ..Opts::default() };
-        let title = || crate::sweep::run_one(table2(&opts), 2).into_single_table().title;
+        let title = || crate::scenario::run_builtin("table2", &opts).into_single_table().title;
         // No file in the directory: the synthetic title, unchanged.
         assert_eq!(title(), "Table 2 - Trace specifications (synthetic, scale 0.001)");
         let profile = reqblock_trace::profiles::ts_0().scaled(0.001);

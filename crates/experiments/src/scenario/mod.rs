@@ -21,41 +21,58 @@
 //! ```
 //!
 //! [`plan`] validates the axes against the kind's schema and lowers the
-//! cartesian grid through one compiler into a [`ScenarioPlan`]: a flat job
-//! list with one order-preserving result slot per job, run like every
-//! other [`Plan`] by [`sweep::run`]. Each job keeps its grid point's axis
-//! cells, and the kind's *report* — a pure renderer — reads those cells by
-//! axis name next to each [`RunResult`]. Because task *claiming* order
-//! never influences which slot a result lands in, the rendered tables —
-//! and therefore each section's [`sweep::section_digest`] — are
-//! byte-identical at any thread count.
+//! cartesian grid through one compiler into a plan: one point per grid
+//! cell, each with its axis cells, its `SimConfig` and its `TraceSource`,
+//! and one order-preserving result slot per point, run like every other
+//! [`Plan`] by [`sweep::run`]. A kind is a point *runner*, which fills a
+//! point's slot on a pool worker, and a *report*, a pure renderer that
+//! reads each point's cells by axis name next to its result. Because task
+//! *claiming* order never influences which slot a result lands in, the
+//! rendered tables — and therefore each section's
+//! [`sweep::section_digest`] — are byte-identical at any thread count.
 //!
-//! There are three kinds. `comparison` (Figures 8-12, summary, perf) and
-//! `fig7` pivot their grids into several tables; every one-table
-//! experiment is a `grid`, which renders one row per point over any
-//! subset of the axes (policy x trace x scale x delta x qdepth x
-//! fault_ppm x arrival x geometry) with a title/column/label output
-//! spec. The committed files under `scenarios/` are the canonical
-//! definitions and are embedded here as [`BUILTIN_SCENARIOS`] — a new
-//! experiment axis is one line in a scenario file and one case in the
-//! compiler.
+//! There are eight kinds, one per artifact shape:
+//!
+//! | kind | runner | report |
+//! |------|--------|--------|
+//! | `grid` | plain replay | one row per point, with a title/column/label output spec |
+//! | `comparison` | plain replay | Figures 8-12, summary, perf |
+//! | `fig7` | plain replay | Figure 7's hit ratio and response time per delta |
+//! | `table2` | trace statistics | Table 2, measured next to the paper's |
+//! | `fig2_fig3` | replay probed for size CDFs and large-request hits | Figures 2 and 3 |
+//! | `fig13` | replay sampling Req-block's lists | Figure 13 |
+//! | `telemetry` | fully recorded replay | JSONL telemetry + summary per trace |
+//! | `why` | recorded replay with attribution | X7 table, trace files, telemetry shards |
+//!
+//! Each kind's schema allows only the axes its builtin declares (`grid`
+//! takes any: policy x trace x scale x cache_mb x delta x qdepth x
+//! fault_ppm x arrival x geometry). The committed files under `scenarios/`
+//! are the canonical definitions and are embedded here as
+//! [`BUILTIN_SCENARIOS`] — a new experiment axis is one line in a
+//! scenario file and one case in the compiler.
 
 pub mod toml;
 
-use crate::extensions::{calibrated_service_gap_ns, pressured_ssd, LOAD_BURST};
-use crate::figures::{comparison_report, fig7_build, Opts};
+use crate::extensions::{calibrated_service_gap_ns, pressured_ssd, why_report, why_run, LOAD_BURST};
+use crate::figures::{
+    comparison_report, fig13_report, fig13_run, fig23_report, fig23_run, fig7_report,
+    table2_report, telemetry_run, Opts,
+};
 use crate::report::{f2, f3, pct, Table};
 use crate::sweep::{self, Outcome, Plan};
 use reqblock_cache::policies::{BplruConfig, CflruConfig};
 use reqblock_core::{PriorityModel, ReqBlockConfig};
 use reqblock_flash::SsdConfig;
+use reqblock_obs::NoopRecorder;
 use reqblock_sim::{
-    ArrivalProcess, CacheSizeMb, FaultConfig, Job, JobPool, PolicyKind, RunResult, SimConfig,
+    replay, ArrivalProcess, CacheSizeMb, FaultConfig, PolicyKind, RunResult, SimConfig,
     SubmitMode, Task, TraceSource,
 };
 use reqblock_trace::profiles::profile_by_name;
+use reqblock_trace::{stats, Request};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 // ---------------------------------------------------------------------
 // Errors
@@ -84,8 +101,9 @@ fn err<T>(msg: impl Into<String>) -> Result<T, ScenarioError> {
 // Schema
 // ---------------------------------------------------------------------
 
-/// Which report renders a scenario's grid. Every kind lowers through the
-/// same cartesian compiler; the kind fixes the axis schema and the tables.
+/// What a scenario's grid measures and renders. Every kind lowers through
+/// the same cartesian compiler; the kind fixes the axis schema, the point
+/// runner and the report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
     /// Figures 8-12 + summary + perf: the (trace x cache x policy) grid.
@@ -94,10 +112,29 @@ pub enum Kind {
     Fig7,
     /// One table, one row per point, with a declarative output spec.
     Grid,
+    /// Table 2: each trace's measured statistics next to the paper's.
+    Table2,
+    /// Figures 2 and 3: insert/hit CDFs and large-request hits per trace.
+    Fig2Fig3,
+    /// Figure 13: Req-block list occupancy sampled over each trace.
+    Fig13,
+    /// One instrumented run per trace: JSONL telemetry + summary table.
+    Telemetry,
+    /// X7 tail forensics: attribution, trace files and telemetry shards.
+    Why,
 }
 
 /// Every kind, in error-message order.
-const KINDS: [Kind; 3] = [Kind::Comparison, Kind::Fig7, Kind::Grid];
+const KINDS: [Kind; 8] = [
+    Kind::Comparison,
+    Kind::Fig7,
+    Kind::Grid,
+    Kind::Table2,
+    Kind::Fig2Fig3,
+    Kind::Fig13,
+    Kind::Telemetry,
+    Kind::Why,
+];
 
 impl Kind {
     /// Parse the `[scenario] kind` string.
@@ -111,22 +148,24 @@ impl Kind {
             Kind::Comparison => "comparison",
             Kind::Fig7 => "fig7",
             Kind::Grid => "grid",
+            Kind::Table2 => "table2",
+            Kind::Fig2Fig3 => "fig2_fig3",
+            Kind::Fig13 => "fig13",
+            Kind::Telemetry => "telemetry",
+            Kind::Why => "why",
         }
     }
 
-    /// Axis schema: which axes the kind's report understands, which must
-    /// be present besides `trace` and `policy` (every kind needs those),
-    /// and which may hold only a single value.
+    /// Axis schema: which axes the kind's runner and report understand
+    /// (those its builtin declares; `grid` takes any), which must be
+    /// present, and which may hold only a single value.
     fn spec(&self) -> KindSpec {
+        const SETUP: &[&str] = &["trace", "policy", "cache_mb"];
         match self {
-            Kind::Comparison => KindSpec {
-                allowed: &["trace", "policy", "cache_mb"],
-                required: &["cache_mb"],
-                singleton: &[],
-            },
+            Kind::Comparison => KindSpec { allowed: SETUP, required: SETUP, singleton: &[] },
             Kind::Fig7 => KindSpec {
                 allowed: &["trace", "policy", "delta"],
-                required: &["delta"],
+                required: &["trace", "policy", "delta"],
                 singleton: &["policy"],
             },
             Kind::Grid => KindSpec {
@@ -134,9 +173,34 @@ impl Kind {
                     "trace", "policy", "cache_mb", "delta", "qdepth", "fault_ppm", "arrival",
                     "geometry", "scale",
                 ],
-                required: &[],
+                required: &["trace", "policy"],
                 singleton: &[],
             },
+            Kind::Table2 => KindSpec { allowed: &["trace"], required: &["trace"], singleton: &[] },
+            Kind::Fig2Fig3 | Kind::Fig13 | Kind::Telemetry => {
+                KindSpec { allowed: SETUP, required: SETUP, singleton: &["policy", "cache_mb"] }
+            }
+            Kind::Why => KindSpec {
+                allowed: &["trace", "policy", "qdepth", "arrival"],
+                required: &["trace", "policy", "qdepth", "arrival"],
+                singleton: &["trace"],
+            },
+        }
+    }
+
+    /// Whether the kind's report writes sections of fixed names, so that
+    /// `output.section` does not apply.
+    fn fixed_sections(&self) -> bool {
+        matches!(self, Kind::Comparison | Kind::Fig2Fig3 | Kind::Telemetry)
+    }
+
+    /// Seed of the first `poisson:*` value of the `arrival` axis. `why`
+    /// has a base of its own, which its pinned trace files and shards
+    /// depend on.
+    fn poisson_seed(&self) -> u64 {
+        match self {
+            Kind::Why => 0x7A11_CA05,
+            _ => 0x10AD_5EED,
         }
     }
 }
@@ -428,6 +492,13 @@ impl Scenario {
             .collect()
     }
 
+    /// The one section of a single-section kind: `output.section`, or the
+    /// scenario name.
+    pub(crate) fn section(&self, tables: Vec<Table>) -> Outcome {
+        let name = self.output.section.clone().unwrap_or_else(|| self.name.clone());
+        Outcome { sections: vec![(name, tables)], ..Outcome::default() }
+    }
+
     /// Jobs the planner will emit: the product of the axis lengths (no
     /// simulation, no calibration run — safe for `repro --list`).
     pub fn estimated_jobs(&self) -> usize {
@@ -481,13 +552,16 @@ impl Scenario {
             }
             validate_axis_values(axis, values)?;
         }
-        for req in ["trace", "policy"].iter().chain(spec.required) {
+        for req in spec.required {
             if self.axis(req).is_none() {
                 return err(format!("kind {kind:?} requires the {req:?} axis"));
             }
         }
         // Cross-axis rules.
-        let Some(AxisValues::Strs(policies)) = self.axis("policy") else { unreachable!() };
+        let policies = match self.axis("policy") {
+            Some(AxisValues::Strs(policies)) => policies.as_slice(),
+            _ => &[],
+        };
         if self.kind == Kind::Comparison {
             for anchor in ["LRU", "Req-block"] {
                 if !policies.iter().any(|p| p == anchor) {
@@ -498,19 +572,21 @@ impl Scenario {
                 }
             }
         }
-        if self.axis("delta").is_some() && policies.iter().any(|p| p != "Req-block") {
+        let reqblock_only = self.axis("delta").is_some() || self.kind == Kind::Fig13;
+        if reqblock_only && policies.iter().any(|p| p != "Req-block") {
             return err(
-                "the delta axis tunes Req-block; a scenario sweeping delta must set \
-                 policy to \"Req-block\" only",
+                "the delta axis tunes Req-block and fig13 samples its lists; such a \
+                 scenario must set policy to \"Req-block\" only",
             );
         }
         // Output spec. The section names the output files.
         if let Some(section) = self.output.section.as_deref().filter(|s| !is_name(s)) {
             return err(format!("invalid output.section {section:?} (use [A-Za-z0-9_-]+)"));
         }
-        if self.kind == Kind::Comparison && self.output.section.is_some() {
-            return err("comparison scenarios emit fixed sections (fig8..fig12, summary, perf); \
-                        output.section does not apply");
+        if self.kind.fixed_sections() && self.output.section.is_some() {
+            return err(format!(
+                "{kind} scenarios emit fixed sections; output.section does not apply"
+            ));
         }
         if self.kind != Kind::Grid {
             for (key, set) in [
@@ -715,12 +791,14 @@ pub(crate) fn cache_from_mb(mb: i64) -> Option<CacheSizeMb> {
 /// `(axis, display)` pairs of one grid point, in nesting order.
 type Cells = Vec<(String, String)>;
 
-/// One finished grid point: its axis cells and its run's result. Reports
-/// read the cells by axis name.
+/// One compiled grid point: its axis cells, which reports read by axis
+/// name, and the device and trace its runner replays.
 pub(crate) struct Point {
     cells: Cells,
-    /// The point's simulation result.
-    pub result: RunResult,
+    /// The point's device, cache and policy.
+    pub cfg: SimConfig,
+    /// The point's trace.
+    pub source: TraceSource,
 }
 
 impl Point {
@@ -732,31 +810,88 @@ impl Point {
             .map(|(_, v)| v.as_str())
             .unwrap_or_else(|| panic!("grid point has no {axis:?} cell"))
     }
+
+    /// The point's requests from the shared trace cache. A trace that
+    /// fails to load panics the task, and the pool re-raises the panic
+    /// prefixed with the point's label.
+    pub fn requests(&self) -> Arc<[Request]> {
+        self.source.requests().unwrap_or_else(|e| panic!("cannot load trace: {e}"))
+    }
 }
 
-/// A compiled scenario: the flat job list (one order-preserving result
-/// slot per job) plus each job's axis cells for the report.
-pub struct ScenarioPlan {
+/// Runs one point on a pool worker.
+type Runner<R> = fn(&Opts, &Point) -> R;
+
+/// Renders the finished points, in grid order, into the outcome.
+type Report<R> = fn(&Scenario, &Opts, Vec<(Point, R)>) -> Outcome;
+
+/// A compiled scenario: its points, one order-preserving result slot per
+/// point, and its kind's runner and report.
+struct ScenarioPlan<R> {
     sc: Scenario,
-    pool: JobPool,
-    cells: Vec<Cells>,
+    opts: Opts,
+    points: Vec<Point>,
+    slots: Vec<OnceLock<R>>,
+    run: Runner<R>,
+    report: Report<R>,
 }
 
-impl Plan for ScenarioPlan {
+impl<R: Send + Sync> Plan for ScenarioPlan<R> {
     fn tasks(&self) -> Vec<Task<'_>> {
-        self.pool.tasks()
+        self.points
+            .iter()
+            .zip(&self.slots)
+            .map(|(point, slot)| {
+                Task::new(job_label(&self.sc, &point.cells), move || {
+                    let ok = slot.set((self.run)(&self.opts, point)).is_ok();
+                    debug_assert!(ok, "point slot filled twice");
+                })
+            })
+            .collect()
     }
 
     fn finish(self: Box<Self>) -> Outcome {
-        render(&self.sc, self.cells, self.pool.take_results())
+        let runs = self
+            .points
+            .into_iter()
+            .zip(self.slots)
+            .map(|(point, slot)| (point, slot.into_inner().expect("every point must have run")))
+            .collect();
+        (self.report)(&self.sc, &self.opts, runs)
     }
 }
 
-/// Compile a validated scenario against the harness options.
-pub fn plan(sc: &Scenario, opts: &Opts) -> Result<ScenarioPlan, ScenarioError> {
+/// Compile a validated scenario against the harness options into its
+/// kind's plan: each kind is a point runner and a report.
+pub fn plan(sc: &Scenario, opts: &Opts) -> Result<Box<dyn Plan>, ScenarioError> {
+    fn with<R: Send + Sync + 'static>(
+        sc: &Scenario,
+        opts: &Opts,
+        run: Runner<R>,
+        report: Report<R>,
+    ) -> Box<dyn Plan> {
+        let points = compile_grid(sc, opts);
+        let slots = points.iter().map(|_| OnceLock::new()).collect();
+        Box::new(ScenarioPlan { sc: sc.clone(), opts: opts.clone(), points, slots, run, report })
+    }
     sc.validate()?;
-    let (jobs, cells) = compile_grid(sc, opts);
-    Ok(ScenarioPlan { sc: sc.clone(), pool: JobPool::new(jobs), cells })
+    Ok(match sc.kind {
+        Kind::Comparison => with(sc, opts, simulate, comparison_report),
+        Kind::Fig7 => with(sc, opts, simulate, fig7_report),
+        Kind::Grid => with(sc, opts, simulate, grid_report),
+        Kind::Table2 => with(sc, opts, |_, p| stats::compute(p.requests().iter()), table2_report),
+        Kind::Fig2Fig3 => with(sc, opts, fig23_run, fig23_report),
+        Kind::Fig13 => with(sc, opts, fig13_run, fig13_report),
+        Kind::Telemetry => with(sc, opts, telemetry_run, |_, _, runs| {
+            runs.into_iter().map(|(_, outcome)| outcome).collect()
+        }),
+        Kind::Why => with(sc, opts, why_run, why_report),
+    })
+}
+
+/// The runner of the grid kinds: a plain replay of the point.
+fn simulate(_: &Opts, p: &Point) -> RunResult {
+    replay(&p.cfg, p.requests().iter().copied(), &mut NoopRecorder)
 }
 
 /// Plan and run a scenario in one call.
@@ -764,38 +899,27 @@ pub fn run(sc: &Scenario, opts: &Opts) -> Result<Outcome, ScenarioError> {
     Ok(sweep::run_one(plan(sc, opts)?, opts.threads))
 }
 
-/// Pair each job's cells with its result and render the kind's report.
-fn render(sc: &Scenario, cells: Vec<Cells>, results: Vec<(String, RunResult)>) -> Outcome {
-    let points: Vec<Point> = cells
-        .into_iter()
-        .zip(results)
-        .map(|(cells, (_, result))| Point { cells, result })
-        .collect();
-    let tables = match sc.kind {
-        Kind::Comparison => return comparison_report(sc, points),
-        Kind::Fig7 => fig7_build(sc, &points),
-        Kind::Grid => vec![grid_build(sc, &points)],
-    };
-    let section = sc.output.section.clone().unwrap_or_else(|| sc.name.clone());
-    Outcome { sections: vec![(section, tables)], ..Outcome::default() }
-}
-
 // ---------------------------------------------------------------------
 // Built-in scenarios (the committed files, embedded)
 // ---------------------------------------------------------------------
 
 /// The committed scenario files under `scenarios/`, embedded so the
-/// library needs no runtime path to them. `repro all` and the grid
+/// library needs no runtime path to them. `repro all` and the `repro`
 /// subcommands run these; `repro --list` lists them.
-pub const BUILTIN_SCENARIOS: [(&str, &str); 9] = [
+pub const BUILTIN_SCENARIOS: [(&str, &str); 14] = [
+    ("table2", include_str!("../../../../scenarios/table2.toml")),
+    ("fig2_fig3", include_str!("../../../../scenarios/fig2_fig3.toml")),
     ("fig7", include_str!("../../../../scenarios/fig7.toml")),
     ("comparison", include_str!("../../../../scenarios/comparison.toml")),
+    ("fig13", include_str!("../../../../scenarios/fig13.toml")),
     ("tails", include_str!("../../../../scenarios/tails.toml")),
     ("wear", include_str!("../../../../scenarios/wear.toml")),
     ("ablations", include_str!("../../../../scenarios/ablations.toml")),
     ("faults", include_str!("../../../../scenarios/faults.toml")),
     ("qdepth", include_str!("../../../../scenarios/qdepth.toml")),
     ("load", include_str!("../../../../scenarios/load.toml")),
+    ("telemetry", include_str!("../../../../scenarios/telemetry.toml")),
+    ("why", include_str!("../../../../scenarios/why.toml")),
     ("smoke", include_str!("../../../../scenarios/smoke.toml")),
 ];
 
@@ -807,7 +931,7 @@ pub fn builtin(name: &str) -> Option<Scenario> {
 
 /// Compile one built-in scenario (panics on an unknown name — the
 /// committed files are pinned by tests).
-pub fn plan_builtin(name: &str, opts: &Opts) -> ScenarioPlan {
+pub fn plan_builtin(name: &str, opts: &Opts) -> Box<dyn Plan> {
     let sc = builtin(name).unwrap_or_else(|| panic!("no builtin scenario {name:?}"));
     plan(&sc, opts).unwrap_or_else(|e| panic!("builtin scenario {name}: {e}"))
 }
@@ -821,11 +945,16 @@ pub fn run_builtin(name: &str, opts: &Opts) -> Outcome {
 // The compiler
 // ---------------------------------------------------------------------
 
-/// Lower the cartesian grid into jobs. Axes nest in declaration order,
-/// except that `output.group_by` axes are hoisted outermost (in the given
-/// order). Per grid point the modifier axes compose:
+/// Lower the cartesian grid into points, each with its device and trace.
+/// Axes nest in declaration order, except that `output.group_by` axes are
+/// hoisted outermost (in the given order). Per grid point the modifier
+/// axes compose on the paper device:
 ///
+/// * `trace` names the workload: its `--trace-dir` file when there is
+///   one ([`Opts::source_for`]), the synthetic profile otherwise,
 /// * `scale` multiplies the harness `--scale` (relative, default 1),
+/// * `policy` picks the policy (default LRU, for `table2`, which
+///   replays nothing),
 /// * `cache_mb` sizes the write buffer (default 32 MB),
 /// * `delta` swaps the policy for `Req-block` with that delta,
 /// * `geometry = "pressured"` is the fault-sweep device: a two-chip flash
@@ -837,10 +966,11 @@ pub fn run_builtin(name: &str, opts: &Opts) -> Outcome {
 ///   calibrated service rate (calibrated once per unique trace x scale):
 ///   `poisson:<mult>`, or `bursty:<mult>` with the [`LOAD_BURST`] shape.
 ///   The k-th value of each process is seeded `0x10AD_5EED + k`
-///   (Poisson) or `0x10AD_B025 + k` (bursty), so every other axis value
-///   sees byte-identical arrivals at the same step. The point also gets
-///   the [`ARRIVAL_CELLS`] after its axis cells.
-fn compile_grid(sc: &Scenario, opts: &Opts) -> (Vec<Job>, Vec<Cells>) {
+///   (Poisson; `0x7A11_CA05 + k` for `why`) or `0x10AD_B025 + k`
+///   (bursty), so every other axis value sees byte-identical arrivals at
+///   the same step. The point also gets the [`ARRIVAL_CELLS`] after its
+///   axis cells.
+fn compile_grid(sc: &Scenario, opts: &Opts) -> Vec<Point> {
     // Axis evaluation order: group_by first, then declaration order.
     let group_by = sc.output.group_by.clone().unwrap_or_default();
     let mut order: Vec<usize> = group_by
@@ -861,8 +991,7 @@ fn compile_grid(sc: &Scenario, opts: &Opts) -> (Vec<Job>, Vec<Cells>) {
     // Calibration gaps for arrival grids, one per (trace, scale) point.
     let mut gaps: HashMap<(String, u64), u64> = HashMap::new();
 
-    let mut jobs = Vec::with_capacity(total);
-    let mut point_cells: Vec<Cells> = Vec::with_capacity(total);
+    let mut points = Vec::with_capacity(total);
     for flat in 0..total {
         let mut idx = vec![0usize; axes.len()];
         let mut rem = flat;
@@ -887,8 +1016,9 @@ fn compile_grid(sc: &Scenario, opts: &Opts) -> (Vec<Job>, Vec<Cells>) {
         let cache = int("cache_mb").map(|mb| cache_from_mb(mb).expect("validated"));
         let policy = match int("delta") {
             Some(d) => PolicyKind::ReqBlock(ReqBlockConfig::with_delta(d as u32)),
-            None => policy_by_name(&cell("policy").expect("policy is required"))
-                .expect("validated policy"),
+            None => cell("policy").map_or(PolicyKind::Lru, |p| {
+                policy_by_name(&p).expect("validated policy")
+            }),
         };
         let mut cfg = SimConfig::paper(cache.unwrap_or(CacheSizeMb::Mb32), policy);
         if cell("geometry").as_deref() == Some("pressured") {
@@ -922,7 +1052,9 @@ fn compile_grid(sc: &Scenario, opts: &Opts) -> (Vec<Job>, Vec<Cells>) {
             let mean_interarrival_ns = ((gap as f64 / mult) as u64).max(1);
             let (burst_len, peak_to_mean) = LOAD_BURST;
             let (arrival, seed) = match process {
-                "poisson" => (ArrivalProcess::Poisson { mean_interarrival_ns }, 0x10AD_5EED),
+                "poisson" => {
+                    (ArrivalProcess::Poisson { mean_interarrival_ns }, sc.kind.poisson_seed())
+                }
                 _ => (
                     ArrivalProcess::Bursty { mean_interarrival_ns, burst_len, peak_to_mean },
                     0x10AD_B025,
@@ -935,13 +1067,12 @@ fn compile_grid(sc: &Scenario, opts: &Opts) -> (Vec<Job>, Vec<Cells>) {
             cells.extend(ARRIVAL_CELLS.iter().map(|n| n.to_string()).zip(derived));
             source = TraceSource::open_loop(source, arrival, seed + nth as u64);
         }
-        jobs.push(Job { label: job_label(sc, &cells), cfg, source });
-        point_cells.push(cells);
+        points.push(Point { cells, cfg, source });
     }
-    (jobs, point_cells)
+    points
 }
 
-/// `<scenario>/<cell>/<cell>/...` — the pool's per-job label.
+/// `<scenario>/<cell>/<cell>/...` — the pool's per-point task label.
 fn job_label(sc: &Scenario, cells: &Cells) -> String {
     let mut label = sc.name.clone();
     for (_, v) in cells {
@@ -989,9 +1120,9 @@ pub const METRICS: [(&str, MetricFn); 25] = [
 /// Render a grid scenario: one row per point with the `output.columns`
 /// spec (default: every cell in nesting order, then `hit_ratio` and
 /// `avg_resp_ms`), headed by `output.labels` (default: the column names).
-fn grid_build(sc: &Scenario, points: &[Point]) -> Table {
+fn grid_report(sc: &Scenario, _: &Opts, points: Vec<(Point, RunResult)>) -> Outcome {
     let columns: Vec<String> = sc.output.columns.clone().unwrap_or_else(|| {
-        let mut cols: Vec<String> = points[0].cells.iter().map(|(n, _)| n.clone()).collect();
+        let mut cols: Vec<String> = points[0].0.cells.iter().map(|(n, _)| n.clone()).collect();
         cols.push("hit_ratio".into());
         cols.push("avg_resp_ms".into());
         cols
@@ -1003,20 +1134,20 @@ fn grid_build(sc: &Scenario, points: &[Point]) -> Table {
         .unwrap_or_else(|| format!("Scenario {} - declarative grid", sc.name));
     let headers = sc.output.labels.as_ref().unwrap_or(&columns);
     let mut t = Table::new(title, &headers.iter().map(String::as_str).collect::<Vec<_>>());
-    for p in points {
+    for (p, result) in &points {
         let row = columns
             .iter()
             .map(|col| match p.cells.iter().find(|(n, _)| n == col) {
                 Some((_, cell)) => cell.clone(),
                 None => {
                     let (_, f) = METRICS.iter().find(|(n, _)| n == col).expect("validated column");
-                    f(&p.result)
+                    f(result)
                 }
             })
             .collect();
         t.push_row(row);
     }
-    t
+    sc.section(vec![t])
 }
 
 #[cfg(test)]
@@ -1136,16 +1267,16 @@ mod tests {
     fn arrival_points_carry_process_load_and_offered_cells() {
         let src = "[scenario]\nname = \"a\"\nkind = \"grid\"\n[axes]\ntrace = \"ts_0\"\n\
                    policy = \"LRU\"\narrival = [\"poisson:0.5\", \"bursty:1\", \"poisson:2\"]\n";
-        let (jobs, cells) = compile_grid(&Scenario::parse(src).unwrap(), &tiny_opts());
-        let names: Vec<&str> = cells[0].iter().map(|(n, _)| n.as_str()).collect();
+        let points = compile_grid(&Scenario::parse(src).unwrap(), &tiny_opts());
+        let names: Vec<&str> = points[0].cells.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["trace", "policy", "arrival", "process", "load", "offered_kreq_s"]);
         let derived: Vec<(&str, &str)> =
-            cells.iter().map(|c| (c[3].1.as_str(), c[4].1.as_str())).collect();
+            points.iter().map(|p| (p.cell("process"), p.cell("load"))).collect();
         assert_eq!(derived, [("poisson", "0.5x"), ("bursty", "1x"), ("poisson", "2x")]);
         // Seeds count per process: the second Poisson value is seed + 1.
-        let seeds: Vec<u64> = jobs
+        let seeds: Vec<u64> = points
             .iter()
-            .map(|j| match &j.source {
+            .map(|p| match &p.source {
                 TraceSource::OpenLoop { seed, .. } => *seed,
                 other => panic!("expected an open-loop source, got {other:?}"),
             })
@@ -1157,10 +1288,56 @@ mod tests {
     fn pressured_geometry_is_the_fault_sweep_device() {
         let src = "[scenario]\nname = \"p\"\nkind = \"grid\"\n[axes]\ntrace = \"ts_0\"\n\
                    policy = \"Req-block\"\ngeometry = [\"paper\", \"pressured\"]\n";
-        let (jobs, _) = compile_grid(&Scenario::parse(src).unwrap(), &tiny_opts());
-        assert_eq!(jobs[0].cfg.cache_pages, CacheSizeMb::Mb32.pages());
-        assert_eq!(jobs[1].cfg.cache_pages, 64);
-        assert_eq!(jobs[1].cfg.ssd.total_chips(), 2);
+        let points = compile_grid(&Scenario::parse(src).unwrap(), &tiny_opts());
+        assert_eq!(points[0].cfg.cache_pages, CacheSizeMb::Mb32.pages());
+        assert_eq!(points[1].cfg.cache_pages, 64);
+        assert_eq!(points[1].cfg.ssd.total_chips(), 2);
+    }
+
+    /// `repro` checks the scale and the `--trace-dir` file of every trace
+    /// a command's scenarios declare before the pool runs, so every point
+    /// must replay a declared trace, and every pressured point must build
+    /// a declared device.
+    #[test]
+    fn declared_traces_cover_every_replayed_trace_and_device() {
+        let opts = tiny_opts();
+        let mut scenarios: Vec<Scenario> =
+            BUILTIN_SCENARIOS.iter().map(|(name, _)| builtin(name).unwrap()).collect();
+        let mut telemetry = builtin("telemetry").unwrap();
+        telemetry.set_axis("trace", AxisValues::Strs(vec!["hm_1".into()])).unwrap();
+        scenarios.push(telemetry);
+        for sc in &scenarios {
+            let (traces, devices) = (sc.trace_scales(), sc.pressured_devices(&opts));
+            for p in compile_grid(sc, &opts) {
+                let mut source = &p.source;
+                while let TraceSource::OpenLoop { base, .. } = source {
+                    source = base;
+                }
+                let TraceSource::Synthetic(profile) = source else { panic!("{source:?}") };
+                let declared = |(trace, rel_scale): &(String, f64)| {
+                    profile_by_name(trace).unwrap().scaled(opts.scale * rel_scale) == *profile
+                };
+                assert!(traces.iter().any(declared), "{}: {:?} is undeclared", sc.name, p.cells);
+                if p.cells.iter().any(|(axis, v)| axis == "geometry" && v == "pressured") {
+                    let device = (p.cell("trace").to_string(), p.cfg.ssd.clone());
+                    assert!(devices.contains(&device), "{}: {:?} device", sc.name, p.cells);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_trace_that_fails_to_load_panics_naming_the_point() {
+        let dir = std::env::temp_dir().join(format!("reqblock_bad_trace_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("ts_0.csv"), "not,a,valid,line\n").unwrap();
+        // One worker, so the first point is the one that fails.
+        let opts = Opts { threads: 1, trace_dir: Some(dir.clone()), ..tiny_opts() };
+        let err = std::panic::catch_unwind(|| run_builtin("smoke", &opts)).unwrap_err();
+        let _ = std::fs::remove_dir_all(&dir);
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("'smoke/ts_0/LRU/1'"), "panic should name the point: {msg}");
+        assert!(msg.contains("cannot load trace"), "{msg}");
     }
 
     #[test]

@@ -4,27 +4,25 @@
 //! the plan owns, and its [`Plan::finish`] renders one [`Outcome`] from
 //! them. [`run`] submits the tasks of every plan it is given into one
 //! barrier-free [`run_task_pool`] — the last straggler of one figure never
-//! gates the jobs of the next — and then finishes the plans in order. The
-//! grids are [`ScenarioPlan`](crate::scenario::ScenarioPlan)s compiled
-//! from the committed `scenarios/*.toml` files; the experiments that are
-//! still code are `Probes` plans: one probe per input, one build over
-//! the probe results. Result routing is order-preserving — each task
-//! writes into its own pre-allocated slot — so every outcome is
-//! byte-identical at any thread count, and each section's
-//! [`section_digest`] proves it.
+//! gates the jobs of the next — and then finishes the plans in order.
+//! Every experiment but Table 1 and `fleet` is a scenario compiled from a
+//! committed `scenarios/*.toml` file ([`plan`](crate::scenario::plan)):
+//! one task per grid point, one slot per task, one report over the
+//! slots. Result routing is order-preserving — each task writes into its
+//! own pre-allocated slot — so every outcome is byte-identical at any
+//! thread count, and each section's [`section_digest`] proves it.
 //!
 //! [`all_plans`] is `repro all`. Its task list leads with the Table 2
-//! statistics probes: they touch every workload first, so the shared trace
+//! statistics runs: they touch every workload first, so the shared trace
 //! cache (`reqblock_trace::shared`) is warmed once per (source, scale) and
 //! every later job replays the same `Arc<[Request]>` slice zero-copy.
 
-use crate::figures::{fig13, fig2_fig3, table1, table2, telemetry, Opts};
+use crate::figures::{table1, Opts};
 use crate::report::Table;
 use crate::scenario::plan_builtin;
 use reqblock_cache::fxhash::FxHasher;
 use reqblock_sim::{run_task_pool, Task};
 use std::hash::Hasher;
-use std::sync::OnceLock;
 
 /// Sections excluded from digests: their cells carry host wall-clock
 /// measurements (the comparison grid's per-job perf appendix, X8b's
@@ -119,70 +117,40 @@ pub fn run<'o>(plans: Vec<Box<dyn Plan + 'o>>, threads: usize) -> Vec<Outcome> {
 }
 
 /// Run one plan on its own pool.
-pub(crate) fn run_one<'o>(plan: impl Plan + 'o, threads: usize) -> Outcome {
-    run(vec![Box::new(plan)], threads).pop().expect("one plan, one outcome")
+pub(crate) fn run_one<'o>(plan: Box<dyn Plan + 'o>, threads: usize) -> Outcome {
+    run(vec![plan], threads).pop().expect("one plan, one outcome")
 }
 
-/// The plan of an experiment that is code: `probe` runs once per input
-/// (one task each, labelled by `label`), and `build` renders the results
-/// in input order.
-pub(crate) struct Probes<'o, I, T> {
-    opts: &'o Opts,
-    inputs: Vec<I>,
-    label: fn(&I) -> String,
-    probe: fn(&Opts, &I) -> T,
-    build: fn(&Opts, Vec<T>) -> Outcome,
-    slots: Vec<OnceLock<T>>,
-}
-
-impl<'o, I, T> Probes<'o, I, T> {
-    pub(crate) fn new(
-        opts: &'o Opts,
-        inputs: Vec<I>,
-        label: fn(&I) -> String,
-        probe: fn(&Opts, &I) -> T,
-        build: fn(&Opts, Vec<T>) -> Outcome,
-    ) -> Self {
-        let slots = inputs.iter().map(|_| OnceLock::new()).collect();
-        Self { opts, inputs, label, probe, build, slots }
-    }
-}
-
-impl<I: Sync, T: Send + Sync> Plan for Probes<'_, I, T> {
+/// A boxed plan is a plan, so a function that returns one (like
+/// [`crate::extensions::why`]) can be boxed again beside other plans.
+impl Plan for Box<dyn Plan + '_> {
     fn tasks(&self) -> Vec<Task<'_>> {
-        self.inputs
-            .iter()
-            .zip(&self.slots)
-            .map(|(input, slot)| {
-                Task::new((self.label)(input), move || {
-                    let ok = slot.set((self.probe)(self.opts, input)).is_ok();
-                    debug_assert!(ok, "probe slot filled twice");
-                })
-            })
-            .collect()
+        (**self).tasks()
     }
 
     fn finish(self: Box<Self>) -> Outcome {
-        let results = self
-            .slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("pool task must have filled its slot"))
-            .collect();
-        (self.build)(self.opts, results)
+        (*self).finish()
     }
 }
 
-/// The trace instrumented by the sweep's telemetry run.
-pub const TELEMETRY_TRACE: &str = "ts_0";
-
-/// The built-in scenarios `repro all` plans, in task-submission and
-/// emission order: the paper's figure grids (Figure 7, the comparison)
-/// run and emit before the Figure 13 probes; the extension grids follow.
-pub const ALL_SCENARIOS: [&str; 8] =
-    ["fig7", "comparison", "tails", "wear", "ablations", "faults", "qdepth", "load"];
-
-/// How many of [`ALL_SCENARIOS`] precede the Figure 13 probes.
-const PAPER_GRIDS: usize = 2;
+/// The builtin scenarios `repro all` plans after Table 1, in
+/// task-submission and emission order: the paper's artifacts (Table 2
+/// first, so its statistics runs warm the trace cache), the extension
+/// grids, then the telemetry run. `why` and `fleet` are not part of it.
+pub const ALL_SCENARIOS: [&str; 12] = [
+    "table2",
+    "fig2_fig3",
+    "fig7",
+    "comparison",
+    "fig13",
+    "tails",
+    "wear",
+    "ablations",
+    "faults",
+    "qdepth",
+    "load",
+    "telemetry",
+];
 
 /// Every section `repro all` emits, in emission order.
 pub const ALL_SECTIONS: [&str; 20] = [
@@ -208,18 +176,11 @@ pub const ALL_SECTIONS: [&str; 20] = [
     "telemetry_ts_0",
 ];
 
-/// The plans of `repro all` — every figure, table and extension but
-/// `why` and `fleet` — in task-submission and emission order.
-pub fn all_plans(opts: &Opts) -> Vec<Box<dyn Plan + '_>> {
-    let grid = |name: &&str| Box::new(plan_builtin(name, opts)) as Box<dyn Plan + '_>;
-    let (paper, extensions) = ALL_SCENARIOS.split_at(PAPER_GRIDS);
-    let mut plans: Vec<Box<dyn Plan + '_>> =
-        vec![Box::new(table1()), Box::new(table2(opts)), Box::new(fig2_fig3(opts))];
-    plans.extend(paper.iter().map(grid));
-    plans.push(Box::new(fig13(opts)));
-    plans.extend(extensions.iter().map(grid));
-    plans.push(Box::new(telemetry(opts, TELEMETRY_TRACE)));
-    plans
+/// The plans of `repro all` — Table 1, then every scenario of
+/// [`ALL_SCENARIOS`] — in task-submission and emission order.
+pub fn all_plans(opts: &Opts) -> Vec<Box<dyn Plan>> {
+    let scenarios = ALL_SCENARIOS.iter().map(|name| plan_builtin(name, opts));
+    std::iter::once(Box::new(table1()) as Box<dyn Plan>).chain(scenarios).collect()
 }
 
 /// Run [`all_plans`] on one pool with `opts.threads` workers and merge

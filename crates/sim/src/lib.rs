@@ -29,8 +29,9 @@
 //!   `submit_recorded` streams events into a [`reqblock_obs::Recorder`]).
 //! * [`Metrics`] — hit/response/eviction counters (Figures 8-11).
 //! * [`probes`] — figure-specific recorder consumers (Figures 2, 3).
-//! * [`runner`] — whole-trace replay ([`replay`]) and the job pool behind
-//!   every experiment grid ([`JobPool`]).
+//! * [`runner`] — whole-trace replay ([`replay`]), trace sources
+//!   ([`TraceSource`]) and the barrier-free task pool every experiment
+//!   drains ([`run_task_pool`]).
 //! * [`fleet`] — fleet orchestration: many independent devices under a
 //!   blended multi-tenant workload, with deterministic placement,
 //!   per-tenant response aggregation and noisy-neighbor measurement.
@@ -78,4 +79,4 @@ pub use metrics::Metrics;
 pub use reqblock_flash::{IntervalLog, OpInterval, OpKind};
 pub use reqblock_obs::Histogram as LatencyHistogram;
 pub use reqblock_obs::{AttrAcc, AttrConfig, Component, SpanRecord};
-pub use runner::{replay, run_task_pool, Job, JobPool, RunResult, Task, TraceSource};
+pub use runner::{replay, run_task_pool, RunResult, Task, TraceSource};

@@ -1,11 +1,12 @@
-//! Whole-trace replay and the job pool behind every experiment grid.
+//! Whole-trace replay, trace sources, and the barrier-free task pool
+//! behind every experiment.
 
 use crate::config::SimConfig;
 use crate::host::Ssd;
 use crate::metrics::Metrics;
 use reqblock_flash::{FaultStats, OpCounters};
 use reqblock_ftl::{FtlStats, Health};
-use reqblock_obs::{NoopRecorder, Recorder};
+use reqblock_obs::Recorder;
 use reqblock_trace::msr::ParseError;
 use reqblock_trace::{Request, WorkloadProfile};
 use std::panic::AssertUnwindSafe;
@@ -57,8 +58,9 @@ impl RunResult {
 /// Replay `trace` through a fresh device built from `cfg`, mirroring the
 /// event stream into `rec` (page events, flush-wait spans, periodic samples
 /// per [`SimConfig::sampling`], and the end-of-run counter/gauge rollup).
-/// Pass [`NoopRecorder`] for a plain run: the recorder is generic, so that
-/// path monomorphizes with the instrumentation compiled out entirely.
+/// Pass [`reqblock_obs::NoopRecorder`] for a plain run: the recorder is
+/// generic, so that path monomorphizes with the instrumentation compiled
+/// out entirely.
 ///
 /// The residual cache content is *not* drained: the paper's metrics count
 /// traffic during the trace. Drive an [`Ssd`] and call [`Ssd::drain_cache`]
@@ -133,19 +135,6 @@ impl TraceSource {
             }
         })
     }
-}
-
-/// One entry of an experiment grid: a labelled (config, workload) pair.
-/// The trace is materialized inside the worker, so jobs are cheap to
-/// construct and independent.
-#[derive(Debug, Clone)]
-pub struct Job {
-    /// Free-form label (e.g. `"fig8/ts_0/32MB/Req-block"`).
-    pub label: String,
-    /// Device and policy configuration.
-    pub cfg: SimConfig,
-    /// Workload to replay.
-    pub source: TraceSource,
 }
 
 /// One unit of work for [`run_task_pool`]: a labelled closure. The closure
@@ -228,75 +217,12 @@ pub fn run_task_pool(tasks: Vec<Task<'_>>, threads: usize) {
     }
 }
 
-
-/// A planned simulation grid: jobs plus one result slot per job. The
-/// standalone path is [`JobPool::run`]; to share one pool with other work,
-/// create the `JobPool` first, submit its [`JobPool::tasks`] (they borrow
-/// it) into [`run_task_pool`], and call [`JobPool::take_results`] once the
-/// pool has drained.
-///
-/// Each task loads its trace with [`TraceSource::requests`] and then
-/// [`replay`]s it, so every result carries the host wall-clock of its own
-/// replay alone ([`RunResult::host_elapsed_s`]). A trace that fails to
-/// load panics the task, and the pool re-raises that panic prefixed with
-/// the job's label.
-#[derive(Debug)]
-pub struct JobPool {
-    jobs: Vec<Job>,
-    slots: Vec<OnceLock<RunResult>>,
-}
-
-impl JobPool {
-    /// Plan `jobs`, one empty result slot each.
-    pub fn new(jobs: Vec<Job>) -> Self {
-        let slots = jobs.iter().map(|_| OnceLock::new()).collect();
-        Self { jobs, slots }
-    }
-
-    /// One task per job, routing each result into its slot.
-    pub fn tasks(&self) -> Vec<Task<'_>> {
-        self.jobs
-            .iter()
-            .zip(&self.slots)
-            .map(|(job, slot)| {
-                Task::new(job.label.clone(), move || {
-                    let requests = job
-                        .source
-                        .requests()
-                        .unwrap_or_else(|e| panic!("cannot load trace: {e}"));
-                    let result = replay(&job.cfg, requests.iter().copied(), &mut NoopRecorder);
-                    let ok = slot.set(result).is_ok();
-                    debug_assert!(ok, "job slot filled twice");
-                })
-            })
-            .collect()
-    }
-
-    /// Labelled results in job order (call after the pool has drained).
-    pub fn take_results(self) -> Vec<(String, RunResult)> {
-        self.jobs
-            .into_iter()
-            .zip(self.slots)
-            .map(|(job, slot)| {
-                (job.label, slot.into_inner().expect("every job must produce a result"))
-            })
-            .collect()
-    }
-
-    /// Run every job on its own pool of up to `threads` workers and return
-    /// the labelled results in job order.
-    pub fn run(self, threads: usize) -> Vec<(String, RunResult)> {
-        run_task_pool(self.tasks(), threads);
-        self.take_results()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{CacheSizeMb, PolicyKind, SampleInterval};
     use reqblock_core::ReqBlockConfig;
-    use reqblock_obs::MemoryRecorder;
+    use reqblock_obs::{MemoryRecorder, NoopRecorder};
     use reqblock_trace::profiles::ts_0;
     use reqblock_trace::SyntheticTrace;
 
@@ -341,45 +267,6 @@ mod tests {
         assert_eq!(rec.counter_value("requests"), recorded.metrics.requests);
         let pts = rec.series_points("hit_ratio");
         assert!(pts.len() >= 3, "expected >= 3 samples, got {}", pts.len());
-    }
-
-    #[test]
-    fn job_pool_preserves_order_and_labels() {
-        let jobs: Vec<Job> = PolicyKind::paper_comparison()
-            .iter()
-            .map(|p| Job {
-                label: format!("test/{}", p.name()),
-                cfg: SimConfig::paper(CacheSizeMb::Mb16, *p),
-                source: TraceSource::Synthetic(mini_profile()),
-            })
-            .collect();
-        let results = JobPool::new(jobs.clone()).run(2);
-        assert_eq!(results.len(), 4);
-        for (job, (label, res)) in jobs.iter().zip(&results) {
-            assert_eq!(&job.label, label);
-            assert_eq!(res.policy, job.cfg.policy.name());
-            assert!(res.host_elapsed_s > 0.0, "per-job wall clock must be kept");
-        }
-    }
-
-    #[test]
-    fn job_pool_propagates_panic_with_job_label() {
-        let cfg = SimConfig::paper(CacheSizeMb::Mb16, PolicyKind::Lru);
-        let jobs = vec![
-            Job {
-                label: "ok-job".into(),
-                cfg: cfg.clone(),
-                source: TraceSource::Synthetic(mini_profile()),
-            },
-            Job {
-                label: "bad-job".into(),
-                cfg,
-                source: TraceSource::MsrFile("/nonexistent/reqblock-test-trace.csv".into()),
-            },
-        ];
-        let err = std::panic::catch_unwind(|| JobPool::new(jobs).run(2)).unwrap_err();
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("bad-job"), "panic should name the job: {msg}");
     }
 
     #[test]

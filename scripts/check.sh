@@ -8,9 +8,10 @@
 # field the gate table below reads), one release run of each example at
 # its smallest input (`cargo test` only compiles them; a non-zero exit
 # fails), the pinned digests that `repro run scenarios/smoke.toml`,
-# `repro why`, `repro --scale 0.01 faults`, `repro --scale 0.05 faults`
-# and `repro --scale 0.2 faults` print (the why step also writes trace
-# files and telemetry shards), an explicit release run of
+# `repro why`, `repro telemetry`, `repro --scale 0.01 faults`, `repro
+# --scale 0.05 faults` and `repro --scale 0.2 faults` print (one
+# `check_digest` step each; the why step also writes trace files and
+# telemetry shards), an explicit release run of
 # tests/fleet.rs (the small-fleet golden plus the streaming
 # merge-equivalence proptests pinning the loser-tree order and the
 # stream-vs-reference FleetMetrics against the materialize+sort
@@ -79,63 +80,38 @@ done
 echo "== benchmark package tests (benchmark/Cargo.toml, --locked) =="
 cargo test -q --release --offline --locked --manifest-path benchmark/Cargo.toml
 
-echo "== scenario smoke (scenarios/smoke.toml vs pinned digest) =="
-SMOKE_WANT="[digest smoke 8b55b878785a2112]"
-SMOKE_GOT=$(./target/release/repro --scale 0.001 --threads 2 --out /tmp/reqblock_smoke \
-    run scenarios/smoke.toml 2>/dev/null | grep '^\[digest smoke ' || true)
-if [[ "$SMOKE_GOT" != "$SMOKE_WANT" ]]; then
-    echo "FAIL: smoke scenario digest drifted: got '$SMOKE_GOT', want '$SMOKE_WANT'" >&2
-    exit 1
-fi
-echo "smoke digest ok: $SMOKE_GOT"
+# Run `repro --out /tmp/reqblock_<name> <args>` and require the line
+# `[digest <section> <want>]` on its stdout.
+check_digest() {
+    local name=$1 section=$2 want="[digest $2 $3]" got
+    shift 3
+    echo "== $name (repro $* vs pinned digest) =="
+    got=$(./target/release/repro --out "/tmp/reqblock_$name" "$@" 2>/dev/null \
+        | grep "^\[digest $section " || true)
+    if [[ "$got" != "$want" ]]; then
+        echo "FAIL: $name digest drifted: got '$got', want '$want'" >&2
+        exit 1
+    fi
+    echo "$name digest ok: $got"
+}
 
-echo "== why (tail forensics vs pinned digest) =="
-WHY_WANT="[digest why b13fccf1953d9bb8]"
-WHY_GOT=$(./target/release/repro --scale 0.001 --threads 2 --out /tmp/reqblock_why \
-    why 2>/dev/null | grep '^\[digest why ' || true)
-if [[ "$WHY_GOT" != "$WHY_WANT" ]]; then
-    echo "FAIL: why digest drifted: got '$WHY_GOT', want '$WHY_WANT'" >&2
-    exit 1
-fi
-echo "why digest ok: $WHY_GOT"
-
-echo "== faults (fault sweep at --scale 0.01 vs pinned digest) =="
-# At this scale the sweep reaches every fault branch of the FTL write
-# path: program and erase failures, rejected writes, read-only.
-FAULTS_WANT="[digest faults 9daa749e8bca803a]"
-FAULTS_GOT=$(./target/release/repro --scale 0.01 --threads 2 --out /tmp/reqblock_faults \
-    faults 2>/dev/null | grep '^\[digest faults ' || true)
-if [[ "$FAULTS_GOT" != "$FAULTS_WANT" ]]; then
-    echo "FAIL: faults digest drifted: got '$FAULTS_GOT', want '$FAULTS_WANT'" >&2
-    exit 1
-fi
-echo "faults digest ok: $FAULTS_GOT"
-
-echo "== faults (fault sweep at --scale 0.05 vs pinned digest) =="
+check_digest smoke smoke 8b55b878785a2112 --scale 0.001 --threads 2 run scenarios/smoke.toml
+# Tail forensics; the run also writes trace files and telemetry shards.
+check_digest why why b13fccf1953d9bb8 --scale 0.001 --threads 2 why
+# The instrumented run, through the operand-free path; `telemetry <trace>`
+# sets the scenario's trace axis.
+check_digest telemetry telemetry_ts_0 3228496f6d714ae3 --scale 0.001 --threads 2 telemetry
+# At this scale the fault sweep reaches every fault branch of the FTL
+# write path: program and erase failures, rejected writes, read-only.
+check_digest faults faults 9daa749e8bca803a --scale 0.01 --threads 2 faults
 # Degraded devices are where GC bookkeeping that healthy runs never see
 # (a block a failed migration leaves behind) could change a victim; at
 # this scale the 1 % row ends read-only after 1 111 program and 28 erase
 # failures.
-FAULTS05_WANT="[digest faults b66693e3ff257bff]"
-FAULTS05_GOT=$(./target/release/repro --scale 0.05 --threads 2 --out /tmp/reqblock_faults05 \
-    faults 2>/dev/null | grep '^\[digest faults ' || true)
-if [[ "$FAULTS05_GOT" != "$FAULTS05_WANT" ]]; then
-    echo "FAIL: faults digest at --scale 0.05 drifted: got '$FAULTS05_GOT', want '$FAULTS05_WANT'" >&2
-    exit 1
-fi
-echo "faults x0.05 digest ok: $FAULTS05_GOT"
-
-echo "== faults (fault sweep at --scale 0.2 vs pinned digest) =="
+check_digest faults05 faults b66693e3ff257bff --scale 0.05 --threads 2 faults
 # The most degraded run: the 1 % row ends read-only after 4 445 program
 # and 103 erase failures and 129 350 rejected pages.
-FAULTS2_WANT="[digest faults 9b337c79911e89b6]"
-FAULTS2_GOT=$(./target/release/repro --scale 0.2 --threads 2 --out /tmp/reqblock_faults2 \
-    faults 2>/dev/null | grep '^\[digest faults ' || true)
-if [[ "$FAULTS2_GOT" != "$FAULTS2_WANT" ]]; then
-    echo "FAIL: faults digest at --scale 0.2 drifted: got '$FAULTS2_GOT', want '$FAULTS2_WANT'" >&2
-    exit 1
-fi
-echo "faults x0.2 digest ok: $FAULTS2_GOT"
+check_digest faults2 faults 9b337c79911e89b6 --scale 0.2 --threads 2 faults
 
 echo "== scenario list (every scenarios/*.toml validates) =="
 LIST=$(./target/release/repro --list)

@@ -30,21 +30,30 @@ fn simulation_is_deterministic_per_policy() {
 
 #[test]
 fn parallel_runner_matches_serial_runs() {
-    use reqblock::sim::{Job, JobPool, TraceSource};
+    use reqblock::sim::{run_task_pool, RunResult, Task, TraceSource};
+    use std::sync::OnceLock;
     let profile = reqblock::trace::profiles::ts_0().scaled(0.002);
-    let jobs: Vec<Job> = PolicyKind::paper_comparison()
+    let source = TraceSource::Synthetic(profile.clone());
+    let cfgs: Vec<SimConfig> = PolicyKind::paper_comparison()
         .iter()
-        .map(|p| Job {
-            label: p.name().to_string(),
-            cfg: SimConfig::paper(CacheSizeMb::Mb16, *p),
-            source: TraceSource::Synthetic(profile.clone()),
+        .map(|p| SimConfig::paper(CacheSizeMb::Mb16, *p))
+        .collect();
+    let slots: Vec<OnceLock<RunResult>> = cfgs.iter().map(|_| OnceLock::new()).collect();
+    let tasks = cfgs
+        .iter()
+        .zip(&slots)
+        .map(|(cfg, slot)| {
+            Task::new(cfg.policy.name(), || {
+                let requests = source.requests().unwrap();
+                slot.set(replay(cfg, requests.iter().copied(), &mut NoopRecorder)).unwrap();
+            })
         })
         .collect();
-    let parallel = JobPool::new(jobs.clone()).run(4);
-    for (job, (label, result)) in jobs.iter().zip(&parallel) {
-        assert_eq!(&job.label, label);
-        let serial = replay(&job.cfg, SyntheticTrace::new(profile.clone()), &mut NoopRecorder);
-        assert_eq!(serial.metrics, result.metrics, "{label} parallel != serial");
+    run_task_pool(tasks, 4);
+    for (cfg, slot) in cfgs.iter().zip(slots) {
+        let serial = replay(cfg, SyntheticTrace::new(profile.clone()), &mut NoopRecorder);
+        let parallel = slot.into_inner().expect("every task ran");
+        assert_eq!(serial.metrics, parallel.metrics, "{} parallel != serial", cfg.policy.name());
     }
 }
 

@@ -1,15 +1,18 @@
 //! Integration tests for the declarative scenario subsystem: every
 //! `repro all` section, `repro why` and the X8 table of `repro fleet` must
 //! reproduce the pre-refactor tables byte for byte (pinned FxHash
-//! digests), scenario output must be thread-count invariant, the
+//! digests), and so must the files and shards `repro why` and `repro
+//! telemetry` write; scenario output must be thread-count invariant, the
 //! committed `scenarios/*.toml` files and the embedded builtins must
 //! agree, the TOML-subset writer/parser must round-trip, and the grid
 //! planner's job count must equal the axis product.
 
 use proptest::prelude::*;
+use reqblock::cache::fxhash::FxHasher;
 use reqblock_experiments::scenario::{self, toml, Scenario};
 use reqblock_experiments::sweep::{self, section_digest, Plan};
 use reqblock_experiments::{extensions, Opts};
+use std::hash::Hasher;
 
 fn tiny_opts(threads: usize) -> Opts {
     Opts { scale: 0.001, threads, out_dir: std::env::temp_dir(), trace_dir: None }
@@ -58,6 +61,29 @@ const X8_DIGEST: u64 = 0xd1b8fda08549d7a0;
 /// retirement, rejected writes and the read-only end state.
 const FAULTS_DIGEST: u64 = 0x9daa749e8bca803a;
 
+/// The bytes `repro why` writes besides its table at `--scale 0.001`:
+/// the twelve `why_*.trace.json` files (names and contents, grid order)
+/// and the `why_telemetry` shard documents, captured while `why` was
+/// still a hand-written plan.
+const WHY_FILES_DIGEST: u64 = 0x1b492fe0396db5e8;
+const WHY_SHARDS_DIGEST: u64 = 0x4f4fd1ec9215474f;
+
+/// The bytes of `telemetry_ts_0.jsonl`, which `repro telemetry` writes at
+/// `--scale 0.001`, captured while the telemetry run was a hand-written
+/// plan.
+const TELEMETRY_JSONL_DIGEST: u64 = 0x7fe43129d2f67ace;
+
+/// FxHash of `(name, bytes)` pairs in order: the pin of emitted files and
+/// shard documents.
+fn bytes_digest<'a>(parts: impl IntoIterator<Item = (&'a str, &'a str)>) -> u64 {
+    let mut h = FxHasher::default();
+    for (name, bytes) in parts {
+        h.write(name.as_bytes());
+        h.write(bytes.as_bytes());
+    }
+    h.finish()
+}
+
 #[test]
 fn run_all_matches_pre_refactor_pinned_digests() {
     let digests = sweep::run_all(&tiny_opts(2)).digests();
@@ -103,6 +129,30 @@ fn why_and_fleet_x8_digests_are_pinned_at_1_and_2_threads() {
         assert_eq!(name, "fleet");
         let got = section_digest(&tables[..1]);
         assert_eq!(got, X8_DIGEST, "X8 drifted at {threads} thread(s): got {got:016x}");
+    }
+}
+
+#[test]
+fn why_files_and_telemetry_jsonl_are_pinned_at_1_and_2_threads() {
+    for threads in [1, 2] {
+        let opts = tiny_opts(threads);
+        let plans = vec![extensions::why(&opts), scenario::plan_builtin("telemetry", &opts)];
+        let [why, telemetry] = &sweep::run(plans, threads)[..] else { panic!("two outcomes") };
+        assert_eq!(why.files.len(), 12, "one trace document per why point");
+        let files = bytes_digest(why.files.iter().map(|(n, f)| (n.as_str(), f.as_str())));
+        assert_eq!(files, WHY_FILES_DIGEST, "why trace files drifted: got {files:016x}");
+        let [(stem, docs)] = &why.shards[..] else { panic!("one shard set") };
+        assert_eq!(stem, "why_telemetry");
+        // Each document's meta names its point `policy|depth|load`.
+        let meta = "{\"type\":\"run_meta\",\"schema\":\"reqblock-obs/1\",\"experiment\":\"why\",\
+                    \"point\":\"LRU|1|0.5\"}\n";
+        assert!(docs[0].starts_with(meta), "first why shard: {:?}", docs[0].lines().next());
+        let shards = bytes_digest(docs.iter().map(|d| ("", d.as_str())));
+        assert_eq!(shards, WHY_SHARDS_DIGEST, "why shards drifted: got {shards:016x}");
+        let [(name, jsonl)] = &telemetry.files[..] else { panic!("one telemetry file") };
+        assert_eq!(name, "telemetry_ts_0.jsonl");
+        let got = bytes_digest([(name.as_str(), jsonl.as_str())]);
+        assert_eq!(got, TELEMETRY_JSONL_DIGEST, "telemetry JSONL drifted: got {got:016x}");
     }
 }
 
