@@ -10,15 +10,20 @@
 //!
 //! State follows the written footprint, not the chip's capacity. Blocks
 //! are first opened in index order, so every block ever allocated lies
-//! below an allocation watermark; only that prefix stores metadata and a
-//! reverse map, and blocks at or above it read as fresh. Storage grows one
-//! chunk of 64 blocks at a time, so growth never copies a large buffer. A
-//! run that writes a few hundred of a paper chip's 32 768 blocks holds a
-//! few hundred blocks' state.
+//! below an allocation watermark; only that prefix stores metadata, and
+//! blocks at or above it read as fresh. Storage grows one chunk of 64
+//! blocks at a time, so growth never copies a large buffer. A run that
+//! writes a few hundred of a paper chip's 32 768 blocks holds a few
+//! hundred blocks' state.
 //!
-//! Each chip also keeps its GC candidates, the full blocks with invalid
-//! pages, listed by invalid count ([`crate::gc`]). They are block state:
-//! the transitions below keep them exact, and nothing else changes them.
+//! The state only garbage collection reads is the chip's **GC index**: the
+//! reverse map (PPN -> LPN) and the GC candidates, the full blocks with
+//! invalid pages listed by invalid count ([`crate::gc`]). A chip keeps no
+//! index until [`ChipBlocks::build_index`] builds it, which the FTL does
+//! when the device first migrates a page; a device that never collects
+//! never pays for it. From the build on, the transitions below keep the
+//! index exact, and nothing else changes it; [`ChipBlocks::reset`] drops
+//! it again.
 
 use crate::gc::GcLists;
 use reqblock_flash::SsdConfig;
@@ -30,8 +35,9 @@ pub(crate) const UNMAPPED: u32 = u32::MAX;
 
 /// log2 of [`CHUNK_BLOCKS`].
 const CHUNK_SHIFT: u32 = 6;
-/// Blocks whose metadata and reverse map materialize together: 1 KiB of
-/// metadata plus 16 KiB of reverse map at 64 pages per block.
+/// Blocks whose metadata materializes together: 1 KiB at any page count,
+/// and 16 KiB of reverse map at 64 pages per block once the GC index is
+/// built.
 const CHUNK_BLOCKS: usize = 1 << CHUNK_SHIFT;
 const CHUNK_MASK: usize = CHUNK_BLOCKS - 1;
 
@@ -90,9 +96,10 @@ pub struct ChipBlocks {
     #[allow(clippy::vec_box)]
     meta: Vec<Box<[BlockMeta; CHUNK_BLOCKS]>>,
     /// Reverse map (PPN -> LPN) of the same chunks, `pages_per_block`
-    /// entries per block. Written when a page is programmed and left stale
-    /// when it is invalidated: the valid bitmap is the liveness source of
-    /// truth, and every reader consults it first.
+    /// entries per block; one chunk per metadata chunk while the index is
+    /// built. Written when a page is programmed and left stale when it is
+    /// invalidated: the valid bitmap is the liveness source of truth, and
+    /// every reader consults it first. Kept, stale, across a reset.
     lpns: Vec<Box<[u32]>>,
     /// Erased blocks, popped before the watermark advances.
     free: Vec<u32>,
@@ -109,8 +116,11 @@ pub struct ChipBlocks {
     /// erase/retire only recycle allocated blocks, so the ever-touched set
     /// is always this prefix.
     hot: u32,
-    /// The full blocks with invalid pages, by invalid count.
+    /// The full blocks with invalid pages, by invalid count; empty while
+    /// the index is unbuilt.
     gc: GcLists,
+    /// Whether the GC index (`lpns` and `gc`) is built and kept exact.
+    indexed: bool,
 }
 
 impl ChipBlocks {
@@ -126,14 +136,15 @@ impl ChipBlocks {
             pages_per_block: cfg.pages_per_block as u16,
             hot: 0,
             gc: GcLists::default(),
+            indexed: false,
         }
     }
 
     /// Return every block to the pristine state [`ChipBlocks::new`]
     /// builds: bitmaps and append pointers cleared, wear zeroed, bad
     /// blocks restored to rotation, the watermark back at block 0, so
-    /// allocation replays in construction order, and no GC candidate.
-    /// Observationally identical to a fresh chip.
+    /// allocation replays in construction order, and the GC index
+    /// unbuilt. Observationally identical to a fresh chip.
     ///
     /// O(blocks ever allocated), not O(all blocks): only the `0..hot`
     /// prefix can differ from fresh. Keeps the materialized chunks (their
@@ -148,6 +159,37 @@ impl ChipBlocks {
         self.bad = 0;
         self.hot = 0;
         self.gc.clear();
+        self.indexed = false;
+    }
+
+    /// Build the GC index, a no-op once it is built: give every
+    /// materialized chunk its reverse-map chunk, and list every full block
+    /// that holds invalid pages, in one pass over the allocated blocks'
+    /// metadata. The reverse entries are the caller's to fill, one per
+    /// valid page (the FTL walks its forward map, [`crate::Ftl`]); from
+    /// then on the transitions keep the index exact.
+    pub fn build_index(&mut self) {
+        if self.indexed {
+            return;
+        }
+        self.indexed = true;
+        let chunks = self.meta.len();
+        let lpns = CHUNK_BLOCKS * self.pages_per_block as usize;
+        self.lpns.resize_with(chunks, || vec![UNMAPPED; lpns].into_boxed_slice());
+        self.gc.size(self.pages_per_block, chunks * CHUNK_BLOCKS);
+        for b in 0..self.hot {
+            let meta = self.meta(b);
+            let invalid = meta.invalid_count();
+            if meta.state == BlockState::Full && invalid > 0 {
+                self.gc.insert(b, invalid);
+            }
+        }
+    }
+
+    /// Is the GC index built?
+    #[inline]
+    pub fn index_built(&self) -> bool {
+        self.indexed
     }
 
     /// The allocation watermark: every block ever allocated since
@@ -175,7 +217,8 @@ impl ChipBlocks {
     /// The greedy GC victim: the full block with the most invalid pages,
     /// ties to the highest block number (the lexicographic max `(invalid
     /// count, block)`), or `None` when no full block holds an invalid page
-    /// and GC cannot reclaim anything.
+    /// and GC cannot reclaim anything. Always `None` while the index is
+    /// unbuilt ([`ChipBlocks::build_index`]).
     #[inline]
     pub fn greediest(&self) -> Option<u32> {
         self.gc.greediest()
@@ -268,29 +311,31 @@ impl ChipBlocks {
     }
 
     /// Mark the active `block` full and close it, listing it for GC if it
-    /// already holds invalid pages.
+    /// already holds invalid pages and the index is built.
     fn seal(&mut self, block: u32) {
         let meta = self.meta_mut(block);
         meta.state = BlockState::Full;
         let invalid = meta.invalid_count();
         self.active = None;
-        if invalid > 0 {
+        if self.indexed && invalid > 0 {
             self.gc.insert(block, invalid);
         }
     }
 
     /// Take `block` off the GC lists if it is on one: full with invalid
-    /// pages.
+    /// pages, and the index built.
     fn unlist(&mut self, block: u32) {
         let meta = self.meta(block);
         let invalid = meta.invalid_count();
-        if meta.state == BlockState::Full && invalid > 0 {
+        if self.indexed && meta.state == BlockState::Full && invalid > 0 {
             self.gc.remove(block, invalid);
         }
     }
 
-    /// Advance the watermark over block `hot`, materializing its chunk on
-    /// first use; `None` once every block has been allocated.
+    /// Advance the watermark over block `hot`, materializing its chunk
+    /// (and, once the index is built, the chunk's reverse map and GC list
+    /// positions) on first use; `None` once every block has been
+    /// allocated.
     fn open_watermark(&mut self) -> Option<u32> {
         let b = self.hot;
         if b == self.blocks {
@@ -298,8 +343,11 @@ impl ChipBlocks {
         }
         if b as usize >> CHUNK_SHIFT == self.meta.len() {
             self.meta.push(Box::new([FRESH; CHUNK_BLOCKS]));
-            let lpns = CHUNK_BLOCKS * self.pages_per_block as usize;
-            self.lpns.push(vec![UNMAPPED; lpns].into_boxed_slice());
+            if self.indexed {
+                let lpns = CHUNK_BLOCKS * self.pages_per_block as usize;
+                self.lpns.push(vec![UNMAPPED; lpns].into_boxed_slice());
+                self.gc.size(self.pages_per_block, self.meta.len() * CHUNK_BLOCKS);
+            }
         }
         self.hot += 1;
         Some(b)
@@ -313,32 +361,45 @@ impl ChipBlocks {
         (b >> CHUNK_SHIFT, (b & CHUNK_MASK) * self.pages_per_block as usize + page as usize)
     }
 
-    /// The LPN last programmed into `(block, page)` of an allocated block.
-    /// Meaningful only while the page is valid.
+    /// The LPN last programmed into `(block, page)` of an allocated block
+    /// of a chip whose index is built. Meaningful only while the page is
+    /// valid.
     #[inline]
     pub(crate) fn lpn(&self, block: u32, page: u16) -> u32 {
+        debug_assert!(self.indexed, "reverse map read before the GC index was built");
         let (chunk, slot) = self.lpn_slot(block, page);
         self.lpns[chunk][slot]
     }
 
-    /// Record that `(block, page)` now holds `lpn`.
+    /// The reverse entry of `(block, page)`, or `None` while the index is
+    /// unbuilt. Meaningful only while the page is valid. Tests only.
+    #[doc(hidden)]
+    pub fn reverse_entry(&self, block: u32, page: u16) -> Option<u32> {
+        self.indexed.then(|| self.lpn(block, page))
+    }
+
+    /// Record that `(block, page)` now holds `lpn`; a no-op while the
+    /// index is unbuilt, since its build fills every valid page's entry.
     #[inline]
     pub(crate) fn set_lpn(&mut self, block: u32, page: u16, lpn: u32) {
-        let (chunk, slot) = self.lpn_slot(block, page);
-        self.lpns[chunk][slot] = lpn;
+        if self.indexed {
+            let (chunk, slot) = self.lpn_slot(block, page);
+            self.lpns[chunk][slot] = lpn;
+        }
     }
 
     /// Mark `(block, page)` invalid (its LPN was overwritten or migrated);
-    /// a full block moves up one GC list. Returns the block's new invalid
-    /// count.
+    /// once the index is built, a full block moves up one GC list. Returns
+    /// the block's new invalid count.
     #[inline]
     pub fn invalidate(&mut self, block: u32, page: u16) -> u32 {
+        let indexed = self.indexed;
         let meta = self.meta_mut(block);
         debug_assert!(page < meta.next_page, "invalidating unwritten page");
         debug_assert!(meta.valid & (1u64 << page) != 0, "double invalidate");
         meta.valid &= !(1u64 << page);
         let invalid = meta.invalid_count();
-        if meta.state == BlockState::Full {
+        if indexed && meta.state == BlockState::Full {
             if invalid > 1 {
                 self.gc.remove(block, invalid - 1);
             }
@@ -389,8 +450,8 @@ impl ChipBlocks {
     }
 
     /// Erase `block`: clears its bitmap and append pointer, bumps wear, and
-    /// returns it from the GC lists to the free list. The block must not
-    /// be active.
+    /// returns it from the GC lists (if listed) to the free list. The
+    /// block must not be active.
     pub fn erase(&mut self, block: u32) {
         debug_assert_ne!(Some(block), self.active, "erasing the active block");
         self.unlist(block);
@@ -424,8 +485,11 @@ impl ChipBlocks {
     /// block is exactly one of free (on the free list, or at or above the
     /// watermark), active (the append point), full, or bad, and the free
     /// list and bad count agree with the states. Also checks each bitmap
-    /// against its append pointer, and that the GC lists hold exactly the
-    /// full blocks with invalid pages, each at its count. O(allocated
+    /// against its append pointer and the GC lists: once the index is
+    /// built they hold exactly the full blocks with invalid pages, each at
+    /// its count, and every materialized chunk has its reverse map; before
+    /// the build they hold nothing. The reverse entries themselves need
+    /// the forward map ([`crate::Ftl::check_consistency`]). O(allocated
     /// blocks); tests only.
     #[doc(hidden)]
     pub fn check_consistency(&self) -> Result<(), String> {
@@ -469,8 +533,15 @@ impl ChipBlocks {
         if bad != self.bad {
             return Err(format!("{bad} blocks are bad but {} are counted", self.bad));
         }
+        if self.indexed && self.lpns.len() != self.meta.len() {
+            let (lpns, meta) = (self.lpns.len(), self.meta.len());
+            return Err(format!("{meta} metadata chunks but {lpns} reverse-map chunks"));
+        }
         let listed = self.gc.check(self)?;
-        if listed != candidates {
+        if !self.indexed && listed != 0 {
+            return Err(format!("{listed} blocks listed for GC before the index was built"));
+        }
+        if self.indexed && listed != candidates {
             return Err(format!(
                 "{candidates} full blocks hold invalid pages but {listed} are listed for GC"
             ));

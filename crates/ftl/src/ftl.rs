@@ -190,11 +190,18 @@ struct Migration {
 /// to a power of two, so decoding one is shifts and masks on any
 /// geometry. The forward map is a `PageMap` of lazily allocated leaves;
 /// the reverse map (PPN -> LPN) lives in each chip's [`ChipBlocks`]
-/// beside the valid bitmaps it mirrors. Its entries for *invalidated*
-/// pages go stale rather than being cleared: the bitmap is the source of
-/// truth for liveness, and every reader (migration, the consistency
-/// check) consults it first, so the per-page overwrite path makes no
-/// store into the reverse map.
+/// beside the valid bitmaps it mirrors, as part of the GC index that only
+/// migration reads. The index is built when the device first migrates a
+/// page (the top of `gc_once` and `retire_block`): each chip lists its GC
+/// candidates from its block metadata, and one walk of the forward map's
+/// leaves fills the reverse entry of every valid page, since every valid
+/// page is mapped. Until then programs store no reverse entry and
+/// overwrites move no block between GC lists, so a device that never
+/// collects pays for neither. Once built, entries for *invalidated* pages
+/// go stale rather than being cleared: the bitmap is the source of truth
+/// for liveness, and every reader (migration, the consistency check)
+/// consults it first, so the per-page overwrite path makes no store into
+/// the reverse map.
 pub struct Ftl {
     cfg: SsdConfig,
     /// LPN -> PPN; `UNMAPPED` when the LPN has never been written.
@@ -215,6 +222,9 @@ pub struct Ftl {
     /// block has retired, hoisted off the per-page write path so batched
     /// flushes don't redo the float math for every page.
     gc_floor_healthy: usize,
+    /// Cached [`SsdConfig::total_pages`], which divides on every call:
+    /// every program and read range-checks its LPN against it.
+    logical_pages: u64,
     /// PPN bit offset of the block field: `log2` of pages per block,
     /// rounded up.
     block_shift: u32,
@@ -259,6 +269,7 @@ impl Ftl {
             fstats: FaultStats::default(),
             health: Health::default(),
             gc_floor_healthy: cfg.gc_free_blocks_floor(),
+            logical_pages: cfg.total_pages(),
             gc_checked: vec![false; cfg.total_chips()],
             cfg: cfg.clone(),
         }
@@ -273,11 +284,9 @@ impl Ftl {
     /// Cost is O(materialized leaves + allocated blocks):
     /// * `l2p`'s leaves are refilled with `UNMAPPED`, a sequential store
     ///   per entry instead of a directory lookup per live page.
-    /// * The reverse map is left stale wholesale: the valid bitmaps are the
-    ///   liveness source of truth and every reader consults them first, so
-    ///   stale translations behind freshly cleared bitmaps are
-    ///   unobservable — the same invariant that lets overwrites skip the
-    ///   reverse-map clear.
+    /// * The GC index returns to unbuilt, keeping its allocations: the
+    ///   lists are emptied, and the reverse map is left stale wholesale,
+    ///   since the next build rewrites the entry of every valid page.
     pub fn try_reset(&mut self, cfg: &SsdConfig, faults: FaultConfig) -> bool {
         if self.cfg != *cfg {
             return false;
@@ -340,7 +349,40 @@ impl Ftl {
     /// Number of logical pages the drive exposes.
     #[inline]
     pub fn logical_pages(&self) -> u64 {
-        self.cfg.total_pages()
+        self.logical_pages
+    }
+
+    /// Each chip's block state, GC index included. Tests only.
+    #[doc(hidden)]
+    pub fn chip_blocks(&self) -> &[ChipBlocks] {
+        &self.chips
+    }
+
+    /// Build the GC index now instead of at the first migration; a no-op
+    /// once it is built. Behaviour is the same either way, which tests
+    /// pin by driving an eagerly and a lazily built FTL side by side.
+    #[doc(hidden)]
+    pub fn build_gc_index(&mut self) {
+        let mut chips = std::mem::take(&mut self.chips);
+        self.build_index_into(&mut chips);
+        self.chips = chips;
+    }
+
+    /// Build the GC index of `chips`, this FTL's chips or a copy of them:
+    /// every chip lists its candidates from its block metadata, then one
+    /// walk of the forward map fills the reverse entry of every mapped
+    /// page, which is every valid page. A no-op if `chips` are built.
+    fn build_index_into(&self, chips: &mut [ChipBlocks]) {
+        if chips[0].index_built() {
+            return;
+        }
+        for blocks in chips.iter_mut() {
+            blocks.build_index();
+        }
+        for (lpn, ppn) in self.l2p.mapped() {
+            let (block, page) = self.block_page_of_ppn(ppn);
+            chips[self.chip_of_ppn(ppn)].set_lpn(block, page, lpn as u32);
+        }
     }
 
     /// Live (mapped) page count. O(chips * blocks); test/diagnostic use.
@@ -416,6 +458,9 @@ impl Ftl {
     /// within the chip, then erase it. Returns `false` if no victim exists
     /// or the chip ran out of space mid-migration.
     fn gc_once(&mut self, chip: usize, at: u64, tl: &mut FlashTimeline) -> bool {
+        if !self.chips[chip].index_built() {
+            self.build_gc_index();
+        }
         let Some(victim) = self.chips[chip].greediest() else {
             return false;
         };
@@ -451,6 +496,9 @@ impl Ftl {
     /// where they are (still readable) and the device degrades instead of
     /// losing data.
     fn retire_block(&mut self, chip: usize, block: u32, at: u64, tl: &mut FlashTimeline) {
+        if !self.chips[chip].index_built() {
+            self.build_gc_index();
+        }
         // Stop allocating from the failing block before rewriting onto it.
         self.chips[chip].close_active(block);
         let moved = self.migrate(chip, block, at, tl);
@@ -537,7 +585,7 @@ impl Ftl {
     /// check before every page.
     #[inline]
     fn program_page(&mut self, chip: usize, lpn: Lpn, at: u64, tl: &mut FlashTimeline) -> u64 {
-        assert!(lpn < self.logical_pages(), "LPN {lpn} beyond device");
+        assert!(lpn < self.logical_pages, "LPN {lpn} beyond device");
         loop {
             if !self.gc_checked[chip] {
                 self.maybe_gc(chip, at, tl);
@@ -654,13 +702,16 @@ impl Ftl {
 
     /// Service a host read of `lpn` at `at`. Returns completion ns. Reads of
     /// unmapped LPNs are timed like ordinary reads (chip chosen by address
-    /// hash) and counted in [`FtlStats::unmapped_reads`].
+    /// hash, `lpn` modulo the chip count) and counted in
+    /// [`FtlStats::unmapped_reads`].
     pub fn read_page(&mut self, lpn: Lpn, at: u64, tl: &mut FlashTimeline) -> u64 {
-        assert!(lpn < self.logical_pages(), "LPN {lpn} beyond device");
+        assert!(lpn < self.logical_pages, "LPN {lpn} beyond device");
         let ppn = self.l2p.get(lpn as usize);
         let chip = if ppn == UNMAPPED {
             self.stats.unmapped_reads += 1;
-            (lpn % self.chips.len() as u64) as usize
+            let chips = self.chips.len() as u64;
+            // A mask on the usual power-of-two array, not a division.
+            (if chips.is_power_of_two() { lpn & (chips - 1) } else { lpn % chips }) as usize
         } else {
             self.chip_of_ppn(ppn)
         };
@@ -727,7 +778,12 @@ impl Ftl {
     }
 
     /// [`Ftl::read_page`] with a structured completion.
-    pub fn read_page_completion(&mut self, lpn: Lpn, at: u64, tl: &mut FlashTimeline) -> IoCompletion {
+    pub fn read_page_completion(
+        &mut self,
+        lpn: Lpn,
+        at: u64,
+        tl: &mut FlashTimeline,
+    ) -> IoCompletion {
         IoCompletion { done_ns: self.read_page(lpn, at, tl) }
     }
 
@@ -742,22 +798,41 @@ impl Ftl {
     ///   ([`ChipBlocks::check_consistency`]), on a healthy device and a
     ///   degraded one alike.
     ///
+    /// On a device whose GC index is not built yet, the chips must hold
+    /// no index, and the reverse map and lists checked are those a build
+    /// would produce now, built into a copy of the chips.
+    ///
     /// Walks the materialized forward-map leaves and the allocated blocks
     /// only, so it stays cheap at paper geometry. Tests only.
     #[doc(hidden)]
     pub fn check_consistency(&self) -> Result<(), String> {
-        let mut live: Vec<Vec<u32>> = self
-            .chips
-            .iter()
-            .map(|c| vec![0; c.allocated_watermark() as usize])
-            .collect();
+        let built = self.chips[0].index_built();
+        if let Some(chip) = self.chips.iter().position(|c| c.index_built() != built) {
+            return Err(format!("chip {chip}'s GC index is built: {}, chip 0's: {built}", !built));
+        }
+        if built {
+            return self.check_against(&self.chips);
+        }
+        for (chip, blocks) in self.chips.iter().enumerate() {
+            blocks.check_consistency().map_err(|e| format!("chip {chip}: {e}"))?;
+        }
+        let mut chips = self.chips.clone();
+        self.build_index_into(&mut chips);
+        self.check_against(&chips).map_err(|e| format!("once the GC index is built: {e}"))
+    }
+
+    /// [`Ftl::check_consistency`] of the forward map against `chips`,
+    /// whose GC index is built.
+    fn check_against(&self, chips: &[ChipBlocks]) -> Result<(), String> {
+        let mut live: Vec<Vec<u32>> =
+            chips.iter().map(|c| vec![0; c.allocated_watermark() as usize]).collect();
         for (lpn, ppn) in self.l2p.mapped() {
             let chip = self.chip_of_ppn(ppn);
             let (block, page) = self.block_page_of_ppn(ppn);
-            if lpn as u64 >= self.logical_pages() || chip >= self.chips.len() {
+            if lpn as u64 >= self.logical_pages || chip >= chips.len() {
                 return Err(format!("lpn {lpn} -> ppn {ppn} outside the device"));
             }
-            let blocks = &self.chips[chip];
+            let blocks = &chips[chip];
             let Some(count) = live[chip].get_mut(block as usize) else {
                 return Err(format!("lpn {lpn} maps to unallocated block {block} of chip {chip}"));
             };
@@ -769,7 +844,7 @@ impl Ftl {
             }
             *count += 1;
         }
-        for (chip, (blocks, per_block)) in self.chips.iter().zip(&live).enumerate() {
+        for (chip, (blocks, per_block)) in chips.iter().zip(&live).enumerate() {
             blocks.check_consistency().map_err(|e| format!("chip {chip}: {e}"))?;
             for (block, &mapped) in (0..).zip(per_block) {
                 let mut valid = blocks.meta(block).valid;
@@ -955,6 +1030,7 @@ mod tests {
         }
         assert!(ftl.stats().gc_runs > 0, "precondition: GC ran");
         assert!(ftl.try_reset(&cfg, FaultConfig::default()));
+        assert!(ftl.chips.iter().all(|c| !c.index_built()), "reset kept the GC index");
         ftl.check_consistency().unwrap();
         assert_eq!(ftl.live_pages(), 0);
         assert_eq!(ftl.stats(), &FtlStats::default());
@@ -981,6 +1057,29 @@ mod tests {
         assert_eq!(ftl.stats(), fresh.stats());
         assert_eq!(ftl.free_blocks_per_chip(), fresh.free_blocks_per_chip());
         assert_eq!(tl_reset.counters(), tl_fresh.counters());
+        ftl.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn gc_index_is_built_at_the_first_migration() {
+        let (mut ftl, mut tl, _cfg) = setup();
+        let built = |ftl: &Ftl| ftl.chips.iter().all(|c| c.index_built());
+        // 4 x 64 overwrites fill 16 of each chip's 32 blocks: no GC.
+        let lpns: Vec<Lpn> = (0..64).collect();
+        for round in 0..4 {
+            ftl.write_pages(&lpns, round * 1_000_000, Placement::Striped, &mut tl);
+        }
+        assert_eq!(ftl.stats().gc_runs, 0);
+        assert!(ftl.chips.iter().all(|c| !c.index_built() && c.greediest().is_none()));
+        ftl.check_consistency().unwrap();
+        let mut round = 4;
+        while ftl.stats().gc_runs == 0 {
+            ftl.write_pages(&lpns, round * 1_000_000, Placement::Striped, &mut tl);
+            round += 1;
+        }
+        assert!(built(&ftl));
+        ftl.check_consistency().unwrap();
+        ftl.build_gc_index();
         ftl.check_consistency().unwrap();
     }
 
@@ -1028,8 +1127,7 @@ mod tests {
         assert!(obs.gc_busy_ns >= obs.gc_max_pause_ns as u128);
         // Every GC round includes at least its erase.
         assert!(
-            obs.gc_busy_ns
-                >= ftl.stats().gc_runs as u128 * ftl.config().erase_latency_ns as u128
+            obs.gc_busy_ns >= ftl.stats().gc_runs as u128 * ftl.config().erase_latency_ns as u128
         );
     }
 

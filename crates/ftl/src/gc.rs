@@ -8,20 +8,25 @@
 //! blocks with `c` invalid pages, for every `c ≥ 1`, and a `u128` mask
 //! tracks which lists are non-empty.
 //!
-//! The lists are block state. [`ChipBlocks`] owns them and changes them
-//! only inside its own transitions:
+//! The lists are part of the chip's GC index, which only GC reads, so they
+//! do not exist until the device first migrates a page: then
+//! [`ChipBlocks::build_index`] fills them in one pass over the chip's
+//! block metadata (a device that never collects never builds them). From
+//! the build on, [`ChipBlocks`] changes them only inside its own
+//! transitions:
 //! * invalidating a page of a full block moves the block from `c − 1` to
 //!   `c`;
 //! * sealing a block (its last page allocated, or
 //!   [`ChipBlocks::close_active`]) lists it if it holds invalid pages;
-//! * erase and retire unlist the block, and reset clears every list.
+//! * erase and retire unlist the block, and reset clears every list and
+//!   drops the index until the next build.
 //!
 //! Each listed block's position in its list is kept beside it, so a move
 //! is one `swap_remove` and one `push`, and no entry ever goes stale. The
 //! victim, [`ChipBlocks::greediest`], is the highest block number in the
 //! topmost list: the lexicographic max `(invalid count, block)` over full
 //! blocks with invalid pages, which is what an O(n) scan of the chip
-//! returns.
+//! returns, whatever order the build and the moves left the lists in.
 
 use crate::blocks::{BlockState, ChipBlocks};
 
@@ -37,7 +42,8 @@ pub(crate) struct GcLists {
     /// particular order. `lists[0]` stays empty.
     lists: Vec<Vec<u32>>,
     /// `pos[b]`: block `b`'s index in its list, meaningful only while the
-    /// block is listed.
+    /// block is listed. Sized by [`GcLists::size`] to cover every block
+    /// that can be listed.
     pos: Vec<u32>,
     /// Bit `c` set ⇔ `lists[c]` is non-empty.
     occupied: u128,
@@ -52,17 +58,25 @@ impl GcLists {
         self.occupied = 0;
     }
 
-    /// List `block`, which holds `count` invalid pages.
+    /// Make room for blocks of up to `pages_per_block` invalid pages and
+    /// block numbers below `blocks`, in one resize each; never shrinks.
+    pub(crate) fn size(&mut self, pages_per_block: u16, blocks: usize) {
+        let lists = usize::from(pages_per_block) + 1;
+        if self.lists.len() < lists {
+            self.lists.resize_with(lists, Vec::new);
+        }
+        if self.pos.len() < blocks {
+            self.pos.reserve_exact(blocks - self.pos.len());
+            self.pos.resize(blocks, 0);
+        }
+    }
+
+    /// List `block`, which holds `count` invalid pages; [`GcLists::size`]
+    /// must have made room for both.
     #[inline]
     pub(crate) fn insert(&mut self, block: u32, count: u32) {
         debug_assert!((1..128).contains(&count), "count outside the u128 occupancy mask");
         let (b, c) = (block as usize, count as usize);
-        if c >= self.lists.len() {
-            self.lists.resize_with(c + 1, Vec::new);
-        }
-        if b >= self.pos.len() {
-            self.pos.resize(b + 1, 0);
-        }
         let list = &mut self.lists[c];
         self.pos[b] = list.len() as u32;
         list.push(block);
@@ -103,7 +117,9 @@ impl GcLists {
                 let meta = (b < blocks.allocated_watermark()).then(|| blocks.meta(b));
                 if !meta.is_some_and(|m| m.state == BlockState::Full && m.invalid_count() == count)
                 {
-                    return Err(format!("block {b} listed for GC at {count} invalid pages: {meta:?}"));
+                    return Err(format!(
+                        "block {b} listed for GC at {count} invalid pages: {meta:?}"
+                    ));
                 }
                 if self.pos.get(b as usize) != Some(&at) {
                     return Err(format!(
@@ -154,17 +170,45 @@ mod tests {
         (0..hot).map(|i| (u32::from(from) + i) % hot).find(|&b| keep(b))
     }
 
+    /// A chip whose GC index is built from the start.
+    fn indexed_chip(cfg: &SsdConfig) -> ChipBlocks {
+        let mut cb = ChipBlocks::new(cfg);
+        cb.build_index();
+        cb
+    }
+
     #[test]
     fn empty_chip_has_no_victim() {
         let cfg = SsdConfig::tiny();
-        let cb = ChipBlocks::new(&cfg);
+        assert_eq!(ChipBlocks::new(&cfg).greediest(), None);
+        assert_eq!(indexed_chip(&cfg).greediest(), None);
+    }
+
+    #[test]
+    fn unbuilt_chip_lists_nothing_until_its_build() {
+        let cfg = SsdConfig::tiny();
+        let mut cb = ChipBlocks::new(&cfg);
+        let b0 = fill_one_block(&mut cb, &cfg);
+        let b1 = fill_one_block(&mut cb, &cfg);
+        cb.invalidate(b0, 0);
+        for page in 0..3 {
+            cb.invalidate(b1, page);
+        }
+        assert_eq!(cb.greediest(), None, "an unbuilt chip lists no candidate");
+        cb.check_consistency().unwrap();
+        cb.build_index();
+        assert_eq!(cb.greediest(), Some(b1));
+        cb.check_consistency().unwrap();
+        cb.reset();
+        assert!(!cb.index_built());
         assert_eq!(cb.greediest(), None);
+        cb.check_consistency().unwrap();
     }
 
     #[test]
     fn picks_block_with_most_invalid() {
         let cfg = SsdConfig::tiny();
-        let mut cb = ChipBlocks::new(&cfg);
+        let mut cb = indexed_chip(&cfg);
         let b0 = fill_one_block(&mut cb, &cfg);
         let b1 = fill_one_block(&mut cb, &cfg);
         // b0: 2 invalid pages; b1: 5 invalid pages.
@@ -180,7 +224,7 @@ mod tests {
     #[test]
     fn erase_unlists_its_block() {
         let cfg = SsdConfig::tiny();
-        let mut cb = ChipBlocks::new(&cfg);
+        let mut cb = indexed_chip(&cfg);
         let b = fill_one_block(&mut cb, &cfg);
         for page in 0..cfg.pages_per_block as u16 {
             cb.invalidate(b, page);
@@ -193,7 +237,7 @@ mod tests {
     #[test]
     fn retired_blocks_never_picked() {
         let cfg = SsdConfig::tiny();
-        let mut cb = ChipBlocks::new(&cfg);
+        let mut cb = indexed_chip(&cfg);
         let b = fill_one_block(&mut cb, &cfg);
         for page in 0..cfg.pages_per_block as u16 {
             cb.invalidate(b, page);
@@ -205,7 +249,7 @@ mod tests {
     #[test]
     fn active_blocks_never_picked() {
         let cfg = SsdConfig::tiny();
-        let mut cb = ChipBlocks::new(&cfg);
+        let mut cb = indexed_chip(&cfg);
         // Allocate one page -> block is Active.
         let (b, page) = cb.allocate_page().unwrap();
         cb.invalidate(b, page);
@@ -236,11 +280,13 @@ mod tests {
         /// Drive the chip as the FTL does — GC picks a victim, migrates
         /// its valid pages and erases it — with an interleaved random
         /// schedule of invalidations, GC rounds, refills, churn, closed
-        /// append points and retirements. Every pick must match the O(n)
-        /// reference scan, and the lists must stay exact after every op.
+        /// append points, retirements and one build of the index. Until
+        /// the build no block is listed and GC rounds take the scan's
+        /// victim; from the build on every pick must match the O(n)
+        /// reference scan. The lists must stay exact after every op.
         #[test]
         fn pick_matches_reference_scan(
-            ops in proptest::collection::vec((0u8..32, any::<u16>()), 1..4000),
+            ops in proptest::collection::vec((0u8..33, any::<u16>()), 1..4000),
         ) {
             let cfg = SsdConfig::tiny();
             let mut cb = ChipBlocks::new(&cfg);
@@ -269,8 +315,12 @@ mod tests {
                         // which raises it list by list) and erase it.
                         let expect = reference_victim(&cb, nblocks);
                         let got = cb.greediest();
-                        prop_assert_eq!(got, expect);
-                        if let Some(b) = got {
+                        if cb.index_built() {
+                            prop_assert_eq!(got, expect);
+                        } else {
+                            prop_assert_eq!(got, None);
+                        }
+                        if let Some(b) = expect {
                             let mut valid = cb.meta(b).valid;
                             while valid != 0 {
                                 cb.invalidate(b, valid.trailing_zeros() as u16);
@@ -302,6 +352,7 @@ mod tests {
                             cb.close_active(b);
                         }
                     }
+                    31 => cb.build_index(),
                     _ if arg % 8 == 0 => {
                         // Retire a full or active block with no valid pages.
                         let b = find(&cb, arg, |b| {
@@ -319,6 +370,7 @@ mod tests {
             }
             // Drain: repeated pick+erase must consume every reclaimable
             // block in exact greedy order, then report empty.
+            cb.build_index();
             loop {
                 let expect = reference_victim(&cb, nblocks);
                 let got = cb.greediest();

@@ -14,12 +14,13 @@
 //!   ratios).
 //! * [`blocks`] — per-chip block state: free lists, append points, per-block
 //!   valid bitmaps (`u64`, hence the 64 pages/block limit), erase counts,
-//!   and the GC candidates.
+//!   and the GC index (reverse map and GC candidates), which a device
+//!   builds only when it first migrates a page.
 //! * [`gc`] — greedy victim selection: each chip lists its full blocks
-//!   with invalid pages by invalid count, and its block transitions keep
-//!   the lists exact. GC migrates valid pages within the chip and erases
-//!   the victim, charging all of it to the chip's timeline so later host
-//!   operations observe the delay.
+//!   with invalid pages by invalid count, and from the index's build on
+//!   its block transitions keep the lists exact. GC migrates valid pages
+//!   within the chip and erases the victim, charging all of it to the
+//!   chip's timeline so later host operations observe the delay.
 //!
 //! Every flushed page goes through one write-then-invalidate program
 //! routine, fault-injected or not, and GC and block retirement move valid

@@ -1,10 +1,11 @@
 //! `ChipBlocks` materializes block state on first allocation; this pins it
 //! to an eager reference model that stores every block's metadata up front
 //! and seeds its free list `[n-1, ..., 0]`. Random sequences of allocate,
-//! invalidate, erase, retire, close-active and reset on small geometries
-//! must return the same `(block, page)` at every allocation and leave the
-//! same counts, the same metadata for every block, untouched ones
-//! included, and the same greedy GC victim.
+//! invalidate, erase, retire, close-active, GC index build and reset on
+//! small geometries must return the same `(block, page)` at every
+//! allocation and leave the same counts and the same metadata for every
+//! block, untouched ones included; from the build to the next reset they
+//! must name the same greedy GC victim, and before it the chip lists none.
 
 use proptest::prelude::*;
 use reqblock_flash::SsdConfig;
@@ -116,13 +117,16 @@ fn geometry(pages_per_block: usize, blocks: usize) -> SsdConfig {
     cfg
 }
 
-fn assert_same(lazy: &ChipBlocks, eager: &Eager) -> Result<(), TestCaseError> {
+/// `built`: whether the test has built `lazy`'s GC index since its last
+/// reset.
+fn assert_same(lazy: &ChipBlocks, eager: &Eager, built: bool) -> Result<(), TestCaseError> {
+    prop_assert_eq!(lazy.index_built(), built);
     prop_assert_eq!(lazy.free_count(), eager.free.len());
     prop_assert_eq!(lazy.usable_count(), eager.blocks.len() - eager.bad);
     prop_assert_eq!(lazy.allocated_watermark(), eager.watermark);
     prop_assert_eq!(lazy.active_block(), eager.active);
     prop_assert_eq!(lazy.block_count(), eager.blocks.len());
-    prop_assert_eq!(lazy.greediest(), eager.greediest());
+    prop_assert_eq!(lazy.greediest(), if built { eager.greediest() } else { None });
     for (b, meta) in eager.blocks.iter().enumerate() {
         prop_assert_eq!(lazy.meta(b as u32), meta, "block {}", b);
     }
@@ -140,12 +144,13 @@ proptest! {
     fn allocation_order_is_the_eager_order(
         pages_per_block in prop_oneof![Just(1usize), Just(3usize), Just(8usize), Just(64usize)],
         blocks in 1usize..140,
-        ops in proptest::collection::vec((0u8..21, any::<u32>()), 1..600),
+        ops in proptest::collection::vec((0u8..22, any::<u32>()), 1..600),
     ) {
         let cfg = geometry(pages_per_block, blocks);
         let mut lazy = ChipBlocks::new(&cfg);
         let mut eager = Eager::new(cfg.blocks_per_chip(), pages_per_block as u16);
-        assert_same(&lazy, &eager)?;
+        let mut built = false;
+        assert_same(&lazy, &eager, built)?;
         for (op, pick) in ops {
             match op {
                 0..=7 => prop_assert_eq!(lazy.allocate_page(), eager.allocate_page()),
@@ -176,12 +181,17 @@ proptest! {
                     lazy.close_active(b);
                     eager.close_active();
                 }
-                _ => {
+                20 => {
                     lazy.reset();
                     eager = Eager::new(eager.blocks.len(), eager.pages_per_block);
+                    built = false;
+                }
+                _ => {
+                    lazy.build_index();
+                    built = true;
                 }
             }
-            assert_same(&lazy, &eager)?;
+            assert_same(&lazy, &eager, built)?;
         }
     }
 }

@@ -415,6 +415,26 @@ impl TenantCursor {
         if let Some(r) = self.base.get(self.next) {
             self.head = Some((self.next as u32, Request { time_ns: self.times[self.next], ..*r }));
             self.next += self.step;
+            self.prefetch_next();
+        }
+    }
+
+    /// Hint that the next owned request is about to be read. Owned
+    /// requests sit a device count apart, so on a large fleet each
+    /// `advance` misses the cache twice (`base` and `times`); issuing the
+    /// loads one stride early overlaps them with the device's work on the
+    /// current request. Purely a cache hint, no architectural effect.
+    #[inline]
+    fn prefetch_next(&self) {
+        #[cfg(target_arch = "x86_64")]
+        if let (Some(r), Some(t)) = (self.base.get(self.next), self.times.get(self.next)) {
+            // SAFETY: prefetch has no architectural effect; the pointers
+            // come from live references and are never dereferenced.
+            unsafe {
+                use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+                _mm_prefetch((r as *const Request).cast::<i8>(), _MM_HINT_T0);
+                _mm_prefetch((t as *const u64).cast::<i8>(), _MM_HINT_T0);
+            }
         }
     }
 

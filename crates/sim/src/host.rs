@@ -19,6 +19,7 @@
 //! issued on the flash timelines at the same instants at every depth, so
 //! flash counters and GC behaviour are depth-invariant.
 
+use crate::buffer::PolicyBuffer;
 use crate::config::{SampleInterval, SimConfig};
 use crate::device::Device;
 use crate::event::ChipCursors;
@@ -789,6 +790,20 @@ impl Ssd {
     /// intervals for trace export are reachable through [`Ssd::device`].
     pub fn attribution(&self) -> Option<&AttrAcc> {
         self.attr.as_deref()
+    }
+
+    /// Audit the device's invariants: the FTL's translation tables, block
+    /// states and GC index ([`reqblock_ftl::Ftl::check_consistency`]) and,
+    /// under Req-block, the policy's lists and page index
+    /// ([`reqblock_core::ReqBlock::check_consistency`]). O(device state);
+    /// tests only.
+    #[doc(hidden)]
+    pub fn check_consistency(&self) -> Result<(), String> {
+        self.device.ftl.check_consistency().map_err(|e| format!("FTL: {e}"))?;
+        if let PolicyBuffer::ReqBlock(cache) = &self.device.cache {
+            cache.check_consistency().map_err(|e| format!("Req-block: {e}"))?;
+        }
+        Ok(())
     }
 }
 

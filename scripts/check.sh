@@ -20,8 +20,10 @@
 # range past u64::MAX), an explicit release run of the ignored full-scale
 # trace digests (crates/trace/tests/digests.rs: every paper profile's
 # synthetic trace at x1, 12.7 M requests; the debug workspace step checks
-# x0.05), the benchmark/ package tests (--locked), clippy
-# and rustdoc with warnings denied, and the wall-clock gates:
+# x0.05), the benchmark/ package tests (--locked), the rustfmt check of
+# reqblock-ftl (`cargo fmt -p reqblock-ftl -- --check` under the committed
+# rustfmt.toml: a ratchet that more crates join as they are formatted),
+# clippy and rustdoc with warnings denied, and the wall-clock gates:
 # `scripts/ab.sh HEAD --pairs 3 --seconds 5` A/B's the working tree against
 # HEAD (on a clean tree an A/A run, so a "worse" row means the host or the
 # harness is broken) over the benchmark's four workloads and the bench
@@ -134,6 +136,11 @@ cargo test -q --release --test parser_fuzz
 # debug workspace step above, which checks the x0.05 column.
 echo "== full-scale trace digests (crates/trace/tests/digests.rs, release, --ignored) =="
 cargo test -q --release -p reqblock-trace -- --ignored
+
+# The formatting ratchet: crates listed here are rustfmt-clean under
+# rustfmt.toml and must stay so.
+echo "== cargo fmt --check (reqblock-ftl) =="
+cargo fmt -p reqblock-ftl -- --check
 
 echo "== cargo clippy (warnings denied) =="
 cargo clippy --workspace --all-targets -- -D warnings
